@@ -20,12 +20,13 @@
 # sequential-vs-parallel cost to BENCH_parallel.json. `make fuzz-smoke`
 # runs each native fuzz target briefly over its committed corpus — the
 # CI smoke of the journal codec and stats input contracts
-# (docs/RESILIENCE.md).
+# (docs/RESILIENCE.md). `make spine` runs the benchmark spine (./bench,
+# declared by BENCHMARK.json) and `make spine-aa` its A/A noise check.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling vet lint lint-sarif lint-baseline race fuzz-smoke check clean
+.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling spine spine-aa vet lint lint-sarif lint-baseline race fuzz-smoke check clean
 
 all: build
 
@@ -67,6 +68,16 @@ bench-snapshot:
 # least 3x fewer runs than fixed-N) — see docs/SAMPLING.md.
 bench-sampling:
 	$(GO) run ./cmd/benchjson -bench 'BenchmarkAdaptiveTable3$$' -benchtime 1x -count 3 -out BENCH_sampling.json
+
+# The benchmark spine BENCHMARK.json declares: five workloads, one
+# process each, every end-to-end metric (bench/README.md). spine-aa runs
+# it twice on this commit and applies its own bounds to the pair — any
+# REGRESSION there is host noise, not a change.
+spine:
+	$(GO) run ./bench
+
+spine-aa:
+	bench/aa.sh
 
 vet:
 	$(GO) vet ./...

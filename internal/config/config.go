@@ -35,6 +35,11 @@ type CacheConfig struct {
 	HitNS     int64 // access latency on hit
 }
 
+// MaxAssoc is the largest associativity the cache model represents: it
+// keeps a set's replacement order as one rank byte per way and a set's
+// lines inside one 128-line copy-on-write page (see internal/mem).
+const MaxAssoc = 128
+
 // Sets returns the number of sets implied by the geometry.
 func (c CacheConfig) Sets() int {
 	return c.SizeBytes / (c.Assoc << c.BlockBits)
@@ -44,6 +49,9 @@ func (c CacheConfig) Sets() int {
 func (c CacheConfig) Validate() error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("config: non-positive cache size or associativity")
+	}
+	if c.Assoc > MaxAssoc {
+		return fmt.Errorf("config: associativity %d exceeds the maximum of %d ways", c.Assoc, MaxAssoc)
 	}
 	blk := 1 << c.BlockBits
 	if c.SizeBytes%(c.Assoc*blk) != 0 {

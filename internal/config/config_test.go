@@ -1,6 +1,10 @@
 package config
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestDefaultValid(t *testing.T) {
 	c := Default()
@@ -56,6 +60,34 @@ func TestCacheValidate(t *testing.T) {
 	}
 	if good.Sets() != 32768 {
 		t.Errorf("2-way 4MB sets = %d, want 32768", good.Sets())
+	}
+}
+
+// TestAssocBound: every associativity up to MaxAssoc validates, and the
+// first one the cache model cannot represent is refused with an error
+// that names both numbers — at the cache and through the whole config.
+func TestAssocBound(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4, 8, 16, MaxAssoc} {
+		c := CacheConfig{SizeBytes: 4 * assoc * 64, Assoc: assoc, BlockBits: 6}
+		if err := c.Validate(); err != nil {
+			t.Errorf("assoc %d should validate: %v", assoc, err)
+		}
+	}
+	for _, assoc := range []int{MaxAssoc + 1, 2 * MaxAssoc, 255, 256, 1 << 20} {
+		c := CacheConfig{SizeBytes: 4 * assoc * 64, Assoc: assoc, BlockBits: 6}
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("assoc %d validated, want it refused", assoc)
+			continue
+		}
+		if want := fmt.Sprintf("associativity %d exceeds the maximum of %d ways", assoc, MaxAssoc); !strings.Contains(err.Error(), want) {
+			t.Errorf("assoc %d: error %q does not say %q", assoc, err, want)
+		}
+	}
+	cfg := Default()
+	cfg.L2.Assoc = 2 * MaxAssoc
+	if err := cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), "L2: ") {
+		t.Errorf("Config.Validate with an over-wide L2 = %v, want an L2 error", err)
 	}
 }
 

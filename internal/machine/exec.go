@@ -119,7 +119,10 @@ func (m *Machine) issueBus(cpu int32, block uint64, kind mem.AccessKind, ifetch 
 func (m *Machine) handleBusGrant() {
 	now := m.eng.Now()
 	req := m.bus.q[0]
-	m.bus.q = m.bus.q[1:]
+	// Shift the (short) queue down instead of re-slicing past the head,
+	// which would walk the slice off its backing array and make every
+	// few appends reallocate.
+	m.bus.q = m.bus.q[:copy(m.bus.q, m.bus.q[1:])]
 	m.bus.freeAt = now + m.cfg.BusOccupancyNS
 	m.busDelay.Observe(float64(now - req.issuedAt))
 

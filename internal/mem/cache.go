@@ -12,6 +12,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"varsim/internal/config"
 )
@@ -57,48 +58,92 @@ func (s State) CanWrite() bool { return s == Modified || s == Exclusive }
 // requests.
 func (s State) IsOwner() bool { return s == Owned || s == Modified || s == Exclusive }
 
-type line struct {
-	tag   uint64 // block number (address >> blockBits), including set bits
-	state State
-	lru   uint64 // last-touch stamp; larger = more recent
-	dirty bool   // L1 only: line modified since fill
+// Line storage is two parallel copy-on-write planes. The tag plane holds
+// one packed word per line; the replacement plane holds one recency-rank
+// byte per line. Splitting them keeps the one write a read hit makes —
+// the LRU refresh — off the tag pages, so a branch that re-reads what
+// its checkpoint cached copies rank pages (1 byte/line) and never tag
+// pages (8 bytes/line).
+const (
+	// A packed line word is tag<<tagShift | dirty<<3 | state. The zero
+	// word is an invalid line.
+	stateMask = 7
+	dirtyBit  = 8
+	tagShift  = 4
+
+	// Both page kinds are 1 KiB: small enough that the first write
+	// after a branch copies little, large enough that the page tables a
+	// Clone copies stay a few KiB for the 4 MB L2 (512 + 64 pointers).
+	tagPageLines  = 128
+	rankPageLines = 1024
+)
+
+// A set never straddles a tag page and a rank fits its byte: both must
+// hold for every associativity config.CacheConfig.Validate lets through.
+var (
+	_ [tagPageLines - config.MaxAssoc]struct{}
+	_ [math.MaxUint8 - config.MaxAssoc]struct{}
+)
+
+type (
+	tagPage  [tagPageLines]uint64
+	rankPage [rankPageLines]uint8
+)
+
+// plane locates a set inside one plane's pages: page p holds sets
+// [p<<shift, (p+1)<<shift), each a contiguous run of assoc entries.
+type plane struct {
+	shift uint   // log2(sets per page)
+	mask  uint64 // (sets per page) - 1
 }
 
-// targetPageLines sizes copy-on-write pages: pages hold up to this many
-// lines (~16 KiB of line structs), small enough that the first write
-// after a branch copies little, large enough that the page table stays
-// a few hundred entries for the biggest configured cache.
-const targetPageLines = 512
+// newPlane picks the largest power-of-two sets-per-page whose ways fit
+// pageLines, so a set never straddles a page and every page holds the
+// same number of sets (sets is itself a power of two, enforced by
+// Validate), and returns the resulting page count.
+func newPlane(sets, assoc, pageLines int) (pl plane, npages int) {
+	for 2<<pl.shift <= sets && (2<<pl.shift)*assoc <= pageLines {
+		pl.shift++
+	}
+	pl.mask = 1<<pl.shift - 1
+	return pl, sets >> pl.shift
+}
 
-// Cache is one set-associative cache array.
+// locate maps set to its page and the index of its first way within it.
+func (pl plane) locate(set uint64, assoc int) (p, base int) {
+	return int(set >> pl.shift), int(set&pl.mask) * assoc
+}
+
+// Cache is one set-associative cache array with true-LRU replacement.
 //
-// The line slab is split into fixed-size pages of whole sets so that
-// Clone can share pages copy-on-write: a clone copies the page table
-// (O(pages) slice headers), not the lines, and the first mutation of a
-// shared page copies just that page. Ownership is epoch-stamped:
-// page p is writable iff pageEpoch[p] == epoch, and Freeze revokes
-// every ownership at once by bumping epoch — O(1), no page scan.
+// Replacement state is a recency rank per way within its set — 0 for an
+// invalid way, 1 for the most recently used, up to the number of valid
+// ways for the least — so a hit on the MRU way writes nothing at all.
+//
+// Clone shares every page of both planes copy-on-write: a clone copies
+// the page tables (one pointer per page), not the lines, and the first
+// mutation of a shared page copies just that page. Ownership is one bit
+// per page; Freeze revokes every ownership by clearing the bitmap.
 type Cache struct {
-	pages     [][]line // page p holds sets [p<<pageShift, (p+1)<<pageShift)
-	pageEpoch []uint64 // epoch at which page p was last materialized
-	epoch     uint64   // current ownership epoch; bumped by Freeze
-	frozen    bool     // no page materialized since the last Freeze
+	tags  []*tagPage
+	ranks []*rankPage
+	// owned bit p says tag page p is private to this cache and writable
+	// in place; bit len(tags)+p says the same of rank page p.
+	owned  []uint64
+	frozen bool // no page materialized since the last Freeze
 
-	pageShift uint   // log2(sets per page)
-	pageMask  uint64 // (sets per page) - 1
-	pageLines int    // lines per page = (sets per page) * assoc
+	tagPl, rankPl plane
 
 	assoc   int
 	sets    int
 	setMask uint64
-	stamp   uint64
 
 	// sig is an incremental XOR-fold over the valid lines' (way, tag,
 	// state, dirty) tuples — the cache's contribution to interval state
 	// digests. It is maintained at the state-changing sites (Fill,
 	// SetState, SetDirty, Invalidate) so reading it is O(1) instead of
 	// O(lines); an empty cache's sig is 0 because invalid lines
-	// contribute nothing. LRU stamps and hit/miss counters are
+	// contribute nothing. Recency ranks and hit/miss counters are
 	// deliberately excluded: a pure replacement-order difference is
 	// detected at the next victim choice it changes, which keeps the
 	// hot Probe path free of digest work.
@@ -117,31 +162,28 @@ func NewCache(cfg config.CacheConfig) *Cache {
 		panic(fmt.Sprintf("mem: %v", err))
 	}
 	sets := cfg.Sets()
-	// Largest power-of-two sets-per-page whose lines fit the target, so
-	// a set never straddles a page and there are no partial pages
-	// (sets is itself a power of two, enforced by Validate).
-	pageSets := 1
-	for pageSets < sets && pageSets*2*cfg.Assoc <= targetPageLines {
-		pageSets *= 2
-	}
-	pageShift := uint(0)
-	for 1<<pageShift != pageSets {
-		pageShift++
-	}
-	npages := sets / pageSets
+	tagPl, ntag := newPlane(sets, cfg.Assoc, tagPageLines)
+	rankPl, nrank := newPlane(sets, cfg.Assoc, rankPageLines)
 	c := &Cache{
-		pages:     make([][]line, npages),
-		pageEpoch: make([]uint64, npages),
-		pageShift: pageShift,
-		pageMask:  uint64(pageSets - 1),
-		pageLines: pageSets * cfg.Assoc,
-		assoc:     cfg.Assoc,
-		sets:      sets,
-		setMask:   uint64(sets - 1),
+		tags:    make([]*tagPage, ntag),
+		ranks:   make([]*rankPage, nrank),
+		owned:   make([]uint64, (ntag+nrank+63)/64),
+		tagPl:   tagPl,
+		rankPl:  rankPl,
+		assoc:   cfg.Assoc,
+		sets:    sets,
+		setMask: uint64(sets - 1),
 	}
-	slab := make([]line, sets*cfg.Assoc)
-	for p := range c.pages {
-		c.pages[p] = slab[p*c.pageLines : (p+1)*c.pageLines : (p+1)*c.pageLines]
+	tagSlab := make([]tagPage, ntag)
+	for p := range c.tags {
+		c.tags[p] = &tagSlab[p]
+	}
+	rankSlab := make([]rankPage, nrank)
+	for p := range c.ranks {
+		c.ranks[p] = &rankSlab[p]
+	}
+	for i := range c.owned {
+		c.owned[i] = ^uint64(0)
 	}
 	return c
 }
@@ -152,83 +194,133 @@ func (c *Cache) Sets() int { return c.sets }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-// locate maps block to its page index and the index of its set's first
-// line within that page.
-func (c *Cache) locate(block uint64) (p, base int) {
-	set := block & c.setMask
-	return int(set >> c.pageShift), int(set&c.pageMask) * c.assoc
+// own claims ownership bit i and reports whether it was already held; on
+// false the caller must replace the page with a private copy.
+func (c *Cache) own(i int) bool {
+	w, b := i>>6, uint64(1)<<(i&63)
+	if c.owned[w]&b != 0 {
+		// Owning any page implies a write since the last Freeze, so
+		// frozen is already false here.
+		return true
+	}
+	c.owned[w] |= b
+	c.frozen = false
+	return false
 }
 
-// lineIndex is the global index of line j of page p in set-major order —
-// identical to the index into the flat pre-paging slab, which keeps
-// lineSig (and with it every recorded digest) byte-identical.
-func (c *Cache) lineIndex(p, j int) int { return p*c.pageLines + j }
-
-// ensureOwned materializes page p for writing: if the page is shared
+// ownTags materializes tag page p for writing: if the page is shared
 // with an earlier snapshot generation it is copied first. This is the
 // lazy write-fault path of copy-on-write branching; it is pure
 // in-memory copying (no locks, no goroutines), so branch trajectories
 // stay deterministic regardless of which sibling touches a page first.
-func (c *Cache) ensureOwned(p int) []line {
-	if c.pageEpoch[p] == c.epoch {
-		// Owning any page implies a write since the last Freeze, so
-		// frozen is already false here.
-		return c.pages[p]
+// Appending onto nil spares the runtime zeroing a page that is about to
+// be overwritten.
+func (c *Cache) ownTags(p int) *tagPage {
+	if !c.own(p) {
+		c.tags[p] = (*tagPage)(append([]uint64(nil), c.tags[p][:]...))
 	}
-	c.frozen = false
-	np := make([]line, len(c.pages[p]))
-	copy(np, c.pages[p])
-	c.pages[p] = np
-	c.pageEpoch[p] = c.epoch
-	return np
+	return c.tags[p]
+}
+
+// ownRanks is ownTags for rank page p.
+func (c *Cache) ownRanks(p int) *rankPage {
+	if !c.own(len(c.tags) + p) {
+		c.ranks[p] = (*rankPage)(append([]uint8(nil), c.ranks[p][:]...))
+	}
+	return c.ranks[p]
 }
 
 // Freeze revokes the cache's ownership of every page, making it safe
 // to share them with clones: the next write to any page copies it
-// first. O(1) — ownership is epoch-stamped, so one counter bump
-// invalidates all stamps at once.
+// first. One bitmap clear — a bit per page, not a scan of the pages.
 func (c *Cache) Freeze() {
 	if c.frozen {
 		return
 	}
-	c.epoch++
+	clear(c.owned)
 	c.frozen = true
 }
 
-// find returns the page, page index and in-page index of block, or
-// (nil, 0, -1) if absent. Read-only: callers that mutate the line must
-// re-fetch the page via ensureOwned first.
-func (c *Cache) find(block uint64) (pg []line, p, j int) {
-	p, base := c.locate(block)
-	pg = c.pages[p]
-	for w := 0; w < c.assoc; w++ {
-		ln := &pg[base+w]
-		if ln.state != Invalid && ln.tag == block {
-			return pg, p, base + w
+// lookup returns the tag page holding block's set, the in-page index of
+// the set's first way, and the way holding block, or -1 if absent. The
+// page is for reading only; writers go through setWord.
+func (c *Cache) lookup(block uint64) (pg *tagPage, base, w int) {
+	p, base := c.tagPl.locate(block&c.setMask, c.assoc)
+	pg = c.tags[p]
+	for w := range c.assoc {
+		// Equal tags leave exactly the state bits, 1..stateMask for a
+		// valid line; anything else is a different tag or an empty way.
+		if (pg[base+w]&^dirtyBit^block<<tagShift)-1 < stateMask {
+			return pg, base, w
 		}
 	}
-	return nil, 0, -1
+	return pg, base, -1
+}
+
+// setWord stores nw into way w of block's set, materializing the tag
+// page and folding the change into sig.
+func (c *Cache) setWord(block uint64, w int, nw uint64) {
+	set := block & c.setMask
+	p, base := c.tagPl.locate(set, c.assoc)
+	pg := c.ownTags(p)
+	i := int(set)*c.assoc + w
+	c.sig ^= lineSig(i, pg[base+w]) ^ lineSig(i, nw)
+	pg[base+w] = nw
+}
+
+// touch makes way w the most recently used of block's set. A way that
+// is already MRU is left alone, so the re-hit copies and writes nothing.
+func (c *Cache) touch(block uint64, w int) {
+	p, base := c.rankPl.locate(block&c.setMask, c.assoc)
+	if c.ranks[p][base+w] != 1 {
+		c.promote(block, w)
+	}
+}
+
+// promote gives way w of block's set rank 1: every valid way that was
+// more recent ages by one.
+func (c *Cache) promote(block uint64, w int) {
+	p, base := c.rankPl.locate(block&c.setMask, c.assoc)
+	rs := c.ownRanks(p)[base : base+c.assoc]
+	// Ranks 1..old-1 age. Taken minus one as unsigned, rank 0 (an
+	// invalid way) wraps above every limit and never ages, and old == 0
+	// (a new line) wraps to a limit every valid way is below. The
+	// comparison feeds an add, not a branch: which ways are younger is
+	// as good as random to the host's predictor.
+	limit := uint(rs[w]) - 1
+	for i, r := range rs {
+		var age uint8
+		if uint(r)-1 < limit {
+			age = 1
+		}
+		rs[i] = r + age
+	}
+	rs[w] = 1
 }
 
 // Probe looks up block. On a hit it refreshes LRU and returns the state;
 // on a miss it returns Invalid. Hit/miss counters are updated. The LRU
-// refresh is a write, so a hit on a shared page materializes it.
+// refresh writes the rank plane only, and only if the line is not MRU
+// already.
 func (c *Cache) Probe(block uint64) State {
-	if _, p, j := c.find(block); j >= 0 {
-		pg := c.ensureOwned(p)
-		c.stamp++
-		pg[j].lru = c.stamp
-		c.Hits++
-		return pg[j].state
+	pg, base, w := c.lookup(block)
+	if w < 0 {
+		c.Misses++
+		return Invalid
 	}
-	c.Misses++
-	return Invalid
+	c.Hits++
+	// touch, spelled out (it is over the inlining budget): the hit on an
+	// MRU line — most L1 hits — then makes no call at all.
+	if p, rbase := c.rankPl.locate(block&c.setMask, c.assoc); c.ranks[p][rbase+w] != 1 {
+		c.promote(block, w)
+	}
+	return State(pg[base+w] & stateMask)
 }
 
 // GetState returns the state of block without touching LRU or counters.
 func (c *Cache) GetState(block uint64) State {
-	if pg, _, j := c.find(block); j >= 0 {
-		return pg[j].state
+	if pg, base, w := c.lookup(block); w >= 0 {
+		return State(pg[base+w] & stateMask)
 	}
 	return Invalid
 }
@@ -236,25 +328,19 @@ func (c *Cache) GetState(block uint64) State {
 // SetState changes the state of a resident block; it is a no-op if the
 // block is absent (the caller may race with an eviction).
 func (c *Cache) SetState(block uint64, s State) {
-	if _, p, j := c.find(block); j >= 0 {
-		pg := c.ensureOwned(p)
-		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
-		if s == Invalid {
-			pg[j] = line{}
-			return
-		}
-		pg[j].state = s
-		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
+	if s == Invalid {
+		c.Invalidate(block)
+		return
+	}
+	if pg, base, w := c.lookup(block); w >= 0 {
+		c.setWord(block, w, pg[base+w]&^stateMask|uint64(s))
 	}
 }
 
 // SetDirty marks a resident block dirty (L1 bookkeeping).
 func (c *Cache) SetDirty(block uint64) {
-	if pg0, p, j := c.find(block); j >= 0 && !pg0[j].dirty {
-		pg := c.ensureOwned(p)
-		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
-		pg[j].dirty = true
-		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
+	if pg, base, w := c.lookup(block); w >= 0 && pg[base+w]&dirtyBit == 0 {
+		c.setWord(block, w, pg[base+w]|dirtyBit)
 	}
 }
 
@@ -265,102 +351,120 @@ type Victim struct {
 	Dirty bool
 }
 
-// Fill inserts block with the given state, evicting the LRU way if the
-// set is full. It returns the victim (ok=false if an invalid way was
-// used). If the block is already resident its state is updated in place.
+// Fill inserts block with the given (valid) state, evicting the LRU way
+// if the set is full. It returns the victim (ok=false if an invalid way
+// was used). If the block is already resident its state is updated in
+// place.
 func (c *Cache) Fill(block uint64, s State) (v Victim, evicted bool) {
-	if _, p, j := c.find(block); j >= 0 {
-		pg := c.ensureOwned(p)
-		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
-		c.stamp++
-		pg[j].state = s
-		pg[j].lru = c.stamp
-		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
+	pg, base, w := c.lookup(block)
+	if w >= 0 {
+		c.setWord(block, w, pg[base+w]&^stateMask|uint64(s))
+		c.touch(block, w)
 		return Victim{}, false
 	}
-	p, base := c.locate(block)
-	pg := c.pages[p]
-	way := -1
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.assoc; w++ {
-		ln := &pg[base+w]
-		if ln.state == Invalid {
-			way = base + w
-			evicted = false
+	ways := pg[base : base+c.assoc]
+	for i, word := range ways {
+		if word == 0 {
+			w = i
 			break
 		}
-		if ln.lru < oldest {
-			oldest = ln.lru
-			way = base + w
-			evicted = true
+	}
+	if w < 0 {
+		// Full set: the ranks are 1..assoc and the victim holds the last.
+		rp, rbase := c.rankPl.locate(block&c.setMask, c.assoc)
+		for i, r := range c.ranks[rp][rbase : rbase+c.assoc] {
+			if int(r) == c.assoc {
+				w = i
+				break
+			}
 		}
-	}
-	pg = c.ensureOwned(p)
-	if evicted {
-		old := &pg[way]
-		v = Victim{Block: old.tag, State: old.state, Dirty: old.dirty}
+		old := ways[w]
+		v = Victim{Block: old >> tagShift, State: State(old & stateMask), Dirty: old&dirtyBit != 0}
+		evicted = true
 		c.Evictions++
-		c.sig ^= c.lineSig(c.lineIndex(p, way), old)
 	}
-	c.stamp++
-	pg[way] = line{tag: block, state: s, lru: c.stamp}
-	c.sig ^= c.lineSig(c.lineIndex(p, way), &pg[way])
+	c.setWord(block, w, block<<tagShift|uint64(s))
+	c.touch(block, w)
 	return v, evicted
 }
 
 // Invalidate removes block and returns its prior state and dirtiness.
 func (c *Cache) Invalidate(block uint64) (prior State, dirty bool) {
-	if _, p, j := c.find(block); j >= 0 {
-		pg := c.ensureOwned(p)
-		prior = pg[j].state
-		dirty = pg[j].dirty
-		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
-		pg[j] = line{}
+	pg, base, w := c.lookup(block)
+	if w < 0 {
+		return Invalid, false
 	}
+	prior, dirty = State(pg[base+w]&stateMask), pg[base+w]&dirtyBit != 0
+	c.setWord(block, w, 0)
+	// Close the gap the way leaves so the valid ways stay ranked 1..n.
+	rp, rbase := c.rankPl.locate(block&c.setMask, c.assoc)
+	rs := c.ownRanks(rp)[rbase : rbase+c.assoc]
+	old := rs[w]
+	for i, r := range rs {
+		if r > old {
+			rs[i] = r - 1
+		}
+	}
+	rs[w] = 0
 	return prior, dirty
 }
 
 // Clone returns a copy that shares every page with c copy-on-write:
-// only the page table and ownership stamps are copied. Cloning freezes
-// c if needed (a write); to snapshot one cache from several goroutines
-// at once, Freeze it first — Clone on a frozen cache is read-only.
+// only the page tables are copied, and the clone owns nothing. Cloning
+// freezes c if needed (a write); to snapshot one cache from several
+// goroutines at once, Freeze it first — Clone on a frozen cache is
+// read-only.
 func (c *Cache) Clone() *Cache {
-	c.Freeze()
-	cp := *c
-	cp.pages = make([][]line, len(c.pages))
-	copy(cp.pages, c.pages)
-	cp.pageEpoch = make([]uint64, len(c.pageEpoch))
-	copy(cp.pageEpoch, c.pageEpoch)
-	return &cp
+	cp := new(Cache)
+	c.cloneInto(cp)
+	return cp
 }
 
-// Materialize forces ownership of every page, copying any still shared
-// with another snapshot generation — turning a copy-on-write clone into
-// a full deep copy. Used to price lazy against eager copying; the
-// simulation itself never needs it.
+// cloneInto is Clone into caller-provided storage (see Snooper.Clone).
+func (c *Cache) cloneInto(dst *Cache) {
+	c.Freeze()
+	*dst = *c
+	dst.tags = append([]*tagPage(nil), c.tags...)
+	dst.ranks = append([]*rankPage(nil), c.ranks...)
+	dst.owned = make([]uint64, len(c.owned))
+}
+
+// Materialize forces ownership of every page of both planes, copying
+// any still shared with another snapshot generation — turning a
+// copy-on-write clone into a full deep copy. Used to price lazy against
+// eager copying; the simulation itself never needs it.
 func (c *Cache) Materialize() {
-	for p := range c.pages {
-		c.ensureOwned(p)
+	for p := range c.tags {
+		c.ownTags(p)
+	}
+	for p := range c.ranks {
+		c.ownRanks(p)
 	}
 }
 
-// lineAt returns a copy of the line at set-major global index i — the
-// index into the flat pre-paging slab. For tests and foldSig.
-func (c *Cache) lineAt(i int) line {
-	return c.pages[i/c.pageLines][i%c.pageLines]
+// wordAt and rankAt return the packed word and the recency rank of the
+// line at set-major global index i (set*assoc + way). For foldSig and
+// tests.
+func (c *Cache) wordAt(i int) uint64 {
+	p, base := c.tagPl.locate(uint64(i/c.assoc), c.assoc)
+	return c.tags[p][base+i%c.assoc]
+}
+
+func (c *Cache) rankAt(i int) uint8 {
+	p, base := c.rankPl.locate(uint64(i/c.assoc), c.assoc)
+	return c.ranks[p][base+i%c.assoc]
 }
 
 // Occupancy returns the fraction of ways holding valid lines, a cheap
 // warm-up indicator used by tests.
 func (c *Cache) Occupancy() float64 {
-	n, total := 0, 0
-	for _, pg := range c.pages {
-		total += len(pg)
-		for j := range pg {
-			if pg[j].state != Invalid {
+	n := 0
+	for _, pg := range c.tags {
+		for _, word := range pg {
+			if word != 0 {
 				n++
 			}
 		}
 	}
-	return float64(n) / float64(total)
+	return float64(n) / float64(c.sets*c.assoc)
 }

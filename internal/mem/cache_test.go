@@ -42,6 +42,61 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestLRUOrderAcrossAssociativities: at every supported width, a full
+// set gives up its lines in exactly least-recently-used order — through
+// fills, re-fills, probe hits in a scrambled order, MRU re-hits and an
+// invalidation in the middle of the order.
+func TestLRUOrderAcrossAssociativities(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4, 8, 16, config.MaxAssoc} {
+		const sets = 4
+		c := NewCache(config.CacheConfig{SizeBytes: sets * assoc * 64, Assoc: assoc, BlockBits: 6})
+		blk := func(i int) uint64 { return uint64(i)*sets + 1 } // all in set 1
+		for i := 0; i < assoc; i++ {
+			if _, evicted := c.Fill(blk(i), Shared); evicted {
+				t.Fatalf("assoc %d: fill %d of an unfilled set evicted", assoc, i)
+			}
+		}
+		// Touch in a scrambled order (a stride coprime with assoc visits
+		// every way once), re-hitting each line while it is MRU.
+		stride := 1
+		if assoc > 2 {
+			stride = assoc/2 + 1
+		}
+		var order []int
+		for k := 0; k < assoc; k++ {
+			i := k * stride % assoc
+			if c.Probe(blk(i)) != Shared || c.Probe(blk(i)) != Shared {
+				t.Fatalf("assoc %d: block %d missed", assoc, i)
+			}
+			order = append(order, i)
+		}
+		if assoc >= 4 {
+			// Re-filling the middle of the order makes it MRU; dropping
+			// another frees a way that the next fill must prefer to any
+			// eviction.
+			mid, gone := order[assoc/2], order[1]
+			c.Fill(blk(mid), Modified)
+			c.Invalidate(blk(gone))
+			order = append(append(order[:assoc/2:assoc/2], order[assoc/2+1:]...), mid)
+			order = append(order[:1:1], order[2:]...)
+			if _, evicted := c.Fill(blk(assoc), Shared); evicted {
+				t.Fatalf("assoc %d: fill evicted with a way free", assoc)
+			}
+			order = append(order, assoc)
+		}
+		for n, want := range order {
+			v, evicted := c.Fill(blk(1000+n), Shared)
+			if !evicted || v.Block != blk(want) {
+				t.Fatalf("assoc %d: eviction %d took block %d (evicted=%v), want %d — order %v",
+					assoc, n, v.Block, evicted, blk(want), order)
+			}
+		}
+		if c.Evictions != uint64(len(order)) {
+			t.Fatalf("assoc %d: %d evictions, want %d", assoc, c.Evictions, len(order))
+		}
+	}
+}
+
 func TestDirectMappedConflicts(t *testing.T) {
 	dm := NewCache(config.CacheConfig{SizeBytes: 256, Assoc: 1, BlockBits: 6}) // 4 sets
 	dm.Fill(0, Shared)
@@ -165,7 +220,7 @@ func TestCacheStructuralInvariants(t *testing.T) {
 		for set := 0; set < c.Sets(); set++ {
 			seen := map[uint64]bool{}
 			for w := 0; w < c.Assoc(); w++ {
-				ln := c.lineAt(set*c.Assoc() + w)
+				ln := viewAt(c, set*c.Assoc()+w)
 				if ln.state == Invalid {
 					continue
 				}
@@ -176,6 +231,9 @@ func TestCacheStructuralInvariants(t *testing.T) {
 					return false // duplicate
 				}
 				seen[ln.tag] = true
+			}
+			if c.recency(set) == nil {
+				return false // ranks of the valid ways are not 1..n
 			}
 		}
 		return true

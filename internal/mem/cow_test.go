@@ -8,23 +8,57 @@ import (
 	"varsim/internal/rng"
 )
 
-// bigCache spans several COW pages (64 sets x 4 ways = 256 lines at
-// the small-config geometry) so page-granular sharing is exercised.
+// bigCache spans several COW pages of both planes (1024 sets x 4 ways =
+// 4096 lines: 32 tag pages, 4 rank pages) so page-granular sharing is
+// exercised.
 func bigCache() *Cache {
-	return NewCache(config.CacheConfig{SizeBytes: 16384, Assoc: 4, BlockBits: 6})
+	return NewCache(config.CacheConfig{SizeBytes: 256 << 10, Assoc: 4, BlockBits: 6})
+}
+
+// lineView is one line of both planes, unpacked.
+type lineView struct {
+	tag   uint64
+	state State
+	dirty bool
+	rank  uint8
+}
+
+func viewAt(c *Cache, i int) lineView {
+	w := c.wordAt(i)
+	return lineView{tag: w >> tagShift, state: State(w & stateMask), dirty: w&dirtyBit != 0, rank: c.rankAt(i)}
 }
 
 // snapshotLines captures every line by global index for later
 // comparison.
-func snapshotLines(c *Cache) []line {
-	out := make([]line, c.Sets()*c.Assoc())
+func snapshotLines(c *Cache) []lineView {
+	out := make([]lineView, c.Sets()*c.Assoc())
 	for i := range out {
-		out[i] = c.lineAt(i)
+		out[i] = viewAt(c, i)
 	}
 	return out
 }
 
-func linesEqual(a, b []line) bool {
+// contendedBlock draws from 8 tags over 16 sets that straddle every rank
+// page and half the tag pages of bigCache, so short random sequences
+// still evict.
+func contendedBlock(r *rng.Stream) uint64 {
+	set := uint64(r.Intn(16)) * 67 % 1024
+	return uint64(r.Intn(8))*1024 + set
+}
+
+// ownedPages counts the pages of each plane c may write in place.
+func ownedPages(c *Cache) (tags, ranks int) {
+	bit := func(i int) int { return int(c.owned[i>>6] >> (i & 63) & 1) }
+	for p := range c.tags {
+		tags += bit(p)
+	}
+	for p := range c.ranks {
+		ranks += bit(len(c.tags) + p)
+	}
+	return tags, ranks
+}
+
+func linesEqual(a, b []lineView) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -36,20 +70,26 @@ func linesEqual(a, b []line) bool {
 	return true
 }
 
-// TestCloneIsolation pins the COW contract from both sides: writes to
-// the parent after a clone never show through the clone, and vice
-// versa, while both keep sig == foldSig.
+// TestCloneIsolation pins the COW contract from both sides and on both
+// planes: writes to the parent after a clone — state changes (tag
+// plane), LRU refreshes (rank plane), invalidations (both) — never show
+// through the clone, and vice versa, while both keep sig == foldSig.
 func TestCloneIsolation(t *testing.T) {
 	c := bigCache()
-	for b := uint64(0); b < 200; b++ {
+	// Two ways in each of 400 sets, across 13 tag pages and 2 rank pages.
+	for b := uint64(0); b < 400; b++ {
 		c.Fill(b, Shared)
+		c.Fill(b+1024, Shared)
 	}
 	cp := c.Clone()
 	before := snapshotLines(cp)
 
 	// Parent writes across many pages...
-	for b := uint64(0); b < 200; b += 3 {
+	for b := uint64(0); b < 400; b += 3 {
 		c.SetState(b, Modified)
+	}
+	for b := uint64(1); b < 400; b += 3 {
+		c.Probe(b) // the LRU way becomes MRU: a rank-plane write only
 	}
 	c.Invalidate(7)
 	if !linesEqual(snapshotLines(cp), before) {
@@ -57,8 +97,11 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	// ...and clone writes never reach the parent.
 	parentBefore := snapshotLines(c)
-	for b := uint64(0); b < 200; b += 5 {
+	for b := uint64(0); b < 400; b += 5 {
 		cp.Invalidate(b)
+	}
+	for b := uint64(2); b < 400; b += 5 {
+		cp.Probe(b)
 	}
 	if !linesEqual(snapshotLines(c), parentBefore) {
 		t.Fatal("clone writes leaked into the parent")
@@ -68,6 +111,53 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	if cp.sig != cp.foldSig() {
 		t.Fatal("clone sig drifted from foldSig")
+	}
+}
+
+// TestReadHitsLeaveTagPagesShared pins what the split planes buy: read
+// hits on a clone of a frozen cache copy rank pages at most, never a tag
+// page, and a re-hit on the MRU way copies nothing at all.
+func TestReadHitsLeaveTagPagesShared(t *testing.T) {
+	c := bigCache()
+	for b := uint64(0); b < 2048; b++ {
+		c.Fill(b, Shared) // two ways of every set; way 1 ends MRU
+	}
+	c.Freeze()
+
+	cp := c.Clone()
+	for b := uint64(1024); b < 2048; b++ {
+		if cp.Probe(b) != Shared {
+			t.Fatalf("block %d missed", b)
+		}
+		cp.GetState(b)
+	}
+	if tags, ranks := ownedPages(cp); tags != 0 || ranks != 0 {
+		t.Fatalf("1024 MRU re-hits own %d tag and %d rank pages, want none", tags, ranks)
+	}
+
+	for n := 0; n < 3; n++ {
+		for b := uint64(0); b < 2048; b++ {
+			cp.Probe(b)
+		}
+	}
+	tags, ranks := ownedPages(cp)
+	if tags != 0 {
+		t.Fatalf("read hits own %d tag pages, want none", tags)
+	}
+	if ranks != len(cp.ranks) {
+		t.Fatalf("LRU churn in every set owns %d of %d rank pages", ranks, len(cp.ranks))
+	}
+	if cp.Hits != c.Hits+1024+3*2048 || cp.Misses != c.Misses {
+		t.Fatalf("hits %d misses %d after read-only probing", cp.Hits-c.Hits, cp.Misses-c.Misses)
+	}
+	if tags, ranks := ownedPages(c); tags != 0 || ranks != 0 {
+		t.Fatal("clone reads made the frozen parent own pages")
+	}
+
+	// A fill owns exactly the one tag page it writes.
+	cp.Fill(4096, Modified)
+	if tags, _ := ownedPages(cp); tags != 1 {
+		t.Fatalf("one fill owns %d tag pages, want 1", tags)
 	}
 }
 
@@ -124,11 +214,11 @@ func TestMaterializeEquivalence(t *testing.T) {
 }
 
 // TestProbeHitMaterializes: the LRU refresh on a probe hit is a write
-// and must not touch the shared page the sibling still reads.
+// and must not touch the shared rank page the sibling still reads.
 func TestProbeHitMaterializes(t *testing.T) {
 	c := bigCache()
 	c.Fill(1, Shared)
-	c.Fill(1+64, Shared) // same set, second way (64 sets)
+	c.Fill(1+1024, Shared) // same set, second way (1024 sets)
 	cp := c.Clone()
 	before := snapshotLines(cp)
 	for i := 0; i < 5; i++ {
@@ -148,13 +238,13 @@ func TestCOWMatchesDeepProperty(t *testing.T) {
 		base := bigCache()
 		r := rng.New(seed)
 		for i := 0; i < 100; i++ {
-			base.Fill(uint64(r.Intn(512)), State(1+r.Intn(3)))
+			base.Fill(contendedBlock(&r), State(1+r.Intn(3)))
 		}
 		cow := base.Clone()
 		deep := base.Clone()
 		deep.Materialize()
 		for i := 0; i < int(nOps%400); i++ {
-			b := uint64(r.Intn(512))
+			b := contendedBlock(&r)
 			switch r.Intn(5) {
 			case 0:
 				if cow.Probe(b) != deep.Probe(b) {
@@ -184,26 +274,37 @@ func TestCOWMatchesDeepProperty(t *testing.T) {
 }
 
 // TestFrozenCloneIsReadOnly: cloning a frozen cache concurrently is
-// safe — pinned here sequentially by checking Freeze leaves no owned
-// pages and Clone does not change the parent's observable state.
+// safe — pinned here sequentially by checking Freeze leaves no page of
+// either plane owned and Clone does not write to the parent.
 func TestFrozenCloneIsReadOnly(t *testing.T) {
 	c := bigCache()
 	for b := uint64(0); b < 64; b++ {
 		c.Fill(b, Shared)
 	}
+	if tags, ranks := ownedPages(c); tags != len(c.tags) || ranks != len(c.ranks) {
+		t.Fatalf("fresh cache owns %d/%d tag and %d/%d rank pages, want all", tags, len(c.tags), ranks, len(c.ranks))
+	}
 	c.Freeze()
 	if !c.frozen {
 		t.Fatal("Freeze did not latch")
 	}
-	for p := range c.pageEpoch {
-		if c.pageEpoch[p] == c.epoch {
-			t.Fatal("page still owned after Freeze")
+	if tags, ranks := ownedPages(c); tags != 0 || ranks != 0 {
+		t.Fatalf("%d tag and %d rank pages still owned after Freeze", tags, ranks)
+	}
+	tagTable, rankTable := append([]*tagPage(nil), c.tags...), append([]*rankPage(nil), c.ranks...)
+	_ = c.Clone()
+	cp := c.Clone()
+	if tags, ranks := ownedPages(c); tags != 0 || ranks != 0 || !c.frozen {
+		t.Fatal("Clone of a frozen cache wrote to the parent")
+	}
+	for p := range c.tags {
+		if c.tags[p] != tagTable[p] || cp.tags[p] != tagTable[p] {
+			t.Fatalf("tag page %d not shared after Clone of a frozen cache", p)
 		}
 	}
-	epoch := c.epoch
-	_ = c.Clone()
-	_ = c.Clone()
-	if c.epoch != epoch || !c.frozen {
-		t.Fatal("Clone of a frozen cache wrote to the parent")
+	for p := range c.ranks {
+		if c.ranks[p] != rankTable[p] || cp.ranks[p] != rankTable[p] {
+			t.Fatalf("rank page %d not shared after Clone of a frozen cache", p)
+		}
 	}
 }

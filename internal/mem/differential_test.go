@@ -1,0 +1,140 @@
+package mem
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"varsim/internal/config"
+	"varsim/internal/rng"
+)
+
+// agree reports how the packed cache and the reference model differ in
+// anything observable: counters, both signatures (each against its own
+// from-scratch fold, and against each other), every line's (tag, state,
+// dirty), and every set's recency order.
+func agree(c *Cache, ref *refCache) error {
+	if c.Hits != ref.Hits || c.Misses != ref.Misses || c.Evictions != ref.Evicted {
+		return fmt.Errorf("counters %d/%d/%d, reference %d/%d/%d",
+			c.Hits, c.Misses, c.Evictions, ref.Hits, ref.Misses, ref.Evicted)
+	}
+	if c.StateSig() != c.foldSig() || ref.sig != ref.foldSig() || c.StateSig() != ref.sig {
+		return fmt.Errorf("sig %x fold %x, reference sig %x fold %x", c.StateSig(), c.foldSig(), ref.sig, ref.foldSig())
+	}
+	for i, want := range ref.lines {
+		got := viewAt(c, i)
+		if got.state != want.state || got.tag != want.tag || got.dirty != want.dirty {
+			return fmt.Errorf("line %d = %+v, reference %+v", i, got, want)
+		}
+	}
+	for set := 0; set < c.Sets(); set++ {
+		if got, want := c.recency(set), ref.recency(set); got == nil || !slices.Equal(got, want) {
+			return fmt.Errorf("set %d recency %v, reference %v", set, got, want)
+		}
+	}
+	return nil
+}
+
+// TestPackedMatchesReference drives the packed two-plane cache and the
+// array-of-structs reference through the same random operation
+// sequences — including Freeze, Materialize and Clone, after which
+// either the clone or the parent carries on — and demands equal return
+// values and victims at every step and full agreement at the end, on
+// the live pair and on every generation left behind.
+func TestPackedMatchesReference(t *testing.T) {
+	geometries := []config.CacheConfig{
+		{SizeBytes: 4 * 64, Assoc: 1, BlockBits: 6},                                  // direct-mapped, 4 sets
+		{SizeBytes: 512 * 64, Assoc: 2, BlockBits: 6},                                // 4 tag pages
+		{SizeBytes: 2 * 3 * 64, Assoc: 3, BlockBits: 6},                              // ways do not fill the page
+		{SizeBytes: 4096 * 64, Assoc: 4, BlockBits: 6},                               // 32 tag pages, 4 rank pages
+		{SizeBytes: 64 * 64, Assoc: 8, BlockBits: 6},                                 //
+		{SizeBytes: 256 * 64, Assoc: 16, BlockBits: 6},                               //
+		{SizeBytes: 16 * config.MaxAssoc * 64, Assoc: config.MaxAssoc, BlockBits: 6}, // one set per tag page
+	}
+	states := []State{Shared, Owned, Modified, Exclusive}
+	for _, cfg := range geometries {
+		t.Run(fmt.Sprintf("assoc%d", cfg.Assoc), func(t *testing.T) {
+			var failure error
+			if err := quick.Check(func(seed uint64, nOps uint16) bool {
+				c, ref := NewCache(cfg), newRefCache(cfg)
+				type generation struct {
+					c   *Cache
+					ref *refCache
+				}
+				var left []generation
+				r := rng.New(seed)
+				// Twice as many tags as ways over a handful of sets spread
+				// across the whole index range: sets fill and evict fast.
+				hot := min(cfg.Sets(), 6)
+				block := func() uint64 {
+					set := uint64(r.Intn(hot)) * uint64(cfg.Sets()/hot)
+					return uint64(r.Intn(2*cfg.Assoc))*uint64(cfg.Sets()) + set
+				}
+				for i := 0; i < int(nOps)%1500; i++ {
+					b := block()
+					switch op := r.Intn(16); {
+					case op < 5:
+						if got, want := c.Probe(b), ref.Probe(b); got != want {
+							failure = fmt.Errorf("op %d Probe(%d) = %v, reference %v", i, b, got, want)
+							return false
+						}
+					case op < 9:
+						s := states[r.Intn(len(states))]
+						gv, ge := c.Fill(b, s)
+						wv, we := ref.Fill(b, s)
+						if gv != wv || ge != we {
+							failure = fmt.Errorf("op %d Fill(%d) = %+v %v, reference %+v %v", i, b, gv, ge, wv, we)
+							return false
+						}
+					case op < 10:
+						if got, want := c.GetState(b), ref.GetState(b); got != want {
+							failure = fmt.Errorf("op %d GetState(%d) = %v, reference %v", i, b, got, want)
+							return false
+						}
+					case op < 11:
+						s := State(r.Intn(5)) // Invalid included
+						c.SetState(b, s)
+						ref.SetState(b, s)
+					case op < 12:
+						c.SetDirty(b)
+						ref.SetDirty(b)
+					case op < 13:
+						gs, gd := c.Invalidate(b)
+						ws, wd := ref.Invalidate(b)
+						if gs != ws || gd != wd {
+							failure = fmt.Errorf("op %d Invalidate(%d) = %v %v, reference %v %v", i, b, gs, gd, ws, wd)
+							return false
+						}
+					case op < 14:
+						c.Freeze()
+					case op < 15:
+						c.Materialize()
+					default:
+						// Branch, and carry on with the clone or the parent;
+						// the other side must still match its (deep-copied)
+						// reference when everything is over.
+						cc, rc := c.Clone(), ref.Clone()
+						if r.Bool(0.5) {
+							c, cc = cc, c
+							ref, rc = rc, ref
+						}
+						left = append(left, generation{cc, rc})
+					}
+				}
+				if failure = agree(c, ref); failure != nil {
+					return false
+				}
+				for g, gen := range left {
+					if err := agree(gen.c, gen.ref); err != nil {
+						failure = fmt.Errorf("generation %d of %d left behind: %w", g, len(left), err)
+						return false
+					}
+				}
+				return true
+			}, &quick.Config{MaxCount: 40}); err != nil {
+				t.Fatalf("%v\n%v", err, failure)
+			}
+		})
+	}
+}

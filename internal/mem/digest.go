@@ -2,25 +2,22 @@ package mem
 
 import "varsim/internal/digest"
 
-// lineSig is line ln's contribution to the cache's XOR-fold signature:
-// a well-mixed function of (way, tag, state, dirty). i is the line's
-// set-major global index (see Cache.lineIndex) — the same index the
-// flat pre-paging slab used, so paging the slab left every signature
-// bit-for-bit unchanged. Invalid lines contribute 0, so an empty
-// cache's signature is 0 and a line's insert/remove are exact XOR
-// inverses. LRU is excluded on purpose — see the sig field's comment.
-func (c *Cache) lineSig(i int, ln *line) uint64 {
-	if ln.state == Invalid {
+// lineSig is a line's contribution to the cache's XOR-fold signature:
+// a well-mixed function of (way, tag, state, dirty), taken from its
+// packed word. i is the line's set-major global index (set*assoc + way)
+// — the index the flat pre-paging slab used, so neither paging the slab
+// nor packing the line changed any signature bit. Invalid lines
+// contribute 0, so an empty cache's signature is 0 and a line's
+// insert/remove are exact XOR inverses. LRU is excluded on purpose —
+// see the sig field's comment.
+func lineSig(i int, word uint64) uint64 {
+	if word == 0 {
 		return 0
 	}
 	h := uint64(14695981039346656037)
 	h = (h ^ uint64(i)) * 1099511628211
-	h = (h ^ ln.tag) * 1099511628211
-	b := uint64(0)
-	if ln.dirty {
-		b = 1
-	}
-	h = (h ^ (uint64(ln.state)<<1 | b)) * 1099511628211
+	h = (h ^ word>>tagShift) * 1099511628211
+	h = (h ^ (word&stateMask<<1 | word&dirtyBit>>3)) * 1099511628211
 	return digest.Mix64(h)
 }
 
@@ -34,10 +31,8 @@ func (c *Cache) StateSig() uint64 { return c.sig }
 // operation sequences.
 func (c *Cache) foldSig() uint64 {
 	var sig uint64
-	for p, pg := range c.pages {
-		for j := range pg {
-			sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
-		}
+	for i := 0; i < c.sets*c.assoc; i++ {
+		sig ^= lineSig(i, c.wordAt(i))
 	}
 	return sig
 }

@@ -122,8 +122,8 @@ func NewSnooper(nodes []*NodeCaches) *Snooper {
 }
 
 // Clone copies the snooper and all node caches copy-on-write: every
-// cache's line pages are shared with the original and copied only when
-// one side writes them (see Cache.Clone). The Cache/NodeCaches structs
+// cache's pages are shared with the original and copied only when one
+// side writes them (see Cache.Clone). The Cache/NodeCaches structs
 // themselves are built in a single arena — the hierarchy is snapshotted
 // once per branched run, so the clone path is allocation-count-
 // sensitive (see BenchmarkSnapshot). Clone freezes any still-owned
@@ -135,24 +135,13 @@ func (s *Snooper) Clone() *Snooper {
 		nodes  = make([]NodeCaches, nNodes)
 		caches = make([]Cache, 3*nNodes)
 	)
-	cloneCache := func(src *Cache) *Cache {
-		src.Freeze()
-		dst := &caches[0]
-		caches = caches[1:]
-		*dst = *src
-		dst.pages = make([][]line, len(src.pages))
-		copy(dst.pages, src.pages)
-		dst.pageEpoch = make([]uint64, len(src.pageEpoch))
-		copy(dst.pageEpoch, src.pageEpoch)
-		return dst
-	}
 	cp.Nodes = make([]*NodeCaches, nNodes)
 	for i, n := range s.Nodes {
-		nodes[i] = NodeCaches{
-			L1I: cloneCache(n.L1I),
-			L1D: cloneCache(n.L1D),
-			L2:  cloneCache(n.L2),
-		}
+		c := caches[3*i : 3*i+3]
+		n.L1I.cloneInto(&c[0])
+		n.L1D.cloneInto(&c[1])
+		n.L2.cloneInto(&c[2])
+		nodes[i] = NodeCaches{L1I: &c[0], L1D: &c[1], L2: &c[2]}
 		cp.Nodes[i] = &nodes[i]
 	}
 	return &cp

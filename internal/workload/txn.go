@@ -367,10 +367,12 @@ func (b *builder) private() {
 func (e *TxnEngine) buildTxn(tid int) {
 	t := &e.threads[tid]
 	if t.shared {
-		// Buffer aliased with a snapshot clone: drop it instead of
+		// Buffer aliased with a snapshot clone: replace it instead of
 		// truncating in place (the appends below would stomp the
-		// clone's pending ops).
-		t.ops = nil
+		// clone's pending ops). The old capacity already fits this
+		// thread's transactions; starting from nil would regrow to it
+		// by doubling in every branch.
+		t.ops = make([]Op, 0, cap(t.ops))
 		t.shared = false
 		e.frozen = false
 	}
