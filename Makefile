@@ -21,12 +21,14 @@
 # runs each native fuzz target briefly over its committed corpus — the
 # CI smoke of the journal codec and stats input contracts
 # (docs/RESILIENCE.md). `make spine` runs the benchmark spine (./bench,
-# declared by BENCHMARK.json) and `make spine-aa` its A/A noise check.
+# declared by BENCHMARK.json) and `make spine-aa` its A/A noise check;
+# `make spine-alloc` gates the one spine metric that repeats exactly,
+# the heap a branch_fanout iteration allocates.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling spine spine-aa vet lint lint-sarif lint-baseline race fuzz-smoke check clean
+.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling spine spine-aa spine-alloc vet lint lint-sarif lint-baseline race fuzz-smoke check clean
 
 all: build
 
@@ -78,6 +80,20 @@ spine:
 
 spine-aa:
 	bench/aa.sh
+
+# alloc_mb_per_op is a byte count of a deterministic simulation: it
+# repeats exactly on any host, so unlike the clocked metrics it can be
+# gated absolutely. 1500 five-transaction branches allocate ~770 MB
+# (1826 MB while the workload engines still materialised op buffers);
+# the gate fails above SPINE_ALLOC_MAX_MB, or if any branch failed.
+SPINE_ALLOC_MAX_MB ?= 1100
+
+spine-alloc:
+	@set -e; out=$$($(GO) run ./bench -workload branch_fanout -seconds 1); \
+	echo "$$out" | tail -n 1 | python3 -c 'import json, sys; \
+	d = json.load(sys.stdin); mb = d["metrics"]["alloc_mb_per_op"]["value"]; \
+	print("branch_fanout: alloc_mb_per_op %.1f MB (gate $(SPINE_ALLOC_MAX_MB)), failed %d of %d" % (mb, d["failed"], d["attempted"])); \
+	sys.exit(d["failed"] != 0 or not d["correct"] or mb > $(SPINE_ALLOC_MAX_MB))'
 
 vet:
 	$(GO) vet ./...

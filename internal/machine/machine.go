@@ -359,7 +359,7 @@ func (m *Machine) RunNS(ns int64) (Result, error) {
 
 // Freeze relinquishes the machine's ownership of every structure its
 // snapshots share copy-on-write — cache line pages, predictor tables,
-// workload op buffers, the parked-op arrays — so that Snapshot copies
+// workload transaction plans, the parked-op arrays — so that Snapshot copies
 // page tables and slice headers instead of state. O(components), not
 // O(state). Freeze on an already-frozen machine performs no writes,
 // which is what makes concurrent Snapshots of a frozen base safe;
@@ -399,7 +399,7 @@ func (m *Machine) ensureParked() {
 // independent perturbed future from the same initial conditions.
 //
 // Snapshots are copy-on-write: the big state (cache line pages,
-// predictor tables, workload op buffers, recorded series) is shared
+// predictor tables, workload transaction plans, recorded series) is shared
 // with the parent and copied lazily, page by page, as either side
 // writes it — so Snapshot itself is O(metadata) and branches touching
 // little state stay cheap. Snapshot freezes an unfrozen machine (a
@@ -449,7 +449,7 @@ func (m *Machine) Snapshot() *Machine {
 }
 
 // Materialize forces ownership of everything a copy-on-write Snapshot
-// left shared — cache pages, predictor tables, workload buffers,
+// left shared — cache pages, predictor tables, workload plans,
 // parked ops, recorded series — turning this machine into a full deep
 // copy. Simulation never needs it (writes materialize lazily); it
 // exists to price lazy against eager copying (BenchmarkSnapshotDeep)

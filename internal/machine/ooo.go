@@ -69,17 +69,35 @@ func (c *oooCore) clone() *oooCore {
 }
 
 // addInstr advances the dispatch cursor by n instructions at full width.
+// frac stays below Width, so the common small step that does not fill a
+// dispatch group divides nothing, and one that fills exactly one group
+// subtracts; only a compute block spanning several groups divides, once.
 func (c *oooCore) addInstr(n int64) {
 	c.instrIdx += n
-	c.frac += n
-	c.vt += c.frac / int64(c.cfg.Width)
-	c.frac %= int64(c.cfg.Width)
+	w := int64(c.cfg.Width)
+	f := c.frac + n
+	if f >= 2*w {
+		q := f / w
+		c.vt += q
+		f -= q * w
+	} else if f >= w {
+		c.vt++
+		f -= w
+	}
+	c.frac = f
 }
 
-// popRetired retires resolved misses from the window head.
+// popRetired retires resolved misses from the window head. The (short)
+// window is shifted down in place, as the bus queue is: re-slicing past
+// the head would walk it off its backing array and make every few
+// appends in oooAccess reallocate.
 func (c *oooCore) popRetired() {
-	for len(c.misses) > 0 && c.misses[0].resolved {
-		c.misses = c.misses[1:]
+	n := 0
+	for n < len(c.misses) && c.misses[n].resolved {
+		n++
+	}
+	if n > 0 {
+		c.misses = c.misses[:copy(c.misses, c.misses[n:])]
 	}
 }
 

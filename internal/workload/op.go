@@ -60,8 +60,9 @@ func (k OpKind) String() string {
 }
 
 // Op is one operation in a thread's instruction stream. Ops are plain
-// data so generator state (and buffered ops) can be deep-copied for
-// machine snapshots.
+// data, made by Next as they are asked for and never stored by the
+// engines; the machine copies the few it holds (a pending or parked op)
+// by value.
 type Op struct {
 	Kind     OpKind
 	N        int64  // instructions (compute) or nanoseconds (I/O)
@@ -76,7 +77,11 @@ type Op struct {
 // Instance is a live, runnable workload: all thread generators plus any
 // shared state (the transaction feed). Instances are single-threaded
 // from the simulator's perspective — Next is only called inside event
-// handlers — and must be deep-copyable via Clone for checkpoints.
+// handlers — and must be copyable via Clone for checkpoints. Generators
+// hold positions, not instruction streams: a thread's state is a few
+// words of plain data (random streams, cursors, the macro or stage in
+// progress), so Clone copies one small struct per thread and the clone
+// then generates the same ops the original would have.
 type Instance interface {
 	// Name identifies the workload ("oltp", "apache", ...).
 	Name() string
@@ -97,13 +102,15 @@ type Instance interface {
 	// it (the simple core executes branch ops in one cycle), so the two
 	// models see the same workload.
 	Next(tid int) Op
-	// Clone deep-copies the instance for machine snapshots.
+	// Clone copies the instance for machine snapshots: the two then
+	// advance independently. What never changes after construction may be
+	// shared outright, and buffers copy-on-write (see Freezer).
 	Clone() Instance
 }
 
 // Hasher is implemented by workload instances that can fold their
 // progress state into an interval digest (internal/digest): shared-feed
-// position, per-thread generator state, and buffered-op cursors.
+// position and every word of per-thread generator state.
 // Optional — instances that don't implement it simply contribute
 // nothing to the workload digest component beyond what the machine
 // tracks itself.
@@ -114,12 +121,14 @@ type Hasher interface {
 }
 
 // Freezer is implemented by instances whose Clone shares mutable
-// buffers copy-on-write. Freeze relinquishes buffer ownership so a
-// frozen instance can be Cloned from several goroutines at once (Clone
-// on a frozen instance performs no writes); an instance that has run
-// since its last Freeze must be re-frozen before concurrent cloning.
-// Instances without Freeze are assumed to deep-copy in Clone, for
-// which no freeze step is needed.
+// buffers copy-on-write — of the engines here only TxnEngine, whose
+// threads each hold their current transaction's plan; SciEngine has no
+// buffer and copies all its state in Clone. Freeze relinquishes buffer
+// ownership so a frozen instance can be Cloned from several goroutines
+// at once (Clone on a frozen instance performs no writes); an instance
+// that has run since its last Freeze must be re-frozen before
+// concurrent cloning. Instances without Freeze are assumed to copy
+// everything mutable in Clone, for which no freeze step is needed.
 type Freezer interface {
 	Freeze()
 }
@@ -145,4 +154,17 @@ func (r Region) Contains(addr uint64) bool {
 // At returns the address at offset off, wrapped into the region.
 func (r Region) At(off uint64) uint64 {
 	return r.Base + off%r.Size
+}
+
+// Advance moves a cursor — an offset already wrapped into the region —
+// n bytes on and wraps it again. Base plus the cursor is what At gives
+// for the unwrapped running total, but the wrap is a compare on all but
+// the rare step that crosses the region's end, not a 64-bit remainder
+// on every one: the engines' PC cursors take a step per op.
+func (r Region) Advance(off, n uint64) uint64 {
+	off += n
+	if off >= r.Size {
+		off %= r.Size
+	}
+	return off
 }

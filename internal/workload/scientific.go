@@ -38,26 +38,63 @@ func (p *SciProfile) Validate() error {
 	return nil
 }
 
-// sciThread is one worker thread's generator state.
+// sciStage is where a thread stands inside its current phase.
+type sciStage uint8
+
+const (
+	// The five possible ops of one sweep touch, in emission order.
+	sciLoad sciStage = iota
+	sciStore
+	sciShared
+	sciCompute
+	sciBranch
+	// Boundary exchange: one block of the next partition, one of the
+	// previous, BoundaryRows times.
+	sciBoundaryNext
+	sciBoundaryPrev
+	// Phase-end reduction under the global lock, then the barrier.
+	sciLockAcq
+	sciReduce
+	sciLockRel
+	sciBarrier
+	// Program end.
+	sciTxnEnd
+	sciDone
+)
+
+// sciThread is one worker thread's generator state: a position
+// (phase, stage, i) in the program and the stream that decides the ops
+// there. Plain data — copying the struct checkpoints the thread.
 type sciThread struct {
-	rng    rng.Stream
-	ops    []Op
-	pos    int
-	phase  int
-	done   bool
-	priv   Region
-	shared bool // ops buffer aliased with a clone; reallocate before reuse
+	rng   rng.Stream
+	phase int
+	i     int    // sweep touch, or boundary row, within the phase
+	pc    uint64 // PC cursor: an offset into the code region, kept below its size
+	stage sciStage
 }
 
 // SciEngine implements Instance for barrier-phase scientific programs.
+//
+// A phase is one loop over the partition's touches with every random
+// draw made on the thread's own stream in emission order, so Next
+// generates each op from the thread's position when it is asked for:
+// no phase is ever expanded into a buffer, and the stream is the one
+// the eager expansion would give (the reference builder in the
+// package's tests is exactly that). Every op moves the PC cursor on by
+// 4 bytes, from (phase mod 64)·256 at the start of a phase.
 type SciEngine struct {
 	prof    SciProfile
 	seed    uint64
 	threads []sciThread
-	shared  Region
-	parts   []Region
-	code    Region
-	frozen  bool // all threads' ops buffers marked shared since last build
+
+	// Fixed at construction and shared, never copied, by clones.
+	shared        Region
+	parts         []Region
+	code          Region
+	stride        uint64 // bytes between consecutive sweep touches
+	touches       int    // sweep touches per phase
+	instrPerTouch int64
+	sharedEvery   int // one read of the shared structure every this many touches; 0 = none
 }
 
 // NewSciEngine builds a scientific workload instance.
@@ -69,22 +106,27 @@ func NewSciEngine(prof SciProfile, seed uint64) *SciEngine {
 	base := TableBase
 	e.shared = Region{Base: base, Size: uint64(max(prof.SharedBytes, 64))}
 	base += e.shared.Size
+	partSize := uint64(max(prof.PartitionBytes, 64))
 	for i := 0; i < prof.Threads; i++ {
-		sz := uint64(max(prof.PartitionBytes, 64))
-		e.parts = append(e.parts, Region{Base: base, Size: sz})
-		base += sz
+		e.parts = append(e.parts, Region{Base: base, Size: partSize})
+		base += partSize
 	}
 	cs := uint64(prof.CodeBytes)
 	if cs == 0 {
 		cs = 128 << 10
 	}
 	e.code = Region{Base: CodeBase, Size: cs}
+	// Compute is interleaved with the sweep so misses spread through the
+	// phase rather than bunching at its start.
+	e.stride = uint64(max(prof.SweepStride, 64))
+	e.touches = max(int(partSize/e.stride), 1)
+	e.instrPerTouch = max(prof.InstrPerPhase/int64(e.touches), 1)
+	if prof.SharedReads > 0 {
+		e.sharedEvery = max(e.touches/prof.SharedReads, 1)
+	}
 	e.threads = make([]sciThread, prof.Threads)
 	for i := range e.threads {
-		e.threads[i] = sciThread{
-			rng:  rng.New(rng.Derive(seed, 0x2000+uint64(i))),
-			priv: StackRegion(i),
-		}
+		e.threads[i] = sciThread{rng: rng.New(rng.Derive(seed, 0x2000+uint64(i)))}
 	}
 	return e
 }
@@ -104,134 +146,111 @@ func (e *SciEngine) NumSpinLocks() int { return 1 }
 // NumBarriers implements Instance.
 func (e *SciEngine) NumBarriers() int { return 1 }
 
-// Next implements Instance.
-func (e *SciEngine) Next(tid int) Op {
-	t := &e.threads[tid]
-	for t.pos >= len(t.ops) {
-		if t.done {
-			return Op{Kind: OpDone}
-		}
-		e.buildPhase(tid)
-	}
-	op := t.ops[t.pos]
-	t.pos++
-	return op
-}
-
-// Freeze marks every thread's op buffer as shared — see
-// TxnEngine.Freeze and workload.Freezer.
-func (e *SciEngine) Freeze() {
-	if e.frozen {
-		return
-	}
-	for i := range e.threads {
-		e.threads[i].shared = true
-	}
-	e.frozen = true
-}
-
-// Materialize copies any thread op buffers still shared with another
-// instance (see workload.Materializer).
-func (e *SciEngine) Materialize() {
-	for i := range e.threads {
-		t := &e.threads[i]
-		if t.shared {
-			t.ops = append([]Op(nil), t.ops...)
-			t.shared = false
-		}
-	}
-	e.frozen = false
-}
-
-// Clone implements Instance. The per-thread op buffers are shared
-// copy-on-write, as in TxnEngine.Clone.
+// Clone implements Instance: the per-thread positions and streams are
+// copied, the layout is shared.
 func (e *SciEngine) Clone() Instance {
-	e.Freeze()
 	cp := *e
 	cp.threads = append([]sciThread(nil), e.threads...)
-	cp.parts = append([]Region(nil), e.parts...)
 	return &cp
 }
 
-// buildPhase expands one barrier phase for thread tid.
-func (e *SciEngine) buildPhase(tid int) {
+// emit stamps op with the thread's PC and moves the cursor to the next
+// instruction.
+func (e *SciEngine) emit(t *sciThread, op Op) Op {
+	op.PC = e.code.Base + t.pc
+	t.pc = e.code.Advance(t.pc, 4)
+	return op
+}
+
+// Next implements Instance: it walks the thread's position forward to
+// the next op the program has there. Stages that turn out to emit
+// nothing (a store the coin declined, a touch with no shared read or
+// back-edge) fall through to the next.
+func (e *SciEngine) Next(tid int) Op {
 	t := &e.threads[tid]
-	if t.shared {
-		// Aliased with a snapshot clone: drop, don't truncate in place.
-		t.ops = nil
-		t.shared = false
-		e.frozen = false
-	}
-	t.ops = t.ops[:0]
-	t.pos = 0
-	p := e.prof
-
-	if t.phase >= p.Phases {
-		// Program end: thread 0 reports the single whole-program
-		// "transaction"; everyone terminates.
-		if tid == 0 {
-			t.ops = append(t.ops, Op{Kind: OpTxnEnd, PC: e.code.At(0)})
+	p := &e.prof
+	for {
+		switch t.stage {
+		case sciLoad:
+			if t.i >= e.touches {
+				t.i = 0
+				t.stage = sciBoundaryNext
+				continue
+			}
+			t.stage = sciStore
+			return e.emit(t, Op{Kind: OpLoad, Addr: e.parts[tid].At(uint64(t.i) * e.stride)})
+		case sciStore:
+			t.stage = sciShared
+			if t.rng.Bool(p.WriteFrac) {
+				return e.emit(t, Op{Kind: OpStore, Addr: e.parts[tid].At(uint64(t.i) * e.stride)})
+			}
+		case sciShared:
+			t.stage = sciCompute
+			if e.sharedEvery > 0 && t.i%e.sharedEvery == 0 {
+				soff := uint64(t.rng.Zipf(int(e.shared.Size/64), p.SharedTheta)) * 64
+				return e.emit(t, Op{Kind: OpLoad, Addr: e.shared.At(soff)})
+			}
+		case sciCompute:
+			t.stage = sciBranch
+			return e.emit(t, Op{Kind: OpCompute, N: e.instrPerTouch})
+		case sciBranch:
+			i := t.i
+			t.i++
+			t.stage = sciLoad
+			if i%4 == 3 {
+				// Loop back-edges: highly predictable.
+				site := uint32(0x4000 + i%128)
+				return e.emit(t, Op{Kind: OpBranch, Site: site, Taken: t.rng.Bool(0.97)})
+			}
+		case sciBoundaryNext:
+			// Boundary exchange: read neighbours' edge blocks (Ocean-style
+			// producer/consumer sharing).
+			if t.i >= p.BoundaryRows {
+				t.stage = sciLockAcq
+				continue
+			}
+			t.stage = sciBoundaryPrev
+			nb := e.parts[(tid+1)%p.Threads]
+			return e.emit(t, Op{Kind: OpLoad, Addr: nb.At(uint64(t.i) * 64)})
+		case sciBoundaryPrev:
+			pv := e.parts[(tid+p.Threads-1)%p.Threads]
+			op := Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - uint64(t.i)*64)}
+			t.i++
+			t.stage = sciBoundaryNext
+			return e.emit(t, op)
+		case sciLockAcq:
+			// Phase-end reduction under the global lock.
+			t.stage = sciReduce
+			return e.emit(t, Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0)})
+		case sciReduce:
+			t.stage = sciLockRel
+			return e.emit(t, Op{Kind: OpStore, Addr: e.shared.At(0)})
+		case sciLockRel:
+			t.stage = sciBarrier
+			return e.emit(t, Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0)})
+		case sciBarrier:
+			op := e.emit(t, Op{Kind: OpBarrier, ID: 0})
+			t.phase++
+			t.i = 0
+			t.pc = uint64(t.phase%64) * 256 % e.code.Size
+			switch {
+			case t.phase < p.Phases:
+				t.stage = sciLoad
+			case tid == 0:
+				t.stage = sciTxnEnd
+			default:
+				t.stage = sciDone
+			}
+			return op
+		case sciTxnEnd:
+			// Program end: thread 0 reports the single whole-program
+			// "transaction"; everyone terminates.
+			t.stage = sciDone
+			return Op{Kind: OpTxnEnd, PC: e.code.At(0)}
+		case sciDone:
+			return Op{Kind: OpDone}
+		default:
+			panic(fmt.Sprintf("workload: scientific thread at unknown stage %d", t.stage))
 		}
-		t.ops = append(t.ops, Op{Kind: OpDone})
-		t.done = true
-		return
 	}
-
-	part := e.parts[tid]
-	pc := uint64(t.phase%64) * 256
-	emit := func(op Op) {
-		op.PC = e.code.At(pc)
-		t.ops = append(t.ops, op)
-		pc += 4
-	}
-
-	// Compute interleaved with the sweep so misses spread through the
-	// phase rather than bunching at its start.
-	stride := p.SweepStride
-	if stride < 64 {
-		stride = 64
-	}
-	touches := int(int64(part.Size) / stride)
-	if touches < 1 {
-		touches = 1
-	}
-	instrPerTouch := p.InstrPerPhase / int64(touches)
-	if instrPerTouch < 1 {
-		instrPerTouch = 1
-	}
-	sharedEvery := 0
-	if p.SharedReads > 0 {
-		sharedEvery = max(touches/p.SharedReads, 1)
-	}
-	for i := 0; i < touches; i++ {
-		addr := part.At(uint64(int64(i) * stride))
-		emit(Op{Kind: OpLoad, Addr: addr})
-		if t.rng.Bool(p.WriteFrac) {
-			emit(Op{Kind: OpStore, Addr: addr})
-		}
-		if sharedEvery > 0 && i%sharedEvery == 0 {
-			soff := uint64(t.rng.Zipf(int(e.shared.Size/64), p.SharedTheta)) * 64
-			emit(Op{Kind: OpLoad, Addr: e.shared.At(soff)})
-		}
-		emit(Op{Kind: OpCompute, N: instrPerTouch})
-		if i%4 == 3 {
-			// Loop back-edges: highly predictable.
-			site := uint32(0x4000 + i%128)
-			emit(Op{Kind: OpBranch, Site: site, Taken: t.rng.Bool(0.97)})
-		}
-	}
-	// Boundary exchange: read neighbours' edge blocks (Ocean-style
-	// producer/consumer sharing).
-	for bdry := 0; bdry < p.BoundaryRows; bdry++ {
-		nb := e.parts[(tid+1)%p.Threads]
-		emit(Op{Kind: OpLoad, Addr: nb.At(uint64(bdry) * 64)})
-		pv := e.parts[(tid+p.Threads-1)%p.Threads]
-		emit(Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - uint64(bdry)*64)})
-	}
-	// Phase-end reduction under the global lock.
-	emit(Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0)})
-	emit(Op{Kind: OpStore, Addr: e.shared.At(0)})
-	emit(Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0)})
-	emit(Op{Kind: OpBarrier, ID: 0})
-	t.phase++
 }

@@ -84,14 +84,67 @@ func (p *TxnProfile) Validate() error {
 	return nil
 }
 
-// txnThread is one user thread's generator state.
+// planKind says what one entry of a transaction's plan stands for. The
+// macros are a type of their own rather than extra OpKind values: an
+// OpKind is something a processor model executes.
+type planKind uint8
+
+const (
+	// planOp is one literal op.
+	planOp planKind = iota
+	// planCompute is a compute run of arg instructions: chunks of
+	// BranchEvery instructions with one branch between neighbours.
+	planCompute
+	// planWalk is an emulated index walk to one row of table id: a hot
+	// root touch, a warm interior touch, then the leaf row (one or two
+	// blocks), loaded and — for a write — stored.
+	planWalk
+	// planStack is a stack touch (L1-resident most of the time): a load
+	// and a store of the thread's next private block.
+	planStack
+)
+
+// planEntry is one step of a transaction's plan: a literal op, or a
+// macro that Next unrolls one op at a time. Four fifths of a
+// transaction's ops are compute/branch pairs and most of the rest index
+// walks, so a ~1 200-op OLTP transaction is a ~200-entry plan.
+type planEntry struct {
+	kind  planKind
+	op    OpKind // planOp: Op.Kind
+	write bool   // planWalk: the leaf row is stored to
+	id    int32  // planOp: Op.ID; planWalk: table index
+	arg   uint64 // planOp: Op.N of an OpIO, Op.Addr of any other; planCompute: instructions
+}
+
+// Flags of the walk being unrolled.
+const (
+	walkWrite  uint8 = 1 << iota // the loads are followed by a store to the leaf
+	walkSecond                   // the leaf's second block is touched too
+)
+
+// txnThread is one user thread's generator state: the plan of its
+// current transaction and how far Next has unrolled it. Everything but
+// the plan's backing array is plain data, so copying the struct
+// checkpoints the thread.
 type txnThread struct {
-	rng    rng.Stream
-	ops    []Op
-	pos    int
-	priv   Region
-	poff   uint64 // rotating private offset
-	shared bool   // ops buffer aliased with a clone; reallocate before reuse
+	plan []planEntry
+	next int32 // the plan entry Next starts after the one in progress
+	// class is the transaction's class, which fixes its code region and
+	// its branch-site space.
+	class int32
+	// fork is the transaction's second random stream (see buildTxn):
+	// every draw the macros make comes from it, in emission order.
+	fork rng.Stream
+	pc   uint64 // PC cursor: an offset into the class's code region, kept below its size
+	poff uint64 // rotating private (stack) offset
+
+	run    int64  // instructions left in the compute run being unrolled; 0 = none
+	row    uint64 // row of the walk being unrolled
+	indIn  int32  // branches left until the next indirect one
+	step   uint8  // ops already emitted of the walk or stack touch being unrolled; 0 = none
+	flags  uint8  // walkWrite, walkSecond
+	brNext bool   // inside a run: the next op is the branch between two chunks
+	shared bool   // plan aliased with a clone; reallocate before reuse
 }
 
 // TxnEngine implements Instance for throughput-oriented transactional
@@ -99,17 +152,43 @@ type txnThread struct {
 // has a fixed identity (class, rows, locks) derived from the workload
 // seed, but which thread executes it — and hence on which processor and
 // with which cache contents — is decided by execution timing.
+//
+// Op generation has two levels. When a thread runs out of work,
+// buildTxn claims the next transaction and writes down its plan; Next
+// then expands the plan one op at a time. No instruction stream is ever
+// stored, and the stream is nevertheless the one an eager expansion at
+// build time would give (the reference builder in the package's tests
+// is exactly that), for three reasons:
+//
+//   - Two random streams. A transaction's identity — class, start PC,
+//     lock id, I/O step, table picks, I/O time, disk — is drawn in
+//     buildTxn from r, seeded by (workload seed, idx). Everything a
+//     macro draws — branch site, outcome and indirect target, Zipf
+//     rows, the second-block coin — comes from a fork of r taken once,
+//     right after the start PC. Nothing else reads the fork, so drawing
+//     from it as ops are emitted consumes it in the same order as
+//     drawing it all at build time.
+//   - Shared state — the feed position and the log head — is still
+//     claimed in buildTxn, so the order in which threads claim it, and
+//     what each gets, does not depend on when their ops are consumed.
+//   - PCs come from a cursor into the class's code region that only
+//     compute runs move: 4·chunk past each compute op, 4 past each
+//     branch.
 type TxnEngine struct {
 	prof    TxnProfile
 	seed    uint64
 	feed    int64
 	logHead uint64
 	threads []txnThread
-	frozen  bool // all threads' ops buffers marked shared since last build
+	frozen  bool // all threads' plans marked shared since last build
 
+	// Fixed at construction and shared, never copied, by clones.
 	tableRegions []Region
 	codeRegions  []Region
-	lockBase     []int32 // family -> first lock id (log lock is id 0)
+	lockBase     []int32   // family -> first lock id (log lock is id 0)
+	bias         []float64 // taken-probability of branch site k of class ci, at ci*branchSites+k
+	branchEvery  int64     // prof.BranchEvery, defaulted
+	branchSites  int       // prof.BranchSites, defaulted
 	numLocks     int
 	weightSum    int
 }
@@ -151,13 +230,29 @@ func NewTxnEngine(prof TxnProfile, seed uint64) *TxnEngine {
 	for _, c := range prof.Classes {
 		e.weightSum += c.Weight
 	}
-	e.threads = make([]txnThread, prof.Threads)
-	for i := range e.threads {
-		e.threads[i] = txnThread{
-			rng:  rng.New(rng.Derive(seed, 0x1000+uint64(i))),
-			priv: StackRegion(i),
+	e.branchEvery = prof.BranchEvery
+	if e.branchEvery <= 0 {
+		e.branchEvery = 8
+	}
+	e.branchSites = prof.BranchSites
+	if e.branchSites <= 0 {
+		e.branchSites = 64
+	}
+	// Site-determined outcome bias: most sites are strongly biased (loop
+	// back-edges, error checks), a minority are data-dependent and noisy
+	// — the mix real predictors face. A pure function of the site id, so
+	// it is tabulated here instead of rehashed at every branch.
+	e.bias = make([]float64, len(prof.Classes)*e.branchSites)
+	for i := range e.bias {
+		site := uint32(i/e.branchSites)<<16 + uint32(i%e.branchSites)
+		h := rng.Derive(uint64(site), 0xb1a5)
+		if h%10 < 7 {
+			e.bias[i] = 0.96 + 0.035*float64(h%100)/100
+		} else {
+			e.bias[i] = 0.60 + 0.25*float64(h%100)/100
 		}
 	}
+	e.threads = make([]txnThread, prof.Threads)
 	return e
 }
 
@@ -186,20 +281,147 @@ func (e *TxnEngine) NumBarriers() int { return 0 }
 // shared feed (for tests).
 func (e *TxnEngine) FeedIndex() int64 { return e.feed }
 
-// Next implements Instance.
+// Next implements Instance: it continues the macro in progress, or
+// starts the thread's next plan entry, claiming a new transaction when
+// the plan is used up.
 func (e *TxnEngine) Next(tid int) Op {
 	t := &e.threads[tid]
-	for t.pos >= len(t.ops) {
+	if t.run > 0 {
+		return e.unrollRun(t)
+	}
+	if t.step > 0 {
+		return e.unrollTouch(t, tid)
+	}
+	if int(t.next) == len(t.plan) {
 		e.buildTxn(tid)
 	}
-	op := t.ops[t.pos]
-	t.pos++
+	p := &t.plan[t.next]
+	t.next++
+	code := e.codeRegions[t.class]
+	switch p.kind {
+	case planOp:
+		op := Op{Kind: p.op, ID: p.id, PC: code.Base + t.pc}
+		if p.op == OpIO {
+			op.N = int64(p.arg)
+		} else {
+			op.Addr = p.arg
+		}
+		return op
+	case planCompute:
+		t.run = int64(p.arg)
+		return e.unrollRun(t)
+	case planWalk:
+		tab := &e.prof.Tables[p.id]
+		if e.prof.Classes[t.class].Partition {
+			per := max(tab.Rows/int64(e.prof.Threads), 1)
+			t.row = uint64(int64(tid)*per + int64(t.fork.Zipf(int(per), tab.Theta)))
+		} else {
+			t.row = uint64(t.fork.Zipf(int(tab.Rows), tab.Theta))
+		}
+		// The coin is drawn here and not after the leaf load: the loads
+		// between draw nothing, so the fork sees the same sequence.
+		t.flags = 0
+		if p.write {
+			t.flags = walkWrite
+			if tab.RowBytes > 64 {
+				t.flags |= walkSecond
+			}
+		} else if tab.RowBytes > 64 && t.fork.Bool(0.5) {
+			t.flags = walkSecond
+		}
+		t.step = 1
+		// Root: block 0 of the region.
+		return Op{Kind: OpLoad, Addr: e.tableRegions[p.id].At(0), PC: code.Base + t.pc}
+	case planStack:
+		t.poff += 64
+		t.step = 1
+		return Op{Kind: OpLoad, Addr: StackRegion(tid).At(t.poff), PC: code.Base + t.pc}
+	default:
+		panic(fmt.Sprintf("workload: plan entry of unknown kind %d", p.kind))
+	}
+}
+
+// unrollRun emits the next op of the compute run in progress: chunks of
+// branchEvery instructions with a branch between each two, so both
+// processor models consume the identical stream.
+func (e *TxnEngine) unrollRun(t *txnThread) Op {
+	code := e.codeRegions[t.class]
+	if t.brNext {
+		t.brNext = false
+		return e.branch(t, code)
+	}
+	chunk := min(e.branchEvery, t.run)
+	t.run -= chunk
+	t.brNext = t.run > 0
+	op := Op{Kind: OpCompute, N: chunk, PC: code.Base + t.pc}
+	t.pc = code.Advance(t.pc, uint64(chunk)*4)
 	return op
 }
 
-// Freeze marks every thread's op buffer as shared, so both this engine
-// and its future clones reallocate (rather than truncate-and-refill)
-// the buffer at their next transaction build. Part of the copy-on-write
+// branch emits one conditional (or, periodically, indirect) branch with
+// its site's outcome bias.
+func (e *TxnEngine) branch(t *txnThread, code Region) Op {
+	k := t.fork.Intn(e.branchSites)
+	site := uint32(t.class)<<16 + uint32(k)
+	op := Op{Kind: OpBranch, Site: site, PC: code.Base + t.pc,
+		Taken: t.fork.Bool(e.bias[int(t.class)*e.branchSites+k])}
+	if e.prof.IndirectEvery > 0 {
+		if t.indIn--; t.indIn == 0 {
+			t.indIn = int32(e.prof.IndirectEvery)
+			// Indirect target: per-site dominant target with occasional
+			// alternates (virtual dispatch on a skewed type distribution).
+			tsel := 0
+			if t.fork.Bool(0.25) {
+				tsel = 1 + t.fork.Intn(3)
+			}
+			op.Indirect = true
+			op.Addr = uint64(site)*64 + uint64(tsel)*8
+		}
+	}
+	t.pc = code.Advance(t.pc, 4)
+	return op
+}
+
+// unrollTouch emits the next op of the index walk or stack touch in
+// progress; its first op went out when Next started the plan entry.
+func (e *TxnEngine) unrollTouch(t *txnThread, tid int) Op {
+	p := &t.plan[t.next-1]
+	op := Op{Kind: OpLoad, PC: e.codeRegions[t.class].Base + t.pc}
+	if p.kind == planStack {
+		t.step = 0
+		op.Kind = OpStore
+		op.Addr = StackRegion(tid).At(t.poff)
+		return op
+	}
+	reg := e.tableRegions[p.id]
+	leaf := t.row * uint64(e.prof.Tables[p.id].RowBytes)
+	switch t.step {
+	case 1: // interior: one of the first 1024 blocks past the root's 64 KB
+		op.Addr = reg.At(64*1024 + t.row%1024*64)
+	case 2:
+		op.Addr = reg.At(leaf)
+	case 3:
+		if t.flags&walkWrite != 0 {
+			op.Kind = OpStore
+			op.Addr = reg.At(leaf)
+		} else {
+			op.Addr = reg.At(leaf + 64)
+		}
+	default:
+		op.Kind = OpStore
+		op.Addr = reg.At(leaf + 64)
+	}
+	// Three loads, then one more op for each flag set.
+	t.step++
+	if t.step == 3+t.flags&1+t.flags>>1 {
+		t.step = 0
+	}
+	return op
+}
+
+// Freeze marks every thread's plan as shared, so both this engine and
+// its future clones reallocate (rather than truncate-and-refill) the
+// plan at their next transaction build. Part of the copy-on-write
 // snapshot protocol (see workload.Freezer).
 func (e *TxnEngine) Freeze() {
 	if e.frozen {
@@ -211,173 +433,61 @@ func (e *TxnEngine) Freeze() {
 	e.frozen = true
 }
 
-// Materialize copies any thread op buffers still shared with another
+// Materialize copies any thread plans still shared with another
 // instance (see workload.Materializer).
 func (e *TxnEngine) Materialize() {
 	for i := range e.threads {
 		t := &e.threads[i]
 		if t.shared {
-			t.ops = append([]Op(nil), t.ops...)
+			t.plan = append([]planEntry(nil), t.plan...)
 			t.shared = false
 		}
 	}
 	e.frozen = false
 }
 
-// Clone implements Instance. The per-thread op buffers are shared
-// copy-on-write: each side reallocates its buffer the first time it
-// builds a new transaction. Cloning freezes e if needed (a write); to
-// clone concurrently, Freeze first — Clone on a frozen engine is
+// Clone implements Instance. It copies the per-thread state — cursors,
+// the fork stream, the macro in progress — and shares everything else:
+// the layout tables are never written after construction, and the
+// plans are copy-on-write, each side allocating a new one the first
+// time it builds a transaction. Cloning freezes e if needed (a write);
+// to clone concurrently, Freeze first — Clone on a frozen engine is
 // read-only.
 func (e *TxnEngine) Clone() Instance {
 	e.Freeze()
 	cp := *e
 	cp.threads = append([]txnThread(nil), e.threads...)
-	cp.tableRegions = append([]Region(nil), e.tableRegions...)
-	cp.codeRegions = append([]Region(nil), e.codeRegions...)
-	cp.lockBase = append([]int32(nil), e.lockBase...)
 	return &cp
 }
 
-// builder bundles the state of one transaction's op-list construction.
-type builder struct {
-	e       *TxnEngine
-	t       *txnThread
-	tid     int
-	r       rng.Stream
-	class   int
-	pc      uint64
-	code    Region
-	brCount int
-	sites   uint32 // site id space base for this class
+// Plan recording: buildTxn's vocabulary.
+
+func (t *txnThread) op(kind OpKind, id int32, arg uint64) {
+	t.plan = append(t.plan, planEntry{kind: planOp, op: kind, id: id, arg: arg})
 }
 
-func (b *builder) emit(op Op) {
-	op.PC = b.code.At(b.pc)
-	b.t.ops = append(b.t.ops, op)
+func (t *txnThread) lockOp(kind OpKind, id int32) {
+	t.op(kind, id, LockWordAddr(id))
 }
 
-// compute emits n instructions of computation, interleaved with branch
-// ops so both processor models consume the identical stream.
-func (b *builder) compute(n int64) {
-	if n <= 0 {
-		return
-	}
-	every := b.e.prof.BranchEvery
-	if every <= 0 {
-		every = 8
-	}
-	for n > 0 {
-		chunk := every
-		if chunk > n {
-			chunk = n
-		}
-		b.emit(Op{Kind: OpCompute, N: chunk})
-		b.pc += uint64(chunk) * 4
-		n -= chunk
-		if n <= 0 {
-			break
-		}
-		b.branch()
+func (t *txnThread) compute(n int64) {
+	if n > 0 {
+		t.plan = append(t.plan, planEntry{kind: planCompute, arg: uint64(n)})
 	}
 }
 
-// branch emits one conditional (or, periodically, indirect) branch with a
-// per-site outcome bias: sites are mostly predictable, a few are noisy,
-// matching the mix real predictors see.
-func (b *builder) branch() {
-	b.brCount++
-	nsites := b.e.prof.BranchSites
-	if nsites <= 0 {
-		nsites = 64
-	}
-	site := b.sites + uint32(b.r.Intn(nsites))
-	// Site-determined bias: most sites are strongly biased (loop
-	// back-edges, error checks), a minority are data-dependent and noisy
-	// — the mix real predictors face.
-	h := rng.Derive(uint64(site), 0xb1a5)
-	var bias float64
-	if h%10 < 7 {
-		bias = 0.96 + 0.035*float64(h%100)/100
-	} else {
-		bias = 0.60 + 0.25*float64(h%100)/100
-	}
-	taken := b.r.Bool(bias)
-	ind := false
-	ie := b.e.prof.IndirectEvery
-	if ie > 0 && b.brCount%ie == 0 {
-		ind = true
-	}
-	if ind {
-		// Indirect target: per-site dominant target with occasional
-		// alternates (virtual dispatch on a skewed type distribution).
-		tsel := 0
-		if b.r.Bool(0.25) {
-			tsel = 1 + b.r.Intn(3)
-		}
-		b.emit(Op{Kind: OpBranch, Site: site, Taken: taken, Indirect: true,
-			Addr: uint64(site)*64 + uint64(tsel)*8})
-	} else {
-		b.emit(Op{Kind: OpBranch, Site: site, Taken: taken})
-	}
-	b.pc += 4
+func (t *txnThread) walk(ti int, write bool) {
+	t.plan = append(t.plan, planEntry{kind: planWalk, id: int32(ti), write: write})
 }
 
-// rowRead emits an emulated index walk to a row of table ti: a hot root
-// touch, a warm interior touch, then the leaf row (one or two blocks).
-func (b *builder) rowRead(ti int, write bool) {
-	tab := b.e.prof.Tables[ti]
-	reg := b.e.tableRegions[ti]
-	var row int64
-	if b.e.prof.Classes[b.class].Partition {
-		per := tab.Rows / int64(b.e.prof.Threads)
-		if per < 1 {
-			per = 1
-		}
-		row = int64(b.tid)*per + int64(b.r.Zipf(int(per), tab.Theta))
-	} else {
-		row = int64(b.r.Zipf(int(tab.Rows), tab.Theta))
-	}
-	// Root: block 0 of the region; interior: one of the first 1024 blocks.
-	b.emit(Op{Kind: OpLoad, Addr: reg.At(0)})
-	inner := uint64(row) % 1024 * 64
-	b.emit(Op{Kind: OpLoad, Addr: reg.At(64*1024 + inner)})
-	leaf := uint64(row * tab.RowBytes)
-	b.emit(Op{Kind: OpLoad, Addr: reg.At(leaf)})
-	if write {
-		b.emit(Op{Kind: OpStore, Addr: reg.At(leaf)})
-		if tab.RowBytes > 64 {
-			b.emit(Op{Kind: OpStore, Addr: reg.At(leaf + 64)})
-		}
-	} else if tab.RowBytes > 64 && b.r.Bool(0.5) {
-		b.emit(Op{Kind: OpLoad, Addr: reg.At(leaf + 64)})
-	}
+func (t *txnThread) stack() {
+	t.plan = append(t.plan, planEntry{kind: planStack})
 }
 
-// private emits a stack touch (L1-resident most of the time).
-func (b *builder) private() {
-	b.t.poff += 64
-	addr := b.t.priv.At(b.t.poff)
-	b.emit(Op{Kind: OpLoad, Addr: addr})
-	b.emit(Op{Kind: OpStore, Addr: addr})
-}
-
-// buildTxn claims the next transaction from the shared feed and expands
-// it into ops in the thread's buffer.
+// buildTxn claims the next transaction from the shared feed and writes
+// its plan into the thread's buffer.
 func (e *TxnEngine) buildTxn(tid int) {
 	t := &e.threads[tid]
-	if t.shared {
-		// Buffer aliased with a snapshot clone: replace it instead of
-		// truncating in place (the appends below would stomp the
-		// clone's pending ops). The old capacity already fits this
-		// thread's transactions; starting from nil would regrow to it
-		// by doubling in every branch.
-		t.ops = make([]Op, 0, cap(t.ops))
-		t.shared = false
-		e.frozen = false
-	}
-	t.ops = t.ops[:0]
-	t.pos = 0
 
 	idx := e.feed
 	e.feed++
@@ -398,16 +508,14 @@ func (e *TxnEngine) buildTxn(tid int) {
 	class := e.prof.Classes[ci]
 	intensity := e.prof.Phase.Intensity(idx)
 
-	b := builder{
-		e: e, t: t, tid: tid, r: r, class: ci,
-		code:  e.codeRegions[ci],
-		pc:    uint64(r.Intn(1024)) * 64,
-		sites: uint32(ci) << 16,
-	}
-
-	if e.prof.ThinkNS > 0 {
-		b.emit(Op{Kind: OpIO, N: e.prof.ThinkNS, ID: -1})
-	}
+	// Draw the start PC first, then fork. Both once sat in one composite
+	// literal, where Go leaves the order of the copy against the call
+	// unspecified; this is the order the gc compiler chose, and the one
+	// every recorded checksum holds the engine to.
+	t.pc = uint64(r.Intn(1024)) * 64 % e.codeRegions[ci].Size
+	t.fork = r
+	t.class = int32(ci)
+	t.indIn = int32(e.prof.IndirectEvery)
 
 	steps := int(float64(class.Steps)*intensity + 0.5)
 	if steps < 1 {
@@ -418,9 +526,29 @@ func (e *TxnEngine) buildTxn(tid int) {
 		instr = 8
 	}
 
+	// A plan aliased with a snapshot clone is replaced, not truncated in
+	// place (the appends below would stomp the clone's pending entries).
+	// Either way it is sized for this transaction outright — every entry
+	// the code below can append is counted — so no build regrows it by
+	// doubling, and a branch pays for the transactions it runs, not for
+	// the largest its parent ever saw.
+	accesses := class.Reads + class.Writes
+	need := 12 + class.LogRecords + steps*(3+2*accesses+e.prof.PrivatePerOp)
+	if t.shared || cap(t.plan) < need {
+		t.plan = make([]planEntry, 0, need)
+		t.shared = false
+		e.frozen = false
+	}
+	t.plan = t.plan[:0]
+	t.next = 0
+
+	if e.prof.ThinkNS > 0 {
+		t.op(OpIO, -1, uint64(e.prof.ThinkNS))
+	}
+
 	// Begin: parse/plan.
-	b.emit(Op{Kind: OpCall})
-	b.compute(instr / 2)
+	t.op(OpCall, 0, 0)
+	t.compute(instr / 2)
 
 	// Locked section boundaries.
 	lockStart, lockEnd := -1, -1
@@ -447,37 +575,31 @@ func (e *TxnEngine) buildTxn(tid int) {
 	}
 
 	for s := 0; s < steps; s++ {
-		b.emit(Op{Kind: OpCall}) // per-step helper function (RAS exercise)
+		t.op(OpCall, 0, 0) // per-step helper function (RAS exercise)
 		if s == lockStart {
-			b.emit(Op{Kind: OpLockAcq, ID: lockID, Addr: LockWordAddr(lockID)})
+			t.lockOp(OpLockAcq, lockID)
 		}
 		// Interleave computation between row accesses: the resulting
 		// inter-miss instruction gaps are what make reorder-buffer size
 		// matter (Experiment 2) — a larger window overlaps more of the
 		// next access's miss latency.
-		accesses := class.Reads + class.Writes
 		chunk := instr / int64(accesses+1)
 		locked := lockID >= 0 && s >= lockStart && s < lockEnd
-		b.compute(chunk)
+		t.compute(chunk)
 		for i := 0; i < class.Reads; i++ {
-			ti := class.Tables[r.Intn(len(class.Tables))]
-			b.rowRead(ti, false)
-			b.compute(chunk)
+			t.walk(class.Tables[r.Intn(len(class.Tables))], false)
+			t.compute(chunk)
 		}
 		for i := 0; i < class.Writes; i++ {
 			ti := class.Tables[r.Intn(len(class.Tables))]
 			// Unlocked classes still write (engine-level latching is
 			// below our model's granularity), but locked classes confine
 			// writes to the critical section.
-			if lockID < 0 || locked {
-				b.rowRead(ti, true)
-			} else {
-				b.rowRead(ti, false)
-			}
-			b.compute(chunk)
+			t.walk(ti, lockID < 0 || locked)
+			t.compute(chunk)
 		}
 		for i := 0; i < e.prof.PrivatePerOp; i++ {
-			b.private()
+			t.stack()
 		}
 		if s == ioStep && class.IOMeanNS > 0 {
 			dur := int64(r.Exp(float64(class.IOMeanNS)))
@@ -485,32 +607,31 @@ func (e *TxnEngine) buildTxn(tid int) {
 				dur = 1000
 			}
 			disk := 1 + r.Intn(max(e.prof.DataDisks, 1))
-			b.emit(Op{Kind: OpIO, N: dur, ID: int32(disk)})
+			t.op(OpIO, int32(disk), uint64(dur))
 		}
 		if s == lockEnd-1 && lockID >= 0 {
-			b.emit(Op{Kind: OpLockRel, ID: lockID, Addr: LockWordAddr(lockID)})
+			t.lockOp(OpLockRel, lockID)
 		}
-		b.emit(Op{Kind: OpRet})
+		t.op(OpRet, 0, 0)
 	}
 
 	// Commit: append log records under the global log lock.
 	if e.prof.HasLog && class.LogRecords > 0 {
-		b.emit(Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0)})
+		t.lockOp(OpLockAcq, 0)
 		for i := 0; i < class.LogRecords; i++ {
-			addr := LogBase + e.logHead%LogSize
-			b.emit(Op{Kind: OpStore, Addr: addr})
+			t.op(OpStore, 0, LogBase+e.logHead%LogSize)
 			e.logHead += uint64(e.prof.LogRecBytes)
 		}
 		flush := e.prof.FlushEvery > 0 && idx%e.prof.FlushEvery == 0
 		if flush && e.prof.GroupCommit {
-			b.emit(Op{Kind: OpIO, N: e.prof.FlushNS, ID: 0}) // log disk, lock held
+			t.op(OpIO, 0, uint64(e.prof.FlushNS)) // log disk, lock held
 		}
-		b.emit(Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0)})
+		t.lockOp(OpLockRel, 0)
 		if flush && !e.prof.GroupCommit {
-			b.emit(Op{Kind: OpIO, N: e.prof.FlushNS, ID: 0})
+			t.op(OpIO, 0, uint64(e.prof.FlushNS))
 		}
 	}
-	b.compute(instr / 2)
-	b.emit(Op{Kind: OpRet})
-	b.emit(Op{Kind: OpTxnEnd, ID: int32(ci)})
+	t.compute(instr / 2)
+	t.op(OpRet, 0, 0)
+	t.op(OpTxnEnd, int32(ci), 0)
 }

@@ -317,6 +317,15 @@ func TestRegionHelpers(t *testing.T) {
 	if r.At(0) != 100 || r.At(49) != 149 || r.At(50) != 100 {
 		t.Error("At wrapping wrong")
 	}
+	// A cursor stepped with Advance tracks At of the running total, for
+	// steps shorter and longer than the region.
+	var cur, total uint64
+	for _, n := range []uint64{4, 45, 1, 50, 49, 230, 0, 7} {
+		cur, total = r.Advance(cur, n), total+n
+		if r.Base+cur != r.At(total) {
+			t.Errorf("Advance by %d: cursor at %d, At(%d) = %d", n, r.Base+cur, total, r.At(total))
+		}
+	}
 	if LockWordAddr(2) != LockBase+128 {
 		t.Error("LockWordAddr wrong")
 	}
