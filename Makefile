@@ -6,11 +6,12 @@
 # server, the crash-safety layer: the result journal, the fault
 # injector and the core resume path above them — the lint call
 # graph, whose builder tests run concurrent type-checks — and the
-# copy-on-write layers: the machine's frozen-base snapshot path and the
-# checkpoint base cache, whose tests branch siblings from shared frozen
-# state concurrently — and the adaptive sampler, whose process-wide
-# counters and live report are fed from fleet workers). `make lint`
-# runs varsimlint, the determinism-contract analyzer suite (detwall,
+# copy-on-write layers: the machine's frozen-base snapshot path, the
+# cache pages and spare lists under it that a branch hands on to the
+# next, and the checkpoint base cache, whose tests branch siblings from
+# shared frozen state concurrently — and the adaptive sampler, whose
+# process-wide counters and live report are fed from fleet workers).
+# `make lint` runs varsimlint, the determinism-contract analyzer suite (detwall,
 # puritywall, seedflow, maporder, kindexhaust inside the wall;
 # synccheck, stickyerr, floatorder outside it; staleallow auditing the
 # suppressions themselves) against the checked-in lint.baseline.json —
@@ -83,10 +84,11 @@ spine-aa:
 
 # alloc_mb_per_op is a byte count of a deterministic simulation: it
 # repeats exactly on any host, so unlike the clocked metrics it can be
-# gated absolutely. 1500 five-transaction branches allocate ~770 MB
-# (1826 MB while the workload engines still materialised op buffers);
-# the gate fails above SPINE_ALLOC_MAX_MB, or if any branch failed.
-SPINE_ALLOC_MAX_MB ?= 1100
+# gated absolutely. 1500 five-transaction branches allocate ~84 MB
+# (772 MB while every branch allocated the cache pages it copied, 1826 MB
+# while the workload engines still materialised op buffers); the gate
+# fails above SPINE_ALLOC_MAX_MB, or if any branch failed.
+SPINE_ALLOC_MAX_MB ?= 150
 
 spine-alloc:
 	@set -e; out=$$($(GO) run ./bench -workload branch_fanout -seconds 1); \
@@ -111,7 +113,7 @@ lint-baseline:
 	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json -write-baseline ./...
 
 race:
-	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/checkpoint ./internal/sampling
+	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling
 
 # Go's fuzzer accepts one target per invocation; each run seeds from the
 # committed corpus under the package's testdata/fuzz and then mutates

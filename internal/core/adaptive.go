@@ -22,7 +22,6 @@ import (
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
-	"varsim/internal/rng"
 	"varsim/internal/sampling"
 	"varsim/internal/stats"
 )
@@ -71,14 +70,9 @@ func BranchRound(checkpoint *machine.Machine, label string, lo, k int, measureTx
 	cfgHash := journal.ConfigHash(checkpoint.Config())
 	opts := branchOptions(label, cfgHash, seedBase, workers, res)
 	opts.IndexBase = lo
-	// Freeze before the fleet starts, as in BranchSpaceRes: jobs
-	// snapshot the checkpoint concurrently, which must not write.
-	checkpoint.Freeze()
-	results, err := fleet.Run(opts, k, func(i int) (machine.Result, error) {
-		m := checkpoint.Snapshot()
-		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
+	results, err := fleet.Run(opts, k, branchJob(checkpoint, seedBase, func(m *machine.Machine) (machine.Result, error) {
 		return m.Run(measureTxns)
-	})
+	}))
 	if err != nil {
 		var inc *fleet.Incomplete
 		if errors.As(err, &inc) {

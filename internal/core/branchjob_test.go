@@ -1,0 +1,117 @@
+package core
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"varsim/internal/config"
+	"varsim/internal/faultinject"
+	"varsim/internal/fleet"
+	"varsim/internal/machine"
+)
+
+// TestFaultedBranchKeepsItsMachine drives branchJob through a fleet in
+// which some attempts die mid-run — a scripted panic, and a scripted hang
+// that the fleet's timeout abandons — after they have already run their
+// machine part of the way. Such a machine must never be handed on: the
+// next branch would be built over storage a dead or still-blocked attempt
+// holds. Every machine that faulted must therefore still run when the
+// fleet is done, some that finished must have been taken over (or the
+// test is not exercising the hand-over at all), and the space must be the
+// fault-free one at every width.
+func TestFaultedBranchKeepsItsMachine(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumCPUs = 4
+	e := Experiment{
+		Label: "faulted", Config: cfg, Workload: "oltp", WorkloadSeed: 7,
+		WarmupTxns: 20, MeasureTxns: 8, Runs: 14, SeedBase: 0xFA17,
+	}
+	checkpoint, err := e.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BranchSpace(checkpoint, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, width := range []int{1, 4, runtime.NumCPU()} {
+		// Faults are scripted by call number, not job index: run is not
+		// told which job it serves, and the contract must hold whichever
+		// job a fault lands on.
+		release := make(chan struct{})
+		hook := &faultinject.Hook{
+			PanicOn: map[int]bool{2: true, 7: true, 11: true},
+			HangOn:  map[int]bool{4: true, 9: true},
+			Release: release,
+		}
+		var (
+			mu                sync.Mutex
+			calls             int
+			faulted, finished []*machine.Machine
+			hung              sync.WaitGroup
+		)
+		run := func(m *machine.Machine) (machine.Result, error) {
+			mu.Lock()
+			call := calls
+			calls++
+			mu.Unlock()
+			if hook.PanicOn[call] || hook.HangOn[call] {
+				if _, err := m.Run(3); err != nil {
+					return machine.Result{}, err
+				}
+				mu.Lock()
+				faulted = append(faulted, m)
+				if hook.HangOn[call] {
+					hung.Add(1)
+					defer hung.Done()
+				}
+				mu.Unlock()
+				if err := hook.BeforeAttempt(call, 0); err != nil {
+					return machine.Result{}, err
+				}
+			}
+			res, err := m.Run(e.MeasureTxns)
+			mu.Lock()
+			finished = append(finished, m)
+			mu.Unlock()
+			return res, err
+		}
+		opts := fleet.Options[machine.Result]{Workers: width, Retries: 6, Timeout: 500 * time.Millisecond}
+		got, err := fleet.Run(opts, e.Runs, branchJob(checkpoint, e.SeedBase, run))
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if !reflect.DeepEqual(got, want.Results) {
+			t.Errorf("width %d: space with faulted branches differs from the fault-free one", width)
+		}
+
+		mu.Lock()
+		if len(faulted) != len(hook.PanicOn)+len(hook.HangOn) {
+			t.Errorf("width %d: %d attempts faulted, scripted %d", width, len(faulted), len(hook.PanicOn)+len(hook.HangOn))
+		}
+		for i, m := range faulted {
+			if _, err := m.Run(1); err != nil {
+				t.Errorf("width %d: faulted machine %d was handed on: %v", width, i, err)
+			}
+		}
+		recycled := 0
+		for _, m := range finished {
+			if _, err := m.Run(1); err != nil && strings.Contains(err.Error(), "SnapshotOver") {
+				recycled++
+			}
+		}
+		mu.Unlock()
+		// A fleet as wide as the space starts every job before any ends.
+		if recycled == 0 && width <= 4 {
+			t.Errorf("width %d: no finished branch was taken over", width)
+		}
+		// Let the abandoned attempts finish before the next width starts.
+		close(release)
+		hung.Wait()
+	}
+}

@@ -342,10 +342,10 @@ func (e Experiment) CachedSpace() (Space, bool) {
 // on a fleet of workers (0 or 1 = sequential on the calling goroutine,
 // negative = one worker per host CPU).
 //
-// Each branch is a pure job — a private Snapshot clone re-seeded from
-// (seedBase, index) — and the fleet merges results by job index, so the
-// space is byte-identical for every worker count. The checkpoint is
-// frozen (machine.Machine.Freeze) before the fleet starts: Snapshot on
+// Each branch is a pure job (branchJob) — a private snapshot re-seeded
+// from (seedBase, index) — and the fleet merges results by job index, so
+// the space is byte-identical for every worker count. The checkpoint is
+// frozen (machine.Machine.Freeze) before the fleet starts: a snapshot of
 // a frozen machine only reads it, and it stays quiescent for the
 // duration, so the copy-on-write clones may be taken concurrently
 // inside the jobs.
@@ -370,14 +370,9 @@ func BranchSpaceRes(checkpoint *machine.Machine, label string, n int, measureTxn
 	}
 	cfgHash := journal.ConfigHash(checkpoint.Config())
 	opts := branchOptions(label, cfgHash, seedBase, workers, res)
-	// Freeze before the fleet starts: fleet jobs snapshot the checkpoint
-	// concurrently, and Snapshot on a frozen machine performs no writes.
-	checkpoint.Freeze()
-	results, err := fleet.Run(opts, n, func(i int) (machine.Result, error) {
-		m := checkpoint.Snapshot()
-		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
+	results, err := fleet.Run(opts, n, branchJob(checkpoint, seedBase, func(m *machine.Machine) (machine.Result, error) {
 		return m.Run(measureTxns)
-	})
+	}))
 	if err != nil {
 		var inc *fleet.Incomplete
 		if errors.As(err, &inc) {
@@ -402,6 +397,35 @@ func BranchSpaceRes(checkpoint *machine.Machine, label string, n int, measureTxn
 		sp.Values[i] = res.CPT
 	}
 	return sp, nil
+}
+
+// branchJob returns the fleet job every branching path submits: job i
+// snapshots the checkpoint, re-seeds the copy from (seedBase, i) and
+// hands it to run, whose value must not reference the machine's caches
+// (a Result, a digest series and a trace's events do not). The
+// checkpoint is frozen here, before the fleet starts: jobs snapshot it
+// concurrently, and a snapshot of a frozen machine performs no writes.
+//
+// A branch whose run returned nil is handed on: a later job of the same
+// fleet call takes its snapshot over that machine's cache storage
+// (machine.SnapshotOver), so a fleet allocates cache pages for about as
+// many branches as it has workers, not for all n. A run that failed,
+// panicked or was abandoned by a fleet timeout keeps its machine — an
+// abandoned attempt may still be running it — and the retry gets another
+// or a fresh one. Which machine a job takes over depends on the host's
+// scheduling and cannot show: SnapshotOver reads none of its state.
+func branchJob[T any](checkpoint *machine.Machine, seedBase uint64, run func(*machine.Machine) (T, error)) func(int) (T, error) {
+	checkpoint.Freeze()
+	var spent fleet.Pool[*machine.Machine]
+	return func(i int) (T, error) {
+		m := checkpoint.SnapshotOver(spent.Get())
+		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
+		v, err := run(m)
+		if err == nil {
+			spent.Put(m)
+		}
+		return v, err
+	}
 }
 
 // branchOptions wires a Resilience bundle into the fleet options every

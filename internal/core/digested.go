@@ -9,7 +9,6 @@ import (
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
-	"varsim/internal/rng"
 )
 
 // SpaceDigests bundles the interval digest streams of a space's runs,
@@ -163,19 +162,14 @@ func BranchSpaceDigests(checkpoint *machine.Machine, label string, n int, measur
 			}
 		}
 	}
-	// Freeze before the fleet starts: fleet jobs snapshot the checkpoint
-	// concurrently, and Snapshot on a frozen machine performs no writes.
-	checkpoint.Freeze()
-	branches, err := fleet.Run(opts, n, func(i int) (runDigested, error) {
-		m := checkpoint.Snapshot()
-		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
+	branches, err := fleet.Run(opts, n, branchJob(checkpoint, seedBase, func(m *machine.Machine) (runDigested, error) {
 		m.EnableDigests(intervalNS)
 		r, err := m.Run(measureTxns)
 		if err != nil {
 			return runDigested{}, err
 		}
 		return runDigested{Res: r, Dig: m.DigestSeries()}, nil
-	})
+	}))
 	if err != nil {
 		var inc *fleet.Incomplete
 		if errors.As(err, &inc) {

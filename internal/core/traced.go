@@ -4,7 +4,6 @@ import (
 	"varsim/internal/digest"
 	"varsim/internal/fleet"
 	"varsim/internal/machine"
-	"varsim/internal/rng"
 	"varsim/internal/trace"
 )
 
@@ -40,12 +39,7 @@ func BranchObserved(checkpoint *machine.Machine, label string, n int, measureTxn
 		events []trace.Event
 		dig    digest.Series
 	}
-	// Freeze before the fleet starts: fleet jobs snapshot the checkpoint
-	// concurrently, and Snapshot on a frozen machine performs no writes.
-	checkpoint.Freeze()
-	branches, err := fleet.Map(fleet.Width(workers), n, func(i int) (observed, error) {
-		m := checkpoint.Snapshot()
-		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
+	branches, err := fleet.Map(fleet.Width(workers), n, branchJob(checkpoint, seedBase, func(m *machine.Machine) (observed, error) {
 		m.EnableTrace(capEvents)
 		if digestIntervalNS > 0 {
 			m.EnableDigests(digestIntervalNS)
@@ -59,7 +53,7 @@ func BranchObserved(checkpoint *machine.Machine, label string, n int, measureTxn
 			o.dig = m.DigestSeries()
 		}
 		return o, nil
-	})
+	}))
 	if err != nil {
 		return Space{}, nil, SpaceDigests{}, runError(err)
 	}

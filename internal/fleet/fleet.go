@@ -206,6 +206,38 @@ func (o *Options[T]) stopped() bool {
 	}
 }
 
+// Pool is a free list jobs of one fleet call pass finished values
+// through: a job that is done with a value Puts it, a later job Gets it
+// to build over its storage. Which value a Get returns depends on how
+// the host scheduled the jobs, so a job may use one only in ways that
+// cannot show — core's branches re-copy or overwrite all of a spent
+// machine's storage before reading any of it. The zero Pool is empty and
+// ready; it must not be copied after first use.
+type Pool[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// Get removes and returns the value Put last, or the zero T when the
+// pool is empty.
+func (p *Pool[T]) Get() (v T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		var zero T
+		v, p.free[n-1] = p.free[n-1], zero
+		p.free = p.free[:n-1]
+	}
+	return v
+}
+
+// Put adds v to the pool. The caller must not use v afterwards.
+func (p *Pool[T]) Put(v T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, v)
+}
+
 // Map runs job(i) for every i in [0, n) across a pool of workers and
 // returns the n results merged by job index. The scheduling rules:
 //

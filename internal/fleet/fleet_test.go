@@ -161,3 +161,43 @@ func TestStatsAccounting(t *testing.T) {
 			after.BusyWorkers, before.BusyWorkers)
 	}
 }
+
+// TestPoolHandsEachValueToOneJob: under a fleet of concurrent jobs a
+// value Put into a Pool comes out of at most one Get, an empty pool gives
+// the zero value, and a held value is exclusively its holder's (the
+// unsynchronized increment is what -race watches).
+func TestPoolHandsEachValueToOneJob(t *testing.T) {
+	type box struct{ uses, holders int }
+	var pool Pool[*box]
+	if pool.Get() != nil {
+		t.Fatal("empty pool returned a value")
+	}
+	var made atomic.Int64
+	const n = 400
+	uses, err := Map(8, n, func(i int) (int, error) {
+		b := pool.Get()
+		if b == nil {
+			b = new(box)
+			made.Add(1)
+		}
+		b.holders++
+		if b.holders != 1 {
+			return 0, fmt.Errorf("job %d shares its value with %d others", i, b.holders-1)
+		}
+		runtime.Gosched()
+		b.uses++
+		b.holders--
+		pool.Put(b)
+		return 1, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for b := pool.Get(); b != nil; b = pool.Get() {
+		total += b.uses
+	}
+	if total != len(uses) || made.Load() > 8 {
+		t.Fatalf("%d uses recorded over %d values, want %d uses over at most 8", total, made.Load(), n)
+	}
+}

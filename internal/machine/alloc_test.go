@@ -68,6 +68,31 @@ func TestAllocationBudgets(t *testing.T) {
 		}
 	})
 
+	// 57 KB: a snapshot taken over the branch before it finds that
+	// branch's page copies and page tables waiting, so what it allocates
+	// is the snapshot's metadata (kernel, plans, generator state, metric
+	// registry) and the odd page where its seed strays from every window
+	// before. Generation 0 has nothing to build over and pays the fresh
+	// branch's 0.50 MB; a spare list that leaked, or never filled, would
+	// show in every generation after it.
+	t.Run("recycled", func(t *testing.T) {
+		const ceiling = 100_000
+		var spent *Machine
+		for gen := 0; gen <= 20; gen++ {
+			b0, _ := heapCounts()
+			m := base.SnapshotOver(spent)
+			m.SetPerturbSeed(100 + uint64(gen))
+			if _, err := m.Run(5); err != nil {
+				t.Fatal(err)
+			}
+			b1, _ := heapCounts()
+			if got := b1 - b0; gen > 0 && got > ceiling {
+				t.Fatalf("generation %d: SnapshotOver + Run(5) allocated %d bytes, budget %d", gen, got, ceiling)
+			}
+			spent = m
+		}
+	})
+
 	// A steady run's heap must not scale with its bus traffic: popping
 	// the queue by re-slicing cost 121 bytes and 0.24 objects per bus
 	// request (the append reallocated every few requests), and op

@@ -1,10 +1,13 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"varsim/internal/config"
 	"varsim/internal/digest"
 	"varsim/internal/rng"
 )
@@ -85,6 +88,71 @@ func TestCOWBranchChain(t *testing.T) {
 	got, gotChain := runBranch(t, grand, 3, 10)
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotChain, wantChain) {
 		t.Fatalf("grandchild trajectory disturbed by the child's later run:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRecycledSnapshotMatchesFresh: generation after generation, a
+// snapshot taken over a finished branch's storage runs exactly as a
+// fresh Snapshot and as its Materialized twin do under the same seed —
+// same Result, same chain of all five digest components — whether the
+// storage comes from the previous recycled branch or from a twin that
+// owned every page, and with the base running on between generations as
+// TimeSample's does, so that what the spent machine was a snapshot of no
+// longer exists. The spent machine itself must then refuse to run.
+func TestRecycledSnapshotMatchesFresh(t *testing.T) {
+	for _, tc := range []struct {
+		wl   string
+		proc config.ProcessorKind
+		txns int64 // enough for a few digest intervals
+	}{{"oltp", config.SimpleProc, 12}, {"specjbb", config.OOOProc, 80}} {
+		t.Run(tc.wl, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Processor = tc.proc
+			base := mustMachine(t, cfg, tc.wl, 1, 1)
+			if _, err := base.Run(30); err != nil {
+				t.Fatal(err)
+			}
+			var spent *Machine
+			for gen := 0; gen < 24; gen++ {
+				if gen%4 == 3 {
+					if _, err := base.Run(6); err != nil {
+						t.Fatal(err)
+					}
+				}
+				seed, txns := uint64(gen)+1, tc.txns*int64(4+gen%5)/4
+				fresh, deep := base.Snapshot(), base.Snapshot()
+				deep.Materialize()
+				over := base.SnapshotOver(spent)
+				wantRes, wantChain := runBranch(t, fresh, seed, txns)
+				deepRes, deepChain := runBranch(t, deep, seed, txns)
+				gotRes, gotChain := runBranch(t, over, seed, txns)
+				if !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotRes, deepRes) {
+					t.Fatalf("generation %d: results diverged\nrecycled: %+v\nfresh:    %+v\ndeep:     %+v", gen, gotRes, wantRes, deepRes)
+				}
+				if len(wantChain) == 0 || !reflect.DeepEqual(gotChain, wantChain) || !reflect.DeepEqual(gotChain, deepChain) {
+					t.Fatalf("generation %d: digest chains diverged (recycled %d samples, fresh %d, deep %d)",
+						gen, len(gotChain), len(wantChain), len(deepChain))
+				}
+				if spent != nil {
+					if _, err := spent.Run(1); err == nil || !strings.Contains(err.Error(), "SnapshotOver") {
+						t.Fatalf("generation %d: Run on a spent machine returned %v, want an error naming SnapshotOver", gen, err)
+					}
+				}
+				// The next generation builds over this one, or over the twin
+				// that owns every page.
+				spent = over
+				if gen%2 == 1 {
+					spent = deep
+				}
+			}
+			base.SnapshotOver(spent)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "SnapshotOver") {
+					t.Fatalf("Snapshot of a spent machine: recovered %v, want a panic naming SnapshotOver", r)
+				}
+			}()
+			spent.Snapshot()
+		})
 	}
 }
 

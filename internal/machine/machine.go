@@ -319,6 +319,9 @@ func (m *Machine) Run(n int64) (Result, error) {
 	if n <= 0 {
 		return Result{}, errors.New("machine: Run needs a positive transaction count")
 	}
+	if m.snoop == nil {
+		return Result{}, errSpent
+	}
 	start := m.snapCounters()
 	startNS := m.eng.Now()
 	target := m.txnsDone + n
@@ -342,6 +345,9 @@ func (m *Machine) Run(n int64) (Result, error) {
 func (m *Machine) RunNS(ns int64) (Result, error) {
 	if ns <= 0 {
 		return Result{}, errors.New("machine: RunNS needs a positive duration")
+	}
+	if m.snoop == nil {
+		return Result{}, errSpent
 	}
 	start := m.snapCounters()
 	startNS := m.eng.Now()
@@ -394,6 +400,10 @@ func (m *Machine) ensureParked() {
 	m.parkedSpin = append([]int(nil), m.parkedSpin...)
 }
 
+// errSpent is what using a machine after handing it to SnapshotOver
+// gets: its cache storage belongs to another machine by then.
+var errSpent = errors.New("machine: used after SnapshotOver took its storage")
+
 // Snapshot captures the machine — the analogue of a Simics checkpoint
 // (§3.2.2). The copy can be re-seeded with SetPerturbSeed to branch an
 // independent perturbed future from the same initial conditions.
@@ -405,13 +415,30 @@ func (m *Machine) ensureParked() {
 // little state stay cheap. Snapshot freezes an unfrozen machine (a
 // write); to snapshot one machine from several goroutines at once,
 // call Freeze first — Snapshot on a frozen machine only reads it.
-func (m *Machine) Snapshot() *Machine {
+func (m *Machine) Snapshot() *Machine { return m.SnapshotOver(nil) }
+
+// SnapshotOver is Snapshot taken over the cache storage of spent, a
+// machine whose run is over and whose results have been read (nil for
+// none): the cache pages spent copied while it ran, and its page
+// tables, become the snapshot's instead of garbage (see
+// mem.Snooper.CloneOver), which is most of what a short branch
+// allocates. The snapshot is the one Snapshot would return whatever
+// spent is a snapshot of — nothing of spent but capacity is read. spent
+// is unusable afterwards: its Run fails and its Snapshot panics.
+func (m *Machine) SnapshotOver(spent *Machine) *Machine {
+	if m.snoop == nil {
+		panic(errSpent)
+	}
 	if !m.frozen {
 		m.Freeze()
 	}
+	var spentSnoop *mem.Snooper
+	if spent != nil {
+		spentSnoop, spent.snoop = spent.snoop, nil
+	}
 	c := *m
 	c.eng = m.eng.Clone()
-	c.snoop = m.snoop.Clone()
+	c.snoop = m.snoop.CloneOver(spentSnoop)
 	c.dram = m.dram.Clone()
 	c.disks = m.disks.Clone()
 	c.os = m.os.Clone()

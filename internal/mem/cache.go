@@ -13,6 +13,7 @@ package mem
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"varsim/internal/config"
 )
@@ -124,6 +125,10 @@ func (pl plane) locate(set uint64, assoc int) (p, base int) {
 // the page tables (one pointer per page), not the lines, and the first
 // mutation of a shared page copies just that page. Ownership is one bit
 // per page; Freeze revokes every ownership by clearing the bitmap.
+//
+// An owned page is referenced by this cache alone, which is what lets
+// CloneOver hand a finished clone's owned pages on to the next clone as
+// spares instead of leaving them to the collector.
 type Cache struct {
 	tags  []*tagPage
 	ranks []*rankPage
@@ -153,6 +158,14 @@ type Cache struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+
+	// Pages harvested by CloneOver, popped by ownTags/ownRanks in place
+	// of an allocation. A spare holds stale lines until the pop
+	// overwrites it whole; the lists are private to this cache and never
+	// copied to a clone. They sit last so that the fields a probe reads
+	// stay where they were, in the struct's first cache lines.
+	spareTags  []*tagPage
+	spareRanks []*rankPage
 }
 
 // NewCache builds a cache from its configuration. The configuration must
@@ -194,40 +207,52 @@ func (c *Cache) Sets() int { return c.sets }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-// own claims ownership bit i and reports whether it was already held; on
-// false the caller must replace the page with a private copy.
-func (c *Cache) own(i int) bool {
-	w, b := i>>6, uint64(1)<<(i&63)
-	if c.owned[w]&b != 0 {
-		// Owning any page implies a write since the last Freeze, so
-		// frozen is already false here.
-		return true
-	}
-	c.owned[w] |= b
+// isOwned reports ownership bit i. Writers test it and call ownTags or
+// ownRanks on false; the test is theirs so that it inlines and a write
+// to a page already owned makes no call.
+func (c *Cache) isOwned(i int) bool { return c.owned[i>>6]>>(i&63)&1 != 0 }
+
+// claim sets ownership bit i.
+func (c *Cache) claim(i int) {
+	c.owned[i>>6] |= 1 << (i & 63)
 	c.frozen = false
-	return false
 }
 
-// ownTags materializes tag page p for writing: if the page is shared
-// with an earlier snapshot generation it is copied first. This is the
-// lazy write-fault path of copy-on-write branching; it is pure
-// in-memory copying (no locks, no goroutines), so branch trajectories
-// stay deterministic regardless of which sibling touches a page first.
-// Appending onto nil spares the runtime zeroing a page that is about to
+// ownTags materializes tag page p, which the cache does not own, for
+// writing: the page, shared with an earlier snapshot generation, is
+// replaced by a private copy. This is the lazy write-fault path of
+// copy-on-write branching; it is pure in-memory copying (no locks, no
+// goroutines), so branch trajectories stay deterministic regardless of
+// which sibling touches a page first. The copy lands in a spare page
+// when CloneOver left one — overwritten whole, so nothing of the
+// spare's past is ever read — and in a new one otherwise, where
+// appending onto nil spares the runtime zeroing a page that is about to
 // be overwritten.
 func (c *Cache) ownTags(p int) *tagPage {
-	if !c.own(p) {
-		c.tags[p] = (*tagPage)(append([]uint64(nil), c.tags[p][:]...))
+	c.claim(p)
+	var pg *tagPage
+	if n := len(c.spareTags); n > 0 {
+		pg, c.spareTags = c.spareTags[n-1], c.spareTags[:n-1]
+		*pg = *c.tags[p]
+	} else {
+		pg = (*tagPage)(append([]uint64(nil), c.tags[p][:]...))
 	}
-	return c.tags[p]
+	c.tags[p] = pg
+	return pg
 }
 
 // ownRanks is ownTags for rank page p.
 func (c *Cache) ownRanks(p int) *rankPage {
-	if !c.own(len(c.tags) + p) {
-		c.ranks[p] = (*rankPage)(append([]uint8(nil), c.ranks[p][:]...))
+	c.claim(len(c.tags) + p)
+	var pg *rankPage
+	if n := len(c.spareRanks); n > 0 {
+		pg, c.spareRanks = c.spareRanks[n-1], c.spareRanks[:n-1]
+		*pg = *c.ranks[p]
+	} else {
+		pg = (*rankPage)(append([]uint8(nil), c.ranks[p][:]...))
 	}
-	return c.ranks[p]
+	c.ranks[p] = pg
+	return pg
 }
 
 // Freeze revokes the cache's ownership of every page, making it safe
@@ -262,7 +287,10 @@ func (c *Cache) lookup(block uint64) (pg *tagPage, base, w int) {
 func (c *Cache) setWord(block uint64, w int, nw uint64) {
 	set := block & c.setMask
 	p, base := c.tagPl.locate(set, c.assoc)
-	pg := c.ownTags(p)
+	pg := c.tags[p]
+	if !c.isOwned(p) {
+		pg = c.ownTags(p)
+	}
 	i := int(set)*c.assoc + w
 	c.sig ^= lineSig(i, pg[base+w]) ^ lineSig(i, nw)
 	pg[base+w] = nw
@@ -281,7 +309,11 @@ func (c *Cache) touch(block uint64, w int) {
 // more recent ages by one.
 func (c *Cache) promote(block uint64, w int) {
 	p, base := c.rankPl.locate(block&c.setMask, c.assoc)
-	rs := c.ownRanks(p)[base : base+c.assoc]
+	pg := c.ranks[p]
+	if !c.isOwned(len(c.tags) + p) {
+		pg = c.ownRanks(p)
+	}
+	rs := pg[base : base+c.assoc]
 	// Ranks 1..old-1 age. Taken minus one as unsigned, rank 0 (an
 	// invalid way) wraps above every limit and never ages, and old == 0
 	// (a new line) wraps to a limit every valid way is below. The
@@ -398,7 +430,11 @@ func (c *Cache) Invalidate(block uint64) (prior State, dirty bool) {
 	c.setWord(block, w, 0)
 	// Close the gap the way leaves so the valid ways stay ranked 1..n.
 	rp, rbase := c.rankPl.locate(block&c.setMask, c.assoc)
-	rs := c.ownRanks(rp)[rbase : rbase+c.assoc]
+	rpg := c.ranks[rp]
+	if !c.isOwned(len(c.tags) + rp) {
+		rpg = c.ownRanks(rp)
+	}
+	rs := rpg[rbase : rbase+c.assoc]
 	old := rs[w]
 	for i, r := range rs {
 		if r > old {
@@ -414,19 +450,43 @@ func (c *Cache) Invalidate(block uint64) (prior State, dirty bool) {
 // freezes c if needed (a write); to snapshot one cache from several
 // goroutines at once, Freeze it first — Clone on a frozen cache is
 // read-only.
-func (c *Cache) Clone() *Cache {
-	cp := new(Cache)
-	c.cloneInto(cp)
-	return cp
-}
+func (c *Cache) Clone() *Cache { return c.CloneOver(nil) }
 
-// cloneInto is Clone into caller-provided storage (see Snooper.Clone).
-func (c *Cache) cloneInto(dst *Cache) {
+// CloneOver is Clone built in the storage of spent, a cache nothing
+// will use again (nil for none): the pages spent owns become the
+// clone's spares and its page tables are overwritten with c's. spent
+// may be a clone of any cache, c or not, of any geometry — nothing of
+// it but capacity survives — and is the cache returned.
+func (c *Cache) CloneOver(spent *Cache) *Cache {
+	dst := spent
+	if dst == nil {
+		dst = new(Cache)
+	}
 	c.Freeze()
+	// Harvest before the tables go: an owned page is dst's alone. NewCache
+	// sets the bitmap's unused tail too, hence the bound.
+	nt, np := len(dst.tags), len(dst.tags)+len(dst.ranks)
+	for i, word := range dst.owned {
+		for ; word != 0; word &= word - 1 {
+			switch p := i<<6 + bits.TrailingZeros64(word); {
+			case p < nt:
+				dst.spareTags = append(dst.spareTags, dst.tags[p])
+			case p < np:
+				dst.spareRanks = append(dst.spareRanks, dst.ranks[p-nt])
+			}
+		}
+	}
+	// Everything is c's but the storage: tables re-copied from c, so what
+	// dst was a clone of does not matter, and dst's own spare lists, never
+	// c's — two caches popping one list would share a writable page.
+	tags, ranks, owned := dst.tags[:0], dst.ranks[:0], dst.owned[:0]
+	spareTags, spareRanks := dst.spareTags, dst.spareRanks
 	*dst = *c
-	dst.tags = append([]*tagPage(nil), c.tags...)
-	dst.ranks = append([]*rankPage(nil), c.ranks...)
-	dst.owned = make([]uint64, len(c.owned))
+	dst.tags = append(tags, c.tags...)
+	dst.ranks = append(ranks, c.ranks...)
+	dst.owned = append(owned, c.owned...) // c is frozen: every bit clear
+	dst.spareTags, dst.spareRanks = spareTags, spareRanks
+	return dst
 }
 
 // Materialize forces ownership of every page of both planes, copying
@@ -435,10 +495,14 @@ func (c *Cache) cloneInto(dst *Cache) {
 // eager copying; the simulation itself never needs it.
 func (c *Cache) Materialize() {
 	for p := range c.tags {
-		c.ownTags(p)
+		if !c.isOwned(p) {
+			c.ownTags(p)
+		}
 	}
 	for p := range c.ranks {
-		c.ownRanks(p)
+		if !c.isOwned(len(c.tags) + p) {
+			c.ownRanks(p)
+		}
 	}
 }
 

@@ -48,12 +48,15 @@ func contendedBlock(r *rng.Stream) uint64 {
 
 // ownedPages counts the pages of each plane c may write in place.
 func ownedPages(c *Cache) (tags, ranks int) {
-	bit := func(i int) int { return int(c.owned[i>>6] >> (i & 63) & 1) }
 	for p := range c.tags {
-		tags += bit(p)
+		if c.isOwned(p) {
+			tags++
+		}
 	}
 	for p := range c.ranks {
-		ranks += bit(len(c.tags) + p)
+		if c.isOwned(len(c.tags) + p) {
+			ranks++
+		}
 	}
 	return tags, ranks
 }
@@ -111,6 +114,154 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	if cp.sig != cp.foldSig() {
 		t.Fatal("clone sig drifted from foldSig")
+	}
+}
+
+// ownedSet returns the pages of both planes c owns, as untyped pointers.
+func ownedSet(c *Cache) map[any]bool {
+	set := make(map[any]bool)
+	for p, pg := range c.tags {
+		if c.isOwned(p) {
+			set[pg] = true
+		}
+	}
+	for p, pg := range c.ranks {
+		if c.isOwned(len(c.tags) + p) {
+			set[pg] = true
+		}
+	}
+	return set
+}
+
+// TestCloneNeverInheritsSpares: a cache holding spare pages hands none
+// of them to its clones — neither a fresh clone nor one taken over a
+// spent cache with spares of its own — so parent and clone, faulting the
+// same pages, end up owning disjoint ones and see only their own writes.
+func TestCloneNeverInheritsSpares(t *testing.T) {
+	base := bigCache()
+	for b := uint64(0); b < 2048; b++ {
+		base.Fill(b, Shared)
+	}
+	spentClone := func() *Cache {
+		c := base.Clone()
+		c.Materialize()
+		return c
+	}
+	parent := base.CloneOver(spentClone())
+	if len(parent.spareTags) != len(base.tags) || len(parent.spareRanks) != len(base.ranks) {
+		t.Fatalf("clone over a materialized clone holds %d+%d spares, want %d+%d",
+			len(parent.spareTags), len(parent.spareRanks), len(base.tags), len(base.ranks))
+	}
+	fresh := parent.Clone()
+	if len(fresh.spareTags) != 0 || len(fresh.spareRanks) != 0 {
+		t.Fatalf("a fresh clone inherited %d+%d spares", len(fresh.spareTags), len(fresh.spareRanks))
+	}
+	over := parent.CloneOver(spentClone())
+
+	// All three fault every page, each writing its own state.
+	writers := []struct {
+		c *Cache
+		s State
+	}{{parent, Modified}, {fresh, Owned}, {over, Exclusive}}
+	for b := uint64(0); b < 2048; b++ {
+		for _, w := range writers {
+			w.c.SetState(b, w.s)
+			w.c.Probe(b)
+		}
+	}
+	sets := make([]map[any]bool, len(writers))
+	for i, w := range writers {
+		sets[i] = ownedSet(w.c)
+		if len(sets[i]) != len(base.tags)+len(base.ranks) {
+			t.Fatalf("writer %d owns %d pages, want all %d", i, len(sets[i]), len(base.tags)+len(base.ranks))
+		}
+		for b := uint64(0); b < 2048; b++ {
+			if got := w.c.GetState(b); got != w.s {
+				t.Fatalf("writer %d block %d = %v, want its own %v", i, b, got, w.s)
+			}
+		}
+		if w.c.sig != w.c.foldSig() {
+			t.Fatalf("writer %d sig drifted from foldSig", i)
+		}
+		for j := 0; j < i; j++ {
+			for pg := range sets[i] {
+				if sets[j][pg] {
+					t.Fatalf("writers %d and %d own one page", j, i)
+				}
+			}
+		}
+	}
+	if base.GetState(0) != Shared {
+		t.Fatal("clone writes reached the base")
+	}
+}
+
+// TestSpareIsOverwrittenWhole: a clone taken over a spent cache whose
+// every page was filled with 0xFF bytes is, after any writes, line for
+// line the clone taken fresh — no word of a spare is read before the
+// pop overwrites it.
+func TestSpareIsOverwrittenWhole(t *testing.T) {
+	base := bigCache()
+	r := rng.New(0x5A)
+	for i := 0; i < 3000; i++ {
+		base.Fill(contendedBlock(&r)+uint64(r.Intn(64)), State(1+r.Intn(3)))
+	}
+	spent := base.Clone()
+	spent.Materialize()
+	for _, pg := range spent.tags {
+		for i := range pg {
+			pg[i] = ^uint64(0)
+		}
+	}
+	for _, pg := range spent.ranks {
+		for i := range pg {
+			pg[i] = 0xFF
+		}
+	}
+	over, fresh := base.CloneOver(spent), base.Clone()
+	if !linesEqual(snapshotLines(over), snapshotLines(fresh)) || over.sig != fresh.sig {
+		t.Fatal("clone over a poisoned cache differs from a fresh clone before any write")
+	}
+	for i := 0; i < 4000; i++ {
+		b := contendedBlock(&r) + uint64(r.Intn(64))
+		switch r.Intn(4) {
+		case 0:
+			if over.Probe(b) != fresh.Probe(b) {
+				t.Fatalf("op %d: Probe(%d) differs", i, b)
+			}
+		case 1:
+			gv, ge := over.Fill(b, Modified)
+			wv, we := fresh.Fill(b, Modified)
+			if gv != wv || ge != we {
+				t.Fatalf("op %d: Fill(%d) = %+v %v, fresh %+v %v", i, b, gv, ge, wv, we)
+			}
+		case 2:
+			over.Invalidate(b)
+			fresh.Invalidate(b)
+		default:
+			over.SetDirty(b)
+			fresh.SetDirty(b)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		if !linesEqual(snapshotLines(over), snapshotLines(fresh)) {
+			t.Fatalf("%s: lines differ from the fresh clone's", when)
+		}
+		if over.sig != over.foldSig() || over.sig != fresh.sig {
+			t.Fatalf("%s: sig %x, fold %x, fresh %x", when, over.sig, over.foldSig(), fresh.sig)
+		}
+		if over.Hits != fresh.Hits || over.Misses != fresh.Misses || over.Evictions != fresh.Evictions {
+			t.Fatalf("%s: counters differ from the fresh clone's", when)
+		}
+	}
+	check("after writes")
+	// Every remaining page copied into a spare: still nothing of the poison.
+	over.Materialize()
+	fresh.Materialize()
+	check("materialized")
+	if n := len(over.spareTags) + len(over.spareRanks); n != 0 {
+		t.Fatalf("%d spares left after materializing every page", n)
 	}
 }
 

@@ -41,7 +41,11 @@ func agree(c *Cache, ref *refCache) error {
 // sequences — including Freeze, Materialize and Clone, after which
 // either the clone or the parent carries on — and demands equal return
 // values and victims at every step and full agreement at the end, on
-// the live pair and on every generation left behind.
+// the live pair and on every generation left behind. Three clones in
+// four are taken over a spent cache whose pages hold other lines — a
+// scribbled-on clone of the same cache, one of an earlier generation of
+// it, a cache of another geometry — which must change nothing: the
+// reference deep-copies every time.
 func TestPackedMatchesReference(t *testing.T) {
 	geometries := []config.CacheConfig{
 		{SizeBytes: 4 * 64, Assoc: 1, BlockBits: 6},                                  // direct-mapped, 4 sets
@@ -53,11 +57,12 @@ func TestPackedMatchesReference(t *testing.T) {
 		{SizeBytes: 16 * config.MaxAssoc * 64, Assoc: config.MaxAssoc, BlockBits: 6}, // one set per tag page
 	}
 	states := []State{Shared, Owned, Modified, Exclusive}
-	for _, cfg := range geometries {
+	for gi, cfg := range geometries {
 		t.Run(fmt.Sprintf("assoc%d", cfg.Assoc), func(t *testing.T) {
 			var failure error
 			if err := quick.Check(func(seed uint64, nOps uint16) bool {
 				c, ref := NewCache(cfg), newRefCache(cfg)
+				var older *Cache // a spent clone of an earlier generation of c
 				type generation struct {
 					c   *Cache
 					ref *refCache
@@ -70,6 +75,21 @@ func TestPackedMatchesReference(t *testing.T) {
 				block := func() uint64 {
 					set := uint64(r.Intn(hot)) * uint64(cfg.Sets()/hot)
 					return uint64(r.Intn(2*cfg.Assoc))*uint64(cfg.Sets()) + set
+				}
+				// scribble makes x own pages whose lines are not c's, and
+				// returns it: a finished branch, ready to be cloned over.
+				scribble := func(x *Cache) *Cache {
+					for n := 1 + r.Intn(40); n > 0; n-- {
+						switch b := block(); r.Intn(3) {
+						case 0:
+							x.Fill(b, Modified)
+						case 1:
+							x.Probe(b)
+						default:
+							x.Invalidate(b)
+						}
+					}
+					return x
 				}
 				for i := 0; i < int(nOps)%1500; i++ {
 					b := block()
@@ -114,7 +134,23 @@ func TestPackedMatchesReference(t *testing.T) {
 						// Branch, and carry on with the clone or the parent;
 						// the other side must still match its (deep-copied)
 						// reference when everything is over.
-						cc, rc := c.Clone(), ref.Clone()
+						var spent *Cache
+						switch r.Intn(4) {
+						case 0:
+							spent = scribble(c.Clone())
+						case 1:
+							spent = older
+						case 2:
+							// Fresh from NewCache: owns every page, and the
+							// bitmap's unused tail bits are set.
+							spent = scribble(NewCache(geometries[(gi+1)%len(geometries)]))
+						}
+						older = scribble(c.Clone())
+						cc, rc := c.CloneOver(spent), ref.Clone()
+						if spent != nil && cc != spent {
+							failure = fmt.Errorf("op %d CloneOver did not build in the spent cache", i)
+							return false
+						}
 						if r.Bool(0.5) {
 							c, cc = cc, c
 							ref, rc = rc, ref

@@ -123,28 +123,43 @@ func NewSnooper(nodes []*NodeCaches) *Snooper {
 
 // Clone copies the snooper and all node caches copy-on-write: every
 // cache's pages are shared with the original and copied only when one
-// side writes them (see Cache.Clone). The Cache/NodeCaches structs
-// themselves are built in a single arena — the hierarchy is snapshotted
-// once per branched run, so the clone path is allocation-count-
-// sensitive (see BenchmarkSnapshot). Clone freezes any still-owned
+// side writes them (see Cache.Clone). Clone freezes any still-owned
 // pages (a write); to clone concurrently, Freeze the snooper first.
-func (s *Snooper) Clone() *Snooper {
-	cp := *s
+func (s *Snooper) Clone() *Snooper { return s.CloneOver(nil) }
+
+// CloneOver is Clone built in the storage of spent, a snooper nothing
+// will use again (nil for none): its structs and page tables are
+// overwritten and the pages its caches own become the clone's spares
+// (see Cache.CloneOver), so a clone taken over a finished one allocates
+// nothing once the spare lists have filled. spent is the snooper
+// returned, unless its node count differs from s's and it is dropped.
+//
+// Without a spent snooper the Cache/NodeCaches structs are built in a
+// single arena — the hierarchy is snapshotted once per branched run, so
+// the clone path is allocation-count-sensitive (see BenchmarkSnapshot).
+func (s *Snooper) CloneOver(spent *Snooper) *Snooper {
 	nNodes := len(s.Nodes)
-	var (
-		nodes  = make([]NodeCaches, nNodes)
-		caches = make([]Cache, 3*nNodes)
-	)
-	cp.Nodes = make([]*NodeCaches, nNodes)
-	for i, n := range s.Nodes {
-		c := caches[3*i : 3*i+3]
-		n.L1I.cloneInto(&c[0])
-		n.L1D.cloneInto(&c[1])
-		n.L2.cloneInto(&c[2])
-		nodes[i] = NodeCaches{L1I: &c[0], L1D: &c[1], L2: &c[2]}
-		cp.Nodes[i] = &nodes[i]
+	if spent == nil || len(spent.Nodes) != nNodes {
+		var (
+			nodes  = make([]NodeCaches, nNodes)
+			caches = make([]Cache, 3*nNodes)
+		)
+		spent = &Snooper{Nodes: make([]*NodeCaches, nNodes)}
+		for i := range nodes {
+			c := caches[3*i : 3*i+3]
+			nodes[i] = NodeCaches{L1I: &c[0], L1D: &c[1], L2: &c[2]}
+			spent.Nodes[i] = &nodes[i]
+		}
 	}
-	return &cp
+	nodes := spent.Nodes
+	*spent = *s
+	spent.Nodes = nodes
+	for i, n := range s.Nodes {
+		n.L1I.CloneOver(nodes[i].L1I)
+		n.L1D.CloneOver(nodes[i].L1D)
+		n.L2.CloneOver(nodes[i].L2)
+	}
+	return spent
 }
 
 // Freeze revokes page ownership across the whole hierarchy, making the

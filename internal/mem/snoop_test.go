@@ -198,6 +198,52 @@ func TestSnooperClone(t *testing.T) {
 	}
 }
 
+// TestSnooperCloneOver: a clone built over a spent snooper — one that
+// NewSnooper made, then a clone of a clone, then one with another node
+// count, which is dropped — carries the base's counters, protocol and
+// line state and none of the spent snooper's, and is isolated from the
+// base like any clone.
+func TestSnooperCloneOver(t *testing.T) {
+	base := newMESISystem(2)
+	base.Grant(0, 1, GetX)
+	base.Grant(1, 2, GetS)
+	scribbled := func(n int) *Snooper {
+		s := newSystem(n)
+		for b := uint64(0); b < 300; b++ {
+			s.Grant(int(b)%n, b, GetX)
+		}
+		return s
+	}
+	spent := scribbled(2)
+	for gen, other := range []*Snooper{nil, nil, scribbled(3)} {
+		cp := base.CloneOver(spent)
+		if cp != spent {
+			t.Fatalf("generation %d: the clone is not built in the spent snooper", gen)
+		}
+		if cp.Protocol != MESI || cp.MemFetches != base.MemFetches || cp.Invals != base.Invals {
+			t.Fatalf("generation %d: clone carries %v and %d fetches, base %v and %d", gen, cp.Protocol, cp.MemFetches, base.Protocol, base.MemFetches)
+		}
+		for i, n := range cp.Nodes {
+			for _, c := range []struct{ got, want *Cache }{{n.L1I, base.Nodes[i].L1I}, {n.L1D, base.Nodes[i].L1D}, {n.L2, base.Nodes[i].L2}} {
+				if !linesEqual(snapshotLines(c.got), snapshotLines(c.want)) || c.got.sig != c.want.sig || c.got.sig != c.got.foldSig() {
+					t.Fatalf("generation %d node %d: a cache differs from the base's", gen, i)
+				}
+			}
+		}
+		for b := uint64(0); b < 300; b++ {
+			cp.Grant(int(b)%2, b+7, GetX) // the next generation's stale pages
+		}
+		if base.Nodes[0].L2.GetState(1) != Modified || base.Nodes[1].L2.GetState(2) != Exclusive {
+			t.Fatalf("generation %d: clone writes reached the base", gen)
+		}
+		if other != nil {
+			if got := base.CloneOver(other); got == other || len(got.Nodes) != 2 {
+				t.Fatal("a spent snooper of another node count was built over")
+			}
+		}
+	}
+}
+
 func TestAccessKindString(t *testing.T) {
 	for _, k := range []AccessKind{GetS, GetX, PutM} {
 		if k.String() == "?" {

@@ -10,7 +10,10 @@
 // authors recommend.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 advances the splitmix64 state and returns the next value.
 // It is used for seeding and for deriving independent child seeds from a
@@ -88,7 +91,7 @@ func (r *Stream) Intn(n int) int {
 	// Lemire's nearly-divisionless method is overkill here; plain modulo
 	// bias is negligible for the small n the simulator uses, but we use
 	// the multiply-shift reduction anyway since it is branch-free.
-	hi, _ := mul64(r.Uint64(), uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
 }
 
@@ -97,22 +100,8 @@ func (r *Stream) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("rng: Int63n with non-positive n")
 	}
-	hi, _ := mul64(r.Uint64(), uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int64(hi)
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -83,6 +83,48 @@ func TestIntnRange(t *testing.T) {
 	}
 }
 
+// mul64Limbs is the 128-bit multiply by 32-bit limbs that Intn and
+// Int63n were written with before they took math/bits.Mul64, kept here
+// verbatim so that every stream the simulator has ever drawn stays the
+// stream it draws.
+func mul64Limbs(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += x0 * y1
+	hi = x1*y1 + w2 + w1>>32
+	lo = x * y
+	return
+}
+
+// TestReductionMatchesLimbMultiply pins Intn and Int63n to the outputs
+// of the hand-rolled multiply for any seed and any bound, the extremes
+// included.
+func TestReductionMatchesLimbMultiply(t *testing.T) {
+	if err := quick.Check(func(seed, bound uint64) bool {
+		r, ref := New(seed), New(seed)
+		for _, n := range []int64{1, 2, 1<<31 - 1, 1 << 32, 1<<63 - 1, int64(bound>>1) | 1, int64(bound>>33) | 1} {
+			want, _ := mul64Limbs(ref.Uint64(), uint64(n))
+			if got := r.Int63n(n); got != int64(want) {
+				t.Logf("Int63n(%d) = %d, limb multiply %d", n, got, want)
+				return false
+			}
+			want, _ = mul64Limbs(ref.Uint64(), uint64(n))
+			if got := r.Intn(int(n)); got != int(want) {
+				t.Logf("Intn(%d) = %d, limb multiply %d", n, got, want)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIntnUniform(t *testing.T) {
 	r := New(9)
 	const n, trials = 10, 100000
