@@ -24,12 +24,14 @@
 # (docs/RESILIENCE.md). `make spine` runs the benchmark spine (./bench,
 # declared by BENCHMARK.json) and `make spine-aa` its A/A noise check;
 # `make spine-alloc` gates the one spine metric that repeats exactly,
-# the heap a branch_fanout iteration allocates.
+# the heap a branch_fanout iteration allocates. `make loc` prints the
+# non-test and test Go line counts per package (bench/ apart from the
+# rest), the "net lines" a PR reports.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling spine spine-aa spine-alloc vet lint lint-sarif lint-baseline race fuzz-smoke check clean
+.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling spine spine-aa spine-alloc vet lint lint-sarif lint-baseline race fuzz-smoke loc check clean
 
 all: build
 
@@ -125,6 +127,20 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzANOVA$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzDecisionCodec$$' -fuzztime=$(FUZZTIME) ./internal/sampling
+
+# Go lines per package directory, non-test and test (_test.go files and
+# testdata fixtures), as `wc -l` counts them; bench/ is totalled apart
+# because BENCHMARK.json freezes it.
+loc:
+	@find . -name '*.go' -not -path './.bench_*' | sort | xargs wc -l | awk ' \
+	$$2 == "total" { next } \
+	{ d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/\/testdata\/.*/, "", d); \
+	  k = ($$2 ~ /_test\.go$$|\/testdata\//) ? "t" : "n"; c[d, k] += $$1; if (!(d in seen)) { seen[d]; o[++m] = d }; \
+	  g = (d ~ /^\.\/bench$$/) ? "b" : "r"; tot[g, k] += $$1 } \
+	END { printf "%-28s %9s %9s\n", "package", "non-test", "test"; \
+	  for (i = 1; i <= m; i++) printf "%-28s %9d %9d\n", o[i], c[o[i], "n"], c[o[i], "t"]; \
+	  printf "%-28s %9d %9d\n", "total outside bench/", tot["r", "n"], tot["r", "t"]; \
+	  printf "%-28s %9d %9d\n", "bench/", tot["b", "n"], tot["b", "t"] }'
 
 check: vet lint test race
 	$(GO) build ./...

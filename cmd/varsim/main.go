@@ -399,42 +399,24 @@ func run(e varsim.Experiment, rc runCfg) error {
 		return runErr
 	}
 
-	// A resume whose journal already covers every run replays the whole
-	// space without preparing the machine — the warmup itself is
-	// skipped, so resuming a finished run is nearly free.
-	if rc.fromRcp == "" && rc.saveRcp == "" && rc.pub == nil && rc.intervalUS <= 0 && rc.perfetto == "" {
-		if e.DigestIntervalNS > 0 {
-			if sp, sd, ok := e.CachedSpaceDigests(); ok {
-				report.WriteSpace(os.Stdout, sp)
-				report.WriteAttribution(os.Stdout, sd.Attribution(sp))
-				if rc.precTable {
-					printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-				}
-				return nil
-			}
-		} else if sp, ok := e.CachedSpace(); ok {
-			report.WriteSpace(os.Stdout, sp)
-			if rc.precTable {
-				printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-			}
-			return nil
-		}
-	}
-
+	// The checkpoint is built here only when something besides the
+	// branches needs it (a recipe in or out, the live publisher, the
+	// sampled run); otherwise Experiment.Branch prepares it on demand,
+	// and a resume whose journal already covers every run replays the
+	// whole space without it — the warmup itself is skipped, so resuming
+	// a finished run is nearly free.
 	var base *varsim.Machine
 	if rc.fromRcp != "" {
 		rcp, err := varsim.LoadRecipe(rc.fromRcp)
 		if err != nil {
 			return err
 		}
-		base, err = rcp.Build()
-		if err != nil {
+		if base, err = rcp.Build(); err != nil {
 			return err
 		}
-	} else {
+	} else if rc.saveRcp != "" || rc.pub != nil || rc.intervalUS > 0 {
 		var err error
-		base, err = e.Prepare()
-		if err != nil {
+		if base, err = e.Prepare(); err != nil {
 			return err
 		}
 	}
@@ -481,20 +463,35 @@ func run(e varsim.Experiment, rc runCfg) error {
 		}
 	}
 
-	var sp varsim.Space
-	if rc.perfetto != "" {
-		var traces [][]varsim.TraceEvent
-		var sd varsim.SpaceDigests
-		var err error
-		sp, traces, sd, err = varsim.BranchObserved(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 0, e.Workers, e.DigestIntervalNS)
-		if err != nil {
-			return err
-		}
-		runs := make([]traceviz.Run, len(traces))
-		for i, evs := range traces {
+	// One plan whatever is captured: digests at the spec's cadence, the
+	// event trace when a Perfetto export is asked for.
+	plan := e.BranchPlan()
+	plan.Trace = rc.perfetto != ""
+	var b varsim.Branched
+	var err error
+	if base != nil {
+		b, err = varsim.Branch(base, plan)
+	} else {
+		b, err = e.Branch(plan)
+	}
+	sp, sd := b.Space(), b.Digests()
+	var inc *fleet.Incomplete
+	if errors.As(err, &inc) {
+		// A graceful drain: render the partial space (marked
+		// INCOMPLETE) and hand the drain marker back to main for
+		// the resume hint and exit status.
+		report.WriteSpace(os.Stdout, sp)
+		return err
+	}
+	if err != nil {
+		return err
+	}
+	if plan.Trace {
+		runs := make([]traceviz.Run, len(b.Runs))
+		for i, r := range b.Runs {
 			runs[i] = traceviz.Run{
 				Name:    fmt.Sprintf("%s run %d", e.Label, i),
-				Events:  evs,
+				Events:  r.Events,
 				NumCPUs: e.Config.NumCPUs,
 			}
 			// Flag each run's fork from run 0 inside its own trace.
@@ -509,50 +506,15 @@ func run(e varsim.Experiment, rc runCfg) error {
 		}
 		fmt.Printf("Perfetto trace (%d runs) written to %s — open it at https://ui.perfetto.dev\n",
 			len(runs), rc.perfetto)
-		if e.DigestIntervalNS > 0 {
-			report.WriteSpace(os.Stdout, sp)
-			report.WriteAttribution(os.Stdout, sd.Attribution(sp))
-			if rc.precTable {
-				printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-			}
-			return nil
-		}
-	} else if e.DigestIntervalNS > 0 {
-		sp, sd, err := varsim.BranchSpaceDigests(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, e.Workers, e.DigestIntervalNS, e.Resilience)
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			report.WriteSpace(os.Stdout, sp)
-			return err
-		}
-		if err != nil {
-			return err
-		}
+	}
+	report.WriteSpace(os.Stdout, sp)
+	if plan.DigestIntervalNS > 0 {
 		att := sd.Attribution(sp)
 		if rc.pub != nil {
 			rc.pub.PublishDivergence(att)
 		}
-		report.WriteSpace(os.Stdout, sp)
 		report.WriteAttribution(os.Stdout, att)
-		if rc.precTable {
-			printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-		}
-		return nil
-	} else {
-		var err error
-		sp, err = varsim.BranchSpaceRes(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, e.Workers, e.Resilience)
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			// A graceful drain: render the partial space (marked
-			// INCOMPLETE) and hand the drain marker back to main for
-			// the resume hint and exit status.
-			report.WriteSpace(os.Stdout, sp)
-			return err
-		}
-		if err != nil {
-			return err
-		}
 	}
-	report.WriteSpace(os.Stdout, sp)
 	if rc.precTable {
 		printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
 	}

@@ -1,5 +1,5 @@
-// Traceanalysis drills into *why* runs diverge: it traces two runs that
-// start from the same checkpoint with different perturbation seeds,
+// Traceanalysis drills into *why* runs diverge: it branches two traced
+// runs from the same checkpoint with different perturbation seeds,
 // locates the exact scheduling decision where their execution paths
 // split (the paper's Figure 1), and reports the lock-contention and
 // thread-schedule structure behind it. It also shows checkpoint recipes:
@@ -32,39 +32,38 @@ func main() {
 	}
 	fmt.Printf("checkpoint recipe saved to %s\n\n", recipePath)
 
-	runTraced := func(perturbSeed uint64) *varsim.Machine {
-		recipe, err := varsim.LoadRecipe(recipePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := recipe.Build() // deterministic replay of the warmup
-		if err != nil {
-			log.Fatal(err)
-		}
-		m.SetPerturbSeed(perturbSeed)
-		m.EnableTrace(0)
-		if _, err := m.Run(150); err != nil {
-			log.Fatal(err)
-		}
-		return m
+	recipe, err := varsim.LoadRecipe(recipePath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := recipe.Build() // deterministic replay of the warmup
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	a := runTraced(1)
-	b := runTraced(2)
+	// Branch the experiment's two perturbed runs from the checkpoint,
+	// each recording its event trace: the experiment's plan, plus Trace.
+	plan := exp.BranchPlan()
+	plan.Trace = true
+	runs, err := varsim.Branch(m, plan)
+	if err != nil {
+		log.Fatal(err)
+	}
+	a, b := runs.Runs[0].Events, runs.Runs[1].Events
 
 	// Where exactly did 0-4 ns of memory jitter change the course of
 	// execution?
-	div := varsim.CompareDispatches(a.Trace().Events(), b.Trace().Events())
+	div := varsim.CompareDispatches(a, b)
 	fmt.Printf("the two runs dispatched identically %d times, then split (run1 at %d ns, run2 at %d ns)\n",
 		div.Prefix, div.ATimeNS, div.BTimeNS)
 	fmt.Printf("after the split only %.1f%% of dispatch decisions still agree\n\n", 100*div.AgreedAfter)
 
 	// What were the threads fighting over?
 	fmt.Println("most contended locks in run 1 (lock 0 is the database log latch):")
-	fmt.Print(varsim.FormatLockReport(varsim.LockReport(a.Trace().Events()), 6))
+	fmt.Print(varsim.FormatLockReport(varsim.LockReport(a), 6))
 
 	// Who actually got to run?
-	timeline := varsim.ThreadTimeline(a.Trace().Events())
+	timeline := varsim.ThreadTimeline(a)
 	busiest, most := timeline[0], int64(0)
 	for _, th := range timeline {
 		if th.RunNS > most {

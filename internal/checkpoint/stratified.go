@@ -58,10 +58,12 @@ func AdaptiveTimeSample(bc *BaseCache, e core.Experiment, checkpoints []int64, t
 		label := fmt.Sprintf("%s@%d", e.Label, ck)
 		spaces[ci] = core.Space{Label: label}
 		rounds[ci] = &core.Rounds{
-			Label: label, ConfigHash: cfgHash,
-			SeedBase:    rng.Derive(e.SeedBase, 0x100+uint64(ci)),
-			MeasureTxns: e.MeasureTxns, Workers: e.Workers, Res: res,
-			Base: func() (*machine.Machine, error) { return bc.Build(recipe) },
+			Plan: core.BranchPlan{
+				Label: label, SeedBase: rng.Derive(e.SeedBase, 0x100+uint64(ci)),
+				MeasureTxns: e.MeasureTxns, Workers: e.Workers, Resilience: res,
+			},
+			ConfigHash: cfgHash,
+			Base:       func() (*machine.Machine, error) { return bc.Build(recipe) },
 		}
 	}
 	executed := func() int {

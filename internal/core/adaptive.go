@@ -15,11 +15,9 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 
-	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
 	"varsim/internal/sampling"
@@ -53,100 +51,24 @@ func (r Resilience) ObserveOnce() Resilience {
 	return r
 }
 
-// BranchRound branches run indices [lo, lo+k) of a space from the
-// checkpoint — one round of an adaptive schedule. Each run keeps the
-// global identity BranchSpaceRes would assign it: the job for global
-// index i derives seed rng.Derive(seedBase, 1+i) and journals under
-// run key i, so a space assembled round by round is record-for-record
-// identical to the same space run fixed-N.
-//
-// Results come back in index order. On a graceful drain the completed
-// subset is returned together with the global indices that never ran
-// and the *fleet.Incomplete error.
-func BranchRound(checkpoint *machine.Machine, label string, lo, k int, measureTxns int64, seedBase uint64, workers int, res Resilience) ([]machine.Result, []int, error) {
-	if k <= 0 {
-		return nil, nil, nil
-	}
-	cfgHash := journal.ConfigHash(checkpoint.Config())
-	opts := branchOptions(label, cfgHash, seedBase, workers, res)
-	opts.IndexBase = lo
-	results, err := fleet.Run(opts, k, branchJob(checkpoint, seedBase, func(m *machine.Machine) (machine.Result, error) {
-		return m.Run(measureTxns)
-	}))
-	if err != nil {
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			miss := make(map[int]bool, len(inc.Missing))
-			for _, gi := range inc.Missing {
-				miss[gi] = true
-			}
-			done := make([]machine.Result, 0, k-len(inc.Missing))
-			for j, r := range results {
-				if !miss[lo+j] {
-					done = append(done, r)
-				}
-			}
-			return done, inc.Missing, err
-		}
-		return nil, nil, runError(err)
-	}
-	return results, nil, nil
-}
-
-// cachedRound replays run indices [lo, lo+k) wholly from the resume
-// cache, mirroring CachedSpace at round granularity: any miss or
-// undecodable record returns false (the fleet path then applies
-// per-run hits), and the observer is fed only after every record
-// decoded, in index order, so a fallthrough cannot double-observe.
-func cachedRound(label, cfgHash string, seedBase uint64, lo, k int, res Resilience) ([]machine.Result, bool) {
-	if res.Cache == nil {
-		return nil, false
-	}
-	results := make([]machine.Result, k)
-	keys := make([]journal.Key, k)
-	for j := 0; j < k; j++ {
-		keys[j] = branchKey(label, cfgHash, seedBase, lo+j)
-		if !res.Cache.Has(keys[j]) {
-			return nil, false
-		}
-		rec, ok := res.Cache.Get(keys[j])
-		if !ok {
-			return nil, false
-		}
-		if err := json.Unmarshal(rec.Result, &results[j]); err != nil {
-			return nil, false
-		}
-	}
-	if res.Observe != nil {
-		for j := range results {
-			res.Observe(keys[j], results[j])
-		}
-	}
-	return results, true
-}
-
 // Rounds drives one arm of an adaptive schedule: successive Next calls
-// execute (or replay) the arm's next k runs, indices [N, N+k). The
+// execute (or replay) the arm's next k runs, [Plan.Lo, Plan.Lo+k).
+// Each run keeps the identity a fixed-N Branch would assign it — seed
+// and journal key derive from its global index — so a space assembled
+// round by round is record-for-record the same space run fixed-N. The
 // checkpoint is built lazily through Base, so an arm whose rounds
-// replay wholly from the journal never pays its warmup — the adaptive
-// analogue of CachedSpace's free resume.
+// replay wholly from the journal never pays its warmup.
 type Rounds struct {
-	Label       string
-	ConfigHash  string
-	SeedBase    uint64
-	MeasureTxns int64
-	Workers     int
-	Res         Resilience
+	// Plan describes the arm's runs. Next sets Plan.N per round and
+	// advances Plan.Lo, which is thus the runs taken so far.
+	Plan       BranchPlan
+	ConfigHash string
 	// Base lazily provides the warmed checkpoint machine; it is called
 	// at most once, on the first round that needs a live run.
 	Base func() (*machine.Machine, error)
 
 	base *machine.Machine
-	n    int
 }
-
-// N returns how many runs have executed (or replayed) so far.
-func (r *Rounds) N() int { return r.n }
 
 // Next runs the arm's next k runs, returning their results in index
 // order. On a graceful drain it returns the completed subset, the
@@ -156,23 +78,24 @@ func (r *Rounds) Next(k int) ([]machine.Result, []int, error) {
 	if k <= 0 {
 		return nil, nil, nil
 	}
-	if results, ok := cachedRound(r.Label, r.ConfigHash, r.SeedBase, r.n, k, r.Res); ok {
-		r.n += k
-		return results, nil, nil
+	r.Plan.N = k
+	b, err := replayOrBranch(r.ConfigHash, r.checkpoint, r.Plan)
+	if err == nil {
+		r.Plan.Lo += k
 	}
+	sp := b.Space()
+	return sp.Results, sp.Missing, err
+}
+
+// checkpoint builds the arm's base on first use.
+func (r *Rounds) checkpoint() (*machine.Machine, error) {
 	if r.base == nil {
-		m, err := r.Base()
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if r.base, err = r.Base(); err != nil {
+			return nil, err
 		}
-		r.base = m
 	}
-	results, missing, err := BranchRound(r.base, r.Label, r.n, k, r.MeasureTxns, r.SeedBase, r.Workers, r.Res)
-	if err != nil {
-		return results, missing, err
-	}
-	r.n += k
-	return results, nil, nil
+	return r.base, nil
 }
 
 // BarrierDecision is the replay-first decision point: if the resume
@@ -210,14 +133,10 @@ func (e Experiment) AdaptiveSpace(t sampling.Target) (Space, sampling.Arm, error
 	if err := e.Validate(); err != nil {
 		return Space{}, arm, err
 	}
-	cfgHash := journal.ConfigHash(e.Config)
-	arm.ConfigHash = cfgHash
 	res := e.Resilience.ObserveOnce()
-	rounds := &Rounds{
-		Label: e.Label, ConfigHash: cfgHash, SeedBase: e.SeedBase,
-		MeasureTxns: e.MeasureTxns, Workers: e.Workers, Res: res,
-		Base: e.Prepare,
-	}
+	rounds := e.rounds(res)
+	cfgHash := rounds.ConfigHash
+	arm.ConfigHash = cfgHash
 	sp := Space{Label: e.Label}
 	next := t.MinRuns
 	for round := 0; ; round++ {
@@ -256,6 +175,14 @@ func (e Experiment) AdaptiveSpace(t sampling.Target) (Space, sampling.Arm, error
 			return sp, arm, nil
 		}
 	}
+}
+
+// rounds is the experiment as an adaptive arm: its space plan under the
+// given resilience, checkpoint prepared on demand.
+func (e Experiment) rounds(res Resilience) *Rounds {
+	p := e.spacePlan()
+	p.Resilience = res
+	return &Rounds{Plan: p, ConfigHash: journal.ConfigHash(e.Config), Base: e.Prepare}
 }
 
 // publishArm refreshes the live sampling surface with a single-arm
@@ -339,16 +266,12 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 			return nil, rep, err
 		}
 		res := e.Resilience.ObserveOnce()
-		cfgHash := journal.ConfigHash(e.Config)
+		rounds := e.rounds(res)
 		arms[i] = &matrixArm{
 			e: e, res: res, want: t.MinRuns,
-			sp:  Space{Label: e.Label},
-			arm: sampling.Arm{Experiment: e.Label, ConfigHash: cfgHash, FixedN: e.Runs, Status: sampling.StatusIncomplete},
-			rounds: &Rounds{
-				Label: e.Label, ConfigHash: cfgHash, SeedBase: e.SeedBase,
-				MeasureTxns: e.MeasureTxns, Workers: e.Workers, Res: res,
-				Base: e.Prepare,
-			},
+			sp:     Space{Label: e.Label},
+			arm:    sampling.Arm{Experiment: e.Label, ConfigHash: rounds.ConfigHash, FixedN: e.Runs, Status: sampling.StatusIncomplete},
+			rounds: rounds,
 		}
 	}
 	executed := 0

@@ -1,0 +1,337 @@
+package core
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+
+	"varsim/internal/digest"
+	"varsim/internal/fleet"
+	"varsim/internal/journal"
+	"varsim/internal/machine"
+	"varsim/internal/rng"
+	"varsim/internal/trace"
+)
+
+// BranchPlan says which perturbed runs to branch from a checkpoint and
+// what each one captures — the paper's one operation (§3.3, §5.1) as a
+// value. Run i of the plan, for i in [Lo, Lo+N), derives its
+// perturbation seed from (SeedBase, i) and is journaled under
+// (Label, config hash, that seed, i), so a space assembled from several
+// index ranges is record-for-record the space branched in one call.
+type BranchPlan struct {
+	Label       string
+	Lo, N       int   // run indices [Lo, Lo+N)
+	MeasureTxns int64 // transactions per run
+	SeedBase    uint64
+	// Workers is the fleet width: 0 or 1 sequential on the calling
+	// goroutine, n > 1 that many workers, negative one per host CPU.
+	// Any width yields byte-identical results (docs/PARALLELISM.md).
+	Workers int
+	// DigestIntervalNS, when positive, records an interval state digest
+	// every DigestIntervalNS of simulated time in each run.
+	DigestIntervalNS int64
+	// Trace records each run's structured event stream, at most TraceCap
+	// events a run (0 = unbounded). Events are not journaled, so a
+	// traced plan never replays: a resume re-runs it.
+	Trace    bool
+	TraceCap int
+	// Resilience is the crash-safety plumbing (docs/RESILIENCE.md).
+	Resilience Resilience
+}
+
+// digests reports whether the plan captures digest streams.
+func (p BranchPlan) digests() bool { return p.DigestIntervalNS > 0 }
+
+// BranchedRun is everything one run of a plan produced.
+type BranchedRun struct {
+	Result  machine.Result
+	Digests digest.Series // empty unless the plan captures digests
+	Events  []trace.Event // nil unless the plan traces
+}
+
+// Branched is a plan's outcome: one record per run, index-aligned
+// (Runs[j] is run Lo+j). Runs a graceful drain left unexecuted are
+// listed in Missing (global indices, ascending) and hold a zero record.
+type Branched struct {
+	Label            string
+	Lo               int
+	DigestIntervalNS int64
+	Runs             []BranchedRun
+	Missing          []int
+}
+
+// Space projects the runs' measurements: Values and Results hold only
+// the runs that executed (a drained space is a shorter sample, not one
+// padded with zeros).
+func (b Branched) Space() Space {
+	sp := Space{Label: b.Label, Missing: b.Missing}
+	if n := len(b.Runs) - len(b.Missing); n > 0 {
+		sp.Values = make([]float64, 0, n)
+		sp.Results = make([]machine.Result, 0, n)
+	}
+	miss := b.Missing
+	for j := range b.Runs {
+		if len(miss) > 0 && miss[0] == b.Lo+j {
+			miss = miss[1:]
+			continue
+		}
+		sp.Values = append(sp.Values, b.Runs[j].Result.CPT)
+		sp.Results = append(sp.Results, b.Runs[j].Result)
+	}
+	return sp
+}
+
+// Digests projects the runs' digest streams, index-aligned with the
+// plan's range; Series is nil when the plan captured none.
+func (b Branched) Digests() SpaceDigests {
+	sd := SpaceDigests{IntervalNS: b.DigestIntervalNS}
+	if b.DigestIntervalNS > 0 && len(b.Runs) > 0 {
+		sd.Series = make([]digest.Series, len(b.Runs))
+		for j := range b.Runs {
+			sd.Series[j] = b.Runs[j].Digests
+		}
+	}
+	return sd
+}
+
+// Traces projects the runs' event streams, index-aligned with the
+// plan's range.
+func (b Branched) Traces() [][]trace.Event {
+	traces := make([][]trace.Event, len(b.Runs))
+	for j := range b.Runs {
+		traces[j] = b.Runs[j].Events
+	}
+	return traces
+}
+
+// key is the journal identity of run i: the label, the hash of the
+// machine configuration, the run's derived perturbation seed, and its
+// index. Replay matches on the full key, so a journal from a different
+// config, seed base, or label never contaminates a resume.
+func (p BranchPlan) key(cfgHash string, i int) journal.Key {
+	return journal.Key{
+		Experiment: p.Label,
+		ConfigHash: cfgHash,
+		Seed:       rng.Derive(p.SeedBase, 1+uint64(i)),
+		Index:      i,
+	}
+}
+
+// journaled reports whether the resume cache can serve the run filed
+// under key. A hit needs every payload the plan captures: the ok run
+// record, the digest record when digests are captured, and never for a
+// traced plan — events are not journaled. It only peeks, so a miss
+// leaves journal.Stats.Hits alone: that counter is the records merged,
+// not the records looked for.
+func (p BranchPlan) journaled(key journal.Key) bool {
+	c := p.Resilience.Cache
+	return !p.Trace && c.Has(key) && (!p.digests() || c.HasDigest(key))
+}
+
+// decode reads a journaled run back. An undecodable record, or a digest
+// stream recorded at another cadence, is a miss: the run executes again.
+func (p BranchPlan) decode(key journal.Key) (BranchedRun, bool) {
+	var r BranchedRun
+	rec, _ := p.Resilience.Cache.Get(key)
+	if json.Unmarshal(rec.Result, &r.Result) != nil {
+		return BranchedRun{}, false
+	}
+	if p.digests() {
+		drec, _ := p.Resilience.Cache.Digest(key)
+		var err error
+		if r.Digests, err = journal.DecodeDigest(drec); err != nil || r.Digests.IntervalNS != p.DigestIntervalNS {
+			return BranchedRun{}, false
+		}
+	}
+	return r, true
+}
+
+// settle files one executed run: the precision observer sees a success,
+// and the journal receives the run record — ok or failed — followed by
+// the digest record when the plan captures digests.
+func (p BranchPlan) settle(key journal.Key, attempts int, r BranchedRun, err error) {
+	res := p.Resilience
+	if err == nil && res.Observe != nil {
+		res.Observe(key, r.Result)
+	}
+	if res.Journal == nil {
+		return
+	}
+	add := func(rec journal.Record) {
+		// Append errors are sticky on the writer; the CLIs check
+		// Writer.Err() at teardown rather than failing runs here.
+		//varsim:allow stickyerr fire-and-forget by design: Writer.Err is checked at CLI teardown
+		res.Journal.Append(rec)
+	}
+	rec := journal.Record{Key: key, Attempts: attempts, Status: journal.StatusFailed}
+	if err != nil {
+		rec.Error = err.Error()
+	} else if raw, merr := json.Marshal(r.Result); merr != nil {
+		rec.Error = "core: unencodable result: " + merr.Error()
+	} else {
+		rec.Status, rec.Result = journal.StatusOK, raw
+	}
+	add(rec)
+	if rec.Status == journal.StatusOK && p.digests() {
+		if drec, derr := journal.DigestRecord(key, r.Digests); derr == nil {
+			add(drec)
+		}
+	}
+}
+
+// Replay serves the plan's whole range from the resume cache, without a
+// checkpoint: every run must be journaled. The observer is fed only once
+// every record has decoded, in index order, so a caller that falls back
+// to Branch cannot double-observe.
+func Replay(cfgHash string, p BranchPlan) (Branched, bool) {
+	if p.Resilience.Cache == nil || p.N <= 0 {
+		return Branched{}, false
+	}
+	for i := p.Lo; i < p.Lo+p.N; i++ {
+		if !p.journaled(p.key(cfgHash, i)) {
+			return Branched{}, false
+		}
+	}
+	b := Branched{Label: p.Label, Lo: p.Lo, DigestIntervalNS: p.DigestIntervalNS, Runs: make([]BranchedRun, p.N)}
+	for j := range b.Runs {
+		var ok bool
+		if b.Runs[j], ok = p.decode(p.key(cfgHash, p.Lo+j)); !ok {
+			return Branched{}, false
+		}
+	}
+	if p.Resilience.Observe != nil {
+		for j := range b.Runs {
+			p.Resilience.Observe(p.key(cfgHash, p.Lo+j), b.Runs[j].Result)
+		}
+	}
+	return b, true
+}
+
+// Branch branches the plan's runs from the checkpoint machine on a
+// fleet of p.Workers workers. Each branch is a pure job (branchJob) — a
+// private snapshot re-seeded from (SeedBase, index) — and the fleet
+// merges results by index, so the outcome is byte-identical for every
+// worker count. Runs with a journaled record replay from
+// Resilience.Cache instead of executing; executed runs are journaled as
+// they settle. Because a retry re-invokes the same job, a retried run
+// re-derives its original seed — the retry/seed contract of
+// docs/RESILIENCE.md.
+//
+// A graceful drain returns the partial outcome (Missing lists the
+// indices that never ran) together with the *fleet.Incomplete error, so
+// resilience-aware callers can render a resumable partial report while
+// everyone else fails loudly.
+func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
+	b := Branched{Label: p.Label, Lo: p.Lo, DigestIntervalNS: p.DigestIntervalNS}
+	if p.N <= 0 {
+		return b, nil
+	}
+	res := p.Resilience
+	cfgHash := journal.ConfigHash(checkpoint.Config())
+	opts := fleet.Options[BranchedRun]{
+		Workers:   fleet.Width(p.Workers),
+		Timeout:   res.JobTimeout,
+		Retries:   res.Retries,
+		Stop:      res.Stop,
+		TestHook:  res.TestHook,
+		IndexBase: p.Lo,
+		Labels:    []string{"experiment", p.Label, "config", cfgHash},
+	}
+	if res.Cache != nil {
+		opts.Cached = func(i int) (BranchedRun, bool) {
+			key := p.key(cfgHash, i)
+			if !p.journaled(key) {
+				return BranchedRun{}, false
+			}
+			r, ok := p.decode(key)
+			// Cache hits bypass OnResult, so replays feed the precision
+			// observer here — a resumed space observes every run once.
+			if ok && res.Observe != nil {
+				res.Observe(key, r.Result)
+			}
+			return r, ok
+		}
+	}
+	if res.Journal != nil || res.Observe != nil {
+		opts.OnResult = func(i, attempts int, r BranchedRun, err error) {
+			p.settle(p.key(cfgHash, i), attempts, r, err)
+		}
+	}
+	var err error
+	b.Runs, err = fleet.Run(opts, p.N, branchJob(checkpoint, p.SeedBase, func(m *machine.Machine) (BranchedRun, error) {
+		if p.Trace {
+			m.EnableTrace(p.TraceCap)
+		}
+		if p.digests() {
+			m.EnableDigests(p.DigestIntervalNS)
+		}
+		var r BranchedRun
+		var err error
+		if r.Result, err = m.Run(p.MeasureTxns); err != nil {
+			return BranchedRun{}, err
+		}
+		if p.Trace {
+			r.Events = m.Trace().Events()
+		}
+		if p.digests() {
+			r.Digests = m.DigestSeries()
+		}
+		return r, nil
+	}))
+	var inc *fleet.Incomplete
+	if errors.As(err, &inc) {
+		b.Missing = inc.Missing
+		return b, err
+	}
+	var je *fleet.JobError
+	if errors.As(err, &je) {
+		// The package's historical "run %d" terms, cause preserved.
+		return Branched{}, fmt.Errorf("core: run %d: %w", je.Index, je.Err)
+	}
+	return b, err
+}
+
+// branchJob returns the fleet job Branch submits: job i snapshots the
+// checkpoint, re-seeds the copy from (seedBase, i) and hands it to run,
+// whose value must not reference the machine's caches (a Result, a
+// digest series and a trace's events do not). The checkpoint is frozen
+// here, before the fleet starts: jobs snapshot it concurrently, and a
+// snapshot of a frozen machine performs no writes.
+//
+// A branch whose run returned nil is handed on: a later job of the same
+// fleet call takes its snapshot over that machine's cache storage
+// (machine.SnapshotOver), so a fleet allocates cache pages for about as
+// many branches as it has workers, not for all n. A run that failed,
+// panicked or was abandoned by a fleet timeout keeps its machine — an
+// abandoned attempt may still be running it — and the retry gets another
+// or a fresh one. Which machine a job takes over depends on the host's
+// scheduling and cannot show: SnapshotOver reads none of its state.
+func branchJob(checkpoint *machine.Machine, seedBase uint64, run func(*machine.Machine) (BranchedRun, error)) func(int) (BranchedRun, error) {
+	checkpoint.Freeze()
+	var spent fleet.Pool[*machine.Machine]
+	return func(i int) (BranchedRun, error) {
+		m := checkpoint.SnapshotOver(spent.Get())
+		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
+		r, err := run(m)
+		if err == nil {
+			spent.Put(m)
+		}
+		return r, err
+	}
+}
+
+// BranchSpace branches n perturbed measurement runs of measureTxns
+// transactions each from the checkpoint — Branch's quickstart form: run
+// indices [0, n), no capture, no resilience.
+func BranchSpace(checkpoint *machine.Machine, label string, n int, measureTxns int64, seedBase uint64, workers int) (Space, error) {
+	return BranchSpaceRes(checkpoint, label, n, measureTxns, seedBase, workers, Resilience{})
+}
+
+// BranchSpaceRes is BranchSpace with the crash-safety plumbing. An
+// adapter kept for bench/, which BENCHMARK.json freezes; new code calls
+// Branch.
+func BranchSpaceRes(checkpoint *machine.Machine, label string, n int, measureTxns int64, seedBase uint64, workers int, res Resilience) (Space, error) {
+	b, err := Branch(checkpoint, BranchPlan{Label: label, N: n, MeasureTxns: measureTxns, SeedBase: seedBase, Workers: workers, Resilience: res})
+	return b.Space(), err
+}

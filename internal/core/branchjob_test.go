@@ -34,7 +34,7 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BranchSpace(checkpoint, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 1)
+	want, err := Branch(checkpoint, e.BranchPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 			faulted, finished []*machine.Machine
 			hung              sync.WaitGroup
 		)
-		run := func(m *machine.Machine) (machine.Result, error) {
+		run := func(m *machine.Machine) (BranchedRun, error) {
 			mu.Lock()
 			call := calls
 			calls++
 			mu.Unlock()
 			if hook.PanicOn[call] || hook.HangOn[call] {
 				if _, err := m.Run(3); err != nil {
-					return machine.Result{}, err
+					return BranchedRun{}, err
 				}
 				mu.Lock()
 				faulted = append(faulted, m)
@@ -72,21 +72,21 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 				}
 				mu.Unlock()
 				if err := hook.BeforeAttempt(call, 0); err != nil {
-					return machine.Result{}, err
+					return BranchedRun{}, err
 				}
 			}
 			res, err := m.Run(e.MeasureTxns)
 			mu.Lock()
 			finished = append(finished, m)
 			mu.Unlock()
-			return res, err
+			return BranchedRun{Result: res}, err
 		}
-		opts := fleet.Options[machine.Result]{Workers: width, Retries: 6, Timeout: 500 * time.Millisecond}
+		opts := fleet.Options[BranchedRun]{Workers: width, Retries: 6, Timeout: 500 * time.Millisecond}
 		got, err := fleet.Run(opts, e.Runs, branchJob(checkpoint, e.SeedBase, run))
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
-		if !reflect.DeepEqual(got, want.Results) {
+		if !reflect.DeepEqual(got, want.Runs) {
 			t.Errorf("width %d: space with faulted branches differs from the fault-free one", width)
 		}
 

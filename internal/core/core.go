@@ -11,7 +11,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -195,8 +194,8 @@ type Resilience struct {
 	Stop <-chan struct{}
 	// Observe, when non-nil, sees every successful run's result — live
 	// from the worker that settled it, and replayed for cache hits (both
-	// per-run hits and whole-space CachedSpace replays), so a resumed
-	// experiment feeds the same observations a fresh one would. It is a
+	// per-run hits and whole-range Replays), so a resumed experiment
+	// feeds the same observations a fresh one would. It is a
 	// pure observer for the precision observatory (internal/precision):
 	// it must never feed anything back into the simulation, and because
 	// live calls arrive in host completion order, its state is not part
@@ -206,13 +205,6 @@ type Resilience struct {
 	// TestHook injects scripted faults (internal/faultinject); tests
 	// only, nil on every production path.
 	TestHook fleet.TestHook
-}
-
-// enabled reports whether any resilience feature is active, so the
-// plain path stays exactly the historical BranchSpace.
-func (r Resilience) enabled() bool {
-	return r.Journal != nil || r.Cache != nil || r.JobTimeout > 0 ||
-		r.Retries > 0 || r.Stop != nil || r.TestHook != nil || r.Observe != nil
 }
 
 // Validate checks the experiment definition.
@@ -256,38 +248,51 @@ func (e Experiment) Prepare() (*machine.Machine, error) {
 // branches Runs perturbed futures — exactly the paper's multiple-runs
 // methodology (§3.3, §5.1). The branches execute on e.Workers fleet
 // workers.
-//
-// When a resume cache covers every run, the whole space is replayed
-// from the journal without preparing the machine — the warmup itself
-// is skipped, which is what makes resuming a finished experiment
-// nearly free.
 func (e Experiment) RunSpace() (Space, error) {
 	if e.Adaptive != nil {
 		sp, _, err := e.AdaptiveSpace(*e.Adaptive)
 		return sp, err
 	}
-	if sp, ok := e.CachedSpace(); ok {
-		return sp, nil
-	}
-	base, err := e.Prepare()
-	if err != nil {
-		return Space{}, err
-	}
-	return BranchSpaceRes(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, e.Workers, e.Resilience)
+	b, err := e.Branch(e.spacePlan())
+	return b.Space(), err
 }
 
-// branchKey is the journal identity of run i of a space: the
-// experiment label, the hash of the machine configuration, the run's
-// derived perturbation seed, and its index. Replay matches on the full
-// key, so a journal from a different config, seed base, or label never
-// contaminates a resume.
-func branchKey(label, cfgHash string, seedBase uint64, i int) journal.Key {
-	return journal.Key{
-		Experiment: label,
-		ConfigHash: cfgHash,
-		Seed:       rng.Derive(seedBase, 1+uint64(i)),
-		Index:      i,
+// BranchPlan is the experiment as a plan: all Runs runs, digests at the
+// experiment's cadence, no trace.
+func (e Experiment) BranchPlan() BranchPlan {
+	return BranchPlan{
+		Label: e.Label, N: e.Runs, MeasureTxns: e.MeasureTxns, SeedBase: e.SeedBase,
+		Workers: e.Workers, DigestIntervalNS: e.DigestIntervalNS, Resilience: e.Resilience,
 	}
+}
+
+// spacePlan is BranchPlan without capture: the runs behind a bare Space.
+func (e Experiment) spacePlan() BranchPlan {
+	p := e.BranchPlan()
+	p.DigestIntervalNS = 0
+	return p
+}
+
+// Branch runs a plan against the experiment's checkpoint. When the
+// resume cache covers the plan's whole range the outcome is replayed
+// from the journal without preparing the machine — the warmup itself is
+// skipped, which is what makes resuming a finished experiment nearly
+// free.
+func (e Experiment) Branch(p BranchPlan) (Branched, error) {
+	return replayOrBranch(journal.ConfigHash(e.Config), e.Prepare, p)
+}
+
+// replayOrBranch is the one place a whole-range replay is tried before
+// the checkpoint is needed: base runs only when some run must execute.
+func replayOrBranch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan) (Branched, error) {
+	if b, ok := Replay(cfgHash, p); ok {
+		return b, nil
+	}
+	checkpoint, err := base()
+	if err != nil {
+		return Branched{}, err
+	}
+	return Branch(checkpoint, p)
 }
 
 // RunKey returns run i's journal key — the identity the experiment's
@@ -295,210 +300,7 @@ func branchKey(label, cfgHash string, seedBase uint64, i int) journal.Key {
 // journal post-hoc (varsim diff) address runs exactly as the fleet
 // wrote them.
 func (e Experiment) RunKey(i int) journal.Key {
-	return branchKey(e.Label, journal.ConfigHash(e.Config), e.SeedBase, i)
-}
-
-// CachedSpace replays the full space from the resume cache when every
-// run has an ok journal record. Returns false on any miss or
-// undecodable record — the caller then takes the normal prepare-and-run
-// path, where per-run cache hits still apply.
-func (e Experiment) CachedSpace() (Space, bool) {
-	// An adaptive experiment must never take the fixed-N whole-space
-	// replay: the scheduler may stop short of (or past) Runs, and a
-	// CachedSpace replay racing an adaptive resume would feed the
-	// precision observer the overlap twice.
-	if e.Resilience.Cache == nil || e.Runs <= 0 || e.Adaptive != nil || e.Validate() != nil {
-		return Space{}, false
-	}
-	cfgHash := journal.ConfigHash(e.Config)
-	sp := Space{
-		Label:   e.Label,
-		Values:  make([]float64, e.Runs),
-		Results: make([]machine.Result, e.Runs),
-	}
-	for i := 0; i < e.Runs; i++ {
-		rec, ok := e.Resilience.Cache.Get(branchKey(e.Label, cfgHash, e.SeedBase, i))
-		if !ok {
-			return Space{}, false
-		}
-		if err := json.Unmarshal(rec.Result, &sp.Results[i]); err != nil {
-			return Space{}, false
-		}
-		sp.Values[i] = sp.Results[i].CPT
-	}
-	// A whole-space replay never reaches the fleet, so feed the precision
-	// observer here, in run-index order — only after every record decoded,
-	// so a fallthrough to the normal path cannot double-observe.
-	if e.Resilience.Observe != nil {
-		for i := range sp.Results {
-			e.Resilience.Observe(branchKey(e.Label, cfgHash, e.SeedBase, i), sp.Results[i])
-		}
-	}
-	return sp, true
-}
-
-// BranchSpace branches n perturbed measurement runs of measureTxns
-// transactions each from the given checkpoint machine, executing them
-// on a fleet of workers (0 or 1 = sequential on the calling goroutine,
-// negative = one worker per host CPU).
-//
-// Each branch is a pure job (branchJob) — a private snapshot re-seeded
-// from (seedBase, index) — and the fleet merges results by job index, so
-// the space is byte-identical for every worker count. The checkpoint is
-// frozen (machine.Machine.Freeze) before the fleet starts: a snapshot of
-// a frozen machine only reads it, and it stays quiescent for the
-// duration, so the copy-on-write clones may be taken concurrently
-// inside the jobs.
-func BranchSpace(checkpoint *machine.Machine, label string, n int, measureTxns int64, seedBase uint64, workers int) (Space, error) {
-	return BranchSpaceRes(checkpoint, label, n, measureTxns, seedBase, workers, Resilience{})
-}
-
-// BranchSpaceRes is BranchSpace with the crash-safety plumbing wired
-// in: journal appends as runs settle, resume-cache replay, per-run
-// timeout and retry, and graceful drain. Because retry re-invokes the
-// same job closure, a retried run re-derives its original seed — the
-// retry/seed contract of docs/RESILIENCE.md.
-//
-// A drain returns the partial space (Values/Results hold the runs that
-// finished, Missing the indices that never ran) together with the
-// *fleet.Incomplete error, so resilience-aware callers can render a
-// resumable partial report while everyone else fails loudly.
-func BranchSpaceRes(checkpoint *machine.Machine, label string, n int, measureTxns int64, seedBase uint64, workers int, res Resilience) (Space, error) {
-	sp := Space{Label: label}
-	if n <= 0 {
-		return sp, nil
-	}
-	cfgHash := journal.ConfigHash(checkpoint.Config())
-	opts := branchOptions(label, cfgHash, seedBase, workers, res)
-	results, err := fleet.Run(opts, n, branchJob(checkpoint, seedBase, func(m *machine.Machine) (machine.Result, error) {
-		return m.Run(measureTxns)
-	}))
-	if err != nil {
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			miss := make(map[int]bool, len(inc.Missing))
-			for _, i := range inc.Missing {
-				miss[i] = true
-			}
-			for i, r := range results {
-				if !miss[i] {
-					sp.Values = append(sp.Values, r.CPT)
-					sp.Results = append(sp.Results, r)
-				}
-			}
-			sp.Missing = inc.Missing
-			return sp, err
-		}
-		return Space{}, runError(err)
-	}
-	sp.Results = results
-	sp.Values = make([]float64, n)
-	for i, res := range results {
-		sp.Values[i] = res.CPT
-	}
-	return sp, nil
-}
-
-// branchJob returns the fleet job every branching path submits: job i
-// snapshots the checkpoint, re-seeds the copy from (seedBase, i) and
-// hands it to run, whose value must not reference the machine's caches
-// (a Result, a digest series and a trace's events do not). The
-// checkpoint is frozen here, before the fleet starts: jobs snapshot it
-// concurrently, and a snapshot of a frozen machine performs no writes.
-//
-// A branch whose run returned nil is handed on: a later job of the same
-// fleet call takes its snapshot over that machine's cache storage
-// (machine.SnapshotOver), so a fleet allocates cache pages for about as
-// many branches as it has workers, not for all n. A run that failed,
-// panicked or was abandoned by a fleet timeout keeps its machine — an
-// abandoned attempt may still be running it — and the retry gets another
-// or a fresh one. Which machine a job takes over depends on the host's
-// scheduling and cannot show: SnapshotOver reads none of its state.
-func branchJob[T any](checkpoint *machine.Machine, seedBase uint64, run func(*machine.Machine) (T, error)) func(int) (T, error) {
-	checkpoint.Freeze()
-	var spent fleet.Pool[*machine.Machine]
-	return func(i int) (T, error) {
-		m := checkpoint.SnapshotOver(spent.Get())
-		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
-		v, err := run(m)
-		if err == nil {
-			spent.Put(m)
-		}
-		return v, err
-	}
-}
-
-// branchOptions wires a Resilience bundle into the fleet options every
-// space-branching path shares (BranchSpaceRes, BranchRound): journal
-// replay through Cached, observation and journal appends through
-// OnResult, all keyed by the run's global (label, config hash, derived
-// seed, index) identity — so a round-based schedule files runs under
-// exactly the keys the fixed-N path would.
-func branchOptions(label, cfgHash string, seedBase uint64, workers int, res Resilience) fleet.Options[machine.Result] {
-	opts := fleet.Options[machine.Result]{
-		Workers:  fleet.Width(workers),
-		Timeout:  res.JobTimeout,
-		Retries:  res.Retries,
-		Stop:     res.Stop,
-		TestHook: res.TestHook,
-		Labels:   []string{"experiment", label, "config", cfgHash},
-	}
-	if res.Cache != nil {
-		opts.Cached = func(i int) (machine.Result, bool) {
-			key := branchKey(label, cfgHash, seedBase, i)
-			rec, ok := res.Cache.Get(key)
-			if !ok {
-				return machine.Result{}, false
-			}
-			var r machine.Result
-			if err := json.Unmarshal(rec.Result, &r); err != nil {
-				return machine.Result{}, false // undecodable hit: re-run
-			}
-			// Cache hits bypass OnResult, so replays feed the precision
-			// observer here — a resumed space observes every run once.
-			if res.Observe != nil {
-				res.Observe(key, r)
-			}
-			return r, true
-		}
-	}
-	if res.Journal != nil || res.Observe != nil {
-		opts.OnResult = func(i, attempts int, v machine.Result, err error) {
-			key := branchKey(label, cfgHash, seedBase, i)
-			if err == nil && res.Observe != nil {
-				res.Observe(key, v)
-			}
-			if res.Journal == nil {
-				return
-			}
-			rec := journal.Record{Key: key, Attempts: attempts}
-			if err != nil {
-				rec.Status = journal.StatusFailed
-				rec.Error = err.Error()
-			} else if raw, merr := json.Marshal(v); merr != nil {
-				rec.Status = journal.StatusFailed
-				rec.Error = "core: unencodable result: " + merr.Error()
-			} else {
-				rec.Status = journal.StatusOK
-				rec.Result = raw
-			}
-			// Append errors are sticky on the writer; the CLIs check
-			// Writer.Err() at teardown rather than failing runs here.
-			//varsim:allow stickyerr fire-and-forget by design: Writer.Err is checked at CLI teardown
-			res.Journal.Append(rec)
-		}
-	}
-	return opts
-}
-
-// runError rewrites a fleet job failure in the package's historical
-// "run %d" terms, preserving the wrapped cause.
-func runError(err error) error {
-	var je *fleet.JobError
-	if errors.As(err, &je) {
-		return fmt.Errorf("core: run %d: %w", je.Index, je.Err)
-	}
-	return err
+	return e.BranchPlan().key(journal.ConfigHash(e.Config), i)
 }
 
 // TimeSample implements §5.2's systematic sampling of a workload's
@@ -535,11 +337,14 @@ func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
 			}
 			done = ck
 		}
-		sp, err := BranchSpaceRes(m, fmt.Sprintf("%s@%d", e.Label, ck), e.Runs, e.MeasureTxns, rng.Derive(e.SeedBase, 0x100+uint64(ci)), e.Workers, e.Resilience)
+		p := e.spacePlan()
+		p.Label = fmt.Sprintf("%s@%d", e.Label, ck)
+		p.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+		b, err := Branch(m, p)
 		if err != nil {
 			return nil, err
 		}
-		spaces = append(spaces, sp)
+		spaces = append(spaces, b.Space())
 	}
 	return spaces, nil
 }

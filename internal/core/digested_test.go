@@ -143,7 +143,8 @@ func TestDigestedKillAndResume(t *testing.T) {
 	}
 }
 
-// TestCachedSpaceDigestsFastPath pins the full-journal fast path and
+// TestCachedSpaceDigestsFastPath pins the full-journal fast path
+// (Replay over a digested plan) and
 // its refusal cases: a complete digested journal replays space and
 // streams without re-simulating, while a digest-less journal (from a
 // plain RunSpace) forces a re-run rather than serving half an answer.
@@ -170,10 +171,11 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw2.Close()
 	r := digestExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	csp, csd, ok := r.CachedSpaceDigests()
+	cb, ok := replayDigests(r)
 	if !ok {
-		t.Fatal("full digested journal did not satisfy CachedSpaceDigests")
+		t.Fatal("full digested journal did not satisfy Replay")
 	}
+	csp, csd := cb.Space(), cb.Digests()
 	if got := renderSpace(csp); string(got) != string(renderSpace(sp)) {
 		t.Error("cached space differs from original run")
 	}
@@ -186,7 +188,7 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	r2 := digestExperiment(4)
 	r2.DigestIntervalNS = digTickNS * 2
 	r2.Resilience = core.Resilience{Cache: jc}
-	if _, _, ok := r2.CachedSpaceDigests(); ok {
+	if _, ok := replayDigests(r2); ok {
 		t.Error("cache hit despite a digest-cadence mismatch")
 	}
 
@@ -212,9 +214,14 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw4.Close()
 	r3 := digestExperiment(4)
 	r3.Resilience = core.Resilience{Cache: jc2}
-	if _, _, ok := r3.CachedSpaceDigests(); ok {
-		t.Error("digest-less journal satisfied CachedSpaceDigests")
+	if _, ok := replayDigests(r3); ok {
+		t.Error("digest-less journal satisfied Replay")
 	}
+}
+
+// replayDigests is the whole-range replay of e's digested plan.
+func replayDigests(e core.Experiment) (core.Branched, bool) {
+	return core.Replay(journal.ConfigHash(e.Config), e.BranchPlan())
 }
 
 // TestSpaceDigestsAttribution exercises the space-level view on a real
@@ -258,7 +265,7 @@ func TestSpaceDigestsAttribution(t *testing.T) {
 }
 
 // TestBranchObservedCombinesTracesAndDigests pins the one-pass
-// observatory: traces match BranchTraces exactly (digesting must not
+// observatory: traces match a trace-only plan exactly (digesting must not
 // perturb the trajectory) and the digest streams match RunSpaceDigests.
 func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
 	e := digestExperiment(4)
@@ -266,14 +273,19 @@ func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, traces, sd, err := core.BranchObserved(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 0, 4, digTickNS)
+	plan := e.BranchPlan()
+	plan.Workers, plan.Trace = 4, true
+	b, err := core.Branch(base, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spT, tracesT, err := core.BranchTraces(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 0, 4)
+	sp, traces, sd := b.Space(), b.Traces(), b.Digests()
+	plan.DigestIntervalNS = 0
+	bT, err := core.Branch(base, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spT, tracesT := bT.Space(), bT.Traces()
 	for i := range sp.Values {
 		if sp.Values[i] != spT.Values[i] {
 			t.Fatalf("run %d: observed CPT %v differs from traced %v", i, sp.Values[i], spT.Values[i])
@@ -290,9 +302,10 @@ func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
 	if string(digestBytes(t, sd)) != string(digestBytes(t, want)) {
 		t.Error("observed digest streams differ from RunSpaceDigests")
 	}
-	if _, _, zero, err := core.BranchObserved(base, e.Label, 2, e.MeasureTxns, e.SeedBase, 0, 1, 0); err != nil {
+	plan.N, plan.Workers = 2, 1
+	if zero, err := core.Branch(base, plan); err != nil {
 		t.Fatal(err)
-	} else if len(zero.Series) != 0 {
+	} else if len(zero.Digests().Series) != 0 {
 		t.Error("interval 0 still recorded digest streams")
 	}
 }

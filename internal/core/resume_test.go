@@ -122,8 +122,8 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeFinishedExperimentSkipsWarmup pins the CachedSpace fast
-// path: resuming an experiment whose journal covers every run replays
+// TestResumeFinishedExperimentSkipsWarmup pins the whole-range Replay
+// fast path: resuming an experiment whose journal covers every run replays
 // the whole space — byte-identical — without preparing the machine.
 func TestResumeFinishedExperimentSkipsWarmup(t *testing.T) {
 	dir := t.TempDir()
@@ -148,9 +148,9 @@ func TestResumeFinishedExperimentSkipsWarmup(t *testing.T) {
 	defer jw2.Close()
 	r := resumeExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	if csp, ok := r.CachedSpace(); !ok {
-		t.Fatal("full journal did not satisfy CachedSpace")
-	} else if !bytes.Equal(renderSpace(csp), renderSpace(sp)) {
+	if cb, ok := core.Replay(journal.ConfigHash(r.Config), r.BranchPlan()); !ok {
+		t.Fatal("full journal did not satisfy Replay")
+	} else if csp := cb.Space(); !bytes.Equal(renderSpace(csp), renderSpace(sp)) {
 		t.Errorf("cached replay differs from original run\n got:\n%s\nwant:\n%s",
 			renderSpace(csp), renderSpace(sp))
 	}

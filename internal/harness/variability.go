@@ -338,8 +338,11 @@ func (h *H) Table4RunLengths() error {
 		Stop:    h.opt.Resilience.Stop,
 	}, len(lengths), func(i int) (core.Space, error) {
 		txns := lengths[i]
-		return core.BranchSpaceRes(base, fmt.Sprintf("%d", txns), h.runs(), h.scaleTxns(txns),
-			rng.Derive(h.opt.Seed, 0x440+uint64(txns)), h.opt.Workers, h.opt.Resilience)
+		b, err := core.Branch(base, core.BranchPlan{
+			Label: fmt.Sprintf("%d", txns), N: h.runs(), MeasureTxns: h.scaleTxns(txns),
+			SeedBase: rng.Derive(h.opt.Seed, 0x440+uint64(txns)), Workers: h.opt.Workers, Resilience: h.opt.Resilience,
+		})
+		return b.Space(), err
 	})
 	if err != nil {
 		return err

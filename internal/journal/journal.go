@@ -441,6 +441,16 @@ func (c *Cache) Has(key Key) bool {
 	return ok && r.Status == StatusOK
 }
 
+// HasDigest is Has for key's digest record: whether Digest would hit,
+// without counting one. Nil-safe.
+func (c *Cache) HasDigest(key Key) bool {
+	if c == nil {
+		return false
+	}
+	_, ok := c.digests[key]
+	return ok
+}
+
 // Decision returns the journaled barrier decision for key, counting a
 // process-wide cache hit. Nil-safe.
 func (c *Cache) Decision(key Key) (Record, bool) {

@@ -373,114 +373,21 @@ func (m *Machine) runCPU(cpu int32) {
 			m.instrs++
 			cs.hasPending = false
 
-		case workload.OpLockAcq:
-			var lat int64
+		case workload.OpLockAcq, workload.OpLockRel:
 			if !skipAccess {
-				var stalled bool
-				lat, stalled = m.access(cpu, op.Addr, true, false, t)
+				lat, stalled := m.access(cpu, op.Addr, true, false, t)
 				if stalled {
 					return
 				}
+				t += lat
 			}
-			t += lat + 1
-			m.instrs++
-			if m.os.TryAcquire(op.ID, tid) {
-				cs.spins = 0
-				t += lockPathNS
-				cs.hasPending = false
-				m.emit(t, trace.LockAcquire, cpu, tid, int64(op.ID))
-			} else if op.ID < m.spinLocks || cs.spins < maxSpins {
-				cs.spins++
-				m.emit(t, trace.LockContended, cpu, tid, int64(op.ID))
-				// Spin: re-attempt after a backoff; each retry
-				// re-arbitrates for the lock word through the coherence
-				// protocol. Spin latches never block and back off
-				// exponentially; mutexes fall through to blocking.
-				m.scheduleStep(cpu, t+spinBackoff(cs.spins))
-				return
-			} else {
-				// Give up and block; handoff will make us the holder.
-				cs.spins = 0
-				cs.hasPending = false
-				m.emit(t, trace.LockContended, cpu, tid, int64(op.ID))
-				m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonLock))
-				m.os.AddWaiter(op.ID, tid)
-				m.os.BlockCurrent(cpu, kernel.BlockedLock)
-				m.scheduleStep(cpu, t)
+			fallthrough
+
+		case workload.OpIO, workload.OpBarrier, workload.OpTxnEnd, workload.OpYield, workload.OpDone:
+			var running bool
+			if t, running = m.osOp(cpu, tid, op, t); !running {
 				return
 			}
-
-		case workload.OpLockRel:
-			var lat int64
-			if !skipAccess {
-				var stalled bool
-				lat, stalled = m.access(cpu, op.Addr, true, false, t)
-				if stalled {
-					return
-				}
-			}
-			t += lat + 1 + lockPathNS
-			m.instrs++
-			cs.hasPending = false
-			m.emit(t, trace.LockRelease, cpu, tid, int64(op.ID))
-			if next := m.os.Release(op.ID, tid); next >= 0 {
-				// Direct handoff: ownership transfers at release time.
-				m.emit(t, trace.LockAcquire, -1, next, int64(op.ID))
-				m.eng.ScheduleAt(t+m.wakeDelay(), sim.KindWake, -1, int64(next))
-			}
-
-		case workload.OpIO:
-			cs.hasPending = false
-			var doneAt int64
-			if op.ID < 0 {
-				doneAt = t + op.N // pure think time
-			} else {
-				doneAt = m.disks.Submit(int(op.ID), t, op.N)
-			}
-			m.eng.ScheduleAt(doneAt+m.wakeJitter(), sim.KindIODone, -1, int64(tid))
-			m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonIO))
-			m.os.BlockCurrent(cpu, kernel.BlockedIO)
-			m.scheduleStep(cpu, t)
-			return
-
-		case workload.OpBarrier:
-			cs.hasPending = false
-			wake, last := m.os.BarrierArrive(op.ID, tid)
-			if last {
-				for _, w := range wake {
-					m.eng.ScheduleAt(t+m.wakeDelay(), sim.KindWake, -1, int64(w))
-				}
-				t += lockPathNS
-			} else {
-				m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonBarrier))
-				m.os.BlockCurrent(cpu, kernel.BlockedBarrier)
-				m.scheduleStep(cpu, t)
-				return
-			}
-
-		case workload.OpTxnEnd:
-			cs.hasPending = false
-			m.txnsDone++
-			m.lastTxnNS = t
-			if m.recordTxns {
-				m.txnTimes = append(m.txnTimes, t)
-			}
-			m.emit(t, trace.TxnEnd, cpu, tid, int64(op.ID))
-			t++
-
-		case workload.OpYield:
-			cs.hasPending = false
-			m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonPreempt))
-			m.os.Preempt(cpu)
-			m.scheduleStep(cpu, t)
-			return
-
-		case workload.OpDone:
-			cs.hasPending = false
-			m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonDone))
-			m.os.FinishCurrent(cpu)
-			m.scheduleStep(cpu, t)
-			return
 		}
 
 		if budget <= 0 {
@@ -488,4 +395,94 @@ func (m *Machine) runCPU(cpu int32) {
 			return
 		}
 	}
+}
+
+// osOp executes an OS-visible op — lock acquire and release (after the
+// lock word's access), I/O, barrier, transaction end, yield, done — for
+// either core model at the core's time t. It returns the time after the
+// op and whether the thread keeps the CPU; when it does not, the next
+// step is already scheduled and the core must return.
+func (m *Machine) osOp(cpu, tid int32, op workload.Op, t int64) (int64, bool) {
+	cs := &m.cpus[cpu]
+	cs.hasPending = false
+	switch op.Kind {
+	case workload.OpLockAcq:
+		t++
+		m.instrs++
+		if m.os.TryAcquire(op.ID, tid) {
+			cs.spins = 0
+			t += lockPathNS
+			m.emit(t, trace.LockAcquire, cpu, tid, int64(op.ID))
+			return t, true
+		}
+		m.emit(t, trace.LockContended, cpu, tid, int64(op.ID))
+		if op.ID < m.spinLocks || cs.spins < maxSpins {
+			// Spin: re-attempt after a backoff; each retry
+			// re-arbitrates for the lock word through the coherence
+			// protocol. Spin latches never block and back off
+			// exponentially; mutexes fall through to blocking.
+			cs.hasPending = true // the acquire is retried
+			cs.spins++
+			m.scheduleStep(cpu, t+spinBackoff(cs.spins))
+			return t, false
+		}
+		// Give up and block; handoff will make us the holder.
+		cs.spins = 0
+		m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonLock))
+		m.os.AddWaiter(op.ID, tid)
+		m.os.BlockCurrent(cpu, kernel.BlockedLock)
+
+	case workload.OpLockRel:
+		t += 1 + lockPathNS
+		m.instrs++
+		m.emit(t, trace.LockRelease, cpu, tid, int64(op.ID))
+		if next := m.os.Release(op.ID, tid); next >= 0 {
+			// Direct handoff: ownership transfers at release time.
+			m.emit(t, trace.LockAcquire, -1, next, int64(op.ID))
+			m.eng.ScheduleAt(t+m.wakeDelay(), sim.KindWake, -1, int64(next))
+		}
+		return t, true
+
+	case workload.OpIO:
+		doneAt := t + op.N // pure think time
+		if op.ID >= 0 {
+			doneAt = m.disks.Submit(int(op.ID), t, op.N)
+		}
+		m.eng.ScheduleAt(doneAt+m.wakeJitter(), sim.KindIODone, -1, int64(tid))
+		m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonIO))
+		m.os.BlockCurrent(cpu, kernel.BlockedIO)
+
+	case workload.OpBarrier:
+		wake, last := m.os.BarrierArrive(op.ID, tid)
+		if last {
+			for _, w := range wake {
+				m.eng.ScheduleAt(t+m.wakeDelay(), sim.KindWake, -1, int64(w))
+			}
+			return t + lockPathNS, true
+		}
+		m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonBarrier))
+		m.os.BlockCurrent(cpu, kernel.BlockedBarrier)
+
+	case workload.OpTxnEnd:
+		m.txnsDone++
+		m.lastTxnNS = t
+		if m.recordTxns {
+			m.txnTimes = append(m.txnTimes, t)
+		}
+		m.emit(t, trace.TxnEnd, cpu, tid, int64(op.ID))
+		return t + 1, true
+
+	case workload.OpYield:
+		m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonPreempt))
+		m.os.Preempt(cpu)
+
+	case workload.OpDone:
+		m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonDone))
+		m.os.FinishCurrent(cpu)
+
+	default:
+		panic(fmt.Sprintf("machine: osOp on op kind %d", op.Kind))
+	}
+	m.scheduleStep(cpu, t)
+	return t, false
 }

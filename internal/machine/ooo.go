@@ -3,10 +3,8 @@ package machine
 import (
 	"varsim/internal/bpred"
 	"varsim/internal/config"
-	"varsim/internal/kernel"
 	"varsim/internal/mem"
 	"varsim/internal/sim"
-	"varsim/internal/trace"
 	"varsim/internal/workload"
 )
 
@@ -385,131 +383,31 @@ func (m *Machine) runOOO(cpu int32) {
 				return
 			}
 
-		case workload.OpLockAcq, workload.OpLockRel:
-			// Serializing atomics: drain the window, then run the
+		case workload.OpLockAcq, workload.OpLockRel, workload.OpIO, workload.OpBarrier,
+			workload.OpTxnEnd, workload.OpYield, workload.OpDone:
+			// OS-visible ops serialize: drain the window, then run the
 			// simple-core protocol at the drained time.
 			if !core.drainReady() {
 				return
 			}
-			t := core.vt
-			var lat int64
-			if cs.memDone {
-				cs.memDone = false
-			} else {
-				var stalled bool
-				lat, stalled = m.access(cpu, op.Addr, true, false, t)
-				if stalled {
-					// Single blocking miss: reuse the ifetch-wait mechanism.
-					core.ifetchToken = m.adoptLastBusToken(core)
-					core.waiting = oooWaitIfetch
-					return
-				}
-			}
-			t += lat + 1
-			m.instrs++
-			if op.Kind == workload.OpLockAcq {
-				if m.os.TryAcquire(op.ID, tid) {
-					cs.spins = 0
-					t += lockPathNS
-					cs.hasPending = false
-					core.vt = t
-					m.emit(t, trace.LockAcquire, cpu, tid, int64(op.ID))
-				} else if op.ID < m.spinLocks || cs.spins < maxSpins {
-					cs.spins++
-					core.vt = t
-					m.emit(t, trace.LockContended, cpu, tid, int64(op.ID))
-					m.scheduleStep(cpu, t+spinBackoff(cs.spins))
-					return
+			if op.Kind == workload.OpLockAcq || op.Kind == workload.OpLockRel {
+				if cs.memDone {
+					cs.memDone = false
 				} else {
-					cs.spins = 0
-					cs.hasPending = false
-					m.emit(t, trace.LockContended, cpu, tid, int64(op.ID))
-					m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonLock))
-					m.os.AddWaiter(op.ID, tid)
-					m.os.BlockCurrent(cpu, kernel.BlockedLock)
-					core.vt = t
-					m.scheduleStep(cpu, t)
-					return
-				}
-			} else {
-				cs.hasPending = false
-				core.vt = t + lockPathNS
-				m.emit(core.vt, trace.LockRelease, cpu, tid, int64(op.ID))
-				if next := m.os.Release(op.ID, tid); next >= 0 {
-					m.emit(core.vt, trace.LockAcquire, -1, next, int64(op.ID))
-					m.eng.ScheduleAt(core.vt+m.wakeDelay(), sim.KindWake, -1, int64(next))
+					lat, stalled := m.access(cpu, op.Addr, true, false, core.vt)
+					if stalled {
+						// Single blocking miss: reuse the ifetch-wait mechanism.
+						core.ifetchToken = m.adoptLastBusToken(core)
+						core.waiting = oooWaitIfetch
+						return
+					}
+					core.vt += lat
 				}
 			}
-
-		case workload.OpIO:
-			if !core.drainReady() {
+			var running bool
+			if core.vt, running = m.osOp(cpu, tid, op, core.vt); !running {
 				return
 			}
-			cs.hasPending = false
-			t := core.vt
-			var doneAt int64
-			if op.ID < 0 {
-				doneAt = t + op.N
-			} else {
-				doneAt = m.disks.Submit(int(op.ID), t, op.N)
-			}
-			m.eng.ScheduleAt(doneAt+m.wakeJitter(), sim.KindIODone, -1, int64(tid))
-			m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonIO))
-			m.os.BlockCurrent(cpu, kernel.BlockedIO)
-			m.scheduleStep(cpu, t)
-			return
-
-		case workload.OpBarrier:
-			if !core.drainReady() {
-				return
-			}
-			cs.hasPending = false
-			t := core.vt
-			wake, last := m.os.BarrierArrive(op.ID, tid)
-			if last {
-				for _, w := range wake {
-					m.eng.ScheduleAt(t+m.wakeDelay(), sim.KindWake, -1, int64(w))
-				}
-				core.vt = t + lockPathNS
-			} else {
-				m.emit(t, trace.Block, cpu, tid, int64(trace.ReasonBarrier))
-				m.os.BlockCurrent(cpu, kernel.BlockedBarrier)
-				m.scheduleStep(cpu, t)
-				return
-			}
-
-		case workload.OpTxnEnd:
-			if !core.drainReady() {
-				return
-			}
-			cs.hasPending = false
-			m.txnsDone++
-			m.lastTxnNS = core.vt
-			if m.recordTxns {
-				m.txnTimes = append(m.txnTimes, core.vt)
-			}
-			m.emit(core.vt, trace.TxnEnd, cpu, tid, int64(op.ID))
-			core.vt++
-
-		case workload.OpYield:
-			if !core.drainReady() {
-				return
-			}
-			cs.hasPending = false
-			m.emit(core.vt, trace.Block, cpu, tid, int64(trace.ReasonPreempt))
-			m.os.Preempt(cpu)
-			m.scheduleStep(cpu, core.vt)
-			return
-
-		case workload.OpDone:
-			if !core.drainReady() {
-				return
-			}
-			cs.hasPending = false
-			m.emit(core.vt, trace.Block, cpu, tid, int64(trace.ReasonDone))
-			m.os.FinishCurrent(cpu)
-			m.scheduleStep(cpu, core.vt)
-			return
 		}
 
 		if budget <= 0 {

@@ -105,10 +105,13 @@ func TestBarnesTwoRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, traces, err := core.BranchTraces(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 0, e.Workers)
+	plan := e.BranchPlan()
+	plan.Trace = true
+	b, err := core.Branch(base, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp, traces := b.Space(), b.Traces()
 	if len(traces) != 2 || len(sp.Values) != 2 {
 		t.Fatalf("got %d traces, %d values; want 2, 2", len(traces), len(sp.Values))
 	}

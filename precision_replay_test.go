@@ -39,10 +39,11 @@ func TestPrecisionObserverPreservesByteIdentity(t *testing.T) {
 				trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
 			}
 		}
-		sp, err := BranchSpaceRes(m, "prec", runs, 10, 99, workers, res)
+		b, err := Branch(m, BranchPlan{Label: "prec", N: runs, MeasureTxns: 10, SeedBase: 99, Workers: workers, Resilience: res})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		sp := b.Space()
 		var out bytes.Buffer
 		report.WriteSpace(&out, sp)
 		return out.Bytes(), sp

@@ -44,11 +44,11 @@ func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]Trace
 		t.Fatalf("marshal series: %v", err)
 	}
 
-	_, traces, err = BranchTraces(m, "replay", 2, 10, 1234, 1<<16, 1)
+	b, err := Branch(m, BranchPlan{Label: "replay", N: 2, MeasureTxns: 10, SeedBase: 1234, Workers: 1, Trace: true, TraceCap: 1 << 16})
 	if err != nil {
-		t.Fatalf("BranchTraces: %v", err)
+		t.Fatalf("Branch: %v", err)
 	}
-	return resJSON, seriesJSON, traces
+	return resJSON, seriesJSON, b.Traces()
 }
 
 // TestByteIdenticalReplay is the determinism contract's regression

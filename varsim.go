@@ -175,35 +175,40 @@ func NewMachine(cfg Config, wl Workload, perturbSeed uint64) (*Machine, error) {
 }
 
 // BranchSpace branches n perturbed measurement runs from a warmed
-// checkpoint machine. workers sets the fleet width for the runs: 0 or 1
-// runs them sequentially, n > 1 uses n parallel workers, negative uses
-// one worker per host CPU. Results merge by run index, so the space is
-// byte-identical for every worker count (docs/PARALLELISM.md).
+// checkpoint machine — Branch's one-line form. workers sets the fleet
+// width for the runs: 0 or 1 runs them sequentially, n > 1 uses n
+// parallel workers, negative uses one worker per host CPU. Results merge
+// by run index, so the space is byte-identical for every worker count
+// (docs/PARALLELISM.md).
 func BranchSpace(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, workers int) (Space, error) {
 	return core.BranchSpace(checkpoint, label, n, measureTxns, seedBase, workers)
 }
 
 // Resilience bundles the optional crash-safety plumbing — result
 // journal, resume cache, per-run timeout/retry budget, drain signal —
-// threaded through an Experiment or BranchSpaceRes. The zero value is
+// threaded through an Experiment or a BranchPlan. The zero value is
 // plain execution. See docs/RESILIENCE.md.
 type Resilience = core.Resilience
 
-// BranchSpaceRes is BranchSpace with the crash-safety plumbing wired
-// in: journal appends as runs settle, resume-cache replay, per-run
-// timeout and bounded retry (a retried run re-derives its original
-// seed), and graceful drain into a partial space.
-func BranchSpaceRes(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, workers int, res Resilience) (Space, error) {
-	return core.BranchSpaceRes(checkpoint, label, n, measureTxns, seedBase, workers, res)
-}
+// BranchPlan says which perturbed runs to branch from a checkpoint —
+// label, index range, run length, seed base, fleet width — what each
+// captures (interval digests, the structured event trace) and the
+// crash-safety plumbing they run under.
+type BranchPlan = core.BranchPlan
 
-// BranchTraces is BranchSpace with structured tracing enabled on every
-// branched run, returning each run's event stream alongside the space.
-// Seeds derive as in BranchSpace, so run i reproduces run i there; feed
-// the streams to internal/traceviz for side-by-side Perfetto export.
-// workers follows the BranchSpace convention.
-func BranchTraces(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, capEvents, workers int) (Space, [][]TraceEvent, error) {
-	return core.BranchTraces(checkpoint, label, n, measureTxns, seedBase, capEvents, workers)
+// Branched is a plan's outcome, one record per run; Space, Digests and
+// Traces project it.
+type Branched = core.Branched
+
+// Branch branches a plan's perturbed runs from a warmed checkpoint
+// machine: journal appends as runs settle, resume-cache replay, per-run
+// timeout and bounded retry (a retried run re-derives its original
+// seed), graceful drain into a partial outcome. Run i reproduces run i
+// of every other plan over the same checkpoint and seed base, whatever
+// either captures; feed Traces to internal/traceviz for side-by-side
+// Perfetto export.
+func Branch(checkpoint *Machine, plan BranchPlan) (Branched, error) {
+	return core.Branch(checkpoint, plan)
 }
 
 // DigestSeries is one run's chained interval state-digest stream (see
@@ -234,22 +239,6 @@ func DiffDigests(a, b DigestSeries) DigestDivergence { return digest.Diff(a, b) 
 // final metric (CPT), index-aligned with series.
 func AttributeDivergence(series []DigestSeries, values []float64) DivergenceAttribution {
 	return digest.Attribute(series, values)
-}
-
-// BranchSpaceDigests is BranchSpaceRes with interval state digesting
-// enabled on every branched run: each run records one digest sample
-// per intervalNS of simulated time. With a journal attached the digest
-// streams persist alongside the run records, so -resume replays them
-// byte-identically.
-func BranchSpaceDigests(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, workers int, intervalNS int64, res Resilience) (Space, SpaceDigests, error) {
-	return core.BranchSpaceDigests(checkpoint, label, n, measureTxns, seedBase, workers, intervalNS, res)
-}
-
-// BranchObserved is BranchTraces with digest streams riding along:
-// one fleet pass produces the space, the per-run event streams, and
-// (when digestIntervalNS > 0) the per-run digest streams.
-func BranchObserved(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, capEvents, workers int, digestIntervalNS int64) (Space, [][]TraceEvent, SpaceDigests, error) {
-	return core.BranchObserved(checkpoint, label, n, measureTxns, seedBase, capEvents, workers, digestIntervalNS)
 }
 
 // MetricsRegistry is the typed registry of named counters, gauges and
