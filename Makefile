@@ -21,17 +21,20 @@
 # sequential-vs-parallel cost to BENCH_parallel.json. `make fuzz-smoke`
 # runs each native fuzz target briefly over its committed corpus — the
 # CI smoke of the journal codec and stats input contracts
-# (docs/RESILIENCE.md). `make spine` runs the benchmark spine (./bench,
-# declared by BENCHMARK.json) and `make spine-aa` its A/A noise check;
-# `make spine-alloc` gates the one spine metric that repeats exactly,
-# the heap a branch_fanout iteration allocates. `make loc` prints the
+# (docs/RESILIENCE.md) and of the workload engine's bulk compute-run
+# form against its op-by-op stream. `make spine` runs the benchmark spine
+# (./bench, declared by BENCHMARK.json) and `make spine-aa` its A/A noise
+# check; `make spine-alloc` gates the one spine metric that repeats
+# exactly, the heap a branch_fanout iteration allocates; `make spine-ab
+# PARENT=<ref> WORKLOAD=<name>` measures the working tree against a
+# parent commit in order-alternated pairs (scripts/ab.sh). `make loc` prints the
 # non-test and test Go line counts per package (bench/ apart from the
 # rest), the "net lines" a PR reports.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling spine spine-aa spine-alloc vet lint lint-sarif lint-baseline race fuzz-smoke loc check clean
+.PHONY: all build test bench bench-json bench-digest bench-snapshot bench-sampling spine spine-aa spine-alloc spine-ab vet lint lint-sarif lint-baseline race fuzz-smoke loc check clean
 
 all: build
 
@@ -99,6 +102,16 @@ spine-alloc:
 	print("branch_fanout: alloc_mb_per_op %.1f MB (gate $(SPINE_ALLOC_MAX_MB)), failed %d of %d" % (mb, d["failed"], d["attempted"])); \
 	sys.exit(d["failed"] != 0 or not d["correct"] or mb > $(SPINE_ALLOC_MAX_MB))'
 
+# Paired parent-vs-change runs of one spine workload: per pair every
+# end-to-end metric, each side's median and quartiles, wins per metric
+# and whether sim_checksum agreed — what a clocked claim on a host that
+# drifts 25 % in seconds has to rest on. PAIRS defaults to 10.
+PAIRS ?= 10
+
+spine-ab:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make spine-ab PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=...]"; exit 2; }
+	scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
+
 vet:
 	$(GO) vet ./...
 
@@ -127,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzANOVA$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzDecisionCodec$$' -fuzztime=$(FUZZTIME) ./internal/sampling
+	$(GO) test -run='^$$' -fuzz='^FuzzBulkRun$$' -fuzztime=$(FUZZTIME) ./internal/workload
 
 # Go lines per package directory, non-test and test (_test.go files and
 # testdata fixtures), as `wc -l` counts them; bench/ is totalled apart

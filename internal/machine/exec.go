@@ -281,6 +281,30 @@ func (m *Machine) preemptCurrent(cpu, tid int32, t int64) {
 	m.os.Preempt(cpu)
 }
 
+// fetch performs the simple core's instruction fetch for an op at pc: an
+// I-cache access when pc leaves the block fetched last, its latency added
+// to *t. It reports whether the access stalled the processor.
+func (m *Machine) fetch(cpu int32, pc uint64, t *int64) bool {
+	cs := &m.cpus[cpu]
+	iblk := pc >> m.blockBits
+	if iblk == cs.lastIfetch {
+		return false
+	}
+	cs.lastIfetch = iblk
+	lat, stalled := m.access(cpu, pc, false, true, *t)
+	*t += lat
+	return stalled
+}
+
+// runPC asks the workload's bulk form, when this machine uses it, whether
+// thread tid's next op belongs to a compute run, and for its PC.
+func (m *Machine) runPC(tid int32) (uint64, bool) {
+	if m.runs == nil {
+		return 0, false
+	}
+	return m.runs.RunPC(int(tid))
+}
+
 // runCPU advances one processor: it executes ops from the current
 // thread until it stalls on memory, blocks in the OS, or exhausts its
 // batch budget. Simple blocking core (§3.2.4): IPC 1 with perfect L1,
@@ -327,22 +351,35 @@ func (m *Machine) runCPU(cpu int32) {
 				cs.memDone = false
 				skipAccess = !cs.stallIfetch
 			}
+		} else if pc, ok := m.runPC(tid); ok {
+			// A compute run, taken in bulk: fetch as for any op, then let
+			// the engine consume the run's ops up to the point where this
+			// loop would next have to do something other than add to t —
+			// the I-block's end, the quantum deadline (the test above
+			// cannot fire before it) or the batch budget. A fetch that
+			// stalls parks the one op it was for, as below.
+			if m.fetch(cpu, pc, &t) {
+				cs.pending = m.wl.Next(int(tid))
+				cs.hasPending = true
+				return
+			}
+			n := m.runs.StepRun(int(tid), m.blockBits, min(budget, cs.quantumDeadline-t))
+			t += n
+			budget -= n
+			m.instrs += n
+			if budget <= 0 {
+				m.scheduleStep(cpu, t)
+				return
+			}
+			continue
 		} else {
 			op = m.wl.Next(int(tid))
 			cs.pending = op
 			cs.hasPending = true
 		}
 
-		// Instruction fetch.
-		if op.PC != 0 {
-			if iblk := op.PC >> m.blockBits; iblk != cs.lastIfetch {
-				cs.lastIfetch = iblk
-				lat, stalled := m.access(cpu, op.PC, false, true, t)
-				if stalled {
-					return
-				}
-				t += lat
-			}
+		if op.PC != 0 && m.fetch(cpu, op.PC, &t) {
+			return
 		}
 
 		switch op.Kind {

@@ -125,6 +125,7 @@ type Machine struct {
 	disks     *dram.Disks
 	os        *kernel.OS
 	wl        workload.Instance
+	runs      workload.RunStepper // wl's bulk form, when there is one and the core can use it (see setWorkload)
 	perturb   rng.Stream
 	cpus      []cpuState
 	bus       busState
@@ -219,7 +220,6 @@ func New(cfg config.Config, wl workload.Instance, perturbSeed uint64) (*Machine,
 		dram:       dram.NewControllers(cfg.NumCPUs, cfg.MemSupplyNS, cfg.DRAMBanksPerCtl),
 		disks:      dram.NewDisks(8), // disk 0: log; 1..: data (§3.1: 5 data + log)
 		os:         kernel.New(cfg.NumCPUs, wl.NumThreads(), nLocks, max(wl.NumBarriers(), 1), wl.NumThreads()),
-		wl:         wl,
 		perturb:    rng.New(perturbSeed),
 		cpus:       make([]cpuState, cfg.NumCPUs),
 		blockBits:  cfg.L2.BlockBits,
@@ -229,6 +229,7 @@ func New(cfg config.Config, wl workload.Instance, perturbSeed uint64) (*Machine,
 		parkedOk:   make([]bool, wl.NumThreads()),
 		parkedSpin: make([]int, wl.NumThreads()),
 	}
+	m.setWorkload(wl)
 	for i := range m.cpus {
 		m.cpus[i].lastIfetch = ^uint64(0)
 		if cfg.Processor == config.OOOProc {
@@ -238,6 +239,19 @@ func New(cfg config.Config, wl workload.Instance, perturbSeed uint64) (*Machine,
 	}
 	m.wireMetrics()
 	return m, nil
+}
+
+// setWorkload installs the instance the machine draws its ops from,
+// and with it the instance's bulk form for compute runs when the simple
+// core is modelled: that core reads nothing of a run's ops but their
+// PCs and instruction counts, whereas the OOO core's predictors must see
+// every branch. The one place m.wl is assigned, so a snapshot cannot
+// keep stepping its parent's engine, or lose the bulk path silently.
+func (m *Machine) setWorkload(wl workload.Instance) {
+	m.wl, m.runs = wl, nil
+	if m.cfg.Processor == config.SimpleProc {
+		m.runs, _ = wl.(workload.RunStepper)
+	}
 }
 
 // SetPerturbSeed re-seeds the perturbation stream; used after Snapshot to
@@ -442,7 +456,7 @@ func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 	c.dram = m.dram.Clone()
 	c.disks = m.disks.Clone()
 	c.os = m.os.Clone()
-	c.wl = m.wl.Clone()
+	c.setWorkload(m.wl.Clone())
 	c.cpus = append([]cpuState(nil), m.cpus...)
 	for i := range c.cpus {
 		if m.cpus[i].ooo != nil {

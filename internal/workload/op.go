@@ -100,12 +100,47 @@ type Instance interface {
 	// generator (and possibly shared state such as the transaction feed).
 	// The stream is identical regardless of the processor model consuming
 	// it (the simple core executes branch ops in one cycle), so the two
-	// models see the same workload.
+	// models see the same workload. An instance may also offer a bulk
+	// form for the stretches a consumer need not see op by op (see
+	// RunStepper); consuming ops through it leaves the instance exactly
+	// where the same number of Next calls would have.
 	Next(tid int) Op
 	// Clone copies the instance for machine snapshots: the two then
 	// advance independently. What never changes after construction may be
 	// shared outright, and buffers copy-on-write (see Freezer).
 	Clone() Instance
+}
+
+// RunStepper is the bulk form of Next, implemented by instances whose
+// streams hold compute runs — stretches of OpCompute and OpBranch ops
+// with nothing else between — for a consumer that charges such an op
+// its instruction count and reads nothing else of it. The simple core
+// is one: it fetches the op's PC and adds N, or 1 for a branch, to its
+// clock; the OOO core, whose predictors must see every branch, is not.
+// Of the engines here only TxnEngine has runs; SciEngine emits its
+// compute and branch ops singly through Next.
+//
+// The two methods are used as a pair in place of one or more Next
+// calls: RunPC says whether the thread's next op is a run op and where
+// it is fetched from, and StepRun, called only after RunPC said yes,
+// consumes that op and as many of the run's following ops as the caller
+// could execute without looking up. The instance is then in the state
+// that many Next calls would have left — every draw a skipped branch
+// makes (site, outcome, indirect target) is made, in order — so bulk
+// steps and Next calls interleave freely on one thread and HashProgress
+// cannot tell them apart.
+type RunStepper interface {
+	// RunPC returns the PC of thread tid's next op when that op is part
+	// of a compute run. It is read-only: when it reports false, or the
+	// caller takes the op singly after all, Next returns that same op.
+	RunPC(tid int) (pc uint64, ok bool)
+	// StepRun consumes the run op RunPC announced, then each further op
+	// of the run while this call has consumed fewer than limit
+	// instructions and the op's PC lies in the same 1<<blockBits-byte
+	// block as the first's; the run's end stops it at the latest. The
+	// first op is consumed whatever limit is. It returns the instructions
+	// consumed: N for a compute op, one for a branch.
+	StepRun(tid int, blockBits uint, limit int64) int64
 }
 
 // Hasher is implemented by workload instances that can fold their

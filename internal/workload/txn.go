@@ -174,6 +174,10 @@ type txnThread struct {
 //   - PCs come from a cursor into the class's code region that only
 //     compute runs move: 4·chunk past each compute op, 4 past each
 //     branch.
+//
+// Compute runs — four fifths of the ops — can also be consumed without
+// being made: RunPC and StepRun (see RunStepper) move the same expansion
+// state as far as the same ops drawn with Next.
 type TxnEngine struct {
 	prof    TxnProfile
 	seed    uint64
@@ -365,21 +369,80 @@ func (e *TxnEngine) branch(t *txnThread, code Region) Op {
 	site := uint32(t.class)<<16 + uint32(k)
 	op := Op{Kind: OpBranch, Site: site, PC: code.Base + t.pc,
 		Taken: t.fork.Bool(e.bias[int(t.class)*e.branchSites+k])}
-	if e.prof.IndirectEvery > 0 {
-		if t.indIn--; t.indIn == 0 {
-			t.indIn = int32(e.prof.IndirectEvery)
-			// Indirect target: per-site dominant target with occasional
-			// alternates (virtual dispatch on a skewed type distribution).
-			tsel := 0
-			if t.fork.Bool(0.25) {
-				tsel = 1 + t.fork.Intn(3)
-			}
-			op.Indirect = true
-			op.Addr = uint64(site)*64 + uint64(tsel)*8
-		}
+	if tsel, ok := e.indirectTarget(t); ok {
+		op.Indirect = true
+		op.Addr = uint64(site)*64 + uint64(tsel)*8
 	}
 	t.pc = code.Advance(t.pc, 4)
 	return op
+}
+
+// indirectTarget counts one branch against the thread's countdown and,
+// when it is the IndirectEvery-th, makes it indirect and draws which of
+// its site's targets it takes: the dominant one, with occasional
+// alternates (virtual dispatch on a skewed type distribution).
+func (e *TxnEngine) indirectTarget(t *txnThread) (tsel int, ok bool) {
+	if e.prof.IndirectEvery <= 0 {
+		return 0, false
+	}
+	if t.indIn--; t.indIn != 0 {
+		return 0, false
+	}
+	t.indIn = int32(e.prof.IndirectEvery)
+	if t.fork.Bool(0.25) {
+		tsel = 1 + t.fork.Intn(3)
+	}
+	return tsel, true
+}
+
+// RunPC implements RunStepper: the next op is a run op when a run is
+// being unrolled, or when no macro is and the next plan entry is a
+// compute run (which StepRun or Next then starts). A used-up plan says
+// no — a transaction never opens with a run — so the feed is only ever
+// claimed by Next.
+func (e *TxnEngine) RunPC(tid int) (uint64, bool) {
+	t := &e.threads[tid]
+	if t.run == 0 && (t.step > 0 || int(t.next) == len(t.plan) || t.plan[t.next].kind != planCompute) {
+		return 0, false
+	}
+	return e.codeRegions[t.class].Base + t.pc, true
+}
+
+// StepRun implements RunStepper. It is unrollRun in a loop with the ops
+// left unmade: the cursor moves as far, and a skipped branch draws from
+// the fork what an emitted one does, so the Zipf rows drawn after the
+// run come out the same.
+func (e *TxnEngine) StepRun(tid int, blockBits uint, limit int64) int64 {
+	t := &e.threads[tid]
+	if t.run == 0 {
+		t.run = int64(t.plan[t.next].arg)
+		t.next++
+	}
+	code := e.codeRegions[t.class]
+	block := (code.Base + t.pc) >> blockBits
+	var n int64
+	for {
+		if t.brNext {
+			// branch's draws with the values unread: one word for the site
+			// (Intn), one for the outcome (Bool, whatever the site's bias),
+			// then the indirect target if one is due.
+			t.brNext = false
+			t.fork.Uint64()
+			t.fork.Uint64()
+			e.indirectTarget(t)
+			t.pc = code.Advance(t.pc, 4)
+			n++
+		} else {
+			chunk := min(e.branchEvery, t.run)
+			t.run -= chunk
+			t.brNext = t.run > 0
+			t.pc = code.Advance(t.pc, uint64(chunk)*4)
+			n += chunk
+		}
+		if t.run == 0 || n >= limit || (code.Base+t.pc)>>blockBits != block {
+			return n
+		}
+	}
 }
 
 // unrollTouch emits the next op of the index walk or stack touch in
