@@ -172,31 +172,36 @@ func main() {
 		man.Quick = *quick
 		man.ConfigHash = report.ConfigHash(harnessConfigFingerprint(*seed, *quick, args))
 	}
+
+	// One progress model: a sweep tracker fed by the harness progress
+	// callback is what the stderr heartbeat prints and what /status
+	// serves.
+	names := make([]string, len(todo))
+	for i, e := range todo {
+		names[i] = e.Name
+	}
+	tracker := obs.NewFleet(names, machine.SimulatedCycles)
+	tracker.TrackJobs(fleet.Read)
+	tracker.TrackSampling(sampling.Read)
+	if jw != nil || jc != nil {
+		tracker.TrackJournal(journal.ReadStats)
+	}
 	var hb *report.Heartbeat
 	if *heartbeat > 0 {
-		hb = report.StartHeartbeat(os.Stderr, *heartbeat, len(todo), machine.SimulatedCycles, fleet.Read)
-		if jw != nil || jc != nil {
-			hb.TrackJournal(journal.ReadStats)
-		}
-		hb.TrackPrecision(trk.Summary)
+		hb = report.StartHeartbeat(os.Stderr, *heartbeat, func() string {
+			line := tracker.Status().Line()
+			if p := trk.Summary(); p != "" {
+				line += ", " + p
+			}
+			return line
+		})
 	}
 
-	// Live observability: a fleet tracker fed by the harness progress
-	// callback backs /status, and a wall-clock sampler of the process-wide
-	// simulated-cycle counter backs /series (and the dashboard's
-	// throughput chart). Nothing here runs when -http is unset.
-	var tracker *obs.Fleet
+	// Live observability: the tracker backs /status, and a wall-clock
+	// sampler of the process-wide simulated-cycle counter backs /series
+	// (and the dashboard's throughput chart). Nothing here runs when
+	// -http is unset.
 	if *httpAddr != "" {
-		names := make([]string, len(todo))
-		for i, e := range todo {
-			names[i] = e.Name
-		}
-		tracker = obs.NewFleet(names, machine.SimulatedCycles)
-		tracker.TrackJobs(fleet.Read)
-		tracker.TrackSampling(sampling.Read)
-		if jw != nil || jc != nil {
-			tracker.TrackJournal(journal.ReadStats)
-		}
 		pub := obs.NewPublisher()
 		srv, err := obs.Serve(*httpAddr, obs.Options{
 			Publisher: pub,
@@ -228,9 +233,6 @@ func main() {
 		OnProgress: func(p harness.Progress) {
 			if p.Done {
 				tracker.Finish(p.Experiment, p.Err)
-				if hb != nil {
-					hb.Advance(1)
-				}
 			} else {
 				tracker.Start(p.Experiment)
 			}

@@ -76,6 +76,7 @@ import (
 	"varsim/internal/profile"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
+	"varsim/internal/trace"
 	"varsim/internal/traceviz"
 )
 
@@ -358,14 +359,13 @@ func run(e varsim.Experiment, rc runCfg) error {
 		if err != nil {
 			return err
 		}
-		m.EnableSchedTrace()
 		m.EnableTrace(0)
 		res, err := m.Run(e.WarmupTxns + e.MeasureTxns)
 		if err != nil {
 			return err
 		}
 		if rc.schedTr {
-			for _, ev := range m.SchedTrace() {
+			for _, ev := range trace.Dispatches(m.Trace().Events()) {
 				fmt.Printf("%12d ns  cpu%-3d thread %d\n", ev.TimeNS, ev.CPU, ev.Thread)
 			}
 		}

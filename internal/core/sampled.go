@@ -3,26 +3,14 @@ package core
 import (
 	"varsim/internal/machine"
 	"varsim/internal/metrics"
-	"varsim/internal/rng"
 )
 
-// RunSampled performs one perturbed measurement run from the
-// experiment's warmed checkpoint with interval metric sampling enabled
-// (intervalNS of simulated time per sample) and returns the run's
-// measurement plus the sampled registry time series — the
-// live-instrumentation form of the paper's per-interval figures
-// (Figures 2–4): IPC, miss rates and bus utilization derive from the
-// series' Delta/Ratio/PerCycle helpers.
-func (e Experiment) RunSampled(intervalNS int64) (machine.Result, metrics.TimeSeries, error) {
-	base, err := e.Prepare()
-	if err != nil {
-		return machine.Result{}, metrics.TimeSeries{}, err
-	}
-	return SampleRun(base, e.MeasureTxns, rng.Derive(e.SeedBase, 1), intervalNS)
-}
-
 // SampleRun branches one perturbed run of measureTxns transactions from
-// the checkpoint machine with interval sampling every intervalNS.
+// the checkpoint machine with interval metric sampling every intervalNS
+// of simulated time, and returns the run's measurement plus the sampled
+// registry time series — the live-instrumentation form of the paper's
+// per-interval figures (Figures 2–4): IPC, miss rates and bus
+// utilization derive from the series' Delta/Ratio/PerCycle helpers.
 func SampleRun(checkpoint *machine.Machine, measureTxns int64, perturbSeed uint64, intervalNS int64) (machine.Result, metrics.TimeSeries, error) {
 	m := checkpoint.Snapshot()
 	m.SetPerturbSeed(perturbSeed)

@@ -73,10 +73,6 @@ func (e *JobError) Unwrap() error { return e.Err }
 // derived seed.
 var ErrTimeout = errors.New("fleet: job attempt timed out")
 
-// ErrStopped marks a job that never ran because the drain signal fired
-// before it was handed out.
-var ErrStopped = errors.New("fleet: stopped before the job ran")
-
 // Incomplete reports a graceful drain: Stop fired, every in-flight job
 // finished (and was journaled through OnResult), and the listed
 // indices never ran. It is distinct from a job failure — callers use

@@ -2,9 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the .golden files under testdata")
 
 func quickH(buf *bytes.Buffer) *H {
 	return New(Options{Out: buf, Seed: 0xA1A3, Quick: true})
@@ -44,9 +50,10 @@ func TestNewRequiresOut(t *testing.T) {
 
 // The per-experiment smoke tests run each quick experiment end to end
 // and check that the expected table headers appear. Together they
-// exercise the entire reproduction pipeline.
+// exercise the entire reproduction pipeline. runQuick returns the
+// output for the experiments that also hold it to a golden file.
 
-func runQuick(t *testing.T, name string, wantSubstrings ...string) {
+func runQuick(t *testing.T, name string, wantSubstrings ...string) string {
 	t.Helper()
 	var buf bytes.Buffer
 	h := quickH(&buf)
@@ -63,9 +70,43 @@ func runQuick(t *testing.T, name string, wantSubstrings ...string) {
 			t.Errorf("%s output missing %q:\n%s", name, want, out)
 		}
 	}
+	return out
 }
 
-func TestFig1(t *testing.T) { runQuick(t, "fig1", "scheduling events", "diverg") }
+// golden holds an experiment's whole quick-mode output to
+// testdata/<name>.quick.golden. The files were recorded while Figures
+// 1, 2, 3 and 8 still read the machine's schedTrace / txnTimes
+// recorders, and the trace-buffer readers that replaced them must
+// reproduce them unedited. Zipf popularity goes through math.Pow, whose
+// last bit may differ between architectures, so each file names the
+// GOARCH that wrote it and the test skips elsewhere.
+func golden(t *testing.T, name, out string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".quick.golden")
+	got := []byte("# GOARCH " + runtime.GOARCH + "\n" + out)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	header, _, _ := bytes.Cut(want, []byte("\n"))
+	if arch := strings.TrimPrefix(string(header), "# GOARCH "); arch != runtime.GOARCH {
+		t.Skipf("%s was recorded on GOARCH %s; this is %s", path, arch, runtime.GOARCH)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s quick output drifted from %s\n got:\n%s\nwant:\n%s", name, path, got, want)
+	}
+}
+
+func TestFig1(t *testing.T) { golden(t, "fig1", runQuick(t, "fig1", "scheduling events", "diverg")) }
 func TestDivergenceStudy(t *testing.T) {
 	runQuick(t, "divergence", "first forks", "divergence attribution", "metric deltas")
 }
@@ -106,11 +147,13 @@ func TestTable4Trend(t *testing.T) {
 }
 
 func TestFig2And3(t *testing.T) {
-	runQuick(t, "fig2", "interval", "CoV")
-	runQuick(t, "fig3", "interval#", "sigma")
+	golden(t, "fig2", runQuick(t, "fig2", "interval", "CoV"))
+	golden(t, "fig3", runQuick(t, "fig3", "interval#", "sigma"))
 }
 
-func TestFig8(t *testing.T) { runQuick(t, "fig8", "txn window", "window means vary") }
+func TestFig8(t *testing.T) {
+	golden(t, "fig8", runQuick(t, "fig8", "txn window", "window means vary"))
+}
 
 func TestFig9AndANOVA(t *testing.T) {
 	var buf bytes.Buffer

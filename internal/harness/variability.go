@@ -11,6 +11,7 @@ import (
 	"varsim/internal/plot"
 	"varsim/internal/rng"
 	"varsim/internal/stats"
+	"varsim/internal/trace"
 	"varsim/internal/workloads"
 )
 
@@ -28,7 +29,7 @@ func (h *H) newMachine(cfg config.Config, wl string, perturbSeed uint64) (*machi
 // the same threads at first and then diverge onto different execution
 // paths.
 func (h *H) Fig1SchedulerDivergence() error {
-	traces := make([][]machine.SchedEvent, 2)
+	traces := make([][]trace.Event, 2)
 	for i, assoc := range []int{2, 4} {
 		cfg := h.baseConfig()
 		cfg.L2.Assoc = assoc
@@ -36,39 +37,24 @@ func (h *H) Fig1SchedulerDivergence() error {
 		if err != nil {
 			return err
 		}
-		m.EnableSchedTrace()
+		m.EnableTrace(0)
 		if _, err := m.Run(h.scaleTxns(600)); err != nil {
 			return err
 		}
-		traces[i] = m.SchedTrace()
+		traces[i] = trace.Dispatches(m.Trace().Events())
 	}
 	a, b := traces[0], traces[1]
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	div := n
-	for i := 0; i < n; i++ {
-		if a[i].CPU != b[i].CPU || a[i].Thread != b[i].Thread {
-			div = i
-			break
-		}
-	}
-	same := 0
-	for i := div; i < n; i++ {
-		if a[i].CPU == b[i].CPU && a[i].Thread == b[i].Thread {
-			same++
-		}
-	}
+	d := trace.CompareDispatches(a, b)
+	div, n := d.Prefix, d.Compared
 	fmt.Fprintf(h.opt.Out, "run1 (2-way): %d scheduling events; run2 (4-way): %d\n", len(a), len(b))
 	if div == n {
 		fmt.Fprintln(h.opt.Out, "traces identical over the compared prefix (lengthen the run)")
 		return nil
 	}
 	fmt.Fprintf(h.opt.Out, "schedules identical for the first %d dispatches, diverging at %d ns (run1) / %d ns (run2)\n",
-		div, a[div].TimeNS, b[div].TimeNS)
+		div, d.ATimeNS, d.BTimeNS)
 	fmt.Fprintf(h.opt.Out, "after divergence only %.1f%% of dispatch slots still agree (%d of %d)\n",
-		100*float64(same)/float64(n-div), same, n-div)
+		100*float64(d.Agreed)/float64(n-div), d.Agreed, n-div)
 	rows := [][]string{}
 	for i := div; i < div+8 && i < n; i++ {
 		rows = append(rows, []string{
@@ -138,7 +124,7 @@ func (h *H) Fig2TimeVariabilityReal() error {
 	if err != nil {
 		return err
 	}
-	m.EnableTxnTimes()
+	m.EnableTrace(0)
 	if _, err := m.Run(h.scaleTxns(300)); err != nil { // warm up
 		return err
 	}
@@ -146,9 +132,10 @@ func (h *H) Fig2TimeVariabilityReal() error {
 	if _, err := m.RunNS(window); err != nil {
 		return err
 	}
+	times := trace.TxnEndTimes(m.Trace().Events())
 	rows := [][]string{}
 	for _, mult := range []int64{1, 10, 60} {
-		series := intervalCPT(m.TxnTimes(), start, start+window, unit*mult)
+		series := intervalCPT(times, start, start+window, unit*mult)
 		if len(series) == 0 {
 			continue
 		}
@@ -181,7 +168,7 @@ func (h *H) Fig3SpaceVariabilityReal() error {
 		if err != nil {
 			return err
 		}
-		m.EnableTxnTimes()
+		m.EnableTrace(0)
 		if _, err := m.Run(h.scaleTxns(300)); err != nil {
 			return err
 		}
@@ -189,7 +176,7 @@ func (h *H) Fig3SpaceVariabilityReal() error {
 		if _, err := m.RunNS(window); err != nil {
 			return err
 		}
-		series = append(series, intervalCPT(m.TxnTimes(), start, start+window, interval))
+		series = append(series, intervalCPT(trace.TxnEndTimes(m.Trace().Events()), start, start+window, interval))
 	}
 	minLen := len(series[0])
 	for _, s := range series {
@@ -389,12 +376,12 @@ func (h *H) Fig8LongRunPhases() error {
 		if _, err := m.Run(h.scaleTxns(500)); err != nil {
 			return err
 		}
-		m.EnableTxnTimes()
+		m.EnableTrace(0)
 		startNS := m.Now()
 		if _, err := m.Run(total); err != nil {
 			return err
 		}
-		times := m.TxnTimes()
+		times := trace.TxnEndTimes(m.Trace().Events())
 		prev := startNS
 		for w := 0; w < nWindows; w++ {
 			endIdx := int64(w+1)*windowTxns - 1

@@ -70,12 +70,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsMethod reports whether fn has a receiver (concrete or interface).
-func IsMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
-}
-
 // IsFloat reports whether t's underlying type is a floating-point or
 // complex basic type (both accumulate non-associatively).
 func IsFloat(t types.Type) bool {

@@ -138,7 +138,7 @@ func TestBarrierWorkloadOnAllCPUs(t *testing.T) {
 	// processor must participate and the run must terminate.
 	cfg := testConfig()
 	m := mustMachine(t, cfg, "barnes", 4, 4)
-	m.EnableSchedTrace()
+	m.EnableTrace(0)
 	res, err := m.Run(1)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestBarrierWorkloadOnAllCPUs(t *testing.T) {
 		t.Fatalf("barnes txns = %d", res.Txns)
 	}
 	cpusSeen := map[int32]bool{}
-	for _, ev := range m.SchedTrace() {
+	for _, ev := range trace.Dispatches(m.Trace().Events()) {
 		cpusSeen[ev.CPU] = true
 	}
 	if len(cpusSeen) != cfg.NumCPUs {

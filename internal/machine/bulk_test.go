@@ -12,19 +12,18 @@ import (
 )
 
 // everything is all a caller can read off a machine after a run: the
-// window's Result, the clock, and every recording the machine keeps.
+// window's Result, the clock, and every recording the machine keeps
+// (the trace events include every dispatch and transaction end).
 type everything struct {
 	Result  Result
 	Now     int64
 	Digests digest.Series
 	Events  []trace.Event
-	Txns    []int64
-	Sched   []SchedEvent
 	Metrics metrics.TimeSeries
 }
 
 func readEverything(m *Machine, res Result) everything {
-	return everything{res, m.Now(), m.DigestSeries(), m.Trace().Events(), m.TxnTimes(), m.SchedTrace(), m.MetricSeries()}
+	return everything{res, m.Now(), m.DigestSeries(), m.Trace().Events(), m.MetricSeries()}
 }
 
 // perOp strips the bulk compute-run path from m, leaving the op-by-op
@@ -38,9 +37,9 @@ func perOp(m *Machine) *Machine {
 // TestBulkMatchesPerOp is the bulk path's differential test: twin
 // machines, one consuming compute runs through workload.RunStepper and
 // one op by op, must be indistinguishable — same Result, same five
-// digest chains tick for tick, same trace events, transaction times,
-// dispatches and sampled metrics — from a fresh machine through every
-// kind of copy, under the settings that move where a bulk step must
+// digest chains tick for tick, same trace events (transaction times and
+// dispatches among them) and sampled metrics — from a fresh machine
+// through every kind of copy, under the settings that move where a bulk step must
 // stop: quanta so short that deadlines fall inside compute runs (20 µs,
 // and 2 µs so that enough of them land on an op boundary to tell < from
 // ≤; both jittered, so the perturbation stream is drawn from at
@@ -98,8 +97,6 @@ func TestBulkMatchesPerOp(t *testing.T) {
 					m.EnableDigests(tickNS)
 					m.EnableSampling(tickNS)
 					m.EnableTrace(0)
-					m.EnableTxnTimes()
-					m.EnableSchedTrace()
 					bases[i] = m
 				}
 				if bases[0].runs == nil || bases[1].runs != nil {

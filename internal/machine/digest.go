@@ -33,9 +33,6 @@ func (m *Machine) EnableDigests(intervalNS int64) {
 	}
 }
 
-// DigestsEnabled reports whether interval digesting is active.
-func (m *Machine) DigestsEnabled() bool { return m.digestRec != nil }
-
 // DigestSeries returns the recorded digest stream (empty unless
 // EnableDigests was called).
 func (m *Machine) DigestSeries() digest.Series {

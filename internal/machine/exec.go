@@ -232,9 +232,6 @@ func (m *Machine) dispatch(cpu int32, t *int64) int32 {
 		q += m.perturb.Int63n(m.cfg.PerturbQuantumNS + 1)
 	}
 	m.cpus[cpu].quantumDeadline = *t + q
-	if m.traceSched {
-		m.schedTrace = append(m.schedTrace, SchedEvent{TimeNS: *t, CPU: cpu, Thread: tid})
-	}
 	m.emit(*t, trace.Dispatch, cpu, tid, 0)
 	// A dispatched thread restarts its instruction stream from the I-cache.
 	m.cpus[cpu].lastIfetch = ^uint64(0)
@@ -503,9 +500,6 @@ func (m *Machine) osOp(cpu, tid int32, op workload.Op, t int64) (int64, bool) {
 	case workload.OpTxnEnd:
 		m.txnsDone++
 		m.lastTxnNS = t
-		if m.recordTxns {
-			m.txnTimes = append(m.txnTimes, t)
-		}
 		m.emit(t, trace.TxnEnd, cpu, tid, int64(op.ID))
 		return t + 1, true
 

@@ -49,14 +49,6 @@ const (
 	defaultMaxEvts = 2_000_000_000
 )
 
-// SchedEvent is one scheduler dispatch, recorded when tracing is enabled
-// (Figure 1 of the paper plots these).
-type SchedEvent struct {
-	TimeNS int64
-	CPU    int32
-	Thread int32
-}
-
 // Result summarizes a measurement window.
 type Result struct {
 	Workload  string
@@ -144,11 +136,7 @@ type Machine struct {
 	parkedOk   []bool
 	parkedSpin []int
 
-	recordTxns bool
-	txnTimes   []int64
-	traceSched bool
-	schedTrace []SchedEvent
-	tracer     *trace.Buffer
+	tracer *trace.Buffer
 
 	// Metrics: every machine wires a registry of named instruments over
 	// its components (see wireMetrics); the sampler is non-nil only when
@@ -260,19 +248,6 @@ func (m *Machine) SetPerturbSeed(seed uint64) { m.perturb = rng.New(seed) }
 
 // SetMaxEvents overrides the runaway-event guard.
 func (m *Machine) SetMaxEvents(n uint64) { m.maxEvents = n }
-
-// EnableTxnTimes records each transaction's completion time (for
-// interval/throughput analysis: Figures 2, 3 and 8).
-func (m *Machine) EnableTxnTimes() { m.recordTxns = true }
-
-// TxnTimes returns recorded transaction completion times (ns).
-func (m *Machine) TxnTimes() []int64 { return m.txnTimes }
-
-// EnableSchedTrace records scheduler dispatches (Figure 1).
-func (m *Machine) EnableSchedTrace() { m.traceSched = true }
-
-// SchedTrace returns the recorded dispatches.
-func (m *Machine) SchedTrace() []SchedEvent { return m.schedTrace }
 
 // Now returns the simulated time.
 func (m *Machine) Now() int64 { return m.eng.Now() }
@@ -423,7 +398,7 @@ var errSpent = errors.New("machine: used after SnapshotOver took its storage")
 // independent perturbed future from the same initial conditions.
 //
 // Snapshots are copy-on-write: the big state (cache line pages,
-// predictor tables, workload transaction plans, recorded series) is shared
+// predictor tables, workload transaction plans) is shared
 // with the parent and copied lazily, page by page, as either side
 // writes it — so Snapshot itself is O(metadata) and branches touching
 // little state stay cheap. Snapshot freezes an unfrozen machine (a
@@ -464,11 +439,6 @@ func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 		}
 	}
 	c.bus.q = append([]busReq(nil), m.bus.q...)
-	// Append-only recordings are shared by capping the clone's slices
-	// at their current length: appends on either side then reallocate
-	// instead of writing the shared backing array.
-	c.txnTimes = m.txnTimes[:len(m.txnTimes):len(m.txnTimes)]
-	c.schedTrace = m.schedTrace[:len(m.schedTrace):len(m.schedTrace)]
 	if m.tracer != nil {
 		c.tracer = m.tracer.Clone()
 	}
@@ -491,10 +461,11 @@ func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 
 // Materialize forces ownership of everything a copy-on-write Snapshot
 // left shared — cache pages, predictor tables, workload plans,
-// parked ops, recorded series — turning this machine into a full deep
-// copy. Simulation never needs it (writes materialize lazily); it
-// exists to price lazy against eager copying (BenchmarkSnapshotDeep)
-// and to pin COW-vs-deep equivalence in tests.
+// parked ops — turning this machine into a full deep copy. Simulation
+// never needs it (writes materialize lazily); it exists to price lazy
+// against eager copying (the benchmark spine's machine.materialize_ms)
+// and to pin COW-vs-deep equivalence, in tests and in the spine's check
+// of branch 0 against its materialized twin.
 func (m *Machine) Materialize() {
 	m.snoop.Materialize()
 	for i := range m.cpus {
@@ -506,7 +477,5 @@ func (m *Machine) Materialize() {
 		mat.Materialize()
 	}
 	m.ensureParked()
-	m.txnTimes = append([]int64(nil), m.txnTimes...)
-	m.schedTrace = append([]SchedEvent(nil), m.schedTrace...)
 	m.frozen = false
 }

@@ -149,11 +149,11 @@ func TestSnapshotBranching(t *testing.T) {
 
 func TestSchedTraceRecorded(t *testing.T) {
 	m := mustMachine(t, testConfig(), "oltp", 5, 5)
-	m.EnableSchedTrace()
+	m.EnableTrace(0)
 	if _, err := m.Run(15); err != nil {
 		t.Fatal(err)
 	}
-	tr := m.SchedTrace()
+	tr := trace.Dispatches(m.Trace().Events())
 	if len(tr) == 0 {
 		t.Fatal("no scheduling events recorded")
 	}
@@ -171,12 +171,12 @@ func TestSchedTraceRecorded(t *testing.T) {
 
 func TestTxnTimesRecorded(t *testing.T) {
 	m := mustMachine(t, testConfig(), "oltp", 5, 5)
-	m.EnableTxnTimes()
+	m.EnableTrace(0)
 	res, err := m.Run(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := m.TxnTimes()
+	times := trace.TxnEndTimes(m.Trace().Events())
 	if int64(len(times)) != res.Txns {
 		t.Fatalf("recorded %d txn times for %d txns", len(times), res.Txns)
 	}

@@ -136,7 +136,8 @@ func (s *Snooper) Clone() *Snooper { return s.CloneOver(nil) }
 //
 // Without a spent snooper the Cache/NodeCaches structs are built in a
 // single arena — the hierarchy is snapshotted once per branched run, so
-// the clone path is allocation-count-sensitive (see BenchmarkSnapshot).
+// the clone path is allocation-count-sensitive (TestAllocationBudgets
+// in internal/machine; the benchmark spine's machine.snapshot_kb).
 func (s *Snooper) CloneOver(spent *Snooper) *Snooper {
 	nNodes := len(s.Nodes)
 	if spent == nil || len(spent.Nodes) != nNodes {

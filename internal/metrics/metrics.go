@@ -151,9 +151,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Counts returns the per-bucket counts (last entry is the overflow
 // bucket).
 func (h *Histogram) Counts() []uint64 { return h.counts }
@@ -287,7 +284,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 // ensureSorted re-sorts the name list and rebuilds the aligned
 // instrument list after registrations. Registration happens only while
 // wiring a machine; every later Names/Each/Snapshot call hits the
-// cached slices (see BenchmarkRegistrySnapshot).
+// cached slices.
 func (r *Registry) ensureSorted() {
 	if r.sorted {
 		return

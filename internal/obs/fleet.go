@@ -76,11 +76,8 @@ func (f *Fleet) add(name string) *fleetEntry {
 
 // TrackJobs wires a reader of the worker-pool occupancy counters
 // (normally fleet.Read), adding busy-worker and job-progress fields to
-// /status, /metrics and the heartbeat line. Safe on a nil receiver.
+// /status, /metrics and the heartbeat line.
 func (f *Fleet) TrackJobs(fn func() fleet.Stats) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.jobs = fn
@@ -88,12 +85,8 @@ func (f *Fleet) TrackJobs(fn func() fleet.Stats) {
 
 // TrackJournal wires a reader of the result-journal counters (normally
 // journal.ReadStats), adding durable-record, append-lag and replay
-// fields to /status, /metrics and the heartbeat line. Safe on a nil
-// receiver.
+// fields to /status, /metrics and the heartbeat line.
 func (f *Fleet) TrackJournal(fn func() journal.Stats) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.journal = fn
@@ -101,24 +94,16 @@ func (f *Fleet) TrackJournal(fn func() journal.Stats) {
 
 // TrackSampling wires a reader of the adaptive-scheduler counters
 // (normally sampling.Read), adding barrier-round, executed-run and
-// runs-saved fields to /status and the heartbeat line. Safe on a nil
-// receiver.
+// runs-saved fields to /status and the heartbeat line.
 func (f *Fleet) TrackSampling(fn func() sampling.Stats) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.sampling = fn
 }
 
 // Start marks the named experiment running (registering it if
-// unknown). Safe on a nil receiver, so callers can wire progress
-// callbacks unconditionally.
+// unknown).
 func (f *Fleet) Start(name string) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e := f.add(name)
@@ -133,12 +118,8 @@ func (f *Fleet) Start(name string) {
 }
 
 // Finish marks the named experiment done (or failed, when err is
-// non-nil), recording its wall time and simulated-cycle delta. Safe on
-// a nil receiver.
+// non-nil), recording its wall time and simulated-cycle delta.
 func (f *Fleet) Finish(name string, err error) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e := f.add(name)
@@ -173,8 +154,8 @@ type ExperimentStatus struct {
 
 // FleetStatus is the /status payload: sweep-level progress plus every
 // experiment's state. ETA extrapolates from the pace of the most
-// recently finished experiments (see etaSecs), exactly like the stderr
-// heartbeat; it is absent until the first experiment completes.
+// recently finished experiments (see etaSecs); it is absent until the
+// first experiment completes.
 type FleetStatus struct {
 	Total           int      `json:"total"`
 	Done            int      `json:"done"`
@@ -306,8 +287,9 @@ func etaSecs(finished []float64, done, total int) float64 {
 	return sum / float64(len(recent)) * float64(total-done)
 }
 
-// Line renders a one-line heartbeat-style summary of the fleet, so the
-// stderr heartbeat and /status share one source of truth.
+// Line renders the status as one line — what the stderr heartbeat
+// prints (report.StartHeartbeat takes it as its line source), so the
+// heartbeat and /status share one source of truth.
 func (s FleetStatus) Line() string {
 	out := fmt.Sprintf("%d/%d experiments", s.Done, s.Total)
 	if s.Failed > 0 {

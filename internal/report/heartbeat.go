@@ -5,34 +5,24 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"varsim/internal/fleet"
-	"varsim/internal/journal"
 )
 
-// Heartbeat periodically prints run progress to w (normally stderr):
-// experiments completed, elapsed wall clock, simulated-cycle throughput
-// and an ETA extrapolated from per-experiment pace. It exists so that
-// multi-minute `full` harness runs are visibly alive.
+// Heartbeat periodically prints a progress line to w (normally stderr),
+// so that multi-minute `full` harness runs are visibly alive. It owns
+// the ticker and the rendering policy only; what the line says comes
+// from the caller's line source — the sweep tracker's
+// obs.FleetStatus.Line, which /status serves too.
 //
 // On an interactive terminal the line is redrawn in place with a
 // spinner; when w is not a terminal (a pipe, a log file) or the
 // NO_COLOR convention is in effect, each beat is a plain appended line
 // with no escape sequences, so captured logs stay readable.
 type Heartbeat struct {
-	w         io.Writer
-	styled    bool
-	frame     int
-	total     int
-	done      atomic.Int64
-	start     time.Time
-	simCycles func() int64
-	simStart  int64
-	jobs      func() fleet.Stats
-	journal   func() journal.Stats
-	precision func() string
+	w      io.Writer
+	styled bool
+	frame  int
+	line   func() string
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -61,24 +51,15 @@ func styled(w io.Writer) bool {
 	return info.Mode()&os.ModeCharDevice != 0
 }
 
-// StartHeartbeat begins emitting a progress line to w every period.
-// total is the number of experiments expected (0 disables the ETA);
-// simCycles, when non-nil, reads the process-wide simulated-cycle
-// counter for throughput reporting; jobs, when non-nil, reads the
-// worker-pool occupancy counters (normally fleet.Read) so the line
-// shows how busy the fleet is. Call Stop when done.
-func StartHeartbeat(w io.Writer, period time.Duration, total int, simCycles func() int64, jobs func() fleet.Stats) *Heartbeat {
+// StartHeartbeat begins emitting line's current value to w every
+// period; line is called on the heartbeat's own goroutine, so it must
+// be safe to call concurrently with the run. Call Stop when done.
+func StartHeartbeat(w io.Writer, period time.Duration, line func() string) *Heartbeat {
 	h := &Heartbeat{
-		w:         w,
-		styled:    styled(w),
-		total:     total,
-		start:     time.Now(),
-		simCycles: simCycles,
-		jobs:      jobs,
-		stop:      make(chan struct{}),
-	}
-	if simCycles != nil {
-		h.simStart = simCycles()
+		w:      w,
+		styled: styled(w),
+		line:   line,
+		stop:   make(chan struct{}),
 	}
 	h.wg.Add(1)
 	go func() {
@@ -100,73 +81,15 @@ func StartHeartbeat(w io.Writer, period time.Duration, total int, simCycles func
 // beat renders one heartbeat. Only the ticker goroutine calls it, so
 // frame needs no locking.
 func (h *Heartbeat) beat() {
+	line := "heartbeat: " + h.line()
 	if !h.styled {
-		fmt.Fprintln(h.w, h.Line())
+		fmt.Fprintln(h.w, line)
 		return
 	}
 	spin := spinnerFrames[h.frame%len(spinnerFrames)]
 	h.frame++
 	// \r + erase-line redraws in place; cyan spinner, default text.
-	fmt.Fprintf(h.w, "\r\x1b[2K\x1b[36m%s\x1b[0m %s", spin, h.Line())
-}
-
-// Advance records n more completed experiments.
-func (h *Heartbeat) Advance(n int) { h.done.Add(int64(n)) }
-
-// TrackJournal wires a reader of the result-journal counters (normally
-// journal.ReadStats), adding durable-record and append-lag fields to
-// the line when a journal is active. Call before the first beat.
-func (h *Heartbeat) TrackJournal(fn func() journal.Stats) { h.journal = fn }
-
-// TrackPrecision wires the precision observatory's one-line summary
-// (normally precision.Tracker.Summary) into the heartbeat: achieved
-// versus requested precision, updated as runs settle. An empty summary
-// leaves the line untouched. Call before the first beat.
-func (h *Heartbeat) TrackPrecision(fn func() string) { h.precision = fn }
-
-// Line renders the current progress line.
-func (h *Heartbeat) Line() string {
-	done := h.done.Load()
-	elapsed := time.Since(h.start).Round(time.Second)
-	s := fmt.Sprintf("heartbeat: %d/%d experiments, elapsed %s", done, h.total, elapsed)
-	if h.simCycles != nil {
-		cycles := h.simCycles() - h.simStart
-		if secs := time.Since(h.start).Seconds(); secs > 0 && cycles > 0 {
-			s += fmt.Sprintf(", %.3g sim-cycles/s", float64(cycles)/secs)
-		}
-	}
-	if h.jobs != nil {
-		if js := h.jobs(); js.JobsTotal > 0 {
-			s += fmt.Sprintf(", fleet %d busy %d/%d jobs", js.BusyWorkers, js.JobsDone, js.JobsTotal)
-			if js.Retries > 0 {
-				s += fmt.Sprintf(", %d retries", js.Retries)
-			}
-			if js.Timeouts > 0 {
-				s += fmt.Sprintf(", %d timeouts", js.Timeouts)
-			}
-		}
-	}
-	if h.journal != nil {
-		if j := h.journal(); j.Appended > 0 || j.Hits > 0 {
-			s += fmt.Sprintf(", journal %d rec", j.Appended)
-			if j.Lag > 0 {
-				s += fmt.Sprintf(" (lag %d)", j.Lag)
-			}
-			if j.Hits > 0 {
-				s += fmt.Sprintf(", %d replayed", j.Hits)
-			}
-		}
-	}
-	if h.precision != nil {
-		if p := h.precision(); p != "" {
-			s += ", " + p
-		}
-	}
-	if h.total > 0 && done > 0 && done < int64(h.total) {
-		eta := time.Duration(float64(time.Since(h.start)) / float64(done) * float64(int64(h.total)-done)).Round(time.Second)
-		s += fmt.Sprintf(", ETA ~%s", eta)
-	}
-	return s
+	fmt.Fprintf(h.w, "\r\x1b[2K\x1b[36m%s\x1b[0m %s", spin, line)
 }
 
 // Stop ends the ticker goroutine (idempotent) and, in styled mode,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"varsim/internal/obs"
 	"varsim/internal/precision"
 )
 
@@ -44,22 +45,32 @@ func TestWritePrecision(t *testing.T) {
 	}
 }
 
-// TestHeartbeatPrecisionColumn pins the heartbeat's precision fragment:
-// absent until the tracker has something to say, present afterwards.
+// TestHeartbeatPrecisionColumn pins the heartbeat's precision fragment
+// on the line as cmd/experiments composes it (the sweep tracker's
+// status, then the precision tracker's summary): absent until the
+// tracker has something to say, present afterwards.
 func TestHeartbeatPrecisionColumn(t *testing.T) {
 	var buf bytes.Buffer
-	h := StartHeartbeat(&buf, time.Hour, 2, nil, nil)
-	defer h.Stop()
+	tracker := obs.NewFleet([]string{"table1", "table2"}, nil)
 	trk := precision.New(0.04, 0.95)
-	h.TrackPrecision(trk.Summary)
+	h := StartHeartbeat(&buf, time.Hour, func() string {
+		line := tracker.Status().Line()
+		if p := trk.Summary(); p != "" {
+			line += ", " + p
+		}
+		return line
+	})
+	defer h.Stop()
 
-	if line := h.Line(); strings.Contains(line, "precision") {
+	h.beat()
+	if line := buf.String(); strings.Contains(line, "precision") {
 		t.Errorf("line mentions precision before any observation: %q", line)
 	}
 	trk.Observe("table1", "c", "cpt", 250)
 	trk.Observe("table1", "c", "cpt", 250.5)
-	line := h.Line()
-	if !strings.Contains(line, "precision 1/1 at ±4%") {
-		t.Errorf("line missing precision fragment: %q", line)
+	buf.Reset()
+	h.beat()
+	if line := buf.String(); !strings.Contains(line, "0/2 experiments") || !strings.Contains(line, "precision 1/1 at ±4%") {
+		t.Errorf("line missing progress or precision fragment: %q", line)
 	}
 }

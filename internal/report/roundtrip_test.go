@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"varsim/internal/fleet"
+	"varsim/internal/journal"
+	"varsim/internal/obs"
+	"varsim/internal/sampling"
 )
 
 // An empty collector must still export valid documents: a JSON empty
@@ -288,25 +291,39 @@ func TestConfigHash(t *testing.T) {
 	}
 }
 
+// TestHeartbeat drives the heartbeat over the line source
+// cmd/experiments gives it — the sweep tracker's status line — and pins
+// every fragment of that line.
 func TestHeartbeat(t *testing.T) {
 	var buf bytes.Buffer
 	cycles := int64(0)
-	h := StartHeartbeat(&buf, time.Hour, 4, func() int64 { return cycles },
-		func() fleet.Stats { return fleet.Stats{BusyWorkers: 3, JobsDone: 40, JobsTotal: 120} })
+	tracker := obs.NewFleet([]string{"table1", "table2", "fig4", "fig8"}, func() int64 { return cycles })
+	tracker.TrackJobs(func() fleet.Stats {
+		return fleet.Stats{BusyWorkers: 3, JobsDone: 40, JobsTotal: 120, Retries: 2, Timeouts: 1}
+	})
+	tracker.TrackJournal(func() journal.Stats { return journal.Stats{Appended: 38, Lag: 2, Hits: 5} })
+	tracker.TrackSampling(func() sampling.Stats { return sampling.Stats{Rounds: 7, Executed: 30, Saved: 12, Pruned: 1} })
+	h := StartHeartbeat(&buf, time.Hour, func() string { return tracker.Status().Line() })
+	for _, name := range []string{"table1", "table2"} {
+		tracker.Start(name)
+		time.Sleep(time.Millisecond) // a finished experiment took some wall time: the ETA's pace
+		tracker.Finish(name, nil)
+	}
+	tracker.Start("fig4")
 	cycles = 1_000_000
-	h.Advance(2)
-	line := h.Line()
-	if !strings.Contains(line, "2/4 experiments") {
-		t.Fatalf("Line() = %q, want progress 2/4", line)
-	}
-	if !strings.Contains(line, "sim-cycles/s") {
-		t.Fatalf("Line() = %q, want throughput", line)
-	}
-	if !strings.Contains(line, "fleet 3 busy 40/120 jobs") {
-		t.Fatalf("Line() = %q, want fleet occupancy", line)
-	}
-	if !strings.Contains(line, "ETA") {
-		t.Fatalf("Line() = %q, want an ETA mid-run", line)
+	h.beat()
+	line := buf.String()
+	for _, want := range []struct{ fragment, what string }{
+		{"heartbeat: 2/4 experiments, running fig4", "progress 2/4"},
+		{"sim-cycles/s", "throughput"},
+		{"fleet 3 busy 40/120 jobs, 2 retries, 1 timeouts", "fleet occupancy"},
+		{"journal 38 rec (lag 2), 5 replayed", "journal counters"},
+		{"adaptive 7 rounds 12 saved (1 pruned)", "adaptive-sampling counters"},
+		{"ETA", "an ETA mid-run"},
+	} {
+		if !strings.Contains(line, want.fragment) {
+			t.Errorf("beat = %q, want %s (%q)", line, want.what, want.fragment)
+		}
 	}
 	h.Stop()
 	h.Stop() // idempotent
@@ -317,7 +334,7 @@ func TestHeartbeat(t *testing.T) {
 // sequences or spinner glyphs, so redirected logs stay grep-able.
 func TestHeartbeatPlainOutput(t *testing.T) {
 	var buf bytes.Buffer
-	h := StartHeartbeat(&buf, time.Hour, 2, nil, nil)
+	h := StartHeartbeat(&buf, time.Hour, func() string { return "0/2 experiments" })
 	h.beat()
 	h.beat()
 	h.Stop()
@@ -339,7 +356,7 @@ func TestHeartbeatPlainOutput(t *testing.T) {
 // have no TTY to detect) and checks the redraw-in-place protocol.
 func TestHeartbeatStyledOutput(t *testing.T) {
 	var buf bytes.Buffer
-	h := StartHeartbeat(&buf, time.Hour, 2, nil, nil)
+	h := StartHeartbeat(&buf, time.Hour, func() string { return "0/2 experiments" })
 	h.styled = true
 	h.beat()
 	h.beat()

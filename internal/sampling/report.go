@@ -38,7 +38,7 @@ type Arm struct {
 
 // Report is the adaptive scheduler's outcome: the requested target,
 // one arm per configuration, and the runs-saved accounting the
-// acceptance criterion (and BENCH_sampling.json) records.
+// acceptance criterion (docs/SAMPLING.md) is stated in.
 type Report struct {
 	Target
 	Arms []Arm `json:"arms"`

@@ -270,21 +270,22 @@ func CPUBusy(events []Event, numCPUs int) []int64 {
 }
 
 // Divergence compares two traces' dispatch streams: it returns the index
-// and times of the first differing dispatch, and the fraction of
-// dispatch slots agreeing afterwards — the quantitative form of the
-// paper's Figure 1.
+// and times of the first differing dispatch, and how many of the
+// dispatch slots from there on still agree — the quantitative form of
+// the paper's Figure 1.
 type Divergence struct {
 	Prefix      int // identical leading dispatches
 	ATimeNS     int64
 	BTimeNS     int64
-	AgreedAfter float64 // in [0,1]
+	Agreed      int     // agreeing slots among the Compared-Prefix after the prefix
+	AgreedAfter float64 // Agreed as a fraction, in [0,1]
 	Compared    int
 }
 
 // CompareDispatches computes the Divergence of two event streams.
 func CompareDispatches(a, b []Event) Divergence {
-	da := filterDispatches(a)
-	db := filterDispatches(b)
+	da := Dispatches(a)
+	db := Dispatches(b)
 	n := len(da)
 	if len(db) < n {
 		n = len(db)
@@ -302,17 +303,18 @@ func CompareDispatches(a, b []Event) Divergence {
 		d.AgreedAfter = 1
 		return d
 	}
-	agreed := 0
 	for i := d.Prefix; i < n; i++ {
 		if da[i].CPU == db[i].CPU && da[i].Thread == db[i].Thread {
-			agreed++
+			d.Agreed++
 		}
 	}
-	d.AgreedAfter = float64(agreed) / float64(n-d.Prefix)
+	d.AgreedAfter = float64(d.Agreed) / float64(n-d.Prefix)
 	return d
 }
 
-func filterDispatches(events []Event) []Event {
+// Dispatches returns the Dispatch events of a trace, in order: the
+// scheduling-event stream Figure 1 plots.
+func Dispatches(events []Event) []Event {
 	out := make([]Event, 0, len(events))
 	for _, ev := range events {
 		if ev.Kind == Dispatch {
@@ -320,6 +322,19 @@ func filterDispatches(events []Event) []Event {
 		}
 	}
 	return out
+}
+
+// TxnEndTimes returns the completion time (ns) of every transaction in
+// a trace, in order — what Figures 2, 3 and 8 bucket into intervals and
+// windows.
+func TxnEndTimes(events []Event) []int64 {
+	var times []int64
+	for _, ev := range events {
+		if ev.Kind == TxnEnd {
+			times = append(times, ev.TimeNS)
+		}
+	}
+	return times
 }
 
 // FormatLockReport renders the top-n lock report as text.

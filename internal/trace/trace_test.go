@@ -131,6 +131,11 @@ func TestCompareDispatches(t *testing.T) {
 	if d.AgreedAfter != 0 {
 		t.Fatalf("agreement after divergence %v", d.AgreedAfter)
 	}
+	// Slots that agree again after the fork are counted.
+	d = CompareDispatches(append(a[:4:4], ev(30, Dispatch, 1, 5, 0)), append(b[:3:3], ev(31, Dispatch, 1, 5, 0)))
+	if d.Prefix != 2 || d.Compared != 4 || d.Agreed != 1 || d.AgreedAfter != 0.5 {
+		t.Fatalf("re-agreement after divergence: %+v", d)
+	}
 	// Identical traces.
 	d = CompareDispatches(a, a)
 	if d.Prefix != 3 || d.AgreedAfter != 1 {

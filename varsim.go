@@ -78,9 +78,6 @@ type Machine = machine.Machine
 // Result is the measurement of one simulation window.
 type Result = machine.Result
 
-// SchedEvent is one recorded scheduler dispatch.
-type SchedEvent = machine.SchedEvent
-
 // Workload is a live workload instance (threads + shared state).
 type Workload = workload.Instance
 
