@@ -37,7 +37,8 @@ type CacheConfig struct {
 
 // MaxAssoc is the largest associativity the cache model represents: it
 // keeps a set's replacement order as one rank byte per way and a set's
-// lines inside one 128-line copy-on-write page (see internal/mem).
+// lines inside one 256-line copy-on-write page (see internal/mem). The
+// page would hold a wider set; no configuration in use asks for one.
 const MaxAssoc = 128
 
 // Sets returns the number of sets implied by the geometry.

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"sync"
 
+	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
 	"varsim/internal/sampling"
@@ -57,7 +58,10 @@ func (r Resilience) ObserveOnce() Resilience {
 // and journal key derive from its global index — so a space assembled
 // round by round is record-for-record the same space run fixed-N. The
 // checkpoint is built lazily through Base, so an arm whose rounds
-// replay wholly from the journal never pays its warmup.
+// replay wholly from the journal never pays its warmup. Finished
+// branches are handed on from round to round (Plan's pool, made on the
+// first round unless the caller's arms share one), so only the first
+// round's first branches allocate their cache pages.
 type Rounds struct {
 	// Plan describes the arm's runs. Next sets Plan.N per round and
 	// advances Plan.Lo, which is thus the runs taken so far.
@@ -79,6 +83,9 @@ func (r *Rounds) Next(k int) ([]machine.Result, []int, error) {
 		return nil, nil, nil
 	}
 	r.Plan.N = k
+	if r.Plan.spent == nil {
+		r.Plan.spent = new(fleet.Pool[*machine.Machine])
+	}
 	b, err := replayOrBranch(r.ConfigHash, r.checkpoint, r.Plan)
 	if err == nil {
 		r.Plan.Lo += k
@@ -210,6 +217,7 @@ type matrixArm struct {
 func (a *matrixArm) settle(status string) {
 	a.settled = true
 	a.want = 0
+	a.rounds = nil // the arm's checkpoint is no use to the arms still running
 	a.arm.Status = status
 	sampling.CountSettle(a.arm.FixedN-a.arm.Executed, status == sampling.StatusPruned)
 }
@@ -261,12 +269,16 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 	if floor := len(es) * t.MinRuns; budget < floor {
 		budget = floor // the pilot phase always completes
 	}
+	// The arms take turns, so one pool serves them all: a branch is taken
+	// over a spent one of any configuration (machine.SnapshotOver).
+	var spent fleet.Pool[*machine.Machine]
 	for i, e := range es {
 		if err := e.Validate(); err != nil {
 			return nil, rep, err
 		}
 		res := e.Resilience.ObserveOnce()
 		rounds := e.rounds(res)
+		rounds.Plan.spent = &spent
 		arms[i] = &matrixArm{
 			e: e, res: res, want: t.MinRuns,
 			sp:     Space{Label: e.Label},

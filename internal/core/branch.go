@@ -38,6 +38,13 @@ type BranchPlan struct {
 	TraceCap int
 	// Resilience is the crash-safety plumbing (docs/RESILIENCE.md).
 	Resilience Resilience
+
+	// spent is the pool finished branches are handed on through (see
+	// branchJob). Nil scopes one to the call; a caller that branches
+	// call after call — Rounds, AdaptiveMatrix, TimeSample — sets its
+	// own, so that a later call's first branches are taken over an
+	// earlier call's last.
+	spent *fleet.Pool[*machine.Machine]
 }
 
 // digests reports whether the plan captures digest streams.
@@ -259,7 +266,7 @@ func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
 		}
 	}
 	var err error
-	b.Runs, err = fleet.Run(opts, p.N, branchJob(checkpoint, p.SeedBase, func(m *machine.Machine) (BranchedRun, error) {
+	b.Runs, err = fleet.Run(opts, p.N, branchJob(checkpoint, p.SeedBase, p.spent, func(m *machine.Machine) (BranchedRun, error) {
 		if p.Trace {
 			m.EnableTrace(p.TraceCap)
 		}
@@ -299,17 +306,21 @@ func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
 // here, before the fleet starts: jobs snapshot it concurrently, and a
 // snapshot of a frozen machine performs no writes.
 //
-// A branch whose run returned nil is handed on: a later job of the same
-// fleet call takes its snapshot over that machine's cache storage
+// A branch whose run returned nil is handed on through spent: a later
+// job takes its snapshot over that machine's cache storage
 // (machine.SnapshotOver), so a fleet allocates cache pages for about as
-// many branches as it has workers, not for all n. A run that failed,
-// panicked or was abandoned by a fleet timeout keeps its machine — an
-// abandoned attempt may still be running it — and the retry gets another
-// or a fresh one. Which machine a job takes over depends on the host's
-// scheduling and cannot show: SnapshotOver reads none of its state.
-func branchJob(checkpoint *machine.Machine, seedBase uint64, run func(*machine.Machine) (BranchedRun, error)) func(int) (BranchedRun, error) {
+// many branches as it has workers, not for all n. A nil spent is a pool
+// of the call's own; the caller's, if any, carries the machines on to
+// its next call. A run that failed, panicked or was abandoned by a fleet
+// timeout keeps its machine — an abandoned attempt may still be running
+// it — and the retry gets another or a fresh one. Which machine a job
+// takes over depends on the host's scheduling and cannot show:
+// SnapshotOver reads none of its state.
+func branchJob(checkpoint *machine.Machine, seedBase uint64, spent *fleet.Pool[*machine.Machine], run func(*machine.Machine) (BranchedRun, error)) func(int) (BranchedRun, error) {
 	checkpoint.Freeze()
-	var spent fleet.Pool[*machine.Machine]
+	if spent == nil {
+		spent = new(fleet.Pool[*machine.Machine])
+	}
 	return func(i int) (BranchedRun, error) {
 		m := checkpoint.SnapshotOver(spent.Get())
 		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))

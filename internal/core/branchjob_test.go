@@ -82,7 +82,7 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 			return BranchedRun{Result: res}, err
 		}
 		opts := fleet.Options[BranchedRun]{Workers: width, Retries: 6, Timeout: 500 * time.Millisecond}
-		got, err := fleet.Run(opts, e.Runs, branchJob(checkpoint, e.SeedBase, run))
+		got, err := fleet.Run(opts, e.Runs, branchJob(checkpoint, e.SeedBase, nil, run))
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
@@ -113,5 +113,45 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 		// Let the abandoned attempts finish before the next width starts.
 		close(release)
 		hung.Wait()
+	}
+}
+
+// TestRoundsRecycleAcrossRounds: an arm's finished branches outlive the
+// Branch call that ran them, so every round after the first takes all
+// its branches over spent ones — the recycled budget of machine's
+// TestAllocationBudgets (57 KB a branch of that test's shape, which is
+// this one's), where a pool that died with each call would pay a fresh
+// branch's 0.43 MB at the head of every round — and the space is still
+// the one a single fixed-N Branch gives.
+func TestRoundsRecycleAcrossRounds(t *testing.T) {
+	const perRound, perBranch = 3, 100_000
+	cfg := config.Default()
+	cfg.NumCPUs = 8
+	e := Experiment{
+		Label: "rounds", Config: cfg, Workload: "oltp", WorkloadSeed: 0xA1A3,
+		WarmupTxns: 2000, MeasureTxns: 5, Runs: 4 * perRound, SeedBase: 0x600D,
+	}
+	rounds := e.rounds(Resilience{})
+	var got []machine.Result
+	for round := 0; round < 4; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		results, _, err := rounds.Next(perRound)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, results...)
+		// Round 0 builds the checkpoint and has nothing to build over.
+		if bytes := after.TotalAlloc - before.TotalAlloc; round > 0 && bytes > perRound*perBranch {
+			t.Errorf("round %d allocated %d bytes for %d branches, budget %d each", round, bytes, perRound, perBranch)
+		}
+	}
+	want, err := e.Branch(e.BranchPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Space().Results) {
+		t.Error("the space taken round by round differs from the fixed-N one")
 	}
 }

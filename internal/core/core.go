@@ -329,6 +329,7 @@ func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
 		return nil, err
 	}
 	var spaces []Space
+	var spent fleet.Pool[*machine.Machine] // one checkpoint's last branches are the next one's first
 	done := int64(0)
 	for ci, ck := range checkpoints {
 		if ck > done {
@@ -340,6 +341,7 @@ func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
 		p := e.spacePlan()
 		p.Label = fmt.Sprintf("%s@%d", e.Label, ck)
 		p.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+		p.spent = &spent
 		b, err := Branch(m, p)
 		if err != nil {
 			return nil, err

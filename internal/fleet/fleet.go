@@ -202,13 +202,14 @@ func (o *Options[T]) stopped() bool {
 	}
 }
 
-// Pool is a free list jobs of one fleet call pass finished values
-// through: a job that is done with a value Puts it, a later job Gets it
-// to build over its storage. Which value a Get returns depends on how
-// the host scheduled the jobs, so a job may use one only in ways that
-// cannot show — core's branches re-copy or overwrite all of a spent
-// machine's storage before reading any of it. The zero Pool is empty and
-// ready; it must not be copied after first use.
+// Pool is a free list jobs pass finished values through, within one
+// fleet call or from one call to the caller's next: a job that is done
+// with a value Puts it, a later job Gets it to build over its storage.
+// Which value a Get returns depends on how the host scheduled the jobs,
+// so a job may use one only in ways that cannot show — core's branches
+// re-copy or overwrite all of a spent machine's storage before reading
+// any of it. The zero Pool is empty and ready; it must not be copied
+// after first use.
 type Pool[T any] struct {
 	mu   sync.Mutex
 	free []T

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"varsim/internal/config"
+	"varsim/internal/workloads"
 )
 
 // heapCounts reads the cumulative bytes and objects this process has
@@ -22,23 +23,46 @@ func heapCounts() (bytes, objects uint64) {
 // run costs on the detailed core. The ceilings sit above the measured
 // figures (in the comments) and well below what each cost before the
 // change that brought it down: the array-of-structs cache layout, the
-// workload engines' per-transaction and per-phase op buffers, the
-// re-sliced bus queue and miss window.
+// 64-bit line word, the workload engines' per-transaction and per-phase
+// op buffers, the re-sliced bus queue and miss window.
 func TestAllocationBudgets(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumCPUs = 8
+
+	// 2.88 MB, and it is the cache arrays: per node a 4 MB L2 of 65 536
+	// lines at 4 bytes of tag word and 1 of rank, and two L1s of 2 048.
+	// It was 5.13 MB with an 8-byte word, which would fail here.
+	t.Run("new", func(t *testing.T) {
+		const ceiling = 3_200_000
+		inst, err := workloads.New("oltp", cfg, 0xA1A3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b0, _ := heapCounts()
+		m, err := New(cfg, inst, 1)
+		b1, _ := heapCounts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		if got := b1 - b0; got > ceiling {
+			t.Fatalf("New allocated %d bytes for the 8-CPU machine, budget %d", got, ceiling)
+		}
+	})
+
 	base := mustMachine(t, cfg, "oltp", 0xA1A3, 1)
 	if _, err := base.Run(2000); err != nil {
 		t.Fatal(err)
 	}
 	base.Freeze()
 
-	// 86.0 KB: page tables (one pointer per 128-line tag page and per
-	// 1024-line rank page), the event heap, kernel and predictor metadata,
-	// and ~100 bytes of generator state per workload thread. A thread
-	// state that held expanded ops would show here first.
+	// 65.5 KB (87.3 KB with an 8-byte line word): page tables (one
+	// pointer per 256-line tag page and per 1024-line rank page), the
+	// event heap, kernel and predictor metadata, and ~100 bytes of
+	// generator state per workload thread. A thread state that held
+	// expanded ops would show here first.
 	t.Run("snapshot", func(t *testing.T) {
-		const ceiling = 100_000
+		const ceiling = 75_000
 		b0, _ := heapCounts()
 		m := base.Snapshot()
 		b1, _ := heapCounts()
@@ -49,11 +73,12 @@ func TestAllocationBudgets(t *testing.T) {
 	})
 
 	// 4.1-4.2 MB with whole-line COW pages, 1.07 MB with op buffers,
-	// 0.50 MB now: read hits copy 1 KiB rank pages, fills copy 1 KiB tag
-	// pages, and a thread that claims a transaction allocates its few-KB
-	// plan, not the transaction's ops.
+	// 0.50 MB with 128-line tag pages, 0.43 MB now: read hits copy 1 KiB
+	// rank pages, fills copy 1 KiB tag pages of 256 lines, and a thread
+	// that claims a transaction allocates its few-KB plan, not the
+	// transaction's ops.
 	t.Run("branch", func(t *testing.T) {
-		const ceiling = 800_000
+		const ceiling = 500_000
 		for seed := uint64(1); seed <= 4; seed++ {
 			b0, _ := heapCounts()
 			m := base.Snapshot()
@@ -73,7 +98,7 @@ func TestAllocationBudgets(t *testing.T) {
 	// is the snapshot's metadata (kernel, plans, generator state, metric
 	// registry) and the odd page where its seed strays from every window
 	// before. Generation 0 has nothing to build over and pays the fresh
-	// branch's 0.50 MB; a spare list that leaked, or never filled, would
+	// branch's 0.43 MB; a spare list that leaked, or never filled, would
 	// show in every generation after it.
 	t.Run("recycled", func(t *testing.T) {
 		const ceiling = 100_000

@@ -339,10 +339,8 @@ func (m *Machine) runCPU(cpu int32) {
 			m.scheduleStep(cpu, t)
 			return
 		}
-		var op workload.Op
 		skipAccess := false
 		if cs.hasPending {
-			op = cs.pending
 			if cs.memDone {
 				// The stalled access completed with the response.
 				cs.memDone = false
@@ -370,10 +368,12 @@ func (m *Machine) runCPU(cpu int32) {
 			}
 			continue
 		} else {
-			op = m.wl.Next(int(tid))
-			cs.pending = op
+			cs.pending = m.wl.Next(int(tid))
 			cs.hasPending = true
 		}
+		// The op is executed where it lies: nothing below writes pending
+		// while op is read (osOp takes its copy).
+		op := &cs.pending
 
 		if op.PC != 0 && m.fetch(cpu, op.PC, &t) {
 			return
@@ -419,7 +419,7 @@ func (m *Machine) runCPU(cpu int32) {
 
 		case workload.OpIO, workload.OpBarrier, workload.OpTxnEnd, workload.OpYield, workload.OpDone:
 			var running bool
-			if t, running = m.osOp(cpu, tid, op, t); !running {
+			if t, running = m.osOp(cpu, tid, *op, t); !running {
 				return
 			}
 		}

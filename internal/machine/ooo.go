@@ -292,14 +292,11 @@ func (m *Machine) runOOO(cpu int32) {
 			m.scheduleStep(cpu, core.vt)
 			return
 		}
-		var op workload.Op
-		if cs.hasPending {
-			op = cs.pending
-		} else {
-			op = m.wl.Next(int(tid))
-			cs.pending = op
+		if !cs.hasPending {
+			cs.pending = m.wl.Next(int(tid))
 			cs.hasPending = true
 		}
+		op := &cs.pending // executed where it lies, as in runCPU
 
 		// Instruction fetch through the L1I.
 		if op.PC != 0 {
@@ -405,7 +402,7 @@ func (m *Machine) runOOO(cpu int32) {
 				}
 			}
 			var running bool
-			if core.vt, running = m.osOp(cpu, tid, op, core.vt); !running {
+			if core.vt, running = m.osOp(cpu, tid, *op, core.vt); !running {
 				return
 			}
 		}

@@ -64,18 +64,22 @@ func (s State) IsOwner() bool { return s == Owned || s == Modified || s == Exclu
 // byte per line. Splitting them keeps the one write a read hit makes —
 // the LRU refresh — off the tag pages, so a branch that re-reads what
 // its checkpoint cached copies rank pages (1 byte/line) and never tag
-// pages (8 bytes/line).
+// pages (4 bytes/line).
 const (
-	// A packed line word is tag<<tagShift | dirty<<3 | state. The zero
-	// word is an invalid line.
+	// A packed line word is block<<tagShift | dirty<<3 | state, 32 bits
+	// wide. The zero word is an invalid line. The whole block number is
+	// kept, set bits included, so nothing is reconstructed on the way
+	// out; blockBits of 64-byte blocks reach 16 GB, and the workloads'
+	// address space ends at 2 GB (workload/layout.go).
 	stateMask = 7
 	dirtyBit  = 8
 	tagShift  = 4
+	blockBits = 32 - tagShift
 
 	// Both page kinds are 1 KiB: small enough that the first write
 	// after a branch copies little, large enough that the page tables a
-	// Clone copies stay a few KiB for the 4 MB L2 (512 + 64 pointers).
-	tagPageLines  = 128
+	// Clone copies stay a few KiB for the 4 MB L2 (256 + 64 pointers).
+	tagPageLines  = 256
 	rankPageLines = 1024
 )
 
@@ -87,7 +91,7 @@ var (
 )
 
 type (
-	tagPage  [tagPageLines]uint64
+	tagPage  [tagPageLines]uint32
 	rankPage [rankPageLines]uint8
 )
 
@@ -235,7 +239,7 @@ func (c *Cache) ownTags(p int) *tagPage {
 		pg, c.spareTags = c.spareTags[n-1], c.spareTags[:n-1]
 		*pg = *c.tags[p]
 	} else {
-		pg = (*tagPage)(append([]uint64(nil), c.tags[p][:]...))
+		pg = (*tagPage)(append([]uint32(nil), c.tags[p][:]...))
 	}
 	c.tags[p] = pg
 	return pg
@@ -275,7 +279,9 @@ func (c *Cache) lookup(block uint64) (pg *tagPage, base, w int) {
 	for w := range c.assoc {
 		// Equal tags leave exactly the state bits, 1..stateMask for a
 		// valid line; anything else is a different tag or an empty way.
-		if (pg[base+w]&^dirtyBit^block<<tagShift)-1 < stateMask {
+		// Compared in 64 bits: a block beyond blockBits keeps its high
+		// bits through the XOR and so matches no line.
+		if (uint64(pg[base+w]&^dirtyBit)^block<<tagShift)-1 < stateMask {
 			return pg, base, w
 		}
 	}
@@ -284,7 +290,7 @@ func (c *Cache) lookup(block uint64) (pg *tagPage, base, w int) {
 
 // setWord stores nw into way w of block's set, materializing the tag
 // page and folding the change into sig.
-func (c *Cache) setWord(block uint64, w int, nw uint64) {
+func (c *Cache) setWord(block uint64, w int, nw uint32) {
 	set := block & c.setMask
 	p, base := c.tagPl.locate(set, c.assoc)
 	pg := c.tags[p]
@@ -292,7 +298,7 @@ func (c *Cache) setWord(block uint64, w int, nw uint64) {
 		pg = c.ownTags(p)
 	}
 	i := int(set)*c.assoc + w
-	c.sig ^= lineSig(i, pg[base+w]) ^ lineSig(i, nw)
+	c.sig ^= lineSig(i, uint64(pg[base+w])) ^ lineSig(i, uint64(nw))
 	pg[base+w] = nw
 }
 
@@ -365,7 +371,7 @@ func (c *Cache) SetState(block uint64, s State) {
 		return
 	}
 	if pg, base, w := c.lookup(block); w >= 0 {
-		c.setWord(block, w, pg[base+w]&^stateMask|uint64(s))
+		c.setWord(block, w, pg[base+w]&^stateMask|uint32(s))
 	}
 }
 
@@ -386,13 +392,18 @@ type Victim struct {
 // Fill inserts block with the given (valid) state, evicting the LRU way
 // if the set is full. It returns the victim (ok=false if an invalid way
 // was used). If the block is already resident its state is updated in
-// place.
+// place. A block that does not fit blockBits panics.
 func (c *Cache) Fill(block uint64, s State) (v Victim, evicted bool) {
 	pg, base, w := c.lookup(block)
 	if w >= 0 {
-		c.setWord(block, w, pg[base+w]&^stateMask|uint64(s))
+		c.setWord(block, w, pg[base+w]&^stateMask|uint32(s))
 		c.touch(block, w)
 		return Victim{}, false
+	}
+	if block>>blockBits != 0 {
+		// Fail loudly rather than mis-simulate: the word would drop the
+		// block's high bits and the line would answer for another.
+		panic(fmt.Sprintf("mem: Fill of block %#x, beyond the %d-bit block range of a line word", block, blockBits))
 	}
 	ways := pg[base : base+c.assoc]
 	for i, word := range ways {
@@ -411,11 +422,11 @@ func (c *Cache) Fill(block uint64, s State) (v Victim, evicted bool) {
 			}
 		}
 		old := ways[w]
-		v = Victim{Block: old >> tagShift, State: State(old & stateMask), Dirty: old&dirtyBit != 0}
+		v = Victim{Block: uint64(old >> tagShift), State: State(old & stateMask), Dirty: old&dirtyBit != 0}
 		evicted = true
 		c.Evictions++
 	}
-	c.setWord(block, w, block<<tagShift|uint64(s))
+	c.setWord(block, w, uint32(block)<<tagShift|uint32(s))
 	c.touch(block, w)
 	return v, evicted
 }
@@ -511,7 +522,7 @@ func (c *Cache) Materialize() {
 // tests.
 func (c *Cache) wordAt(i int) uint64 {
 	p, base := c.tagPl.locate(uint64(i/c.assoc), c.assoc)
-	return c.tags[p][base+i%c.assoc]
+	return uint64(c.tags[p][base+i%c.assoc])
 }
 
 func (c *Cache) rankAt(i int) uint8 {

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +175,59 @@ func TestSetStateInvalidRemovesLine(t *testing.T) {
 	c.SetState(99, Modified)
 	if c.GetState(99) != Invalid {
 		t.Fatal("SetState on absent block created a line")
+	}
+}
+
+// TestBlockRange: a line word holds blockBits of block number, and a
+// block beyond them is never mistaken for the resident line it shares
+// its low bits with — every read reports it absent, every write to it
+// changes nothing — while Fill, which would have to store it, panics.
+func TestBlockRange(t *testing.T) {
+	for _, b := range []uint64{0, 5, 1<<blockBits - 1} {
+		for _, alias := range []uint64{b | 1<<blockBits, b | 1<<40} {
+			c := smallCache()
+			c.Fill(b, Shared)
+			c.SetDirty(b)
+			c.Fill(b^4, Owned) // the set's other way (4 sets): the set is full
+			before, sig := snapshotLines(c), c.StateSig()
+
+			if st := c.Probe(alias); st != Invalid {
+				t.Fatalf("Probe(%#x) = %v with block %#x resident", alias, st, b)
+			}
+			if st := c.GetState(alias); st != Invalid {
+				t.Fatalf("GetState(%#x) = %v with block %#x resident", alias, st, b)
+			}
+			c.SetState(alias, Modified)
+			c.SetState(alias, Invalid)
+			c.SetDirty(alias)
+			if prior, dirty := c.Invalidate(alias); prior != Invalid || dirty {
+				t.Fatalf("Invalidate(%#x) = %v dirty=%v with block %#x resident", alias, prior, dirty, b)
+			}
+			if !linesEqual(snapshotLines(c), before) {
+				t.Fatalf("operations on %#x changed the lines of block %#x's cache", alias, b)
+			}
+			if c.StateSig() != sig || sig != c.foldSig() {
+				t.Fatalf("operations on %#x: sig %x, was %x, fold %x", alias, c.StateSig(), sig, c.foldSig())
+			}
+			if c.Hits != 0 || c.Misses != 1 || c.Evictions != 0 {
+				t.Fatalf("operations on %#x: hits %d misses %d evictions %d, want the one probe miss",
+					alias, c.Hits, c.Misses, c.Evictions)
+			}
+
+			func() {
+				defer func() {
+					want := fmt.Sprintf("%#x", alias)
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+						t.Fatalf("Fill(%#x) panicked with %q, want the block named", alias, msg)
+					}
+				}()
+				c.Fill(alias, Shared)
+				t.Fatalf("Fill(%#x) did not panic", alias)
+			}()
+			if !linesEqual(snapshotLines(c), before) || c.StateSig() != sig {
+				t.Fatalf("the refused Fill(%#x) changed the cache", alias)
+			}
+		}
 	}
 }
 

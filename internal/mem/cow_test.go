@@ -9,7 +9,7 @@ import (
 )
 
 // bigCache spans several COW pages of both planes (1024 sets x 4 ways =
-// 4096 lines: 32 tag pages, 4 rank pages) so page-granular sharing is
+// 4096 lines: 16 tag pages, 4 rank pages) so page-granular sharing is
 // exercised.
 func bigCache() *Cache {
 	return NewCache(config.CacheConfig{SizeBytes: 256 << 10, Assoc: 4, BlockBits: 6})
@@ -39,11 +39,14 @@ func snapshotLines(c *Cache) []lineView {
 }
 
 // contendedBlock draws from 8 tags over 16 sets that straddle every rank
-// page and half the tag pages of bigCache, so short random sequences
-// still evict.
+// page and every tag page of bigCache, so short random sequences still
+// evict. The tags span the whole range a line word holds — a truncated
+// tag would alias two of them — the top one a tag short of its end,
+// because a caller adds up to 63 to the block.
 func contendedBlock(r *rng.Stream) uint64 {
+	const topTag = 1<<blockBits/1024 - 2
 	set := uint64(r.Intn(16)) * 67 % 1024
-	return uint64(r.Intn(8))*1024 + set
+	return uint64(r.Intn(8))*topTag/7*1024 + set
 }
 
 // ownedPages counts the pages of each plane c may write in place.
@@ -79,7 +82,7 @@ func linesEqual(a, b []lineView) bool {
 // through the clone, and vice versa, while both keep sig == foldSig.
 func TestCloneIsolation(t *testing.T) {
 	c := bigCache()
-	// Two ways in each of 400 sets, across 13 tag pages and 2 rank pages.
+	// Two ways in each of 400 sets, across 7 tag pages and 2 rank pages.
 	for b := uint64(0); b < 400; b++ {
 		c.Fill(b, Shared)
 		c.Fill(b+1024, Shared)
@@ -210,7 +213,7 @@ func TestSpareIsOverwrittenWhole(t *testing.T) {
 	spent.Materialize()
 	for _, pg := range spent.tags {
 		for i := range pg {
-			pg[i] = ^uint64(0)
+			pg[i] = ^uint32(0)
 		}
 	}
 	for _, pg := range spent.ranks {

@@ -49,12 +49,12 @@ func agree(c *Cache, ref *refCache) error {
 func TestPackedMatchesReference(t *testing.T) {
 	geometries := []config.CacheConfig{
 		{SizeBytes: 4 * 64, Assoc: 1, BlockBits: 6},                                  // direct-mapped, 4 sets
-		{SizeBytes: 512 * 64, Assoc: 2, BlockBits: 6},                                // 4 tag pages
+		{SizeBytes: 512 * 64, Assoc: 2, BlockBits: 6},                                // 2 tag pages
 		{SizeBytes: 2 * 3 * 64, Assoc: 3, BlockBits: 6},                              // ways do not fill the page
-		{SizeBytes: 4096 * 64, Assoc: 4, BlockBits: 6},                               // 32 tag pages, 4 rank pages
+		{SizeBytes: 4096 * 64, Assoc: 4, BlockBits: 6},                               // 16 tag pages, 4 rank pages
 		{SizeBytes: 64 * 64, Assoc: 8, BlockBits: 6},                                 //
 		{SizeBytes: 256 * 64, Assoc: 16, BlockBits: 6},                               //
-		{SizeBytes: 16 * config.MaxAssoc * 64, Assoc: config.MaxAssoc, BlockBits: 6}, // one set per tag page
+		{SizeBytes: 16 * config.MaxAssoc * 64, Assoc: config.MaxAssoc, BlockBits: 6}, // two sets per tag page
 	}
 	states := []State{Shared, Owned, Modified, Exclusive}
 	for gi, cfg := range geometries {
@@ -71,10 +71,14 @@ func TestPackedMatchesReference(t *testing.T) {
 				r := rng.New(seed)
 				// Twice as many tags as ways over a handful of sets spread
 				// across the whole index range: sets fill and evict fast.
+				// The tags run evenly from 0 to the last one a line word
+				// holds, so a word that dropped a tag bit would alias two.
 				hot := min(cfg.Sets(), 6)
+				topTag := uint64(1<<blockBits/cfg.Sets() - 1)
 				block := func() uint64 {
 					set := uint64(r.Intn(hot)) * uint64(cfg.Sets()/hot)
-					return uint64(r.Intn(2*cfg.Assoc))*uint64(cfg.Sets()) + set
+					tag := uint64(r.Intn(2*cfg.Assoc)) * topTag / uint64(2*cfg.Assoc-1)
+					return tag*uint64(cfg.Sets()) + set
 				}
 				// scribble makes x own pages whose lines are not c's, and
 				// returns it: a finished branch, ready to be cloned over.

@@ -118,7 +118,7 @@ func TestSigSurvivesCloneAndSnooperClone(t *testing.T) {
 	}
 	// Mutating the clone must not touch the original's sig.
 	before := s.Nodes[0].L2.StateSig()
-	cp.Nodes[0].L2.Fill(1<<40, Modified)
+	cp.Nodes[0].L2.Fill(1<<27, Modified)
 	if s.Nodes[0].L2.StateSig() != before {
 		t.Fatalf("clone mutation leaked into original sig")
 	}

@@ -154,12 +154,13 @@ func (e *SciEngine) Clone() Instance {
 	return &cp
 }
 
-// emit stamps op with the thread's PC and moves the cursor to the next
-// instruction.
-func (e *SciEngine) emit(t *sciThread, op Op) Op {
-	op.PC = e.code.Base + t.pc
+// nextPC returns the thread's PC and moves the cursor to the next
+// instruction. Ops take it as a field of their literal, so each is built
+// once, where it is returned.
+func (e *SciEngine) nextPC(t *sciThread) uint64 {
+	pc := e.code.Base + t.pc
 	t.pc = e.code.Advance(t.pc, 4)
-	return op
+	return pc
 }
 
 // Next implements Instance: it walks the thread's position forward to
@@ -178,21 +179,22 @@ func (e *SciEngine) Next(tid int) Op {
 				continue
 			}
 			t.stage = sciStore
-			return e.emit(t, Op{Kind: OpLoad, Addr: e.parts[tid].At(uint64(t.i) * e.stride)})
+			// A sweep offset needs no wrap: i < touches = Size/stride.
+			return Op{Kind: OpLoad, Addr: e.parts[tid].Base + uint64(t.i)*e.stride, PC: e.nextPC(t)}
 		case sciStore:
 			t.stage = sciShared
 			if t.rng.Bool(p.WriteFrac) {
-				return e.emit(t, Op{Kind: OpStore, Addr: e.parts[tid].At(uint64(t.i) * e.stride)})
+				return Op{Kind: OpStore, Addr: e.parts[tid].Base + uint64(t.i)*e.stride, PC: e.nextPC(t)}
 			}
 		case sciShared:
 			t.stage = sciCompute
 			if e.sharedEvery > 0 && t.i%e.sharedEvery == 0 {
 				soff := uint64(t.rng.Zipf(int(e.shared.Size/64), p.SharedTheta)) * 64
-				return e.emit(t, Op{Kind: OpLoad, Addr: e.shared.At(soff)})
+				return Op{Kind: OpLoad, Addr: e.shared.At(soff), PC: e.nextPC(t)}
 			}
 		case sciCompute:
 			t.stage = sciBranch
-			return e.emit(t, Op{Kind: OpCompute, N: e.instrPerTouch})
+			return Op{Kind: OpCompute, N: e.instrPerTouch, PC: e.nextPC(t)}
 		case sciBranch:
 			i := t.i
 			t.i++
@@ -200,7 +202,7 @@ func (e *SciEngine) Next(tid int) Op {
 			if i%4 == 3 {
 				// Loop back-edges: highly predictable.
 				site := uint32(0x4000 + i%128)
-				return e.emit(t, Op{Kind: OpBranch, Site: site, Taken: t.rng.Bool(0.97)})
+				return Op{Kind: OpBranch, Site: site, Taken: t.rng.Bool(0.97), PC: e.nextPC(t)}
 			}
 		case sciBoundaryNext:
 			// Boundary exchange: read neighbours' edge blocks (Ocean-style
@@ -211,25 +213,25 @@ func (e *SciEngine) Next(tid int) Op {
 			}
 			t.stage = sciBoundaryPrev
 			nb := e.parts[(tid+1)%p.Threads]
-			return e.emit(t, Op{Kind: OpLoad, Addr: nb.At(uint64(t.i) * 64)})
+			return Op{Kind: OpLoad, Addr: nb.At(uint64(t.i) * 64), PC: e.nextPC(t)}
 		case sciBoundaryPrev:
 			pv := e.parts[(tid+p.Threads-1)%p.Threads]
-			op := Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - uint64(t.i)*64)}
+			op := Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - uint64(t.i)*64), PC: e.nextPC(t)}
 			t.i++
 			t.stage = sciBoundaryNext
-			return e.emit(t, op)
+			return op
 		case sciLockAcq:
 			// Phase-end reduction under the global lock.
 			t.stage = sciReduce
-			return e.emit(t, Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0)})
+			return Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0), PC: e.nextPC(t)}
 		case sciReduce:
 			t.stage = sciLockRel
-			return e.emit(t, Op{Kind: OpStore, Addr: e.shared.At(0)})
+			return Op{Kind: OpStore, Addr: e.shared.At(0), PC: e.nextPC(t)}
 		case sciLockRel:
 			t.stage = sciBarrier
-			return e.emit(t, Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0)})
+			return Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0), PC: e.nextPC(t)}
 		case sciBarrier:
-			op := e.emit(t, Op{Kind: OpBarrier, ID: 0})
+			op := Op{Kind: OpBarrier, ID: 0, PC: e.nextPC(t)}
 			t.phase++
 			t.i = 0
 			t.pc = uint64(t.phase%64) * 256 % e.code.Size
