@@ -10,17 +10,19 @@
 # cache pages and spare lists under it that a branch hands on to the
 # next, and the checkpoint base cache, whose tests branch siblings from
 # shared frozen state concurrently — and the adaptive sampler, whose
-# process-wide counters and live report are fed from fleet workers).
+# process-wide counters and live report are fed from fleet workers —
+# and the CLI session, whose drain is closed from a signal goroutine).
 # `make lint` runs varsimlint, the determinism-contract analyzer suite (detwall,
 # puritywall, seedflow, maporder, kindexhaust inside the wall;
 # synccheck, stickyerr, floatorder outside it; staleallow auditing the
 # suppressions themselves) against the checked-in lint.baseline.json —
-# see docs/DETERMINISM.md. `make lint-sarif` writes the same run as
-# SARIF 2.1.0 to lint.sarif for CI upload and code-scanning ingestion.
+# see docs/DETERMINISM.md.
 # `make fuzz-smoke` runs each native fuzz target briefly over its
 # committed corpus — the CI smoke of the journal codec and stats input
 # contracts (docs/RESILIENCE.md) and of the workload engine's bulk
-# compute-run form against its op-by-op stream. `make spine` runs the
+# compute-run form against its op-by-op stream. `make reproduce`
+# regenerates results/ and experiments_full.txt at full scale and fails
+# on any diff against the committed copies. `make spine` runs the
 # benchmark spine (./bench, declared by BENCHMARK.json — the
 # repository's one benchmark system) and `make spine-aa` its A/A noise
 # check; `make spine-gates`, the CI benchmark step, holds seven of the
@@ -33,7 +35,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test spine spine-aa spine-gates spine-ab vet lint lint-sarif lint-baseline race fuzz-smoke loc check clean
+.PHONY: all build test reproduce spine spine-aa spine-gates spine-ab vet lint lint-baseline race fuzz-smoke loc check clean
 
 all: build
 
@@ -45,6 +47,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The full-scale reproduction as a checked artefact: regenerate every
+# table at the paper's scale (16 CPUs, 20 runs per configuration; ~95 s
+# on two CPUs) and fail on any difference from what is committed. The
+# simulator is bit-stable and stdout carries results only, so the
+# output is identical on any host at any -j; a diff here means the
+# model, a workload or a statistic changed — commit the regenerated
+# files with the change that explains them.
+reproduce:
+	$(GO) run ./cmd/experiments -heartbeat 0 -csv results -json results/tables.json all > experiments_full.txt
+	git diff --exit-code -- results experiments_full.txt
 
 # The benchmark spine BENCHMARK.json declares: five workloads, one
 # process each, every end-to-end metric (bench/README.md). spine-aa runs
@@ -117,17 +130,13 @@ vet:
 lint:
 	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json ./...
 
-# SARIF artifact for CI upload / GitHub code scanning.
-lint-sarif:
-	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json -format sarif -o lint.sarif ./...
-
 # Regenerate the accepted-findings baseline (review the diff before
 # committing: every new entry is accepted debt).
 lint-baseline:
 	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json -write-baseline ./...
 
 race:
-	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling
+	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling ./internal/session
 
 # Go's fuzzer accepts one target per invocation; each run seeds from the
 # committed corpus under the package's testdata/fuzz and then mutates

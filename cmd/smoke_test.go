@@ -1,0 +1,178 @@
+// Package cmd_test builds cmd/varsim and cmd/experiments once and
+// drives them as a user would: what reaches stdout, what a journal
+// resumes to, what -http serves, and how the process exits.
+package cmd_test
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+)
+
+var (
+	binDir      string
+	sourcesOnce sync.Once
+)
+
+// bin returns the path of a built tool. go test keys its result cache
+// on the files the test process itself reads once m.Run has started,
+// and the tools were built by a child process; so the first call lists
+// the tools' source directories, or a change to a tool would be
+// answered from the cache.
+func bin(tool string) string {
+	sourcesOnce.Do(func() {
+		for _, src := range []string{".", "../internal"} {
+			filepath.WalkDir(src, func(string, fs.DirEntry, error) error { return nil })
+		}
+		os.ReadDir("..") // the root package's files, not the trees beside them
+	})
+	return filepath.Join(binDir, tool)
+}
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "varsim-smoke")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	for _, tool := range []string{"varsim", "experiments"} {
+		out, err := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "varsim/cmd/"+tool).CombinedOutput()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "go build %s: %v\n%s", tool, err, out)
+			os.RemoveAll(dir)
+			os.Exit(1)
+		}
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// drive runs a built tool in a fresh directory and returns its stdout,
+// stderr and exit status.
+func drive(t *testing.T, dir, tool string, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(bin(tool), args...)
+	cmd.Dir = dir
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("%s %v: %v", tool, args, err)
+	}
+	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
+}
+
+func TestExperimentsStdoutIsResultsOnly(t *testing.T) {
+	dir := t.TempDir()
+	base, stderr, exit := drive(t, dir, "experiments", "-quick", "-heartbeat", "0", "-j", "1", "table1")
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	if !strings.Contains(base, "=== table1") {
+		t.Fatalf("stdout has no table1 banner:\n%s", base)
+	}
+	if strings.Contains(base, "finished in") {
+		t.Errorf("timing line on stdout:\n%s", base)
+	}
+	if !strings.Contains(stderr, "[table1 finished in ") {
+		t.Errorf("no timing line on stderr: %q", stderr)
+	}
+	for _, j := range []string{"1", "2"} {
+		if again, _, _ := drive(t, dir, "experiments", "-quick", "-heartbeat", "0", "-j", j, "table1"); again != base {
+			t.Errorf("stdout at -j %s differs from the first -j 1 run", j)
+		}
+	}
+}
+
+func TestVarsimResumePrintsTheSameBytes(t *testing.T) {
+	dir := t.TempDir()
+	run, stderr, exit := drive(t, dir, "varsim", "-workload", "oltp", "-cpus", "4", "-runs", "6",
+		"-txns", "40", "-warmup", "60", "-digest-us", "20", "-journal", "d")
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	resumed, stderr, exit := drive(t, dir, "varsim", "-resume", "d")
+	if exit != 0 {
+		t.Fatalf("resume exit %d\n%s", exit, stderr)
+	}
+	if resumed != run || run == "" {
+		t.Errorf("-resume printed\n%s\nwant\n%s", resumed, run)
+	}
+}
+
+func TestVarsimStatusListsTheExperiment(t *testing.T) {
+	// Long enough to be caught mid-run; killed as soon as /status answers.
+	cmd := exec.Command(bin("varsim"), "-workload", "oltp", "-cpus", "4",
+		"-txns", "1000000", "-warmup", "100", "-http", "127.0.0.1:0")
+	cmd.Dir = t.TempDir()
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	const marker = "observability server on "
+	url := ""
+	for sc := bufio.NewScanner(stderr); sc.Scan(); {
+		if i := strings.Index(sc.Text(), marker); i >= 0 {
+			url = sc.Text()[i+len(marker):]
+			break
+		}
+	}
+	if url == "" {
+		t.Fatal("varsim -http never announced its address")
+	}
+	resp, err := http.Get(url + "status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status struct {
+		Total       int `json:"total"`
+		Experiments []struct {
+			Name string `json:"name"`
+		} `json:"experiments"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Total != 1 || len(status.Experiments) != 1 || status.Experiments[0].Name != "oltp/simple" {
+		t.Errorf("/status = %+v, want the one experiment oltp/simple", status)
+	}
+}
+
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		tool string
+		args []string
+		want int
+	}{
+		{"experiments", []string{"-quick", "nosuch"}, 2},
+		{"varsim", []string{"-proc", "nosuch"}, 2},
+		{"varsim", []string{"-cpus", "4", "-txns", "20", "-warmup", "20", "-manifest", "missing/m.json"}, 1},
+		{"experiments", []string{"-quick", "-heartbeat", "0", "-manifest", "missing/m.json", "table1"}, 1},
+	} {
+		if _, stderr, exit := drive(t, dir, c.tool, c.args...); exit != c.want {
+			t.Errorf("%s %v: exit %d, want %d\n%s", c.tool, c.args, exit, c.want, stderr)
+		}
+	}
+}

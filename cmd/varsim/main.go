@@ -34,22 +34,19 @@
 // streams and locates their first divergent interval (see
 // docs/OBSERVABILITY.md).
 //
-// The -j flag sets the worker-fleet width for the perturbed runs
-// (default: one worker per host CPU). Output is byte-identical for
-// every -j value: runs merge by index, never completion order (see
-// docs/PARALLELISM.md). -j 1 forces the sequential path.
-//
-// -journal writes a crash-safe result journal (plus the experiment
-// spec) into a directory as runs complete; after a crash or a SIGINT
-// drain, -resume replays the journaled runs and executes only the
-// missing ones, producing byte-identical output to an uninterrupted
-// run (docs/RESILIENCE.md).
-//
 // -precision appends the achieved-vs-requested precision table to the
 // space report (fed in run-index order, so it is byte-identical at any
 // -j); 'varsim precision' rebuilds the same table post-hoc from a
 // journal directory. With -http, /precision and the dashboard's
 // convergence panel stream the table live as runs settle.
+//
+// Stdout carries the measurement and nothing else, byte-identical for
+// every -j value; "written to" notices and timing go to stderr. The
+// run's journal, drain, profilers, manifest and live observability are
+// the shared session's (internal/session; the flag table is in the
+// README). What is varsim's own: -journal also saves the experiment
+// spec, so -resume needs no other flag and prints the same bytes an
+// uninterrupted run would (docs/RESILIENCE.md).
 package main
 
 import (
@@ -59,12 +56,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"syscall"
-	"time"
 
 	"varsim"
 	"varsim/internal/fleet"
@@ -73,9 +66,9 @@ import (
 	"varsim/internal/obs"
 	"varsim/internal/plot"
 	"varsim/internal/precision"
-	"varsim/internal/profile"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
+	"varsim/internal/session"
 	"varsim/internal/trace"
 	"varsim/internal/traceviz"
 )
@@ -94,10 +87,9 @@ type runCfg struct {
 	seriesCSV        string
 	seriesJSONL      string
 	perfetto         string
-	pub              *obs.Publisher     // nil unless -http is set
-	trk              *precision.Tracker // nil unless -http is set
-	precTable        bool               // -precision: print the table after the space
-	relErr, conf     float64            // precision target
+	pub              *obs.Publisher // nil unless -http is set
+	precTable        bool           // -precision: print the table after the space
+	relErr, conf     float64        // precision target
 }
 
 func main() {
@@ -118,7 +110,6 @@ func main() {
 		txns    = flag.Int64("txns", 200, "transactions to measure")
 		warmup  = flag.Int64("warmup", 500, "transactions to run before measuring")
 		runs    = flag.Int("runs", 1, "perturbed runs branched from the warmed checkpoint")
-		workers = flag.Int("j", runtime.GOMAXPROCS(0), "fleet workers for the perturbed runs (1 = sequential; output is identical for any value)")
 		seed    = flag.Uint64("seed", 1, "workload identity seed")
 		pseed   = flag.Uint64("perturb-seed", 1, "perturbation seed base")
 		perturb = flag.Int64("perturb", 4, "max perturbation per L2 miss (ns); 0 disables")
@@ -136,23 +127,14 @@ func main() {
 		seriesCSV   = flag.String("series-csv", "", "write the sampled metric time series as CSV to this file")
 		seriesJSONL = flag.String("series-jsonl", "", "write the sampled metric time series as JSON lines to this file")
 		perfetto    = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
-		httpAddr    = flag.String("http", "", "serve live observability on this address (/metrics, /status, /series, /debug/pprof, dashboard at /)")
-		manifestP   = flag.String("manifest", "", "write a run-provenance manifest (JSON) to this file")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile to this file")
-		traceProf   = flag.String("trace", "", "write a runtime execution trace to this file")
 
 		precTable = flag.Bool("precision", false, "print the achieved-vs-requested precision table after the space report (fed in run-index order; byte-identical at any -j)")
 		relErrF   = flag.Float64("rel-err", precision.DefaultRelErr, "precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%)")
 		confF     = flag.Float64("confidence", precision.DefaultConfidence, "precision target: confidence level of the interval, in (0,1)")
 		adaptive  = flag.Bool("adaptive", false, "schedule runs adaptively: stop once the CI meets -rel-err at -confidence (-runs becomes the fixed-N baseline for the runs-saved accounting; see docs/SAMPLING.md)")
 		budget    = flag.Int("budget", 0, "adaptive: hard cap on runs per configuration (0 = the sampling default)")
-
-		journalDir = flag.String("journal", "", "write a crash-safe result journal and the experiment spec into this directory")
-		resumeDir  = flag.String("resume", "", "resume a journaled run from this directory (replays completed runs, executes the rest)")
-		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock timeout per run attempt (0 = unbounded); timed-out attempts are retried within -retries")
-		retries    = flag.Int("retries", 0, "extra attempts for a failed run (the retry reuses the run's original derived seed)")
 	)
+	sf := session.Register(flag.CommandLine)
 	flag.Parse()
 
 	cfg := varsim.DefaultConfig()
@@ -171,37 +153,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	rc := runCfg{
-		wlName: *wlName, seed: *seed, pseed: *pseed,
-		schedTr: *schedTr, lockRep: *lockRep,
-		saveRcp: *saveRcp, fromRcp: *fromRcp,
-		intervalUS: *intervalUS, seriesCSV: *seriesCSV, seriesJSONL: *seriesJSONL,
-		perfetto:  *perfetto,
-		precTable: *precTable, relErr: *relErrF, conf: *confF,
-	}
-	if *httpAddr != "" {
-		rc.pub = obs.NewPublisher()
-		rc.trk = precision.New(*relErrF, *confF)
-		rc.trk.TrackSampling(sampling.Latest)
-		srv, err := obs.Serve(*httpAddr, obs.Options{
-			Publisher: rc.pub,
-			SimCycles: varsim.SimulatedCycles,
-			Precision: rc.trk,
-		})
-		fail(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observability server on http://%s/\n", srv.Addr())
-	}
-
-	stopProf, err := profile.Start(*cpuProf, *traceProf)
-	fail(err)
-	var man *report.Manifest
-	if *manifestP != "" {
-		man = report.NewManifest("varsim", *seed, varsim.SimulatedCycles)
-		man.Args = os.Args[1:]
-		man.ConfigHash = report.ConfigHash(cfg)
-	}
-
 	e := varsim.Experiment{
 		Label:            fmt.Sprintf("%s/%s", *wlName, *proc),
 		Config:           cfg,
@@ -211,7 +162,6 @@ func main() {
 		MeasureTxns:      *txns,
 		Runs:             *runs,
 		SeedBase:         *pseed,
-		Workers:          *workers,
 		DigestIntervalNS: *digestUS * 1000,
 	}
 	if *adaptive {
@@ -219,108 +169,42 @@ func main() {
 		// the same stopping rule and the journaled barrier decisions.
 		e.Adaptive = &sampling.Target{RelErr: *relErrF, Confidence: *confF, MaxRuns: *budget}
 	}
-
-	// Crash-safety plumbing: -resume rebuilds the experiment from the
-	// saved spec and replays the journal; -journal starts a fresh one.
-	// Either way the journal stays open for appends and the run drains
-	// gracefully on SIGINT/SIGTERM.
-	var jw *journal.Writer
-	var jc *journal.Cache
-	switch {
-	case *resumeDir != "":
-		spec, err := loadSpec(filepath.Join(*resumeDir, specFile))
-		fail(err)
-		spec.Workers = *workers // width never changes the bytes; the spec pins everything that does
-		e = spec
-		jc, jw, err = journal.OpenDir(*resumeDir, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		fail(err)
-	case *journalDir != "":
-		fail(os.MkdirAll(*journalDir, 0o777))
-		fail(saveSpec(filepath.Join(*journalDir, specFile), e))
+	// -resume rebuilds the experiment from the spec saved beside the
+	// journal: the spec pins everything that changes the bytes.
+	if sf.Resume != "" {
 		var err error
-		jw, err = journal.CreateDir(*journalDir)
+		e, err = loadSpec(filepath.Join(sf.Resume, specFile))
 		fail(err)
 	}
-	stop := make(chan struct{})
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "varsim: draining in-flight runs; signal again to abort immediately")
-		close(stop)
-		<-sigc
-		os.Exit(130)
-	}()
-	e.Resilience = varsim.Resilience{
-		Journal:    jw,
-		Cache:      jc,
-		JobTimeout: *jobTimeout,
-		Retries:    *retries,
-		Stop:       stop,
-	}
-	if rc.trk != nil {
-		// Live convergence tracking for /precision and the dashboard.
-		// The tracker fills in completion order and never touches
-		// stdout, so byte-identity of the report is unaffected.
-		trk := rc.trk
-		e.Resilience.Observe = func(k journal.Key, r varsim.Result) {
-			trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
-		}
-	}
+	e.Workers = sf.Workers // width never changes the bytes
 
-	// Run, then flush profiles and the manifest even on failure — a
-	// partial run's provenance is still worth keeping.
-	runStart := time.Now()
-	simStart := varsim.SimulatedCycles()
-	runErr := run(e, rc)
-
-	// Journal teardown: Close reports the first sticky append failure —
-	// a journal that silently lost records must not look resumable.
-	if cerr := jw.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
+	s, err := session.Open(sf, session.Options{
+		Tool: "varsim", Experiments: []string{e.Label},
+		Seed: e.WorkloadSeed, ConfigHash: report.ConfigHash(e.Config),
+		RelErr: *relErrF, Confidence: *confF,
+		Stderr: os.Stderr,
+	})
+	fail(err)
+	e.Resilience = s.Resilience
+	rc := runCfg{
+		wlName: *wlName, seed: *seed, pseed: *pseed,
+		schedTr: *schedTr, lockRep: *lockRep,
+		saveRcp: *saveRcp, fromRcp: *fromRcp,
+		intervalUS: *intervalUS, seriesCSV: *seriesCSV, seriesJSONL: *seriesJSONL,
+		perfetto: *perfetto, pub: s.Publisher,
+		precTable: *precTable, relErr: *relErrF, conf: *confF,
 	}
-
-	if err := stopProf(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if *memProf != "" {
-		if err := profile.WriteHeap(*memProf); err != nil && runErr == nil {
-			runErr = err
+	s.Run(e.Label, func() error {
+		// The spec must be beside the journal before the first run can
+		// be journaled, or a crash leaves a journal nothing can resume.
+		if sf.Journal != "" && sf.Resume == "" {
+			if err := saveSpec(filepath.Join(sf.Journal, specFile), e); err != nil {
+				return err
+			}
 		}
-	}
-	var inc *fleet.Incomplete
-	drained := errors.As(runErr, &inc)
-	if man != nil {
-		errMsg := ""
-		if runErr != nil && !drained {
-			errMsg = runErr.Error()
-		}
-		man.Incomplete = drained
-		man.AddExperiment(e.Label, time.Since(runStart), varsim.SimulatedCycles()-simStart, errMsg)
-		man.Finish()
-		if err := man.WriteFile(*manifestP); err != nil && runErr == nil {
-			runErr = err
-		} else if err == nil {
-			fmt.Printf("run manifest written to %s\n", *manifestP)
-		}
-	}
-	if drained {
-		dir := *resumeDir
-		if dir == "" {
-			dir = *journalDir
-		}
-		if dir != "" {
-			fmt.Fprintf(os.Stderr, "varsim: run incomplete (%d/%d runs); resume with: varsim -resume %s\n",
-				inc.Done, inc.Total, dir)
-		} else {
-			fmt.Fprintf(os.Stderr, "varsim: run incomplete (%d/%d runs); re-run with -journal to make drains resumable\n",
-				inc.Done, inc.Total)
-		}
-		os.Exit(1)
-	}
-	fail(runErr)
+		return run(e, rc)
+	})
+	os.Exit(s.Close())
 }
 
 // saveSpec writes the experiment definition as indented JSON; the
@@ -424,7 +308,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 		if err := varsim.SaveRecipe(rc.saveRcp, varsim.RecipeFromExperiment(e)); err != nil {
 			return err
 		}
-		fmt.Printf("checkpoint recipe written to %s\n", rc.saveRcp)
+		fmt.Fprintf(os.Stderr, "checkpoint recipe written to %s\n", rc.saveRcp)
 	}
 	if rc.pub != nil {
 		// Publish the warmed registry (names, kinds, warmup totals) and
@@ -450,13 +334,13 @@ func run(e varsim.Experiment, rc runCfg) error {
 			if err := writeSeries(rc.seriesCSV, ts.WriteCSV); err != nil {
 				return err
 			}
-			fmt.Printf("metric series (CSV) written to %s\n", rc.seriesCSV)
+			fmt.Fprintf(os.Stderr, "metric series (CSV) written to %s\n", rc.seriesCSV)
 		}
 		if rc.seriesJSONL != "" {
 			if err := writeSeries(rc.seriesJSONL, ts.WriteJSONL); err != nil {
 				return err
 			}
-			fmt.Printf("metric series (JSONL) written to %s\n", rc.seriesJSONL)
+			fmt.Fprintf(os.Stderr, "metric series (JSONL) written to %s\n", rc.seriesJSONL)
 		}
 		if e.Runs <= 1 && rc.perfetto == "" {
 			return nil
@@ -504,7 +388,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 		if err := traceviz.WriteFile(rc.perfetto, runs...); err != nil {
 			return err
 		}
-		fmt.Printf("Perfetto trace (%d runs) written to %s — open it at https://ui.perfetto.dev\n",
+		fmt.Fprintf(os.Stderr, "Perfetto trace (%d runs) written to %s — open it at https://ui.perfetto.dev\n",
 			len(runs), rc.perfetto)
 	}
 	report.WriteSpace(os.Stdout, sp)

@@ -24,9 +24,9 @@
 // `//varsim:allow <analyzer> <reason>` directives that no longer
 // suppress anything.
 //
-// Output formats: -format text (default), json, sarif (SARIF 2.1.0),
-// or github (GitHub Actions workflow annotations). -baseline subtracts
-// a checked-in accepted-findings file; -write-baseline regenerates it.
+// Output formats: -format text (default), json, or github (GitHub
+// Actions workflow annotations). -baseline subtracts a checked-in
+// accepted-findings file; -write-baseline regenerates it.
 package main
 
 import (
@@ -38,9 +38,7 @@ import (
 	"strings"
 
 	"varsim/internal/lint"
-	"varsim/internal/lint/analysis"
 	"varsim/internal/lint/baseline"
-	"varsim/internal/lint/sarif"
 )
 
 func main() {
@@ -51,12 +49,11 @@ func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("varsimlint", flag.ContinueOnError)
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	format := fs.String("format", "text", "output format: text, json, sarif, github")
+	format := fs.String("format", "text", "output format: text, json, github")
 	baselinePath := fs.String("baseline", "", "subtract findings recorded in this baseline file")
 	writeBaseline := fs.Bool("write-baseline", false, "write current findings to -baseline and exit 0")
-	outPath := fs.String("o", "", "write output to this file instead of stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: varsimlint [-analyzers a,b,...] [-format text|json|sarif|github] [-baseline file [-write-baseline]] [-o file] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: varsimlint [-analyzers a,b,...] [-format text|json|github] [-baseline file [-write-baseline]] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -123,18 +120,7 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}
 
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "varsimlint: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		out = f
-	}
-
-	if err := emit(out, *format, analyzers, findings); err != nil {
+	if err := emit(stdout, *format, findings); err != nil {
 		fmt.Fprintf(os.Stderr, "varsimlint: %v\n", err)
 		return 2
 	}
@@ -145,10 +131,8 @@ func run(args []string, stdout io.Writer) int {
 	return 0
 }
 
-// emit renders findings in the requested format. SARIF is emitted even
-// when the run is clean (an empty results array is how CI consumers
-// distinguish "clean" from "did not run").
-func emit(w io.Writer, format string, analyzers []*analysis.Analyzer, findings []lint.Finding) error {
+// emit renders findings in the requested format.
+func emit(w io.Writer, format string, findings []lint.Finding) error {
 	switch format {
 	case "text":
 		for _, f := range findings {
@@ -164,10 +148,6 @@ func emit(w io.Writer, format string, analyzers []*analysis.Analyzer, findings [
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
-	case "sarif":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(sarif.Convert(analyzers, findings))
 	case "github":
 		// GitHub Actions workflow commands: each finding becomes an
 		// inline annotation on the PR diff.
@@ -176,7 +156,7 @@ func emit(w io.Writer, format string, analyzers []*analysis.Analyzer, findings [
 				f.File, f.Pos.Line, f.Pos.Column, f.Analyzer, escapeGitHub(f.Message))
 		}
 	default:
-		return fmt.Errorf("unknown format %q (want text, json, sarif or github)", format)
+		return fmt.Errorf("unknown format %q (want text, json or github)", format)
 	}
 	return nil
 }

@@ -104,37 +104,6 @@ func TestGitHubFormat(t *testing.T) {
 	}
 }
 
-func TestSarifFormatAndOutputFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list")
-	}
-	dir := seedModule(t)
-	var out bytes.Buffer
-	path := filepath.Join(dir, "lint.sarif")
-	if code := run([]string{"-format", "sarif", "-o", path, "./..."}, &out); code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []json.RawMessage `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("sarif output is not JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 || len(log.Runs[0].Results) != 1 {
-		t.Errorf("sarif shape: %s", data)
-	}
-	if out.Len() != 0 {
-		t.Errorf("-o leaked output to stdout: %q", out.String())
-	}
-}
-
 func TestBaselineRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list")

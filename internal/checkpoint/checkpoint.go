@@ -23,7 +23,6 @@ import (
 	"varsim/internal/core"
 	"varsim/internal/machine"
 	"varsim/internal/rng"
-	"varsim/internal/workloads"
 )
 
 // Recipe identifies a machine state by construction.
@@ -64,20 +63,7 @@ func (r Recipe) Build() (*machine.Machine, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	wl, err := workloads.New(r.Workload, r.Config, r.WorkloadSeed)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(r.Config, wl, r.PerturbSeed)
-	if err != nil {
-		return nil, err
-	}
-	if r.WarmupTxns > 0 {
-		if _, err := m.Run(r.WarmupTxns); err != nil {
-			return nil, fmt.Errorf("checkpoint: replay: %w", err)
-		}
-	}
-	return m, nil
+	return core.NewCheckpoint(r.Config, r.Workload, r.WorkloadSeed, r.PerturbSeed, r.WarmupTxns)
 }
 
 // Save writes the recipe as indented JSON.

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"errors"
 	"fmt"
 
 	"varsim/internal/core"
@@ -36,25 +35,15 @@ func AdaptiveTimeSample(bc *BaseCache, e core.Experiment, checkpoints []int64, t
 		Experiment: e.Label, ConfigHash: cfgHash,
 		FixedN: e.Runs * h, Status: sampling.StatusIncomplete,
 	}
-	if h == 0 {
-		return nil, arm, errors.New("checkpoint: no checkpoints")
-	}
-	for i := 1; i < h; i++ {
-		if checkpoints[i] <= checkpoints[i-1] {
-			return nil, arm, errors.New("checkpoint: checkpoints must be ascending")
-		}
-	}
-	if err := e.Validate(); err != nil {
+	if err := e.ValidateCheckpoints(checkpoints); err != nil {
 		return nil, arm, err
 	}
 	res := e.Resilience.ObserveOnce()
 	spaces := make([]core.Space, h)
 	rounds := make([]*core.Rounds, h)
 	for ci, ck := range checkpoints {
-		recipe := Recipe{
-			Config: e.Config, Workload: e.Workload, WorkloadSeed: e.WorkloadSeed,
-			PerturbSeed: rng.Derive(e.SeedBase, 0), WarmupTxns: ck,
-		}
+		recipe := FromExperiment(e)
+		recipe.WarmupTxns = ck
 		label := fmt.Sprintf("%s@%d", e.Label, ck)
 		spaces[ci] = core.Space{Label: label}
 		rounds[ci] = &core.Rounds{

@@ -228,16 +228,25 @@ func (e Experiment) Prepare() (*machine.Machine, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	wl, err := workloads.New(e.Workload, e.Config, e.WorkloadSeed)
+	return NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), e.WarmupTxns)
+}
+
+// NewCheckpoint is the one way to a warmed machine: it builds the named
+// workload's machine and runs warmupTxns transactions on it. The state
+// is a pure function of the five arguments, which is what lets a
+// checkpoint be stored as a recipe (internal/checkpoint) and rebuilt by
+// replay. The caller validates cfg.
+func NewCheckpoint(cfg config.Config, workload string, workloadSeed, perturbSeed uint64, warmupTxns int64) (*machine.Machine, error) {
+	wl, err := workloads.New(workload, cfg, workloadSeed)
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.New(e.Config, wl, rng.Derive(e.SeedBase, 0))
+	m, err := machine.New(cfg, wl, perturbSeed)
 	if err != nil {
 		return nil, err
 	}
-	if e.WarmupTxns > 0 {
-		if _, err := m.Run(e.WarmupTxns); err != nil {
+	if warmupTxns > 0 {
+		if _, err := m.Run(warmupTxns); err != nil {
 			return nil, fmt.Errorf("core: warmup: %w", err)
 		}
 	}
@@ -303,28 +312,33 @@ func (e Experiment) RunKey(i int) journal.Key {
 	return e.BranchPlan().key(journal.ConfigHash(e.Config), i)
 }
 
+// ValidateCheckpoints checks a time-sampling request: the experiment
+// itself, and a non-empty, strictly ascending list of cumulative
+// transaction counts.
+func (e Experiment) ValidateCheckpoints(checkpoints []int64) error {
+	if len(checkpoints) == 0 {
+		return errors.New("core: no checkpoints")
+	}
+	for i := 1; i < len(checkpoints); i++ {
+		if checkpoints[i] <= checkpoints[i-1] {
+			return errors.New("core: checkpoints must be ascending")
+		}
+	}
+	return e.Validate()
+}
+
 // TimeSample implements §5.2's systematic sampling of a workload's
 // lifetime: it warms the workload to each checkpoint in turn (the
 // checkpoints slice holds cumulative transaction counts, ascending) and
 // branches a space of runs from each. The returned spaces feed ANOVA to
 // decide whether time variability is significant.
 func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
-	if len(checkpoints) == 0 {
-		return nil, errors.New("core: no checkpoints")
-	}
-	for i := 1; i < len(checkpoints); i++ {
-		if checkpoints[i] <= checkpoints[i-1] {
-			return nil, errors.New("core: checkpoints must be ascending")
-		}
-	}
-	if err := e.Validate(); err != nil {
+	if err := e.ValidateCheckpoints(checkpoints); err != nil {
 		return nil, err
 	}
-	wl, err := workloads.New(e.Workload, e.Config, e.WorkloadSeed)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(e.Config, wl, rng.Derive(e.SeedBase, 0))
+	// One machine walks forward through the checkpoints; nothing but the
+	// current one is held.
+	m, err := NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -39,12 +39,6 @@ type Options struct {
 	// Report, when non-nil, captures every printed table in structured
 	// form for CSV/JSON export.
 	Report *report.Collector
-	// OnProgress, when non-nil, is invoked on the harness goroutine as
-	// each experiment starts (Done false) and finishes (Done true, Err
-	// set on failure). Live observers — the obs fleet tracker behind
-	// /status, the stderr heartbeat — feed from this single callback so
-	// progress has one source of truth.
-	OnProgress func(Progress)
 	// Resilience threads the crash-safety plumbing (journal, resume
 	// cache, retry/timeout budget, drain signal) into every experiment
 	// the harness builds and into its per-configuration fleets. Zero
@@ -55,13 +49,6 @@ type Options struct {
 	// target, ±4% at 95% confidence, capped at the fixed-N baseline so
 	// runs-saved is directly comparable). See docs/SAMPLING.md.
 	Adaptive *sampling.Target
-}
-
-// Progress is one experiment lifecycle notification.
-type Progress struct {
-	Experiment string
-	Done       bool
-	Err        error
 }
 
 // H executes experiments.
@@ -166,15 +153,9 @@ func (h *H) All() error {
 func (h *H) RunOne(e Experiment) (err error) {
 	h.current = e.Name
 	fmt.Fprintf(h.opt.Out, "\n=== %s — %s ===\n", e.Name, e.Title)
-	if h.opt.OnProgress != nil {
-		h.opt.OnProgress(Progress{Experiment: e.Name})
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%s: panic: %v", e.Name, r)
-		}
-		if h.opt.OnProgress != nil {
-			h.opt.OnProgress(Progress{Experiment: e.Name, Done: true, Err: err})
 		}
 	}()
 	return e.Run(h)

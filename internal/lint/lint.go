@@ -68,8 +68,8 @@ type Finding struct {
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"pos"`
 	// File is Pos.Filename relative to the lint root with forward
-	// slashes: the machine-portable path used in fingerprints, JSON
-	// and SARIF output.
+	// slashes: the machine-portable path used in fingerprints and JSON
+	// output.
 	File    string `json:"file"`
 	Message string `json:"message"`
 }

@@ -10,7 +10,7 @@
 //     RWMutex, WaitGroup, Once or Cond splits the primitive's state —
 //     the copy guards nothing. (go vet's copylocks overlaps here;
 //     synccheck keeps the check inside the varsimlint suite so the
-//     baseline, SARIF and allow-audit machinery see it.)
+//     baseline and allow-audit machinery see it.)
 //
 //   - WaitGroup.Add inside the goroutine it accounts for: the launch
 //     races the Add, so a Wait that runs before the goroutine is

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"varsim/internal/digest"
-	"varsim/internal/harness"
 	"varsim/internal/metrics"
 	"varsim/internal/precision"
 )
@@ -95,8 +94,8 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestStatusLiveDuringSweep drives a (fake, instant) experiment sweep
-// through the harness progress callback and asserts /status reflects
-// the running experiment while it runs and the final states after.
+// through the tracker and asserts /status reflects the running
+// experiment while it runs and the final states after.
 func TestStatusLiveDuringSweep(t *testing.T) {
 	fleet := NewFleet([]string{"alpha", "beta"}, func() int64 { return 0 })
 	ts := httptest.NewServer(NewServer(Options{Fleet: fleet}).Handler())
@@ -118,18 +117,13 @@ func TestStatusLiveDuringSweep(t *testing.T) {
 		t.Fatalf("initial status = %+v, want 2 pending", st)
 	}
 
-	h := harness.New(harness.Options{
-		Out: io.Discard,
-		OnProgress: func(p harness.Progress) {
-			if p.Done {
-				fleet.Finish(p.Experiment, p.Err)
-			} else {
-				fleet.Start(p.Experiment)
-			}
-		},
-	})
+	// Progress is booked around each experiment, as session.Run does.
+	run := func(name string, fn func() error) {
+		fleet.Start(name)
+		fleet.Finish(name, fn())
+	}
 	var sawRunning atomic.Bool
-	alpha := harness.Experiment{Name: "alpha", Title: "fake", Run: func(*harness.H) error {
+	run("alpha", func() error {
 		st := status()
 		for _, e := range st.Experiments {
 			if e.Name == "alpha" && e.State == StateRunning {
@@ -137,16 +131,8 @@ func TestStatusLiveDuringSweep(t *testing.T) {
 			}
 		}
 		return nil
-	}}
-	beta := harness.Experiment{Name: "beta", Title: "fake", Run: func(*harness.H) error {
-		return errors.New("boom")
-	}}
-	if err := h.RunOne(alpha); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.RunOne(beta); err == nil {
-		t.Fatal("beta should have failed")
-	}
+	})
+	run("beta", func() error { return errors.New("boom") })
 	if !sawRunning.Load() {
 		t.Error("/status never showed alpha running mid-experiment")
 	}
