@@ -15,8 +15,7 @@
 # `make lint` runs varsimlint, the determinism-contract analyzer suite (detwall,
 # puritywall, seedflow, maporder, kindexhaust inside the wall;
 # synccheck, stickyerr, floatorder outside it; staleallow auditing the
-# suppressions themselves) against the checked-in lint.baseline.json —
-# see docs/DETERMINISM.md.
+# suppressions themselves) — see docs/DETERMINISM.md.
 # `make fuzz-smoke` runs each native fuzz target briefly over its
 # committed corpus — the CI smoke of the journal codec and stats input
 # contracts (docs/RESILIENCE.md) and of the workload engine's bulk
@@ -35,7 +34,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test reproduce spine spine-aa spine-gates spine-ab vet lint lint-baseline race fuzz-smoke loc check clean
+.PHONY: all build test reproduce spine spine-aa spine-gates spine-ab vet lint race fuzz-smoke loc check clean
 
 all: build
 
@@ -128,12 +127,7 @@ vet:
 	$(GO) vet ./...
 
 lint:
-	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json ./...
-
-# Regenerate the accepted-findings baseline (review the diff before
-# committing: every new entry is accepted debt).
-lint-baseline:
-	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json -write-baseline ./...
+	$(GO) run ./cmd/varsimlint ./...
 
 race:
 	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling ./internal/session

@@ -263,7 +263,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 	// Adaptive scheduling replaces the fixed-N branch entirely: rounds
 	// run until the CI meets the target, every decision is journaled,
 	// and a resume whose journal covers the schedule replays it without
-	// preparing the machine (Rounds builds the checkpoint lazily).
+	// preparing the machine (an arm builds its checkpoint lazily).
 	if e.Adaptive != nil {
 		if rc.fromRcp != "" || rc.saveRcp != "" || rc.intervalUS > 0 || rc.perfetto != "" || e.DigestIntervalNS > 0 {
 			return errors.New("varsim: -adaptive does not combine with -from-recipe, -save-recipe, -interval-us, -perfetto or -digest-us")

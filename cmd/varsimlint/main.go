@@ -6,8 +6,8 @@
 //	varsimlint [flags] [packages]
 //
 // Packages default to ./... and use go list pattern syntax. The exit
-// status is 0 when the tree is clean (after baseline subtraction), 1
-// when findings are reported and 2 on usage or load errors.
+// status is 0 when the tree is clean, 1 when findings are reported and
+// 2 on usage or load errors.
 //
 // The suite enforces the determinism contract described in
 // docs/DETERMINISM.md. Inside the wall: detwall (no wall clocks, global
@@ -25,8 +25,8 @@
 // suppress anything.
 //
 // Output formats: -format text (default), json, or github (GitHub
-// Actions workflow annotations). -baseline subtracts a checked-in
-// accepted-findings file; -write-baseline regenerates it.
+// Actions workflow annotations). A finding is accepted where it stands,
+// with a reasoned //varsim:allow, or not at all.
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"strings"
 
 	"varsim/internal/lint"
-	"varsim/internal/lint/baseline"
 )
 
 func main() {
@@ -50,10 +49,8 @@ func run(args []string, stdout io.Writer) int {
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	format := fs.String("format", "text", "output format: text, json, github")
-	baselinePath := fs.String("baseline", "", "subtract findings recorded in this baseline file")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to -baseline and exit 0")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: varsimlint [-analyzers a,b,...] [-format text|json|github] [-baseline file [-write-baseline]] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: varsimlint [-analyzers a,b,...] [-format text|json|github] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -90,34 +87,6 @@ func run(args []string, stdout io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "varsimlint: %v\n", err)
 		return 2
-	}
-
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "varsimlint: -write-baseline requires -baseline")
-			return 2
-		}
-		if err := baseline.New(findings).Save(*baselinePath); err != nil {
-			fmt.Fprintf(os.Stderr, "varsimlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "varsimlint: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		base, err := baseline.Load(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "varsimlint: %v\n", err)
-			return 2
-		}
-		var stale []baseline.Entry
-		findings, stale = base.Filter(findings)
-		for _, e := range stale {
-			// Stale entries warn rather than fail: the finding they
-			// accepted got fixed, so the baseline wants regenerating.
-			fmt.Fprintf(os.Stderr, "varsimlint: baseline entry %s (%s in %s) matched nothing; regenerate with -write-baseline\n", e.ID, e.Analyzer, e.File)
-		}
 	}
 
 	if err := emit(stdout, *format, findings); err != nil {

@@ -104,27 +104,6 @@ func TestGitHubFormat(t *testing.T) {
 	}
 }
 
-func TestBaselineRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list")
-	}
-	dir := seedModule(t)
-	base := filepath.Join(dir, "lint.baseline.json")
-
-	var out bytes.Buffer
-	if code := run([]string{"-baseline", base, "-write-baseline", "./..."}, &out); code != 0 {
-		t.Fatalf("write-baseline exit = %d, want 0", code)
-	}
-	// With the finding baselined, the same tree is clean.
-	out.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &out); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\n%s", code, out.String())
-	}
-	if strings.TrimSpace(out.String()) != "" {
-		t.Errorf("baselined run printed findings:\n%s", out.String())
-	}
-}
-
 func TestUnknownFormat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list")

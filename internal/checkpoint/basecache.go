@@ -22,6 +22,10 @@ import (
 // frozen forever — handing out branches never mutates them — so cache
 // hits perform no writes to shared simulation state (the determinism
 // wall's requirement on the materialize path).
+//
+// Kept for bench/, which BENCHMARK.json freezes; nothing else builds
+// through it — every driver's recipes are distinct and each base is
+// built once, so the tree proper calls core.NewCheckpoint.
 type BaseCache struct {
 	mu    sync.Mutex
 	bases map[Recipe]*machine.Machine

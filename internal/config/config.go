@@ -166,13 +166,6 @@ func (c Config) MemoryLatencyNS() int64 {
 	return c.NetHopNS + c.MemSupplyNS + c.NetHopNS
 }
 
-// CacheToCacheLatencyNS returns the uncontended latency of a
-// cache-to-cache transfer: request hop + owner supply + data hop
-// (125 ns with defaults).
-func (c Config) CacheToCacheLatencyNS() int64 {
-	return c.NetHopNS + c.CacheSupplyNS + c.NetHopNS
-}
-
 // Validate checks the whole configuration.
 func (c Config) Validate() error {
 	if c.NumCPUs <= 0 {

@@ -18,7 +18,8 @@ func TestPaperLatencies(t *testing.T) {
 	if got := c.MemoryLatencyNS(); got != 180 {
 		t.Errorf("memory latency %d ns, paper says 180", got)
 	}
-	if got := c.CacheToCacheLatencyNS(); got != 125 {
+	// Cache to cache: request hop + owner supply + data hop.
+	if got := c.NetHopNS + c.CacheSupplyNS + c.NetHopNS; got != 125 {
 		t.Errorf("cache-to-cache latency %d ns, paper says 125", got)
 	}
 }

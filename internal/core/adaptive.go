@@ -1,16 +1,21 @@
-// Adaptive scheduling: the round-based drivers behind internal/sampling.
+// Adaptive scheduling: the one round-based driver behind
+// internal/sampling.
 //
 // The fixed-N methodology spends Experiment.Runs on every
-// configuration. The adaptive drivers here submit runs in rounds
-// instead, consulting the sampling package's pure decision procedures
-// at a barrier after each round — once the index-ordered merge of the
-// round is in hand — and stop, re-budget or prune from there. The
-// determinism contract (docs/SAMPLING.md): every executed run keeps
-// the exact (experiment, config hash, derived seed, run index)
-// identity the fixed-N path would give it, decisions depend only on
-// merged values (never completion order), and every decision is
-// journaled (journal.StatusDecision) so a -resume replays the same
-// stop/prune choices.
+// configuration. The adaptive scheduler submits runs in rounds instead:
+// a run phase in which every arm takes the round its last decision
+// scheduled, then a barrier at which — the index-ordered merge of the
+// round in hand — the sampling package's pure decision procedures say
+// who stops, who continues and with how many runs. Two barrier policies
+// sit over that one engine: per-arm Decide plus Prune (AdaptiveMatrix,
+// of which AdaptiveSpace is the one-arm case) and the joint
+// StratifiedDecide with its per-stratum allocation
+// (AdaptiveTimeSample). The determinism contract (docs/SAMPLING.md):
+// every executed run keeps the exact (experiment, config hash, derived
+// seed, run index) identity the fixed-N path would give it, decisions
+// depend only on merged values (never completion order), and every
+// decision is journaled (journal.StatusDecision) so a -resume replays
+// the same stop/prune choices.
 
 package core
 
@@ -21,19 +26,19 @@ import (
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
+	"varsim/internal/rng"
 	"varsim/internal/sampling"
-	"varsim/internal/stats"
 )
 
-// ObserveOnce returns a copy of the bundle whose Observe hook fires at
-// most once per run key. The adaptive drivers wrap their resilience
+// observeOnce returns a copy of the bundle whose Observe hook fires at
+// most once per run key. The adaptive scheduler wraps its resilience
 // with it: under -resume a journaled prefix can overlap an in-flight
 // round (a decision record lost to a torn write makes the driver
 // resubmit a round whose runs partially replay), and without the guard
 // the precision tracker would double-count the overlap — once from the
 // cached replay and once from the live completion. Safe for the
 // concurrent calls fleet workers make.
-func (r Resilience) ObserveOnce() Resilience {
+func (r Resilience) observeOnce() Resilience {
 	fn := r.Observe
 	if fn == nil {
 		return r
@@ -52,71 +57,124 @@ func (r Resilience) ObserveOnce() Resilience {
 	return r
 }
 
-// Rounds drives one arm of an adaptive schedule: successive Next calls
-// execute (or replay) the arm's next k runs, [Plan.Lo, Plan.Lo+k).
+// arm is one line of an adaptive schedule — a configuration of a matrix
+// or a stratum of a time sample: the runs it takes round by round, the
+// space they accumulate into, and the report line and journaled
+// decisions that settle it.
+//
 // Each run keeps the identity a fixed-N Branch would assign it — seed
 // and journal key derive from its global index — so a space assembled
 // round by round is record-for-record the same space run fixed-N. The
-// checkpoint is built lazily through Base, so an arm whose rounds
-// replay wholly from the journal never pays its warmup. Finished
-// branches are handed on from round to round (Plan's pool, made on the
-// first round unless the caller's arms share one), so only the first
-// round's first branches allocate their cache pages.
-type Rounds struct {
-	// Plan describes the arm's runs. Next sets Plan.N per round and
-	// advances Plan.Lo, which is thus the runs taken so far.
-	Plan       BranchPlan
-	ConfigHash string
-	// Base lazily provides the warmed checkpoint machine; it is called
-	// at most once, on the first round that needs a live run.
-	Base func() (*machine.Machine, error)
+// checkpoint is built lazily, so an arm whose rounds replay wholly from
+// the journal never pays its warmup, and finished branches are handed
+// on from round to round and arm to arm (plan's pool), so only a
+// schedule's first branches allocate their cache pages.
+type arm struct {
+	// plan describes the arm's runs and carries its resilience; next
+	// sets plan.N per round and advances plan.Lo, which is thus the runs
+	// taken so far. Its Label and SeedBase also file the arm's decisions.
+	plan    BranchPlan
+	cfgHash string
+	// base provides the warmed checkpoint machine; it is called at most
+	// once, by the first round that needs a live run.
+	base func() (*machine.Machine, error)
+	ckpt *machine.Machine
 
-	base *machine.Machine
+	sp  Space
+	rep sampling.Arm // rep.Rounds is the barrier decisions taken
+	// want is the size of the arm's next round. A matrix arm is settled
+	// once it is 0; a stratum merely sits a round out.
+	want int
 }
 
-// Next runs the arm's next k runs, returning their results in index
-// order. On a graceful drain it returns the completed subset, the
-// global indices that never ran, and the *fleet.Incomplete error; the
-// round is not counted as taken, so a resumed driver resubmits it.
-func (r *Rounds) Next(k int) ([]machine.Result, []int, error) {
-	if k <= 0 {
-		return nil, nil, nil
+// arm is the experiment as an adaptive arm: its space plan under the
+// once-only observer, checkpoint prepared on demand, branches handed on
+// through spent.
+func (e Experiment) arm(spent *fleet.Pool[*machine.Machine]) *arm {
+	p := e.spacePlan()
+	p.Resilience = e.Resilience.observeOnce()
+	p.spent = spent
+	cfgHash := journal.ConfigHash(e.Config)
+	return &arm{
+		plan: p, cfgHash: cfgHash, base: e.Prepare,
+		sp:  Space{Label: e.Label},
+		rep: sampling.Arm{Experiment: e.Label, ConfigHash: cfgHash, FixedN: e.Runs, Status: sampling.StatusIncomplete},
 	}
-	r.Plan.N = k
-	if r.Plan.spent == nil {
-		r.Plan.spent = new(fleet.Pool[*machine.Machine])
+}
+
+// next runs (or replays) the arm's next want runs, [plan.Lo,
+// plan.Lo+want), and folds them into its space in index order. On a
+// graceful drain the space keeps the completed subset and lists the
+// global indices that never ran, and the *fleet.Incomplete error is
+// returned; the round is not counted as taken, so a resumed schedule
+// resubmits it.
+func (a *arm) next() error {
+	if a.want <= 0 {
+		return nil
 	}
-	b, err := replayOrBranch(r.ConfigHash, r.checkpoint, r.Plan)
-	if err == nil {
-		r.Plan.Lo += k
-	}
+	a.plan.N = a.want
+	b, err := replayOrBranch(a.cfgHash, a.checkpoint, a.plan)
 	sp := b.Space()
-	return sp.Results, sp.Missing, err
+	a.sp.Values = append(a.sp.Values, sp.Values...)
+	a.sp.Results = append(a.sp.Results, sp.Results...)
+	a.rep.Executed = len(a.sp.Values)
+	if err != nil {
+		a.sp.Missing = sp.Missing
+		return err
+	}
+	a.plan.Lo += a.want
+	return nil
 }
 
 // checkpoint builds the arm's base on first use.
-func (r *Rounds) checkpoint() (*machine.Machine, error) {
-	if r.base == nil {
+func (a *arm) checkpoint() (*machine.Machine, error) {
+	if a.ckpt == nil {
 		var err error
-		if r.base, err = r.Base(); err != nil {
+		if a.ckpt, err = a.base(); err != nil {
 			return nil, err
 		}
 	}
-	return r.base, nil
+	return a.ckpt, nil
 }
 
-// BarrierDecision is the replay-first decision point: if the resume
-// cache holds a journaled decision under key, that decision is applied
-// verbatim — the -resume contract that an interrupted run's stop and
-// prune choices replay exactly. Otherwise compute() derives it from
-// the merged values and the result is journaled for the next resume.
-func BarrierDecision(res Resilience, key journal.Key, compute func() sampling.Decision) sampling.Decision {
+// run is the schedule's run phase: the arms take their rounds in input
+// order, each round fanned out over the arm's fleet workers, up to the
+// first one a drain or a failed run cuts short.
+func run(arms []*arm) error {
+	for _, a := range arms {
+		if err := a.next(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// live reports whether any arm still has a round to take.
+func live(arms []*arm) bool {
+	for _, a := range arms {
+		if a.want > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// decide is the replay-first decision point: if the resume cache holds
+// a journaled decision for the arm's next barrier, that decision is
+// applied verbatim — the -resume contract that an interrupted run's
+// stop and prune choices replay exactly. Otherwise compute derives it
+// from the merged values and the result is journaled for the next
+// resume. Either way the decision is folded into the arm.
+func (a *arm) decide(compute func(round int) sampling.Decision) sampling.Decision {
+	res := a.plan.Resilience
+	key := sampling.DecisionKey(a.plan.Label, a.cfgHash, a.plan.SeedBase, a.rep.Rounds)
 	if rec, ok := res.Cache.Decision(key); ok {
 		if d, err := sampling.DecodeDecision(rec); err == nil {
+			a.apply(d)
 			return d
 		}
 	}
-	d := compute()
+	d := compute(a.rep.Rounds)
 	if res.Journal != nil {
 		if rec, err := sampling.EncodeDecision(key, d); err == nil {
 			// Append errors are sticky on the writer; the CLIs check
@@ -125,255 +183,96 @@ func BarrierDecision(res Resilience, key journal.Key, compute func() sampling.De
 			res.Journal.Append(rec)
 		}
 	}
+	a.apply(d)
 	return d
+}
+
+// apply folds one barrier decision into the arm: the report line, the
+// next round's size and, for a terminal action, the status and the runs
+// its fixed-N baseline would still have spent.
+func (a *arm) apply(d sampling.Decision) {
+	a.rep.Rounds++
+	a.rep.RelPct, a.rep.Needed = d.RelPct, d.Needed
+	a.want = d.Next // 0 unless the action is to continue (Decision.Validate)
+	switch d.Action {
+	case sampling.ActionContinue:
+		return
+	case sampling.ActionStop:
+		a.rep.Status = sampling.StatusConverged
+	case sampling.ActionPrune:
+		a.rep.Status = sampling.StatusPruned
+	default:
+		a.rep.Status = sampling.StatusBudget
+	}
+	a.ckpt, a.base = nil, nil // the arm's checkpoint is no use to the arms still running
+	sampling.CountSettle(a.rep.FixedN-a.rep.Executed, d.Action == sampling.ActionPrune)
+}
+
+// publish assembles the arms' report, in input order, and refreshes the
+// live sampling surface with it — observe-only, never an input to a
+// decision.
+func publish(t sampling.Target, arms []*arm) sampling.Report {
+	rep := sampling.Report{Target: t, Arms: make([]sampling.Arm, len(arms))}
+	for i, a := range arms {
+		rep.Arms[i] = a.rep
+	}
+	rep.Finalize()
+	sampling.Publish(rep)
+	return rep
 }
 
 // AdaptiveSpace runs the experiment under the adaptive stopping rule:
 // a MinRuns pilot round, then rounds sized by the §5.1.1 estimate
 // until the CI half-width meets the target (or the MaxRuns budget is
-// spent). Experiment.Runs is the fixed-N baseline the returned arm's
-// runs-saved accounting compares against; the space holds exactly the
-// runs executed, each under its fixed-N identity.
+// spent) — the one-arm AdaptiveMatrix. Experiment.Runs is the fixed-N
+// baseline the returned arm's runs-saved accounting compares against;
+// the space holds exactly the runs executed, each under its fixed-N
+// identity.
 func (e Experiment) AdaptiveSpace(t sampling.Target) (Space, sampling.Arm, error) {
-	t = t.Normalize()
-	arm := sampling.Arm{Experiment: e.Label, FixedN: e.Runs, Status: sampling.StatusIncomplete}
-	if err := e.Validate(); err != nil {
-		return Space{}, arm, err
+	spaces, rep, err := AdaptiveMatrix([]Experiment{e}, t)
+	if len(spaces) == 0 {
+		return Space{}, sampling.Arm{Experiment: e.Label, FixedN: e.Runs, Status: sampling.StatusIncomplete}, err
 	}
-	res := e.Resilience.ObserveOnce()
-	rounds := e.rounds(res)
-	cfgHash := rounds.ConfigHash
-	arm.ConfigHash = cfgHash
-	sp := Space{Label: e.Label}
-	next := t.MinRuns
-	for round := 0; ; round++ {
-		results, missing, err := rounds.Next(next)
-		for _, r := range results {
-			sp.Values = append(sp.Values, r.CPT)
-			sp.Results = append(sp.Results, r)
-		}
-		arm.Executed = len(sp.Values)
-		if err != nil {
-			sp.Missing = missing
-			arm.Rounds = round
-			publishArm(t, arm)
-			return sp, arm, err
-		}
-		sampling.CountRound(next)
-		key := sampling.DecisionKey(e.Label, cfgHash, e.SeedBase, round)
-		d := BarrierDecision(res, key, func() sampling.Decision {
-			return sampling.Decide(sp.Values, round, t)
-		})
-		arm.Rounds = round + 1
-		arm.RelPct, arm.Needed = d.RelPct, d.Needed
-		switch d.Action {
-		case sampling.ActionContinue:
-			next = d.Next
-			publishArm(t, arm)
-		case sampling.ActionStop:
-			arm.Status = sampling.StatusConverged
-			sampling.CountSettle(arm.FixedN-arm.Executed, false)
-			publishArm(t, arm)
-			return sp, arm, nil
-		default: // ActionBudget; Decide never prunes a lone arm
-			arm.Status = sampling.StatusBudget
-			sampling.CountSettle(arm.FixedN-arm.Executed, false)
-			publishArm(t, arm)
-			return sp, arm, nil
-		}
-	}
-}
-
-// rounds is the experiment as an adaptive arm: its space plan under the
-// given resilience, checkpoint prepared on demand.
-func (e Experiment) rounds(res Resilience) *Rounds {
-	p := e.spacePlan()
-	p.Resilience = res
-	return &Rounds{Plan: p, ConfigHash: journal.ConfigHash(e.Config), Base: e.Prepare}
-}
-
-// publishArm refreshes the live sampling surface with a single-arm
-// report — observe-only, never an input to a decision.
-func publishArm(t sampling.Target, arm sampling.Arm) {
-	rep := sampling.Report{Target: t, Arms: []sampling.Arm{arm}}
-	rep.Finalize()
-	sampling.Publish(rep)
-}
-
-// matrixArm is AdaptiveMatrix's per-configuration state.
-type matrixArm struct {
-	rounds  *Rounds
-	sp      Space
-	arm     sampling.Arm
-	e       Experiment
-	res     Resilience
-	round   int // barrier decisions taken
-	want    int // runs the last decision scheduled (0 once settled)
-	settled bool
-}
-
-// settle marks the arm terminal with the given status and books the
-// runs its fixed-N baseline would still have spent.
-func (a *matrixArm) settle(status string) {
-	a.settled = true
-	a.want = 0
-	a.rounds = nil // the arm's checkpoint is no use to the arms still running
-	a.arm.Status = status
-	sampling.CountSettle(a.arm.FixedN-a.arm.Executed, status == sampling.StatusPruned)
-}
-
-// apply folds one barrier decision into the arm's state.
-func (a *matrixArm) apply(d sampling.Decision) {
-	a.round = d.Round + 1
-	a.arm.Rounds = a.round
-	a.arm.RelPct, a.arm.Needed = d.RelPct, d.Needed
-	switch d.Action {
-	case sampling.ActionContinue:
-		a.want = d.Next
-	case sampling.ActionStop:
-		a.settle(sampling.StatusConverged)
-	case sampling.ActionPrune:
-		a.settle(sampling.StatusPruned)
-	default:
-		a.settle(sampling.StatusBudget)
-	}
+	return spaces[0], rep.Arms[0], err
 }
 
 // AdaptiveMatrix runs a configuration matrix (one experiment per
-// configuration, typically sharing a workload) under a shared run
-// budget — the two-phase design: a MinRuns pilot round sizes each
-// arm's CoV, then each cycle allocates the remaining budget
-// Neyman-style across the arms still in play and prunes every arm
-// whose confidence interval has separated from the best arm's. The
-// budget is Target.Budget runs in total (default: the sum of the
-// arms' fixed-N runs); exhausting it settles the survivors with
-// ActionBudget.
+// configuration, typically sharing a workload) — the two-phase design:
+// a MinRuns pilot round sizes each arm's CoV, then each cycle runs the
+// round every live arm's own stopping rule scheduled and prunes every
+// arm whose confidence interval has separated from the best arm's. Each
+// arm spends up to Target.MaxRuns; there is no budget across arms.
 //
 // Spaces and the report list arms in input order. A graceful drain
 // marks the interrupted and unstarted arms incomplete and returns the
 // partial spaces with the *fleet.Incomplete error.
 func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Report, error) {
 	t = t.Normalize()
-	rep := sampling.Report{Target: t}
 	if len(es) == 0 {
-		return nil, rep, errors.New("core: adaptive matrix needs at least one experiment")
-	}
-	arms := make([]*matrixArm, len(es))
-	budget := t.Budget
-	if budget <= 0 {
-		budget = 0
-		for _, e := range es {
-			budget += e.Runs
-		}
-	}
-	if floor := len(es) * t.MinRuns; budget < floor {
-		budget = floor // the pilot phase always completes
+		return nil, sampling.Report{Target: t}, errors.New("core: adaptive matrix needs at least one experiment")
 	}
 	// The arms take turns, so one pool serves them all: a branch is taken
 	// over a spent one of any configuration (machine.SnapshotOver).
 	var spent fleet.Pool[*machine.Machine]
+	arms := make([]*arm, len(es))
 	for i, e := range es {
 		if err := e.Validate(); err != nil {
-			return nil, rep, err
+			return nil, sampling.Report{Target: t}, err
 		}
-		res := e.Resilience.ObserveOnce()
-		rounds := e.rounds(res)
-		rounds.Plan.spent = &spent
-		arms[i] = &matrixArm{
-			e: e, res: res, want: t.MinRuns,
-			sp:     Space{Label: e.Label},
-			arm:    sampling.Arm{Experiment: e.Label, ConfigHash: rounds.ConfigHash, FixedN: e.Runs, Status: sampling.StatusIncomplete},
-			rounds: rounds,
-		}
+		arms[i] = e.arm(&spent)
+		arms[i].want = t.MinRuns
 	}
-	executed := 0
-	finish := func(incomplete error) ([]Space, sampling.Report, error) {
-		spaces := make([]Space, len(arms))
-		rep.Arms = make([]sampling.Arm, len(arms))
-		for i, a := range arms {
-			spaces[i] = a.sp
-			rep.Arms[i] = a.arm
-		}
-		rep.Finalize()
-		sampling.Publish(rep)
-		return spaces, rep, incomplete
-	}
-	for {
-		// Replay-first: a journaled decision whose N equals the arm's
-		// current sample took no runs before it (a prune or a
-		// budget-exhaustion settle); apply it before spending budget.
-		live := make([]*matrixArm, 0, len(arms))
-		for _, a := range arms {
-			if a.settled {
-				continue
-			}
-			key := sampling.DecisionKey(a.e.Label, a.arm.ConfigHash, a.e.SeedBase, a.round)
-			if rec, ok := a.res.Cache.Decision(key); ok {
-				if d, err := sampling.DecodeDecision(rec); err == nil &&
-					d.N == len(a.sp.Values) && d.Action != sampling.ActionContinue {
-					a.apply(d)
-					continue
-				}
-			}
-			live = append(live, a)
-		}
-		if len(live) == 0 {
+	var err error
+	for live(arms) {
+		if err = run(arms); err != nil {
 			break
-		}
-		// Allocation: everyone gets what their decision scheduled while
-		// the budget lasts; a scarce budget is split Neyman-style.
-		remaining := budget - executed
-		if remaining <= 0 {
-			for _, a := range live {
-				key := sampling.DecisionKey(a.e.Label, a.arm.ConfigHash, a.e.SeedBase, a.round)
-				d := BarrierDecision(a.res, key, func() sampling.Decision {
-					d := sampling.Decide(a.sp.Values, a.round, t)
-					if d.Action == sampling.ActionContinue {
-						d.Action, d.Next, d.Alloc = sampling.ActionBudget, 0, nil
-					}
-					return d
-				})
-				a.apply(d)
-			}
-			break
-		}
-		chunks := matrixChunks(live, remaining, t)
-		// Run phase: arms run their chunks in input order, each chunk
-		// fanned out over the arm's fleet workers.
-		var drained error
-		for i, a := range live {
-			if chunks[i] <= 0 {
-				continue
-			}
-			results, missing, err := a.rounds.Next(chunks[i])
-			for _, r := range results {
-				a.sp.Values = append(a.sp.Values, r.CPT)
-				a.sp.Results = append(a.sp.Results, r)
-			}
-			a.arm.Executed = len(a.sp.Values)
-			executed += len(results)
-			if err != nil {
-				a.sp.Missing = missing
-				drained = err
-				break
-			}
-			sampling.CountRound(chunks[i])
-		}
-		if drained != nil {
-			return finish(drained)
 		}
 		// Barrier phase: index-ordered decisions over the merged values.
-		for i, a := range live {
-			if chunks[i] <= 0 || a.settled {
-				continue
+		for _, a := range arms {
+			if a.want > 0 {
+				sampling.CountRound(a.want)
+				a.decide(func(round int) sampling.Decision { return sampling.Decide(a.sp.Values, round, t) })
 			}
-			key := sampling.DecisionKey(a.e.Label, a.arm.ConfigHash, a.e.SeedBase, a.round)
-			round := a.round
-			values := a.sp.Values
-			d := BarrierDecision(a.res, key, func() sampling.Decision {
-				return sampling.Decide(values, round, t)
-			})
-			a.apply(d)
 		}
 		// Prune phase: an arm whose CI separated from the best arm's
 		// cannot win the comparison; settled arms still anchor the best.
@@ -381,62 +280,87 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 		for i, a := range arms {
 			samples[i] = a.sp.Values
 		}
-		flags := sampling.Prune(samples, t.Confidence)
-		for i, a := range arms {
-			if a.settled || !flags[i] {
-				continue
+		for i, pruned := range sampling.Prune(samples, t.Confidence) {
+			if a := arms[i]; pruned && a.want > 0 {
+				a.decide(func(round int) sampling.Decision {
+					d := sampling.Decide(a.sp.Values, round, t)
+					d.Action, d.Next, d.Alloc = sampling.ActionPrune, 0, nil
+					return d
+				})
 			}
-			key := sampling.DecisionKey(a.e.Label, a.arm.ConfigHash, a.e.SeedBase, a.round)
-			round := a.round
-			values := a.sp.Values
-			d := BarrierDecision(a.res, key, func() sampling.Decision {
-				d := sampling.Decide(values, round, t)
-				d.Action, d.Next, d.Alloc = sampling.ActionPrune, 0, nil
-				return d
-			})
-			a.apply(d)
 		}
-		// Live surface refresh at the cycle barrier.
-		snapshot := sampling.Report{Target: t, Arms: make([]sampling.Arm, len(arms))}
-		for i, a := range arms {
-			snapshot.Arms[i] = a.arm
-		}
-		snapshot.Finalize()
-		sampling.Publish(snapshot)
+		publish(t, arms) // live surface refresh at the cycle barrier
 	}
-	return finish(nil)
+	spaces := make([]Space, len(arms))
+	for i, a := range arms {
+		spaces[i] = a.sp
+	}
+	return spaces, publish(t, arms), err
 }
 
-// matrixChunks sizes each live arm's next round. When the scheduled
-// wants fit the remaining budget everyone proceeds as decided; when
-// they do not, the remainder is Neyman-allocated by each arm's
-// standard deviation (capped at its want), concentrating the last runs
-// where the variance lives. At least one run is always assigned so a
-// scarce budget still drains to zero deterministically.
-func matrixChunks(live []*matrixArm, remaining int, t sampling.Target) []int {
-	wants := make([]int, len(live))
-	total := 0
-	for i, a := range live {
-		wants[i] = a.want
-		total += a.want
+// AdaptiveTimeSample is the stratified counterpart of TimeSample: the
+// checkpoints are strata of the workload's lifetime (§5.2), replication
+// is scheduled adaptively on the equal-weight stratified estimator
+// (sampling.StratifiedDecide / stats.StratifiedCI), and each stratum is
+// an arm whose base is warmed once, on the first round that must
+// execute a run, every run a copy-on-write branch of it.
+//
+// Per-stratum run identities are TimeSample's (stratumPlan), so a
+// journal written fixed-N replays into the adaptive schedule and vice
+// versa. The strata are decided jointly: one barrier decision a round,
+// journaled under the synthetic label "<label>@strat", and one report
+// line. Target.MinRuns/MaxRuns apply per stratum; e.Runs per stratum is
+// the fixed-N baseline the line's runs-saved accounting uses.
+func (e Experiment) AdaptiveTimeSample(checkpoints []int64, t sampling.Target) ([]Space, sampling.Arm, error) {
+	t = t.Normalize()
+	h := len(checkpoints)
+	// The joint arm takes no runs of its own: it is the strata's
+	// decision sequence and their line in the report.
+	joint := e.arm(nil)
+	joint.plan.Label += "@strat"
+	joint.rep.FixedN = e.Runs * h
+	if err := e.validateCheckpoints(checkpoints); err != nil {
+		return nil, joint.rep, err
 	}
-	if total <= remaining {
-		return wants
-	}
-	sds := make([]float64, len(live))
-	for i, a := range live {
-		sds[i] = stats.StdDev(a.sp.Values)
-	}
-	chunks := sampling.NeymanAllocate(sds, remaining)
-	assigned := 0
-	for i := range chunks {
-		if chunks[i] > wants[i] {
-			chunks[i] = wants[i]
+	var spent fleet.Pool[*machine.Machine]
+	strata := make([]*arm, h)
+	for ci, ck := range checkpoints {
+		p := e.stratumPlan(ci, ck)
+		p.Resilience, p.spent = joint.plan.Resilience, &spent
+		strata[ci] = &arm{
+			plan: p, cfgHash: joint.cfgHash, sp: Space{Label: p.Label},
+			want: t.MinRuns, // the pilot: every stratum earns a CI
+			base: func() (*machine.Machine, error) {
+				return NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), ck)
+			},
 		}
-		assigned += chunks[i]
 	}
-	if assigned == 0 {
-		chunks[0] = 1
+	spaces := make([]Space, h)
+	values := make([][]float64, h)
+	for joint.rep.Status == sampling.StatusIncomplete {
+		err := run(strata)
+		ran := 0
+		joint.rep.Executed = 0
+		for ci, a := range strata {
+			spaces[ci], values[ci] = a.sp, a.sp.Values
+			ran += a.want
+			joint.rep.Executed += len(a.sp.Values)
+		}
+		if err != nil {
+			return spaces, joint.rep, err
+		}
+		sampling.CountRound(ran)
+		d := joint.decide(func(round int) sampling.Decision { return sampling.StratifiedDecide(values, round, t) })
+		for ci, a := range strata {
+			if len(d.Alloc) == h {
+				a.want = d.Alloc[ci]
+			} else {
+				// A journaled decision without a per-stratum split (or a
+				// stratum-count mismatch) falls back to an even spread,
+				// the remainder to the first strata.
+				a.want = (d.Next + h - 1 - ci) / h
+			}
+		}
 	}
-	return chunks
+	return spaces, joint.rep, nil
 }

@@ -51,15 +51,28 @@ func adaptiveExperiment(workers int) core.Experiment {
 	}
 }
 
-// renderAdaptive is the byte-identity surface: the space plus the
-// adaptive report built from the arm.
-func renderAdaptive(sp core.Space, arm sampling.Arm, t sampling.Target) []byte {
-	var buf bytes.Buffer
-	report.WriteSpace(&buf, sp)
+// oneArmReport is the report of a schedule that settles as one line.
+func oneArmReport(t sampling.Target, arm sampling.Arm) sampling.Report {
 	rep := sampling.Report{Target: t.Normalize(), Arms: []sampling.Arm{arm}}
 	rep.Finalize()
+	return rep
+}
+
+// renderShape is the byte-identity surface of an adaptive schedule's
+// outcome: every space through WriteSpace, then the report through
+// WriteSampling.
+func renderShape(spaces []core.Space, rep sampling.Report) []byte {
+	var buf bytes.Buffer
+	for _, sp := range spaces {
+		report.WriteSpace(&buf, sp)
+	}
 	report.WriteSampling(&buf, rep)
 	return buf.Bytes()
+}
+
+// renderAdaptive is renderShape for a lone arm.
+func renderAdaptive(sp core.Space, arm sampling.Arm, t sampling.Target) []byte {
+	return renderShape([]core.Space{sp}, oneArmReport(t, arm))
 }
 
 // TestAdaptiveWidthByteIdentical pins the barrier contract: decisions
@@ -119,80 +132,164 @@ func TestAdaptiveRunIdentityMatchesFixedN(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKillAndResumeByteIdentical drains an adaptive run
-// mid-flight and resumes it from the journal: the resumed schedule
-// must replay the journaled runs and decisions and end byte-identical
-// to an uninterrupted run, at every fleet width.
-func TestAdaptiveKillAndResumeByteIdentical(t *testing.T) {
-	tgt := adaptiveTarget()
-	base := adaptiveExperiment(1)
-	bsp, barm, err := base.AdaptiveSpace(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderAdaptive(bsp, barm, tgt)
+// adaptiveShape is one shape of adaptive schedule — the engine under one
+// of its barrier policies — run at a fleet width under a resilience
+// bundle.
+type adaptiveShape struct {
+	name string
+	run  func(width int, res core.Resilience) ([]core.Space, sampling.Report, error)
+}
 
+// dramMatrix is the three-arm matrix whose configurations separate:
+// DRAM supply latency swept far apart, so the slow arms are pruned.
+func dramMatrix(width int) []core.Experiment {
+	es := make([]core.Experiment, 3)
+	for i, supply := range []int64{80, 400, 800} {
+		e := adaptiveExperiment(width)
+		e.Label = [3]string{"dram-80", "dram-400", "dram-800"}[i]
+		e.Config.MemSupplyNS = supply
+		es[i] = e
+	}
+	return es
+}
+
+// adaptiveShapes are the lone arm, the pruning matrix and the
+// two-checkpoint stratified time sample.
+func adaptiveShapes() []adaptiveShape {
+	return []adaptiveShape{
+		{"lone-arm", func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
+			e := adaptiveExperiment(width)
+			e.Resilience = res
+			sp, arm, err := e.AdaptiveSpace(adaptiveTarget())
+			return []core.Space{sp}, oneArmReport(adaptiveTarget(), arm), err
+		}},
+		{"matrix", func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
+			es := dramMatrix(width)
+			for i := range es {
+				es[i].Resilience = res
+			}
+			return core.AdaptiveMatrix(es, adaptiveTarget())
+		}},
+		{"stratified", func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
+			e := stratifiedExperiment(width)
+			e.Resilience = res
+			spaces, arm, err := e.AdaptiveTimeSample([]int64{20, 40}, stratifiedTarget())
+			return spaces, oneArmReport(stratifiedTarget(), arm), err
+		}},
+	}
+}
+
+// barriers sums the barrier decisions the report's arms took.
+func barriers(rep sampling.Report) int {
+	n := 0
+	for _, a := range rep.Arms {
+		n += a.Rounds
+	}
+	return n
+}
+
+// TestAdaptiveKillAndResumeByteIdentical drains every shape of adaptive
+// schedule mid-flight and resumes it from the journal: the resumed
+// schedule must replay the journaled runs and decisions and end
+// byte-identical to an uninterrupted run. At width 1 the drain is
+// exact, so it is pulled after every run count short of the whole
+// schedule — inside every round and at every barrier, the matrix's
+// prunes among the decisions replayed; wider fleets finish what is in
+// flight, so they are drained once, inside the pilot.
+func TestAdaptiveKillAndResumeByteIdentical(t *testing.T) {
 	for _, width := range []int{1, 4, runtime.NumCPU()} {
 		t.Run(label(width), func(t *testing.T) {
-			dir := t.TempDir()
-			jw, err := journal.CreateDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hook := &faultinject.Hook{StopAfter: 2, Stop: make(chan struct{})}
-			e := adaptiveExperiment(width)
-			e.Resilience = core.Resilience{Journal: jw, Stop: hook.Stop, TestHook: hook}
-			part, parm, err := e.AdaptiveSpace(tgt)
-			var inc *fleet.Incomplete
-			if !errors.As(err, &inc) {
-				t.Fatalf("drained adaptive run returned %v, want *fleet.Incomplete", err)
-			}
-			if parm.Status != sampling.StatusIncomplete {
-				t.Fatalf("drained arm status = %s, want %s", parm.Status, sampling.StatusIncomplete)
-			}
-			if got := renderAdaptive(part, parm, tgt); !bytes.Contains(got, []byte("INCOMPLETE")) {
-				t.Fatalf("partial adaptive report missing INCOMPLETE banner:\n%s", got)
-			}
-			if jerr := jw.Err(); jerr != nil {
-				t.Fatalf("journal writer failed during drain: %v", jerr)
-			}
-			// No jw.Close(): a killed process never closes its journal.
-
-			jc, jw2, err := journal.OpenDir(dir, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if jc.Len() != len(part.Values) {
-				t.Fatalf("journal replayed %d run records, drained run settled %d", jc.Len(), len(part.Values))
-			}
-			r := adaptiveExperiment(width)
-			r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-			full, farm, err := r.AdaptiveSpace(tgt)
-			if err != nil {
-				t.Fatalf("resume failed: %v", err)
-			}
-			if cerr := jw2.Close(); cerr != nil {
-				t.Fatalf("resume journal close: %v", cerr)
-			}
-			if got := renderAdaptive(full, farm, tgt); !bytes.Equal(got, want) {
-				t.Errorf("resumed adaptive run differs from uninterrupted run at width %d\n got:\n%s\nwant:\n%s",
-					width, got, want)
-			}
-			// The finished journal carries one decision per barrier; a
-			// second resume replays the schedule without running anything.
-			jc2, jw3, err := journal.OpenDir(dir, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer jw3.Close()
-			if jc2.DecisionLen() != farm.Rounds {
-				t.Errorf("journal holds %d decisions, schedule took %d barriers", jc2.DecisionLen(), farm.Rounds)
-			}
-			if jc2.Len() != farm.Executed {
-				t.Errorf("journal holds %d run records, schedule executed %d", jc2.Len(), farm.Executed)
+			for _, shape := range adaptiveShapes() {
+				t.Run(shape.name, func(t *testing.T) {
+					bspaces, brep, err := shape.run(1, core.Resilience{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := renderShape(bspaces, brep)
+					if width != 1 {
+						killAndResume(t, shape, width, 2, brep, want)
+						return
+					}
+					prunesReplayed := 0
+					for stop := 1; stop < brep.Executed; stop++ {
+						prunesReplayed += killAndResume(t, shape, width, stop, brep, want)
+					}
+					if len(brep.Pruned) > 0 && prunesReplayed == 0 {
+						t.Error("no resume replayed a prune: the matrix's replay-first check never ran")
+					}
+				})
 			}
 		})
 	}
+}
+
+// killAndResume drains the shape after stop settled runs, resumes it
+// from the journal and holds the outcome to want, the uninterrupted
+// run's bytes (whose report is base). It returns how many of base's
+// prune decisions the resume found journaled.
+func killAndResume(t *testing.T, shape adaptiveShape, width, stop int, base sampling.Report, want []byte) int {
+	t.Helper()
+	dir := t.TempDir()
+	jw, err := journal.CreateDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := &faultinject.Hook{StopAfter: stop, Stop: make(chan struct{})}
+	pspaces, prep, err := shape.run(width, core.Resilience{Journal: jw, Stop: hook.Stop, TestHook: hook})
+	var inc *fleet.Incomplete
+	if !errors.As(err, &inc) {
+		t.Fatalf("width %d, stop %d: drained run returned %v, want *fleet.Incomplete", width, stop, err)
+	}
+	if !prep.Incomplete {
+		t.Fatalf("width %d, stop %d: drained report is not marked incomplete: %+v", width, stop, prep.Arms)
+	}
+	if got := renderShape(pspaces, prep); !bytes.Contains(got, []byte("INCOMPLETE")) {
+		t.Fatalf("width %d, stop %d: partial report missing INCOMPLETE banner:\n%s", width, stop, got)
+	}
+	if jerr := jw.Err(); jerr != nil {
+		t.Fatalf("journal writer failed during drain: %v", jerr)
+	}
+	// No jw.Close(): a killed process never closes its journal.
+
+	jc, jw2, err := journal.OpenDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jc.Len() != prep.Executed {
+		t.Fatalf("width %d, stop %d: journal replayed %d run records, drained run settled %d", width, stop, jc.Len(), prep.Executed)
+	}
+	prunes := 0
+	for _, a := range base.Arms {
+		// A pruned arm's last decision is its prune.
+		key := sampling.DecisionKey(a.Experiment, a.ConfigHash, adaptiveExperiment(1).SeedBase, a.Rounds-1)
+		if _, ok := jc.Decision(key); ok && a.Status == sampling.StatusPruned {
+			prunes++
+		}
+	}
+	fspaces, frep, err := shape.run(width, core.Resilience{Journal: jw2, Cache: jc})
+	if err != nil {
+		t.Fatalf("width %d, stop %d: resume failed: %v", width, stop, err)
+	}
+	if cerr := jw2.Close(); cerr != nil {
+		t.Fatalf("resume journal close: %v", cerr)
+	}
+	if got := renderShape(fspaces, frep); !bytes.Equal(got, want) {
+		t.Errorf("width %d, stop %d: resumed run differs from uninterrupted run\n got:\n%s\nwant:\n%s", width, stop, got, want)
+	}
+	// The finished journal carries one decision per barrier; a
+	// second resume replays the schedule without running anything.
+	jc2, jw3, err := journal.OpenDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw3.Close()
+	if jc2.DecisionLen() != barriers(frep) {
+		t.Errorf("width %d, stop %d: journal holds %d decisions, schedule took %d barriers", width, stop, jc2.DecisionLen(), barriers(frep))
+	}
+	if jc2.Len() != frep.Executed {
+		t.Errorf("width %d, stop %d: journal holds %d run records, schedule executed %d", width, stop, jc2.Len(), frep.Executed)
+	}
+	return prunes
 }
 
 // TestAdaptiveShuffledCompletionByteIdentical shuffles host completion
@@ -284,80 +381,52 @@ func TestAdaptiveResumeObservesExactlyOnce(t *testing.T) {
 // through its final record — the settling decision — and resumes: the
 // recovery pass must drop the torn line, the driver must re-derive the
 // lost decision from the replayed values, and the result must stay
-// byte-identical to the uninterrupted run.
+// byte-identical to the uninterrupted run, in every shape.
 func TestAdaptiveResumeTornDecisionRecord(t *testing.T) {
-	tgt := adaptiveTarget()
-	dir := t.TempDir()
-	jw, err := journal.CreateDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := adaptiveExperiment(4)
-	e.Resilience = core.Resilience{Journal: jw}
-	sp, arm, err := e.AdaptiveSpace(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := renderAdaptive(sp, arm, tgt)
+	for _, shape := range adaptiveShapes() {
+		t.Run(shape.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jw, err := journal.CreateDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spaces, rep, err := shape.run(4, core.Resilience{Journal: jw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := renderShape(spaces, rep)
 
-	// Tear the file inside its last record. The final append is the
-	// settling barrier decision, so the truncation simulates a crash
-	// mid-decision-write.
-	path := filepath.Join(dir, journal.FileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Tear the file inside its last record. The final append is the
+			// settling barrier decision, so the truncation simulates a crash
+			// mid-decision-write.
+			path := filepath.Join(dir, journal.FileName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw[:len(raw)-10], 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	jc, jw2, err := journal.OpenDir(dir, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jw2.Close()
-	if jc.DecisionLen() >= arm.Rounds {
-		t.Fatalf("truncation did not tear a decision: %d decisions survive of %d", jc.DecisionLen(), arm.Rounds)
-	}
-	r := adaptiveExperiment(4)
-	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	full, farm, err := r.AdaptiveSpace(tgt)
-	if err != nil {
-		t.Fatalf("resume after torn decision failed: %v", err)
-	}
-	if got := renderAdaptive(full, farm, tgt); !bytes.Equal(got, want) {
-		t.Errorf("resume after torn decision differs from uninterrupted run\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestObserveOnce pins the deduplication guard itself: a wrapped
-// observer fires once per key however many times a replay overlap
-// repeats it, and a nil observer stays nil (the guard adds no cost to
-// the plain path).
-func TestObserveOnce(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[journal.Key]int{}
-	r := core.Resilience{Observe: func(k journal.Key, _ machine.Result) {
-		mu.Lock()
-		seen[k]++
-		mu.Unlock()
-	}}
-	once := r.ObserveOnce()
-	a := journal.Key{Experiment: "e", ConfigHash: "h", Seed: 1, Index: 0}
-	b := journal.Key{Experiment: "e", ConfigHash: "h", Seed: 2, Index: 1}
-	for i := 0; i < 3; i++ {
-		once.Observe(a, machine.Result{})
-		once.Observe(b, machine.Result{})
-	}
-	if seen[a] != 1 || seen[b] != 1 {
-		t.Errorf("observed a=%d b=%d times, want exactly once each", seen[a], seen[b])
-	}
-	if nilRes := (core.Resilience{}).ObserveOnce(); nilRes.Observe != nil {
-		t.Error("ObserveOnce invented an observer for the plain path")
+			jc, jw2, err := journal.OpenDir(dir, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jw2.Close()
+			if jc.DecisionLen() >= barriers(rep) {
+				t.Fatalf("truncation did not tear a decision: %d decisions survive of %d", jc.DecisionLen(), barriers(rep))
+			}
+			fspaces, frep, err := shape.run(4, core.Resilience{Journal: jw2, Cache: jc})
+			if err != nil {
+				t.Fatalf("resume after torn decision failed: %v", err)
+			}
+			if got := renderShape(fspaces, frep); !bytes.Equal(got, want) {
+				t.Errorf("resume after torn decision differs from uninterrupted run\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -368,29 +437,11 @@ func TestObserveOnce(t *testing.T) {
 // and the whole report renders byte-identically at every width.
 func TestAdaptiveMatrixWidthAndPruneDeterminism(t *testing.T) {
 	tgt := adaptiveTarget()
-	matrix := func(width int) []core.Experiment {
-		es := make([]core.Experiment, 3)
-		for i, supply := range []int64{80, 400, 800} {
-			e := adaptiveExperiment(width)
-			e.Label = [3]string{"dram-80", "dram-400", "dram-800"}[i]
-			e.Config.MemSupplyNS = supply
-			es[i] = e
-		}
-		return es
-	}
-	render := func(spaces []core.Space, rep sampling.Report) []byte {
-		var buf bytes.Buffer
-		for _, sp := range spaces {
-			report.WriteSpace(&buf, sp)
-		}
-		report.WriteSampling(&buf, rep)
-		return buf.Bytes()
-	}
-	spaces, rep, err := core.AdaptiveMatrix(matrix(1), tgt)
+	spaces, rep, err := core.AdaptiveMatrix(dramMatrix(1), tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := render(spaces, rep)
+	want := renderShape(spaces, rep)
 	if len(rep.Pruned) == 0 {
 		t.Error("no arm pruned: 10x DRAM latency spread should separate the intervals")
 	}
@@ -400,12 +451,39 @@ func TestAdaptiveMatrixWidthAndPruneDeterminism(t *testing.T) {
 		}
 	}
 	for _, width := range []int{4, runtime.NumCPU()} {
-		wspaces, wrep, err := core.AdaptiveMatrix(matrix(width), tgt)
+		wspaces, wrep, err := core.AdaptiveMatrix(dramMatrix(width), tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := render(wspaces, wrep); !bytes.Equal(got, want) {
+		if got := renderShape(wspaces, wrep); !bytes.Equal(got, want) {
 			t.Errorf("matrix differs at width %d\n got:\n%s\nwant:\n%s", width, got, want)
+		}
+	}
+}
+
+// TestAdaptiveMatrixArmsSpendIndependently pins the budget rule: there
+// is none across arms. Three copies of one configuration cannot
+// separate, the relative-error target is unreachable, so each arm
+// spends its own MaxRuns — 36 runs where a budget shared at the sum of
+// the fixed-N baselines (3 x 4) would have stopped the matrix after the
+// pilot.
+func TestAdaptiveMatrixArmsSpendIndependently(t *testing.T) {
+	var es []core.Experiment
+	for _, name := range []string{"a", "b", "c"} {
+		e := adaptiveExperiment(4)
+		e.Label, e.Runs = name, 4
+		es = append(es, e)
+	}
+	_, rep, err := core.AdaptiveMatrix(es, adaptiveTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Executed != 36 {
+		t.Errorf("matrix executed %d runs, want 3 arms x MaxRuns 12 = 36", rep.Executed)
+	}
+	for _, a := range rep.Arms {
+		if a.Executed != 12 || a.Status != sampling.StatusBudget {
+			t.Errorf("arm %s: %d runs, status %s; want 12 runs settled at its own budget", a.Experiment, a.Executed, a.Status)
 		}
 	}
 }

@@ -41,7 +41,7 @@ type BranchPlan struct {
 
 	// spent is the pool finished branches are handed on through (see
 	// branchJob). Nil scopes one to the call; a caller that branches
-	// call after call — Rounds, AdaptiveMatrix, TimeSample — sets its
+	// call after call — the adaptive scheduler, TimeSample — sets its
 	// own, so that a later call's first branches are taken over an
 	// earlier call's last.
 	spent *fleet.Pool[*machine.Machine]

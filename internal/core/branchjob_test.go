@@ -131,17 +131,16 @@ func TestRoundsRecycleAcrossRounds(t *testing.T) {
 		Label: "rounds", Config: cfg, Workload: "oltp", WorkloadSeed: 0xA1A3,
 		WarmupTxns: 2000, MeasureTxns: 5, Runs: 4 * perRound, SeedBase: 0x600D,
 	}
-	rounds := e.rounds(Resilience{})
-	var got []machine.Result
+	a := e.arm(new(fleet.Pool[*machine.Machine]))
 	for round := 0; round < 4; round++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		results, _, err := rounds.Next(perRound)
+		a.want = perRound
+		err := a.next()
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, results...)
 		// Round 0 builds the checkpoint and has nothing to build over.
 		if bytes := after.TotalAlloc - before.TotalAlloc; round > 0 && bytes > perRound*perBranch {
 			t.Errorf("round %d allocated %d bytes for %d branches, budget %d each", round, bytes, perRound, perBranch)
@@ -151,7 +150,7 @@ func TestRoundsRecycleAcrossRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want.Space().Results) {
+	if !reflect.DeepEqual(a.sp.Results, want.Space().Results) {
 		t.Error("the space taken round by round differs from the fixed-N one")
 	}
 }

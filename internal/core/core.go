@@ -159,12 +159,13 @@ type Experiment struct {
 	// the space. Serialized with the spec so a -resume replays the same
 	// cadence it journaled.
 	DigestIntervalNS int64 `json:"digest_interval_ns,omitempty"`
-	// Adaptive, when non-nil, switches the experiment to the adaptive
-	// sampling scheduler (AdaptiveSpace): Runs becomes the fixed-N
-	// baseline the runs-saved accounting compares against, and the
-	// target's stopping rule decides the actual spend. Serialized with
-	// the spec so a -resume replays the same stopping rule — and the
-	// same journaled decisions — the interrupted run used.
+	// Adaptive carries the target of an adaptive run (AdaptiveSpace, to
+	// which the caller hands it: under one, Runs is the fixed-N baseline
+	// the runs-saved accounting compares against and the target's
+	// stopping rule decides the actual spend). RunSpace does not read
+	// it; it is serialized with the spec so a -resume replays the same
+	// stopping rule — and the same journaled decisions — the interrupted
+	// run used.
 	Adaptive *sampling.Target `json:"adaptive,omitempty"`
 	// Resilience carries the crash-safety plumbing (journal, resume
 	// cache, retry/timeout budget, drain signal); the zero value means
@@ -258,10 +259,6 @@ func NewCheckpoint(cfg config.Config, workload string, workloadSeed, perturbSeed
 // methodology (§3.3, §5.1). The branches execute on e.Workers fleet
 // workers.
 func (e Experiment) RunSpace() (Space, error) {
-	if e.Adaptive != nil {
-		sp, _, err := e.AdaptiveSpace(*e.Adaptive)
-		return sp, err
-	}
 	b, err := e.Branch(e.spacePlan())
 	return b.Space(), err
 }
@@ -312,10 +309,10 @@ func (e Experiment) RunKey(i int) journal.Key {
 	return e.BranchPlan().key(journal.ConfigHash(e.Config), i)
 }
 
-// ValidateCheckpoints checks a time-sampling request: the experiment
+// validateCheckpoints checks a time-sampling request: the experiment
 // itself, and a non-empty, strictly ascending list of cumulative
 // transaction counts.
-func (e Experiment) ValidateCheckpoints(checkpoints []int64) error {
+func (e Experiment) validateCheckpoints(checkpoints []int64) error {
 	if len(checkpoints) == 0 {
 		return errors.New("core: no checkpoints")
 	}
@@ -327,13 +324,24 @@ func (e Experiment) ValidateCheckpoints(checkpoints []int64) error {
 	return e.Validate()
 }
 
+// stratumPlan is the space plan of the time sample's checkpoint ci, at
+// ck cumulative transactions — the one derivation of a stratum's run
+// identity, fixed-N (TimeSample) or adaptive (AdaptiveTimeSample):
+// label "<label>@<ck>", seed base derived from the checkpoint's index.
+func (e Experiment) stratumPlan(ci int, ck int64) BranchPlan {
+	p := e.spacePlan()
+	p.Label = fmt.Sprintf("%s@%d", e.Label, ck)
+	p.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+	return p
+}
+
 // TimeSample implements §5.2's systematic sampling of a workload's
 // lifetime: it warms the workload to each checkpoint in turn (the
 // checkpoints slice holds cumulative transaction counts, ascending) and
 // branches a space of runs from each. The returned spaces feed ANOVA to
 // decide whether time variability is significant.
 func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
-	if err := e.ValidateCheckpoints(checkpoints); err != nil {
+	if err := e.validateCheckpoints(checkpoints); err != nil {
 		return nil, err
 	}
 	// One machine walks forward through the checkpoints; nothing but the
@@ -352,9 +360,7 @@ func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
 			}
 			done = ck
 		}
-		p := e.spacePlan()
-		p.Label = fmt.Sprintf("%s@%d", e.Label, ck)
-		p.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+		p := e.stratumPlan(ci, ck)
 		p.spent = &spent
 		b, err := Branch(m, p)
 		if err != nil {

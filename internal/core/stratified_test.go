@@ -1,4 +1,4 @@
-package checkpoint
+package core_test
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 
 	"varsim/internal/config"
 	"varsim/internal/core"
-	"varsim/internal/report"
 	"varsim/internal/sampling"
 )
 
@@ -29,6 +28,13 @@ func stratifiedExperiment(workers int) core.Experiment {
 	}
 }
 
+// stratifiedTarget is a multi-round stratified schedule: a tiny
+// relative-error target and small rounds, so both strata run to the
+// per-stratum budget.
+func stratifiedTarget() sampling.Target {
+	return sampling.Target{RelErr: 1e-6, MinRuns: 2, MaxRuns: 6, RoundSize: 2}
+}
+
 // TestAdaptiveTimeSampleRunIdentity pins the identity clause of the
 // stratified contract: with the stopping rule pinned to exactly the
 // fixed-N size (MinRuns = MaxRuns = Runs), AdaptiveTimeSample executes
@@ -43,7 +49,7 @@ func TestAdaptiveTimeSampleRunIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgt := sampling.Target{MinRuns: e.Runs, MaxRuns: e.Runs, RoundSize: e.Runs}
-	spaces, arm, err := AdaptiveTimeSample(NewBaseCache(), e, cks, tgt)
+	spaces, arm, err := e.AdaptiveTimeSample(cks, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,22 +80,15 @@ func TestAdaptiveTimeSampleRunIdentity(t *testing.T) {
 // target, small rounds) renders byte-identically at widths 1, 4 and
 // NumCPU.
 func TestAdaptiveTimeSampleWidthByteIdentical(t *testing.T) {
-	tgt := sampling.Target{RelErr: 1e-6, MinRuns: 2, MaxRuns: 6, RoundSize: 2}
+	tgt := stratifiedTarget()
 	cks := []int64{20, 40}
 	render := func(width int) []byte {
 		e := stratifiedExperiment(width)
-		spaces, arm, err := AdaptiveTimeSample(NewBaseCache(), e, cks, tgt)
+		spaces, arm, err := e.AdaptiveTimeSample(cks, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		for _, sp := range spaces {
-			report.WriteSpace(&buf, sp)
-		}
-		rep := sampling.Report{Target: tgt.Normalize(), Arms: []sampling.Arm{arm}}
-		rep.Finalize()
-		report.WriteSampling(&buf, rep)
-		return buf.Bytes()
+		return renderShape(spaces, oneArmReport(tgt, arm))
 	}
 	want := render(1)
 	if !bytes.Contains(want, []byte("budget")) {

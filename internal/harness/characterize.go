@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"varsim/internal/core"
 	"varsim/internal/trace"
 	"varsim/internal/workloads"
 )
@@ -30,7 +31,7 @@ func (h *H) Characterize() error {
 		if err != nil {
 			return err
 		}
-		m, err := h.newMachine(h.baseConfig(), b.name, 1)
+		m, err := core.NewCheckpoint(h.baseConfig(), b.name, h.opt.Seed, 1, 0)
 		if err != nil {
 			return err
 		}

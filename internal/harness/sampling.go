@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"varsim/internal/checkpoint"
 	"varsim/internal/core"
 	"varsim/internal/fleet"
 	"varsim/internal/report"
@@ -33,9 +32,9 @@ func (h *H) adaptiveTarget() sampling.Target {
 //  1. The Table 3 benchmark matrix with per-benchmark early stopping
 //     (cross-workload pruning is meaningless — the benchmarks are not
 //     competing configurations, so each arm stops on its own CI).
-//  2. The Table 1 L2-associativity matrix under a shared budget, where
-//     an arm whose confidence interval separates from the best
-//     configuration's is pruned mid-matrix.
+//  2. The Table 1 L2-associativity matrix, where an arm whose
+//     confidence interval separates from the best configuration's is
+//     pruned mid-matrix.
 //  3. An OLTP time-sampling study where replication is stratified
 //     across starting checkpoints (Neyman allocation per stratum).
 //
@@ -77,8 +76,7 @@ func (h *H) SamplingStudy() error {
 	fmt.Fprintln(h.opt.Out, "\n-- Table 3 benchmarks, adaptive early stopping --")
 	h.samplingTable(table3)
 
-	// Study 2: the L2-associativity matrix under a shared budget, with
-	// mid-matrix pruning. Experiments are built exactly as assocSpaces
+	// Study 2: the L2-associativity matrix with mid-matrix pruning. Experiments are built exactly as assocSpaces
 	// builds them, so the arms replay table1's journal.
 	var es []core.Experiment
 	for _, assoc := range []int{1, 2, 4} {
@@ -90,7 +88,7 @@ func (h *H) SamplingStudy() error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(h.opt.Out, "\n-- L2 associativity matrix, shared budget + pruning --")
+	fmt.Fprintln(h.opt.Out, "\n-- L2 associativity matrix, pruning --")
 	h.samplingTable(matrix)
 
 	// Study 3: stratified replication across OLTP starting checkpoints.
@@ -99,7 +97,7 @@ func (h *H) SamplingStudy() error {
 		cks = append(cks, h.scaleTxns(i*1000))
 	}
 	e := h.experiment("oltp", h.baseConfig(), "oltp", 0, h.scaleTxns(200), 0x9A)
-	_, stratArm, err := checkpoint.AdaptiveTimeSample(checkpoint.NewBaseCache(), e, cks, t)
+	_, stratArm, err := e.AdaptiveTimeSample(cks, t)
 	if err != nil {
 		return err
 	}

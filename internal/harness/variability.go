@@ -4,25 +4,14 @@ import (
 	"errors"
 	"fmt"
 
-	"varsim/internal/config"
 	"varsim/internal/core"
 	"varsim/internal/fleet"
-	"varsim/internal/machine"
 	"varsim/internal/plot"
 	"varsim/internal/rng"
 	"varsim/internal/stats"
 	"varsim/internal/trace"
 	"varsim/internal/workloads"
 )
-
-// newMachine builds a machine for ad-hoc (non-Experiment) runs.
-func (h *H) newMachine(cfg config.Config, wl string, perturbSeed uint64) (*machine.Machine, error) {
-	inst, err := workloads.New(wl, cfg, h.opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return machine.New(cfg, inst, perturbSeed)
-}
 
 // Fig1SchedulerDivergence reproduces Figure 1: two runs from the same
 // initial conditions, one with a 2-way and one with a 4-way L2, schedule
@@ -33,7 +22,7 @@ func (h *H) Fig1SchedulerDivergence() error {
 	for i, assoc := range []int{2, 4} {
 		cfg := h.baseConfig()
 		cfg.L2.Assoc = assoc
-		m, err := h.newMachine(cfg, "oltp", rng.Derive(h.opt.Seed, 0xF1))
+		m, err := core.NewCheckpoint(cfg, "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF1), 0)
 		if err != nil {
 			return err
 		}
@@ -120,7 +109,7 @@ func (h *H) realSystemWindow() (windowNS, unitNS int64) {
 func (h *H) Fig2TimeVariabilityReal() error {
 	window, unit := h.realSystemWindow()
 	cfg := h.baseConfig()
-	m, err := h.newMachine(cfg, "oltp", rng.Derive(h.opt.Seed, 0xF2))
+	m, err := core.NewCheckpoint(cfg, "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF2), 0)
 	if err != nil {
 		return err
 	}
@@ -164,7 +153,7 @@ func (h *H) Fig3SpaceVariabilityReal() error {
 	nRuns := 5
 	var series [][]float64
 	for r := 0; r < nRuns; r++ {
-		m, err := h.newMachine(h.baseConfig(), "oltp", rng.Derive(h.opt.Seed, 0xF30+uint64(r)))
+		m, err := core.NewCheckpoint(h.baseConfig(), "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF30+uint64(r)), 0)
 		if err != nil {
 			return err
 		}
@@ -218,7 +207,7 @@ func (h *H) Fig4DRAMSweep() error {
 	for lat := int64(80); lat <= 90; lat++ {
 		cfg := h.baseConfig()
 		cfg.MemSupplyNS = lat
-		m, err := h.newMachine(cfg, "oltp", rng.Derive(h.opt.Seed, 0xF4))
+		m, err := core.NewCheckpoint(cfg, "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF4), 0)
 		if err != nil {
 			return err
 		}
@@ -366,7 +355,7 @@ func (h *H) Fig8LongRunPhases() error {
 	nWindows := int(total / windowTxns)
 	perWindow := make([][]float64, nWindows)
 	for r := 0; r < nRuns; r++ {
-		m, err := h.newMachine(h.baseConfig(), "oltp", rng.Derive(h.opt.Seed, 0xF80+uint64(r)))
+		m, err := core.NewCheckpoint(h.baseConfig(), "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF80+uint64(r)), 0)
 		if err != nil {
 			return err
 		}

@@ -106,16 +106,23 @@ func (r Record) Validate() error {
 	return nil
 }
 
-// Encode renders a record as one newline-terminated JSONL line.
+// Encode renders a record as one newline-terminated JSONL line. The
+// Result payload is written as it stands but for insignificant
+// whitespace: HTML escaping is off, or json would rewrite the '&', '<'
+// and '>' of a RawMessage and a decoded record would not re-encode to
+// itself. (Journals written with the escapes decode to the same values:
+// both spellings are valid JSON.)
 func Encode(r Record) ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
+	var line bytes.Buffer
+	enc := json.NewEncoder(&line)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(r); err != nil { // Encode ends the line
 		return nil, fmt.Errorf("journal: encode: %w", err)
 	}
-	return append(b, '\n'), nil
+	return line.Bytes(), nil
 }
 
 // Decode parses one journal line (with or without its trailing

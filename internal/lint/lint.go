@@ -62,8 +62,8 @@ func ByName(name string) *analysis.Analyzer {
 type Finding struct {
 	// ID is a content fingerprint over (analyzer, file, message) plus a
 	// same-content ordinal — deliberately excluding line numbers, so a
-	// baselined finding keeps its identity when unrelated edits shift
-	// the file around it.
+	// finding keeps its identity in the JSON output when unrelated edits
+	// shift the file around it. Nothing in the tree reads it.
 	ID       string         `json:"id"`
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"pos"`

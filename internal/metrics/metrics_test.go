@@ -121,8 +121,10 @@ func TestSamplerSeriesAndDerived(t *testing.T) {
 	if ts.Len() != 3 || ts.IntervalNS != 100 {
 		t.Fatalf("series %d samples interval %d", ts.Len(), ts.IntervalNS)
 	}
-	if got := ts.Levels("instrs"); !reflect.DeepEqual(got, []float64{100, 300, 600}) {
-		t.Fatalf("levels = %v", got)
+	for i, want := range []float64{100, 300, 600} {
+		if got := ts.Samples[i].Values["instrs"]; got != want {
+			t.Fatalf("sample %d level = %v, want %v", i, got, want)
+		}
 	}
 	if got := ts.Delta("instrs"); !reflect.DeepEqual(got, []float64{100, 200, 300}) {
 		t.Fatalf("deltas = %v", got)

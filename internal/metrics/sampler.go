@@ -105,17 +105,6 @@ type TimeSeries struct {
 // Len returns the number of samples.
 func (ts TimeSeries) Len() int { return len(ts.Samples) }
 
-// Levels returns the cumulative readings of one instrument, one entry
-// per sample — the raw level of a gauge or the running total of a
-// counter.
-func (ts TimeSeries) Levels(name string) []float64 {
-	out := make([]float64, len(ts.Samples))
-	for i, s := range ts.Samples {
-		out[i] = s.Values[name]
-	}
-	return out
-}
-
 // Delta returns per-interval increments of a cumulative instrument: one
 // entry per sample, the first measured against the baseline at the
 // sampling epoch (zero when no baseline was recorded).

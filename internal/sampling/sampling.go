@@ -1,20 +1,21 @@
 // Package sampling is the adaptive run scheduler: it decides, at
 // deterministic round barriers, how many more perturbed runs each
 // configuration needs — stopping early once the confidence interval
-// meets the requested relative error (§5.1.1), allocating a shared
-// budget across strata or configurations Neyman-style, and pruning
-// configurations whose interval has already separated from the best.
+// meets the requested relative error (§5.1.1), splitting a stratified
+// round across strata Neyman-style, and pruning configurations whose
+// interval has already separated from the best.
 //
 // The package deliberately contains no execution machinery: Decide,
 // StratifiedDecide, NeymanAllocate and Prune are pure functions of the
 // index-ordered merged values a round produced, so the same inputs
-// yield the same decision at any fleet width. The drivers
-// (core.Experiment.AdaptiveSpace, core.AdaptiveMatrix,
-// checkpoint.AdaptiveTimeSample) call them only at barriers — after a
-// round's fleet call returns its index-ordered merge — and journal
-// every decision (journal.StatusDecision), so a -resume replays the
-// interrupted run's exact stop/prune choices instead of re-deriving
-// them from a partially journaled round.
+// yield the same decision at any fleet width. The one driver
+// (internal/core/adaptive.go: AdaptiveMatrix, its one-arm case
+// Experiment.AdaptiveSpace, and Experiment.AdaptiveTimeSample) calls
+// them only at barriers — after a round's fleet calls return their
+// index-ordered merges — and journals every decision
+// (journal.StatusDecision), so a -resume replays the interrupted run's
+// exact stop/prune choices instead of re-deriving them from a partially
+// journaled round.
 //
 // The determinism contract (docs/SAMPLING.md): the *set* of runs
 // executed depends only on the decision sequence, never on completion
@@ -42,9 +43,11 @@ const (
 )
 
 // Target is the requested precision and run budget for an adaptive
-// experiment. The zero value selects the package defaults; Targets
-// serialize into experiment spec files so a -resume pins the exact
-// stopping rule the interrupted run used.
+// experiment. The budget is per arm — a configuration of a matrix, a
+// stratum of a time sample — and every arm spends to its own: nothing
+// is shared across them. The zero value selects the package defaults;
+// Targets serialize into experiment spec files so a -resume pins the
+// exact stopping rule the interrupted run used.
 type Target struct {
 	// RelErr is the tolerated relative error of the mean (fraction,
 	// e.g. 0.04 for ±4%), the paper's r.
@@ -61,10 +64,6 @@ type Target struct {
 	// RoundSize caps how many runs one barrier round may add, so a
 	// noisy pilot cannot commit the whole budget in one step.
 	RoundSize int `json:"round_size"`
-	// Budget, when positive, is the *total* run budget a matrix or
-	// stratified driver shares across its arms/strata; 0 lets each arm
-	// spend up to MaxRuns independently.
-	Budget int `json:"budget,omitempty"`
 }
 
 // Normalize fills zero fields with the package defaults and clamps the

@@ -169,20 +169,3 @@ func FCDF(f, d1, d2 float64) float64 {
 	x := d1 * f / (d1*f + d2)
 	return RegIncBeta(d1/2, d2/2, x)
 }
-
-// FQuantile returns the inverse F CDF by bisection.
-func FQuantile(p, d1, d2 float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	lo, hi := 0.0, 1e6
-	for i := 0; i < 300; i++ {
-		mid := (lo + hi) / 2
-		if FCDF(mid, d1, d2) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -102,9 +102,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }
 
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // BootstrapCI returns a percentile-bootstrap confidence interval for the
 // mean: resamples runs with replacement and takes the empirical
 // (alpha/2, 1-alpha/2) quantiles of the resampled means. It makes no

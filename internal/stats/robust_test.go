@@ -79,8 +79,8 @@ func TestJarqueBera(t *testing.T) {
 
 func TestPercentiles(t *testing.T) {
 	xs := []float64{4, 1, 3, 2, 5}
-	if Median(xs) != 3 {
-		t.Errorf("median = %v", Median(xs))
+	if Percentile(xs, 50) != 3 {
+		t.Errorf("median = %v", Percentile(xs, 50))
 	}
 	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
 		t.Error("extreme percentiles wrong")

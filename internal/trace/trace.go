@@ -244,31 +244,6 @@ func ThreadTimeline(events []Event) []ThreadStats {
 	return out
 }
 
-// CPUBusy returns per-CPU busy nanoseconds approximated from
-// dispatch/block pairs.
-func CPUBusy(events []Event, numCPUs int) []int64 {
-	busy := make([]int64, numCPUs)
-	since := make(map[int32]int64)
-	onCPU := make(map[int32]int32) // thread -> cpu
-	for _, ev := range events {
-		//varsim:allow kindexhaust busy accounting only needs dispatch/block pairs; the rest are deliberately skipped
-		switch ev.Kind {
-		case Dispatch:
-			since[ev.Thread] = ev.TimeNS
-			onCPU[ev.Thread] = ev.CPU
-		case Block:
-			if t0, ok := since[ev.Thread]; ok {
-				cpu := onCPU[ev.Thread]
-				if int(cpu) < numCPUs {
-					busy[cpu] += ev.TimeNS - t0
-				}
-				delete(since, ev.Thread)
-			}
-		}
-	}
-	return busy
-}
-
 // Divergence compares two traces' dispatch streams: it returns the index
 // and times of the first differing dispatch, and how many of the
 // dispatch slots from there on still agree — the quantitative form of

@@ -99,19 +99,6 @@ func TestThreadTimeline(t *testing.T) {
 	}
 }
 
-func TestCPUBusy(t *testing.T) {
-	events := []Event{
-		ev(0, Dispatch, 0, 1, 0),
-		ev(70, Block, 0, 1, int64(ReasonIO)),
-		ev(10, Dispatch, 1, 2, 0),
-		ev(30, Block, 1, 2, int64(ReasonIO)),
-	}
-	busy := CPUBusy(events, 2)
-	if busy[0] != 70 || busy[1] != 20 {
-		t.Fatalf("busy = %v", busy)
-	}
-}
-
 func TestCompareDispatches(t *testing.T) {
 	a := []Event{
 		ev(0, Dispatch, 0, 1, 0), ev(5, Wake, 0, 9, 0),

@@ -95,9 +95,10 @@ type Comparison = core.Comparison
 type Plan = core.Plan
 
 // SamplingTarget is the adaptive scheduler's stopping/pruning target:
-// requested precision, pilot size and run budgets (docs/SAMPLING.md).
-// Setting Experiment.Adaptive to one routes RunSpace through the
-// adaptive schedule.
+// requested precision, pilot size and the run budget of each arm
+// (docs/SAMPLING.md). Experiment.AdaptiveSpace and AdaptiveMatrix take
+// one; Experiment.Adaptive only carries it in a saved spec, for
+// -resume — RunSpace is fixed-N whatever the field holds.
 type SamplingTarget = sampling.Target
 
 // SamplingReport records an adaptive schedule's outcome: achieved vs
@@ -108,9 +109,8 @@ type SamplingReport = sampling.Report
 // SamplingArm is one configuration's slice of a SamplingReport.
 type SamplingArm = sampling.Arm
 
-// AdaptiveMatrix runs a configuration matrix under a shared run budget
-// with early stopping and mid-matrix pruning (see
-// core.AdaptiveMatrix).
+// AdaptiveMatrix runs a configuration matrix with per-arm early
+// stopping and mid-matrix pruning (see core.AdaptiveMatrix).
 func AdaptiveMatrix(es []Experiment, t SamplingTarget) ([]Space, SamplingReport, error) {
 	return core.AdaptiveMatrix(es, t)
 }
