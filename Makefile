@@ -1,4 +1,5 @@
-# Build/test entry points. `make check` is the tier-1 flow: build,
+# Build/test entry points. `make check` is the tier-1 flow: gofmt (`make
+# fmt`, which fails listing the files `gofmt -l .` names), build,
 # vet, lint, full tests, plus the race detector over the packages with
 # concurrency-sensitive state (the event kernel, the worker-fleet
 # scheduler, the metrics registry and its process-wide cycle counter,
@@ -34,7 +35,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test reproduce spine spine-aa spine-gates spine-ab vet lint race fuzz-smoke loc check clean
+.PHONY: all build test reproduce spine spine-aa spine-gates spine-ab fmt vet lint race fuzz-smoke loc check clean
 
 all: build
 
@@ -123,6 +124,9 @@ spine-ab:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make spine-ab PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=...]"; exit 2; }
 	scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
@@ -158,7 +162,7 @@ loc:
 	  printf "%-28s %9d %9d\n", "total outside bench/", tot["r", "n"], tot["r", "t"]; \
 	  printf "%-28s %9d %9d\n", "bench/", tot["b", "n"], tot["b", "t"] }'
 
-check: vet lint test race
+check: fmt vet lint test race
 	$(GO) build ./...
 
 clean:

@@ -9,8 +9,11 @@ import (
 	"runtime"
 	"strings"
 
-	"varsim"
+	"varsim/internal/config"
+	"varsim/internal/core"
+	"varsim/internal/digest"
 	"varsim/internal/journal"
+	"varsim/internal/machine"
 	"varsim/internal/report"
 )
 
@@ -84,7 +87,7 @@ func runDiff(args []string) error {
 	// Live mode: warm up once, branch enough perturbed runs to cover
 	// both indices, then diff. The other runs are not wasted — they
 	// feed the space-level attribution printed after the pairwise diff.
-	cfg := varsim.DefaultConfig()
+	cfg := config.Default()
 	cfg.NumCPUs = *cpus
 	cfg.PerturbMaxNS = *perturb
 	n := *runA + 1
@@ -94,7 +97,7 @@ func runDiff(args []string) error {
 	if n < 2 {
 		n = 2
 	}
-	e := varsim.Experiment{
+	e := core.Experiment{
 		Label:            fmt.Sprintf("diff/%s", *wlName),
 		Config:           cfg,
 		Workload:         *wlName,
@@ -127,29 +130,29 @@ func runDiff(args []string) error {
 // loadRunDigest reads run idx's digest stream and result from a
 // journal directory, read-only — a live varsim writing the journal is
 // never disturbed.
-func loadRunDigest(dir string, idx int) (varsim.DigestSeries, varsim.Result, error) {
-	var res varsim.Result
+func loadRunDigest(dir string, idx int) (digest.Series, machine.Result, error) {
+	var res machine.Result
 	spec, err := loadSpec(filepath.Join(dir, specFile))
 	if err != nil {
-		return varsim.DigestSeries{}, res, err
+		return digest.Series{}, res, err
 	}
 	if idx >= spec.Runs {
-		return varsim.DigestSeries{}, res, fmt.Errorf("diff: %s has %d runs, no run %d", dir, spec.Runs, idx)
+		return digest.Series{}, res, fmt.Errorf("diff: %s has %d runs, no run %d", dir, spec.Runs, idx)
 	}
 	lr, err := journal.Load(filepath.Join(dir, journal.FileName))
 	if err != nil {
-		return varsim.DigestSeries{}, res, err
+		return digest.Series{}, res, err
 	}
 	cache := journal.NewCache(lr.Records)
 	key := spec.RunKey(idx)
 	drec, ok := cache.Digest(key)
 	if !ok {
-		return varsim.DigestSeries{}, res, fmt.Errorf(
+		return digest.Series{}, res, fmt.Errorf(
 			"diff: no digest record for run %d in %s (journal the run with -digest-us to record digests)", idx, dir)
 	}
 	s, err := journal.DecodeDigest(drec)
 	if err != nil {
-		return varsim.DigestSeries{}, res, err
+		return digest.Series{}, res, err
 	}
 	rec, ok := cache.Get(key)
 	if !ok {
@@ -163,14 +166,14 @@ func loadRunDigest(dir string, idx int) (varsim.DigestSeries, varsim.Result, err
 
 // printDiff renders the pairwise comparison: divergence point, the two
 // runs' results, and the metric deltas.
-func printDiff(nameA, nameB string, sa, sb varsim.DigestSeries, ra, rb varsim.Result) error {
+func printDiff(nameA, nameB string, sa, sb digest.Series, ra, rb machine.Result) error {
 	if sa.IntervalNS != sb.IntervalNS {
 		return fmt.Errorf("diff: digest cadences differ (%d ns vs %d ns); re-run one side to match", sa.IntervalNS, sb.IntervalNS)
 	}
 	if sa.Len() == 0 || sb.Len() == 0 {
 		return fmt.Errorf("diff: empty digest stream (A has %d samples, B has %d)", sa.Len(), sb.Len())
 	}
-	report.WriteDivergence(os.Stdout, nameA, nameB, varsim.DiffDigests(sa, sb))
+	report.WriteDivergence(os.Stdout, nameA, nameB, digest.Diff(sa, sb))
 	fmt.Printf("%s: ", nameA)
 	printResult(ra)
 	fmt.Printf("%s: ", nameB)

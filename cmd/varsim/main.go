@@ -59,9 +59,13 @@ import (
 	"path/filepath"
 	"strings"
 
-	"varsim"
+	"varsim/internal/checkpoint"
+	"varsim/internal/config"
+	"varsim/internal/core"
+	"varsim/internal/digest"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
+	"varsim/internal/machine"
 	"varsim/internal/metrics"
 	"varsim/internal/obs"
 	"varsim/internal/plot"
@@ -71,6 +75,7 @@ import (
 	"varsim/internal/session"
 	"varsim/internal/trace"
 	"varsim/internal/traceviz"
+	"varsim/internal/workloads"
 )
 
 // specFile is the experiment definition saved next to the journal so
@@ -105,7 +110,7 @@ func main() {
 		return
 	}
 	var (
-		wlName  = flag.String("workload", "oltp", "workload: "+strings.Join(varsim.Workloads(), ", "))
+		wlName  = flag.String("workload", "oltp", "workload: "+strings.Join(workloads.Names(), ", "))
 		cpus    = flag.Int("cpus", 16, "number of processors")
 		txns    = flag.Int64("txns", 200, "transactions to measure")
 		warmup  = flag.Int64("warmup", 500, "transactions to run before measuring")
@@ -137,23 +142,23 @@ func main() {
 	sf := session.Register(flag.CommandLine)
 	flag.Parse()
 
-	cfg := varsim.DefaultConfig()
+	cfg := config.Default()
 	cfg.NumCPUs = *cpus
 	cfg.PerturbMaxNS = *perturb
 	cfg.L2.Assoc = *assoc
 	cfg.MemSupplyNS = *dram
 	switch *proc {
 	case "simple":
-		cfg.Processor = varsim.SimpleProc
+		cfg.Processor = config.SimpleProc
 	case "ooo":
-		cfg.Processor = varsim.OOOProc
+		cfg.Processor = config.OOOProc
 		cfg.OOO.ROBEntries = *rob
 	default:
 		fmt.Fprintf(os.Stderr, "unknown processor model %q\n", *proc)
 		os.Exit(2)
 	}
 
-	e := varsim.Experiment{
+	e := core.Experiment{
 		Label:            fmt.Sprintf("%s/%s", *wlName, *proc),
 		Config:           cfg,
 		Workload:         *wlName,
@@ -210,7 +215,7 @@ func main() {
 // saveSpec writes the experiment definition as indented JSON; the
 // Resilience field is excluded by its json:"-" tag, so the spec is a
 // pure description of what to simulate.
-func saveSpec(path string, e varsim.Experiment) error {
+func saveSpec(path string, e core.Experiment) error {
 	b, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return err
@@ -219,8 +224,8 @@ func saveSpec(path string, e varsim.Experiment) error {
 }
 
 // loadSpec reads an experiment definition saved by saveSpec.
-func loadSpec(path string) (varsim.Experiment, error) {
-	var e varsim.Experiment
+func loadSpec(path string) (core.Experiment, error) {
+	var e core.Experiment
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return e, fmt.Errorf("resume: %w (was this directory written by -journal?)", err)
@@ -233,13 +238,13 @@ func loadSpec(path string) (varsim.Experiment, error) {
 
 // run executes the selected mode and returns instead of exiting, so
 // main can finalize profiles and the manifest on every path.
-func run(e varsim.Experiment, rc runCfg) error {
+func run(e core.Experiment, rc runCfg) error {
 	if rc.schedTr || rc.lockRep {
-		wl, err := varsim.NewWorkload(rc.wlName, e.Config, rc.seed)
+		wl, err := workloads.New(rc.wlName, e.Config, rc.seed)
 		if err != nil {
 			return err
 		}
-		m, err := varsim.NewMachine(e.Config, wl, rc.pseed)
+		m, err := machine.New(e.Config, wl, rc.pseed)
 		if err != nil {
 			return err
 		}
@@ -254,7 +259,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 			}
 		}
 		if rc.lockRep {
-			fmt.Print(varsim.FormatLockReport(varsim.LockReport(m.Trace().Events()), 20))
+			fmt.Print(trace.FormatLockReport(trace.LockReport(m.Trace().Events()), 20))
 		}
 		printResult(res)
 		return nil
@@ -289,9 +294,9 @@ func run(e varsim.Experiment, rc runCfg) error {
 	// and a resume whose journal already covers every run replays the
 	// whole space without it — the warmup itself is skipped, so resuming
 	// a finished run is nearly free.
-	var base *varsim.Machine
+	var base *machine.Machine
 	if rc.fromRcp != "" {
-		rcp, err := varsim.LoadRecipe(rc.fromRcp)
+		rcp, err := checkpoint.LoadFile(rc.fromRcp)
 		if err != nil {
 			return err
 		}
@@ -305,7 +310,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 		}
 	}
 	if rc.saveRcp != "" {
-		if err := varsim.SaveRecipe(rc.saveRcp, varsim.RecipeFromExperiment(e)); err != nil {
+		if err := checkpoint.SaveFile(rc.saveRcp, checkpoint.FromExperiment(e)); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "checkpoint recipe written to %s\n", rc.saveRcp)
@@ -323,7 +328,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 		if rc.pub != nil {
 			rc.pub.SetSeriesBase(intervalNS, base.Now(), base.Metrics().Snapshot())
 		}
-		res, ts, err := varsim.SampleRun(base, e.MeasureTxns, rc.pseed, intervalNS)
+		res, ts, err := core.SampleRun(base, e.MeasureTxns, rc.pseed, intervalNS)
 		if err != nil {
 			return err
 		}
@@ -351,10 +356,10 @@ func run(e varsim.Experiment, rc runCfg) error {
 	// event trace when a Perfetto export is asked for.
 	plan := e.BranchPlan()
 	plan.Trace = rc.perfetto != ""
-	var b varsim.Branched
+	var b core.Branched
 	var err error
 	if base != nil {
-		b, err = varsim.Branch(base, plan)
+		b, err = core.Branch(base, plan)
 	} else {
 		b, err = e.Branch(plan)
 	}
@@ -380,7 +385,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 			}
 			// Flag each run's fork from run 0 inside its own trace.
 			if i > 0 && len(sd.Series) > i {
-				if d := varsim.DiffDigests(sd.Series[0], sd.Series[i]); d.Diverged {
+				if d := digest.Diff(sd.Series[0], sd.Series[i]); d.Diverged {
 					runs[i].Marks = []traceviz.Mark{{TimeNS: d.TimeNS, Name: fmt.Sprintf("diverged: %s", d.Component)}}
 				}
 			}
@@ -408,7 +413,7 @@ func run(e varsim.Experiment, rc runCfg) error {
 // printSeries renders the run's headline per-interval series as
 // sparklines: IPC, L2 miss rate, bus traffic and lock contention — the
 // live form of the paper's Figures 2–4.
-func printSeries(ts varsim.MetricSeries) {
+func printSeries(ts metrics.TimeSeries) {
 	if ts.Len() == 0 {
 		return
 	}
@@ -436,7 +441,7 @@ func writeSeries(path string, write func(w io.Writer) error) error {
 	return f.Close()
 }
 
-func printResult(r varsim.Result) { report.WriteResult(os.Stdout, r) }
+func printResult(r machine.Result) { report.WriteResult(os.Stdout, r) }
 
 func fail(err error) {
 	if err != nil {

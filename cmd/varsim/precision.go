@@ -8,8 +8,9 @@ import (
 	"path/filepath"
 	"sort"
 
-	"varsim"
+	"varsim/internal/core"
 	"varsim/internal/journal"
+	"varsim/internal/machine"
 	"varsim/internal/precision"
 	"varsim/internal/report"
 )
@@ -69,7 +70,7 @@ func runPrecision(args []string) error {
 				missing++ // mid-resume: not settled yet (or failed)
 				continue
 			}
-			var r varsim.Result
+			var r machine.Result
 			if err := json.Unmarshal(rec.Result, &r); err != nil {
 				return fmt.Errorf("precision: run %d of %s: %w", i, *dir, err)
 			}
@@ -111,7 +112,7 @@ func runPrecision(args []string) error {
 		return a.Index < b.Index
 	})
 	for _, k := range keys {
-		var r varsim.Result
+		var r machine.Result
 		if err := json.Unmarshal(latest[k].Result, &r); err != nil {
 			return fmt.Errorf("precision: %s: %w", k, err)
 		}
@@ -126,7 +127,7 @@ func runPrecision(args []string) error {
 // index order, so the opt-in -precision output is byte-identical at
 // any -j (the live tracker behind -http fills in completion order and
 // stays off stdout for exactly that reason).
-func printPrecisionTable(sp varsim.Space, cfgHash string, relErr, confidence float64) {
+func printPrecisionTable(sp core.Space, cfgHash string, relErr, confidence float64) {
 	trk := precision.New(relErr, confidence)
 	for _, r := range sp.Results {
 		trk.Observe(sp.Label, cfgHash, "cpt", r.CPT)

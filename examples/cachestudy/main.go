@@ -8,17 +8,18 @@ import (
 	"fmt"
 	"log"
 
-	"varsim"
+	"varsim/internal/config"
+	"varsim/internal/core"
 )
 
 func main() {
-	spaces := map[int]varsim.Space{}
+	spaces := map[int]core.Space{}
 	for _, assoc := range []int{1, 2, 4} {
-		cfg := varsim.DefaultConfig()
+		cfg := config.Default()
 		cfg.NumCPUs = 8
 		cfg.L2.Assoc = assoc
 
-		e := varsim.Experiment{
+		e := core.Experiment{
 			Label:        fmt.Sprintf("%d-way", assoc),
 			Config:       cfg,
 			Workload:     "oltp",
@@ -41,7 +42,7 @@ func main() {
 	fmt.Println()
 	pairs := [][2]int{{1, 2}, {1, 4}, {2, 4}}
 	for _, p := range pairs {
-		cmp, err := varsim.Compare(spaces[p[0]], spaces[p[1]], 0.95)
+		cmp, err := core.Compare(spaces[p[0]], spaces[p[1]], 0.95)
 		if err != nil {
 			log.Fatal(err)
 		}

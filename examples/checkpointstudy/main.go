@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"log"
 
-	"varsim"
+	"varsim/internal/config"
+	"varsim/internal/core"
+	"varsim/internal/stats"
 )
 
 func main() {
-	cfg := varsim.DefaultConfig()
+	cfg := config.Default()
 	cfg.NumCPUs = 8
 
 	for _, wl := range []struct {
@@ -23,7 +25,7 @@ func main() {
 		{"oltp", 150, "database growth raises cost; flush storms punctuate it"},
 		{"specjbb", 400, "JIT warm-up makes later checkpoints faster"},
 	} {
-		e := varsim.Experiment{
+		e := core.Experiment{
 			Label:        wl.name,
 			Config:       cfg,
 			Workload:     wl.name,
@@ -45,10 +47,10 @@ func main() {
 			fmt.Printf("checkpoint after %5d txns: mean %.0f cycles/txn (±%.0f over %d runs)\n",
 				checkpoints[i], s.Mean, s.StdDev, s.N)
 		}
-		overall := varsim.Summarize(means)
+		overall := stats.Summarize(means)
 		fmt.Printf("between-checkpoint spread: %.1f%% of mean\n", overall.RangePct)
 
-		anova, err := varsim.ANOVAOverCheckpoints(spaces)
+		anova, err := core.ANOVAOverCheckpoints(spaces)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,23 +7,27 @@ import (
 	"fmt"
 	"log"
 
-	"varsim"
+	"varsim/internal/config"
+	"varsim/internal/core"
+	"varsim/internal/machine"
+	"varsim/internal/stats"
+	"varsim/internal/workloads"
 )
 
 func main() {
 	// The paper's 16-node E10000-like target with 0-4 ns perturbation on
 	// L2 misses. (Scaled to 8 CPUs here so the example runs in seconds.)
-	cfg := varsim.DefaultConfig()
+	cfg := config.Default()
 	cfg.NumCPUs = 8
 
 	// A DB2/TPC-C-like OLTP workload: 8 database threads per processor,
 	// five transaction classes, district locks, a log latch, disks.
-	wl, err := varsim.NewWorkload("oltp", cfg, 42)
+	wl, err := workloads.New("oltp", cfg, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	m, err := varsim.NewMachine(cfg, wl, 1)
+	m, err := machine.New(cfg, wl, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,19 +47,20 @@ func main() {
 		res.CPT, res.L2Misses, res.CtxSwitches)
 
 	// The methodology: branch many runs from the same checkpoint, each
-	// with a unique perturbation seed, and look at the space. The final
-	// argument is the fleet width (-1 = one worker per host CPU); the
-	// space is byte-identical for any width.
-	space, err := varsim.BranchSpace(m, "oltp/8cpu", 20, 200, 99, -1)
+	// with a unique perturbation seed, and look at the space. Workers is
+	// the fleet width (-1 = one worker per host CPU); the space is
+	// byte-identical for any width.
+	runs, err := core.Branch(m, core.BranchPlan{Label: "oltp/8cpu", N: 20, MeasureTxns: 200, SeedBase: 99, Workers: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	space := runs.Space()
 	s := space.Summary()
 	fmt.Printf("20 perturbed runs:  mean %.0f  sigma %.0f  min %.0f  max %.0f\n",
 		s.Mean, s.StdDev, s.Min, s.Max)
 	fmt.Printf("coefficient of variation %.2f%%, range of variability %.2f%%\n", s.CoV, s.RangePct)
 
-	ci, err := varsim.CI(space.Values, 0.95)
+	ci, err := stats.CI(space.Values, 0.95)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,16 +7,18 @@ import (
 	"fmt"
 	"log"
 
-	"varsim"
+	"varsim/internal/config"
+	"varsim/internal/core"
+	"varsim/internal/stats"
 )
 
 func main() {
-	pilot := func(rob int) varsim.Space {
-		cfg := varsim.DefaultConfig()
+	pilot := func(rob int) core.Space {
+		cfg := config.Default()
 		cfg.NumCPUs = 8
-		cfg.Processor = varsim.OOOProc
+		cfg.Processor = config.OOOProc
 		cfg.OOO.ROBEntries = rob
-		e := varsim.Experiment{
+		e := core.Experiment{
 			Label:        fmt.Sprintf("%d-entry ROB", rob),
 			Config:       cfg,
 			Workload:     "oltp",
@@ -40,15 +42,15 @@ func main() {
 
 	// §5.1.1: runs needed to bound the mean's relative error.
 	for _, relErr := range []float64{0.04, 0.02, 0.01} {
-		n := varsim.SampleSizeRelErr(sa.CoV/100, relErr, 0.95)
+		n := stats.SampleSizeRelErr(sa.CoV/100, relErr, 0.95)
 		fmt.Printf("to estimate the mean within ±%.0f%% at 95%%: %d runs\n", relErr*100, n)
 	}
 
 	// §5.1.2: runs needed to separate the two configurations.
-	plan := varsim.PlanRuns(a, b, 0.04, 0.05)
+	plan := core.PlanRuns(a, b, 0.04, 0.05)
 	fmt.Printf("\nto conclude which ROB wins at alpha = 0.05: ~%d runs per configuration\n", plan.ByHypothesis)
 
-	tt, err := varsim.TTestOneSided(slower(a, b).Values, faster(a, b).Values)
+	tt, err := stats.TTestOneSided(slower(a, b).Values, faster(a, b).Values)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,14 +62,14 @@ func main() {
 	}
 }
 
-func slower(a, b varsim.Space) varsim.Space {
+func slower(a, b core.Space) core.Space {
 	if a.Summary().Mean >= b.Summary().Mean {
 		return a
 	}
 	return b
 }
 
-func faster(a, b varsim.Space) varsim.Space {
+func faster(a, b core.Space) core.Space {
 	if a.Summary().Mean < b.Summary().Mean {
 		return a
 	}

@@ -12,27 +12,24 @@ import (
 	"os"
 	"path/filepath"
 
-	"varsim"
+	"varsim/internal/checkpoint"
+	"varsim/internal/config"
+	"varsim/internal/core"
+	"varsim/internal/trace"
 )
 
 func main() {
-	cfg := varsim.DefaultConfig()
+	cfg := config.Default()
 	cfg.NumCPUs = 8
 
 	// Persist the warmed checkpoint as a recipe, then rebuild from it —
 	// the durable counterpart of Machine.Snapshot.
-	exp := varsim.Experiment{
+	exp := core.Experiment{
 		Label: "oltp", Config: cfg, Workload: "oltp",
 		WorkloadSeed: 21, WarmupTxns: 200, MeasureTxns: 150,
 		Runs: 2, SeedBase: 77,
 	}
-	recipePath := filepath.Join(os.TempDir(), "varsim-checkpoint.json")
-	if err := varsim.SaveRecipe(recipePath, varsim.RecipeFromExperiment(exp)); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("checkpoint recipe saved to %s\n\n", recipePath)
-
-	recipe, err := varsim.LoadRecipe(recipePath)
+	recipe, err := saveAndLoad(checkpoint.FromExperiment(exp))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +42,7 @@ func main() {
 	// each recording its event trace: the experiment's plan, plus Trace.
 	plan := exp.BranchPlan()
 	plan.Trace = true
-	runs, err := varsim.Branch(m, plan)
+	runs, err := core.Branch(m, plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,17 +50,17 @@ func main() {
 
 	// Where exactly did 0-4 ns of memory jitter change the course of
 	// execution?
-	div := varsim.CompareDispatches(a, b)
+	div := trace.CompareDispatches(a, b)
 	fmt.Printf("the two runs dispatched identically %d times, then split (run1 at %d ns, run2 at %d ns)\n",
 		div.Prefix, div.ATimeNS, div.BTimeNS)
 	fmt.Printf("after the split only %.1f%% of dispatch decisions still agree\n\n", 100*div.AgreedAfter)
 
 	// What were the threads fighting over?
 	fmt.Println("most contended locks in run 1 (lock 0 is the database log latch):")
-	fmt.Print(varsim.FormatLockReport(varsim.LockReport(a), 6))
+	fmt.Print(trace.FormatLockReport(trace.LockReport(a), 6))
 
 	// Who actually got to run?
-	timeline := varsim.ThreadTimeline(a)
+	timeline := trace.ThreadTimeline(a)
 	busiest, most := timeline[0], int64(0)
 	for _, th := range timeline {
 		if th.RunNS > most {
@@ -72,4 +69,20 @@ func main() {
 	}
 	fmt.Printf("\n%d threads were scheduled; the busiest (thread %d) ran %.2f ms across %d dispatches and finished %d transactions\n",
 		len(timeline), busiest.Thread, float64(busiest.RunNS)/1e6, busiest.Dispatches, busiest.Txns)
+}
+
+// saveAndLoad writes the recipe to a file in a private temporary
+// directory, reads it back and removes the directory.
+func saveAndLoad(r checkpoint.Recipe) (checkpoint.Recipe, error) {
+	dir, err := os.MkdirTemp("", "varsim-traceanalysis-")
+	if err != nil {
+		return r, err
+	}
+	defer os.RemoveAll(dir)
+	recipePath := filepath.Join(dir, "varsim-checkpoint.json")
+	if err := checkpoint.SaveFile(recipePath, r); err != nil {
+		return r, err
+	}
+	fmt.Printf("checkpoint recipe saved to %s\n\n", filepath.Base(recipePath))
+	return checkpoint.LoadFile(recipePath)
 }

@@ -126,6 +126,9 @@ func TestBranchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if s := want.Space().Summary(); s.N != n || s.Mean <= 0 {
+			t.Fatalf("%s: bad space summary %+v", c.name, s)
+		}
 		for i, r := range want.Runs {
 			if (r.Digests.Len() > 0) != (c.digestNS > 0) || (len(r.Events) > 0) != c.trace {
 				t.Fatalf("%s: run %d captured %d digest samples, %d events", c.name, i, r.Digests.Len(), len(r.Events))

@@ -65,6 +65,16 @@ func TestCompareOrdersByMean(t *testing.T) {
 			t.Errorf("disjoint spaces WCR = %v, want 0", c.WCRPct)
 		}
 	}
+	// A space against a relabelled copy of itself: no difference.
+	same := fast
+	same.Label = "same"
+	c, err := Compare(fast, same, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.MeanDiffPct != 0 {
+		t.Errorf("identical spaces differ: %+v", c)
+	}
 }
 
 func TestCompareOverlapping(t *testing.T) {

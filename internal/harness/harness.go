@@ -208,13 +208,17 @@ func (h *H) experiment(label string, cfg config.Config, wl string, warmup, measu
 	}
 }
 
-// spaceFleet runs one experiment space per configuration value on the
-// harness fleet and merges them into the cache map. Each space build is
-// independent (own config, own seed salt), so the per-configuration
-// level parallelizes exactly like the per-run level inside each space;
-// the index-ordered merge keeps the cache contents identical to the
+// spaceFleet returns the cache map if it is filled; else it runs one
+// experiment space per configuration value on the harness fleet, merges
+// them into the map and returns it. Each space build is independent
+// (own config, own seed salt), so the per-configuration level
+// parallelizes exactly like the per-run level inside each space; the
+// index-ordered merge keeps the cache contents identical to the
 // sequential build for any worker count.
-func (h *H) spaceFleet(vals []int, cache map[int]core.Space, build func(v int) core.Experiment) error {
+func (h *H) spaceFleet(vals []int, cache map[int]core.Space, build func(v int) core.Experiment) (map[int]core.Space, error) {
+	if len(cache) > 0 {
+		return cache, nil
+	}
 	spaces, err := fleet.Run(fleet.Options[core.Space]{
 		Workers: fleet.Width(h.opt.Workers),
 		Stop:    h.opt.Resilience.Stop,
@@ -222,52 +226,46 @@ func (h *H) spaceFleet(vals []int, cache map[int]core.Space, build func(v int) c
 		return build(vals[i]).RunSpace()
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i, sp := range spaces {
 		cache[vals[i]] = sp
 	}
-	return nil
+	return cache, nil
 }
 
 // ---- Shared spaces --------------------------------------------------
 
-// assocSpaces runs (or returns cached) Experiment 1 spaces: L2
-// associativity 1/2/4, 20 x 200-transaction OLTP runs, simple processor.
+// assocWays are Experiment 1's L2 associativities.
+var assocWays = []int{1, 2, 4}
+
+// assocExperiment is Experiment 1 at one L2 associativity: 20 x
+// 200-transaction OLTP runs, simple processor. table1 and sampling both
+// build their arms here, which is what lets a journal of the one replay
+// into the other.
+func (h *H) assocExperiment(assoc int) core.Experiment {
+	cfg := h.baseConfig()
+	cfg.L2.Assoc = assoc
+	return h.experiment(fmt.Sprintf("%d-way", assoc), cfg, "oltp", 500, 200, 0x11+uint64(assoc))
+}
+
+// assocSpaces runs (or returns cached) Experiment 1's spaces.
 func (h *H) assocSpaces() (map[int]core.Space, error) {
-	if len(h.assocSpacesCache) > 0 {
-		return h.assocSpacesCache, nil
-	}
-	err := h.spaceFleet([]int{1, 2, 4}, h.assocSpacesCache, func(assoc int) core.Experiment {
-		cfg := h.baseConfig()
-		cfg.L2.Assoc = assoc
-		return h.experiment(fmt.Sprintf("%d-way", assoc), cfg, "oltp", 500, 200, 0x11+uint64(assoc))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return h.assocSpacesCache, nil
+	return h.spaceFleet(assocWays, h.assocSpacesCache, h.assocExperiment)
 }
 
 // robSpaces runs (or returns cached) Experiment 2 spaces: ROB 16/32/64,
 // 20 x 50-transaction OLTP runs, detailed processor.
 func (h *H) robSpaces() (map[int]core.Space, error) {
-	if len(h.robSpacesCache) > 0 {
-		return h.robSpacesCache, nil
-	}
 	// The paper measures 50-transaction runs; our transactions are ~10^3
 	// smaller, so 200 transactions is still a far shorter absolute window
 	// than the paper's (see DESIGN.md on scaling).
-	err := h.spaceFleet([]int{16, 32, 64}, h.robSpacesCache, func(rob int) core.Experiment {
+	return h.spaceFleet([]int{16, 32, 64}, h.robSpacesCache, func(rob int) core.Experiment {
 		cfg := h.baseConfig()
 		cfg.Processor = config.OOOProc
 		cfg.OOO.ROBEntries = rob
 		return h.experiment(fmt.Sprintf("%d-entry", rob), cfg, "oltp", 300, 200, 0x22+uint64(rob))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.robSpacesCache, nil
 }
 
 // fig9Spaces runs (or returns cached) the multiple-starting-point study

@@ -1,14 +1,18 @@
-package varsim
+package harness_test
 
 import (
 	"bytes"
 	"math"
 	"testing"
 
+	"varsim/internal/config"
+	"varsim/internal/core"
 	"varsim/internal/journal"
+	"varsim/internal/machine"
 	"varsim/internal/precision"
 	"varsim/internal/report"
 	"varsim/internal/stats"
+	"varsim/internal/workloads"
 )
 
 // TestPrecisionObserverPreservesByteIdentity pins the precision
@@ -19,27 +23,27 @@ import (
 // batch stats.CI over the final space to 1e-9.
 func TestPrecisionObserverPreservesByteIdentity(t *testing.T) {
 	const runs = 8
-	render := func(workers int, trk *precision.Tracker) ([]byte, Space) {
-		cfg := DefaultConfig()
+	render := func(workers int, trk *precision.Tracker) ([]byte, core.Space) {
+		cfg := config.Default()
 		cfg.NumCPUs = 4
-		wl, err := NewWorkload("oltp", cfg, 11)
+		wl, err := workloads.New("oltp", cfg, 11)
 		if err != nil {
 			t.Fatalf("NewWorkload: %v", err)
 		}
-		m, err := NewMachine(cfg, wl, 7)
+		m, err := machine.New(cfg, wl, 7)
 		if err != nil {
 			t.Fatalf("NewMachine: %v", err)
 		}
 		if _, err := m.Run(15); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
-		var res Resilience
+		var res core.Resilience
 		if trk != nil {
-			res.Observe = func(k journal.Key, r Result) {
+			res.Observe = func(k journal.Key, r machine.Result) {
 				trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
 			}
 		}
-		b, err := Branch(m, BranchPlan{Label: "prec", N: runs, MeasureTxns: 10, SeedBase: 99, Workers: workers, Resilience: res})
+		b, err := core.Branch(m, core.BranchPlan{Label: "prec", N: runs, MeasureTxns: 10, SeedBase: 99, Workers: workers, Resilience: res})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

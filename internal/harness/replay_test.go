@@ -1,4 +1,4 @@
-package varsim
+package harness_test
 
 import (
 	"bytes"
@@ -7,8 +7,13 @@ import (
 	"runtime"
 	"testing"
 
+	"varsim/internal/config"
+	"varsim/internal/core"
 	"varsim/internal/harness"
+	"varsim/internal/machine"
 	"varsim/internal/report"
+	"varsim/internal/trace"
+	"varsim/internal/workloads"
 )
 
 // replayArtifacts performs one complete pipeline — workload build,
@@ -16,14 +21,14 @@ import (
 // branches — entirely from fixed (config, seed) inputs, and returns the
 // externally visible artifacts: the run result and metric series as
 // JSON, and the branched trace event streams.
-func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]TraceEvent) {
+func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]trace.Event) {
 	t.Helper()
-	cfg := DefaultConfig()
-	wl, err := NewWorkload("oltp", cfg, 11)
+	cfg := config.Default()
+	wl, err := workloads.New("oltp", cfg, 11)
 	if err != nil {
 		t.Fatalf("NewWorkload: %v", err)
 	}
-	m, err := NewMachine(cfg, wl, 7)
+	m, err := machine.New(cfg, wl, 7)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
@@ -31,7 +36,7 @@ func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]Trace
 		t.Fatalf("warmup: %v", err)
 	}
 
-	res, series, err := SampleRun(m, 15, 99, 50_000)
+	res, series, err := core.SampleRun(m, 15, 99, 50_000)
 	if err != nil {
 		t.Fatalf("SampleRun: %v", err)
 	}
@@ -44,7 +49,7 @@ func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]Trace
 		t.Fatalf("marshal series: %v", err)
 	}
 
-	b, err := Branch(m, BranchPlan{Label: "replay", N: 2, MeasureTxns: 10, SeedBase: 1234, Workers: 1, Trace: true, TraceCap: 1 << 16})
+	b, err := core.Branch(m, core.BranchPlan{Label: "replay", N: 2, MeasureTxns: 10, SeedBase: 1234, Workers: 1, Trace: true, TraceCap: 1 << 16})
 	if err != nil {
 		t.Fatalf("Branch: %v", err)
 	}
@@ -139,9 +144,9 @@ func TestParallelByteIdenticalBranchSpace(t *testing.T) {
 // widths must marshal to byte-identical JSON.
 func TestParallelByteIdenticalTimeSample(t *testing.T) {
 	sample := func(workers int) []byte {
-		cfg := DefaultConfig()
+		cfg := config.Default()
 		cfg.NumCPUs = 4
-		e := Experiment{
+		e := core.Experiment{
 			Label: "ts", Config: cfg, Workload: "oltp", WorkloadSeed: 11,
 			MeasureTxns: 10, Runs: 4, SeedBase: 42, Workers: workers,
 		}
@@ -165,17 +170,17 @@ func TestParallelByteIdenticalTimeSample(t *testing.T) {
 	}
 }
 
-// TestParallelBranchSpaceMatchesSequential drives the facade BranchSpace
-// directly over every width, including a width far beyond the run
+// TestParallelBranchSpaceMatchesSequential branches one plan from one
+// checkpoint over every width, including a width far beyond the run
 // count, and requires identical JSON.
 func TestParallelBranchSpaceMatchesSequential(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := config.Default()
 	cfg.NumCPUs = 4
-	wl, err := NewWorkload("oltp", cfg, 11)
+	wl, err := workloads.New("oltp", cfg, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(cfg, wl, 7)
+	m, err := machine.New(cfg, wl, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +189,11 @@ func TestParallelBranchSpaceMatchesSequential(t *testing.T) {
 	}
 	var base []byte
 	for _, workers := range []int{1, 2, 4, 32, -1} {
-		sp, err := BranchSpace(m, "par", 6, 10, 99, workers)
+		runs, err := core.Branch(m, core.BranchPlan{Label: "par", N: 6, MeasureTxns: 10, SeedBase: 99, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		b, err := json.Marshal(sp)
+		b, err := json.Marshal(runs.Space())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,23 +211,23 @@ func TestParallelBranchSpaceMatchesSequential(t *testing.T) {
 // perturbation seed must actually matter, otherwise the replay test
 // above would pass vacuously on a simulator that ignores its seeds.
 func TestDistinctSeedsDiverge(t *testing.T) {
-	cfg := DefaultConfig()
-	wl, err := NewWorkload("oltp", cfg, 11)
+	cfg := config.Default()
+	wl, err := workloads.New("oltp", cfg, 11)
 	if err != nil {
 		t.Fatalf("NewWorkload: %v", err)
 	}
-	m, err := NewMachine(cfg, wl, 7)
+	m, err := machine.New(cfg, wl, 7)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
 	if _, err := m.Run(15); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	a, _, err := SampleRun(m, 15, 99, 50_000)
+	a, _, err := core.SampleRun(m, 15, 99, 50_000)
 	if err != nil {
 		t.Fatalf("SampleRun seed 99: %v", err)
 	}
-	b, _, err := SampleRun(m, 15, 100, 50_000)
+	b, _, err := core.SampleRun(m, 15, 100, 50_000)
 	if err != nil {
 		t.Fatalf("SampleRun seed 100: %v", err)
 	}

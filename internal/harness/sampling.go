@@ -1,14 +1,11 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"varsim/internal/core"
-	"varsim/internal/fleet"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
-	"varsim/internal/workloads"
 )
 
 // adaptiveTarget resolves the stopping rule the sampling experiment
@@ -38,37 +35,21 @@ func (h *H) adaptiveTarget() sampling.Target {
 //  3. An OLTP time-sampling study where replication is stratified
 //     across starting checkpoints (Neyman allocation per stratum).
 //
-// Every executed run keeps its fixed-N identity, so a result journal
-// written by table1/table3 replays into this experiment for free.
+// Every executed run keeps its fixed-N identity and studies 1 and 2
+// take their experiments from table3Fleet and assocExperiment, so a
+// result journal written by table1/table3 replays into this experiment
+// for free (TestSamplingReplaysTableJournals).
 func (h *H) SamplingStudy() error {
 	t := h.adaptiveTarget()
 	fmt.Fprintf(h.opt.Out, "stopping rule: ±%.3g%% at %.3g%% confidence, pilot %d, cap %d runs/config\n",
 		100*t.RelErr, 100*t.Confidence, t.MinRuns, t.MaxRuns)
 
 	// Study 1: Table 3 benchmarks, independent early stopping.
-	type bench struct {
-		name   string
-		warmup int64
-	}
-	benches := []bench{
-		{"barnes", 0}, {"ocean", 0}, {"ecperf", 3}, {"slashcode", 10},
-		{"oltp", 500}, {"apache", 500}, {"specjbb", 500},
-	}
-	arms, err := fleet.Map(fleet.Width(h.opt.Workers), len(benches), func(i int) (sampling.Arm, error) {
-		b := benches[i]
-		e := h.experiment(b.name, h.baseConfig(), b.name, b.warmup, workloads.DefaultTxns(b.name), 0x33)
-		if b.name == "barnes" || b.name == "ocean" {
-			e.MeasureTxns = 1 // whole program, never scaled
-			e.WarmupTxns = 0
-		}
+	arms, err := table3Fleet(h, func(e core.Experiment) (sampling.Arm, error) {
 		_, arm, err := e.AdaptiveSpace(t)
 		return arm, err
 	})
 	if err != nil {
-		var je *fleet.JobError
-		if errors.As(err, &je) {
-			return fmt.Errorf("%s: %w", benches[je.Index].name, je.Err)
-		}
 		return err
 	}
 	table3 := sampling.Report{Target: t, Arms: arms}
@@ -76,13 +57,10 @@ func (h *H) SamplingStudy() error {
 	fmt.Fprintln(h.opt.Out, "\n-- Table 3 benchmarks, adaptive early stopping --")
 	h.samplingTable(table3)
 
-	// Study 2: the L2-associativity matrix with mid-matrix pruning. Experiments are built exactly as assocSpaces
-	// builds them, so the arms replay table1's journal.
+	// Study 2: the L2-associativity matrix with mid-matrix pruning.
 	var es []core.Experiment
-	for _, assoc := range []int{1, 2, 4} {
-		cfg := h.baseConfig()
-		cfg.L2.Assoc = assoc
-		es = append(es, h.experiment(fmt.Sprintf("%d-way", assoc), cfg, "oltp", 500, 200, 0x11+uint64(assoc)))
+	for _, assoc := range assocWays {
+		es = append(es, h.assocExperiment(assoc))
 	}
 	_, matrix, err := core.AdaptiveMatrix(es, t)
 	if err != nil {

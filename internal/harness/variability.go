@@ -242,51 +242,59 @@ func (h *H) Fig4DRAMSweep() error {
 	return nil
 }
 
-// Table3Benchmarks reproduces Table 3 + Figure 7: space variability
-// (coefficient of variation, range of variability) across the seven
-// benchmarks.
-func (h *H) Table3Benchmarks() error {
-	type bench struct {
-		name   string
-		warmup int64
-	}
-	benches := []bench{
-		{"barnes", 0}, {"ocean", 0}, {"ecperf", 3}, {"slashcode", 10},
-		{"oltp", 500}, {"apache", 500}, {"specjbb", 500},
-	}
-	// The seven benchmark spaces are independent, so they build on the
-	// fleet; rows render afterwards in the benches order, which keeps the
-	// table byte-identical for any worker count.
-	type benchSpace struct {
-		txns  int64
-		space core.Space
-	}
-	spaces, err := fleet.Map(fleet.Width(h.opt.Workers), len(benches), func(i int) (benchSpace, error) {
-		b := benches[i]
-		txns := workloads.DefaultTxns(b.name)
-		e := h.experiment(b.name, h.baseConfig(), b.name, b.warmup, txns, 0x33)
+// table3Benches lists Table 3's seven benchmarks with their warmup
+// lengths; measurement lengths are workloads.DefaultTxns.
+var table3Benches = []struct {
+	name   string
+	warmup int64
+}{
+	{"barnes", 0}, {"ocean", 0}, {"ecperf", 3}, {"slashcode", 10},
+	{"oltp", 500}, {"apache", 500}, {"specjbb", 500},
+}
+
+// table3Fleet builds each Table 3 benchmark's experiment and hands it
+// to run on the harness fleet; a failure is named by its benchmark. The
+// seven are independent, and results come back in table3Benches order,
+// so what is rendered from them is byte-identical for any worker count.
+// table3 and sampling both build their experiments here, which is what
+// lets a journal of the one replay into the other.
+func table3Fleet[T any](h *H, run func(core.Experiment) (T, error)) ([]T, error) {
+	out, err := fleet.Map(fleet.Width(h.opt.Workers), len(table3Benches), func(i int) (T, error) {
+		b := table3Benches[i]
+		e := h.experiment(b.name, h.baseConfig(), b.name, b.warmup, workloads.DefaultTxns(b.name), 0x33)
 		if b.name == "barnes" || b.name == "ocean" {
 			e.MeasureTxns = 1 // whole program, never scaled
 			e.WarmupTxns = 0
 		}
+		return run(e)
+	})
+	var je *fleet.JobError
+	if errors.As(err, &je) {
+		return nil, fmt.Errorf("%s: %w", table3Benches[je.Index].name, je.Err)
+	}
+	return out, err
+}
+
+// Table3Benchmarks reproduces Table 3 + Figure 7: space variability
+// (coefficient of variation, range of variability) across the seven
+// benchmarks.
+func (h *H) Table3Benchmarks() error {
+	type benchSpace struct {
+		txns  int64
+		space core.Space
+	}
+	spaces, err := table3Fleet(h, func(e core.Experiment) (benchSpace, error) {
 		sp, err := e.RunSpace()
-		if err != nil {
-			return benchSpace{}, err
-		}
-		return benchSpace{txns: e.MeasureTxns, space: sp}, nil
+		return benchSpace{txns: e.MeasureTxns, space: sp}, err
 	})
 	if err != nil {
-		var je *fleet.JobError
-		if errors.As(err, &je) {
-			return fmt.Errorf("%s: %w", benches[je.Index].name, je.Err)
-		}
 		return err
 	}
 	rows := [][]string{}
 	for i, bs := range spaces {
 		s := bs.space.Summary()
 		rows = append(rows, []string{
-			benches[i].name,
+			table3Benches[i].name,
 			fmt.Sprintf("%d", bs.txns),
 			fmt.Sprintf("%.0f", s.Mean),
 			fmt.Sprintf("%.2f%%", s.CoV),
@@ -406,14 +414,18 @@ func (h *H) Fig8LongRunPhases() error {
 	return nil
 }
 
+// fig9Workloads are the workloads Figure 9 and the §5.2 ANOVA sample
+// through time, with their per-run measurement lengths.
+var fig9Workloads = []struct {
+	name    string
+	measure int64
+}{{"oltp", 200}, {"specjbb", 500}}
+
 // Fig9Checkpoints reproduces Figure 9: spaces of runs branched from ten
 // checkpoints through each workload's lifetime; performance depends
 // strongly on the starting checkpoint.
 func (h *H) Fig9Checkpoints() error {
-	for _, w := range []struct {
-		name    string
-		measure int64
-	}{{"oltp", 200}, {"specjbb", 500}} {
+	for _, w := range fig9Workloads {
 		d, err := h.fig9Spaces(w.name, w.measure)
 		if err != nil {
 			return err
@@ -478,10 +490,7 @@ func (h *H) PerturbSensitivity() error {
 // checkpoints as groups decides whether between-checkpoint (time)
 // variability is attributable to within-checkpoint (space) variability.
 func (h *H) ANOVAStudy() error {
-	for _, w := range []struct {
-		name    string
-		measure int64
-	}{{"oltp", 200}, {"specjbb", 500}} {
+	for _, w := range fig9Workloads {
 		d, err := h.fig9Spaces(w.name, w.measure)
 		if err != nil {
 			return err

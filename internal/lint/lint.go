@@ -1,8 +1,8 @@
 // Package lint is the varsimlint driver: it wires the determinism
 // analyzers to the package loader, runs per-package and whole-program
 // passes, applies //varsim:allow suppression globally, audits the
-// directives themselves, and returns findings in a deterministic order
-// with stable fingerprints. cmd/varsimlint is a thin CLI over Run; the
+// directives themselves, and returns findings in a deterministic
+// order. cmd/varsimlint is a thin CLI over Run; the
 // analyzers' own tests go through internal/lint/analysistest instead.
 package lint
 
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"hash/fnv"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -57,19 +56,12 @@ func ByName(name string) *analysis.Analyzer {
 	return nil
 }
 
-// Finding is one surviving diagnostic, resolved to a file position and
-// stamped with a stable fingerprint.
+// Finding is one surviving diagnostic, resolved to a file position.
 type Finding struct {
-	// ID is a content fingerprint over (analyzer, file, message) plus a
-	// same-content ordinal — deliberately excluding line numbers, so a
-	// finding keeps its identity in the JSON output when unrelated edits
-	// shift the file around it. Nothing in the tree reads it.
-	ID       string         `json:"id"`
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"pos"`
 	// File is Pos.Filename relative to the lint root with forward
-	// slashes: the machine-portable path used in fingerprints and JSON
-	// output.
+	// slashes: the machine-portable path used in JSON output.
 	File    string `json:"file"`
 	Message string `json:"message"`
 }
@@ -172,7 +164,6 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 		})
 	}
 	sort.Slice(findings, func(i, j int) bool { return less(findings[i], findings[j]) })
-	fingerprint(findings)
 	return findings, nil
 }
 
@@ -232,27 +223,6 @@ func relPath(root, filename string) string {
 		return filepath.ToSlash(filename)
 	}
 	return filepath.ToSlash(rel)
-}
-
-// fingerprint stamps each finding with a stable ID: FNV-64a over
-// analyzer, relative file and message, plus an ordinal distinguishing
-// identical findings in one file (two findings may carry the same
-// message — e.g. the same copy-by-value mistake twice; the ordinal
-// follows position order, which sort already fixed).
-func fingerprint(findings []Finding) {
-	seen := map[string]int{}
-	for i := range findings {
-		f := &findings[i]
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s\x00%s\x00%s", f.Analyzer, f.File, f.Message)
-		base := fmt.Sprintf("%016x", h.Sum64())
-		seen[base]++
-		if n := seen[base]; n > 1 {
-			f.ID = fmt.Sprintf("%s-%d", base, n)
-		} else {
-			f.ID = base
-		}
-	}
 }
 
 func less(a, b Finding) bool {

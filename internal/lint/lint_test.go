@@ -182,68 +182,3 @@ func Sum(vs []int) int {
 		t.Errorf("message = %q", f.Message)
 	}
 }
-
-// TestFingerprints pins the stability contract: IDs ignore line
-// numbers, so inserting code above a finding must not change its ID,
-// while duplicate findings in one file get distinct ordinals.
-func TestFingerprints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list")
-	}
-	src := `package tempmod
-
-func Keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func Vals(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`
-	run := func(prefix string) []lint.Finding {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module tempmod\n\ngo 1.22\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(prefix+src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		findings, err := lint.Run(dir, []string{"./..."}, lint.Analyzers())
-		if err != nil {
-			t.Fatalf("lint.Run: %v", err)
-		}
-		return findings
-	}
-
-	base := run("")
-	if len(base) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(base), base)
-	}
-	if base[0].ID == base[1].ID {
-		t.Errorf("identical-message findings share ID %s", base[0].ID)
-	}
-	if !strings.HasSuffix(base[1].ID, "-2") {
-		t.Errorf("second duplicate ID = %q, want -2 ordinal", base[1].ID)
-	}
-
-	shifted := run("// A comment block pushing every line down.\n// More of it.\n\n")
-	if len(shifted) != 2 {
-		t.Fatalf("shifted run: got %d findings, want 2", len(shifted))
-	}
-	for i := range base {
-		if base[i].ID != shifted[i].ID {
-			t.Errorf("finding %d ID changed across a line shift: %s -> %s", i, base[i].ID, shifted[i].ID)
-		}
-		if base[i].Pos.Line == shifted[i].Pos.Line {
-			t.Errorf("finding %d line did not shift; the test is not testing anything", i)
-		}
-	}
-}

@@ -270,6 +270,10 @@ func SampleSizeRelErr(cov, relErr, confidence float64) int {
 	return int(math.Ceil(n * n))
 }
 
+// maxSampleSize caps SampleSizeRelErrT: a target that asks for more
+// runs than this is answered with it.
+const maxSampleSize = 1_000_000_000
+
 // SampleSizeRelErrT is the t-consistent refinement of SampleSizeRelErr:
 // it sizes the sample with the same quantile rule CI itself applies —
 // Student t below 50 observations, normal at or above — instead of the
@@ -296,12 +300,13 @@ func SampleSizeRelErrT(cov, relErr, confidence float64) int {
 		}
 		x := q * cov / relErr
 		nn := math.Ceil(x * x)
-		if math.IsNaN(nn) || nn > 1e9 {
-			return 1_000_000_000 // degenerate quantile or astronomic target
+		if math.IsNaN(nn) || nn > maxSampleSize {
+			return maxSampleSize // degenerate quantile or astronomic target
 		}
 		return int(nn)
 	}
-	n := SampleSizeRelErr(cov, relErr, confidence)
+	// Past the cap the walk-down below would step to it one run at a time.
+	n := min(SampleSizeRelErr(cov, relErr, confidence), maxSampleSize)
 	if n < 2 {
 		n = 2 // a CI needs two observations however tight the target
 	}

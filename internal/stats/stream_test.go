@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"varsim/internal/rng"
 )
@@ -185,6 +186,31 @@ func TestSampleSizeTConsistency(t *testing.T) {
 	}
 	if got := SampleSizeRelErrT(0.09, 0.04, 1); got != 0 {
 		t.Errorf("SampleSizeRelErrT(.., .., 1) = %d, want 0", got)
+	}
+}
+
+// TestSampleSizeTAstronomicTarget pins the cap: a target past a billion
+// runs is answered with the cap at once — the normal-form seed used to
+// escape it, and the walk-down then stepped from the seed to the cap
+// one run at a time — while targets under it are unmoved.
+func TestSampleSizeTAstronomicTarget(t *testing.T) {
+	start := time.Now()
+	for _, c := range []struct {
+		cov, relErr, conf float64
+		want              int
+	}{
+		{0.02, 1e-6, 0.95, 1_000_000_000},
+		{0.5, 1e-9, 0.99, 1_000_000_000},
+		{1, 1e-12, 0.95, 1_000_000_000}, // the seed overflows int
+		{0.02, 1e-5, 0.95, SampleSizeRelErr(0.02, 1e-5, 0.95)},
+		{0.09, 0.04, 0.95, 22},
+	} {
+		if got := SampleSizeRelErrT(c.cov, c.relErr, c.conf); got != c.want {
+			t.Errorf("SampleSizeRelErrT(%v, %v, %v) = %d, want %d", c.cov, c.relErr, c.conf, got, c.want)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("five sizings took %v", d)
 	}
 }
 
