@@ -1,18 +1,7 @@
 # Build/test entry points. `make check` is the tier-1 flow: gofmt (`make
 # fmt`, which fails listing the files `gofmt -l .` names), build,
 # vet, lint, full tests, plus the race detector over the packages with
-# concurrency-sensitive state (the event kernel, the worker-fleet
-# scheduler, the metrics registry and its process-wide cycle counter,
-# the heartbeat goroutine, the trace buffer, the live observability
-# server, the crash-safety layer: the result journal, the fault
-# injector and the core resume path above them — the lint call
-# graph, whose builder tests run concurrent type-checks — and the
-# copy-on-write layers: the machine's frozen-base snapshot path, the
-# cache pages and spare lists under it that a branch hands on to the
-# next, and the checkpoint base cache, whose tests branch siblings from
-# shared frozen state concurrently — and the adaptive sampler, whose
-# process-wide counters and live report are fed from fleet workers —
-# and the CLI session, whose drain is closed from a signal goroutine).
+# concurrency-sensitive state (the `race` target is the list).
 # `make lint` runs varsimlint, the determinism-contract analyzer suite (detwall,
 # puritywall, seedflow, maporder, kindexhaust inside the wall;
 # synccheck, stickyerr, floatorder outside it; staleallow auditing the
@@ -130,8 +119,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# On a GitHub runner the findings print as workflow annotations, inline
+# on the PR diff; the exit status is the same.
 lint:
-	$(GO) run ./cmd/varsimlint ./...
+	$(GO) run ./cmd/varsimlint $(if $(GITHUB_ACTIONS),-format github) ./...
 
 race:
 	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling ./internal/session

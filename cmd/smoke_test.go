@@ -34,7 +34,7 @@ func bin(tool string) string {
 		for _, src := range []string{".", "../internal"} {
 			filepath.WalkDir(src, func(string, fs.DirEntry, error) error { return nil })
 		}
-		os.ReadDir("..") // the root package's files, not the trees beside them
+		os.ReadDir("..") // the root's own entries (go.mod; no package lives there), not the trees beside them
 	})
 	return filepath.Join(binDir, tool)
 }

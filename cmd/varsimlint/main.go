@@ -24,13 +24,12 @@
 // `//varsim:allow <analyzer> <reason>` directives that no longer
 // suppress anything.
 //
-// Output formats: -format text (default), json, or github (GitHub
-// Actions workflow annotations). A finding is accepted where it stands,
+// Output formats: -format text (default) or github (GitHub Actions
+// workflow annotations). A finding is accepted where it stands,
 // with a reasoned //varsim:allow, or not at all.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -48,9 +47,9 @@ func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("varsimlint", flag.ContinueOnError)
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	format := fs.String("format", "text", "output format: text, json, github")
+	format := fs.String("format", "text", "output format: text, github")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: varsimlint [-analyzers a,b,...] [-format text|json|github] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: varsimlint [-analyzers a,b,...] [-format text|github] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -107,16 +106,6 @@ func emit(w io.Writer, format string, findings []lint.Finding) error {
 		for _, f := range findings {
 			fmt.Fprintln(w, f)
 		}
-	case "json":
-		doc := struct {
-			Findings []lint.Finding `json:"findings"`
-		}{Findings: findings}
-		if doc.Findings == nil {
-			doc.Findings = []lint.Finding{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
 	case "github":
 		// GitHub Actions workflow commands: each finding becomes an
 		// inline annotation on the PR diff.
@@ -125,7 +114,7 @@ func emit(w io.Writer, format string, findings []lint.Finding) error {
 				f.File, f.Pos.Line, f.Pos.Column, f.Analyzer, escapeGitHub(f.Message))
 		}
 	default:
-		return fmt.Errorf("unknown format %q (want text, json or github)", format)
+		return fmt.Errorf("unknown format %q (want text or github)", format)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,33 +54,6 @@ func TestTextFormat(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "[maporder]") {
 		t.Errorf("text output missing finding:\n%s", out.String())
-	}
-}
-
-func TestJSONFormat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list")
-	}
-	seedModule(t)
-	var out bytes.Buffer
-	if code := run([]string{"-format", "json", "./..."}, &out); code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var doc struct {
-		Findings []struct {
-			Analyzer string `json:"analyzer"`
-			File     string `json:"file"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if len(doc.Findings) != 1 {
-		t.Fatalf("got %d findings, want 1", len(doc.Findings))
-	}
-	f := doc.Findings[0]
-	if f.Analyzer != "maporder" || f.File != "bad.go" {
-		t.Errorf("finding = %+v", f)
 	}
 }
 

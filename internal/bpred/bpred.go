@@ -267,14 +267,6 @@ func (u *Unit) Ret(retAddr uint64) bool {
 	return true
 }
 
-// CondAccuracy returns the conditional prediction accuracy so far.
-func (u *Unit) CondAccuracy() float64 {
-	if u.CondSeen == 0 {
-		return 1
-	}
-	return 1 - float64(u.CondMiss)/float64(u.CondSeen)
-}
-
 // Freeze relinquishes table ownership so the unit can be cloned
 // cheaply: both the unit and its future clones copy the tables on
 // their next table write. Ret only moves the stack pointer, so it

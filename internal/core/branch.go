@@ -102,16 +102,6 @@ func (b Branched) Digests() SpaceDigests {
 	return sd
 }
 
-// Traces projects the runs' event streams, index-aligned with the
-// plan's range.
-func (b Branched) Traces() [][]trace.Event {
-	traces := make([][]trace.Event, len(b.Runs))
-	for j := range b.Runs {
-		traces[j] = b.Runs[j].Events
-	}
-	return traces
-}
-
 // key is the journal identity of run i: the label, the hash of the
 // machine configuration, the run's derived perturbation seed, and its
 // index. Replay matches on the full key, so a journal from a different

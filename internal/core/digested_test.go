@@ -279,19 +279,19 @@ func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, traces, sd := b.Space(), b.Traces(), b.Digests()
+	sp, sd := b.Space(), b.Digests()
 	plan.DigestIntervalNS = 0
 	bT, err := core.Branch(base, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spT, tracesT := bT.Space(), bT.Traces()
+	spT := bT.Space()
 	for i := range sp.Values {
 		if sp.Values[i] != spT.Values[i] {
 			t.Fatalf("run %d: observed CPT %v differs from traced %v", i, sp.Values[i], spT.Values[i])
 		}
-		if len(traces[i]) != len(tracesT[i]) {
-			t.Fatalf("run %d: observed trace has %d events, traced %d", i, len(traces[i]), len(tracesT[i]))
+		if n, nT := len(b.Runs[i].Events), len(bT.Runs[i].Events); n != nT {
+			t.Fatalf("run %d: observed trace has %d events, traced %d", i, n, nT)
 		}
 	}
 	var want core.SpaceDigests

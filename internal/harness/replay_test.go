@@ -53,7 +53,10 @@ func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]trace
 	if err != nil {
 		t.Fatalf("Branch: %v", err)
 	}
-	return resJSON, seriesJSON, b.Traces()
+	for _, run := range b.Runs {
+		traces = append(traces, run.Events)
+	}
+	return resJSON, seriesJSON, traces
 }
 
 // TestByteIdenticalReplay is the determinism contract's regression

@@ -58,12 +58,12 @@ func ByName(name string) *analysis.Analyzer {
 
 // Finding is one surviving diagnostic, resolved to a file position.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
+	Analyzer string
+	Pos      token.Position
 	// File is Pos.Filename relative to the lint root with forward
-	// slashes: the machine-portable path used in JSON output.
-	File    string `json:"file"`
-	Message string `json:"message"`
+	// slashes: the machine-portable path the github format prints.
+	File    string
+	Message string
 }
 
 func (f Finding) String() string {

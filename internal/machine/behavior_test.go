@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"varsim/internal/config"
+	"varsim/internal/mem"
 	"varsim/internal/trace"
+	"varsim/internal/workload"
+	"varsim/internal/workloads"
 )
 
 func TestQuantumPreemptionFires(t *testing.T) {
@@ -74,6 +77,63 @@ func TestMESIReducesUpgradesOnPartitionedWorkload(t *testing.T) {
 	if mesi.BusRequests >= mosi.BusRequests {
 		t.Fatalf("MESI should cut bus traffic on private-write workloads: %d vs %d",
 			mesi.BusRequests, mosi.BusRequests)
+	}
+}
+
+// writeLog remembers the block of every store and lock-word access the
+// workload it wraps hands out.
+type writeLog struct {
+	workload.Instance
+	blockBits uint
+	blocks    map[uint64]bool
+}
+
+func (w *writeLog) Next(tid int) workload.Op {
+	op := w.Instance.Next(tid)
+	switch op.Kind {
+	case workload.OpStore, workload.OpLockAcq, workload.OpLockRel:
+		w.blocks[op.Addr>>w.blockBits] = true
+	}
+	return op
+}
+
+// TestMESIWritesLeaveExclusive checks the silent E->M upgrade in situ,
+// on both cores: after a MESI run no line a node wrote (its L1D copy is
+// dirty) is still Exclusive in that node's L2. MOSI never installs
+// Exclusive and no absolute golden runs MESI, so the whole-run oracles
+// cannot see this transition dropped.
+func TestMESIWritesLeaveExclusive(t *testing.T) {
+	for _, proc := range []config.ProcessorKind{config.SimpleProc, config.OOOProc} {
+		cfg := testConfig()
+		cfg.CoherenceMESI = true
+		cfg.Processor = proc
+		inst, err := workloads.New("specjbb", cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &writeLog{Instance: inst, blockBits: cfg.L2.BlockBits, blocks: map[uint64]bool{}}
+		m, err := New(cfg, log, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		dirty, exclusive := 0, 0
+		for block := range log.blocks {
+			for _, node := range m.snoop.Nodes {
+				if _, d := node.L1D.Invalidate(block); !d {
+					continue
+				}
+				dirty++
+				if node.L2.GetState(block) == mem.Exclusive {
+					exclusive++
+				}
+			}
+		}
+		if dirty == 0 || exclusive != 0 {
+			t.Errorf("%v: of %d lines a node wrote, its L2 still holds %d Exclusive (want some, and none)", proc, dirty, exclusive)
+		}
 	}
 }
 

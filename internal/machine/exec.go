@@ -97,20 +97,27 @@ func (m *Machine) wakeDelay() int64 {
 	return wakeLatencyNS + m.wakeJitter()
 }
 
-// issueBus queues a coherence request and arms the bus if idle.
-// stall=true marks the CPU as waiting for the response.
-func (m *Machine) issueBus(cpu int32, block uint64, kind mem.AccessKind, ifetch bool, t int64, stall bool) {
-	if stall {
-		m.cpus[cpu].waitingMem = true
-		m.cpus[cpu].stallIfetch = ifetch
-	}
-	m.bus.q = append(m.bus.q, busReq{cpu: cpu, block: block, kind: kind, issuedAt: t, ifetch: ifetch})
+// issueBus queues a coherence request and arms the bus if idle. It is
+// the one way onto the bus for both cores; token comes back as the
+// response's KindMemDone argument (the simple core, with one request
+// outstanding, issues 0).
+func (m *Machine) issueBus(cpu int32, block uint64, kind mem.AccessKind, ifetch bool, t, token int64) {
+	m.bus.q = append(m.bus.q, busReq{cpu: cpu, block: block, kind: kind, issuedAt: t, ifetch: ifetch, token: token})
 	m.bus.reqs++
 	if !m.bus.busy {
 		m.bus.busy = true
 		grantAt := max(t+m.cfg.NetHopNS, m.bus.freeAt)
 		m.eng.ScheduleAt(grantAt, sim.KindBusGrant, 0, 0)
 	}
+}
+
+// missKind is the request a reference the node could not serve puts on
+// the bus.
+func missKind(write bool) mem.AccessKind {
+	if write {
+		return mem.GetX
+	}
+	return mem.GetS
 }
 
 // handleBusGrant services the head of the bus queue: it performs the
@@ -161,47 +168,25 @@ func (m *Machine) handleBusGrant() {
 	}
 }
 
-// access performs one memory reference at logical time t.
-// It returns (extra latency, stalled). When stalled, a bus request is in
-// flight and the CPU must wait for KindMemDone.
-func (m *Machine) access(cpu int32, addr uint64, write, ifetch bool, t int64) (int64, bool) {
+// access performs one blocking memory reference at logical time t.
+// It returns (extra latency, stalled). When stalled, a bus request
+// carrying token is in flight and the CPU must wait for KindMemDone.
+func (m *Machine) access(cpu int32, addr uint64, write, ifetch bool, t, token int64) (int64, bool) {
 	block := addr >> m.blockBits
 	node := m.snoop.Nodes[cpu]
 	l1 := node.L1D
 	if ifetch {
 		l1 = node.L1I
 	}
-	if l1.Probe(block) != mem.Invalid {
-		if !write {
-			return 0, false
-		}
-		if st := node.L2.GetState(block); st.CanWrite() {
-			if st == mem.Exclusive {
-				node.L2.SetState(block, mem.Modified) // silent E->M
-			}
-			l1.SetDirty(block)
-			return 0, false
-		}
-		// Write-permission miss: upgrade.
-		m.issueBus(cpu, block, mem.GetX, ifetch, t, true)
-		return 0, true
-	}
-	st := node.L2.Probe(block)
-	if st != mem.Invalid && (!write || st.CanWrite()) {
-		if write && st == mem.Exclusive {
-			node.L2.SetState(block, mem.Modified) // silent E->M
-		}
-		l1.Fill(block, mem.Shared)
-		if write {
-			l1.SetDirty(block)
-		}
+	switch node.Lookup(l1, block, write) {
+	case mem.HitL1:
+		return 0, false
+	case mem.HitL2:
 		return m.cfg.L2.HitNS, false
 	}
-	kind := mem.GetS
-	if write {
-		kind = mem.GetX
-	}
-	m.issueBus(cpu, block, kind, ifetch, t, true)
+	m.cpus[cpu].waitingMem = true
+	m.cpus[cpu].stallIfetch = ifetch
+	m.issueBus(cpu, block, missKind(write), ifetch, t, token)
 	return 0, true
 }
 
@@ -248,17 +233,14 @@ func (m *Machine) kernelTouch(cpu int32, t *int64) {
 	for i := 0; i < kernelTouches; i++ {
 		m.switchSalt++
 		block := (workload.KernelBase >> m.blockBits) + (m.switchSalt % kblocks)
-		if node.L1D.Probe(block) != mem.Invalid {
-			continue
-		}
-		if node.L2.Probe(block) != mem.Invalid {
-			node.L1D.Fill(block, mem.Shared)
+		switch node.Lookup(node.L1D, block, false) {
+		case mem.HitL2:
 			*t += m.cfg.L2.HitNS
-			continue
+		case mem.Missed:
+			m.snoop.Grant(int(cpu), block, mem.GetS)
+			node.L1D.Fill(block, mem.Shared)
+			*t += m.cfg.MemoryLatencyNS()
 		}
-		m.snoop.Grant(int(cpu), block, mem.GetS)
-		node.L1D.Fill(block, mem.Shared)
-		*t += m.cfg.MemoryLatencyNS()
 	}
 }
 
@@ -288,7 +270,7 @@ func (m *Machine) fetch(cpu int32, pc uint64, t *int64) bool {
 		return false
 	}
 	cs.lastIfetch = iblk
-	lat, stalled := m.access(cpu, pc, false, true, *t)
+	lat, stalled := m.access(cpu, pc, false, true, *t, 0)
 	*t += lat
 	return stalled
 }
@@ -397,7 +379,7 @@ func (m *Machine) runCPU(cpu int32) {
 			var lat int64
 			if !skipAccess {
 				var stalled bool
-				lat, stalled = m.access(cpu, op.Addr, op.Kind == workload.OpStore, false, t)
+				lat, stalled = m.access(cpu, op.Addr, op.Kind == workload.OpStore, false, t, 0)
 				if stalled {
 					return
 				}
@@ -409,7 +391,7 @@ func (m *Machine) runCPU(cpu int32) {
 
 		case workload.OpLockAcq, workload.OpLockRel:
 			if !skipAccess {
-				lat, stalled := m.access(cpu, op.Addr, true, false, t)
+				lat, stalled := m.access(cpu, op.Addr, true, false, t, 0)
 				if stalled {
 					return
 				}

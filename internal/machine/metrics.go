@@ -90,9 +90,6 @@ func (m *Machine) EnableSampling(intervalNS int64) {
 	}
 }
 
-// SamplingEnabled reports whether interval sampling is active.
-func (m *Machine) SamplingEnabled() bool { return m.sampler != nil }
-
 // SetSampleHook registers fn to observe every interval sample (nil
 // clears it). The hook runs on the simulation goroutine right after the
 // sampler records the sample, receiving the sample's simulated time and

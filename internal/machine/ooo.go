@@ -4,7 +4,6 @@ import (
 	"varsim/internal/bpred"
 	"varsim/internal/config"
 	"varsim/internal/mem"
-	"varsim/internal/sim"
 	"varsim/internal/workload"
 )
 
@@ -113,48 +112,20 @@ func (c *oooCore) robFull() bool {
 func (m *Machine) oooAccess(cpu int32, core *oooCore, addr uint64, write bool) (ok bool) {
 	block := addr >> m.blockBits
 	node := m.snoop.Nodes[cpu]
-	if node.L1D.Probe(block) != mem.Invalid {
-		if !write {
-			core.addInstr(1)
-			m.instrs++
-			return true
-		}
-		if st := node.L2.GetState(block); st.CanWrite() {
-			if st == mem.Exclusive {
-				node.L2.SetState(block, mem.Modified) // silent E->M
-			}
-			node.L1D.SetDirty(block)
-			core.addInstr(1)
-			m.instrs++
-			return true
-		}
-	} else {
-		st := node.L2.Probe(block)
-		if st != mem.Invalid && (!write || st.CanWrite()) {
-			if write && st == mem.Exclusive {
-				node.L2.SetState(block, mem.Modified) // silent E->M
-			}
-			node.L1D.Fill(block, mem.Shared)
-			if write {
-				node.L1D.SetDirty(block)
-			}
-			core.addInstr(1)
-			m.instrs++
-			// L2 hit: partially hidden by the window.
-			core.vt += m.cfg.L2.HitNS / 4
-			return true
-		}
-	}
-	// Miss (or write-permission miss): issue and track.
-	kind := mem.GetS
-	if write {
-		kind = mem.GetX
-	}
 	core.addInstr(1)
 	m.instrs++
+	switch node.Lookup(node.L1D, block, write) {
+	case mem.HitL1:
+		return true
+	case mem.HitL2:
+		// Partially hidden by the window.
+		core.vt += m.cfg.L2.HitNS / 4
+		return true
+	}
+	// Miss (or write-permission miss): issue and track.
 	tok := core.nextToken
 	core.nextToken++
-	m.issueBusToken(cpu, block, kind, false, core.vt, tok)
+	m.issueBus(cpu, block, missKind(write), false, core.vt, tok)
 	core.misses = append(core.misses, oooMiss{token: tok, dispatchIdx: core.instrIdx})
 	core.unresolved++
 	if core.unresolved >= core.cfg.MSHRs {
@@ -168,17 +139,6 @@ func (m *Machine) oooAccess(cpu int32, core *oooCore, addr uint64, write bool) (
 		return false
 	}
 	return true
-}
-
-// issueBusToken is issueBus with a completion token (the detailed core
-// has multiple outstanding requests and must match responses to misses).
-func (m *Machine) issueBusToken(cpu int32, block uint64, kind mem.AccessKind, ifetch bool, t int64, token int64) {
-	m.bus.q = append(m.bus.q, busReq{cpu: cpu, block: block, kind: kind, issuedAt: t, ifetch: ifetch, token: token})
-	m.bus.reqs++
-	if !m.bus.busy {
-		m.bus.busy = true
-		m.eng.ScheduleAt(max(t+m.cfg.NetHopNS, m.bus.freeAt), sim.KindBusGrant, 0, 0)
-	}
 }
 
 // oooMemDone handles a memory response for the detailed core.
@@ -303,18 +263,15 @@ func (m *Machine) runOOO(cpu int32) {
 			if iblk := op.PC >> m.blockBits; iblk != cs.lastIfetch {
 				cs.lastIfetch = iblk
 				node := m.snoop.Nodes[cpu]
-				if node.L1I.Probe(iblk) == mem.Invalid {
-					if node.L2.Probe(iblk) != mem.Invalid {
-						node.L1I.Fill(iblk, mem.Shared)
-						core.vt += m.cfg.L2.HitNS / 2
-					} else {
-						tok := core.nextToken
-						core.nextToken++
-						core.ifetchToken = tok
-						core.waiting = oooWaitIfetch
-						m.issueBusToken(cpu, iblk, mem.GetS, true, core.vt, tok)
-						return
-					}
+				switch node.Lookup(node.L1I, iblk, false) {
+				case mem.HitL2:
+					core.vt += m.cfg.L2.HitNS / 2
+				case mem.Missed:
+					core.ifetchToken = core.nextToken
+					core.nextToken++
+					core.waiting = oooWaitIfetch
+					m.issueBus(cpu, iblk, mem.GetS, true, core.vt, core.ifetchToken)
+					return
 				}
 			}
 		}
@@ -391,10 +348,11 @@ func (m *Machine) runOOO(cpu int32) {
 				if cs.memDone {
 					cs.memDone = false
 				} else {
-					lat, stalled := m.access(cpu, op.Addr, true, false, core.vt)
+					lat, stalled := m.access(cpu, op.Addr, true, false, core.vt, core.nextToken)
 					if stalled {
 						// Single blocking miss: reuse the ifetch-wait mechanism.
-						core.ifetchToken = m.adoptLastBusToken(core)
+						core.ifetchToken = core.nextToken
+						core.nextToken++
 						core.waiting = oooWaitIfetch
 						return
 					}
@@ -412,17 +370,4 @@ func (m *Machine) runOOO(cpu int32) {
 			return
 		}
 	}
-}
-
-// adoptLastBusToken tags the most recently issued (token-less) request
-// from m.access so the response routes back through the ifetch-wait
-// path. m.access issues requests without tokens; the detailed core needs
-// one.
-func (m *Machine) adoptLastBusToken(core *oooCore) int64 {
-	tok := core.nextToken
-	core.nextToken++
-	if n := len(m.bus.q); n > 0 {
-		m.bus.q[n-1].token = tok
-	}
-	return tok
 }

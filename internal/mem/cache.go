@@ -51,8 +51,8 @@ func (s State) String() string {
 func (s State) CanRead() bool { return s != Invalid }
 
 // CanWrite reports whether a local store may proceed in this state.
-// Exclusive is writable via a silent E->M upgrade (no bus transaction);
-// the cache model performs that transition at the access site.
+// Exclusive is writable via a silent E->M upgrade (no bus transaction),
+// which NodeCaches.Lookup performs.
 func (s State) CanWrite() bool { return s == Modified || s == Exclusive }
 
 // IsOwner reports whether this cache must respond with data to remote
@@ -528,18 +528,4 @@ func (c *Cache) wordAt(i int) uint64 {
 func (c *Cache) rankAt(i int) uint8 {
 	p, base := c.rankPl.locate(uint64(i/c.assoc), c.assoc)
 	return c.ranks[p][base+i%c.assoc]
-}
-
-// Occupancy returns the fraction of ways holding valid lines, a cheap
-// warm-up indicator used by tests.
-func (c *Cache) Occupancy() float64 {
-	n := 0
-	for _, pg := range c.tags {
-		for _, word := range pg {
-			if word != 0 {
-				n++
-			}
-		}
-	}
-	return float64(n) / float64(c.sets*c.assoc)
 }

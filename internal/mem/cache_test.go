@@ -241,19 +241,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestOccupancy(t *testing.T) {
-	c := smallCache()
-	if c.Occupancy() != 0 {
-		t.Fatal("empty cache occupancy != 0")
-	}
-	for b := uint64(0); b < 8; b++ {
-		c.Fill(b, Shared)
-	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("full cache occupancy = %v", c.Occupancy())
-	}
-}
-
 // Property: a cache never holds two lines with the same tag, and never
 // holds more than assoc lines per set.
 func TestCacheStructuralInvariants(t *testing.T) {

@@ -71,6 +71,49 @@ func (n *NodeCaches) Materialize() {
 	n.L2.Materialize()
 }
 
+// Level says where a node's hierarchy served a reference.
+type Level uint8
+
+const (
+	// Missed: the reference needs the bus — the block is absent, or held
+	// without the permission a write needs.
+	Missed Level = iota
+	HitL1
+	HitL2
+)
+
+// Lookup resolves one reference to block inside the node, through l1 (the
+// node's L1I or L1D): the L1 probe, then the L2, where permission lives.
+// An L2 hit fills l1; a write the L2 state permits marks the l1 line
+// dirty and takes Exclusive to Modified silently, with no bus
+// transaction. On Missed no line's presence, state or dirtiness has
+// changed (probes still count, and refresh the LRU of what they find),
+// so the caller's retry after the grant starts from the same place.
+func (n *NodeCaches) Lookup(l1 *Cache, block uint64, write bool) Level {
+	level := HitL1
+	var st State
+	if l1.Probe(block) == Invalid {
+		level, st = HitL2, n.L2.Probe(block)
+	} else if write {
+		st = n.L2.GetState(block)
+	} else {
+		return HitL1
+	}
+	if st == Invalid || write && !st.CanWrite() {
+		return Missed
+	}
+	if level == HitL2 {
+		l1.Fill(block, Shared)
+	}
+	if write {
+		if st == Exclusive {
+			n.L2.SetState(block, Modified)
+		}
+		l1.SetDirty(block)
+	}
+	return level
+}
+
 // invalidateAll removes block from L2 and (for inclusion) both L1s.
 func (n *NodeCaches) invalidateAll(block uint64) {
 	n.L2.Invalidate(block)
@@ -309,17 +352,6 @@ func (s *Snooper) reclaimVictim(n *NodeCaches, v Victim, evicted bool, res *Gran
 		res.VictimBlock = v.Block
 		s.Writebacks++
 	}
-}
-
-// OwnerOf returns the index of the node owning block (Modified or Owned),
-// or -1. Exposed for tests and invariant checks.
-func (s *Snooper) OwnerOf(block uint64) int {
-	for i, n := range s.Nodes {
-		if n.L2.GetState(block).IsOwner() {
-			return i
-		}
-	}
-	return -1
 }
 
 // CheckInvariants verifies the MOSI single-writer/single-owner invariants

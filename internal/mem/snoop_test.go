@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,80 @@ func newSystem(n int) *Snooper {
 		nodes[i] = NewNodeCaches(cfg)
 	}
 	return NewSnooper(nodes)
+}
+
+// TestLookupTable holds NodeCaches.Lookup in isolation, every cell of
+// {L1 absent, present} x {L2 I, S, E, O, M} x {read, write}, through
+// either L1: the level returned, the L2 state after (E->M on a write
+// the state permits, otherwise unchanged), the L1 line's presence and
+// dirtiness after, and that a miss changed no line anywhere in the node.
+// (L1 present over L2 Invalid breaks inclusion and never arises in a
+// run; the walk still has to answer it: a read hits, a write misses.)
+func TestLookupTable(t *testing.T) {
+	const block = 0x155
+	cells := []struct {
+		inL1        bool
+		l2          State
+		read, write Level
+	}{
+		{false, Invalid, Missed, Missed},
+		{false, Shared, HitL2, Missed},
+		{false, Exclusive, HitL2, HitL2},
+		{false, Owned, HitL2, Missed},
+		{false, Modified, HitL2, HitL2},
+		{true, Invalid, HitL1, Missed},
+		{true, Shared, HitL1, Missed},
+		{true, Exclusive, HitL1, HitL1},
+		{true, Owned, HitL1, Missed},
+		{true, Modified, HitL1, HitL1},
+	}
+	for _, c := range cells {
+		for _, write := range []bool{false, true} {
+			for _, ifetch := range []bool{false, true} {
+				n := NewNodeCaches(config.Default())
+				l1, other := n.L1D, n.L1I
+				if ifetch {
+					l1, other = n.L1I, n.L1D
+				}
+				if c.l2 != Invalid {
+					n.L2.Fill(block, c.l2)
+				}
+				if c.inL1 {
+					l1.Fill(block, Shared)
+				}
+				sigs := [3]uint64{l1.StateSig(), other.StateSig(), n.L2.StateSig()}
+				want, wantL2 := c.read, c.l2
+				if write {
+					want = c.write
+					if want != Missed && c.l2 == Exclusive {
+						wantL2 = Modified
+					}
+				}
+
+				got := n.Lookup(l1, block, write)
+				cell := fmt.Sprintf("inL1=%v L2=%v write=%v ifetch=%v", c.inL1, c.l2, write, ifetch)
+				if got != want {
+					t.Errorf("%s: Lookup = %d, want %d", cell, got, want)
+				}
+				if st := n.L2.GetState(block); st != wantL2 {
+					t.Errorf("%s: L2 state after = %v, want %v", cell, st, wantL2)
+				}
+				if now := [3]uint64{l1.StateSig(), other.StateSig(), n.L2.StateSig()}; got == Missed && now != sigs {
+					t.Errorf("%s: a miss changed a line: signatures %x -> %x", cell, sigs, now)
+				}
+				if other.GetState(block) != Invalid {
+					t.Errorf("%s: the other L1 was filled", cell)
+				}
+				prior, dirty := l1.Invalidate(block)
+				if present := prior != Invalid; present != (c.inL1 || want != Missed) {
+					t.Errorf("%s: L1 present after = %v", cell, present)
+				}
+				if dirty != (write && want != Missed) {
+					t.Errorf("%s: L1 dirty after = %v", cell, dirty)
+				}
+			}
+		}
+	}
 }
 
 func TestGetSFromMemory(t *testing.T) {
@@ -95,8 +170,8 @@ func TestGetXFromOwnedPeer(t *testing.T) {
 	if res.Source != FromCache {
 		t.Fatalf("owner should supply on GetX, got %v", res.Source)
 	}
-	if s.OwnerOf(5) != 2 {
-		t.Fatal("new owner should be node 2")
+	if st := s.Nodes[2].L2.GetState(5); st != Modified {
+		t.Fatalf("new owner should be node 2, which holds %v", st)
 	}
 	if s.Nodes[0].L2.GetState(5) != Invalid || s.Nodes[1].L2.GetState(5) != Invalid {
 		t.Fatal("peers not invalidated on GetX")
@@ -291,8 +366,8 @@ func TestMESIDirtySupplyWritesBack(t *testing.T) {
 	if s.Nodes[0].L2.GetState(9) != Shared {
 		t.Fatalf("previous owner should be S, got %v", s.Nodes[0].L2.GetState(9))
 	}
-	if s.OwnerOf(9) != -1 {
-		t.Fatal("MESI has no owner after read sharing")
+	if st := s.Nodes[1].L2.GetState(9); st != Shared {
+		t.Fatalf("MESI has no owner after read sharing, but the reader holds %v", st)
 	}
 }
 

@@ -155,37 +155,6 @@ func (h *Histogram) Mean() float64 {
 // bucket).
 func (h *Histogram) Counts() []uint64 { return h.counts }
 
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) from
-// the bucket boundaries: the upper bound of the bucket containing the
-// q-th observation. Observations in the overflow bucket report the last
-// finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(h.count))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // AddFrom accumulates another histogram's observations into h. The two
 // histograms must share bucket bounds; used when a machine snapshot
 // re-wires a fresh registry and restores the original's instrument

@@ -61,14 +61,8 @@ func TestHistogram(t *testing.T) {
 	if m := h.Mean(); math.Abs(m-5266.0/6) > 1e-9 {
 		t.Fatalf("mean = %v", m)
 	}
-	if q := h.Quantile(0.5); q != 10 {
-		t.Fatalf("p50 = %v", q)
-	}
-	if q := h.Quantile(1); q != 1000 {
-		t.Fatalf("p100 = %v (overflow reports last bound)", q)
-	}
 	var empty Histogram
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
+	if empty.Mean() != 0 {
 		t.Fatal("empty histogram should read 0")
 	}
 }

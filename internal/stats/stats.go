@@ -153,8 +153,16 @@ func CI(xs []float64, confidence float64) (ConfidenceInterval, error) {
 	if err := checkFinite(xs); err != nil {
 		return ConfidenceInterval{}, err
 	}
-	m := Mean(xs)
-	s := StdDev(xs)
+	return interval(n, Mean(xs), StdDev(xs), confidence)
+}
+
+// interval is the one place an interval for a mean is built, for the
+// batch CI and Stream.CI alike: the Student t quantile for n < 50 and
+// the normal quantile otherwise, over n observations of the given mean
+// and standard deviation. Finite observations can still overflow on the
+// way here (a sum, a variance or mean±hw reaching ±Inf, and Inf-Inf =
+// NaN after it); any non-finite part is ErrNonFinite, not an interval.
+func interval(n int, mean, sd, confidence float64) (ConfidenceInterval, error) {
 	p := 1 - (1-confidence)/2
 	var t float64
 	if n < 50 {
@@ -162,17 +170,15 @@ func CI(xs []float64, confidence float64) (ConfidenceInterval, error) {
 	} else {
 		t = NormQuantile(p)
 	}
-	hw := t * s / math.Sqrt(float64(n))
-	// Finite inputs can still overflow internally (a sum or variance
-	// reaching ±Inf makes Inf-Inf = NaN below); reject rather than
-	// report a NaN interval.
-	if math.IsNaN(m) || math.IsNaN(hw) || math.IsNaN(m-hw) || math.IsNaN(m+hw) {
-		return ConfidenceInterval{}, ErrNonFinite
-	}
-	return ConfidenceInterval{
-		Mean: m, Lo: m - hw, Hi: m + hw,
+	hw := t * sd / math.Sqrt(float64(n))
+	ci := ConfidenceInterval{
+		Mean: mean, Lo: mean - hw, Hi: mean + hw,
 		Confidence: confidence, HalfWidth: hw,
-	}, nil
+	}
+	if err := checkFinite([]float64{mean, hw, ci.Lo, ci.Hi}); err != nil {
+		return ConfidenceInterval{}, err
+	}
+	return ci, nil
 }
 
 var errInvalidConfidence = errors.New("stats: confidence must be in (0,1)")

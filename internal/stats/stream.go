@@ -78,9 +78,9 @@ func (s *Stream) CoV() float64 {
 // observations, normal at or above — and the same error contract:
 // ErrInsufficientData under two observations, errInvalidConfidence
 // outside (0,1), ErrNonFinite if internal accumulation overflowed.
-// Because Add and CI share one code path with the batch form, the
+// Both forms build the interval in one routine (interval), so the
 // streaming interval equals CI(xs, confidence) over the same sample to
-// floating-point accumulation order.
+// the floating-point accumulation order of mean and deviation.
 func (s *Stream) CI(confidence float64) (ConfidenceInterval, error) {
 	if s.n < 2 {
 		return ConfidenceInterval{}, ErrInsufficientData
@@ -88,26 +88,7 @@ func (s *Stream) CI(confidence float64) (ConfidenceInterval, error) {
 	if !(confidence > 0 && confidence < 1) { // also rejects NaN
 		return ConfidenceInterval{}, errInvalidConfidence
 	}
-	m := s.Mean()
-	sd := s.StdDev()
-	p := 1 - (1-confidence)/2
-	var t float64
-	if s.n < 50 {
-		t = TQuantile(p, float64(s.n-1))
-	} else {
-		t = NormQuantile(p)
-	}
-	hw := t * sd / math.Sqrt(float64(s.n))
-	// Finite observations can still overflow the accumulator (m2 at
-	// +Inf makes hw Inf and m±hw NaN); reject like the batch CI does.
-	if math.IsNaN(m) || math.IsNaN(hw) || math.IsInf(hw, 0) ||
-		math.IsNaN(m-hw) || math.IsNaN(m+hw) {
-		return ConfidenceInterval{}, ErrNonFinite
-	}
-	return ConfidenceInterval{
-		Mean: m, Lo: m - hw, Hi: m + hw,
-		Confidence: confidence, HalfWidth: hw,
-	}, nil
+	return interval(s.n, s.Mean(), s.StdDev(), confidence)
 }
 
 // RelHalfWidthPct returns the achieved precision as a percentage: the

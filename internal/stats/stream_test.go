@@ -127,6 +127,27 @@ func TestStreamErrorContract(t *testing.T) {
 	}
 }
 
+// TestOverflowedIntervalIsAnError pins batch ≡ stream on finite samples
+// whose variance overflows: neither form may hand back an interval of
+// ±Inf with a nil error.
+func TestOverflowedIntervalIsAnError(t *testing.T) {
+	for _, xs := range [][]float64{{1e200, -1e200, 3}, {1e160, -1e160}} {
+		var s Stream
+		for _, x := range xs {
+			if err := s.Add(x); err != nil {
+				t.Fatalf("Add(%v): %v", x, err)
+			}
+		}
+		ci, err := CI(xs, 0.95)
+		if !errors.Is(err, ErrNonFinite) {
+			t.Errorf("CI(%v) = %+v, %v; want ErrNonFinite", xs, ci, err)
+		}
+		if sci, serr := s.CI(0.95); !errors.Is(serr, ErrNonFinite) {
+			t.Errorf("Stream.CI over %v = %+v, %v; want ErrNonFinite", xs, sci, serr)
+		}
+	}
+}
+
 // TestSampleSizeWorkedExample pins the paper's §5.1.1 worked example on
 // both sizing forms: the printed normal-quantile formula gives n ≈ 20
 // for r=0.04 at 95% confidence with CoV 0.09, and the t-consistent

@@ -111,20 +111,20 @@ func TestBarnesTwoRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, traces := b.Space(), b.Traces()
-	if len(traces) != 2 || len(sp.Values) != 2 {
-		t.Fatalf("got %d traces, %d values; want 2, 2", len(traces), len(sp.Values))
+	sp := b.Space()
+	if len(b.Runs) != 2 || len(sp.Values) != 2 {
+		t.Fatalf("got %d traces, %d values; want 2, 2", len(b.Runs), len(sp.Values))
 	}
-	for i, evs := range traces {
-		if len(evs) == 0 {
+	for i, run := range b.Runs {
+		if len(run.Events) == 0 {
 			t.Fatalf("run %d recorded no events", i)
 		}
 	}
 
 	var buf bytes.Buffer
 	runs := []Run{
-		{Name: "run 0", Events: traces[0], NumCPUs: cfg.NumCPUs},
-		{Name: "run 1", Events: traces[1], NumCPUs: cfg.NumCPUs},
+		{Name: "run 0", Events: b.Runs[0].Events, NumCPUs: cfg.NumCPUs},
+		{Name: "run 1", Events: b.Runs[1].Events, NumCPUs: cfg.NumCPUs},
 	}
 	if err := WriteJSON(&buf, runs...); err != nil {
 		t.Fatal(err)
