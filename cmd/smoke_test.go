@@ -113,6 +113,42 @@ func TestVarsimResumePrintsTheSameBytes(t *testing.T) {
 	}
 }
 
+// TestExperimentsResumeReplaysEveryRun: a journaled run of experiments
+// that share spaces (fig10 Table 2's, anova fig9's), resumed with the
+// same list, prints the same bytes and appends no run record — the
+// session's resume cache is the harness's run store. Without -resume the
+// in-process reuse is not a journal replay, so the heartbeat (the
+// /status model) never reports one.
+func TestExperimentsResumeReplaysEveryRun(t *testing.T) {
+	dir := t.TempDir()
+	list := []string{"table1", "table2", "fig10", "fig9", "anova"}
+	runRecords := func() int {
+		raw, err := os.ReadFile(filepath.Join(dir, "d", "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(raw, []byte(`"status":"ok"`))
+	}
+	run, stderr, exit := drive(t, dir, "experiments", append([]string{"-quick", "-heartbeat", "20ms", "-journal", "d"}, list...)...)
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	if strings.Contains(stderr, " replayed") {
+		t.Errorf("a run without -resume reported journal replays:\n%s", stderr)
+	}
+	journaled := runRecords()
+	resumed, stderr, exit := drive(t, dir, "experiments", append([]string{"-quick", "-heartbeat", "0", "-resume", "d"}, list...)...)
+	if exit != 0 {
+		t.Fatalf("resume exit %d\n%s", exit, stderr)
+	}
+	if resumed != run || run == "" {
+		t.Errorf("-resume printed\n%s\nwant\n%s", resumed, run)
+	}
+	if n := runRecords(); n != journaled {
+		t.Errorf("the resume appended %d run records to a journal that held every run", n-journaled)
+	}
+}
+
 func TestVarsimStatusListsTheExperiment(t *testing.T) {
 	// Long enough to be caught mid-run; killed as soon as /status answers.
 	cmd := exec.Command(bin("varsim"), "-workload", "oltp", "-cpus", "4",

@@ -17,9 +17,8 @@
 // path), seedflow (all RNG construction flows through
 // varsim/internal/rng), maporder (no map-iteration order leaking into
 // results), and kindexhaust (switches over Kind enums cover every
-// variant or panic). Outside the wall: synccheck (sync primitives
-// copied by value, WaitGroup.Add races, locks held across channel
-// sends), stickyerr (discarded journal/fleet errors), and floatorder
+// variant or panic). Outside the wall: synccheck (WaitGroup.Add
+// races, locks held across channel sends), stickyerr (discarded journal/fleet errors), and floatorder
 // (float accumulation in completion order). staleallow audits
 // `//varsim:allow <analyzer> <reason>` directives that no longer
 // suppress anything.

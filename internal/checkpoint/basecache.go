@@ -24,8 +24,13 @@ import (
 // wall's requirement on the materialize path).
 //
 // Kept for bench/, which BENCHMARK.json freezes; nothing else builds
-// through it — every driver's recipes are distinct and each base is
-// built once, so the tree proper calls core.NewCheckpoint.
+// through it, and the tree proper calls core.NewCheckpoint. Bases are
+// nearly, not exactly, built once: quick `all` makes 62 machine builds
+// of 61 recipes. sampling replays Table 1's and Table 3's runs from the
+// run store (core.Resilience.Cache) rather than re-warming their ten
+// bases; the one repeat left is the ablations' two zero-warm-up
+// TimeSamples, which share a start but no checkpoint, so a base cache
+// would save one cold build.
 type BaseCache struct {
 	mu    sync.Mutex
 	bases map[Recipe]*machine.Machine

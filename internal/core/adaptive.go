@@ -21,7 +21,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
@@ -29,33 +28,6 @@ import (
 	"varsim/internal/rng"
 	"varsim/internal/sampling"
 )
-
-// observeOnce returns a copy of the bundle whose Observe hook fires at
-// most once per run key. The adaptive scheduler wraps its resilience
-// with it: under -resume a journaled prefix can overlap an in-flight
-// round (a decision record lost to a torn write makes the driver
-// resubmit a round whose runs partially replay), and without the guard
-// the precision tracker would double-count the overlap — once from the
-// cached replay and once from the live completion. Safe for the
-// concurrent calls fleet workers make.
-func (r Resilience) observeOnce() Resilience {
-	fn := r.Observe
-	if fn == nil {
-		return r
-	}
-	var mu sync.Mutex
-	seen := make(map[journal.Key]bool)
-	r.Observe = func(k journal.Key, v machine.Result) {
-		mu.Lock()
-		dup := seen[k]
-		seen[k] = true
-		mu.Unlock()
-		if !dup {
-			fn(k, v)
-		}
-	}
-	return r
-}
 
 // arm is one line of an adaptive schedule — a configuration of a matrix
 // or a stratum of a time sample: the runs it takes round by round, the
@@ -87,12 +59,10 @@ type arm struct {
 	want int
 }
 
-// arm is the experiment as an adaptive arm: its space plan under the
-// once-only observer, checkpoint prepared on demand, branches handed on
-// through spent.
+// arm is the experiment as an adaptive arm: its space plan, checkpoint
+// prepared on demand, branches handed on through spent.
 func (e Experiment) arm(spent *fleet.Pool[*machine.Machine]) *arm {
 	p := e.spacePlan()
-	p.Resilience = e.Resilience.observeOnce()
 	p.spent = spent
 	cfgHash := journal.ConfigHash(e.Config)
 	return &arm{

@@ -115,7 +115,7 @@ func (p BranchPlan) key(cfgHash string, i int) journal.Key {
 	}
 }
 
-// journaled reports whether the resume cache can serve the run filed
+// journaled reports whether the cache can serve the run filed
 // under key. A hit needs every payload the plan captures: the ok run
 // record, the digest record when digests are captured, and never for a
 // traced plan — events are not journaled. It only peeks, so a miss
@@ -144,18 +144,29 @@ func (p BranchPlan) decode(key journal.Key) (BranchedRun, bool) {
 	return r, true
 }
 
+// observe feeds the precision observer one run, at most once per key
+// in a process: the cache marks the key taken on its first observation,
+// live or replayed.
+func (p BranchPlan) observe(key journal.Key, r machine.Result) {
+	if p.Resilience.Observe != nil && p.Resilience.Cache.Take(key) {
+		p.Resilience.Observe(key, r)
+	}
+}
+
 // settle files one executed run: the precision observer sees a success,
-// and the journal receives the run record — ok or failed — followed by
-// the digest record when the plan captures digests.
+// and the run record — ok or failed — followed by the digest record when
+// the plan captures digests goes to the journal and into the cache, so a
+// plan that asks for the run again in this process replays it.
 func (p BranchPlan) settle(key journal.Key, attempts int, r BranchedRun, err error) {
 	res := p.Resilience
-	if err == nil && res.Observe != nil {
-		res.Observe(key, r.Result)
+	if err == nil {
+		p.observe(key, r.Result)
 	}
-	if res.Journal == nil {
+	if res.Journal == nil && res.Cache == nil {
 		return
 	}
-	add := func(rec journal.Record) {
+	file := func(rec journal.Record) {
+		res.Cache.Put(rec)
 		// Append errors are sticky on the writer; the CLIs check
 		// Writer.Err() at teardown rather than failing runs here.
 		//varsim:allow stickyerr fire-and-forget by design: Writer.Err is checked at CLI teardown
@@ -169,18 +180,18 @@ func (p BranchPlan) settle(key journal.Key, attempts int, r BranchedRun, err err
 	} else {
 		rec.Status, rec.Result = journal.StatusOK, raw
 	}
-	add(rec)
+	file(rec)
 	if rec.Status == journal.StatusOK && p.digests() {
 		if drec, derr := journal.DigestRecord(key, r.Digests); derr == nil {
-			add(drec)
+			file(drec)
 		}
 	}
 }
 
-// Replay serves the plan's whole range from the resume cache, without a
-// checkpoint: every run must be journaled. The observer is fed only once
-// every record has decoded, in index order, so a caller that falls back
-// to Branch cannot double-observe.
+// Replay serves the plan's whole range from the cache, without a
+// checkpoint: every run must be journaled or settled in this process.
+// The observer is fed only once every record has decoded, in index
+// order, so a caller that falls back to Branch cannot double-observe.
 func Replay(cfgHash string, p BranchPlan) (Branched, bool) {
 	if p.Resilience.Cache == nil || p.N <= 0 {
 		return Branched{}, false
@@ -197,10 +208,8 @@ func Replay(cfgHash string, p BranchPlan) (Branched, bool) {
 			return Branched{}, false
 		}
 	}
-	if p.Resilience.Observe != nil {
-		for j := range b.Runs {
-			p.Resilience.Observe(p.key(cfgHash, p.Lo+j), b.Runs[j].Result)
-		}
+	for j := range b.Runs {
+		p.observe(p.key(cfgHash, p.Lo+j), b.Runs[j].Result)
 	}
 	return b, true
 }
@@ -209,10 +218,10 @@ func Replay(cfgHash string, p BranchPlan) (Branched, bool) {
 // fleet of p.Workers workers. Each branch is a pure job (branchJob) — a
 // private snapshot re-seeded from (SeedBase, index) — and the fleet
 // merges results by index, so the outcome is byte-identical for every
-// worker count. Runs with a journaled record replay from
-// Resilience.Cache instead of executing; executed runs are journaled as
-// they settle. Because a retry re-invokes the same job, a retried run
-// re-derives its original seed — the retry/seed contract of
+// worker count. Runs with a record in Resilience.Cache replay from it
+// instead of executing; executed runs are journaled and filed into the
+// cache as they settle. Because a retry re-invokes the same job, a
+// retried run re-derives its original seed — the retry/seed contract of
 // docs/RESILIENCE.md.
 //
 // A graceful drain returns the partial outcome (Missing lists the
@@ -244,13 +253,13 @@ func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
 			r, ok := p.decode(key)
 			// Cache hits bypass OnResult, so replays feed the precision
 			// observer here — a resumed space observes every run once.
-			if ok && res.Observe != nil {
-				res.Observe(key, r.Result)
+			if ok {
+				p.observe(key, r.Result)
 			}
 			return r, ok
 		}
 	}
-	if res.Journal != nil || res.Observe != nil {
+	if res.Journal != nil || res.Cache != nil || res.Observe != nil {
 		opts.OnResult = func(i, attempts int, r BranchedRun, err error) {
 			p.settle(p.key(cfgHash, i), attempts, r, err)
 		}

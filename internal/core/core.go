@@ -181,9 +181,12 @@ type Resilience struct {
 	// Journal, when non-nil, receives one durable record per settled
 	// run (success or terminal failure) as the fleet completes it.
 	Journal *journal.Writer
-	// Cache, when non-nil, is the replayed journal of a previous
-	// attempt: runs whose (experiment, config hash, seed, index) key
-	// has an ok record are merged from the cache instead of re-run.
+	// Cache, when non-nil, is the store of settled runs: runs whose
+	// (experiment, config hash, seed, index) key has an ok record are
+	// merged from it instead of re-run, and every run a plan settles is
+	// filed into it. Loaded from a journal it is the resume cache;
+	// harness.New makes an empty one when none is given, so a space two
+	// experiments ask for is simulated once.
 	Cache *journal.Cache
 	// JobTimeout bounds each run attempt by wall clock; 0 = unbounded.
 	JobTimeout time.Duration
@@ -196,7 +199,9 @@ type Resilience struct {
 	// Observe, when non-nil, sees every successful run's result — live
 	// from the worker that settled it, and replayed for cache hits (both
 	// per-run hits and whole-range Replays), so a resumed experiment
-	// feeds the same observations a fresh one would. It is a
+	// feeds the same observations a fresh one would. With a Cache it
+	// fires at most once per run key in a process (journal.Cache.Take),
+	// however often the run replays. It is a
 	// pure observer for the precision observatory (internal/precision):
 	// it must never feed anything back into the simulation, and because
 	// live calls arrive in host completion order, its state is not part
@@ -339,30 +344,39 @@ func (e Experiment) stratumPlan(ci int, ck int64) BranchPlan {
 // lifetime: it warms the workload to each checkpoint in turn (the
 // checkpoints slice holds cumulative transaction counts, ascending) and
 // branches a space of runs from each. The returned spaces feed ANOVA to
-// decide whether time variability is significant.
+// decide whether time variability is significant. A stratum the cache
+// covers replays without a checkpoint, so a fully covered sample warms
+// nothing.
 func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
 	if err := e.validateCheckpoints(checkpoints); err != nil {
 		return nil, err
 	}
-	// One machine walks forward through the checkpoints; nothing but the
-	// current one is held.
-	m, err := NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), 0)
-	if err != nil {
-		return nil, err
-	}
+	// One machine walks forward through the checkpoints, built by the
+	// first stratum that must execute; nothing but the current checkpoint
+	// is held.
+	var m *machine.Machine
+	done := int64(0)
 	var spaces []Space
 	var spent fleet.Pool[*machine.Machine] // one checkpoint's last branches are the next one's first
-	done := int64(0)
+	cfgHash := journal.ConfigHash(e.Config)
 	for ci, ck := range checkpoints {
-		if ck > done {
-			if _, err := m.Run(ck - done); err != nil {
-				return nil, fmt.Errorf("core: warmup to checkpoint %d: %w", ck, err)
-			}
-			done = ck
-		}
 		p := e.stratumPlan(ci, ck)
 		p.spent = &spent
-		b, err := Branch(m, p)
+		b, err := replayOrBranch(cfgHash, func() (*machine.Machine, error) {
+			if m == nil {
+				var err error
+				if m, err = NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), 0); err != nil {
+					return nil, err
+				}
+			}
+			if ck > done {
+				if _, err := m.Run(ck - done); err != nil {
+					return nil, fmt.Errorf("core: warmup to checkpoint %d: %w", ck, err)
+				}
+				done = ck
+			}
+			return m, nil
+		}, p)
 		if err != nil {
 			return nil, err
 		}

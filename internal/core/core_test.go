@@ -2,12 +2,9 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"varsim/internal/config"
-	"varsim/internal/journal"
-	"varsim/internal/machine"
 	"varsim/internal/stats"
 )
 
@@ -307,32 +304,5 @@ func TestMESIExperimentRuns(t *testing.T) {
 	}
 	if len(sp.Values) != e.Runs {
 		t.Fatalf("MESI experiment produced %d runs", len(sp.Values))
-	}
-}
-
-// TestObserveOnce pins the deduplication guard itself: a wrapped
-// observer fires once per key however many times a replay overlap
-// repeats it, and a nil observer stays nil (the guard adds no cost to
-// the plain path).
-func TestObserveOnce(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[journal.Key]int{}
-	r := Resilience{Observe: func(k journal.Key, _ machine.Result) {
-		mu.Lock()
-		seen[k]++
-		mu.Unlock()
-	}}
-	once := r.observeOnce()
-	a := journal.Key{Experiment: "e", ConfigHash: "h", Seed: 1, Index: 0}
-	b := journal.Key{Experiment: "e", ConfigHash: "h", Seed: 2, Index: 1}
-	for i := 0; i < 3; i++ {
-		once.Observe(a, machine.Result{})
-		once.Observe(b, machine.Result{})
-	}
-	if seen[a] != 1 || seen[b] != 1 {
-		t.Errorf("observed a=%d b=%d times, want exactly once each", seen[a], seen[b])
-	}
-	if nilRes := (Resilience{}).observeOnce(); nilRes.Observe != nil {
-		t.Error("observeOnce invented an observer for the plain path")
 	}
 }

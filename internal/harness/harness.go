@@ -3,9 +3,13 @@
 // sensitivity study and the §5.2 ANOVA study), each rendering the same
 // rows/series the paper reports.
 //
-// Experiments share expensive simulation products (e.g. the ROB spaces
-// feed Table 2, Figures 10 and 11, and Table 5) through an internal
-// cache, so `all` runs each simulation once.
+// Experiments share simulated runs through the harness's run store,
+// Options.Resilience.Cache: every run an experiment settles is filed
+// there under its journal key, and an experiment that asks for it again
+// (the ROB spaces behind Table 2, Figures 10 and 11 and Table 5;
+// Table 1's and Table 3's runs behind sampling; Figure 9's strata behind
+// the ANOVA study) replays it without warming a checkpoint, so `all`
+// simulates each run once.
 package harness
 
 import (
@@ -17,6 +21,7 @@ import (
 	"varsim/internal/config"
 	"varsim/internal/core"
 	"varsim/internal/fleet"
+	"varsim/internal/journal"
 	"varsim/internal/report"
 	"varsim/internal/rng"
 	"varsim/internal/sampling"
@@ -41,8 +46,10 @@ type Options struct {
 	Report *report.Collector
 	// Resilience threads the crash-safety plumbing (journal, resume
 	// cache, retry/timeout budget, drain signal) into every experiment
-	// the harness builds and into its per-configuration fleets. Zero
-	// value = plain execution. See docs/RESILIENCE.md.
+	// the harness builds and into its per-configuration fleets. Its
+	// Cache is the harness's run store: the caller's resume cache when
+	// it passes one, else an empty cache New makes, which then holds
+	// only this harness's runs. See docs/RESILIENCE.md.
 	Resilience core.Resilience
 	// Adaptive, when non-nil, overrides the stopping/pruning target the
 	// sampling experiment uses (nil selects the paper's worked-example
@@ -55,16 +62,6 @@ type Options struct {
 type H struct {
 	opt     Options
 	current string // experiment currently running (for table capture)
-
-	// Cached simulation products.
-	robSpacesCache   map[int]core.Space
-	assocSpacesCache map[int]core.Space
-	fig9Cache        map[string]fig9Data
-}
-
-type fig9Data struct {
-	checkpoints []int64
-	spaces      []core.Space
 }
 
 // New builds a harness.
@@ -75,12 +72,10 @@ func New(opt Options) *H {
 	if opt.Seed == 0 {
 		opt.Seed = 0xA1A3 // default workload identity
 	}
-	return &H{
-		opt:              opt,
-		robSpacesCache:   map[int]core.Space{},
-		assocSpacesCache: map[int]core.Space{},
-		fig9Cache:        map[string]fig9Data{},
+	if opt.Resilience.Cache == nil {
+		opt.Resilience.Cache = journal.NewCache(nil)
 	}
+	return &H{opt: opt}
 }
 
 // Experiment is a named, runnable experiment.
@@ -208,17 +203,13 @@ func (h *H) experiment(label string, cfg config.Config, wl string, warmup, measu
 	}
 }
 
-// spaceFleet returns the cache map if it is filled; else it runs one
-// experiment space per configuration value on the harness fleet, merges
-// them into the map and returns it. Each space build is independent
-// (own config, own seed salt), so the per-configuration level
-// parallelizes exactly like the per-run level inside each space; the
-// index-ordered merge keeps the cache contents identical to the
-// sequential build for any worker count.
-func (h *H) spaceFleet(vals []int, cache map[int]core.Space, build func(v int) core.Experiment) (map[int]core.Space, error) {
-	if len(cache) > 0 {
-		return cache, nil
-	}
+// spaceFleet runs one experiment space per configuration value on the
+// harness fleet and returns them keyed by value; a space the run store
+// already holds replays. Each space build is independent (own config,
+// own seed salt), so the per-configuration level parallelizes exactly
+// like the per-run level inside each space; the index-ordered merge
+// keeps the map identical to the sequential build for any worker count.
+func (h *H) spaceFleet(vals []int, build func(v int) core.Experiment) (map[int]core.Space, error) {
 	spaces, err := fleet.Run(fleet.Options[core.Space]{
 		Workers: fleet.Width(h.opt.Workers),
 		Stop:    h.opt.Resilience.Stop,
@@ -228,10 +219,11 @@ func (h *H) spaceFleet(vals []int, cache map[int]core.Space, build func(v int) c
 	if err != nil {
 		return nil, err
 	}
+	byVal := make(map[int]core.Space, len(vals))
 	for i, sp := range spaces {
-		cache[vals[i]] = sp
+		byVal[vals[i]] = sp
 	}
-	return cache, nil
+	return byVal, nil
 }
 
 // ---- Shared spaces --------------------------------------------------
@@ -249,18 +241,18 @@ func (h *H) assocExperiment(assoc int) core.Experiment {
 	return h.experiment(fmt.Sprintf("%d-way", assoc), cfg, "oltp", 500, 200, 0x11+uint64(assoc))
 }
 
-// assocSpaces runs (or returns cached) Experiment 1's spaces.
+// assocSpaces runs (or replays) Experiment 1's spaces.
 func (h *H) assocSpaces() (map[int]core.Space, error) {
-	return h.spaceFleet(assocWays, h.assocSpacesCache, h.assocExperiment)
+	return h.spaceFleet(assocWays, h.assocExperiment)
 }
 
-// robSpaces runs (or returns cached) Experiment 2 spaces: ROB 16/32/64,
+// robSpaces runs (or replays) Experiment 2 spaces: ROB 16/32/64,
 // 20 x 50-transaction OLTP runs, detailed processor.
 func (h *H) robSpaces() (map[int]core.Space, error) {
 	// The paper measures 50-transaction runs; our transactions are ~10^3
 	// smaller, so 200 transactions is still a far shorter absolute window
 	// than the paper's (see DESIGN.md on scaling).
-	return h.spaceFleet([]int{16, 32, 64}, h.robSpacesCache, func(rob int) core.Experiment {
+	return h.spaceFleet([]int{16, 32, 64}, func(rob int) core.Experiment {
 		cfg := h.baseConfig()
 		cfg.Processor = config.OOOProc
 		cfg.OOO.ROBEntries = rob
@@ -268,12 +260,9 @@ func (h *H) robSpaces() (map[int]core.Space, error) {
 	})
 }
 
-// fig9Spaces runs (or returns cached) the multiple-starting-point study
-// for one workload.
-func (h *H) fig9Spaces(wl string, measure int64) (fig9Data, error) {
-	if d, ok := h.fig9Cache[wl]; ok {
-		return d, nil
-	}
+// fig9Spaces runs (or replays) the multiple-starting-point study for
+// one workload.
+func (h *H) fig9Spaces(wl string, measure int64) ([]int64, []core.Space, error) {
 	// Ten checkpoints spread through the scaled lifetime, as in Figure 9
 	// (the paper uses 10K..100K warmup transactions; ours are 1/10 of
 	// that, consistent with the global scaling).
@@ -283,12 +272,7 @@ func (h *H) fig9Spaces(wl string, measure int64) (fig9Data, error) {
 	}
 	e := h.experiment(wl, h.baseConfig(), wl, 0, measure, 0x99)
 	spaces, err := e.TimeSample(cks)
-	if err != nil {
-		return fig9Data{}, err
-	}
-	d := fig9Data{checkpoints: cks, spaces: spaces}
-	h.fig9Cache[wl] = d
-	return d, nil
+	return cks, spaces, err
 }
 
 // ---- Rendering helpers ----------------------------------------------
@@ -312,7 +296,7 @@ func (h *H) table(header string, rows [][]string) {
 }
 
 // sortedKeys is the harness's audited sorted-key helper: experiment
-// tables iterate cached simulation products through it so row order
+// tables iterate per-configuration spaces through it so row order
 // never depends on Go's randomized map iteration.
 func sortedKeys(m map[int]core.Space) []int {
 	ks := make([]int, 0, len(m))

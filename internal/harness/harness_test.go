@@ -3,11 +3,17 @@ package harness
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+
+	"varsim/internal/core"
+	"varsim/internal/journal"
+	"varsim/internal/machine"
 )
 
 var update = flag.Bool("update", false, "rewrite the .golden files under testdata")
@@ -121,24 +127,86 @@ func TestTable1(t *testing.T) {
 	runQuick(t, "table1", "WCR", "superior config", "1-way", "4-way")
 }
 
-func TestTable2SharesCache(t *testing.T) {
+// TestStoreSimulatesEachRunOnce holds one harness to its run store over
+// the experiments that share runs: no run is journaled twice, sampling
+// re-runs nothing of Table 1 or Table 3, the experiments that only read
+// spaces another already ran simulate nothing, the precision observer
+// sees every run once, and none of that reuse counts as a journal
+// replay.
+func TestStoreSimulatesEachRunOnce(t *testing.T) {
+	jw, err := journal.CreateDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.Close()
+	var mu sync.Mutex
+	observed := map[journal.Key]int{}
 	var buf bytes.Buffer
-	h := quickH(&buf)
-	e, _ := Find("table2")
-	if err := h.RunOne(e); err != nil {
-		t.Fatal(err)
+	h := New(Options{Out: &buf, Seed: 0xA1A3, Quick: true, Resilience: core.Resilience{
+		Journal: jw,
+		Observe: func(k journal.Key, _ machine.Result) {
+			mu.Lock()
+			observed[k]++
+			mu.Unlock()
+		},
+	}})
+	hits := journal.ReadStats().Hits
+	appended := map[string][]journal.Record{}
+	seen := 0
+	for _, name := range []string{"table1", "table3", "sampling", "table2", "fig10", "fig11", "table5", "fig9", "anova"} {
+		e, _ := Find(name)
+		before := machine.SimulatedCycles()
+		if err := h.RunOne(e); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cycles := machine.SimulatedCycles() - before
+		switch name {
+		case "fig10", "fig11", "table5", "anova":
+			if cycles != 0 {
+				t.Errorf("%s simulated %d cycles; its spaces were already run", name, cycles)
+			}
+		}
+		res, err := journal.Load(jw.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended[name], seen = res.Records[seen:], len(res.Records)
 	}
-	if len(h.robSpacesCache) != 3 {
-		t.Fatalf("rob spaces not cached: %d", len(h.robSpacesCache))
+
+	runs := map[journal.Key]bool{}
+	for _, recs := range appended {
+		for _, r := range recs {
+			if r.Status != journal.StatusOK {
+				continue
+			}
+			if runs[r.Key] {
+				t.Errorf("%s was journaled twice", r.Key)
+			}
+			runs[r.Key] = true
+		}
 	}
-	// fig10 must reuse them without re-simulating (cheap, same data).
-	before := h.robSpacesCache[32].Values[0]
-	e10, _ := Find("fig10")
-	if err := h.RunOne(e10); err != nil {
-		t.Fatal(err)
+	tableLabels := map[string]bool{}
+	for _, b := range table3Benches {
+		tableLabels[b.name] = true
 	}
-	if h.robSpacesCache[32].Values[0] != before {
-		t.Fatal("cache was invalidated between experiments")
+	for _, assoc := range assocWays {
+		tableLabels[fmt.Sprintf("%d-way", assoc)] = true
+	}
+	for _, r := range appended["sampling"] {
+		if r.Status == journal.StatusOK && tableLabels[r.Experiment] {
+			t.Errorf("sampling re-ran %s instead of replaying it", r.Key)
+		}
+	}
+	if len(observed) != len(runs) {
+		t.Errorf("observer saw %d keys, the journal holds %d runs", len(observed), len(runs))
+	}
+	for k, n := range observed {
+		if n != 1 {
+			t.Errorf("%s observed %d times, want once", k, n)
+		}
+	}
+	if d := journal.ReadStats().Hits - hits; d != 0 {
+		t.Errorf("in-process reuse counted %d journal replays, want 0", d)
 	}
 }
 

@@ -426,17 +426,17 @@ var fig9Workloads = []struct {
 // strongly on the starting checkpoint.
 func (h *H) Fig9Checkpoints() error {
 	for _, w := range fig9Workloads {
-		d, err := h.fig9Spaces(w.name, w.measure)
+		cks, spaces, err := h.fig9Spaces(w.name, w.measure)
 		if err != nil {
 			return err
 		}
 		rows := [][]string{}
 		var means []float64
-		for i, sp := range d.spaces {
+		for i, sp := range spaces {
 			s := sp.Summary()
 			means = append(means, s.Mean)
 			rows = append(rows, []string{
-				fmt.Sprintf("%d", d.checkpoints[i]),
+				fmt.Sprintf("%d", cks[i]),
 				fmt.Sprintf("%.0f", s.Mean),
 				fmt.Sprintf("%.0f", s.Min),
 				fmt.Sprintf("%.0f", s.Max),
@@ -446,10 +446,10 @@ func (h *H) Fig9Checkpoints() error {
 		fmt.Fprintf(h.opt.Out, "--- %s (measure %d txns per run) ---\n", w.name, h.scaleTxns(w.measure))
 		h.table("warmup txns (checkpoint)\tavg CPT\tmin\tmax\twithin-ckpt CoV", rows)
 		var pts []plot.ErrorBarPoint
-		for i, sp := range d.spaces {
+		for i, sp := range spaces {
 			s := sp.Summary()
 			pts = append(pts, plot.ErrorBarPoint{
-				Label: fmt.Sprintf("%dk", d.checkpoints[i]/1000),
+				Label: fmt.Sprintf("%dk", cks[i]/1000),
 				Mean:  s.Mean, Dev: s.StdDev, Min: s.Min, Max: s.Max,
 			})
 		}
@@ -491,11 +491,11 @@ func (h *H) PerturbSensitivity() error {
 // variability is attributable to within-checkpoint (space) variability.
 func (h *H) ANOVAStudy() error {
 	for _, w := range fig9Workloads {
-		d, err := h.fig9Spaces(w.name, w.measure)
+		_, spaces, err := h.fig9Spaces(w.name, w.measure)
 		if err != nil {
 			return err
 		}
-		res, err := core.ANOVAOverCheckpoints(d.spaces)
+		res, err := core.ANOVAOverCheckpoints(spaces)
 		if err != nil {
 			return err
 		}

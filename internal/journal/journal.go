@@ -150,7 +150,9 @@ type Stats struct {
 	// Lag is the number of appends started but not yet durable — how
 	// many completed jobs a crash right now would lose.
 	Lag int64 `json:"lag"`
-	// Hits is the number of cache replays served during resume.
+	// Hits is the number of records an earlier process journaled that
+	// a resume merged; serving a record this process settled is reuse,
+	// not a replay, and counts none.
 	Hits int64 `json:"hits"`
 	// Dropped is the number of corrupt records truncated by recovery.
 	Dropped int64 `json:"dropped"`
@@ -386,11 +388,15 @@ func Recover(path string, logf func(format string, args ...any)) (LoadResult, er
 
 // ---- resume cache ---------------------------------------------------
 
-// Cache indexes journal records by key for resume. Only StatusOK
-// records replay as hits — failed jobs are re-run. When the journal
-// holds several records for one key (a failure later retried to
-// success on a previous resume), the last one wins.
+// Cache indexes run records by key: the records of a journal loaded for
+// resume (NewCache) and every record this process has settled since
+// (Put), so one process never simulates a run twice. Only StatusOK
+// records replay as hits — failed jobs are re-run. When several records
+// share a key (a failure later retried to success on a previous
+// resume), the last one filed wins. Safe for concurrent use: fleet
+// workers replay and settle through one cache.
 type Cache struct {
+	mu    sync.Mutex
 	byKey map[Key]Record
 	// digests holds StatusDigest records separately: they share their
 	// run's Key, so folding them into byKey would clobber the run
@@ -400,6 +406,11 @@ type Cache struct {
 	// reason: a decision's key (seed base, round index) can collide
 	// with a run key, and neither may shadow the other on resume.
 	decisions map[Key]Record
+	// settled marks the keys this process filed with Put: serving one is
+	// in-process reuse, not a journal replay, and counts no hit.
+	settled map[Key]bool
+	// taken marks the keys Take has handed out (see Take).
+	taken map[Key]bool
 }
 
 // NewCache builds a cache over recs (normally LoadResult.Records).
@@ -408,32 +419,80 @@ func NewCache(recs []Record) *Cache {
 		byKey:     make(map[Key]Record, len(recs)),
 		digests:   make(map[Key]Record),
 		decisions: make(map[Key]Record),
+		settled:   make(map[Key]bool),
+		taken:     make(map[Key]bool),
 	}
 	for _, r := range recs {
-		switch r.Status {
-		case StatusDigest:
-			c.digests[r.Key] = r
-		case StatusDecision:
-			c.decisions[r.Key] = r
-		default:
-			c.byKey[r.Key] = r
-		}
+		c.file(r)
 	}
 	return c
 }
 
+// file indexes one record by its status. The caller holds mu or owns c.
+func (c *Cache) file(r Record) {
+	switch r.Status {
+	case StatusDigest:
+		c.digests[r.Key] = r
+	case StatusDecision:
+		c.decisions[r.Key] = r
+	default:
+		c.byKey[r.Key] = r
+	}
+}
+
+// Put files a record this process settled, exactly as a resume would
+// load it from the journal, so a later ask for the run replays it. A
+// hit on it is not a journal replay: Get and Digest count none. Nil-safe.
+func (c *Cache) Put(r Record) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.file(r)
+	c.settled[r.Key] = true
+}
+
+// Take reports whether key is taken for the first time in this process,
+// and marks it taken: the precision observer sees a run only when Take
+// says so, whether the run settled here or replayed (once or many
+// times). A nil cache remembers nothing, so every Take is a first.
+func (c *Cache) Take(key Key) bool {
+	if c == nil {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.taken[key] {
+		return false
+	}
+	c.taken[key] = true
+	return true
+}
+
 // Get returns the completed record for key, counting a process-wide
-// cache hit. Failed records and unknown keys miss. Nil-safe.
+// cache hit when an earlier process journaled it. Failed records and
+// unknown keys miss. Nil-safe.
 func (c *Cache) Get(key Key) (Record, bool) {
 	if c == nil {
 		return Record{}, false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.byKey[key]
 	if !ok || r.Status != StatusOK {
 		return Record{}, false
 	}
-	cacheHits.Add(1)
+	c.replayed(key)
 	return r, true
+}
+
+// replayed counts a hit on key's records unless this process settled
+// them. The caller holds mu.
+func (c *Cache) replayed(key Key) {
+	if !c.settled[key] {
+		cacheHits.Add(1)
+	}
 }
 
 // Has reports whether key would hit — an ok record exists — without
@@ -444,6 +503,8 @@ func (c *Cache) Has(key Key) bool {
 	if c == nil {
 		return false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.byKey[key]
 	return ok && r.Status == StatusOK
 }
@@ -454,6 +515,8 @@ func (c *Cache) HasDigest(key Key) bool {
 	if c == nil {
 		return false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, ok := c.digests[key]
 	return ok
 }
@@ -464,6 +527,8 @@ func (c *Cache) Decision(key Key) (Record, bool) {
 	if c == nil {
 		return Record{}, false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.decisions[key]
 	if !ok {
 		return Record{}, false
@@ -473,16 +538,18 @@ func (c *Cache) Decision(key Key) (Record, bool) {
 }
 
 // Digest returns the digest record for key, counting a process-wide
-// cache hit. Nil-safe.
+// cache hit when an earlier process journaled it. Nil-safe.
 func (c *Cache) Digest(key Key) (Record, bool) {
 	if c == nil {
 		return Record{}, false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.digests[key]
 	if !ok {
 		return Record{}, false
 	}
-	cacheHits.Add(1)
+	c.replayed(key)
 	return r, true
 }
 
@@ -493,6 +560,8 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return len(c.byKey)
 }
 
@@ -501,6 +570,8 @@ func (c *Cache) DigestLen() int {
 	if c == nil {
 		return 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return len(c.digests)
 }
 
@@ -509,6 +580,8 @@ func (c *Cache) DecisionLen() int {
 	if c == nil {
 		return 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return len(c.decisions)
 }
 

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -237,6 +239,51 @@ func TestCacheSemantics(t *testing.T) {
 	failOnly := NewCache([]Record{fail})
 	if _, ok := failOnly.Get(fail.Key); ok {
 		t.Error("failed record served as a hit")
+	}
+}
+
+// TestCacheTakeOnce: a key is taken once per cache however many
+// goroutines ask, a nil cache remembers nothing, and a record this
+// process filed serves like a journaled one but counts no replay.
+func TestCacheTakeOnce(t *testing.T) {
+	c := NewCache([]Record{okRecord(0)})
+	var wg sync.WaitGroup
+	var firsts atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if c.Take(okRecord(i).Key) {
+					firsts.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if firsts.Load() != 3 {
+		t.Errorf("8 goroutines took 3 keys %d times, want once each", firsts.Load())
+	}
+	var nilCache *Cache
+	if !nilCache.Take(okRecord(0).Key) || !nilCache.Take(okRecord(0).Key) {
+		t.Error("a nil cache refused a take")
+	}
+
+	before := ReadStats().Hits
+	c.Put(okRecord(1))
+	c.Put(Record{Key: okRecord(1).Key, Status: StatusDigest, Result: json.RawMessage(`{}`)})
+	if _, ok := c.Get(okRecord(1).Key); !ok {
+		t.Error("a settled record missed")
+	}
+	if _, ok := c.Digest(okRecord(1).Key); !ok {
+		t.Error("a settled digest record missed")
+	}
+	if d := ReadStats().Hits - before; d != 0 {
+		t.Errorf("serving settled records counted %d replays, want 0", d)
+	}
+	c.Get(okRecord(0).Key)
+	if d := ReadStats().Hits - before; d != 1 {
+		t.Errorf("serving a journaled record counted %d replays, want 1", d)
 	}
 }
 

@@ -3,14 +3,9 @@
 // journal, the observability server — whose bugs are themselves a
 // first-class variability source (the OpenMP characterization in
 // PAPERS.md: barrier and lock misuse perturbs timing-sensitive runs).
-// It flags three classic misuse shapes:
-//
-//   - sync primitives copied by value: a parameter, receiver,
-//     assignment or range variable whose type contains a sync.Mutex,
-//     RWMutex, WaitGroup, Once or Cond splits the primitive's state —
-//     the copy guards nothing. (go vet's copylocks overlaps here;
-//     synccheck keeps the check inside the varsimlint suite so the
-//     baseline and allow-audit machinery see it.)
+// It flags two classic misuse shapes that go vet does not (vet's
+// copylocks, which `make check` runs, already catches sync primitives
+// copied by value):
 //
 //   - WaitGroup.Add inside the goroutine it accounts for: the launch
 //     races the Add, so a Wait that runs before the goroutine is
@@ -35,14 +30,8 @@ import (
 // Analyzer is the synccheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "synccheck",
-	Doc:  "flag sync primitives copied by value, WaitGroup.Add inside the spawned goroutine, and locks held across channel sends",
+	Doc:  "flag WaitGroup.Add inside the spawned goroutine and locks held across channel sends",
 	Run:  run,
-}
-
-// lockNames are the sync types whose values must not be copied.
-var lockNames = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Map": true, "Pool": true,
 }
 
 // lockMethods classifies sync lock/unlock methods by FullName.
@@ -63,17 +52,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				checkSignature(pass, n.Recv, n.Type)
 				if n.Body != nil {
 					scanHeld(pass, n.Body.List, map[string]token.Pos{})
 				}
 			case *ast.FuncLit:
-				checkSignature(pass, nil, n.Type)
 				scanHeld(pass, n.Body.List, map[string]token.Pos{})
-			case *ast.AssignStmt:
-				checkAssignCopies(pass, n)
-			case *ast.RangeStmt:
-				checkRangeCopies(pass, n)
 			case *ast.GoStmt:
 				checkGoAdd(pass, n)
 			}
@@ -81,97 +64,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
-}
-
-// containsLock reports whether t holds a sync primitive by value,
-// looking through named types, structs and arrays; a pointer breaks
-// containment. seen guards recursive types.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockNames[obj.Name()] {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
-}
-
-func lockType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return containsLock(t, map[types.Type]bool{})
-}
-
-// checkSignature flags by-value receivers and parameters carrying sync
-// primitives.
-func checkSignature(pass *analysis.Pass, recv *ast.FieldList, ft *ast.FuncType) {
-	flag := func(fl *ast.FieldList, kind string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := pass.TypesInfo.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if lockType(t) {
-				pass.Reportf(f.Pos(), "%s copies a sync primitive by value: the copy guards nothing; pass a pointer", kind)
-			}
-		}
-	}
-	flag(recv, "receiver")
-	flag(ft.Params, "parameter")
-}
-
-// checkAssignCopies flags assignments that copy an existing
-// lock-carrying value. Fresh composite literals and calls construct
-// new values and are fine.
-func checkAssignCopies(pass *analysis.Pass, as *ast.AssignStmt) {
-	for i, rhs := range as.Rhs {
-		if i >= len(as.Lhs) {
-			break
-		}
-		if id, ok := as.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-			continue // a blank assignment performs no store
-		}
-		switch ast.Unparen(rhs).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			continue // literals, calls, &x — not a copy of an existing value
-		}
-		if t := pass.TypesInfo.TypeOf(rhs); lockType(t) {
-			pass.Reportf(as.Pos(), "assignment copies a sync primitive by value: the copy guards nothing; use a pointer")
-		}
-	}
-}
-
-// checkRangeCopies flags range clauses whose value variable copies a
-// lock-carrying element.
-func checkRangeCopies(pass *analysis.Pass, rng *ast.RangeStmt) {
-	if rng.Value == nil {
-		return
-	}
-	if t := pass.TypesInfo.TypeOf(rng.Value); lockType(t) {
-		pass.Reportf(rng.Value.Pos(), "range value copies a sync primitive by value: the copy guards nothing; range over indices or pointers")
-	}
 }
 
 // checkGoAdd flags WaitGroup.Add calls lexically inside a go

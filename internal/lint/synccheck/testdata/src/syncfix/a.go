@@ -1,55 +1,9 @@
-// Package syncfix exercises the three synccheck shapes: by-value
-// copies of sync primitives, WaitGroup.Add inside the goroutine it
-// accounts for, and locks held across channel sends.
+// Package syncfix exercises the two synccheck shapes: WaitGroup.Add
+// inside the goroutine it accounts for, and locks held across channel
+// sends.
 package syncfix
 
 import "sync"
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// By-value copies.
-
-func byValueParam(g guarded) int { // want `parameter copies a sync primitive by value`
-	return g.n
-}
-
-func (g guarded) byValueRecv() int { // want `receiver copies a sync primitive by value`
-	return g.n
-}
-
-func ptrParam(g *guarded) int { return g.n }
-
-func (g *guarded) ptrRecv() int { return g.n }
-
-func assignCopy() {
-	var a guarded
-	b := a // want `assignment copies a sync primitive by value`
-	_ = b
-}
-
-func freshLiteral() {
-	g := guarded{} // a fresh value, not a copy of a live one
-	_ = g.n
-}
-
-func rangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want `range value copies a sync primitive by value`
-		total += g.n
-	}
-	return total
-}
-
-func rangeIndex(gs []guarded) int {
-	total := 0
-	for i := range gs {
-		total += gs[i].n
-	}
-	return total
-}
 
 // WaitGroup.Add placement.
 

@@ -360,17 +360,33 @@ func MinRunsForSignificance(a, b []float64, alpha float64, max int) int {
 // common standard deviation, how many runs per configuration are needed
 // for the one-sided t-test to reject at level alpha — the planning form
 // used to produce the paper's Table 5. It assumes the sample means and
-// variances equal the pilot estimates and solves for n.
+// variances equal the pilot estimates and solves for n: the least n in
+// [2, 10^6] at which the test rejects, or 0 if none does.
 func MinRunsProjected(meanA, meanB, std float64, alpha float64) int {
 	if meanA <= meanB || std <= 0 || alpha <= 0 || alpha >= 0.5 {
 		return 0
 	}
-	for n := 2; n <= 1_000_000; n++ {
+	rejects := func(n int) bool {
 		t := (meanA - meanB) / math.Sqrt(2*std*std/float64(n))
-		crit := TQuantile(1-alpha, float64(2*n-2))
-		if t > crit {
-			return n
+		return t > TQuantile(1-alpha, float64(2*n-2))
+	}
+	// The statistic grows with n and the critical value falls, so rejects
+	// is monotone: double up to the first rejecting power, then bisect
+	// between it and the last one that did not (n = 1 never does).
+	const limit = 1_000_000
+	lo, hi := 1, 2
+	for !rejects(hi) {
+		if hi == limit {
+			return 0
+		}
+		lo, hi = hi, min(2*hi, limit)
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; rejects(mid) {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
-	return 0
+	return hi
 }

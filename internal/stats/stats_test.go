@@ -234,6 +234,53 @@ func TestMinRunsProjectedShape(t *testing.T) {
 	}
 }
 
+// minRunsLinear is MinRunsProjected's definition as a scan: the first n
+// in [2, 10^6] whose one-sided statistic exceeds the t critical value.
+// A t quantile always exceeds the normal one, so an n whose statistic
+// does not pass the normal quantile cannot reject and is skipped without
+// inverting the t distribution — that keeps a scan to ~10^5 fast and
+// changes no answer.
+func minRunsLinear(meanA, meanB, std, alpha float64) int {
+	z := NormQuantile(1 - alpha)
+	for n := 2; n <= 1_000_000; n++ {
+		t := (meanA - meanB) / math.Sqrt(2*std*std/float64(n))
+		if t > z && t > TQuantile(1-alpha, float64(2*n-2)) {
+			return n
+		}
+	}
+	return 0
+}
+
+// TestMinRunsProjectedMatchesScan pins the bisection to the scan it
+// replaced, on Table 5's quick-scale rows (the ROB 32 vs 64 moments the
+// quick harness measures), the paper-shape cases, an answer past the
+// last power of two below the cap, and effects too small to reject.
+func TestMinRunsProjectedMatchesScan(t *testing.T) {
+	alphas := []float64{0.10, 0.05, 0.025, 0.01, 0.005}
+	type c struct{ a, b, sd, alpha float64 }
+	var cases []c
+	for _, alpha := range alphas {
+		cases = append(cases,
+			c{4493.766666666666, 4492.1625, 146.35669983174336, alpha},
+			c{1.9, 1, 1, alpha},
+			c{10.5, 10, 0.5, alpha})
+	}
+	cases = append(cases, c{100, 1, 1, 0.05}, c{1.00278, 1, 1, 0.05}, c{1.000001, 1, 1, 0.05}, c{1.000001, 1, 1, 0.005})
+	quick := map[float64]int{0.10: 27343, 0.05: 45043, 0.025: 63953, 0.01: 90098, 0.005: 110459}
+	for _, tc := range cases {
+		got, want := MinRunsProjected(tc.a, tc.b, tc.sd, tc.alpha), minRunsLinear(tc.a, tc.b, tc.sd, tc.alpha)
+		if got != want {
+			t.Errorf("MinRunsProjected(%v, %v, %v, %v) = %d, the scan says %d", tc.a, tc.b, tc.sd, tc.alpha, got, want)
+		}
+		if tc.a == 4493.766666666666 && got != quick[tc.alpha] {
+			t.Errorf("quick Table 5 row at alpha %v projects %d runs, want %d", tc.alpha, got, quick[tc.alpha])
+		}
+	}
+	if MinRunsProjected(1.000001, 1, 1, 0.05) != 0 || MinRunsProjected(100, 1, 1, 0.05) != 2 {
+		t.Error("the never-rejecting and the two-run cases lost their edge values")
+	}
+}
+
 func TestMinRunsProjectedPaperTable5Shape(t *testing.T) {
 	// Table 5 in the paper: 6 runs at 10%, 9 at 5%, 11 at 2.5%, 13 at 1%,
 	// 16 at 0.5% for the ROB experiment. We don't have their exact sample
