@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"varsim/internal/harness"
-	"varsim/internal/machine"
+	"varsim/internal/journal"
 	"varsim/internal/obs"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
@@ -89,7 +89,7 @@ func main() {
 	s, err := session.Open(sf, session.Options{
 		Tool: "experiments", Experiments: names,
 		Seed: *seed, Quick: *quick,
-		ConfigHash: report.ConfigHash(harnessConfigFingerprint(*seed, *quick, args)),
+		ConfigHash: journal.ConfigHash(harnessConfigFingerprint(*seed, *quick, args)),
 		RelErr:     *relErr,
 		Heartbeat:  *heartbeat,
 		ResumeArgs: " " + strings.Join(args, " "), // the experiment names make the hint a runnable command
@@ -101,7 +101,7 @@ func main() {
 	}
 	// /series for a sweep of many short-lived machines: the process-wide
 	// simulated-cycle counter on a wall-clock base. A no-op without -http.
-	stopSeries := obs.StartSimRateSampler(s.Publisher, machine.SimulatedCycles, time.Second)
+	stopSeries := obs.StartSimRateSampler(s.Publisher, time.Second)
 
 	var collector *report.Collector
 	if *csvDir != "" || *jsonOut != "" {

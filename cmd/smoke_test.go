@@ -195,6 +195,36 @@ func TestVarsimStatusListsTheExperiment(t *testing.T) {
 	}
 }
 
+// TestExperimentsManifestIsTheLedger: the manifest's one row is the
+// progress ledger's, and a one-experiment run's total is that row's.
+func TestExperimentsManifestIsTheLedger(t *testing.T) {
+	dir := t.TempDir()
+	if _, stderr, exit := drive(t, dir, "experiments", "-quick", "-heartbeat", "0", "-manifest", "m.json", "perturb"); exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "m.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		SimCycles   int64 `json:"sim_cycles"`
+		Experiments []struct {
+			Name      string `json:"name"`
+			State     string `json:"state"`
+			SimCycles int64  `json:"sim_cycles"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Experiments) != 1 {
+		t.Fatalf("manifest rows = %+v, want one\n%s", m.Experiments, raw)
+	}
+	if e := m.Experiments[0]; e.Name != "perturb" || e.State != "done" || e.SimCycles <= 0 || e.SimCycles != m.SimCycles {
+		t.Errorf("manifest row %+v with total %d, want perturb done with sim_cycles > 0 equal to the total", e, m.SimCycles)
+	}
+}
+
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {

@@ -185,7 +185,7 @@ func main() {
 
 	s, err := session.Open(sf, session.Options{
 		Tool: "varsim", Experiments: []string{e.Label},
-		Seed: e.WorkloadSeed, ConfigHash: report.ConfigHash(e.Config),
+		Seed: e.WorkloadSeed, ConfigHash: journal.ConfigHash(e.Config),
 		RelErr: *relErrF, Confidence: *confF,
 		Stderr: os.Stderr,
 	})
@@ -240,11 +240,7 @@ func loadSpec(path string) (core.Experiment, error) {
 // main can finalize profiles and the manifest on every path.
 func run(e core.Experiment, rc runCfg) error {
 	if rc.schedTr || rc.lockRep {
-		wl, err := workloads.New(rc.wlName, e.Config, rc.seed)
-		if err != nil {
-			return err
-		}
-		m, err := machine.New(e.Config, wl, rc.pseed)
+		m, err := core.NewCheckpoint(e.Config, rc.wlName, rc.seed, rc.pseed, 0)
 		if err != nil {
 			return err
 		}

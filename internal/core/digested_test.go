@@ -123,8 +123,10 @@ func TestDigestedKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jc.DigestLen() != jc.Len() {
-		t.Fatalf("journal has %d run records but %d digest records", jc.Len(), jc.DigestLen())
+	for i := 0; i < e.Runs; i++ {
+		if k := e.RunKey(i); jc.Has(k) != jc.HasDigest(k) {
+			t.Fatalf("run %d: journaled run record %v, digest record %v", i, jc.Has(k), jc.HasDigest(k))
+		}
 	}
 	r := digestExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}

@@ -102,9 +102,9 @@ type TestHook interface {
 }
 
 // Stats is a point-in-time view of process-wide fleet activity, the
-// occupancy counterpart of machine.SimulatedCycles: live observers (the
-// obs /status fleet view, the stderr heartbeat) read it to show how
-// busy the worker pool is and how far through the run matrix it is.
+// occupancy counterpart of machine.SimulatedCycles: the progress ledger
+// (obs.Fleet, behind /status and the stderr heartbeat) reads it to show
+// how busy the worker pool is and how far through the run matrix it is.
 // Retries and Timeouts count recovery activity (docs/RESILIENCE.md):
 // attempts rerun after a failure, and attempts cut off by a timeout.
 type Stats struct {

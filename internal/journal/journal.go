@@ -143,7 +143,8 @@ func Decode(line []byte) (Record, error) {
 // ---- process-wide stats ---------------------------------------------
 
 // Stats is a point-in-time view of process-wide journal activity, read
-// by /status, /metrics and the heartbeat alongside fleet.Read.
+// by the progress ledger (obs.Fleet) behind /status, /metrics and the
+// heartbeat.
 type Stats struct {
 	// Appended is the number of records durably written (fsync'd).
 	Appended int64 `json:"appended"`
@@ -554,8 +555,8 @@ func (c *Cache) Digest(key Key) (Record, bool) {
 }
 
 // Len returns the number of distinct run keys cached (including failed
-// records, which Get will not serve; digest records are counted
-// separately by DigestLen).
+// records, which Get will not serve; digest and decision records are
+// not counted).
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -563,26 +564,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.byKey)
-}
-
-// DigestLen returns the number of digest records cached.
-func (c *Cache) DigestLen() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.digests)
-}
-
-// DecisionLen returns the number of decision records cached.
-func (c *Cache) DecisionLen() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.decisions)
 }
 
 // OpenDir is the resume entry point: recover the journal in dir

@@ -24,7 +24,7 @@ const dashboardHTML = `<!doctype html>
   .empty { color: #999; font-style: italic; }
   table { border-collapse: collapse; font-size: .85rem; }
   td, th { padding: .15rem .6rem; text-align: left; border-bottom: 1px solid #eee; }
-  .done { color: #0a7; } .failed { color: #c33; } .running { color: #07c; font-weight: 600; }
+  .done { color: #0a7; } .failed { color: #c33; } .drained { color: #b80; } .running { color: #07c; font-weight: 600; }
 </style>
 </head>
 <body>

@@ -1,38 +1,44 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
+	"varsim/internal/machine"
 	"varsim/internal/sampling"
 )
 
-// Experiment states reported by /status.
+// Experiment states reported by /status and the manifest.
 const (
 	StatePending = "pending"
 	StateRunning = "running"
 	StateDone    = "done"
 	StateFailed  = "failed"
+	// StateDrained is an experiment a graceful drain cut short (its
+	// error is a *fleet.Incomplete): the journal keeps what settled and
+	// -resume finishes it, so it is not a failure.
+	StateDrained = "drained"
 )
 
-// Fleet tracks a sweep's per-experiment progress for /status: which
-// experiments exist, which is running, how long finished ones took and
-// how fast they simulated. It is safe for concurrent use — the harness
-// goroutine feeds it, HTTP handlers and the heartbeat read it.
+// Fleet is a run's one progress ledger: which experiments exist, which
+// is running, how long finished ones took and how much they simulated.
+// It is the only reader of the process-wide counters —
+// machine.SimulatedCycles, fleet.Read, journal.ReadStats and
+// sampling.Read — outside the benchmark, and /status, /metrics, the
+// heartbeat and the run manifest all render its Status. It is safe for
+// concurrent use: the session feeds it, HTTP handlers and the heartbeat
+// read it.
 type Fleet struct {
-	mu        sync.Mutex
-	start     time.Time
-	simCycles func() int64          // process-wide counter; nil disables throughput
-	jobs      func() fleet.Stats    // worker-pool occupancy; nil disables
-	journal   func() journal.Stats  // result-journal counters; nil disables
-	sampling  func() sampling.Stats // adaptive-scheduler counters; nil disables
-	simStart  int64
-	order     []string
-	byName    map[string]*fleetEntry
-	finished  []float64 // wall seconds of completions, in completion order
+	mu       sync.Mutex
+	start    time.Time
+	simStart int64
+	order    []string
+	byName   map[string]*fleetEntry
+	finished []float64 // wall seconds of completions, in completion order
 }
 
 type fleetEntry struct {
@@ -46,18 +52,9 @@ type fleetEntry struct {
 	errMsg  string
 }
 
-// NewFleet builds a tracker over the named experiments (all pending).
-// simCycles, when non-nil, reads the process-wide simulated-cycle
-// counter (machine.SimulatedCycles) for throughput reporting.
-func NewFleet(names []string, simCycles func() int64) *Fleet {
-	f := &Fleet{
-		start:     time.Now(),
-		simCycles: simCycles,
-		byName:    map[string]*fleetEntry{},
-	}
-	if simCycles != nil {
-		f.simStart = simCycles()
-	}
+// NewFleet builds a ledger over the named experiments (all pending).
+func NewFleet(names []string) *Fleet {
+	f := &Fleet{start: time.Now(), simStart: machine.SimulatedCycles(), byName: map[string]*fleetEntry{}}
 	for _, n := range names {
 		f.add(n)
 	}
@@ -74,33 +71,6 @@ func (f *Fleet) add(name string) *fleetEntry {
 	return e
 }
 
-// TrackJobs wires a reader of the worker-pool occupancy counters
-// (normally fleet.Read), adding busy-worker and job-progress fields to
-// /status, /metrics and the heartbeat line.
-func (f *Fleet) TrackJobs(fn func() fleet.Stats) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.jobs = fn
-}
-
-// TrackJournal wires a reader of the result-journal counters (normally
-// journal.ReadStats), adding durable-record, append-lag and replay
-// fields to /status, /metrics and the heartbeat line.
-func (f *Fleet) TrackJournal(fn func() journal.Stats) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.journal = fn
-}
-
-// TrackSampling wires a reader of the adaptive-scheduler counters
-// (normally sampling.Read), adding barrier-round, executed-run and
-// runs-saved fields to /status and the heartbeat line.
-func (f *Fleet) TrackSampling(fn func() sampling.Stats) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.sampling = fn
-}
-
 // Start marks the named experiment running (registering it if
 // unknown).
 func (f *Fleet) Start(name string) {
@@ -109,39 +79,37 @@ func (f *Fleet) Start(name string) {
 	e := f.add(name)
 	e.state = StateRunning
 	e.started = time.Now()
-	if f.simCycles != nil {
-		e.simAt = f.simCycles()
-	}
-	if f.jobs != nil {
-		e.jobsAt = f.jobs().JobsDone
-	}
+	e.simAt = machine.SimulatedCycles()
+	e.jobsAt = fleet.Read().JobsDone
 }
 
-// Finish marks the named experiment done (or failed, when err is
-// non-nil), recording its wall time and simulated-cycle delta.
-func (f *Fleet) Finish(name string, err error) {
+// Finish books the named experiment's outcome — done, drained when err
+// is a *fleet.Incomplete, failed for any other error — with its wall
+// time, simulated-cycle and job deltas, and returns the wall time.
+func (f *Fleet) Finish(name string, err error) time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e := f.add(name)
 	if e.state == StateRunning {
 		e.wall = time.Since(e.started)
-		if f.simCycles != nil {
-			e.cycles = f.simCycles() - e.simAt
-		}
-		if f.jobs != nil {
-			e.jobs = f.jobs().JobsDone - e.jobsAt
-		}
+		e.cycles = machine.SimulatedCycles() - e.simAt
+		e.jobs = fleet.Read().JobsDone - e.jobsAt
 		f.finished = append(f.finished, e.wall.Seconds())
 	}
-	if err != nil {
-		e.state = StateFailed
-		e.errMsg = err.Error()
-	} else {
+	var inc *fleet.Incomplete
+	switch {
+	case errors.As(err, &inc):
+		e.state, e.errMsg = StateDrained, err.Error()
+	case err != nil:
+		e.state, e.errMsg = StateFailed, err.Error()
+	default:
 		e.state = StateDone
 	}
+	return e.wall
 }
 
-// ExperimentStatus is one experiment's slice of a /status response.
+// ExperimentStatus is one experiment's row: of a /status response,
+// and — once it has started — of the run manifest.
 type ExperimentStatus struct {
 	Name            string  `json:"name"`
 	State           string  `json:"state"`
@@ -153,9 +121,10 @@ type ExperimentStatus struct {
 }
 
 // FleetStatus is the /status payload: sweep-level progress plus every
-// experiment's state. ETA extrapolates from the pace of the most
-// recently finished experiments (see etaSecs); it is absent until the
-// first experiment completes.
+// experiment's state. Done counts experiments past running — done,
+// failed or drained — and Failed the failed ones only. ETA extrapolates
+// from the pace of the most recently finished experiments (see
+// etaSecs); it is absent until the first experiment completes.
 type FleetStatus struct {
 	Total           int      `json:"total"`
 	Done            int      `json:"done"`
@@ -165,26 +134,26 @@ type FleetStatus struct {
 	ETASecs         float64  `json:"eta_seconds,omitempty"`
 	SimCycles       int64    `json:"sim_cycles"`
 	SimCyclesPerSec float64  `json:"sim_cycles_per_sec"`
-	// Worker-pool occupancy (zero unless TrackJobs is wired): workers
-	// busy right now and simulation jobs finished/submitted so far.
+	// Worker-pool occupancy (fleet.Read): workers busy right now and
+	// simulation jobs finished/submitted so far.
 	WorkersBusy int64 `json:"workers_busy,omitempty"`
 	JobsDone    int64 `json:"jobs_done,omitempty"`
 	JobsTotal   int64 `json:"jobs_total,omitempty"`
-	// Recovery activity (zero unless TrackJobs is wired): job attempts
-	// rerun after a failure, and attempts cut off by the per-job
-	// timeout. See docs/RESILIENCE.md.
+	// Recovery activity (fleet.Read): job attempts rerun after a
+	// failure, and attempts cut off by the per-job timeout. See
+	// docs/RESILIENCE.md.
 	Retries  int64 `json:"retries,omitempty"`
 	Timeouts int64 `json:"timeouts,omitempty"`
-	// Result-journal counters (zero unless TrackJournal is wired):
-	// records durably appended, appends started but not yet fsync'd
-	// (the journal lag), and cache replays served on resume.
+	// Result-journal counters (journal.ReadStats; zero without a
+	// journal): records durably appended, appends started but not yet
+	// fsync'd (the journal lag), and cache replays served on resume.
 	JournalAppended int64 `json:"journal_appended,omitempty"`
 	JournalLag      int64 `json:"journal_lag,omitempty"`
 	JournalReplayed int64 `json:"journal_replayed,omitempty"`
-	// Adaptive-scheduler counters (zero unless TrackSampling is wired):
-	// barrier rounds decided, runs actually executed under adaptive
-	// schedules, runs saved against the fixed-N baseline, and
-	// configurations pruned mid-matrix. See docs/SAMPLING.md.
+	// Adaptive-scheduler counters (sampling.Read): barrier rounds
+	// decided, runs actually executed under adaptive schedules, runs
+	// saved against the fixed-N baseline, and configurations pruned
+	// mid-matrix. See docs/SAMPLING.md.
 	SamplingRounds   int64              `json:"sampling_rounds,omitempty"`
 	SamplingExecuted int64              `json:"sampling_executed,omitempty"`
 	SamplingSaved    int64              `json:"sampling_saved,omitempty"`
@@ -192,7 +161,7 @@ type FleetStatus struct {
 	Experiments      []ExperimentStatus `json:"experiments"`
 }
 
-// Status snapshots the fleet.
+// Status snapshots the ledger, reading each process counter once.
 func (f *Fleet) Status() FleetStatus {
 	if f == nil {
 		return FleetStatus{Experiments: []ExperimentStatus{}}
@@ -200,9 +169,16 @@ func (f *Fleet) Status() FleetStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	now := time.Now()
+	sim, js, jn, ss := machine.SimulatedCycles(), fleet.Read(), journal.ReadStats(), sampling.Read()
 	st := FleetStatus{
 		Total:       len(f.order),
 		ElapsedSecs: now.Sub(f.start).Seconds(),
+		SimCycles:   sim - f.simStart,
+		WorkersBusy: js.BusyWorkers, JobsDone: js.JobsDone, JobsTotal: js.JobsTotal,
+		Retries: js.Retries, Timeouts: js.Timeouts,
+		JournalAppended: jn.Appended, JournalLag: jn.Lag, JournalReplayed: jn.Hits,
+		SamplingRounds: ss.Rounds, SamplingExecuted: ss.Executed,
+		SamplingSaved: ss.Saved, SamplingPruned: ss.Pruned,
 		Experiments: make([]ExperimentStatus, 0, len(f.order)),
 	}
 	for _, name := range f.order {
@@ -211,14 +187,10 @@ func (f *Fleet) Status() FleetStatus {
 		switch e.state {
 		case StateRunning:
 			es.WallSecs = now.Sub(e.started).Seconds()
-			if f.simCycles != nil {
-				es.SimCycles = f.simCycles() - e.simAt
-			}
-			if f.jobs != nil {
-				es.Jobs = f.jobs().JobsDone - e.jobsAt
-			}
+			es.SimCycles = sim - e.simAt
+			es.Jobs = js.JobsDone - e.jobsAt
 			st.Running = append(st.Running, name)
-		case StateDone, StateFailed:
+		case StateDone, StateFailed, StateDrained:
 			es.WallSecs = e.wall.Seconds()
 			es.SimCycles = e.cycles
 			es.Jobs = e.jobs
@@ -232,32 +204,8 @@ func (f *Fleet) Status() FleetStatus {
 		}
 		st.Experiments = append(st.Experiments, es)
 	}
-	if f.simCycles != nil {
-		st.SimCycles = f.simCycles() - f.simStart
-		if st.ElapsedSecs > 0 {
-			st.SimCyclesPerSec = float64(st.SimCycles) / st.ElapsedSecs
-		}
-	}
-	if f.jobs != nil {
-		js := f.jobs()
-		st.WorkersBusy = js.BusyWorkers
-		st.JobsDone = js.JobsDone
-		st.JobsTotal = js.JobsTotal
-		st.Retries = js.Retries
-		st.Timeouts = js.Timeouts
-	}
-	if f.journal != nil {
-		j := f.journal()
-		st.JournalAppended = j.Appended
-		st.JournalLag = j.Lag
-		st.JournalReplayed = j.Hits
-	}
-	if f.sampling != nil {
-		ss := f.sampling()
-		st.SamplingRounds = ss.Rounds
-		st.SamplingExecuted = ss.Executed
-		st.SamplingSaved = ss.Saved
-		st.SamplingPruned = ss.Pruned
+	if st.ElapsedSecs > 0 {
+		st.SimCyclesPerSec = float64(st.SimCycles) / st.ElapsedSecs
 	}
 	st.ETASecs = etaSecs(f.finished, st.Done, st.Total)
 	return st

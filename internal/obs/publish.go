@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"varsim/internal/digest"
+	"varsim/internal/machine"
 	"varsim/internal/metrics"
 )
 
@@ -158,17 +159,18 @@ func (p *Publisher) Divergence() (digest.Attribution, bool) {
 }
 
 // StartSimRateSampler publishes the process-wide simulated-cycle
-// counter into pub every period of wall clock as instrument
-// "sim.cycles" on a wall-clock nanosecond time base — the sweep-wide
-// live series when no machine-level sampler is running (cmd/experiments
-// runs many short-lived machines; this tracks the whole fleet's
-// throughput instead). Returns a stop function (idempotent).
-func StartSimRateSampler(pub *Publisher, simCycles func() int64, period time.Duration) func() {
-	if pub == nil || simCycles == nil || period <= 0 {
+// counter (machine.SimulatedCycles) into pub every period of wall clock
+// as instrument "sim.cycles" on a wall-clock nanosecond time base — the
+// sweep-wide live series when no machine-level sampler is running
+// (cmd/experiments runs many short-lived machines; this tracks the
+// whole fleet's throughput instead). Returns a stop function
+// (idempotent).
+func StartSimRateSampler(pub *Publisher, period time.Duration) func() {
+	if pub == nil || period <= 0 {
 		return func() {}
 	}
 	start := time.Now()
-	pub.SetSeriesBase(int64(period), 0, metrics.Snapshot{"sim.cycles": float64(simCycles())})
+	pub.SetSeriesBase(int64(period), 0, metrics.Snapshot{"sim.cycles": float64(machine.SimulatedCycles())})
 	stop := make(chan struct{})
 	var once sync.Once
 	go func() {
@@ -180,7 +182,7 @@ func StartSimRateSampler(pub *Publisher, simCycles func() int64, period time.Dur
 				return
 			case now := <-t.C:
 				pub.PublishSample(now.Sub(start).Nanoseconds(),
-					metrics.Snapshot{"sim.cycles": float64(simCycles())})
+					metrics.Snapshot{"sim.cycles": float64(machine.SimulatedCycles())})
 			}
 		}
 	}()

@@ -10,8 +10,10 @@ import (
 	"strings"
 	"time"
 
+	"varsim/internal/machine"
 	"varsim/internal/metrics"
 	"varsim/internal/precision"
+	"varsim/internal/sampling"
 )
 
 // Options wires a Server's data sources; any may be nil — the
@@ -19,7 +21,6 @@ import (
 type Options struct {
 	Publisher *Publisher         // /metrics values, /series, dashboard charts
 	Fleet     *Fleet             // /status, fleet gauges on /metrics
-	SimCycles func() int64       // process-wide simulated-cycle counter
 	Precision *precision.Tracker // /precision, precision gauges on /metrics
 }
 
@@ -133,9 +134,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	write("varsim_obs_uptime_seconds", "gauge", time.Since(s.start).Seconds())
-	if s.opt.SimCycles != nil {
-		write("varsim_sim_cycles_total", "counter", float64(s.opt.SimCycles()))
-	}
+	write("varsim_sim_cycles_total", "counter", float64(machine.SimulatedCycles()))
 	if s.opt.Fleet != nil {
 		st := s.opt.Fleet.Status()
 		write("varsim_experiments_total", "gauge", float64(st.Total))
@@ -232,11 +231,15 @@ func (s *Server) handleDivergence(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, att)
 }
 
-// handlePrecision serves the streaming precision report; with no
-// tracker wired (or nothing observed yet) it serves an empty report
-// with a rows array, which clients read as "no precision data yet".
+// handlePrecision serves the streaming precision report with the
+// adaptive scheduler's latest published report (sampling.Latest)
+// embedded; with no tracker wired (or nothing observed yet) it serves an
+// empty report with a rows array, which clients read as "no precision
+// data yet".
 func (s *Server) handlePrecision(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.opt.Precision.Report())
+	rep := s.opt.Precision.Report()
+	rep.Sampling = sampling.Latest()
+	writeJSON(w, rep)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -7,15 +7,22 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"varsim/internal/config"
+	"varsim/internal/core"
 	"varsim/internal/digest"
+	"varsim/internal/fleet"
+	"varsim/internal/machine"
 	"varsim/internal/metrics"
 	"varsim/internal/precision"
+	"varsim/internal/sampling"
 )
 
 func get(t *testing.T, url string) (string, http.Header) {
@@ -35,6 +42,22 @@ func get(t *testing.T, url string) (string, http.Header) {
 	return string(b), resp.Header
 }
 
+// simulate advances the process-wide simulated-cycle counter by running
+// a small machine, and returns the counter's new reading.
+func simulate(t *testing.T) int64 {
+	t.Helper()
+	cfg := config.Default()
+	cfg.NumCPUs = 2
+	m, err := core.NewCheckpoint(cfg, "oltp", 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	return machine.SimulatedCycles()
+}
+
 // metricLine matches one Prometheus text-exposition sample line.
 var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]* (?:[-+]?[0-9.eE+-]+|NaN|[-+]Inf)$`)
 
@@ -45,11 +68,9 @@ func TestMetricsExposition(t *testing.T) {
 	reg.NewHistogram("bus.queue_delay_ns", []float64{1, 10}).Observe(4)
 	pub := NewPublisher()
 	pub.PublishRegistry(reg)
+	cycles := simulate(t)
 
-	ts := httptest.NewServer(NewServer(Options{
-		Publisher: pub,
-		SimCycles: func() int64 { return 12345 },
-	}).Handler())
+	ts := httptest.NewServer(NewServer(Options{Publisher: pub}).Handler())
 	defer ts.Close()
 
 	body, hdr := get(t, ts.URL+"/metrics")
@@ -88,6 +109,10 @@ func TestMetricsExposition(t *testing.T) {
 	if !strings.Contains(body, "varsim_mem_l2_misses 41") {
 		t.Errorf("counter value missing from exposition:\n%s", body)
 	}
+	// The simulated-cycle total is the process counter itself.
+	if want := "varsim_sim_cycles_total " + strconv.FormatFloat(float64(cycles), 'g', -1, 64) + "\n"; cycles <= 0 || !strings.Contains(body, want) {
+		t.Errorf("exposition lacks %q (counter %d):\n%s", want, cycles, body)
+	}
 	if samples == 0 {
 		t.Fatal("no sample lines served")
 	}
@@ -97,8 +122,8 @@ func TestMetricsExposition(t *testing.T) {
 // through the tracker and asserts /status reflects the running
 // experiment while it runs and the final states after.
 func TestStatusLiveDuringSweep(t *testing.T) {
-	fleet := NewFleet([]string{"alpha", "beta"}, func() int64 { return 0 })
-	ts := httptest.NewServer(NewServer(Options{Fleet: fleet}).Handler())
+	ledger := NewFleet([]string{"alpha", "beta", "gamma"})
+	ts := httptest.NewServer(NewServer(Options{Fleet: ledger}).Handler())
 	defer ts.Close()
 
 	status := func() FleetStatus {
@@ -113,14 +138,14 @@ func TestStatusLiveDuringSweep(t *testing.T) {
 		return st
 	}
 
-	if st := status(); st.Total != 2 || st.Done != 0 {
-		t.Fatalf("initial status = %+v, want 2 pending", st)
+	if st := status(); st.Total != 3 || st.Done != 0 {
+		t.Fatalf("initial status = %+v, want 3 pending", st)
 	}
 
 	// Progress is booked around each experiment, as session.Run does.
 	run := func(name string, fn func() error) {
-		fleet.Start(name)
-		fleet.Finish(name, fn())
+		ledger.Start(name)
+		ledger.Finish(name, fn())
 	}
 	var sawRunning atomic.Bool
 	run("alpha", func() error {
@@ -133,13 +158,14 @@ func TestStatusLiveDuringSweep(t *testing.T) {
 		return nil
 	})
 	run("beta", func() error { return errors.New("boom") })
+	run("gamma", func() error { return &fleet.Incomplete{Done: 1, Total: 2, Missing: []int{1}} })
 	if !sawRunning.Load() {
 		t.Error("/status never showed alpha running mid-experiment")
 	}
 
 	st := status()
-	if st.Done != 2 || st.Failed != 1 {
-		t.Fatalf("final status = %+v, want 2 done / 1 failed", st)
+	if st.Done != 3 || st.Failed != 1 {
+		t.Fatalf("final status = %+v, want 3 done / 1 failed", st)
 	}
 	byName := map[string]ExperimentStatus{}
 	for _, e := range st.Experiments {
@@ -150,6 +176,10 @@ func TestStatusLiveDuringSweep(t *testing.T) {
 	}
 	if byName["beta"].State != StateFailed || byName["beta"].Error != "boom" {
 		t.Errorf("beta = %+v, want failed with error", byName["beta"])
+	}
+	// A drain is not a failure: the row says drained and keeps the error.
+	if g := byName["gamma"]; g.State != StateDrained || g.Error == "" {
+		t.Errorf("gamma = %+v, want drained with error", g)
 	}
 }
 
@@ -272,7 +302,7 @@ func TestETAFromRecentPace(t *testing.T) {
 
 	// Through the Fleet: absent before the first completion, absent
 	// again when the sweep is done.
-	f := NewFleet([]string{"a", "b"}, nil)
+	f := NewFleet([]string{"a", "b"})
 	if st := f.Status(); st.ETASecs != 0 {
 		t.Errorf("fleet ETA with 0 done = %v, want 0", st.ETASecs)
 	}
@@ -321,23 +351,32 @@ func TestServeBindsAndCloses(t *testing.T) {
 	}
 }
 
+// TestSimRateSampler: the series starts at the process counter's
+// reading and follows it as a simulation advances it.
 func TestSimRateSampler(t *testing.T) {
-	var cycles atomic.Int64
+	before := machine.SimulatedCycles()
 	pub := NewPublisher()
-	stop := StartSimRateSampler(pub, func() int64 { return cycles.Add(1000) }, time.Millisecond)
+	stop := StartSimRateSampler(pub, time.Millisecond)
 	defer stop()
+	after := simulate(t)
+	if after <= before {
+		t.Fatalf("simulation left the counter at %d", after)
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for pub.Series().Len() < 2 {
+	for {
+		ts := pub.Series()
+		if n := ts.Len(); n > 0 && ts.Samples[n-1].Values["sim.cycles"] == float64(after) {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("sampler produced no samples")
+			t.Fatalf("sampler never published the counter's reading %d: %v", after, ts.Samples)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	stop()
 	stop() // idempotent
-	ts := pub.Series()
-	if ts.Samples[0].Values["sim.cycles"] <= 0 {
-		t.Errorf("sample missing sim.cycles: %v", ts.Samples[0])
+	if base := pub.Series().Base["sim.cycles"]; base != float64(before) {
+		t.Errorf("series base = %v, want the counter at start, %d", base, before)
 	}
 }
 
@@ -440,5 +479,29 @@ func TestPrecisionEndpointAndMetrics(t *testing.T) {
 		if !strings.Contains(mb, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, mb)
 		}
+	}
+}
+
+// TestPrecisionEmbedsTheSamplingReport: /precision carries the adaptive
+// scheduler's latest published report beside the tracker's rows.
+func TestPrecisionEmbedsTheSamplingReport(t *testing.T) {
+	want := sampling.Report{
+		Target: sampling.Target{RelErr: 0.02},
+		Arms: []sampling.Arm{{
+			Experiment: "exp", ConfigHash: "h", Executed: 6, FixedN: 20, Rounds: 2, Status: sampling.StatusConverged,
+		}},
+	}
+	want.Finalize()
+	sampling.Publish(want)
+
+	ts := httptest.NewServer(NewServer(Options{Precision: precision.New(0, 0)}).Handler())
+	defer ts.Close()
+	body, _ := get(t, ts.URL+"/precision")
+	var rep precision.Report
+	if err := json.Unmarshal([]byte(body), &rep); err != nil {
+		t.Fatalf("/precision is not valid JSON: %v\n%s", err, body)
+	}
+	if rep.Sampling == nil || !reflect.DeepEqual(*rep.Sampling, want) {
+		t.Errorf("/precision sampling block = %+v, want the published %+v\n%s", rep.Sampling, want, body)
 	}
 }

@@ -68,7 +68,6 @@ type Tracker struct {
 	relErr     float64
 	confidence float64
 	byKey      map[key]*entry
-	samplingFn func() *sampling.Report
 }
 
 // New builds a tracker targeting the given relative error (fraction,
@@ -158,24 +157,12 @@ type Report struct {
 	RelErr     float64 `json:"rel_err"`
 	Confidence float64 `json:"confidence"`
 	Rows       []Row   `json:"rows"`
-	// Sampling is the adaptive scheduler's latest published report when
-	// one is attached via TrackSampling — achieved-vs-requested precision
-	// per arm plus the runs-saved accounting — so /precision shows the
-	// stopping decisions alongside the streaming statistics they rest on.
+	// Sampling is the adaptive scheduler's latest published report —
+	// achieved-vs-requested precision per arm plus the runs-saved
+	// accounting — which the /precision handler embeds (sampling.Latest)
+	// so the stopping decisions show alongside the streaming statistics
+	// they rest on. Tracker.Report leaves it nil.
 	Sampling *sampling.Report `json:"sampling,omitempty"`
-}
-
-// TrackSampling attaches a source for the adaptive scheduler's report
-// (typically sampling.Latest); subsequent Report snapshots embed its
-// current value. Safe on a nil tracker and safe to call concurrently
-// with Observe/Report.
-func (t *Tracker) TrackSampling(fn func() *sampling.Report) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.samplingFn = fn
-	t.mu.Unlock()
 }
 
 // Target returns the tracker's requested precision (relative error
@@ -214,9 +201,6 @@ func (t *Tracker) Report() Report {
 	})
 	for _, k := range keys {
 		rep.Rows = append(rep.Rows, t.byKey[k].row(k, t.relErr, t.confidence))
-	}
-	if t.samplingFn != nil {
-		rep.Sampling = t.samplingFn()
 	}
 	return rep
 }

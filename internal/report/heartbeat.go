@@ -11,7 +11,7 @@ import (
 // Heartbeat periodically prints a progress line to w (normally stderr),
 // so that multi-minute `full` harness runs are visibly alive. It owns
 // the ticker and the rendering policy only; what the line says comes
-// from the caller's line source — the sweep tracker's
+// from the caller's line source — the progress ledger's
 // obs.FleetStatus.Line, which /status serves too.
 //
 // On an interactive terminal the line is redrawn in place with a

@@ -46,15 +46,15 @@ func TestWritePrecision(t *testing.T) {
 }
 
 // TestHeartbeatPrecisionColumn pins the heartbeat's precision fragment
-// on the line as cmd/experiments composes it (the sweep tracker's
+// on the line as cmd/experiments composes it (the progress ledger's
 // status, then the precision tracker's summary): absent until the
 // tracker has something to say, present afterwards.
 func TestHeartbeatPrecisionColumn(t *testing.T) {
 	var buf bytes.Buffer
-	tracker := obs.NewFleet([]string{"table1", "table2"}, nil)
+	st := obs.FleetStatus{Total: 2}
 	trk := precision.New(0.04, 0.95)
 	h := StartHeartbeat(&buf, time.Hour, func() string {
-		line := tracker.Status().Line()
+		line := st.Line()
 		if p := trk.Summary(); p != "" {
 			line += ", " + p
 		}

@@ -6,15 +6,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
-	"varsim/internal/fleet"
-	"varsim/internal/journal"
 	"varsim/internal/obs"
-	"varsim/internal/sampling"
 )
 
 // An empty collector must still export valid documents: a JSON empty
@@ -171,159 +167,25 @@ func readCSV(t *testing.T, path string) [][]string {
 	return recs
 }
 
-// TestManifest exercises the provenance manifest end to end: stamping,
-// per-experiment entries, throughput math, and the JSON round trip.
-func TestManifest(t *testing.T) {
-	cycles := int64(1000)
-	m := NewManifest("testtool", 42, func() int64 { return cycles })
-	m.Args = []string{"-quick"}
-	m.ConfigHash = ConfigHash(map[string]int{"cpus": 16})
-	m.AddExperiment("good", 2*time.Second, 4_000_000, "")
-	m.AddExperiment("bad", time.Second, 0, "boom")
-	cycles = 5_001_000 // 5M simulated cycles advanced since NewManifest
-	m.Finish()
-
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got Manifest
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Tool != "testtool" || got.Seed != 42 {
-		t.Fatalf("identity wrong: %+v", got)
-	}
-	if got.GoVersion == "" || got.GOOS == "" || got.StartTime == "" || got.EndTime == "" {
-		t.Fatalf("toolchain/time stamps missing: %+v", got)
-	}
-	if _, err := time.Parse(time.RFC3339, got.StartTime); err != nil {
-		t.Fatalf("start time not RFC3339: %v", err)
-	}
-	if got.SimCycles != 5_000_000 {
-		t.Fatalf("SimCycles = %d, want 5000000", got.SimCycles)
-	}
-	if len(got.Experiments) != 2 {
-		t.Fatalf("experiments = %+v", got.Experiments)
-	}
-	if e := got.Experiments[0]; e.SimCyclesPerSec != 2_000_000 {
-		t.Fatalf("throughput = %v, want 2e6", e.SimCyclesPerSec)
-	}
-	if e := got.Experiments[1]; e.Error != "boom" || e.SimCyclesPerSec != 0 {
-		t.Fatalf("failed experiment recorded wrong: %+v", e)
-	}
-}
-
-// TestVCSFromSettings covers the git-provenance extraction over the
-// shapes ReadBuildInfo actually produces: a stamped repo build, a dirty
-// tree, and a build with no VCS info at all (test binaries).
-func TestVCSFromSettings(t *testing.T) {
-	commit, dirty := vcsFromSettings([]debug.BuildSetting{
-		{Key: "-buildmode", Value: "exe"},
-		{Key: "vcs.revision", Value: "55fa079deadbeef"},
-		{Key: "vcs.modified", Value: "false"},
-	})
-	if commit != "55fa079deadbeef" || dirty {
-		t.Fatalf("clean build = (%q, %v), want revision and dirty=false", commit, dirty)
-	}
-	if _, dirty := vcsFromSettings([]debug.BuildSetting{
-		{Key: "vcs.revision", Value: "abc"},
-		{Key: "vcs.modified", Value: "true"},
-	}); !dirty {
-		t.Fatal("vcs.modified=true not reported as dirty")
-	}
-	if commit, dirty := vcsFromSettings(nil); commit != "" || dirty {
-		t.Fatalf("no-VCS build = (%q, %v), want zero values", commit, dirty)
-	}
-}
-
-// TestManifestGitFieldsRoundTrip checks the provenance fields survive
-// the JSON round trip (and stay omitted when the build has no VCS
-// stamp, as in test binaries).
-func TestManifestGitFieldsRoundTrip(t *testing.T) {
-	m := NewManifest("t", 1, nil)
-	m.GitCommit, m.GitDirty = "0123abcd", true
-	m.Finish()
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got Manifest
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.GitCommit != "0123abcd" || !got.GitDirty {
-		t.Fatalf("git provenance lost: %+v", got)
-	}
-}
-
-func TestManifestWriteFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.json")
-	m := NewManifest("t", 1, nil)
-	m.Finish()
-	if err := m.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(b) {
-		t.Fatalf("manifest file is not valid JSON: %s", b)
-	}
-}
-
-func TestConfigHash(t *testing.T) {
-	a := ConfigHash(map[string]int{"x": 1})
-	b := ConfigHash(map[string]int{"x": 1})
-	c := ConfigHash(map[string]int{"x": 2})
-	if a != b {
-		t.Fatalf("hash not stable: %s vs %s", a, b)
-	}
-	if a == c {
-		t.Fatal("different configs hashed equal")
-	}
-	if len(a) != 16 {
-		t.Fatalf("hash %q not 16 hex chars", a)
-	}
-	if ConfigHash(func() {}) != "unhashable" {
-		t.Fatal("unencodable value not flagged")
-	}
-}
-
-// TestHeartbeat drives the heartbeat over the line source
-// cmd/experiments gives it — the sweep tracker's status line — and pins
-// every fragment of that line.
+// TestHeartbeat pins every fragment of the line the heartbeat prints
+// for a sweep-tracker status (obs.FleetStatus.Line, which /status
+// serves too).
 func TestHeartbeat(t *testing.T) {
 	var buf bytes.Buffer
-	cycles := int64(0)
-	tracker := obs.NewFleet([]string{"table1", "table2", "fig4", "fig8"}, func() int64 { return cycles })
-	tracker.TrackJobs(func() fleet.Stats {
-		return fleet.Stats{BusyWorkers: 3, JobsDone: 40, JobsTotal: 120, Retries: 2, Timeouts: 1}
-	})
-	tracker.TrackJournal(func() journal.Stats { return journal.Stats{Appended: 38, Lag: 2, Hits: 5} })
-	tracker.TrackSampling(func() sampling.Stats { return sampling.Stats{Rounds: 7, Executed: 30, Saved: 12, Pruned: 1} })
-	h := StartHeartbeat(&buf, time.Hour, func() string { return tracker.Status().Line() })
-	for _, name := range []string{"table1", "table2"} {
-		tracker.Start(name)
-		time.Sleep(time.Millisecond) // a finished experiment took some wall time: the ETA's pace
-		tracker.Finish(name, nil)
+	st := obs.FleetStatus{
+		Total: 4, Done: 2, Failed: 1, Running: []string{"fig4"},
+		ElapsedSecs: 75, ETASecs: 30, SimCycles: 1_000_000, SimCyclesPerSec: 2.5e6,
+		WorkersBusy: 3, JobsDone: 40, JobsTotal: 120, Retries: 2, Timeouts: 1,
+		JournalAppended: 38, JournalLag: 2, JournalReplayed: 5,
+		SamplingRounds: 7, SamplingExecuted: 30, SamplingSaved: 12, SamplingPruned: 1,
 	}
-	tracker.Start("fig4")
-	cycles = 1_000_000
+	h := StartHeartbeat(&buf, time.Hour, st.Line)
 	h.beat()
-	line := buf.String()
-	for _, want := range []struct{ fragment, what string }{
-		{"heartbeat: 2/4 experiments, running fig4", "progress 2/4"},
-		{"sim-cycles/s", "throughput"},
-		{"fleet 3 busy 40/120 jobs, 2 retries, 1 timeouts", "fleet occupancy"},
-		{"journal 38 rec (lag 2), 5 replayed", "journal counters"},
-		{"adaptive 7 rounds 12 saved (1 pruned)", "adaptive-sampling counters"},
-		{"ETA", "an ETA mid-run"},
-	} {
-		if !strings.Contains(line, want.fragment) {
-			t.Errorf("beat = %q, want %s (%q)", line, want.what, want.fragment)
-		}
+	want := "heartbeat: 2/4 experiments (1 failed), running fig4, elapsed 1m15s, 2.5e+06 sim-cycles/s, " +
+		"fleet 3 busy 40/120 jobs, 2 retries, 1 timeouts, journal 38 rec (lag 2), 5 replayed, " +
+		"adaptive 7 rounds 12 saved (1 pruned), ETA ~30s\n"
+	if got := buf.String(); got != want {
+		t.Errorf("beat = %q\nwant %q", got, want)
 	}
 	h.Stop()
 	h.Stop() // idempotent

@@ -77,9 +77,10 @@ func (r *Report) Finalize() {
 // ---- process-wide observability -------------------------------------
 
 // Stats is a point-in-time view of process-wide adaptive-sampling
-// activity, the scheduler's analogue of fleet.Read: live surfaces
-// (/status, the heartbeat) read it to show how much work the stopping
-// rules are avoiding while a matrix is still in flight.
+// activity, the scheduler's analogue of fleet.Read: the progress ledger
+// (obs.Fleet, behind /status and the heartbeat) reads it to show how
+// much work the stopping rules are avoiding while a matrix is still in
+// flight.
 type Stats struct {
 	// Rounds counts barrier decisions taken.
 	Rounds int64 `json:"rounds"`

@@ -3,9 +3,10 @@
 // share. Register defines the ten flags that mean the same thing in
 // both tools; Open starts the profilers, opens or resumes the result
 // journal, arms the two-signal drain and builds the core.Resilience,
-// the progress tracker, the precision tracker, the manifest, the
-// heartbeat and the -http server; Run books one experiment; Close
-// flushes everything in one order and returns the exit status.
+// the progress ledger, the precision tracker, the manifest, the
+// heartbeat and the -http server; Run books one experiment on the
+// ledger; Close flushes everything in one order and returns the exit
+// status.
 //
 // Everything a session says goes to Options.Stderr, so a tool's stdout
 // carries results only and is diffable run to run. The package is
@@ -33,7 +34,6 @@ import (
 	"varsim/internal/precision"
 	"varsim/internal/profile"
 	"varsim/internal/report"
-	"varsim/internal/sampling"
 )
 
 // Flags holds the values of the shared flags (README, "Session flags").
@@ -69,7 +69,7 @@ func Register(fs *flag.FlagSet) *Flags {
 // Options is what a tool knows about its run and the session does not.
 type Options struct {
 	Tool        string   // binary name, for the manifest and operator messages
-	Experiments []string // what Run will be called with, in order: the progress model's rows
+	Experiments []string // what Run will be called with, in order: the ledger's rows
 	Seed        uint64   // manifest: workload identity seed
 	Quick       bool     // manifest: scaled-down run
 	ConfigHash  string   // manifest: hash of what was asked for
@@ -95,7 +95,7 @@ type Session struct {
 	opt       Options
 	stopProf  func() error
 	fleet     *obs.Fleet
-	man       *report.Manifest
+	man       *Manifest
 	hb        *report.Heartbeat
 	srv       *obs.Server
 	stop      chan struct{}
@@ -131,7 +131,6 @@ func Open(f *Flags, o Options) (*Session, error) {
 	// achieved-vs-requested fragment. It fills in host completion order
 	// and is never printed to stdout.
 	trk := precision.New(o.RelErr, o.Confidence)
-	trk.TrackSampling(sampling.Latest)
 	s.Resilience = core.Resilience{
 		Journal: jw, Cache: jc, JobTimeout: f.JobTimeout, Retries: f.Retries, Stop: s.stop,
 		Observe: func(k journal.Key, r machine.Result) {
@@ -139,18 +138,14 @@ func Open(f *Flags, o Options) (*Session, error) {
 		},
 	}
 
-	// One progress model: what the heartbeat prints is what /status serves.
-	s.fleet = obs.NewFleet(o.Experiments, machine.SimulatedCycles)
-	s.fleet.TrackJobs(fleet.Read)
-	s.fleet.TrackSampling(sampling.Read)
-	if jw != nil {
-		s.fleet.TrackJournal(journal.ReadStats)
-	}
+	// One progress ledger: what the heartbeat prints, /status serves and
+	// the manifest records.
+	s.fleet = obs.NewFleet(o.Experiments)
 
 	if f.HTTP != "" {
 		s.Publisher = obs.NewPublisher()
 		s.srv, err = obs.Serve(f.HTTP, obs.Options{
-			Publisher: s.Publisher, Fleet: s.fleet, SimCycles: machine.SimulatedCycles, Precision: trk,
+			Publisher: s.Publisher, Fleet: s.fleet, Precision: trk,
 		})
 		if err != nil {
 			return nil, errors.Join(err, jw.Close(), s.stopProf())
@@ -159,7 +154,7 @@ func Open(f *Flags, o Options) (*Session, error) {
 	}
 
 	if f.Manifest != "" {
-		s.man = report.NewManifest(o.Tool, o.Seed, machine.SimulatedCycles)
+		s.man = newManifest(o.Tool, o.Seed)
 		s.man.Args = os.Args[1:]
 		s.man.Quick = o.Quick
 		s.man.ConfigHash = o.ConfigHash
@@ -214,12 +209,12 @@ func (s *Session) Check(what string, err error) bool {
 	return err == nil
 }
 
-// Run books one experiment around fn: progress, wall clock, simulated
-// cycles and the manifest row. A *fleet.Incomplete from fn is a drain,
-// not a failure — the journal keeps what settled and -resume picks up
-// the rest. It reports whether the tool should go on to its next
-// experiment: false after a drain or a failure, and at once (without
-// calling fn) when a drain was already requested.
+// Run books one experiment around fn on the ledger, whose row is also
+// the manifest's. A *fleet.Incomplete from fn is a drain, not a failure
+// — the journal keeps what settled and -resume picks up the rest. It
+// reports whether the tool should go on to its next experiment: false
+// after a drain or a failure, and at once (without calling fn) when a
+// drain was already requested.
 func (s *Session) Run(name string, fn func() error) bool {
 	select {
 	case <-s.stop:
@@ -228,28 +223,18 @@ func (s *Session) Run(name string, fn func() error) bool {
 	default:
 	}
 	s.fleet.Start(name)
-	start := time.Now()
-	simStart := machine.SimulatedCycles()
 	err := fn()
-	wall := time.Since(start)
-	cycles := machine.SimulatedCycles() - simStart
-	s.fleet.Finish(name, err)
+	wall := s.fleet.Finish(name, err)
 
-	errMsg := ""
 	var inc *fleet.Incomplete
 	switch {
 	case errors.As(err, &inc):
 		s.drained = true
-		errMsg = err.Error()
 		s.Logf("%s: drained with %d/%d runs done", name, inc.Done, inc.Total)
 	case err != nil:
-		errMsg = err.Error()
 		s.Check(name, err)
 	default:
 		s.Logf("[%s finished in %v]", name, wall.Round(time.Millisecond))
-	}
-	if s.man != nil {
-		s.man.AddExperiment(name, wall, cycles, errMsg)
 	}
 	return err == nil
 }
@@ -270,9 +255,9 @@ func (s *Session) Close() int {
 	// silently lost records must not look resumable.
 	s.Check("journal", s.Resilience.Journal.Close())
 	if s.man != nil {
+		s.man.finish(s.fleet.Status())
 		s.man.Incomplete = s.drained
-		s.man.Finish()
-		if s.Check("manifest", s.man.WriteFile(s.flags.Manifest)) {
+		if s.Check("manifest", s.man.writeFile(s.flags.Manifest)) {
 			s.Logf("run manifest written to %s", s.flags.Manifest)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 	"varsim/internal/core"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
-	"varsim/internal/report"
+	"varsim/internal/obs"
 )
 
 // open opens a session over f with stderr captured.
@@ -128,6 +128,9 @@ func TestIncompleteIsADrainAnyOtherErrorAFailure(t *testing.T) {
 	if s.Run("exp", func() error { return inc }) {
 		t.Error("Run reported go-on after a drain")
 	}
+	if st := s.fleet.Status(); st.Done != 1 || st.Failed != 0 || st.Experiments[0].State != obs.StateDrained {
+		t.Errorf("progress after a drain = %+v, want 1 of 1 done, drained, none failed", st)
+	}
 	if code := s.Close(); code != 1 {
 		t.Errorf("drained exit = %d, want 1", code)
 	}
@@ -165,7 +168,7 @@ func TestManifestWrittenAfterJournalClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m report.Manifest
+	var m Manifest
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +187,63 @@ func TestManifestWrittenAfterJournalClosed(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "manifest: ") {
 		t.Errorf("stderr = %q", stderr.String())
+	}
+}
+
+// TestManifestRowsAreTheLedgers: after a done, a failed and a drained
+// experiment, the manifest's rows are the ledger's rows of every
+// experiment that started, field for field, and its simulated-cycle
+// total is the ledger's.
+func TestManifestRowsAreTheLedgers(t *testing.T) {
+	man := filepath.Join(t.TempDir(), "m.json")
+	var stderr bytes.Buffer
+	s, err := Open(&Flags{Manifest: man}, Options{
+		Tool: "tool", Experiments: []string{"done", "failed", "drained", "never"}, Stderr: &stderr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run("done", func() error {
+		_, err := experiment(s.Resilience).RunSpace()
+		return err
+	})
+	s.Run("failed", func() error { return errors.New("boom") })
+	s.Run("drained", func() error { return &fleet.Incomplete{Done: 1, Total: 3, Missing: []int{1, 2}} })
+	if code := s.Close(); code != 1 {
+		t.Fatalf("exit = %d, want 1\n%s", code, stderr.String())
+	}
+	st := s.fleet.Status()
+
+	b, err := os.ReadFile(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	var want []obs.ExperimentStatus
+	for _, e := range st.Experiments {
+		if e.State != obs.StatePending {
+			want = append(want, e)
+		}
+	}
+	if !reflect.DeepEqual(m.Experiments, want) {
+		t.Fatalf("manifest rows\n%+v\nwant the ledger's\n%+v", m.Experiments, want)
+	}
+	var states []string
+	for _, e := range m.Experiments {
+		states = append(states, e.State)
+	}
+	if want := []string{obs.StateDone, obs.StateFailed, obs.StateDrained}; !reflect.DeepEqual(states, want) {
+		t.Errorf("manifest states = %v, want %v", states, want)
+	}
+	if m.SimCycles != st.SimCycles || m.SimCycles <= 0 || m.Experiments[0].SimCycles != m.SimCycles {
+		t.Errorf("manifest sim_cycles = %d (done row %d), ledger's %d; want equal and positive",
+			m.SimCycles, m.Experiments[0].SimCycles, st.SimCycles)
+	}
+	if !m.Incomplete {
+		t.Error("a drained run's manifest is not marked incomplete")
 	}
 }
 
