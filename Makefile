@@ -64,10 +64,12 @@ spine-aa:
 # failed operation or on an incorrect pass. A rule is only as tight as
 # two runs of one commit agree (bench/README.md):
 #   - alloc_mb_per_op is a byte count of a deterministic simulation and
-#     repeats exactly on any host: 1500 five-transaction branches
-#     allocate ~85 MB (772 MB while every branch allocated the cache
-#     pages it copied, 1826 MB while the workload engines still
-#     materialised op buffers).
+#     repeats to ~0.05 % on any host (the runtime counts heap in whole
+#     spans): 1500 five-transaction branches allocate ~2.7 MB, a
+#     recycled branch ~1.3 KB (84.5 MB while each branch re-made its
+#     kernel, plans and metric registry, 772 MB while every branch
+#     allocated the cache pages it copied, 1826 MB while the workload
+#     engines still materialised op buffers).
 #   - machine.snapshot_kb, what one COW snapshot allocates, repeats to
 #     +-4 % (~47 KB, ~73 KB while a line word was 64 bits; the deep
 #     clone it replaced was ~5 MB), and deep/COW
@@ -81,7 +83,7 @@ spine-aa:
 #     that this host reads anywhere in -5..+11 %; 25 %, the spine's own
 #     clock bound, catches a tap gone quadratic and leaves a two-point
 #     claim to paired runs (`make spine-ab`).
-SPINE_ALLOC_MAX_MB ?= 150
+SPINE_ALLOC_MAX_MB ?= 5
 
 spine-gates:
 	@set -e; mkdir -p .bench_tmp/gates; $(GO) build -o .bench_tmp/gates/bench ./bench; \

@@ -304,8 +304,16 @@ func (u *Unit) Materialize() { u.ensureOwned() }
 // freezes u if needed (a write); to clone one unit from several
 // goroutines at once, Freeze it first — Clone on a frozen unit is
 // read-only.
-func (u *Unit) Clone() *Unit {
+func (u *Unit) Clone() *Unit { return u.CloneOver(nil) }
+
+// CloneOver is Clone built in the struct of spent, a unit nothing will
+// use again (nil for none), which is the unit returned. The clone shares
+// u's tables as Clone's does; the ones spent owned are dropped.
+func (u *Unit) CloneOver(spent *Unit) *Unit {
 	u.Freeze()
-	cp := *u
-	return &cp
+	if spent == nil {
+		spent = new(Unit)
+	}
+	*spent = *u
+	return spent
 }

@@ -119,12 +119,12 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 // TestRoundsRecycleAcrossRounds: an arm's finished branches outlive the
 // Branch call that ran them, so every round after the first takes all
 // its branches over spent ones — the recycled budget of machine's
-// TestAllocationBudgets (57 KB a branch of that test's shape, which is
-// this one's), where a pool that died with each call would pay a fresh
-// branch's 0.43 MB at the head of every round — and the space is still
-// the one a single fixed-N Branch gives.
+// TestAllocationBudgets (13.5 KB a branch of that test's shape, which is
+// this one's; a round of three reads 8-18 KB), where a pool that died
+// with each call would pay a fresh branch's 0.43 MB at the head of every
+// round — and the space is still the one a single fixed-N Branch gives.
 func TestRoundsRecycleAcrossRounds(t *testing.T) {
-	const perRound, perBranch = 3, 100_000
+	const perRound, perBranch = 3, 13_500
 	cfg := config.Default()
 	cfg.NumCPUs = 8
 	e := Experiment{
@@ -152,5 +152,43 @@ func TestRoundsRecycleAcrossRounds(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.sp.Results, want.Space().Results) {
 		t.Error("the space taken round by round differs from the fixed-N one")
+	}
+}
+
+// TestBranchRecyclesWithinBudget: a Branch of 200 runs at width 1 over a
+// pool holding one finished branch takes each branch over the one before,
+// so a branch costs what one SnapshotOver and Run of machine's recycled
+// TestAllocationBudgets may (13 500 bytes), the bookkeeping core and
+// fleet keep per run included. It is ~1.3 KB: the 768-byte Machine
+// struct, the run's result slots, its profiler labels and context.
+func TestBranchRecyclesWithinBudget(t *testing.T) {
+	const n, perBranch = 200, 13_500
+	cfg := config.Default()
+	cfg.NumCPUs = 8
+	e := Experiment{
+		Label: "budget", Config: cfg, Workload: "oltp", WorkloadSeed: 0xA1A3,
+		WarmupTxns: 2000, MeasureTxns: 5, Runs: 1, SeedBase: 0xB0D6, Workers: 1,
+	}
+	checkpoint, err := e.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.BranchPlan()
+	p.spent = new(fleet.Pool[*machine.Machine])
+	if _, err := Branch(checkpoint, p); err != nil { // the first: nothing to build over
+		t.Fatal(err)
+	}
+	p.Lo, p.N = 1, n
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Branch(checkpoint, p)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes a branch", bytes)
+	if bytes > perBranch {
+		t.Fatalf("Branch of %d runs over one pool allocated %d bytes a branch, budget %d", n, bytes, perBranch)
 	}
 }

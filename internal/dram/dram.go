@@ -53,12 +53,18 @@ func (c *Controllers) Access(block uint64, now int64) (dataReady int64) {
 	return start + c.AccessNS
 }
 
-// Clone deep-copies the controllers.
-func (c *Controllers) Clone() *Controllers {
-	cp := *c
-	cp.freeAt = make([]int64, len(c.freeAt))
-	copy(cp.freeAt, c.freeAt)
-	return &cp
+// CloneOver deep-copies the controllers into the storage of spent,
+// controllers nothing will use again (nil for none); spent is what it
+// returns.
+func (c *Controllers) CloneOver(spent *Controllers) *Controllers {
+	cp := spent
+	if cp == nil {
+		cp = new(Controllers)
+	}
+	freeAt := cp.freeAt[:0]
+	*cp = *c
+	cp.freeAt = append(freeAt, c.freeAt...)
+	return cp
 }
 
 // Disks models a set of FIFO disk servers (five data disks plus a
@@ -95,10 +101,15 @@ func (d *Disks) Submit(id int, now, serviceNS int64) (done int64) {
 	return done
 }
 
-// Clone deep-copies the disks.
-func (d *Disks) Clone() *Disks {
-	cp := *d
-	cp.freeAt = make([]int64, len(d.freeAt))
-	copy(cp.freeAt, d.freeAt)
-	return &cp
+// CloneOver deep-copies the disks into the storage of spent, disks
+// nothing will use again (nil for none); spent is what it returns.
+func (d *Disks) CloneOver(spent *Disks) *Disks {
+	cp := spent
+	if cp == nil {
+		cp = new(Disks)
+	}
+	freeAt := cp.freeAt[:0]
+	*cp = *d
+	cp.freeAt = append(freeAt, d.freeAt...)
+	return cp
 }

@@ -65,7 +65,7 @@ func TestAccessMonotone(t *testing.T) {
 func TestControllersClone(t *testing.T) {
 	c := NewControllers(2, 80, 1)
 	c.Access(0, 0)
-	cp := c.Clone()
+	cp := c.CloneOver(nil)
 	cp.Access(0, 0)
 	if c.freeAt[0] != 80 {
 		t.Fatal("clone mutation leaked")
@@ -91,7 +91,7 @@ func TestDisksFIFO(t *testing.T) {
 func TestDisksClone(t *testing.T) {
 	d := NewDisks(1)
 	d.Submit(0, 0, 500)
-	cp := d.Clone()
+	cp := d.CloneOver(nil)
 	cp.Submit(0, 0, 500)
 	if d.freeAt[0] != 500 {
 		t.Fatal("clone mutation leaked")

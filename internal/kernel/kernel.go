@@ -278,30 +278,60 @@ func (os *OS) BarrierArrive(id, tid int32) (wake []int32, last bool) {
 // quantum preemption: no point preempting onto an empty queue).
 func (os *OS) RunnableOn(cpu int32) bool { return len(os.RunQ[cpu]) > 0 }
 
-// Clone deep-copies the OS state.
-func (os *OS) Clone() *OS {
-	cp := &OS{
-		Threads:   append([]Thread(nil), os.Threads...),
-		Current:   append([]int32(nil), os.Current...),
-		RunQ:      make([][]int32, len(os.RunQ)),
-		Locks:     make([]Lock, len(os.Locks)),
-		Barriers:  make([]Barrier, len(os.Barriers)),
-		DoneCount: os.DoneCount,
-		Preempts:  os.Preempts,
-		Steals:    os.Steals,
+// CtxSwitches returns the dispatches of every thread: what the
+// os.ctx_switches instrument reads and a machine's Result counts.
+func (os *OS) CtxSwitches() (n uint64) {
+	for i := range os.Threads {
+		n += os.Threads[i].Switches
 	}
+	return n
+}
+
+// LockContentions returns the contended acquires of every lock: what the
+// os.lock_contentions instrument reads and a machine's Result counts.
+func (os *OS) LockContentions() (n uint64) {
+	for i := range os.Locks {
+		n += os.Locks[i].Contentions
+	}
+	return n
+}
+
+// CloneOver deep-copies the OS state, into the storage of spent, an OS
+// nothing will use again (nil for none): every slice, the queues and
+// wait lists included, is copied into spent's when its capacity fits and
+// allocated when it does not. Nothing of spent but capacity is read, so it may
+// come from a machine of any size. spent is the OS returned.
+func (os *OS) CloneOver(spent *OS) *OS {
+	cp := spent
+	if cp == nil {
+		cp = new(OS)
+	}
+	threads, current := cp.Threads[:0], cp.Current[:0]
+	runQ, locks, barriers := resize(cp.RunQ, len(os.RunQ)), resize(cp.Locks, len(os.Locks)), resize(cp.Barriers, len(os.Barriers))
+	*cp = *os
+	cp.Threads = append(threads, os.Threads...)
+	cp.Current = append(current, os.Current...)
 	for i, q := range os.RunQ {
-		cp.RunQ[i] = append([]int32(nil), q...)
+		runQ[i] = append(runQ[i][:0], q...)
 	}
 	for i, l := range os.Locks {
-		nl := l
-		nl.Waiters = append([]int32(nil), l.Waiters...)
-		cp.Locks[i] = nl
+		l.Waiters = append(locks[i].Waiters[:0], l.Waiters...)
+		locks[i] = l
 	}
 	for i, b := range os.Barriers {
-		nb := b
-		nb.Waiters = append([]int32(nil), b.Waiters...)
-		cp.Barriers[i] = nb
+		b.Waiters = append(barriers[i].Waiters[:0], b.Waiters...)
+		barriers[i] = b
 	}
+	cp.RunQ, cp.Locks, cp.Barriers = runQ, locks, barriers
 	return cp
+}
+
+// resize returns s at length n, in its own array when that holds n
+// elements — whose old contents the caller overwrites — else in a new
+// one.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

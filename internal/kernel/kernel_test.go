@@ -174,7 +174,7 @@ func TestCloneIsolation(t *testing.T) {
 	os.PickNext(0, 0)
 	os.TryAcquire(0, 0)
 	os.AddWaiter(0, 1)
-	cp := os.Clone()
+	cp := os.CloneOver(nil)
 	cp.Release(0, 0)
 	cp.PickNext(1, 5)
 	if os.Locks[0].Holder != 0 {
@@ -284,5 +284,80 @@ func TestHeldLocksTracking(t *testing.T) {
 	os.Release(0, 1)
 	if os.Threads[0].HeldLocks != 0 || os.Threads[1].HeldLocks != 0 {
 		t.Fatal("counts did not return to zero")
+	}
+}
+
+// churn drives os through random scheduler, lock and barrier operations,
+// leaving threads running, queued, holding locks and waiting on both.
+func churn(os *OS, r *rng.Stream, steps int) {
+	for s := 0; s < steps; s++ {
+		cpu := int32(r.Intn(os.NumCPUs()))
+		tid := os.Current[cpu]
+		if tid < 0 {
+			os.PickNext(cpu, int64(s))
+			continue
+		}
+		switch r.Intn(4) {
+		case 0:
+			os.Preempt(cpu)
+		case 1:
+			id := int32(r.Intn(len(os.Locks)))
+			if !os.TryAcquire(id, tid) {
+				os.AddWaiter(id, tid)
+				os.BlockCurrent(cpu, BlockedLock)
+			}
+		case 2:
+			for id := range os.Locks {
+				if os.Locks[id].Holder == tid {
+					if next := os.Release(int32(id), tid); next >= 0 {
+						os.Enqueue(next)
+					}
+					break
+				}
+			}
+		case 3:
+			if wake, last := os.BarrierArrive(0, tid); last {
+				for _, w := range wake {
+					os.Enqueue(w)
+				}
+			} else {
+				os.BlockCurrent(cpu, BlockedBarrier)
+			}
+		}
+	}
+}
+
+// TestCloneOverSpentIsFresh: built over a spent OS of any size and state
+// — its queues, wait lists and barrier arrivals full of other threads —
+// CloneOver gives the OS CloneOver(nil) does, and the two then evolve
+// identically and apart from the original: nothing of spent but capacity
+// is read.
+func TestCloneOverSpentIsFresh(t *testing.T) {
+	r := rng.New(0xC10E)
+	var spent *OS
+	for trial := 0; trial < 200; trial++ {
+		cpus, threads := 1+r.Intn(6), 1+r.Intn(12)
+		os := New(cpus, threads, 1+r.Intn(4), 1, threads)
+		churn(os, &r, r.Intn(200))
+		want := os.CloneOver(nil)
+		got := os.CloneOver(spent)
+		if spent != nil && got != spent {
+			t.Fatalf("trial %d: CloneOver did not build in spent's storage", trial)
+		}
+		before := osDigest(os)
+		if osDigest(got) != osDigest(want) {
+			t.Fatalf("trial %d: CloneOver over a spent OS differs from a fresh clone", trial)
+		}
+		seed := r.Uint64()
+		a, b := rng.New(seed), rng.New(seed)
+		churn(want, &a, 100)
+		churn(got, &b, 100)
+		if osDigest(got) != osDigest(want) {
+			t.Fatalf("trial %d: the clone over a spent OS evolved apart from the fresh one", trial)
+		}
+		if osDigest(os) != before {
+			t.Fatalf("trial %d: running the clone changed the original", trial)
+		}
+		spent = got
 	}
 }

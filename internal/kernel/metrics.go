@@ -8,12 +8,7 @@ import "varsim/internal/metrics"
 // primary sources of space variability), plus instantaneous run-queue
 // and liveness gauges.
 func (os *OS) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("os.ctx_switches", func() (n uint64) {
-		for i := range os.Threads {
-			n += os.Threads[i].Switches
-		}
-		return
-	})
+	reg.CounterFunc("os.ctx_switches", os.CtxSwitches)
 	reg.CounterFunc("os.migrations", func() (n uint64) {
 		for i := range os.Threads {
 			n += os.Threads[i].Migrations
@@ -28,12 +23,7 @@ func (os *OS) RegisterMetrics(reg *metrics.Registry) {
 		}
 		return
 	})
-	reg.CounterFunc("os.lock_contentions", func() (n uint64) {
-		for i := range os.Locks {
-			n += os.Locks[i].Contentions
-		}
-		return
-	})
+	reg.CounterFunc("os.lock_contentions", os.LockContentions)
 	reg.GaugeFunc("os.runnable", func() (n float64) {
 		for _, q := range os.RunQ {
 			n += float64(len(q))

@@ -93,26 +93,35 @@ func TestAllocationBudgets(t *testing.T) {
 		}
 	})
 
-	// 57 KB: a snapshot taken over the branch before it finds that
-	// branch's page copies and page tables waiting, so what it allocates
-	// is the snapshot's metadata (kernel, plans, generator state, metric
-	// registry) and the odd page where its seed strays from every window
-	// before. Generation 0 has nothing to build over and pays the fresh
-	// branch's 0.43 MB; a spare list that leaked, or never filled, would
-	// show in every generation after it.
+	// 768 bytes and one object, the Machine struct: a snapshot taken over
+	// the branch before finds everything that branch allocated waiting —
+	// page copies and page tables, kernel queues, event heap, workload
+	// thread array and plans, CPU array, bus queue and wired registry —
+	// so what is left is the odd page where its seed strays from every
+	// window before (5.9 KB and 6 objects at worst here). Generation 1
+	// also makes the cache spare lists and the workload's spare-plan index
+	// for the first time (9.0 KB, 154 objects), so the objects ceiling
+	// starts at generation 2. Generation 0 has nothing to build over and
+	// pays the fresh branch's 0.43 MB. Re-wiring the registry, re-making
+	// the kernel and each thread's first plan, and two registry snapshots
+	// per Run cost 57 KB and ~164 objects a generation, which would fail
+	// here.
 	t.Run("recycled", func(t *testing.T) {
-		const ceiling = 100_000
+		const ceiling, objCeiling = 13_500, 10
 		var spent *Machine
 		for gen := 0; gen <= 20; gen++ {
-			b0, _ := heapCounts()
+			b0, n0 := heapCounts()
 			m := base.SnapshotOver(spent)
 			m.SetPerturbSeed(100 + uint64(gen))
 			if _, err := m.Run(5); err != nil {
 				t.Fatal(err)
 			}
-			b1, _ := heapCounts()
+			b1, n1 := heapCounts()
 			if got := b1 - b0; gen > 0 && got > ceiling {
 				t.Fatalf("generation %d: SnapshotOver + Run(5) allocated %d bytes, budget %d", gen, got, ceiling)
+			}
+			if got := n1 - n0; gen > 1 && got > objCeiling {
+				t.Fatalf("generation %d: SnapshotOver + Run(5) allocated %d objects, budget %d", gen, got, objCeiling)
 			}
 			spent = m
 		}

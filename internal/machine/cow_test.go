@@ -145,6 +145,22 @@ func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 					spent = deep
 				}
 			}
+			// A machine taken over by itself must refuse before it writes:
+			// the checkpoint still branches as it did.
+			before := base.Snapshot()
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "SnapshotOver") {
+						t.Fatalf("SnapshotOver of a machine over itself: recovered %v, want a panic naming SnapshotOver", r)
+					}
+				}()
+				base.SnapshotOver(base)
+			}()
+			wantRes, wantChain := runBranch(t, before, 1, tc.txns)
+			if gotRes, gotChain := runBranch(t, base.Snapshot(), 1, tc.txns); !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotChain, wantChain) {
+				t.Fatalf("SnapshotOver of a machine over itself changed it:\nafter:  %+v\nbefore: %+v", gotRes, wantRes)
+			}
+
 			base.SnapshotOver(spent)
 			defer func() {
 				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "SnapshotOver") {

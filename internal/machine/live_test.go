@@ -42,8 +42,11 @@ func (c countingInstance) StepRun(tid int, blockBits uint, limit int64) int64 {
 	return c.Instance.(workload.RunStepper).StepRun(tid, blockBits, limit)
 }
 
-func (c countingInstance) Clone() workload.Instance {
-	return countingInstance{c.Instance.Clone(), c.n}
+func (c countingInstance) CloneOver(spent workload.Instance) workload.Instance {
+	if s, ok := spent.(countingInstance); ok {
+		spent = s.Instance
+	}
+	return countingInstance{c.Instance.CloneOver(spent), c.n}
 }
 
 func (c countingInstance) Freeze() { c.Instance.(workload.Freezer).Freeze() }

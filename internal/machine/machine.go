@@ -13,6 +13,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"varsim/internal/config"
@@ -144,6 +145,7 @@ type Machine struct {
 	// interval sample on the simulation goroutine (live observers bridge
 	// through it — see internal/obs).
 	reg        *metrics.Registry
+	view       *view
 	sampler    *metrics.Sampler
 	sampleHook func(nowNS int64, snap metrics.Snapshot)
 	busDelay   *metrics.Histogram
@@ -160,6 +162,13 @@ type Machine struct {
 	parkedShared bool
 
 	maxEvents uint64
+
+	// open is the counters at the start of the window Run or RunNS
+	// measures. It is kept here rather than in Run's frame: the whole
+	// simulation runs below that frame, and 88 bytes more in it moved
+	// the event loop's stack enough to cost the OOO core 7–10 % on a
+	// 2-vCPU Intel Xeon host.
+	open counters
 }
 
 // EnableTrace attaches a structured trace buffer retaining up to
@@ -261,18 +270,44 @@ func (m *Machine) Config() config.Config { return m.cfg }
 // Workload returns the machine's workload instance.
 func (m *Machine) Workload() workload.Instance { return m.wl }
 
-// snapCounters captures the registry's current cumulative readings;
-// result computes a measurement window as the delta of two snapshots.
-// The registry replaces the private per-subsystem counter structs the
-// machine used to keep: every counter here is a named, discoverable
-// instrument.
-func (m *Machine) snapCounters() metrics.Snapshot { return m.reg.Snapshot() }
+// counters is one reading of the cumulative counts a Result is the
+// difference of, taken at the start and the end of a window. Each is
+// read from the field, or through the method, that the registry's
+// instrument of the same name reads (machine.instrs, mem.l2.misses,
+// os.ctx_switches, …), so a Result and what /metrics, the series CSV
+// and Perfetto show have one source.
+type counters struct {
+	instrs, txns, events, busRequests              uint64
+	l1iMisses, l1dMisses, l2Misses                 uint64
+	cacheToCache, memFetches, writebacks           uint64
+	ctxSwitches, preempts, steals, lockContentions uint64
+}
 
-func (m *Machine) result(start metrics.Snapshot, startNS, endNS int64, txns int64) Result {
-	end := m.snapCounters()
-	d := func(name string) uint64 { return uint64(end.Delta(start, name)) }
+func (m *Machine) counters() counters {
+	c := counters{
+		instrs:          uint64(m.instrs),
+		txns:            uint64(m.txnsDone),
+		events:          m.eng.Steps(),
+		busRequests:     m.bus.reqs,
+		cacheToCache:    m.snoop.CacheToCache,
+		memFetches:      m.snoop.MemFetches,
+		writebacks:      m.snoop.Writebacks,
+		ctxSwitches:     m.os.CtxSwitches(),
+		preempts:        m.os.Preempts,
+		steals:          m.os.Steals,
+		lockContentions: m.os.LockContentions(),
+	}
+	c.l1iMisses, c.l1dMisses, c.l2Misses = m.snoop.Misses()
+	return c
+}
+
+// result measures the window from m.open, read at simulated time
+// startNS, to now, its elapsed time ending at endNS.
+func (m *Machine) result(startNS, endNS int64) Result {
+	start, end := &m.open, m.counters()
 	elapsed := endNS - startNS
 	simulatedNS.Add(elapsed)
+	txns := int64(end.txns - start.txns)
 	cpt := 0.0
 	if txns > 0 {
 		cpt = float64(elapsed) / float64(txns)
@@ -282,21 +317,21 @@ func (m *Machine) result(start metrics.Snapshot, startNS, endNS int64, txns int6
 		ElapsedNS: elapsed,
 		Txns:      txns,
 		CPT:       cpt,
-		Instrs:    int64(end.Delta(start, "machine.instrs")),
+		Instrs:    int64(end.instrs - start.instrs),
 
-		L1DMisses:    d("mem.l1d.misses"),
-		L1IMisses:    d("mem.l1i.misses"),
-		L2Misses:     d("mem.l2.misses"),
-		BusRequests:  d("bus.requests"),
-		CacheToCache: d("snoop.cache_to_cache"),
-		MemFetches:   d("snoop.mem_fetches"),
-		Writebacks:   d("snoop.writebacks"),
+		L1DMisses:    end.l1dMisses - start.l1dMisses,
+		L1IMisses:    end.l1iMisses - start.l1iMisses,
+		L2Misses:     end.l2Misses - start.l2Misses,
+		BusRequests:  end.busRequests - start.busRequests,
+		CacheToCache: end.cacheToCache - start.cacheToCache,
+		MemFetches:   end.memFetches - start.memFetches,
+		Writebacks:   end.writebacks - start.writebacks,
 
-		CtxSwitches:     d("os.ctx_switches"),
-		Preempts:        d("os.preempts"),
-		Steals:          d("os.steals"),
-		LockContentions: d("os.lock_contentions"),
-		Events:          d("machine.events"),
+		CtxSwitches:     end.ctxSwitches - start.ctxSwitches,
+		Preempts:        end.preempts - start.preempts,
+		Steals:          end.steals - start.steals,
+		LockContentions: end.lockContentions - start.lockContentions,
+		Events:          end.events - start.events,
 	}
 }
 
@@ -311,7 +346,7 @@ func (m *Machine) Run(n int64) (Result, error) {
 	if m.snoop == nil {
 		return Result{}, errSpent
 	}
-	start := m.snapCounters()
+	m.open = m.counters()
 	startNS := m.eng.Now()
 	target := m.txnsDone + n
 	m.frozen = false // running mutates COW state; next Snapshot re-freezes
@@ -326,7 +361,7 @@ func (m *Machine) Run(n int64) (Result, error) {
 	if endNS < startNS {
 		endNS = m.eng.Now()
 	}
-	return m.result(start, startNS, endNS, m.txnsDone-(target-n)), nil
+	return m.result(startNS, endNS), nil
 }
 
 // RunNS simulates for a fixed span of simulated time (used for the
@@ -338,9 +373,8 @@ func (m *Machine) RunNS(ns int64) (Result, error) {
 	if m.snoop == nil {
 		return Result{}, errSpent
 	}
-	start := m.snapCounters()
+	m.open = m.counters()
 	startNS := m.eng.Now()
-	startTxns := m.txnsDone
 	deadline := startNS + ns
 	m.frozen = false // running mutates COW state; next Snapshot re-freezes
 	ok := m.eng.RunUntil(m, func() bool {
@@ -349,7 +383,7 @@ func (m *Machine) RunNS(ns int64) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("machine: RunNS exceeded event budget %d", m.maxEvents)
 	}
-	return m.result(start, startNS, m.eng.Now(), m.txnsDone-startTxns), nil
+	return m.result(startNS, m.eng.Now()), nil
 }
 
 // Freeze relinquishes the machine's ownership of every structure its
@@ -406,49 +440,78 @@ var errSpent = errors.New("machine: used after SnapshotOver took its storage")
 // call Freeze first — Snapshot on a frozen machine only reads it.
 func (m *Machine) Snapshot() *Machine { return m.SnapshotOver(nil) }
 
-// SnapshotOver is Snapshot taken over the cache storage of spent, a
-// machine whose run is over and whose results have been read (nil for
-// none): the cache pages spent copied while it ran, and its page
-// tables, become the snapshot's instead of garbage (see
-// mem.Snooper.CloneOver), which is most of what a short branch
-// allocates. The snapshot is the one Snapshot would return whatever
-// spent is a snapshot of — nothing of spent but capacity is read. spent
-// is unusable afterwards: its Run fails and its Snapshot panics.
+// SnapshotOver is Snapshot taken over the storage of spent, a machine
+// whose run is over and whose results have been read (nil for none).
+// What spent allocated while it ran becomes the snapshot's instead of
+// garbage: its cache pages and page tables (see mem.Snooper.CloneOver),
+// its kernel, event heap, memory controllers and disks, its workload
+// engine's thread array and the plans its threads wrote (as spares, see
+// workload.Instance), its CPU array and bus queue with their capacity,
+// and its wired metric registry. The registry is carried across only
+// when spent has the snapshot's CPU count and processor kind and its
+// instruments read the very component objects the snapshot now uses;
+// otherwise it is re-wired, as is any part whose shape differs, so spent
+// may be a machine of any configuration or workload. Either way the
+// snapshot is the one Snapshot would return — nothing of spent but
+// capacity is read. spent is unusable afterwards: its Run fails and its
+// Snapshot panics, as does SnapshotOver with m itself as spent.
 func (m *Machine) SnapshotOver(spent *Machine) *Machine {
+	if spent == m {
+		panic("machine: SnapshotOver of a machine over its own storage")
+	}
 	if m.snoop == nil {
 		panic(errSpent)
 	}
 	if !m.frozen {
 		m.Freeze()
 	}
-	var spentSnoop *mem.Snooper
+	var old Machine
 	if spent != nil {
-		spentSnoop, spent.snoop = spent.snoop, nil
+		old, *spent = *spent, Machine{}
 	}
 	c := *m
-	c.eng = m.eng.Clone()
-	c.snoop = m.snoop.CloneOver(spentSnoop)
-	c.dram = m.dram.Clone()
-	c.disks = m.disks.Clone()
-	c.os = m.os.Clone()
-	c.setWorkload(m.wl.Clone())
-	c.cpus = append([]cpuState(nil), m.cpus...)
-	for i := range c.cpus {
-		if m.cpus[i].ooo != nil {
-			c.cpus[i].ooo = m.cpus[i].ooo.clone()
+	c.eng = m.eng.CloneOver(old.eng)
+	c.snoop = m.snoop.CloneOver(old.snoop)
+	c.dram = m.dram.CloneOver(old.dram)
+	c.disks = m.disks.CloneOver(old.disks)
+	c.os = m.os.CloneOver(old.os)
+	c.setWorkload(m.wl.CloneOver(old.wl))
+	// The CPU array is spent's when it is large enough; a detailed core is
+	// copied into the one spent had at the same index, if any.
+	sameCores := len(old.cpus) == len(m.cpus)
+	c.cpus = slices.Grow(old.cpus[:0], len(m.cpus))
+	for i, cs := range m.cpus {
+		var core *oooCore
+		if i < len(old.cpus) {
+			core = old.cpus[i].ooo
 		}
+		if cs.ooo != nil {
+			cs.ooo = cs.ooo.cloneOver(core)
+		}
+		sameCores = sameCores && cs.ooo == core
+		c.cpus = append(c.cpus, cs)
 	}
-	c.bus.q = append([]busReq(nil), m.bus.q...)
+	c.bus.q = append(old.bus.q[:0], m.bus.q...)
 	if m.tracer != nil {
 		c.tracer = m.tracer.Clone()
 	}
 	// The parked-op arrays ride along shared (parkedShared was set by
 	// Freeze and copied into c above); ensureParked copies them on the
 	// first park/restore of either side.
-	// Re-wire the metric registry so the clone's instruments read the
-	// clone's components, then restore owned-instrument state and the
-	// sampled series.
-	c.wireMetrics()
+	//
+	// The registry's instruments must read the snapshot's components:
+	// spent's do when every object they read was reused above — its
+	// machine-level ones read through view, re-pointed here — and a new
+	// registry is wired otherwise. Owned-instrument state and the sampled
+	// series are then restored from m.
+	if old.reg != nil && sameCores && old.cfg.Processor == m.cfg.Processor &&
+		c.snoop == old.snoop && c.dram == old.dram && c.disks == old.disks && c.os == old.os {
+		c.reg, c.view, c.busDelay = old.reg, old.view, old.busDelay
+		c.view.m = &c
+		c.busDelay.Reset()
+	} else {
+		c.wireMetrics()
+	}
 	c.busDelay.AddFrom(m.busDelay)
 	if m.sampler != nil {
 		c.sampler = m.sampler.CloneInto(c.reg)

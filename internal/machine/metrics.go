@@ -10,17 +10,27 @@ import (
 // bounds (ns): sub-occupancy waits up to pathological convoys.
 var busDelayBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000}
 
+// view is the machine the registry's machine-level instruments read
+// (machine.*, bus.*, ooo.*): they read through it rather than closing
+// over one *Machine, so that SnapshotOver can carry a registry to the
+// snapshot built in its machine's storage by re-pointing view.m. The
+// components register instruments over themselves, and a carried
+// registry reads them because the snapshot reuses the same objects.
+type view struct{ m *Machine }
+
 // wireMetrics builds the machine's metric registry over its live
 // components: every modelled subsystem registers its named instruments.
-// Called at construction and again after Snapshot, because a clone's
-// instruments must read the clone's state, not the original's.
+// Called at construction, and by SnapshotOver when it cannot carry
+// spent's registry, because a clone's instruments must read the clone's
+// state, not the original's.
 func (m *Machine) wireMetrics() {
+	v := &view{m: m}
 	reg := metrics.NewRegistry()
-	reg.CounterFunc("machine.instrs", func() uint64 { return uint64(m.instrs) })
-	reg.CounterFunc("machine.txns", func() uint64 { return uint64(m.txnsDone) })
-	reg.CounterFunc("machine.events", func() uint64 { return m.eng.Steps() })
-	reg.CounterFunc("bus.requests", func() uint64 { return m.bus.reqs })
-	reg.GaugeFunc("bus.queue_len", func() float64 { return float64(len(m.bus.q)) })
+	reg.CounterFunc("machine.instrs", func() uint64 { return uint64(v.m.instrs) })
+	reg.CounterFunc("machine.txns", func() uint64 { return uint64(v.m.txnsDone) })
+	reg.CounterFunc("machine.events", func() uint64 { return v.m.eng.Steps() })
+	reg.CounterFunc("bus.requests", func() uint64 { return v.m.bus.reqs })
+	reg.GaugeFunc("bus.queue_len", func() float64 { return float64(len(v.m.bus.q)) })
 	m.busDelay = reg.NewHistogram("bus.queue_delay_ns", busDelayBounds)
 	m.snoop.RegisterMetrics(reg)
 	m.dram.RegisterMetrics(reg)
@@ -35,36 +45,37 @@ func (m *Machine) wireMetrics() {
 	if len(units) > 0 {
 		bpred.RegisterMetrics(reg, units)
 		reg.CounterFunc("ooo.rob_stalls", func() (n uint64) {
-			for i := range m.cpus {
-				if c := m.cpus[i].ooo; c != nil {
+			for i := range v.m.cpus {
+				if c := v.m.cpus[i].ooo; c != nil {
 					n += c.ROBStalls
 				}
 			}
 			return
 		})
 		reg.CounterFunc("ooo.mshr_stalls", func() (n uint64) {
-			for i := range m.cpus {
-				if c := m.cpus[i].ooo; c != nil {
+			for i := range v.m.cpus {
+				if c := v.m.cpus[i].ooo; c != nil {
 					n += c.MSHRStalls
 				}
 			}
 			return
 		})
 		reg.CounterFunc("ooo.mispredict_stalls", func() (n uint64) {
-			for i := range m.cpus {
-				if c := m.cpus[i].ooo; c != nil {
+			for i := range v.m.cpus {
+				if c := v.m.cpus[i].ooo; c != nil {
 					n += c.MispredictStalls
 				}
 			}
 			return
 		})
 	}
-	m.reg = reg
+	m.reg, m.view = reg, v
 }
 
 // Metrics returns the machine's metric registry. Every machine has one:
-// the components register named instruments at construction, and the
-// windowed Result deltas are computed from registry snapshots.
+// the components register named instruments at construction. A Result's
+// counts are read from the fields the instruments of the same names read
+// (see counters), not from registry snapshots.
 func (m *Machine) Metrics() *metrics.Registry { return m.reg }
 
 // EnableSampling starts interval metric sampling: every intervalNS of

@@ -57,12 +57,20 @@ func newOOOCore(cfg config.OOOConfig) *oooCore {
 	return &oooCore{cfg: cfg, bp: bpred.New(cfg)}
 }
 
-func (c *oooCore) clone() *oooCore {
-	cp := *c
-	cp.bp = c.bp.Clone()
-	cp.misses = append([]oooMiss(nil), c.misses...)
-	cp.retStack = append([]uint64(nil), c.retStack...)
-	return &cp
+// cloneOver copies the core into spent, a core nothing will use again
+// (nil for none), keeping the capacity of its miss window and return
+// stack and its predictor's struct; spent is the core returned.
+func (c *oooCore) cloneOver(spent *oooCore) *oooCore {
+	cp := spent
+	if cp == nil {
+		cp = new(oooCore)
+	}
+	bp, misses, retStack := cp.bp, cp.misses[:0], cp.retStack[:0]
+	*cp = *c
+	cp.bp = c.bp.CloneOver(bp)
+	cp.misses = append(misses, c.misses...)
+	cp.retStack = append(retStack, c.retStack...)
+	return cp
 }
 
 // addInstr advances the dispatch cursor by n instructions at full width.

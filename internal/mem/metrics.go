@@ -42,3 +42,15 @@ func (s *Snooper) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("snoop.invalidations", func() uint64 { return s.Invals })
 	reg.CounterFunc("snoop.writebacks", func() uint64 { return s.Writebacks })
 }
+
+// Misses returns the misses of every node's L1I, L1D and L2, summed per
+// level — the fold the mem.l1i/l1d/l2.misses instruments make, in one
+// pass: what a machine's Result counts.
+func (s *Snooper) Misses() (l1i, l1d, l2 uint64) {
+	for _, n := range s.Nodes {
+		l1i += n.L1I.Misses
+		l1d += n.L1D.Misses
+		l2 += n.L2.Misses
+	}
+	return l1i, l1d, l2
+}

@@ -10,8 +10,9 @@
 //   - Determinism: instruments are plain data read synchronously on the
 //     simulation thread; sampling never perturbs simulated behaviour.
 //   - Checkpointability: a registry is rebuilt (re-wired) against a
-//     cloned machine, and sampled series are plain data that deep-copy
-//     with machine snapshots.
+//     cloned machine, or carried to one built in the storage its machine
+//     left, and sampled series are plain data that deep-copy with machine
+//     snapshots.
 //   - Zero hot-path cost when idle: components keep incrementing their
 //     own plain fields; func-instruments read them lazily, so the only
 //     cost of an enabled registry is paid at snapshot time.
@@ -167,6 +168,14 @@ func (h *Histogram) AddFrom(o *Histogram) {
 	}
 	h.sum += o.sum
 	h.count += o.count
+}
+
+// Reset clears every observation, leaving the bounds; a machine snapshot
+// that carries a registry over resets its histograms before restoring
+// the original's state into them with AddFrom.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.sum, h.count = 0, 0
 }
 
 // Name implements Instrument.

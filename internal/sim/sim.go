@@ -146,12 +146,19 @@ func (e *Engine) RunUntil(h Handler, done func() bool, maxEvents uint64) bool {
 	}
 }
 
-// Clone returns a deep copy of the engine: same clock, same pending
-// events. Used by machine snapshots.
-func (e *Engine) Clone() *Engine {
-	c := &Engine{now: e.now, seq: e.seq, stepCount: e.stepCount}
-	c.queue = make(eventHeap, len(e.queue))
-	copy(c.queue, e.queue)
+// CloneOver returns a deep copy of the engine — same clock, same
+// pending events — built in the storage of spent, an engine nothing will
+// use again (nil for none): the events are copied into spent's heap,
+// which keeps its capacity, and spent is the engine returned. Used by
+// machine snapshots.
+func (e *Engine) CloneOver(spent *Engine) *Engine {
+	c := spent
+	if c == nil {
+		c = new(Engine)
+	}
+	q := c.queue[:0]
+	*c = *e
+	c.queue = append(q, e.queue...)
 	return c
 }
 

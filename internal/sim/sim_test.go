@@ -132,7 +132,7 @@ func TestCloneIndependence(t *testing.T) {
 	e.Step(&r)
 	e.Step(&r)
 
-	c := e.Clone()
+	c := e.CloneOver(nil)
 	if c.Now() != e.Now() || c.Pending() != e.Pending() {
 		t.Fatal("clone state mismatch")
 	}
@@ -155,7 +155,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestCloneIsolation(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, KindTimer, 0, 0)
-	c := e.Clone()
+	c := e.CloneOver(nil)
 	c.Schedule(5, KindWake, 1, 0) // must not leak into e
 	if e.Pending() != 1 {
 		t.Fatalf("clone mutation leaked into original (pending=%d)", e.Pending())

@@ -115,7 +115,7 @@ func checkBulkRun(seed uint64, branchEvery, indirect, block uint8, partition boo
 			return fmt.Errorf("step %d thread %d: HashProgress tells the bulk engine from the per-op one", step, tid)
 		}
 		if b>>5 == 7 {
-			perOp = bulk.Clone().(*TxnEngine)
+			perOp = bulk.CloneOver(nil).(*TxnEngine)
 		}
 	}
 	// What follows the script is the reference's stream too, to the end of

@@ -180,7 +180,7 @@ func TestHashProgressAfterClone(t *testing.T) {
 		for n := r.Intn(400); n > 0; n-- {
 			a.Next(r.Intn(threads))
 		}
-		b := a.Clone().(engine)
+		b := a.CloneOver(nil).(engine)
 		if progressDigest(a) != progressDigest(b) {
 			t.Fatalf("trial %d: fresh clone digests unequal", trial)
 		}

@@ -77,11 +77,11 @@ type Op struct {
 // Instance is a live, runnable workload: all thread generators plus any
 // shared state (the transaction feed). Instances are single-threaded
 // from the simulator's perspective — Next is only called inside event
-// handlers — and must be copyable via Clone for checkpoints. Generators
-// hold positions, not instruction streams: a thread's state is a few
-// words of plain data (random streams, cursors, the macro or stage in
-// progress), so Clone copies one small struct per thread and the clone
-// then generates the same ops the original would have.
+// handlers — and must be copyable via CloneOver for checkpoints.
+// Generators hold positions, not instruction streams: a thread's state
+// is a few words of plain data (random streams, cursors, the macro or
+// stage in progress), so CloneOver copies one small struct per thread and
+// the clone then generates the same ops the original would have.
 type Instance interface {
 	// Name identifies the workload ("oltp", "apache", ...).
 	Name() string
@@ -105,10 +105,15 @@ type Instance interface {
 	// RunStepper); consuming ops through it leaves the instance exactly
 	// where the same number of Next calls would have.
 	Next(tid int) Op
-	// Clone copies the instance for machine snapshots: the two then
+	// CloneOver copies the instance for machine snapshots: the two then
 	// advance independently. What never changes after construction may be
-	// shared outright, and buffers copy-on-write (see Freezer).
-	Clone() Instance
+	// shared outright, and buffers copy-on-write (see Freezer). The copy
+	// is built in the storage of spent, an instance nothing will use
+	// again, when spent is of the same engine and thread count — its
+	// per-thread array, and the buffers it owns as spares — and from
+	// scratch when spent is nil or of another shape. Nothing of spent
+	// but capacity is read: the copy is the one CloneOver(nil) returns.
+	CloneOver(spent Instance) Instance
 }
 
 // RunStepper is the bulk form of Next, implemented by instances whose
@@ -155,15 +160,16 @@ type Hasher interface {
 	HashProgress(h *digest.Hash)
 }
 
-// Freezer is implemented by instances whose Clone shares mutable
+// Freezer is implemented by instances whose CloneOver shares mutable
 // buffers copy-on-write — of the engines here only TxnEngine, whose
 // threads each hold their current transaction's plan; SciEngine has no
-// buffer and copies all its state in Clone. Freeze relinquishes buffer
-// ownership so a frozen instance can be Cloned from several goroutines
-// at once (Clone on a frozen instance performs no writes); an instance
-// that has run since its last Freeze must be re-frozen before
-// concurrent cloning. Instances without Freeze are assumed to copy
-// everything mutable in Clone, for which no freeze step is needed.
+// buffer and copies all its state in CloneOver. Freeze relinquishes
+// buffer ownership so a frozen instance can be cloned from several
+// goroutines at once (CloneOver on a frozen instance writes only the
+// copy); an instance that has run since its last Freeze must be
+// re-frozen before concurrent cloning. Instances without Freeze are
+// assumed to copy everything mutable in CloneOver, for which no freeze
+// step is needed.
 type Freezer interface {
 	Freeze()
 }

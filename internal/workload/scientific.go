@@ -146,12 +146,18 @@ func (e *SciEngine) NumSpinLocks() int { return 1 }
 // NumBarriers implements Instance.
 func (e *SciEngine) NumBarriers() int { return 1 }
 
-// Clone implements Instance: the per-thread positions and streams are
-// copied, the layout is shared.
-func (e *SciEngine) Clone() Instance {
-	cp := *e
-	cp.threads = append([]sciThread(nil), e.threads...)
-	return &cp
+// CloneOver implements Instance: the per-thread positions and streams
+// are copied, into spent's array when spent is a SciEngine of as many
+// threads, and the layout is shared.
+func (e *SciEngine) CloneOver(spent Instance) Instance {
+	cp, _ := spent.(*SciEngine)
+	if cp == nil || cp == e || len(cp.threads) != len(e.threads) {
+		cp = new(SciEngine)
+	}
+	threads := cp.threads[:0]
+	*cp = *e
+	cp.threads = append(threads, e.threads...)
+	return cp
 }
 
 // nextPC returns the thread's PC and moves the cursor to the next

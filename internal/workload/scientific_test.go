@@ -104,7 +104,7 @@ func TestSciCloneContinues(t *testing.T) {
 	for i := 0; i < 57; i++ {
 		e.Next(i % 4)
 	}
-	c := e.Clone().(*SciEngine)
+	c := e.CloneOver(nil).(*SciEngine)
 	for i := 0; i < 500; i++ {
 		tid := i % 4
 		if e.Next(tid) != c.Next(tid) {

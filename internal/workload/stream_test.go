@@ -16,8 +16,9 @@ type pair struct {
 	ref  workload.Reference
 }
 
-func (p pair) clone() pair {
-	return pair{inst: p.inst.Clone(), ref: p.ref.Clone()}
+// cloneOver clones both sides, the engine over spent's storage.
+func (p pair) cloneOver(spent workload.Instance) pair {
+	return pair{inst: p.inst.CloneOver(spent), ref: p.ref.Clone()}
 }
 
 // driveAgainstReference advances inst and its eager reference through
@@ -67,11 +68,13 @@ func driveAgainstReference(t *testing.T, inst workload.Instance, ops int, seed u
 		}
 		if where != "" {
 			clones[where]++
-			c := p.clone()
+			// A clone that replaces a live engine is built over it, plans
+			// it owned and all, and must still be the fresh clone.
 			if len(live) < 4 {
-				live = append(live, c)
+				live = append(live, p.cloneOver(nil))
 			} else {
-				live[1+r.Intn(len(live)-1)] = c
+				i := 1 + r.Intn(len(live)-1)
+				live[i] = p.cloneOver(live[i].inst)
 			}
 		}
 	}

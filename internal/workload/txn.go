@@ -185,6 +185,12 @@ type TxnEngine struct {
 	logHead uint64
 	threads []txnThread
 	frozen  bool // all threads' plans marked shared since last build
+	// spares holds, per thread, an empty buffer this engine owns alone,
+	// handed over by CloneOver from the engine it was built over:
+	// buildTxn writes the thread's next plan into it rather than
+	// allocating when the current plan is shared. Nil for an engine built
+	// from scratch; read for capacity only, and never copied to a clone.
+	spares [][]planEntry
 
 	// Fixed at construction and shared, never copied, by clones.
 	tableRegions []Region
@@ -509,18 +515,39 @@ func (e *TxnEngine) Materialize() {
 	e.frozen = false
 }
 
-// Clone implements Instance. It copies the per-thread state — cursors,
-// the fork stream, the macro in progress — and shares everything else:
-// the layout tables are never written after construction, and the
-// plans are copy-on-write, each side allocating a new one the first
-// time it builds a transaction. Cloning freezes e if needed (a write);
-// to clone concurrently, Freeze first — Clone on a frozen engine is
-// read-only.
-func (e *TxnEngine) Clone() Instance {
+// CloneOver implements Instance. It copies the per-thread state —
+// cursors, the fork stream, the macro in progress — and shares
+// everything else: the layout tables are never written after
+// construction, and the plans are copy-on-write, each side writing a new
+// one the first time it builds a transaction. When spent is a TxnEngine
+// of as many threads, the copy is made in its thread array, and the plan
+// each of spent's threads owned (or the spare it never used) becomes the
+// spare buffer that new plan is written into; a plan spent shared with
+// another instance is never a donor. Cloning freezes e if needed (a
+// write); to clone concurrently, Freeze first — CloneOver on a frozen
+// engine writes only the copy.
+func (e *TxnEngine) CloneOver(spent Instance) Instance {
 	e.Freeze()
-	cp := *e
-	cp.threads = append([]txnThread(nil), e.threads...)
-	return &cp
+	cp, _ := spent.(*TxnEngine)
+	var spares [][]planEntry
+	if cp == nil || cp == e || len(cp.threads) != len(e.threads) {
+		cp = &TxnEngine{threads: make([]txnThread, len(e.threads))}
+	} else {
+		spares = cp.spares
+		if spares == nil {
+			spares = make([][]planEntry, len(cp.threads))
+		}
+		for i := range cp.threads {
+			if t := &cp.threads[i]; !t.shared {
+				spares[i] = t.plan[:0]
+			}
+		}
+	}
+	threads := cp.threads
+	*cp = *e
+	cp.threads, cp.spares = threads, spares
+	copy(threads, e.threads)
+	return cp
 }
 
 // Plan recording: buildTxn's vocabulary.
@@ -590,15 +617,23 @@ func (e *TxnEngine) buildTxn(tid int) {
 	}
 
 	// A plan aliased with a snapshot clone is replaced, not truncated in
-	// place (the appends below would stomp the clone's pending entries).
-	// Either way it is sized for this transaction outright — every entry
-	// the code below can append is counted — so no build regrows it by
-	// doubling, and a branch pays for the transactions it runs, not for
-	// the largest its parent ever saw.
+	// place (the appends below would stomp the clone's pending entries),
+	// by the spare buffer CloneOver handed the thread when that holds the
+	// transaction. A new buffer is sized for this transaction outright —
+	// every entry the code below can append is counted — so no build
+	// regrows it by doubling, and a branch pays for the transactions it
+	// runs, not for the largest its parent ever saw.
 	accesses := class.Reads + class.Writes
 	need := 12 + class.LogRecords + steps*(3+2*accesses+e.prof.PrivatePerOp)
 	if t.shared || cap(t.plan) < need {
-		t.plan = make([]planEntry, 0, need)
+		var buf []planEntry
+		if e.spares != nil {
+			buf, e.spares[tid] = e.spares[tid], nil
+		}
+		if cap(buf) < need {
+			buf = make([]planEntry, 0, need)
+		}
+		t.plan = buf
 		t.shared = false
 		e.frozen = false
 	}

@@ -159,7 +159,7 @@ func TestCloneContinuesIdentically(t *testing.T) {
 	for i := 0; i < 137; i++ {
 		e.Next(i % e.NumThreads())
 	}
-	c := e.Clone()
+	c := e.CloneOver(nil)
 	for i := 0; i < 2000; i++ {
 		tid := i % e.NumThreads()
 		if e.Next(tid) != c.(*TxnEngine).Next(tid) {
@@ -170,12 +170,52 @@ func TestCloneContinuesIdentically(t *testing.T) {
 
 func TestCloneIsolated(t *testing.T) {
 	e := NewTxnEngine(testProfile(), 9)
-	c := e.Clone().(*TxnEngine)
+	c := e.CloneOver(nil).(*TxnEngine)
 	for i := 0; i < 500; i++ {
 		c.Next(0)
 	}
 	if e.FeedIndex() != 0 {
 		t.Fatal("clone advanced original's feed")
+	}
+}
+
+// TestCloneOverNeverWritesShared: a plan a spent engine still shares
+// with its parent is not the spent engine's to give away. Built over a
+// clone that never ran, whose every plan is the parent's, CloneOver must
+// leave each thread to allocate its next plan, so running the new engine
+// through several transactions a thread leaves the parent's stream as it
+// was; a plan the spent engine did write may be reused.
+func TestCloneOverNeverWritesShared(t *testing.T) {
+	e := NewTxnEngine(testProfile(), 9)
+	for i := 0; i < 137; i++ {
+		e.Next(i % e.NumThreads())
+	}
+	ref := e.CloneOver(nil).(*TxnEngine)
+	ref.Materialize()
+	c := e.CloneOver(e.CloneOver(nil)).(*TxnEngine)
+	for i := 0; i < 20000; i++ {
+		c.Next(i % c.NumThreads())
+	}
+	for i := 0; i < 2000; i++ {
+		tid := i % e.NumThreads()
+		if got, want := e.Next(tid), ref.Next(tid); got != want {
+			t.Fatalf("op %d: the parent's stream changed under a clone built over its sibling:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+	// The other side: over a spent engine that built its own plans, the
+	// next clone's transactions are written into them.
+	spent := e.CloneOver(nil).(*TxnEngine)
+	for i := 0; i < 20000; i++ {
+		spent.Next(i % spent.NumThreads())
+	}
+	owned := 0
+	for i := range spent.threads {
+		if !spent.threads[i].shared {
+			owned++
+		}
+	}
+	if next := e.CloneOver(spent).(*TxnEngine); owned == 0 || next != spent || len(next.spares) != len(next.threads) {
+		t.Fatalf("CloneOver over a spent engine owning %d plans kept no spares", owned)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestClonesAreIndependent(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			inst.Next(0)
 		}
-		cl := inst.Clone()
+		cl := inst.CloneOver(nil)
 		for i := 0; i < 500; i++ {
 			a := inst.Next(0)
 			b := cl.Next(0)
