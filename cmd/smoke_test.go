@@ -113,6 +113,24 @@ func TestVarsimResumePrintsTheSameBytes(t *testing.T) {
 	}
 }
 
+// TestVarsimResumeTracesTheSpec: -lock-report on a resumed journal
+// simulates the journaled experiment, not the flags' defaults.
+func TestVarsimResumeTracesTheSpec(t *testing.T) {
+	dir := t.TempDir()
+	if _, stderr, exit := drive(t, dir, "varsim", "-workload", "specjbb", "-cpus", "4", "-runs", "2",
+		"-txns", "10", "-warmup", "10", "-journal", "d"); exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	out, stderr, exit := drive(t, dir, "varsim", "-resume", "d", "-lock-report")
+	if exit != 0 {
+		t.Fatalf("resume exit %d\n%s", exit, stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "specjbb ") || !strings.Contains(last, " 20 txns") {
+		t.Errorf("-resume -lock-report ended with %q, want the journaled specjbb experiment's 20 txns\n%s", last, out)
+	}
+}
+
 // TestExperimentsResumeReplaysEveryRun: a journaled run of experiments
 // that share spaces (fig10 Table 2's, anova fig9's), resumed with the
 // same list, prints the same bytes and appends no run record — the
@@ -234,6 +252,8 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"experiments", []string{"-quick", "nosuch"}, 2},
 		{"varsim", []string{"-proc", "nosuch"}, 2},
+		{"varsim", []string{"-from-recipe", "r.json", "-journal", "d"}, 2},
+		{"varsim", []string{"-from-recipe", "r.json", "-resume", "d"}, 2},
 		{"varsim", []string{"-cpus", "4", "-txns", "20", "-warmup", "20", "-manifest", "missing/m.json"}, 1},
 		{"experiments", []string{"-quick", "-heartbeat", "0", "-manifest", "missing/m.json", "table1"}, 1},
 	} {

@@ -82,10 +82,9 @@ import (
 // -resume can rebuild the run without repeating the original flags.
 const specFile = "spec.json"
 
-// runCfg carries the non-experiment knobs into run().
+// runCfg carries the non-experiment knobs into run(); what to simulate
+// is the experiment's alone, which under -resume is the saved spec.
 type runCfg struct {
-	wlName           string
-	seed, pseed      uint64
 	schedTr, lockRep bool
 	saveRcp, fromRcp string
 	intervalUS       int64
@@ -157,6 +156,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown processor model %q\n", *proc)
 		os.Exit(2)
 	}
+	// A journal's spec names the flags' checkpoint, not a recipe's (its
+	// raw perturbation seed and warm-up have no spec field), so a resume
+	// would silently rebuild another machine and splice its runs in.
+	if *fromRcp != "" && (sf.Journal != "" || sf.Resume != "") {
+		fmt.Fprintln(os.Stderr, "varsim: -from-recipe does not combine with -journal or -resume: the journal's spec cannot name the recipe's checkpoint")
+		os.Exit(2)
+	}
 
 	e := core.Experiment{
 		Label:            fmt.Sprintf("%s/%s", *wlName, *proc),
@@ -192,7 +198,6 @@ func main() {
 	fail(err)
 	e.Resilience = s.Resilience
 	rc := runCfg{
-		wlName: *wlName, seed: *seed, pseed: *pseed,
 		schedTr: *schedTr, lockRep: *lockRep,
 		saveRcp: *saveRcp, fromRcp: *fromRcp,
 		intervalUS: *intervalUS, seriesCSV: *seriesCSV, seriesJSONL: *seriesJSONL,
@@ -240,7 +245,7 @@ func loadSpec(path string) (core.Experiment, error) {
 // main can finalize profiles and the manifest on every path.
 func run(e core.Experiment, rc runCfg) error {
 	if rc.schedTr || rc.lockRep {
-		m, err := core.NewCheckpoint(e.Config, rc.wlName, rc.seed, rc.pseed, 0)
+		m, err := core.NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, e.SeedBase, 0)
 		if err != nil {
 			return err
 		}
@@ -324,7 +329,7 @@ func run(e core.Experiment, rc runCfg) error {
 		if rc.pub != nil {
 			rc.pub.SetSeriesBase(intervalNS, base.Now(), base.Metrics().Snapshot())
 		}
-		res, ts, err := core.SampleRun(base, e.MeasureTxns, rc.pseed, intervalNS)
+		res, ts, err := core.SampleRun(base, e.MeasureTxns, e.SeedBase, intervalNS)
 		if err != nil {
 			return err
 		}

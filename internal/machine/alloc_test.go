@@ -29,24 +29,29 @@ func TestAllocationBudgets(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumCPUs = 8
 
-	// 2.88 MB, and it is the cache arrays: per node a 4 MB L2 of 65 536
+	// 2.87 MB, and it is the cache arrays: per node a 4 MB L2 of 65 536
 	// lines at 4 bytes of tag word and 1 of rank, and two L1s of 2 048.
-	// It was 5.13 MB with an 8-byte word, which would fail here.
+	// It was 5.13 MB with an 8-byte word, which would fail here. 198
+	// objects (206 at most): wiring a metric registry here, which nothing
+	// on the measured path reads, made it 296.
 	t.Run("new", func(t *testing.T) {
-		const ceiling = 3_200_000
+		const ceiling, objCeiling = 3_200_000, 230
 		inst, err := workloads.New("oltp", cfg, 0xA1A3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b0, _ := heapCounts()
+		b0, n0 := heapCounts()
 		m, err := New(cfg, inst, 1)
-		b1, _ := heapCounts()
+		b1, n1 := heapCounts()
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.KeepAlive(m)
 		if got := b1 - b0; got > ceiling {
 			t.Fatalf("New allocated %d bytes for the 8-CPU machine, budget %d", got, ceiling)
+		}
+		if got := n1 - n0; got > objCeiling {
+			t.Fatalf("New allocated %d objects for the 8-CPU machine, budget %d", got, objCeiling)
 		}
 	})
 
@@ -56,19 +61,23 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 	base.Freeze()
 
-	// 65.5 KB (87.3 KB with an 8-byte line word): page tables (one
-	// pointer per 256-line tag page and per 1024-line rank page), the
-	// event heap, kernel and predictor metadata, and ~100 bytes of
-	// generator state per workload thread. A thread state that held
-	// expanded ops would show here first.
+	// 57.0 KB and 111 objects: page tables (one pointer per 256-line tag
+	// page and per 1024-line rank page), the event heap, kernel and
+	// predictor metadata, and ~100 bytes of generator state per workload
+	// thread. A thread state that held expanded ops would show here
+	// first. It was 87.3 KB with an 8-byte line word, and 65.6 KB and 210
+	// objects while every snapshot wired a metric registry of its own.
 	t.Run("snapshot", func(t *testing.T) {
-		const ceiling = 75_000
-		b0, _ := heapCounts()
+		const ceiling, objCeiling = 64_000, 125
+		b0, n0 := heapCounts()
 		m := base.Snapshot()
-		b1, _ := heapCounts()
+		b1, n1 := heapCounts()
 		runtime.KeepAlive(m)
 		if got := b1 - b0; got > ceiling {
 			t.Fatalf("Snapshot allocated %d bytes, budget %d", got, ceiling)
+		}
+		if got := n1 - n0; got > objCeiling {
+			t.Fatalf("Snapshot allocated %d objects, budget %d", got, objCeiling)
 		}
 	})
 
@@ -96,16 +105,16 @@ func TestAllocationBudgets(t *testing.T) {
 	// 768 bytes and one object, the Machine struct: a snapshot taken over
 	// the branch before finds everything that branch allocated waiting —
 	// page copies and page tables, kernel queues, event heap, workload
-	// thread array and plans, CPU array, bus queue and wired registry —
-	// so what is left is the odd page where its seed strays from every
-	// window before (5.9 KB and 6 objects at worst here). Generation 1
-	// also makes the cache spare lists and the workload's spare-plan index
-	// for the first time (9.0 KB, 154 objects), so the objects ceiling
-	// starts at generation 2. Generation 0 has nothing to build over and
-	// pays the fresh branch's 0.43 MB. Re-wiring the registry, re-making
-	// the kernel and each thread's first plan, and two registry snapshots
-	// per Run cost 57 KB and ~164 objects a generation, which would fail
-	// here.
+	// thread array and plans, CPU array, bus queue and bus-delay
+	// histogram — and wires no registry, so what is left is the odd page
+	// where its seed strays from every window before (5.9 KB and 6
+	// objects at worst here). Generation 1 also makes the cache spare
+	// lists and the workload's spare-plan index for the first time
+	// (9.0 KB, 154 objects), so the objects ceiling starts at generation
+	// 2. Generation 0 has nothing to build over and pays the fresh
+	// branch's 0.43 MB. Wiring a registry, re-making the kernel and each
+	// thread's first plan, and two registry snapshots per Run cost 57 KB
+	// and ~164 objects a generation, which would fail here.
 	t.Run("recycled", func(t *testing.T) {
 		const ceiling, objCeiling = 13_500, 10
 		var spent *Machine

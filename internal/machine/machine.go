@@ -139,13 +139,14 @@ type Machine struct {
 
 	tracer *trace.Buffer
 
-	// Metrics: every machine wires a registry of named instruments over
-	// its components (see wireMetrics); the sampler is non-nil only when
-	// interval sampling is enabled. sampleHook, when set, observes every
-	// interval sample on the simulation goroutine (live observers bridge
-	// through it — see internal/obs).
+	// Metrics: reg is nil until the first Metrics call wires a registry
+	// of named instruments over the machine (see wireMetrics); busDelay
+	// is machine state, observed on every bus grant whether or not a
+	// registry reads it. The sampler is non-nil only when interval
+	// sampling is enabled. sampleHook, when set, observes every interval
+	// sample on the simulation goroutine (live observers bridge through
+	// it — see internal/obs).
 	reg        *metrics.Registry
-	view       *view
 	sampler    *metrics.Sampler
 	sampleHook func(nowNS int64, snap metrics.Snapshot)
 	busDelay   *metrics.Histogram
@@ -225,6 +226,7 @@ func New(cfg config.Config, wl workload.Instance, perturbSeed uint64) (*Machine,
 		parkedOps:  make([]workload.Op, wl.NumThreads()),
 		parkedOk:   make([]bool, wl.NumThreads()),
 		parkedSpin: make([]int, wl.NumThreads()),
+		busDelay:   metrics.NewHistogram("bus.queue_delay_ns", busDelayBounds),
 	}
 	m.setWorkload(wl)
 	for i := range m.cpus {
@@ -234,7 +236,6 @@ func New(cfg config.Config, wl workload.Instance, perturbSeed uint64) (*Machine,
 		}
 		m.scheduleStep(int32(i), 0)
 	}
-	m.wireMetrics()
 	return m, nil
 }
 
@@ -446,15 +447,14 @@ func (m *Machine) Snapshot() *Machine { return m.SnapshotOver(nil) }
 // garbage: its cache pages and page tables (see mem.Snooper.CloneOver),
 // its kernel, event heap, memory controllers and disks, its workload
 // engine's thread array and the plans its threads wrote (as spares, see
-// workload.Instance), its CPU array and bus queue with their capacity,
-// and its wired metric registry. The registry is carried across only
-// when spent has the snapshot's CPU count and processor kind and its
-// instruments read the very component objects the snapshot now uses;
-// otherwise it is re-wired, as is any part whose shape differs, so spent
-// may be a machine of any configuration or workload. Either way the
+// workload.Instance), its CPU array, bus queue and bus-delay histogram
+// with their capacity. Any part whose shape differs is allocated afresh,
+// so spent may be a machine of any configuration or workload, and the
 // snapshot is the one Snapshot would return — nothing of spent but
-// capacity is read. spent is unusable afterwards: its Run fails and its
-// Snapshot panics, as does SnapshotOver with m itself as spent.
+// capacity is read. No metric registry is copied: the snapshot builds
+// its own on first read (see Metrics), at once only when m samples.
+// spent is unusable afterwards: its Run fails and its Snapshot
+// panics, as does SnapshotOver with m itself as spent.
 func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 	if spent == m {
 		panic("machine: SnapshotOver of a machine over its own storage")
@@ -470,6 +470,7 @@ func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 		old, *spent = *spent, Machine{}
 	}
 	c := *m
+	c.reg = nil
 	c.eng = m.eng.CloneOver(old.eng)
 	c.snoop = m.snoop.CloneOver(old.snoop)
 	c.dram = m.dram.CloneOver(old.dram)
@@ -478,43 +479,27 @@ func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 	c.setWorkload(m.wl.CloneOver(old.wl))
 	// The CPU array is spent's when it is large enough; a detailed core is
 	// copied into the one spent had at the same index, if any.
-	sameCores := len(old.cpus) == len(m.cpus)
 	c.cpus = slices.Grow(old.cpus[:0], len(m.cpus))
 	for i, cs := range m.cpus {
-		var core *oooCore
-		if i < len(old.cpus) {
-			core = old.cpus[i].ooo
-		}
 		if cs.ooo != nil {
+			var core *oooCore
+			if i < len(old.cpus) {
+				core = old.cpus[i].ooo
+			}
 			cs.ooo = cs.ooo.cloneOver(core)
 		}
-		sameCores = sameCores && cs.ooo == core
 		c.cpus = append(c.cpus, cs)
 	}
 	c.bus.q = append(old.bus.q[:0], m.bus.q...)
+	c.busDelay = m.busDelay.CloneOver(old.busDelay)
 	if m.tracer != nil {
 		c.tracer = m.tracer.Clone()
 	}
 	// The parked-op arrays ride along shared (parkedShared was set by
 	// Freeze and copied into c above); ensureParked copies them on the
 	// first park/restore of either side.
-	//
-	// The registry's instruments must read the snapshot's components:
-	// spent's do when every object they read was reused above — its
-	// machine-level ones read through view, re-pointed here — and a new
-	// registry is wired otherwise. Owned-instrument state and the sampled
-	// series are then restored from m.
-	if old.reg != nil && sameCores && old.cfg.Processor == m.cfg.Processor &&
-		c.snoop == old.snoop && c.dram == old.dram && c.disks == old.disks && c.os == old.os {
-		c.reg, c.view, c.busDelay = old.reg, old.view, old.busDelay
-		c.view.m = &c
-		c.busDelay.Reset()
-	} else {
-		c.wireMetrics()
-	}
-	c.busDelay.AddFrom(m.busDelay)
 	if m.sampler != nil {
-		c.sampler = m.sampler.CloneInto(c.reg)
+		c.sampler = m.sampler.CloneInto(c.Metrics())
 	}
 	if m.digestRec != nil {
 		c.digestRec = m.digestRec.Clone()

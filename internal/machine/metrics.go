@@ -10,28 +10,19 @@ import (
 // bounds (ns): sub-occupancy waits up to pathological convoys.
 var busDelayBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000}
 
-// view is the machine the registry's machine-level instruments read
-// (machine.*, bus.*, ooo.*): they read through it rather than closing
-// over one *Machine, so that SnapshotOver can carry a registry to the
-// snapshot built in its machine's storage by re-pointing view.m. The
-// components register instruments over themselves, and a carried
-// registry reads them because the snapshot reuses the same objects.
-type view struct{ m *Machine }
-
 // wireMetrics builds the machine's metric registry over its live
-// components: every modelled subsystem registers its named instruments.
-// Called at construction, and by SnapshotOver when it cannot carry
-// spent's registry, because a clone's instruments must read the clone's
-// state, not the original's.
+// components: every modelled subsystem registers its named instruments,
+// each a closure over state the machine owns for its whole life, and the
+// bus queue-delay histogram the machine keeps is registered as it is.
+// Only Metrics calls it, once per machine.
 func (m *Machine) wireMetrics() {
-	v := &view{m: m}
 	reg := metrics.NewRegistry()
-	reg.CounterFunc("machine.instrs", func() uint64 { return uint64(v.m.instrs) })
-	reg.CounterFunc("machine.txns", func() uint64 { return uint64(v.m.txnsDone) })
-	reg.CounterFunc("machine.events", func() uint64 { return v.m.eng.Steps() })
-	reg.CounterFunc("bus.requests", func() uint64 { return v.m.bus.reqs })
-	reg.GaugeFunc("bus.queue_len", func() float64 { return float64(len(v.m.bus.q)) })
-	m.busDelay = reg.NewHistogram("bus.queue_delay_ns", busDelayBounds)
+	reg.CounterFunc("machine.instrs", func() uint64 { return uint64(m.instrs) })
+	reg.CounterFunc("machine.txns", func() uint64 { return uint64(m.txnsDone) })
+	reg.CounterFunc("machine.events", func() uint64 { return m.eng.Steps() })
+	reg.CounterFunc("bus.requests", func() uint64 { return m.bus.reqs })
+	reg.GaugeFunc("bus.queue_len", func() float64 { return float64(len(m.bus.q)) })
+	reg.Register(m.busDelay)
 	m.snoop.RegisterMetrics(reg)
 	m.dram.RegisterMetrics(reg)
 	m.disks.RegisterMetrics(reg)
@@ -45,38 +36,46 @@ func (m *Machine) wireMetrics() {
 	if len(units) > 0 {
 		bpred.RegisterMetrics(reg, units)
 		reg.CounterFunc("ooo.rob_stalls", func() (n uint64) {
-			for i := range v.m.cpus {
-				if c := v.m.cpus[i].ooo; c != nil {
+			for i := range m.cpus {
+				if c := m.cpus[i].ooo; c != nil {
 					n += c.ROBStalls
 				}
 			}
 			return
 		})
 		reg.CounterFunc("ooo.mshr_stalls", func() (n uint64) {
-			for i := range v.m.cpus {
-				if c := v.m.cpus[i].ooo; c != nil {
+			for i := range m.cpus {
+				if c := m.cpus[i].ooo; c != nil {
 					n += c.MSHRStalls
 				}
 			}
 			return
 		})
 		reg.CounterFunc("ooo.mispredict_stalls", func() (n uint64) {
-			for i := range v.m.cpus {
-				if c := v.m.cpus[i].ooo; c != nil {
+			for i := range m.cpus {
+				if c := m.cpus[i].ooo; c != nil {
 					n += c.MispredictStalls
 				}
 			}
 			return
 		})
 	}
-	m.reg, m.view = reg, v
+	m.reg = reg
 }
 
-// Metrics returns the machine's metric registry. Every machine has one:
-// the components register named instruments at construction. A Result's
-// counts are read from the fields the instruments of the same names read
-// (see counters), not from registry snapshots.
-func (m *Machine) Metrics() *metrics.Registry { return m.reg }
+// Metrics returns the machine's metric registry, a view of its live
+// state built by the first call: New wires none and a snapshot copies
+// none, so a machine nothing reads (/metrics, interval sampling) never
+// pays for one. A Result's counts are read from the fields the
+// instruments of the same names read (see counters), not from registry
+// snapshots. Building the registry writes the machine: do not call it
+// on a base other goroutines are snapshotting.
+func (m *Machine) Metrics() *metrics.Registry {
+	if m.reg == nil {
+		m.wireMetrics()
+	}
+	return m.reg
+}
 
 // EnableSampling starts interval metric sampling: every intervalNS of
 // simulated time a KindDrain event snapshots the registry into an
@@ -94,7 +93,7 @@ func (m *Machine) EnableSampling(intervalNS int64) {
 		panic("machine: sampling interval must match the digest interval (both ride one KindDrain stream)")
 	}
 	armed := m.digestRec != nil // digests already scheduled the drain ticks
-	m.sampler = metrics.NewSampler(m.reg, intervalNS)
+	m.sampler = metrics.NewSampler(m.Metrics(), intervalNS)
 	m.sampler.Rebase(m.eng.Now())
 	if !armed {
 		m.eng.Schedule(intervalNS, sim.KindDrain, 0, 0)

@@ -3,9 +3,11 @@ package machine
 import (
 	"reflect"
 	"testing"
+
+	"varsim/internal/config"
 )
 
-// Every machine carries a wired registry with the core instrument set.
+// A machine's registry, read, has the core instrument set.
 func TestRegistryWired(t *testing.T) {
 	m := mustMachine(t, testConfig(), "oltp", 1, 1)
 	reg := m.Metrics()
@@ -31,6 +33,41 @@ func TestRegistryWired(t *testing.T) {
 	}
 	if s["mem.l2.accesses"] < s["mem.l2.misses"] {
 		t.Fatalf("accesses %v < misses %v", s["mem.l2.accesses"], s["mem.l2.misses"])
+	}
+}
+
+// A registry is built by the first Metrics call and never before: New,
+// and Snapshot and SnapshotOver of a machine that does not sample, leave
+// none — even when the parent and the spent machine have one — and the
+// one Metrics then builds reads what the parent's reads.
+func TestRegistryBuiltOnFirstRead(t *testing.T) {
+	for _, proc := range []config.ProcessorKind{config.SimpleProc, config.OOOProc} {
+		cfg := testConfig()
+		cfg.Processor = proc
+		base := mustMachine(t, cfg, "oltp", 1, 1)
+		if base.reg != nil {
+			t.Fatalf("processor %v: New wired a registry", proc)
+		}
+		if _, err := base.Run(20); err != nil {
+			t.Fatal(err)
+		}
+		spent := base.Snapshot()
+		if _, err := spent.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		spent.Metrics()
+		want := base.Metrics().Snapshot()
+		for _, c := range []struct {
+			name string
+			m    *Machine
+		}{{"Snapshot", base.Snapshot()}, {"SnapshotOver", base.SnapshotOver(spent)}} {
+			if c.m.reg != nil {
+				t.Fatalf("processor %v: %s of a machine that does not sample wired a registry", proc, c.name)
+			}
+			if got := c.m.Metrics().Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("processor %v: %s's registry reads\n%v\nits parent's reads\n%v", proc, c.name, got, want)
+			}
+		}
 	}
 }
 

@@ -2,14 +2,6 @@ package mem
 
 import "varsim/internal/metrics"
 
-// RegisterMetrics registers one cache's counters under prefix (e.g.
-// "mem.l2.0") into reg.
-func (c *Cache) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.CounterFunc(prefix+".hits", func() uint64 { return c.Hits })
-	reg.CounterFunc(prefix+".misses", func() uint64 { return c.Misses })
-	reg.CounterFunc(prefix+".evictions", func() uint64 { return c.Evictions })
-}
-
 // RegisterMetrics registers the coherence-protocol counters and the
 // node-aggregated cache hierarchy counters into reg. Per-level accesses
 // (hits+misses) are registered alongside misses so per-interval miss

@@ -9,10 +9,11 @@
 //
 //   - Determinism: instruments are plain data read synchronously on the
 //     simulation thread; sampling never perturbs simulated behaviour.
-//   - Checkpointability: a registry is rebuilt (re-wired) against a
-//     cloned machine, or carried to one built in the storage its machine
-//     left, and sampled series are plain data that deep-copy with machine
-//     snapshots.
+//   - Checkpointability: a registry is never copied. It is a view of
+//     live component state that a machine builds over itself on first
+//     read; a snapshot has none until something asks. State an
+//     instrument owns (a Histogram) and sampled series are plain data
+//     that copy with machine snapshots.
 //   - Zero hot-path cost when idle: components keep incrementing their
 //     own plain fields; func-instruments read them lazily, so the only
 //     cost of an enabled registry is paid at snapshot time.
@@ -57,48 +58,6 @@ type Instrument interface {
 	Value() float64
 }
 
-// Counter is a registry-owned cumulative counter.
-type Counter struct {
-	name string
-	v    uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Count returns the cumulative count.
-func (c *Counter) Count() uint64 { return c.v }
-
-// Name implements Instrument.
-func (c *Counter) Name() string { return c.name }
-
-// Kind implements Instrument.
-func (c *Counter) Kind() Kind { return KindCounter }
-
-// Value implements Instrument.
-func (c *Counter) Value() float64 { return float64(c.v) }
-
-// Gauge is a registry-owned instantaneous level.
-type Gauge struct {
-	name string
-	v    float64
-}
-
-// Set stores the current level.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Name implements Instrument.
-func (g *Gauge) Name() string { return g.name }
-
-// Kind implements Instrument.
-func (g *Gauge) Kind() Kind { return KindGauge }
-
-// Value implements Instrument.
-func (g *Gauge) Value() float64 { return g.v }
-
 // counterFunc reads a cumulative count from component state on demand.
 type counterFunc struct {
 	name string
@@ -121,13 +80,31 @@ func (g *gaugeFunc) Value() float64 { return g.fn() }
 
 // Histogram is a fixed-bucket distribution. An observation lands in the
 // first bucket whose upper bound is >= the value; values above the last
-// bound land in the implicit overflow bucket.
+// bound land in the implicit overflow bucket. Unlike the func
+// instruments it holds its own state, so its owner makes it, copies it
+// with its snapshots and registers it into a registry when one is built.
 type Histogram struct {
 	name   string
-	bounds []float64 // ascending upper bounds
+	bounds []float64 // ascending upper bounds; never written after NewHistogram
 	counts []uint64  // len(bounds)+1, last is overflow
 	sum    float64
 	count  uint64
+}
+
+// NewHistogram returns an empty histogram with the given ascending
+// bucket upper bounds; Register adds it to a registry.
+func NewHistogram(name string, bounds []float64) *Histogram {
+	if len(bounds) == 0 {
+		panic("metrics: histogram needs at least one bucket bound")
+	}
+	if !sort.Float64sAreSorted(bounds) {
+		panic("metrics: histogram bounds must ascend")
+	}
+	return &Histogram{
+		name:   name,
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]uint64, len(bounds)+1),
+	}
 }
 
 // Observe records one value.
@@ -156,26 +133,16 @@ func (h *Histogram) Mean() float64 {
 // bucket).
 func (h *Histogram) Counts() []uint64 { return h.counts }
 
-// AddFrom accumulates another histogram's observations into h. The two
-// histograms must share bucket bounds; used when a machine snapshot
-// re-wires a fresh registry and restores the original's instrument
-// state into it.
-func (h *Histogram) AddFrom(o *Histogram) {
-	for i, c := range o.counts {
-		if i < len(h.counts) {
-			h.counts[i] += c
-		}
+// CloneOver returns a copy of h built in the storage of spent, a
+// histogram nothing reads any more (nil for none: the copy is new). The
+// copy shares h's bounds and reuses spent's bucket array when it is
+// large enough.
+func (h *Histogram) CloneOver(spent *Histogram) *Histogram {
+	if spent == nil {
+		spent = new(Histogram)
 	}
-	h.sum += o.sum
-	h.count += o.count
-}
-
-// Reset clears every observation, leaving the bounds; a machine snapshot
-// that carries a registry over resets its histograms before restoring
-// the original's state into them with AddFrom.
-func (h *Histogram) Reset() {
-	clear(h.counts)
-	h.sum, h.count = 0, 0
+	*spent = Histogram{name: h.name, bounds: h.bounds, counts: append(spent.counts[:0], h.counts...), sum: h.sum, count: h.count}
+	return spent
 }
 
 // Name implements Instrument.
@@ -215,38 +182,6 @@ func (r *Registry) Register(inst Instrument) {
 	r.byName[name] = inst
 	r.names = append(r.names, name)
 	r.sorted = false
-}
-
-// NewCounter registers and returns an owned counter.
-func (r *Registry) NewCounter(name string) *Counter {
-	c := &Counter{name: name}
-	r.Register(c)
-	return c
-}
-
-// NewGauge registers and returns an owned gauge.
-func (r *Registry) NewGauge(name string) *Gauge {
-	g := &Gauge{name: name}
-	r.Register(g)
-	return g
-}
-
-// NewHistogram registers and returns a histogram with the given
-// ascending bucket upper bounds.
-func (r *Registry) NewHistogram(name string, bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("metrics: histogram needs at least one bucket bound")
-	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic("metrics: histogram bounds must ascend")
-	}
-	h := &Histogram{
-		name:   name,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-	r.Register(h)
-	return h
 }
 
 // CounterFunc registers a counter read from component state on demand.

@@ -8,20 +8,28 @@ import (
 	"testing"
 )
 
+// counter registers a CounterFunc over a variable the test then moves.
+func counter(r *Registry, name string) *uint64 {
+	v := new(uint64)
+	r.CounterFunc(name, func() uint64 { return *v })
+	return v
+}
+
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("a.count")
-	g := r.NewGauge("a.level")
-	c.Inc()
-	c.Add(4)
-	g.Set(2.5)
-	if c.Count() != 5 || c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Count())
+	c := counter(r, "a.count")
+	lvl := 0.0
+	r.GaugeFunc("a.level", func() float64 { return lvl })
+	*c += 5
+	lvl = 2.5
+	cnt, g := r.Get("a.count"), r.Get("a.level")
+	if cnt.Value() != 5 || cnt.Name() != "a.count" {
+		t.Fatalf("counter %q = %v", cnt.Name(), cnt.Value())
 	}
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v", g.Value())
+	if g.Value() != 2.5 || g.Name() != "a.level" {
+		t.Fatalf("gauge %q = %v", g.Name(), g.Value())
 	}
-	if c.Kind() != KindCounter || g.Kind() != KindGauge {
+	if cnt.Kind() != KindCounter || g.Kind() != KindGauge {
 		t.Fatal("wrong kinds")
 	}
 }
@@ -45,12 +53,13 @@ func TestFuncInstruments(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat", []float64{10, 100, 1000})
+	h := NewHistogram("lat", []float64{10, 100, 1000})
+	r.Register(h)
 	for _, v := range []float64{1, 5, 10, 50, 200, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d", h.Count())
+	if h.Count() != 6 || r.Snapshot()["lat"] != 6 || r.Get("lat").Kind() != KindHistogram {
+		t.Fatalf("count = %d, registry reads %v", h.Count(), r.Snapshot()["lat"])
 	}
 	if got := h.Counts(); !reflect.DeepEqual(got, []uint64{3, 1, 1, 1}) {
 		t.Fatalf("buckets = %v", got)
@@ -67,11 +76,34 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// A histogram cloned over a spent one reads as the original, reuses the
+// spent one's bucket array, and moves independently of the original.
+func TestHistogramCloneOver(t *testing.T) {
+	h := NewHistogram("lat", []float64{10, 100})
+	h.Observe(5)
+	h.Observe(500)
+	spent := NewHistogram("other", []float64{1, 2, 3, 4})
+	spent.Observe(3)
+	buckets := &spent.counts[0]
+	for _, c := range []*Histogram{h.CloneOver(nil), h.CloneOver(spent)} {
+		if c.Name() != "lat" || c.Count() != 2 || c.Sum() != 505 || !reflect.DeepEqual(c.Counts(), []uint64{1, 0, 1}) {
+			t.Fatalf("clone = %+v, want %+v", c, h)
+		}
+		c.Observe(50)
+		if h.Count() != 2 || h.Counts()[1] != 0 {
+			t.Fatal("clone shares buckets with the original")
+		}
+	}
+	if &spent.counts[0] != buckets {
+		t.Fatal("clone over a spent histogram did not reuse its bucket array")
+	}
+}
+
 func TestRegistryNamesSortedAndDupPanics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("z")
-	r.NewCounter("a")
-	r.NewCounter("m")
+	counter(r, "z")
+	counter(r, "a")
+	counter(r, "m")
 	if got := r.Names(); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
 		t.Fatalf("names = %v", got)
 	}
@@ -85,7 +117,7 @@ func TestRegistryNamesSortedAndDupPanics(t *testing.T) {
 			t.Fatal("duplicate registration should panic")
 		}
 	}()
-	r.NewCounter("a")
+	counter(r, "a")
 }
 
 func TestKindString(t *testing.T) {
@@ -101,14 +133,14 @@ func TestKindString(t *testing.T) {
 
 func TestSamplerSeriesAndDerived(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("instrs")
-	d := r.NewCounter("misses")
-	a := r.NewCounter("accesses")
+	c := counter(r, "instrs")
+	d := counter(r, "misses")
+	a := counter(r, "accesses")
 	s := NewSampler(r, 100)
 	for i := 1; i <= 3; i++ {
-		c.Add(uint64(100 * i)) // 100, 300, 600 cumulative
-		d.Add(uint64(i))       // 1, 3, 6
-		a.Add(10)              // 10, 20, 30
+		*c += uint64(100 * i) // 100, 300, 600 cumulative
+		*d += uint64(i)       // 1, 3, 6
+		*a += 10              // 10, 20, 30
 		s.Tick(int64(100 * i))
 	}
 	ts := s.Series()
@@ -140,15 +172,15 @@ func TestSamplerSeriesAndDerived(t *testing.T) {
 
 func TestSamplerCloneIsIndependent(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("n")
+	c := counter(r, "n")
 	s := NewSampler(r, 10)
-	c.Inc()
+	*c++
 	s.Tick(10)
 
 	r2 := NewRegistry()
-	c2 := r2.NewCounter("n")
+	c2 := counter(r2, "n")
 	cp := s.CloneInto(r2)
-	c2.Add(5)
+	*c2 += 5
 	cp.Tick(20)
 	if s.Len() != 1 || cp.Len() != 2 {
 		t.Fatalf("lens %d %d", s.Len(), cp.Len())
@@ -162,12 +194,13 @@ func TestSamplerCloneIsIndependent(t *testing.T) {
 
 func TestSeriesCSVRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("b.count")
-	g := r.NewGauge("a.level")
+	c := counter(r, "b.count")
+	var lvl float64
+	r.GaugeFunc("a.level", func() float64 { return lvl })
 	s := NewSampler(r, 50)
 	for i := 1; i <= 4; i++ {
-		c.Add(3)
-		g.Set(float64(i) / 2)
+		*c += 3
+		lvl = float64(i) / 2
 		s.Tick(int64(50 * i))
 	}
 	ts := s.Series()
@@ -192,11 +225,11 @@ func TestSeriesCSVRoundTrip(t *testing.T) {
 
 func TestSeriesJSONL(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("n")
+	c := counter(r, "n")
 	s := NewSampler(r, 5)
-	c.Inc()
+	*c++
 	s.Tick(5)
-	c.Inc()
+	*c++
 	s.Tick(10)
 	var buf bytes.Buffer
 	if err := s.Series().WriteJSONL(&buf); err != nil {
@@ -255,11 +288,11 @@ func TestEmptySeriesExports(t *testing.T) {
 // round trip cannot infer IntervalNS (it needs two rows).
 func TestSingleIntervalSeries(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("n")
-	c.Add(7)
+	c := counter(r, "n")
+	*c += 7
 	s := NewSampler(r, 100)
 	s.Rebase(50)
-	c.Add(10)
+	*c += 10
 	s.Tick(150)
 	ts := s.Series()
 

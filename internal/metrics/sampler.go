@@ -68,7 +68,7 @@ func (s *Sampler) Series() TimeSeries {
 }
 
 // CloneInto deep-copies the sampler's recorded data, re-pointing it at a
-// new registry (the clone of a machine re-wires its own instruments).
+// new registry (the clone of a machine wires its own instruments).
 func (s *Sampler) CloneInto(reg *Registry) *Sampler {
 	cp := &Sampler{reg: reg, IntervalNS: s.IntervalNS, baseTimeNS: s.baseTimeNS, samples: make([]Sample, len(s.samples))}
 	if s.base != nil {

@@ -63,9 +63,11 @@ var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]* (?:[-+]?[0-9.eE+-
 
 func TestMetricsExposition(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.NewCounter("mem.l2.misses").Add(41)
-	reg.NewGauge("os.runnable").Set(3.5)
-	reg.NewHistogram("bus.queue_delay_ns", []float64{1, 10}).Observe(4)
+	reg.CounterFunc("mem.l2.misses", func() uint64 { return 41 })
+	reg.GaugeFunc("os.runnable", func() float64 { return 3.5 })
+	h := metrics.NewHistogram("bus.queue_delay_ns", []float64{1, 10})
+	h.Observe(4)
+	reg.Register(h)
 	pub := NewPublisher()
 	pub.PublishRegistry(reg)
 	cycles := simulate(t)
