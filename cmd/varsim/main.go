@@ -69,7 +69,6 @@ import (
 	"varsim/internal/metrics"
 	"varsim/internal/obs"
 	"varsim/internal/plot"
-	"varsim/internal/precision"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
 	"varsim/internal/session"
@@ -133,8 +132,8 @@ func main() {
 		perfetto    = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
 
 		precTable = flag.Bool("precision", false, "print the achieved-vs-requested precision table after the space report (fed in run-index order; byte-identical at any -j)")
-		relErrF   = flag.Float64("rel-err", precision.DefaultRelErr, "precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%)")
-		confF     = flag.Float64("confidence", precision.DefaultConfidence, "precision target: confidence level of the interval, in (0,1)")
+		relErrF   = flag.Float64("rel-err", sampling.DefaultRelErr, "precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%)")
+		confF     = flag.Float64("confidence", sampling.DefaultConfidence, "precision target: confidence level of the interval, in (0,1)")
 		adaptive  = flag.Bool("adaptive", false, "schedule runs adaptively: stop once the CI meets -rel-err at -confidence (-runs becomes the fixed-N baseline for the runs-saved accounting; see docs/SAMPLING.md)")
 		budget    = flag.Int("budget", 0, "adaptive: hard cap on runs per configuration (0 = the sampling default)")
 	)

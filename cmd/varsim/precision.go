@@ -13,6 +13,7 @@ import (
 	"varsim/internal/machine"
 	"varsim/internal/precision"
 	"varsim/internal/report"
+	"varsim/internal/sampling"
 )
 
 // runPrecision implements the "precision" verb: replay a result
@@ -34,8 +35,8 @@ func runPrecision(args []string) error {
 	fs := flag.NewFlagSet("varsim precision", flag.ExitOnError)
 	var (
 		dir     = fs.String("journal", "", "journal directory to replay (written by -journal; partial -resume journals work too)")
-		relErr  = fs.Float64("rel-err", precision.DefaultRelErr, "requested relative error of the mean (a fraction: 0.04 = ±4%)")
-		confLvl = fs.Float64("confidence", precision.DefaultConfidence, "confidence level of the interval, in (0,1)")
+		relErr  = fs.Float64("rel-err", sampling.DefaultRelErr, "requested relative error of the mean (a fraction: 0.04 = ±4%)")
+		confLvl = fs.Float64("confidence", sampling.DefaultConfidence, "confidence level of the interval, in (0,1)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: varsim precision -journal dir [-rel-err R] [-confidence C]\n\n")

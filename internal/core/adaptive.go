@@ -6,11 +6,12 @@
 // a run phase in which every arm takes the round its last decision
 // scheduled, then a barrier at which — the index-ordered merge of the
 // round in hand — the sampling package's pure decision procedures say
-// who stops, who continues and with how many runs. Two barrier policies
-// sit over that one engine: per-arm Decide plus Prune (AdaptiveMatrix,
-// of which AdaptiveSpace is the one-arm case) and the joint
-// StratifiedDecide with its per-stratum allocation
-// (AdaptiveTimeSample). The determinism contract (docs/SAMPLING.md):
+// who stops, who continues and with how many runs. One stopping rule
+// sits over that one engine: Decide per arm, plus Prune across a matrix
+// (AdaptiveMatrix, of which AdaptiveSpace is the one-arm case), and its
+// K-stratum form DecideStrata over a time sample's strata, decided
+// jointly and grown evenly (AdaptiveTimeSample). The determinism
+// contract (docs/SAMPLING.md):
 // every executed run keeps the exact (experiment, config hash, derived
 // seed, run index) identity the fixed-N path would give it, decisions
 // depend only on merged values (never completion order), and every
@@ -54,8 +55,8 @@ type arm struct {
 
 	sp  Space
 	rep sampling.Arm // rep.Rounds is the barrier decisions taken
-	// want is the size of the arm's next round. A matrix arm is settled
-	// once it is 0; a stratum merely sits a round out.
+	// want is the size of the arm's next round; 0 once the arm (or the
+	// time sample its stratum belongs to) is settled.
 	want int
 }
 
@@ -254,7 +255,7 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 			if a := arms[i]; pruned && a.want > 0 {
 				a.decide(func(round int) sampling.Decision {
 					d := sampling.Decide(a.sp.Values, round, t)
-					d.Action, d.Next, d.Alloc = sampling.ActionPrune, 0, nil
+					d.Action, d.Next = sampling.ActionPrune, 0
 					return d
 				})
 			}
@@ -271,23 +272,24 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 // AdaptiveTimeSample is the stratified counterpart of TimeSample: the
 // checkpoints are strata of the workload's lifetime (§5.2), replication
 // is scheduled adaptively on the equal-weight stratified estimator
-// (sampling.StratifiedDecide / stats.StratifiedCI), and each stratum is
-// an arm whose base is warmed once, on the first round that must
-// execute a run, every run a copy-on-write branch of it.
+// (sampling.DecideStrata / stats.StratifiedCI), and each stratum is an
+// arm whose base is warmed once, on the first round that must execute
+// a run, every run a copy-on-write branch of it.
 //
 // Per-stratum run identities are TimeSample's (stratumPlan), so a
 // journal written fixed-N replays into the adaptive schedule and vice
 // versa. The strata are decided jointly: one barrier decision a round,
-// journaled under the synthetic label "<label>@strat", and one report
-// line. Target.MinRuns/MaxRuns apply per stratum; e.Runs per stratum is
-// the fixed-N baseline the line's runs-saved accounting uses.
+// journaled under the synthetic label "<label>@strata", and one report
+// line. Every Target count applies per stratum, and every stratum takes
+// an equal share of each round; e.Runs per stratum is the fixed-N
+// baseline the line's runs-saved accounting uses.
 func (e Experiment) AdaptiveTimeSample(checkpoints []int64, t sampling.Target) ([]Space, sampling.Arm, error) {
 	t = t.Normalize()
 	h := len(checkpoints)
 	// The joint arm takes no runs of its own: it is the strata's
 	// decision sequence and their line in the report.
 	joint := e.arm(nil)
-	joint.plan.Label += "@strat"
+	joint.plan.Label += "@strata"
 	joint.rep.FixedN = e.Runs * h
 	if err := e.validateCheckpoints(checkpoints); err != nil {
 		return nil, joint.rep, err
@@ -320,16 +322,9 @@ func (e Experiment) AdaptiveTimeSample(checkpoints []int64, t sampling.Target) (
 			return spaces, joint.rep, err
 		}
 		sampling.CountRound(ran)
-		d := joint.decide(func(round int) sampling.Decision { return sampling.StratifiedDecide(values, round, t) })
-		for ci, a := range strata {
-			if len(d.Alloc) == h {
-				a.want = d.Alloc[ci]
-			} else {
-				// A journaled decision without a per-stratum split (or a
-				// stratum-count mismatch) falls back to an even spread,
-				// the remainder to the first strata.
-				a.want = (d.Next + h - 1 - ci) / h
-			}
+		d := joint.decide(func(round int) sampling.Decision { return sampling.DecideStrata(values, round, t) })
+		for _, a := range strata {
+			a.want = d.Next / h
 		}
 	}
 	return spaces, joint.rep, nil

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"testing"
 
 	"varsim/internal/config"
 	"varsim/internal/core"
+	"varsim/internal/journal"
 	"varsim/internal/sampling"
 )
 
@@ -98,5 +100,85 @@ func TestAdaptiveTimeSampleWidthByteIdentical(t *testing.T) {
 		if got := render(width); !bytes.Equal(got, want) {
 			t.Errorf("stratified schedule differs at width %d\n got:\n%s\nwant:\n%s", width, got, want)
 		}
+	}
+}
+
+// TestAdaptiveTimeSampleResumesLegacyJournal resumes from a journal
+// written while a stratified round was split across strata by
+// allocation: uneven strata, and decisions carrying that split under
+// the joint label of the time. The runs replay, the decisions are not this rule's and
+// are taken again, and the outcome is byte-identical to a fresh run.
+func TestAdaptiveTimeSampleResumesLegacyJournal(t *testing.T) {
+	tgt := stratifiedTarget()
+	cks := []int64{20, 40}
+	e := stratifiedExperiment(1)
+	fresh := t.TempDir()
+	jw, err := journal.CreateDir(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Resilience = core.Resilience{Journal: jw}
+	spaces, arm, err := e.AdaptiveTimeSample(cks, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := renderShape(spaces, oneArmReport(tgt, arm))
+
+	// The legacy schedule: a two-run pilot a stratum, then rounds of two
+	// runs in all (RoundSize was the whole arm's step), split 2:0 and
+	// 1:1.
+	res, err := journal.Load(jw.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy []journal.Record
+	for _, r := range res.Records {
+		if r.Status == journal.StatusOK &&
+			(r.Experiment == "strat-test@20" && r.Index < 5 || r.Experiment == "strat-test@40" && r.Index < 3) {
+			legacy = append(legacy, r)
+		}
+	}
+	if len(legacy) != 8 {
+		t.Fatalf("fresh journal holds %d of the legacy runs, want 8", len(legacy))
+	}
+	cfgHash := journal.ConfigHash(e.Config)
+	for round, payload := range []string{
+		`{"round":0,"n":4,"action":"continue","rel_pct":3.1,"needed":40,"next":2,"alloc":[2,0]}`,
+		`{"round":1,"n":6,"action":"continue","rel_pct":2.9,"needed":42,"next":2,"alloc":[1,1]}`,
+	} {
+		legacy = append(legacy, journal.Record{
+			Key:    sampling.DecisionKey("strat-test@strat", cfgHash, e.SeedBase, round),
+			Status: journal.StatusDecision, Result: json.RawMessage(payload),
+		})
+	}
+	dir := t.TempDir()
+	lw, err := journal.CreateDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range legacy {
+		if err := lw.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jc, jw2, err := journal.OpenDir(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw2.Close()
+	e.Resilience = core.Resilience{Journal: jw2, Cache: jc}
+	rspaces, rarm, err := e.AdaptiveTimeSample(cks, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderShape(rspaces, oneArmReport(tgt, rarm)); !bytes.Equal(got, want) {
+		t.Errorf("resume from a legacy journal differs from a fresh run\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

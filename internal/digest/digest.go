@@ -58,14 +58,6 @@ func (h *Hash) Bool(v bool) {
 	}
 }
 
-// Str folds a string, length-prefixed so "ab","c" != "a","bc".
-func (h *Hash) Str(s string) {
-	h.U64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.U64(uint64(s[i]))
-	}
-}
-
 // Sum returns the current hash value.
 func (h Hash) Sum() uint64 { return uint64(h) }
 

@@ -24,18 +24,6 @@ func TestHashDeterministicAndOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestHashStrLengthPrefixed(t *testing.T) {
-	a := New()
-	a.Str("ab")
-	a.Str("c")
-	b := New()
-	b.Str("a")
-	b.Str("bc")
-	if a.Sum() == b.Sum() {
-		t.Fatalf("string folding not length-prefixed")
-	}
-}
-
 func TestMix64(t *testing.T) {
 	if Mix64(0) == 0 {
 		t.Fatalf("Mix64(0) must not be 0 (XOR-fold identity hazard)")

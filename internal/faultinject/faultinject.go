@@ -84,10 +84,3 @@ func (h *Hook) AfterJob(index int) {
 		h.stopOnce.Do(func() { close(h.Stop) })
 	}
 }
-
-// Settled reports how many jobs have settled through AfterJob.
-func (h *Hook) Settled() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.settled
-}

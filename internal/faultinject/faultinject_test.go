@@ -85,7 +85,7 @@ func TestStopAfterDrains(t *testing.T) {
 	if !errors.As(err, &inc) {
 		t.Fatalf("Run = %v, want *Incomplete", err)
 	}
-	if inc.Done != 2 || h.Settled() != 2 {
-		t.Errorf("drained after %d done / %d settled, want 2 / 2", inc.Done, h.Settled())
+	if inc.Done != 2 || h.settled != 2 {
+		t.Errorf("drained after %d done / %d settled, want 2 / 2", inc.Done, h.settled)
 	}
 }

@@ -131,16 +131,6 @@ func Find(name string) (Experiment, bool) {
 	return e, ok
 }
 
-// All runs every experiment in order.
-func (h *H) All() error {
-	for _, e := range Experiments() {
-		if err := h.RunOne(e); err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-	}
-	return nil
-}
-
 // RunOne runs a single experiment with its banner. A panicking
 // experiment is converted into an error instead of unwinding through
 // the dispatcher, so tables already captured by the report collector

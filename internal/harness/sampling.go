@@ -33,7 +33,8 @@ func (h *H) adaptiveTarget() sampling.Target {
 //     confidence interval separates from the best configuration's is
 //     pruned mid-matrix.
 //  3. An OLTP time-sampling study where replication is stratified
-//     across starting checkpoints (Neyman allocation per stratum).
+//     across starting checkpoints, every stratum taking an equal share
+//     of each round.
 //
 // Every executed run keeps its fixed-N identity and studies 1 and 2
 // take their experiments from table3Fleet and assocExperiment, so a

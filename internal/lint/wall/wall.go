@@ -78,10 +78,6 @@ func Inside(path string) bool { return hasPrefix(path, prefixes) }
 // package: outside the wall, callable from inside it.
 func Contract(path string) bool { return hasPrefix(path, contractPrefixes) }
 
-// Prefixes returns a copy of the wall package list, for docs and
-// tests.
-func Prefixes() []string { return append([]string(nil), prefixes...) }
-
 func hasPrefix(path string, set []string) bool {
 	for _, p := range set {
 		if path == p || strings.HasPrefix(path, p+"/") {

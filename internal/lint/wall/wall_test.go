@@ -44,7 +44,7 @@ func TestContract(t *testing.T) {
 // TestDisjoint pins the invariant the analyzers rely on: no package is
 // both inside the wall and a contract boundary.
 func TestDisjoint(t *testing.T) {
-	for _, p := range Prefixes() {
+	for _, p := range prefixes {
 		if Contract(p) {
 			t.Errorf("package %s is both inside the wall and a contract boundary", p)
 		}

@@ -256,9 +256,6 @@ func (m *Machine) setWorkload(wl workload.Instance) {
 // branch multiple differently-perturbed futures from one checkpoint.
 func (m *Machine) SetPerturbSeed(seed uint64) { m.perturb = rng.New(seed) }
 
-// SetMaxEvents overrides the runaway-event guard.
-func (m *Machine) SetMaxEvents(n uint64) { m.maxEvents = n }
-
 // Now returns the simulated time.
 func (m *Machine) Now() int64 { return m.eng.Now() }
 

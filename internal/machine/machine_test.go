@@ -313,7 +313,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestEventBudgetGuard(t *testing.T) {
 	m := mustMachine(t, testConfig(), "oltp", 1, 1)
-	m.SetMaxEvents(10) // absurdly small
+	m.maxEvents = 10 // absurdly small
 	if _, err := m.Run(1000); err == nil {
 		t.Error("expected event-budget error")
 	}

@@ -47,9 +47,6 @@ func (s State) String() string {
 	return "?"
 }
 
-// CanRead reports whether a local load may proceed in this state.
-func (s State) CanRead() bool { return s != Invalid }
-
 // CanWrite reports whether a local store may proceed in this state.
 // Exclusive is writable via a silent E->M upgrade (no bus transaction),
 // which NodeCaches.Lookup performs.

@@ -285,9 +285,6 @@ func TestCacheStructuralInvariants(t *testing.T) {
 }
 
 func TestStateHelpers(t *testing.T) {
-	if Invalid.CanRead() || !Shared.CanRead() || !Owned.CanRead() || !Modified.CanRead() {
-		t.Error("CanRead wrong")
-	}
 	if Shared.CanWrite() || Owned.CanWrite() || !Modified.CanWrite() {
 		t.Error("CanWrite wrong")
 	}

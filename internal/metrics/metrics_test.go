@@ -61,7 +61,7 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 6 || r.Snapshot()["lat"] != 6 || r.Get("lat").Kind() != KindHistogram {
 		t.Fatalf("count = %d, registry reads %v", h.Count(), r.Snapshot()["lat"])
 	}
-	if got := h.Counts(); !reflect.DeepEqual(got, []uint64{3, 1, 1, 1}) {
+	if got := h.counts; !reflect.DeepEqual(got, []uint64{3, 1, 1, 1}) {
 		t.Fatalf("buckets = %v", got)
 	}
 	if h.Sum() != 5266 {
@@ -86,11 +86,11 @@ func TestHistogramCloneOver(t *testing.T) {
 	spent.Observe(3)
 	buckets := &spent.counts[0]
 	for _, c := range []*Histogram{h.CloneOver(nil), h.CloneOver(spent)} {
-		if c.Name() != "lat" || c.Count() != 2 || c.Sum() != 505 || !reflect.DeepEqual(c.Counts(), []uint64{1, 0, 1}) {
+		if c.Name() != "lat" || c.Count() != 2 || c.Sum() != 505 || !reflect.DeepEqual(c.counts, []uint64{1, 0, 1}) {
 			t.Fatalf("clone = %+v, want %+v", c, h)
 		}
 		c.Observe(50)
-		if h.Count() != 2 || h.Counts()[1] != 0 {
+		if h.Count() != 2 || h.counts[1] != 0 {
 			t.Fatal("clone shares buckets with the original")
 		}
 	}

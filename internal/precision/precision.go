@@ -30,13 +30,6 @@ import (
 	"varsim/internal/stats"
 )
 
-// Defaults for the precision target when a caller passes zeros: the
-// paper's worked example — 4% relative error at 95% confidence.
-const (
-	DefaultRelErr     = 0.04
-	DefaultConfidence = 0.95
-)
-
 // maxHistory bounds the per-key half-width history kept for the
 // dashboard sparkline. Precision work targets tens of runs per
 // configuration; the bound only matters if a tracker is left attached
@@ -72,13 +65,13 @@ type Tracker struct {
 
 // New builds a tracker targeting the given relative error (fraction,
 // e.g. 0.04) at the given confidence. Non-positive arguments select
-// the package defaults.
+// the sampling package's defaults, the paper's worked example.
 func New(relErr, confidence float64) *Tracker {
 	if relErr <= 0 {
-		relErr = DefaultRelErr
+		relErr = sampling.DefaultRelErr
 	}
 	if confidence <= 0 || confidence >= 1 {
-		confidence = DefaultConfidence
+		confidence = sampling.DefaultConfidence
 	}
 	return &Tracker{relErr: relErr, confidence: confidence, byKey: map[key]*entry{}}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"varsim/internal/sampling"
 	"varsim/internal/stats"
 )
 
@@ -53,7 +54,7 @@ func TestTrackerMatchesBatch(t *testing.T) {
 
 func TestTrackerInsufficientAndRejected(t *testing.T) {
 	trk := New(0, 0) // defaults
-	if re, conf := trk.Target(); re != DefaultRelErr || conf != DefaultConfidence {
+	if re, conf := trk.Target(); re != sampling.DefaultRelErr || conf != sampling.DefaultConfidence {
 		t.Fatalf("Target() = %v, %v; want defaults", re, conf)
 	}
 	if err := trk.Observe("e", "c", "m", 42); err != nil {

@@ -93,3 +93,14 @@ func TestDecisionJournalRoundTripThroughCache(t *testing.T) {
 		t.Fatalf("round trip mismatch: got %+v want %+v", dd, d)
 	}
 }
+
+func TestDecodeDecisionIgnoresLegacyAlloc(t *testing.T) {
+	// Journals written while stratified rounds carried a per-stratum
+	// split still decode: the field is no longer read.
+	rec := journal.Record{Key: DecisionKey("e", "h", 1, 0), Status: journal.StatusDecision,
+		Result: []byte(`{"round":0,"n":12,"action":"continue","needed":40,"next":6,"alloc":[4,0,2]}`)}
+	d, err := DecodeDecision(rec)
+	if err != nil || d.Next != 6 || d.Needed != 40 {
+		t.Fatalf("legacy decision: %+v, %v", d, err)
+	}
+}

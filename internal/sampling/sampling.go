@@ -1,12 +1,11 @@
 // Package sampling is the adaptive run scheduler: it decides, at
 // deterministic round barriers, how many more perturbed runs each
 // configuration needs — stopping early once the confidence interval
-// meets the requested relative error (§5.1.1), splitting a stratified
-// round across strata Neyman-style, and pruning configurations whose
-// interval has already separated from the best.
+// meets the requested relative error (§5.1.1), and pruning
+// configurations whose interval has already separated from the best.
 //
 // The package deliberately contains no execution machinery: Decide,
-// StratifiedDecide, NeymanAllocate and Prune are pure functions of the
+// its K-stratum form DecideStrata, and Prune are pure functions of the
 // index-ordered merged values a round produced, so the same inputs
 // yield the same decision at any fleet width. The one driver
 // (internal/core/adaptive.go: AdaptiveMatrix, its one-arm case
@@ -61,8 +60,9 @@ type Target struct {
 	// MaxRuns is the hard per-configuration budget: once reached the
 	// arm settles with ActionBudget whether or not it converged.
 	MaxRuns int `json:"max_runs"`
-	// RoundSize caps how many runs one barrier round may add, so a
-	// noisy pilot cannot commit the whole budget in one step.
+	// RoundSize caps how many runs one barrier round may add to an arm
+	// or stratum, so a noisy pilot cannot commit the whole budget in
+	// one step.
 	RoundSize int `json:"round_size"`
 }
 
@@ -125,11 +125,9 @@ type Decision struct {
 	// the CoV at the barrier (stats.SampleSizeRelErrT); 0 when the
 	// sample cannot support the estimate.
 	Needed int `json:"needed,omitempty"`
-	// Next is the size of the next round (ActionContinue only).
+	// Next is the size of the next round (ActionContinue only); a
+	// K-stratum decision's is K equal shares.
 	Next int `json:"next,omitempty"`
-	// Alloc, for stratified decisions, splits Next across strata
-	// (Neyman allocation); entries sum to Next.
-	Alloc []int `json:"alloc,omitempty"`
 }
 
 // Validate checks the structural invariants the decision codec
@@ -160,18 +158,6 @@ func (d Decision) Validate() error {
 	if math.IsNaN(d.RelPct) || math.IsInf(d.RelPct, 0) || d.RelPct < 0 {
 		return errors.New("sampling: rel_pct must be finite and non-negative")
 	}
-	if len(d.Alloc) > 0 {
-		sum := 0
-		for _, a := range d.Alloc {
-			if a < 0 {
-				return errors.New("sampling: negative stratum allocation")
-			}
-			sum += a
-		}
-		if sum != d.Next {
-			return fmt.Errorf("sampling: allocation sums to %d, next round is %d", sum, d.Next)
-		}
-	}
 	return nil
 }
 
@@ -183,34 +169,67 @@ func (d Decision) Validate() error {
 // SampleSizeRelErrT estimate — and settles with ActionBudget at
 // MaxRuns otherwise. A continuing arm gets a next round sized toward
 // the Needed estimate, capped by RoundSize and the remaining budget.
+// It is the one-stratum DecideStrata.
 //
 // Pure: the decision depends only on (values, round, t), never on
 // completion order or the clock — the property tests pin this.
 func Decide(values []float64, round int, t Target) Decision {
+	return DecideStrata([][]float64{values}, round, t)
+}
+
+// DecideStrata is Decide over an arm sampled in K strata — the run
+// samples at each time-sample checkpoint (§5.2) — decided jointly.
+// Every Target count is per stratum: MinRuns is a floor on each
+// stratum's effective runs, MaxRuns each stratum's cap and RoundSize
+// each stratum's step, so a continuing decision's Next is K equal
+// shares and an arm whose strata start level stays level. N counts
+// every stratum's runs.
+//
+// Only the interval depends on K. One stratum takes the §5.1.1 interval
+// and its t-consistent Needed (stats.Stream); K ≥ 2 take the
+// equal-weight stratified mean's interval (stats.StratifiedCI), whose
+// half-width shrinks as 1/√n under even growth, so Needed scales the
+// current total by (achieved/target)². No strata settle on budget at
+// once: there is nothing to sample. Pure in (strata, round, t).
+func DecideStrata(strata [][]float64, round int, t Target) Decision {
 	t = t.Normalize()
-	d := Decision{Round: round, N: len(values), Action: ActionContinue}
-	var s stats.Stream
-	for _, v := range values {
-		// Non-finite values shrink the effective sample rather than
-		// poisoning the interval — the Stream's input contract.
-		s.Add(v) //nolint:errcheck
+	k := len(strata)
+	d := Decision{Round: round, Action: ActionContinue}
+	minN, minEff := math.MaxInt, math.MaxInt
+	var s stats.Stream // the last stratum's: with one, the whole sample's
+	for _, xs := range strata {
+		s = stats.Stream{}
+		for _, v := range xs {
+			// Non-finite values shrink the effective sample rather than
+			// poisoning the interval — the Stream's input contract.
+			s.Add(v) //nolint:errcheck
+		}
+		d.N += len(xs)
+		minN, minEff = min(minN, len(xs)), min(minEff, s.N())
 	}
-	rel, relOK := s.RelHalfWidthPct(t.Confidence)
-	if relOK {
-		d.RelPct = rel
+	var rel float64
+	var relOK bool
+	if k == 1 {
+		rel, relOK = s.RelHalfWidthPct(t.Confidence)
+		d.Needed = s.RunsNeeded(t.RelErr, t.Confidence)
+	} else if ci, err := stats.StratifiedCI(strata, t.Confidence); err == nil && ci.Mean != 0 {
+		rel, relOK = math.Abs(100*ci.HalfWidth/ci.Mean), true
+		if ratio := rel / (100 * t.RelErr); ratio > 1 {
+			d.Needed = int(float64(d.N)*ratio*ratio) + 1
+		}
 	}
-	d.Needed = s.RunsNeeded(t.RelErr, t.Confidence)
+	d.RelPct = rel
 	converged := relOK && rel <= 100*t.RelErr
 	// The pilot floor counts *effective* observations: the Stream drops
 	// non-finite values, and a sample padded with them must not stop on
 	// an interval supported by fewer than MinRuns real runs.
 	switch {
-	case s.N() >= t.MinRuns && converged:
+	case minEff >= t.MinRuns && converged:
 		d.Action = ActionStop
-	case d.N >= t.MaxRuns:
+	case minN >= t.MaxRuns:
 		d.Action = ActionBudget
 	default:
-		d.Next = nextChunk(d.N, d.Needed, t.RoundSize, t.MaxRuns)
+		d.Next = k * nextChunk(minN, (d.Needed+k-1)/k, t.RoundSize, t.MaxRuns)
 	}
 	return d
 }

@@ -142,8 +142,6 @@ func TestDecisionValidate(t *testing.T) {
 		{Action: ActionStop, N: -1},
 		{Action: ActionStop, RelPct: math.NaN()},
 		{Action: ActionStop, RelPct: -1},
-		{Action: ActionContinue, Next: 3, Alloc: []int{1, 1}},
-		{Action: ActionContinue, Next: 2, Alloc: []int{3, -1}},
 	}
 	for i, d := range bad {
 		if d.Validate() == nil {
@@ -155,52 +153,11 @@ func TestDecisionValidate(t *testing.T) {
 		{Action: ActionStop, N: 8, RelPct: 2.5, Needed: 6},
 		{Action: ActionBudget, N: 64},
 		{Action: ActionPrune, N: 4, RelPct: 9},
-		{Action: ActionContinue, Next: 3, Alloc: []int{2, 0, 1}},
 	}
 	for i, d := range good {
 		if err := d.Validate(); err != nil {
 			t.Errorf("case %d: %+v rejected: %v", i, d, err)
 		}
-	}
-}
-
-func TestNeymanAllocate(t *testing.T) {
-	// Proportional split, exact total, deterministic ties.
-	got := NeymanAllocate([]float64{3, 1}, 8)
-	if got[0]+got[1] != 8 || got[0] != 6 {
-		t.Errorf("3:1 split of 8 = %v", got)
-	}
-	// Ties break toward the lower index.
-	a := NeymanAllocate([]float64{1, 1, 1}, 4)
-	b := NeymanAllocate([]float64{1, 1, 1}, 4)
-	if !reflect.DeepEqual(a, b) || a[0] != 2 {
-		t.Errorf("tie break not deterministic-low: %v vs %v", a, b)
-	}
-	// Degenerate deviations fall back to an even split.
-	if got := NeymanAllocate([]float64{0, math.NaN(), math.Inf(1)}, 3); got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Errorf("degenerate sds: %v", got)
-	}
-	if got := NeymanAllocate(nil, 5); len(got) != 0 {
-		t.Errorf("empty sds: %v", got)
-	}
-	prop := func(s sample, totalRaw uint8) bool {
-		total := int(totalRaw)
-		sds := s.values()
-		out := NeymanAllocate(sds, total)
-		sum := 0
-		for _, v := range out {
-			if v < 0 {
-				return false
-			}
-			sum += v
-		}
-		if len(sds) == 0 || total <= 0 {
-			return sum == 0
-		}
-		return sum == total
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -240,40 +197,74 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-func TestStratifiedDecide(t *testing.T) {
-	target := Target{MinRuns: 2, MaxRuns: 8, RoundSize: 4}.Normalize()
-	// Tight strata converge immediately.
-	strata := [][]float64{{100, 100.1, 99.9}, {200, 200.1, 199.9}}
-	d := StratifiedDecide(strata, 0, target)
-	if d.Action != ActionStop {
-		t.Errorf("tight strata should stop: %+v", d)
+// TestDecideStrata pins the K-stratum rule: its interval is the
+// equal-weight stratified estimator's, every Target count is per
+// stratum, so strata grown from an even pilot stay level and none
+// passes its cap, and strata all at the cap settle on budget.
+func TestDecideStrata(t *testing.T) {
+	target := Target{RelErr: 0.01, MinRuns: 3, MaxRuns: 20, RoundSize: 5}.Normalize()
+	prop := func(a, b, c sample) bool {
+		gens := []*rand.Rand{
+			rand.New(rand.NewSource(int64(a.Seed))),
+			rand.New(rand.NewSource(int64(b.Seed))),
+			rand.New(rand.NewSource(int64(c.Seed))),
+		}
+		spreads := []float64{float64(a.Scale) / 256, float64(b.Scale) / 256, float64(c.Scale) / 256}
+		strata := make([][]float64, len(gens))
+		grow := func(n int) {
+			for i, r := range gens {
+				for j := 0; j < n; j++ {
+					strata[i] = append(strata[i], 1000*(1+spreads[i]*r.NormFloat64()))
+				}
+			}
+		}
+		grow(target.MinRuns)
+		for round := 0; ; round++ {
+			d := DecideStrata(strata, round, target)
+			if err := d.Validate(); err != nil {
+				t.Logf("round %d: invalid decision %+v: %v", round, d, err)
+				return false
+			}
+			if ci, err := stats.StratifiedCI(strata, target.Confidence); err == nil {
+				if want := math.Abs(100 * ci.HalfWidth / ci.Mean); math.Abs(d.RelPct-want) > 1e-12 {
+					t.Logf("round %d: rel %v, stratified CI %v", round, d.RelPct, want)
+					return false
+				}
+			}
+			if d.Action != ActionContinue {
+				return d.Action == ActionStop || len(strata[0]) == target.MaxRuns
+			}
+			if d.Next%len(strata) != 0 || d.Next > len(strata)*target.RoundSize {
+				t.Logf("round %d: next %d is not K even steps of at most %d", round, d.Next, target.RoundSize)
+				return false
+			}
+			grow(d.Next / len(strata))
+			for _, xs := range strata {
+				if len(xs) != len(strata[0]) || len(xs) > target.MaxRuns {
+					t.Logf("round %d: strata %d and %d runs, cap %d", round, len(xs), len(strata[0]), target.MaxRuns)
+					return false
+				}
+			}
+		}
 	}
-	if d.N != 6 {
-		t.Errorf("N should count all strata: %+v", d)
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
-	// A stratum below the pilot floor keeps the schedule going, and the
-	// allocation must cover every stratum with a valid split.
-	d = StratifiedDecide([][]float64{{100, 101, 99}, {50}}, 0, target)
-	if d.Action != ActionContinue {
-		t.Fatalf("underfilled stratum should continue: %+v", d)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("invalid stratified decision: %v", err)
-	}
-	if len(d.Alloc) != 2 {
-		t.Fatalf("allocation missing strata: %+v", d)
-	}
-	if d.Alloc[1] == 0 {
-		t.Errorf("one-value stratum starved: %+v", d)
-	}
-	// Budget exhaustion settles.
+
 	full := make([]float64, target.MaxRuns)
 	for i := range full {
 		full[i] = 100 + 30*float64(i%7) // noisy: cannot converge
 	}
-	d = StratifiedDecide([][]float64{full, full}, 3, target)
-	if d.Action != ActionBudget {
-		t.Errorf("exhausted strata should settle on budget: %+v", d)
+	if d := DecideStrata([][]float64{full, full}, 3, target); d.Action != ActionBudget || d.N != 2*target.MaxRuns {
+		t.Errorf("strata at the cap should settle on budget: %+v", d)
+	}
+	if d := DecideStrata(nil, 0, target); d.Action != ActionBudget {
+		t.Errorf("no strata should settle on budget: %+v", d)
+	}
+
+	values := sample{Seed: 7, N: 32, Scale: 40}.values()
+	if n := testing.AllocsPerRun(100, func() { Decide(values, 0, target) }); n != 0 {
+		t.Errorf("Decide allocates %v times a call", n)
 	}
 }
 

@@ -52,8 +52,8 @@ func TestTxnHashProgressSeesFeedAssignment(t *testing.T) {
 	a.Next(1)
 	b.Next(1)
 	b.Next(0)
-	if a.FeedIndex() != b.FeedIndex() {
-		t.Fatalf("feed positions differ: %d vs %d", a.FeedIndex(), b.FeedIndex())
+	if a.feed != b.feed {
+		t.Fatalf("feed positions differ: %d vs %d", a.feed, b.feed)
 	}
 	if progressDigest(a) == progressDigest(b) {
 		t.Fatalf("txn-to-thread assignment invisible to digest")

@@ -287,10 +287,6 @@ func (e *TxnEngine) NumSpinLocks() int {
 // NumBarriers implements Instance.
 func (e *TxnEngine) NumBarriers() int { return 0 }
 
-// FeedIndex returns how many transactions have been claimed from the
-// shared feed (for tests).
-func (e *TxnEngine) FeedIndex() int64 { return e.feed }
-
 // Next implements Instance: it continues the macro in progress, or
 // starts the thread's next plan entry, claiming a new transaction when
 // the plan is used up.

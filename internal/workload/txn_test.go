@@ -124,8 +124,8 @@ func TestFeedSharedAcrossThreads(t *testing.T) {
 	drainTxn(t, e, 0)
 	drainTxn(t, e, 3)
 	drainTxn(t, e, 5)
-	if e.FeedIndex() != 3 {
-		t.Fatalf("feed index = %d after three txns, want 3", e.FeedIndex())
+	if e.feed != 3 {
+		t.Fatalf("feed index = %d after three txns, want 3", e.feed)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestCloneIsolated(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		c.Next(0)
 	}
-	if e.FeedIndex() != 0 {
+	if e.feed != 0 {
 		t.Fatal("clone advanced original's feed")
 	}
 }
