@@ -243,6 +243,64 @@ func TestExperimentsManifestIsTheLedger(t *testing.T) {
 	}
 }
 
+// TestVarsimPrecisionReadsEveryRun: varsim precision counts every run
+// a journal settled — a fixed-N journal's Runs, an adaptive one's runs
+// executed past -runs — and only a fixed-N journal short of its Runs
+// says how many have not settled.
+func TestVarsimPrecisionReadsEveryRun(t *testing.T) {
+	dir := t.TempDir()
+	common := []string{"-workload", "oltp", "-cpus", "4", "-txns", "40", "-warmup", "60"}
+	for _, c := range []struct {
+		name string
+		args []string
+		keep int // journal lines kept before precision reads it; 0 = all
+		n    string
+		hint string
+	}{
+		{"fixed", []string{"-runs", "6"}, 0, "6", ""},
+		{"fixed-partial", []string{"-runs", "6"}, 4, "4", "(2/6 runs not settled yet"},
+		{"adaptive", []string{"-adaptive", "-runs", "4", "-budget", "12", "-rel-err", "0.001"}, 0, "12", ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			jd := filepath.Join(dir, c.name)
+			run, stderr, exit := drive(t, dir, "varsim", append(append(common, c.args...), "-journal", jd)...)
+			if exit != 0 {
+				t.Fatalf("exit %d\n%s", exit, stderr)
+			}
+			if c.keep == 0 && !strings.Contains(run, "space of "+c.n+" runs") {
+				t.Fatalf("fixture drifted: the run did not execute %s runs\n%s", c.n, run)
+			}
+			if c.keep > 0 {
+				jf := filepath.Join(jd, "journal.jsonl")
+				b, err := os.ReadFile(jf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines := strings.SplitAfter(string(b), "\n")
+				if err := os.WriteFile(jf, []byte(strings.Join(lines[:c.keep], "")), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, stderr, exit := drive(t, dir, "varsim", "precision", "-journal", jd)
+			if exit != 0 {
+				t.Fatalf("precision exit %d\n%s", exit, stderr)
+			}
+			var n []string
+			for _, line := range strings.Split(out, "\n") {
+				if f := strings.Fields(line); len(f) > 3 && f[0] == "oltp/simple" {
+					n = append(n, f[3])
+				}
+			}
+			if len(n) != 1 || n[0] != c.n {
+				t.Errorf("precision rows report n %v, want [%s]\n%s", n, c.n, out)
+			}
+			if got := strings.Contains(out, "not settled yet"); got != (c.hint != "") || !strings.Contains(out, c.hint) {
+				t.Errorf("precision output, want hint %q:\n%s", c.hint, out)
+			}
+		})
+	}
+}
+
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {

@@ -27,10 +27,11 @@ import (
 //	varsim precision -journal out/
 //	varsim precision -journal out/ -rel-err 0.02 -confidence 0.99
 //
-// With the directory's spec.json (written by -journal) runs replay in
-// index order under their exact RunKey identity; without one (e.g. a
-// journal from the experiments harness) every settled ok record feeds
-// the tracker grouped by (experiment, config, index).
+// Every settled ok record feeds the tracker, latest-wins exactly like
+// the resume cache, in (experiment, config, index) order — a varsim
+// journal's runs in index order, however many an adaptive schedule
+// took. A fixed-N spec.json (written by -journal) adds how many of its
+// runs have not settled yet.
 func runPrecision(args []string) error {
 	fs := flag.NewFlagSet("varsim precision", flag.ExitOnError)
 	var (
@@ -61,40 +62,14 @@ func runPrecision(args []string) error {
 	}
 	trk := precision.New(*relErr, *confLvl)
 
-	if spec, serr := loadSpec(filepath.Join(*dir, specFile)); serr == nil {
-		cache := journal.NewCache(lr.Records)
-		missing := 0
-		for i := 0; i < spec.Runs; i++ {
-			key := spec.RunKey(i)
-			rec, ok := cache.Get(key)
-			if !ok {
-				missing++ // mid-resume: not settled yet (or failed)
-				continue
-			}
-			var r machine.Result
-			if err := json.Unmarshal(rec.Result, &r); err != nil {
-				return fmt.Errorf("precision: run %d of %s: %w", i, *dir, err)
-			}
-			trk.Observe(key.Experiment, key.ConfigHash, "cpt", r.CPT)
-		}
-		report.WritePrecision(os.Stdout, trk.Report())
-		if missing > 0 {
-			fmt.Printf("(%d/%d runs not settled yet; resume with: varsim -resume %s)\n",
-				missing, spec.Runs, *dir)
-		}
-		return nil
-	}
-
-	// No spec (a harness journal, or a hand-assembled directory): feed
-	// every settled ok record, deduplicated latest-wins exactly like the
-	// resume cache, in (experiment, config, index) order.
 	latest := map[journal.Key]journal.Record{}
 	for _, rec := range lr.Records {
 		if rec.Status == journal.StatusOK {
 			latest[rec.Key] = rec
 		}
 	}
-	if len(latest) == 0 {
+	spec, serr := loadSpec(filepath.Join(*dir, specFile))
+	if len(latest) == 0 && serr != nil {
 		return fmt.Errorf("precision: no settled runs in %s", *dir)
 	}
 	keys := make([]journal.Key, 0, len(latest))
@@ -120,6 +95,10 @@ func runPrecision(args []string) error {
 		trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
 	}
 	report.WritePrecision(os.Stdout, trk.Report())
+	if serr == nil && spec.Adaptive == nil && len(keys) < spec.Runs {
+		fmt.Printf("(%d/%d runs not settled yet; resume with: varsim -resume %s)\n",
+			spec.Runs-len(keys), spec.Runs, *dir)
+	}
 	return nil
 }
 

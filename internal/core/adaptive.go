@@ -10,8 +10,10 @@
 // sits over that one engine: Decide per arm, plus Prune across a matrix
 // (AdaptiveMatrix, of which AdaptiveSpace is the one-arm case), and its
 // K-stratum form DecideStrata over a time sample's strata, decided
-// jointly and grown evenly (AdaptiveTimeSample). The determinism
-// contract (docs/SAMPLING.md):
+// jointly and grown evenly (AdaptiveTimeSample). The strata are arms of
+// one checkpoint walk (Experiment.strata), of which the fixed-N
+// TimeSample takes a single round. The determinism contract
+// (docs/SAMPLING.md):
 // every executed run keeps the exact (experiment, config hash, derived
 // seed, run index) identity the fixed-N path would give it, decisions
 // depend only on merged values (never completion order), and every
@@ -26,7 +28,6 @@ import (
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
-	"varsim/internal/rng"
 	"varsim/internal/sampling"
 )
 
@@ -273,10 +274,11 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 // checkpoints are strata of the workload's lifetime (§5.2), replication
 // is scheduled adaptively on the equal-weight stratified estimator
 // (sampling.DecideStrata / stats.StratifiedCI), and each stratum is an
-// arm whose base is warmed once, on the first round that must execute
-// a run, every run a copy-on-write branch of it.
+// arm of Experiment.strata: its base is a snapshot of the one machine
+// walked forward through the checkpoints, taken on the first round that
+// must execute a run, every run a copy-on-write branch of it.
 //
-// Per-stratum run identities are TimeSample's (stratumPlan), so a
+// The strata are TimeSample's, run identities included, so a
 // journal written fixed-N replays into the adaptive schedule and vice
 // versa. The strata are decided jointly: one barrier decision a round,
 // journaled under the synthetic label "<label>@strata", and one report
@@ -295,17 +297,9 @@ func (e Experiment) AdaptiveTimeSample(checkpoints []int64, t sampling.Target) (
 		return nil, joint.rep, err
 	}
 	var spent fleet.Pool[*machine.Machine]
-	strata := make([]*arm, h)
-	for ci, ck := range checkpoints {
-		p := e.stratumPlan(ci, ck)
-		p.Resilience, p.spent = joint.plan.Resilience, &spent
-		strata[ci] = &arm{
-			plan: p, cfgHash: joint.cfgHash, sp: Space{Label: p.Label},
-			want: t.MinRuns, // the pilot: every stratum earns a CI
-			base: func() (*machine.Machine, error) {
-				return NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), ck)
-			},
-		}
+	strata := e.strata(checkpoints, &spent)
+	for _, a := range strata {
+		a.want = t.MinRuns // the pilot: every stratum earns a CI
 	}
 	spaces := make([]Space, h)
 	values := make([][]float64, h)

@@ -329,58 +329,59 @@ func (e Experiment) validateCheckpoints(checkpoints []int64) error {
 	return e.Validate()
 }
 
-// stratumPlan is the space plan of the time sample's checkpoint ci, at
-// ck cumulative transactions — the one derivation of a stratum's run
-// identity, fixed-N (TimeSample) or adaptive (AdaptiveTimeSample):
-// label "<label>@<ck>", seed base derived from the checkpoint's index.
-func (e Experiment) stratumPlan(ci int, ck int64) BranchPlan {
-	p := e.spacePlan()
-	p.Label = fmt.Sprintf("%s@%d", e.Label, ck)
-	p.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
-	return p
+// strata returns the time sample's strata as arms, one per checkpoint
+// (ck cumulative transactions), for TimeSample and AdaptiveTimeSample
+// alike: label "<label>@<ck>", seed base derived from the checkpoint's
+// index. Every base is a snapshot of one machine walked forward through
+// the checkpoints, started by the first stratum that must execute a run.
+// A stratum asking after the walk has passed its checkpoint (a resumed
+// schedule whose earlier strata replayed) restarts it cold.
+func (e Experiment) strata(checkpoints []int64, spent *fleet.Pool[*machine.Machine]) []*arm {
+	cfgHash := journal.ConfigHash(e.Config)
+	var walk *machine.Machine
+	var done int64
+	arms := make([]*arm, len(checkpoints))
+	for ci, ck := range checkpoints {
+		p := e.spacePlan()
+		p.Label = fmt.Sprintf("%s@%d", e.Label, ck)
+		p.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+		p.spent = spent
+		arms[ci] = &arm{plan: p, cfgHash: cfgHash, sp: Space{Label: p.Label}, base: func() (*machine.Machine, error) {
+			var err error
+			if walk == nil || done >= ck {
+				if walk, err = NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), ck); err != nil {
+					return nil, err
+				}
+			} else if _, err = walk.Run(ck - done); err != nil {
+				return nil, fmt.Errorf("core: warmup to checkpoint %d: %w", ck, err)
+			}
+			done = ck
+			return walk.Snapshot(), nil
+		}}
+	}
+	return arms
 }
 
 // TimeSample implements §5.2's systematic sampling of a workload's
 // lifetime: it warms the workload to each checkpoint in turn (the
 // checkpoints slice holds cumulative transaction counts, ascending) and
-// branches a space of runs from each. The returned spaces feed ANOVA to
-// decide whether time variability is significant. A stratum the cache
-// covers replays without a checkpoint, so a fully covered sample warms
-// nothing.
+// branches a space of Runs runs from each — one round of every
+// stratum. The returned spaces feed ANOVA to decide whether time
+// variability is significant. A stratum the cache covers replays
+// without a checkpoint, so a fully covered sample warms nothing.
 func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
 	if err := e.validateCheckpoints(checkpoints); err != nil {
 		return nil, err
 	}
-	// One machine walks forward through the checkpoints, built by the
-	// first stratum that must execute; nothing but the current checkpoint
-	// is held.
-	var m *machine.Machine
-	done := int64(0)
-	var spaces []Space
 	var spent fleet.Pool[*machine.Machine] // one checkpoint's last branches are the next one's first
-	cfgHash := journal.ConfigHash(e.Config)
-	for ci, ck := range checkpoints {
-		p := e.stratumPlan(ci, ck)
-		p.spent = &spent
-		b, err := replayOrBranch(cfgHash, func() (*machine.Machine, error) {
-			if m == nil {
-				var err error
-				if m, err = NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), 0); err != nil {
-					return nil, err
-				}
-			}
-			if ck > done {
-				if _, err := m.Run(ck - done); err != nil {
-					return nil, fmt.Errorf("core: warmup to checkpoint %d: %w", ck, err)
-				}
-				done = ck
-			}
-			return m, nil
-		}, p)
-		if err != nil {
+	spaces := make([]Space, len(checkpoints))
+	for ci, a := range e.strata(checkpoints, &spent) {
+		a.want = e.Runs
+		if err := a.next(); err != nil {
 			return nil, err
 		}
-		spaces = append(spaces, b.Space())
+		a.ckpt = nil // the walk holds the next checkpoint; this one is done
+		spaces[ci] = a.sp
 	}
 	return spaces, nil
 }

@@ -98,7 +98,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			journaled := jc.Len() // the resume files what it executes into jc too
+			journaled := countJournaled(t, dir, journal.StatusOK)
 			if journaled != len(part.Values) {
 				t.Fatalf("journal replayed %d records, drained run settled %d", journaled, len(part.Values))
 			}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -74,6 +75,67 @@ func TestAdaptiveTimeSampleRunIdentity(t *testing.T) {
 					ci, i, spaces[ci].Values[i], fixed[ci].Values[i])
 			}
 		}
+	}
+}
+
+// TestAdaptiveTimeSampleWalksOnce pins the strata's one checkpoint
+// walk: with the schedule pinned to the fixed-N size and no cache, the
+// adaptive strata warm one machine through the checkpoints exactly as
+// TimeSample does, so the two simulate the same cycles — not one
+// warm-up per stratum from a cold start.
+func TestAdaptiveTimeSampleWalksOnce(t *testing.T) {
+	e := stratifiedExperiment(1)
+	e.Runs = 4
+	cks := []int64{20, 40}
+	fixed := simulated(t, func() error { _, err := e.TimeSample(cks); return err })
+	tgt := sampling.Target{MinRuns: e.Runs, MaxRuns: e.Runs, RoundSize: e.Runs}
+	adaptive := simulated(t, func() error { _, _, err := e.AdaptiveTimeSample(cks, tgt); return err })
+	if adaptive != fixed {
+		t.Errorf("adaptive strata simulated %d cycles, TimeSample %d", adaptive, fixed)
+	}
+}
+
+// TestAdaptiveTimeSampleRestartsThePassedWalk resumes a multi-round
+// schedule whose cache holds only stratum 0's first two rounds: the
+// walk starts at stratum 1's checkpoint, so stratum 0's third round
+// finds it past its own and restarts it from a cold start. The spaces
+// are the cache-less run's.
+func TestAdaptiveTimeSampleRestartsThePassedWalk(t *testing.T) {
+	tgt := stratifiedTarget()
+	cks := []int64{20, 40}
+	e := stratifiedExperiment(1)
+	jw, err := journal.CreateDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Resilience = core.Resilience{Journal: jw}
+	want, _, err := e.AdaptiveTimeSample(cks, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := journal.Load(jw.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []journal.Record
+	for _, r := range res.Records {
+		if r.Status == journal.StatusOK && r.Experiment == "strat-test@20" && r.Index < 2*tgt.RoundSize {
+			first = append(first, r)
+		}
+	}
+	if len(first) != 2*tgt.RoundSize || len(want[0].Values) <= len(first) {
+		t.Fatalf("fixture drifted: %d cached runs of stratum 0's %d", len(first), len(want[0].Values))
+	}
+	e.Resilience = core.Resilience{Cache: journal.NewCache(first)}
+	got, _, err := e.AdaptiveTimeSample(cks, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a schedule that restarted its walk differs from the cache-less one")
 	}
 }
 

@@ -72,8 +72,8 @@ func TestCacheSeparatesDigestRecords(t *testing.T) {
 		if got, ok := c.Digest(key); !ok || got.Status != StatusDigest {
 			t.Fatalf("%s: digest record lost: %+v ok=%v", name, got, ok)
 		}
-		if c.Len() != 1 || !c.HasDigest(key) {
-			t.Fatalf("%s: Len=%d HasDigest=%v, want 1/true", name, c.Len(), c.HasDigest(key))
+		if len(c.byKey) != 1 || !c.HasDigest(key) {
+			t.Fatalf("%s: Len=%d HasDigest=%v, want 1/true", name, len(c.byKey), c.HasDigest(key))
 		}
 	}
 }

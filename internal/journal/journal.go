@@ -554,18 +554,6 @@ func (c *Cache) Digest(key Key) (Record, bool) {
 	return r, true
 }
 
-// Len returns the number of distinct run keys cached (including failed
-// records, which Get will not serve; digest and decision records are
-// not counted).
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
-}
-
 // OpenDir is the resume entry point: recover the journal in dir
 // (truncating any trailing corruption, logged through logf), build the
 // replay cache, and reopen the journal for appending the re-run jobs.

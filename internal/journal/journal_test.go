@@ -218,8 +218,8 @@ func TestCacheSemantics(t *testing.T) {
 	retriedOK := okRecord(1)
 	retriedOK.Attempts = 3
 	c := NewCache([]Record{okRecord(0), fail, retriedOK})
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2 distinct keys", c.Len())
+	if len(c.byKey) != 2 {
+		t.Errorf("Len = %d, want 2 distinct keys", len(c.byKey))
 	}
 	if _, ok := c.Get(okRecord(0).Key); !ok {
 		t.Error("ok record missed")
@@ -303,8 +303,8 @@ func TestOpenDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if cache.Len() != 1 {
-		t.Fatalf("cache has %d records, want 1", cache.Len())
+	if len(cache.byKey) != 1 {
+		t.Fatalf("cache has %d records, want 1", len(cache.byKey))
 	}
 	if err := w2.Append(okRecord(1)); err != nil {
 		t.Fatal(err)
