@@ -129,6 +129,7 @@ lint:
 
 race:
 	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling ./internal/session
+	$(GO) test -race -run 'TestTable4ByteIdenticalAcrossWidths|Parallel' ./internal/harness
 
 # Go's fuzzer accepts one target per invocation; each run seeds from the
 # committed corpus under the package's testdata/fuzz and then mutates

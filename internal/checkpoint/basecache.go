@@ -60,10 +60,3 @@ func (c *BaseCache) Build(r Recipe) (*machine.Machine, error) {
 	}
 	return base.Snapshot(), nil
 }
-
-// Len reports how many distinct recipes have been rebuilt into bases.
-func (c *BaseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.bases)
-}

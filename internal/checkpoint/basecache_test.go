@@ -40,16 +40,16 @@ func TestBaseCacheAgreesWithReplay(t *testing.T) {
 			t.Fatalf("cache build %d diverged from fresh replay:\ngot  %+v\nwant %+v", i, got, want)
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache rebuilt the same recipe %d times", c.Len())
+	if len(c.bases) != 1 {
+		t.Fatalf("cache rebuilt the same recipe %d times", len(c.bases))
 	}
 	r2 := r
 	r2.WarmupTxns = 40
 	if _, err := c.Build(r2); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("distinct recipe did not get its own base (len %d)", c.Len())
+	if len(c.bases) != 2 {
+		t.Fatalf("distinct recipe did not get its own base (len %d)", len(c.bases))
 	}
 }
 
@@ -90,8 +90,8 @@ func TestBaseCacheConcurrent(t *testing.T) {
 			t.Fatalf("caller %d diverged from the sequential reference:\ngot  %+v\nwant %+v", i, got[i], want)
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("concurrent Builds replayed the recipe %d times", c.Len())
+	if len(c.bases) != 1 {
+		t.Fatalf("concurrent Builds replayed the recipe %d times", len(c.bases))
 	}
 }
 

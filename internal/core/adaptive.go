@@ -85,7 +85,7 @@ func (a *arm) next() error {
 		return nil
 	}
 	a.plan.N = a.want
-	b, err := replayOrBranch(a.cfgHash, a.checkpoint, a.plan)
+	b, err := branch(a.cfgHash, a.checkpoint, a.plan)
 	sp := b.Space()
 	a.sp.Values = append(a.sp.Values, sp.Values...)
 	a.sp.Results = append(a.sp.Results, sp.Results...)

@@ -104,7 +104,7 @@ func (b Branched) Digests() SpaceDigests {
 
 // key is the journal identity of run i: the label, the hash of the
 // machine configuration, the run's derived perturbation seed, and its
-// index. Replay matches on the full key, so a journal from a different
+// index. A replay matches on the full key, so a journal from a different
 // config, seed base, or label never contaminates a resume.
 func (p BranchPlan) key(cfgHash string, i int) journal.Key {
 	return journal.Key{
@@ -115,27 +115,26 @@ func (p BranchPlan) key(cfgHash string, i int) journal.Key {
 	}
 }
 
-// journaled reports whether the cache can serve the run filed
-// under key. A hit needs every payload the plan captures: the ok run
-// record, the digest record when digests are captured, and never for a
-// traced plan — events are not journaled. It only peeks, so a miss
-// leaves journal.Stats.Hits alone: that counter is the records merged,
-// not the records looked for.
-func (p BranchPlan) journaled(key journal.Key) bool {
+// replay reads the run filed under key back from the cache. A hit
+// needs every payload the plan captures: the ok run record, the digest
+// record when digests are captured, and never a traced plan — events
+// are not journaled. Both records are peeked before either is read, so
+// a miss leaves journal.Stats.Hits alone: that counter is the records
+// merged, not the records looked for. An undecodable record, or a
+// digest stream recorded at another cadence, is a miss too: the run
+// executes again.
+func (p BranchPlan) replay(key journal.Key) (BranchedRun, bool) {
 	c := p.Resilience.Cache
-	return !p.Trace && c.Has(key) && (!p.digests() || c.HasDigest(key))
-}
-
-// decode reads a journaled run back. An undecodable record, or a digest
-// stream recorded at another cadence, is a miss: the run executes again.
-func (p BranchPlan) decode(key journal.Key) (BranchedRun, bool) {
+	if p.Trace || !c.Has(key) || (p.digests() && !c.HasDigest(key)) {
+		return BranchedRun{}, false
+	}
 	var r BranchedRun
-	rec, _ := p.Resilience.Cache.Get(key)
+	rec, _ := c.Get(key)
 	if json.Unmarshal(rec.Result, &r.Result) != nil {
 		return BranchedRun{}, false
 	}
 	if p.digests() {
-		drec, _ := p.Resilience.Cache.Digest(key)
+		drec, _ := c.Digest(key)
 		var err error
 		if r.Digests, err = journal.DecodeDigest(drec); err != nil || r.Digests.IntervalNS != p.DigestIntervalNS {
 			return BranchedRun{}, false
@@ -188,32 +187,6 @@ func (p BranchPlan) settle(key journal.Key, attempts int, r BranchedRun, err err
 	}
 }
 
-// Replay serves the plan's whole range from the cache, without a
-// checkpoint: every run must be journaled or settled in this process.
-// The observer is fed only once every record has decoded, in index
-// order, so a caller that falls back to Branch cannot double-observe.
-func Replay(cfgHash string, p BranchPlan) (Branched, bool) {
-	if p.Resilience.Cache == nil || p.N <= 0 {
-		return Branched{}, false
-	}
-	for i := p.Lo; i < p.Lo+p.N; i++ {
-		if !p.journaled(p.key(cfgHash, i)) {
-			return Branched{}, false
-		}
-	}
-	b := Branched{Label: p.Label, Lo: p.Lo, DigestIntervalNS: p.DigestIntervalNS, Runs: make([]BranchedRun, p.N)}
-	for j := range b.Runs {
-		var ok bool
-		if b.Runs[j], ok = p.decode(p.key(cfgHash, p.Lo+j)); !ok {
-			return Branched{}, false
-		}
-	}
-	for j := range b.Runs {
-		p.observe(p.key(cfgHash, p.Lo+j), b.Runs[j].Result)
-	}
-	return b, true
-}
-
 // Branch branches the plan's runs from the checkpoint machine on a
 // fleet of p.Workers workers. Each branch is a pure job (branchJob) — a
 // private snapshot re-seeded from (SeedBase, index) — and the fleet
@@ -229,43 +202,60 @@ func Replay(cfgHash string, p BranchPlan) (Branched, bool) {
 // resilience-aware callers can render a resumable partial report while
 // everyone else fails loudly.
 func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
+	return branch(journal.ConfigHash(checkpoint.Config()), func() (*machine.Machine, error) { return checkpoint, nil }, p)
+}
+
+// branch is the one body behind Branch, Experiment.Branch and an arm's
+// rounds. It reads the store once per run, in index order, on the
+// calling goroutine: a run it can replay is observed there and merged at its index, and only the rest go to the
+// fleet, under their global run indices. base is called for the
+// checkpoint only when some run must execute, so a range the store
+// covers replays without a warmup — which is what makes resuming a
+// finished experiment nearly free.
+func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan) (Branched, error) {
 	b := Branched{Label: p.Label, Lo: p.Lo, DigestIntervalNS: p.DigestIntervalNS}
 	if p.N <= 0 {
 		return b, nil
 	}
-	res := p.Resilience
-	cfgHash := journal.ConfigHash(checkpoint.Config())
-	opts := fleet.Options[BranchedRun]{
-		Workers:   fleet.Width(p.Workers),
-		Timeout:   res.JobTimeout,
-		Retries:   res.Retries,
-		Stop:      res.Stop,
-		TestHook:  res.TestHook,
-		IndexBase: p.Lo,
-		Labels:    []string{"experiment", p.Label, "config", cfgHash},
-	}
-	if res.Cache != nil {
-		opts.Cached = func(i int) (BranchedRun, bool) {
-			key := p.key(cfgHash, i)
-			if !p.journaled(key) {
-				return BranchedRun{}, false
-			}
-			r, ok := p.decode(key)
-			// Cache hits bypass OnResult, so replays feed the precision
-			// observer here — a resumed space observes every run once.
-			if ok {
-				p.observe(key, r.Result)
-			}
-			return r, ok
+	var hits []BranchedRun // index-aligned, made on the first hit
+	miss := make([]int, 0, p.N)
+	for i := p.Lo; i < p.Lo+p.N; i++ {
+		key := p.key(cfgHash, i)
+		r, ok := p.replay(key)
+		if !ok {
+			miss = append(miss, i)
+			continue
 		}
+		if hits == nil {
+			hits = make([]BranchedRun, p.N)
+		}
+		hits[i-p.Lo] = r
+		p.observe(key, r.Result)
+	}
+	if len(miss) == 0 {
+		b.Runs = hits
+		return b, nil
+	}
+	checkpoint, err := base()
+	if err != nil {
+		return Branched{}, err
+	}
+	res := p.Resilience
+	opts := fleet.Options[BranchedRun]{
+		Workers:  fleet.Width(p.Workers),
+		Timeout:  res.JobTimeout,
+		Retries:  res.Retries,
+		Stop:     res.Stop,
+		TestHook: res.TestHook,
+		Indices:  miss,
+		Labels:   []string{"experiment", p.Label, "config", cfgHash},
 	}
 	if res.Journal != nil || res.Cache != nil || res.Observe != nil {
 		opts.OnResult = func(i, attempts int, r BranchedRun, err error) {
 			p.settle(p.key(cfgHash, i), attempts, r, err)
 		}
 	}
-	var err error
-	b.Runs, err = fleet.Run(opts, p.N, branchJob(checkpoint, p.SeedBase, p.spent, func(m *machine.Machine) (BranchedRun, error) {
+	runs, err := fleet.Run(opts, len(miss), branchJob(checkpoint, p.SeedBase, p.spent, func(m *machine.Machine) (BranchedRun, error) {
 		if p.Trace {
 			m.EnableTrace(p.TraceCap)
 		}
@@ -285,6 +275,13 @@ func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
 		}
 		return r, nil
 	}))
+	b.Runs = runs
+	if hits != nil {
+		for k, i := range miss {
+			hits[i-p.Lo] = runs[k]
+		}
+		b.Runs = hits
+	}
 	var inc *fleet.Incomplete
 	if errors.As(err, &inc) {
 		b.Missing = inc.Missing

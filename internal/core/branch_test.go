@@ -87,7 +87,6 @@ func TestBranchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgHash := journal.ConfigHash(e.Config)
 	n := e.Runs
 	captures := []struct {
 		name     string
@@ -156,15 +155,12 @@ func TestBranchEquivalence(t *testing.T) {
 			t.Run(name+"replay", func(t *testing.T) {
 				p, jw := journaled(t, plan, dir, true)
 				defer jw.Close()
-				got, ok := core.Replay(cfgHash, p)
-				if ok == c.trace {
-					t.Fatalf("whole-range replay = %v for a plan with trace = %v: events are not journaled", ok, c.trace)
-				}
-				if !ok {
-					// A traced plan re-runs over its own journal instead.
-					if got, err = core.Branch(base, p); err != nil {
-						t.Fatal(err)
-					}
+				var got core.Branched
+				cycles := simulated(t, func() (err error) { got, err = core.Branch(base, p); return err })
+				// A traced plan re-runs over its own journal: events are
+				// not journaled.
+				if (cycles == 0) == c.trace {
+					t.Fatalf("replay over a complete journal simulated %d cycles for a plan with trace = %v", cycles, c.trace)
 				}
 				sameOutcome(t, got, want)
 			})

@@ -197,16 +197,16 @@ type Resilience struct {
 	// Space.Missing.
 	Stop <-chan struct{}
 	// Observe, when non-nil, sees every successful run's result — live
-	// from the worker that settled it, and replayed for cache hits (both
-	// per-run hits and whole-range Replays), so a resumed experiment
-	// feeds the same observations a fresh one would. With a Cache it
-	// fires at most once per run key in a process (journal.Cache.Take),
-	// however often the run replays. It is a
-	// pure observer for the precision observatory (internal/precision):
-	// it must never feed anything back into the simulation, and because
-	// live calls arrive in host completion order, its state is not part
-	// of the byte-identical output contract. Implementations must be
-	// safe for concurrent calls.
+	// from the worker that settled it, and for cache hits replayed in
+	// index order on the calling goroutine before any run of the plan
+	// executes — so a resumed experiment feeds the same observations a
+	// fresh one would. With a Cache it fires at most once per run key in
+	// a process (journal.Cache.Take), however often the run replays. It
+	// is a pure observer for the precision observatory
+	// (internal/precision): it must never feed anything back into the
+	// simulation, and because live calls arrive in host completion
+	// order, its state is not part of the byte-identical output
+	// contract. Implementations must be safe for concurrent calls.
 	Observe func(key journal.Key, r machine.Result)
 	// TestHook injects scripted faults (internal/faultinject); tests
 	// only, nil on every production path.
@@ -284,26 +284,10 @@ func (e Experiment) spacePlan() BranchPlan {
 	return p
 }
 
-// Branch runs a plan against the experiment's checkpoint. When the
-// resume cache covers the plan's whole range the outcome is replayed
-// from the journal without preparing the machine — the warmup itself is
-// skipped, which is what makes resuming a finished experiment nearly
-// free.
+// Branch runs a plan against the experiment's checkpoint, prepared only
+// if some run of the plan is not in the store (branch).
 func (e Experiment) Branch(p BranchPlan) (Branched, error) {
-	return replayOrBranch(journal.ConfigHash(e.Config), e.Prepare, p)
-}
-
-// replayOrBranch is the one place a whole-range replay is tried before
-// the checkpoint is needed: base runs only when some run must execute.
-func replayOrBranch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan) (Branched, error) {
-	if b, ok := Replay(cfgHash, p); ok {
-		return b, nil
-	}
-	checkpoint, err := base()
-	if err != nil {
-		return Branched{}, err
-	}
-	return Branch(checkpoint, p)
+	return branch(journal.ConfigHash(e.Config), e.Prepare, p)
 }
 
 // RunKey returns run i's journal key — the identity the experiment's

@@ -145,11 +145,11 @@ func TestDigestedKillAndResume(t *testing.T) {
 	}
 }
 
-// TestCachedSpaceDigestsFastPath pins the full-journal fast path
-// (Replay over a digested plan) and
-// its refusal cases: a complete digested journal replays space and
-// streams without re-simulating, while a digest-less journal (from a
-// plain RunSpace) forces a re-run rather than serving half an answer.
+// TestCachedSpaceDigestsFastPath pins the full-journal fast path of a
+// digested plan and its refusal cases: a complete digested journal
+// replays space and streams without simulating, while a journal at
+// another cadence or without digests (from a plain RunSpace) forces a
+// re-run rather than serving half an answer.
 func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	dir := t.TempDir()
 	jw, err := journal.CreateDir(dir)
@@ -173,9 +173,9 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw2.Close()
 	r := digestExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	cb, ok := replayDigests(r)
-	if !ok {
-		t.Fatal("full digested journal did not satisfy Replay")
+	cb, cycles := replayDigests(t, r)
+	if cycles != 0 {
+		t.Fatalf("a full digested journal simulated %d cycles, want 0", cycles)
 	}
 	csp, csd := cb.Space(), cb.Digests()
 	if got := renderSpace(csp); string(got) != string(renderSpace(sp)) {
@@ -190,7 +190,7 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	r2 := digestExperiment(4)
 	r2.DigestIntervalNS = digTickNS * 2
 	r2.Resilience = core.Resilience{Cache: jc}
-	if _, ok := replayDigests(r2); ok {
+	if _, cycles := replayDigests(t, r2); cycles == 0 {
 		t.Error("cache hit despite a digest-cadence mismatch")
 	}
 
@@ -216,14 +216,17 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw4.Close()
 	r3 := digestExperiment(4)
 	r3.Resilience = core.Resilience{Cache: jc2}
-	if _, ok := replayDigests(r3); ok {
-		t.Error("digest-less journal satisfied Replay")
+	if _, cycles := replayDigests(t, r3); cycles == 0 {
+		t.Error("digest-less journal served a digested plan")
 	}
 }
 
-// replayDigests is the whole-range replay of e's digested plan.
-func replayDigests(e core.Experiment) (core.Branched, bool) {
-	return core.Replay(journal.ConfigHash(e.Config), e.BranchPlan())
+// replayDigests branches e's digested plan and returns the outcome with
+// the cycles it simulated: 0 when the store served every run.
+func replayDigests(t *testing.T, e core.Experiment) (b core.Branched, cycles int64) {
+	t.Helper()
+	cycles = simulated(t, func() (err error) { b, err = e.Branch(e.BranchPlan()); return err })
+	return b, cycles
 }
 
 // TestSpaceDigestsAttribution exercises the space-level view on a real

@@ -1,7 +1,7 @@
 // Observe-hook tests: the precision observatory's feed point
 // (Resilience.Observe) must see every successful run exactly once —
-// live from the fleet, per-run from the resume cache, and from the
-// whole-range Replay — without perturbing results.
+// live from the fleet and replayed from the resume cache — without
+// perturbing results.
 package core_test
 
 import (
@@ -89,7 +89,7 @@ func TestObserveFedFromCacheReplay(t *testing.T) {
 	var log observeLog
 	r := resumeExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc, Observe: (&log).hook()}
-	full, err := r.RunSpace() // whole-range Replay
+	full, err := r.RunSpace() // every run replays
 	if err != nil {
 		t.Fatal(err)
 	}

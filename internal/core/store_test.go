@@ -5,7 +5,10 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -135,5 +138,99 @@ func TestBranchSharesCache(t *testing.T) {
 	}
 	if d := journal.ReadStats().Hits - hits; d != 0 {
 		t.Errorf("in-process reuse counted %d journal replays, want 0", d)
+	}
+}
+
+// orderLog records, in order, the observer's calls and the fleet's
+// attempts: what a plan read from the store and what it executed.
+type orderLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (o *orderLog) add(format string, args ...any) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.events = append(o.events, fmt.Sprintf(format, args...))
+}
+
+func (o *orderLog) BeforeAttempt(index, attempt int) error {
+	o.add("run %d", index)
+	return nil
+}
+
+func (o *orderLog) AfterJob(int) {}
+
+// TestBranchReadsTheStoreFirst covers runs {0, 2, 4} of 6: Branch
+// observes those three in index order before any run executes, hands
+// the fleet only 1, 3 and 5, and returns exactly the cache-less outcome.
+func TestBranchReadsTheStoreFirst(t *testing.T) {
+	e := resumeExperiment(4)
+	e.Runs = 6
+	base, err := e.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := e.BranchPlan()
+	want, err := core.Branch(base, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	jw, err := journal.CreateDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := plan
+	p.Resilience = core.Resilience{Journal: jw}
+	if _, err := core.Branch(base, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := journal.Load(jw.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var even []journal.Record
+	for _, r := range res.Records {
+		if r.Index%2 == 0 {
+			even = append(even, r)
+		}
+	}
+
+	var log orderLog
+	p.Resilience = core.Resilience{
+		Cache:    journal.NewCache(even),
+		Observe:  func(k journal.Key, _ machine.Result) { log.add("observe %d", k.Index) },
+		TestHook: &log,
+	}
+	got, err := core.Branch(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a partly covered plan's outcome differs from the cache-less one")
+	}
+	if head := []string{"observe 0", "observe 2", "observe 4"}; len(log.events) < 3 || !reflect.DeepEqual(log.events[:3], head) {
+		t.Fatalf("events %q, want them to open with %q", log.events, head)
+	}
+	var ran, observed []string
+	for _, ev := range log.events[3:] {
+		if strings.HasPrefix(ev, "run ") {
+			ran = append(ran, ev)
+		} else {
+			observed = append(observed, ev)
+		}
+	}
+	sort.Strings(ran)
+	sort.Strings(observed)
+	if w := []string{"run 1", "run 3", "run 5"}; !reflect.DeepEqual(ran, w) {
+		t.Errorf("the fleet attempted %q, want %q", ran, w)
+	}
+	if w := []string{"observe 1", "observe 3", "observe 5"}; !reflect.DeepEqual(observed, w) {
+		t.Errorf("live runs observed %q, want %q", observed, w)
 	}
 }

@@ -13,7 +13,7 @@
 // runs, never *what* it computes. Index-ordered merging then makes the
 // output byte-identical to the sequential path for any worker count.
 //
-// Callers inside the wall (core.BranchSpace, the harness's
+// Callers inside the wall (core.Branch, the harness's
 // per-configuration space builds) may import and call this package:
 // the call site contains no forbidden construct, and the scheduler
 // guarantees the call is observationally sequential.
@@ -21,8 +21,10 @@
 // Run layers crash-safety on top of Map's scheduling (see
 // docs/RESILIENCE.md): per-attempt timeouts, bounded retries that
 // re-invoke the *same* job closure (so a retried job re-derives its
-// original seed — never a fresh one), journal replay through Cached,
-// completion hooks through OnResult, and graceful drain through Stop.
+// original seed — never a fresh one), completion hooks through
+// OnResult, and graceful drain through Stop. It schedules only: which
+// runs a journal already holds is core's business, and those never
+// reach the fleet.
 package fleet
 
 import (
@@ -78,8 +80,8 @@ var ErrTimeout = errors.New("fleet: job attempt timed out")
 // indices never ran. It is distinct from a job failure — callers use
 // errors.As to render a partial, resumable result instead of an error.
 type Incomplete struct {
-	Done    int   // jobs that completed (including cache replays)
-	Total   int   // jobs requested
+	Done    int   // jobs of this call that completed
+	Total   int   // jobs this call was given
 	Missing []int // indices never run, ascending
 }
 
@@ -96,8 +98,7 @@ type TestHook interface {
 	// non-nil return fails the attempt (retryable); the hook may also
 	// panic or block to simulate crashes and hangs.
 	BeforeAttempt(index, attempt int) error
-	// AfterJob runs once per executed job after its final attempt
-	// settles (never for cache replays).
+	// AfterJob runs once per job after its final attempt settles.
 	AfterJob(index int)
 }
 
@@ -135,8 +136,8 @@ func Read() Stats {
 }
 
 // Options configures a Run call. The zero value reproduces Map's
-// behaviour exactly: default width, no timeout, no retries, no cache,
-// no hooks, no drain.
+// behaviour exactly: default width, no timeout, no retries, no hooks,
+// no drain, jobs indexed [0, n).
 type Options[T any] struct {
 	// Workers is the pool width: <= 0 selects DefaultWorkers, 1 the
 	// sequential path. (Callers holding the experiment-facing
@@ -156,11 +157,7 @@ type Options[T any] struct {
 	// its original perturbation seed — the retry/seed contract that
 	// keeps retried runs byte-identical to first-try successes.
 	Retries int
-	// Cached, when non-nil, is consulted before running a job: a hit
-	// (a journal replay on resume) is merged at the job's index
-	// without running it, without OnResult, and without TestHook.
-	Cached func(i int) (T, bool)
-	// OnResult, when non-nil, observes every executed job's final
+	// OnResult, when non-nil, observes every job's final
 	// settlement — result or terminal error, with the attempt count —
 	// from the worker goroutine that ran it. This is where the result
 	// journal appends; implementations must be safe for concurrent
@@ -177,16 +174,15 @@ type Options[T any] struct {
 	// in-flight attempts run to completion and are journaled, and Run
 	// returns *Incomplete listing the indices that never ran.
 	Stop <-chan struct{}
-	// IndexBase offsets every externally visible job index by a fixed
-	// base: job i of this Run call is presented as IndexBase+i to the
-	// job closure, Cached, OnResult, TestHook, JobError and
-	// Incomplete.Missing, while results still merge at local index i.
-	// Round-based schedulers (internal/sampling) use it to submit a
-	// space in index ranges [base, base+n) across successive Run calls
-	// so every run keeps its global (experiment, config hash, derived
-	// seed, run index) identity. Zero reproduces the historical
-	// zero-based indexing.
-	IndexBase int
+	// Indices, when non-nil, names the n jobs of this Run call (n must
+	// be len(Indices)): job i is presented as Indices[i] to the job
+	// closure, OnResult, TestHook, JobError and Incomplete.Missing,
+	// while its result still merges at position i. core.Branch passes
+	// the run indices a journal does not already hold, so every run
+	// keeps its global (experiment, config hash, derived seed, run
+	// index) identity however a space is split across calls and
+	// replays. Nil indexes the jobs [0, n).
+	Indices []int
 	// TestHook scripts faults into attempts; tests only.
 	TestHook TestHook
 }
@@ -200,6 +196,14 @@ func (o *Options[T]) stopped() bool {
 	default:
 		return false
 	}
+}
+
+// index is job i's externally visible index.
+func (o *Options[T]) index(i int) int {
+	if o.Indices != nil {
+		return o.Indices[i]
+	}
+	return i
 }
 
 // Pool is a free list jobs pass finished values through, within one
@@ -256,7 +260,7 @@ func Map[T any](workers, n int, job func(int) (T, error)) ([]T, error) {
 }
 
 // Run is Map with resilience: the same index-ordered merge and
-// run-every-job scheduling, plus the timeout/retry/cache/journal/drain
+// run-every-job scheduling, plus the timeout/retry/journal/drain
 // behaviour documented on Options. The returned error is, in priority
 // order: the lowest-index job failure (a *JobError), else *Incomplete
 // when a drain left jobs unrun, else nil.
@@ -277,14 +281,7 @@ func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 	jobsTotal.Add(int64(n))
 	runOne := func(i int) {
 		ran[i] = true
-		gi := opts.IndexBase + i // the job's global (externally visible) index
-		if opts.Cached != nil {
-			if v, ok := opts.Cached(gi); ok {
-				results[i] = v
-				jobsDone.Add(1)
-				return
-			}
-		}
+		gi := opts.index(i)
 		busyWorkers.Add(1)
 		var v T
 		var attempts int
@@ -336,7 +333,7 @@ func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 	var missing []int
 	for i := range ran {
 		if !ran[i] {
-			missing = append(missing, opts.IndexBase+i)
+			missing = append(missing, opts.index(i))
 		}
 	}
 	if missing != nil {

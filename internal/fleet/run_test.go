@@ -235,57 +235,6 @@ func TestRunErrorBeatsIncomplete(t *testing.T) {
 	}
 }
 
-// TestRunCachedReplaysWithoutExecuting: cached indices merge at their
-// slot without running the job, invoking the hook, or re-journaling.
-func TestRunCachedReplaysWithoutExecuting(t *testing.T) {
-	hook := &scriptHook{}
-	var executed, journaled []int
-	var mu sync.Mutex
-	got, err := Run(Options[int]{
-		Workers: 2,
-		Cached: func(i int) (int, bool) {
-			if i%2 == 0 {
-				return i * 100, true
-			}
-			return 0, false
-		},
-		OnResult: func(i, attempts int, v int, err error) {
-			mu.Lock()
-			journaled = append(journaled, i)
-			mu.Unlock()
-		},
-		TestHook: hook,
-	}, 6, func(i int) (int, error) {
-		mu.Lock()
-		executed = append(executed, i)
-		mu.Unlock()
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		want := i
-		if i%2 == 0 {
-			want = i * 100
-		}
-		if v != want {
-			t.Errorf("result[%d] = %d, want %d", i, v, want)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(executed) != 3 || len(journaled) != 3 || len(hook.after) != 3 {
-		t.Errorf("executed=%v journaled=%v hooked=%v; want only the 3 odd indices in each",
-			executed, journaled, hook.after)
-	}
-	for _, i := range executed {
-		if i%2 == 0 {
-			t.Errorf("cached job %d was executed", i)
-		}
-	}
-}
-
 // TestRunStatsRetryTimeoutCounters: retry and timeout activity advances
 // the process-wide counters the heartbeat and /metrics read.
 func TestRunStatsRetryTimeoutCounters(t *testing.T) {

@@ -142,6 +142,28 @@ func TestParallelByteIdenticalBranchSpace(t *testing.T) {
 	}
 }
 
+// TestTable4ByteIdenticalAcrossWidths runs quick Table 4 — five run
+// lengths branched concurrently from one prepared checkpoint, each a
+// fleet of its own — at width 4 and requires the width-1 stdout. Under
+// the race detector (make race) it also checks that the concurrent
+// branches only read the shared checkpoint.
+func TestTable4ByteIdenticalAcrossWidths(t *testing.T) {
+	e, ok := harness.Find("table4")
+	if !ok {
+		t.Fatal("table4 experiment not found")
+	}
+	var outs [2]bytes.Buffer
+	for i, workers := range []int{1, 4} {
+		h := harness.New(harness.Options{Out: &outs[i], Seed: 11, Quick: true, Workers: workers})
+		if err := h.RunOne(e); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Errorf("stdout differs between -j 1 and -j 4:\n-j 1: %s\n-j 4: %s", outs[0].Bytes(), outs[1].Bytes())
+	}
+}
+
 // TestParallelByteIdenticalTimeSample pins the same guarantee on the
 // TimeSample path: per-checkpoint spaces branched at several fleet
 // widths must marshal to byte-identical JSON.

@@ -314,8 +314,10 @@ func (h *H) Table4RunLengths() error {
 		return err
 	}
 	// Each run length branches its own space from the shared prepared
-	// checkpoint; Snapshot is read-only on its receiver, so the five
-	// lengths fan out on the fleet concurrently.
+	// checkpoint. Snapshot is read-only only on a frozen machine, and
+	// Branch freezes its checkpoint, so freeze it once here: then the
+	// five lengths fan out on the fleet concurrently without a write.
+	base.Freeze()
 	lengths := []int64{200, 400, 600, 800, 1000}
 	spaces, err := fleet.Run(fleet.Options[core.Space]{
 		Workers: fleet.Width(h.opt.Workers),

@@ -497,9 +497,9 @@ func (c *Cache) replayed(key Key) {
 }
 
 // Has reports whether key would hit — an ok record exists — without
-// counting a cache hit or touching the record. Round schedulers peek
-// with it to decide whether a round is fully replayable (and a
-// checkpoint build can be skipped) before actually replaying. Nil-safe.
+// counting a cache hit or touching the record. core peeks with it
+// before it reads a run back, so a record it cannot use (a digested
+// plan's run without its digest record) counts no hit. Nil-safe.
 func (c *Cache) Has(key Key) bool {
 	if c == nil {
 		return false
