@@ -17,7 +17,9 @@
 # check; `make spine-gates`, the CI benchmark step, holds seven of the
 # spine's own readings to absolute rules; `make spine-ab PARENT=<ref>
 # WORKLOAD=<name>` measures the working tree against a parent commit in
-# order-alternated pairs (scripts/ab.sh). `make loc` prints the
+# order-alternated pairs (scripts/ab.sh), and with
+# WORKLOAD=experiments:<name> times a full-scale `experiments -j 1`
+# run of one paper experiment the same way, stdout held byte-identical. `make loc` prints the
 # non-test and test Go line counts per package (bench/ apart from the
 # rest), the "net lines" a PR reports.
 
@@ -110,10 +112,14 @@ spine-gates:
 # end-to-end metric, each side's median and quartiles, wins per metric
 # and whether sim_checksum agreed — what a clocked claim on a host that
 # drifts 25 % in seconds has to rest on. PAIRS defaults to 10.
+# WORKLOAD=experiments:<name> (e.g. experiments:table3, ~80 s a run)
+# times full-scale `experiments -j 1 -heartbeat 0 <name>` instead:
+# each side's wall-clock median and quartiles, failing unless every
+# pair's stdouts are byte-identical.
 PAIRS ?= 10
 
 spine-ab:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make spine-ab PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=...]"; exit 2; }
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make spine-ab PARENT=<ref> WORKLOAD=<name>|experiments:<name> [PAIRS=10] [SEED=...]"; exit 2; }
 	scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 fmt:

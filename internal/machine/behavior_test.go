@@ -88,13 +88,12 @@ type writeLog struct {
 	blocks    map[uint64]bool
 }
 
-func (w *writeLog) Next(tid int) workload.Op {
-	op := w.Instance.Next(tid)
+func (w *writeLog) NextInto(tid int, op *workload.Op) {
+	w.Instance.NextInto(tid, op)
 	switch op.Kind {
 	case workload.OpStore, workload.OpLockAcq, workload.OpLockRel:
 		w.blocks[op.Addr>>w.blockBits] = true
 	}
-	return op
 }
 
 // TestMESIWritesLeaveExclusive checks the silent E->M upgrade in situ,

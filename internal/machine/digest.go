@@ -15,8 +15,10 @@ const bpredFullEvery = 16
 // EnableDigests starts per-interval state digesting: every intervalNS
 // of simulated time a KindDrain tick folds each component's state into
 // the run's digest chains (see internal/digest). Digesting is
-// observation-only — it reads component state and never mutates it, so
-// the simulated trajectory is unchanged. When metric sampling is also
+// observation-only — it never touches simulated state, so the simulated
+// trajectory is unchanged; the one thing it may write is a host-side
+// cache of it, the cache signatures mem.Cache.StateSig folds on first
+// read. When metric sampling is also
 // enabled the intervals must match; both ride one KindDrain stream.
 // Calling it again is a no-op.
 func (m *Machine) EnableDigests(intervalNS int64) {
@@ -60,9 +62,12 @@ func hashOp(h *digest.Hash, op *workload.Op) {
 
 // digestVector computes the raw per-component state hashes for the
 // current instant. Costs are kept off the simulation hot paths: the
-// cache hierarchy contributes O(caches) incremental signatures rather
-// than an O(lines) scan (see mem.Cache.StateSig), and the predictor
-// tables are folded in full only every bpredFullEvery-th interval.
+// cache hierarchy contributes O(caches) signatures — folded once, in
+// O(lines), at a lineage's first digest, which fills that host-side
+// cache of simulated state without touching the state itself, and kept
+// current by the cache writes from then on (see mem.Cache.StateSig) —
+// and the predictor tables are folded in full only every
+// bpredFullEvery-th interval.
 func (m *Machine) digestVector() digest.Vector {
 	var raw digest.Vector
 

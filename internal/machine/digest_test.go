@@ -119,6 +119,42 @@ func TestDigestsAcrossSnapshotBranches(t *testing.T) {
 	}
 }
 
+// TestDigestsIndependentOfFirstSigRead: a cache signature is folded on
+// its lineage's first read and kept current from then on, so when it was
+// first read must not show in any digest. Two identical checkpoints —
+// one never read, one whose every cache signature was read before Freeze
+// — are snapshotted and branched with digests on, on both cores; the
+// two series must be identical, and must not be empty.
+func TestDigestsIndependentOfFirstSigRead(t *testing.T) {
+	for _, proc := range []config.ProcessorKind{config.SimpleProc, config.OOOProc} {
+		cfg := testConfig()
+		cfg.Processor = proc
+		branch := func(readFirst bool) digest.Series {
+			m := mustMachine(t, cfg, "oltp", 3, 11)
+			if _, err := m.Run(10); err != nil {
+				t.Fatal(err)
+			}
+			if readFirst {
+				h := digest.New()
+				m.snoop.HashInto(&h)
+			}
+			m.Freeze()
+			s := m.Snapshot()
+			s.SetPerturbSeed(41)
+			s.EnableDigests(digTickNS)
+			if _, err := s.Run(10); err != nil {
+				t.Fatal(err)
+			}
+			return s.DigestSeries()
+		}
+		cold, live := branch(false), branch(true)
+		if cold.Len() == 0 || !seriesEqual(cold, live) {
+			t.Fatalf("%v: digest series of a never-read checkpoint's branch (%d samples) and a read one's (%d) differ",
+				proc, cold.Len(), live.Len())
+		}
+	}
+}
+
 func TestDigestsShareDrainStreamWithSampling(t *testing.T) {
 	m := mustMachine(t, testConfig(), "oltp", 7, 99)
 	m.EnableSampling(digTickNS)

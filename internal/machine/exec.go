@@ -336,7 +336,7 @@ func (m *Machine) runCPU(cpu int32) {
 			// cannot fire before it) or the batch budget. A fetch that
 			// stalls parks the one op it was for, as below.
 			if m.fetch(cpu, pc, &t) {
-				cs.pending = m.wl.Next(int(tid))
+				m.wl.NextInto(int(tid), &cs.pending)
 				cs.hasPending = true
 				return
 			}
@@ -350,7 +350,7 @@ func (m *Machine) runCPU(cpu int32) {
 			}
 			continue
 		} else {
-			cs.pending = m.wl.Next(int(tid))
+			m.wl.NextInto(int(tid), &cs.pending)
 			cs.hasPending = true
 		}
 		// The op is executed where it lies: nothing below writes pending

@@ -27,9 +27,9 @@ func count(n *callCounts) func(workload.Instance) workload.Instance {
 	return func(wl workload.Instance) workload.Instance { return countingInstance{wl, n} }
 }
 
-func (c countingInstance) Next(tid int) workload.Op {
+func (c countingInstance) NextInto(tid int, op *workload.Op) {
 	c.n.next++
-	return c.Instance.Next(tid)
+	c.Instance.NextInto(tid, op)
 }
 
 func (c countingInstance) RunPC(tid int) (uint64, bool) {
@@ -54,7 +54,7 @@ func (c countingInstance) Freeze() { c.Instance.(workload.Freezer).Freeze() }
 // TestBulkPathLive guards the failure the bulk path invites: a machine
 // that does not use it — a snapshot that lost the wiring, say — is
 // still right, bit for bit, only a third slower, so no identity test
-// can see it. On this 8-CPU OLTP window the per-op core makes 292 Next
+// can see it. On this 8-CPU OLTP window the per-op core makes 292 NextInto
 // calls per 1000 instructions; with compute runs consumed in bulk it
 // makes about 75 (59 once the code is warm in the L2s: what is left
 // is the ops outside runs and one op for each fetch that stalled).
@@ -148,5 +148,5 @@ func TestBulkPathLive(t *testing.T) {
 			t.Fatalf("the OOO core made %d RunPC and %d StepRun calls; it must see every op", n.runPC, n.stepRun)
 		}
 	})
-	t.Logf("simple core, all cases: %d Next, %d RunPC, %d StepRun calls", n.next, n.runPC, n.stepRun)
+	t.Logf("simple core, all cases: %d NextInto, %d RunPC, %d StepRun calls", n.next, n.runPC, n.stepRun)
 }

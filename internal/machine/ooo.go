@@ -261,7 +261,7 @@ func (m *Machine) runOOO(cpu int32) {
 			return
 		}
 		if !cs.hasPending {
-			cs.pending = m.wl.Next(int(tid))
+			m.wl.NextInto(int(tid), &cs.pending)
 			cs.hasPending = true
 		}
 		op := &cs.pending // executed where it lies, as in runCPU

@@ -137,6 +137,8 @@ type Cache struct {
 	// in place; bit len(tags)+p says the same of rank page p.
 	owned  []uint64
 	frozen bool // no page materialized since the last Freeze
+	// sigLive says sig is current (see sig); it fills frozen's padding.
+	sigLive bool
 
 	tagPl, rankPl plane
 
@@ -144,15 +146,19 @@ type Cache struct {
 	sets    int
 	setMask uint64
 
-	// sig is an incremental XOR-fold over the valid lines' (way, tag,
-	// state, dirty) tuples — the cache's contribution to interval state
-	// digests. It is maintained at the state-changing sites (Fill,
-	// SetState, SetDirty, Invalidate) so reading it is O(1) instead of
-	// O(lines); an empty cache's sig is 0 because invalid lines
-	// contribute nothing. Recency ranks and hit/miss counters are
-	// deliberately excluded: a pure replacement-order difference is
-	// detected at the next victim choice it changes, which keeps the
-	// hot Probe path free of digest work.
+	// sig is an XOR-fold over the valid lines' (way, tag, state, dirty)
+	// tuples — the cache's contribution to interval state digests, and
+	// read nowhere else. It is folded on first read: until StateSig is
+	// first called sigLive is false, sig is unset and no write pays for
+	// it; that call folds the tag pages once, in O(lines), and from then
+	// on the state-changing sites (Fill, SetState, SetDirty, Invalidate)
+	// keep it current, so every later read is O(1). A clone copies both
+	// fields, so a lineage that digests pays the fold once, at its first
+	// digest. An empty cache's sig is 0 because invalid lines contribute
+	// nothing. Recency ranks and hit/miss counters are deliberately
+	// excluded: a pure replacement-order difference is detected at the
+	// next victim choice it changes, which keeps the hot Probe path free
+	// of digest work.
 	sig uint64
 
 	// Statistics.
@@ -286,7 +292,7 @@ func (c *Cache) lookup(block uint64) (pg *tagPage, base, w int) {
 }
 
 // setWord stores nw into way w of block's set, materializing the tag
-// page and folding the change into sig.
+// page and, once sig has been read, folding the change into it.
 func (c *Cache) setWord(block uint64, w int, nw uint32) {
 	set := block & c.setMask
 	p, base := c.tagPl.locate(set, c.assoc)
@@ -294,8 +300,10 @@ func (c *Cache) setWord(block uint64, w int, nw uint32) {
 	if !c.isOwned(p) {
 		pg = c.ownTags(p)
 	}
-	i := int(set)*c.assoc + w
-	c.sig ^= lineSig(i, uint64(pg[base+w])) ^ lineSig(i, uint64(nw))
+	if c.sigLive {
+		i := int(set)*c.assoc + w
+		c.sig ^= lineSig(i, uint64(pg[base+w])) ^ lineSig(i, uint64(nw))
+	}
 	pg[base+w] = nw
 }
 
@@ -402,30 +410,47 @@ func (c *Cache) Fill(block uint64, s State) (v Victim, evicted bool) {
 		// block's high bits and the line would answer for another.
 		panic(fmt.Sprintf("mem: Fill of block %#x, beyond the %d-bit block range of a line word", block, blockBits))
 	}
-	ways := pg[base : base+c.assoc]
-	for i, word := range ways {
+	return c.insert(block, uint32(block)<<tagShift|uint32(s))
+}
+
+// insert puts block, which the cache does not hold, into its set as the
+// most recently used line, with line word nw (block, dirty bit and
+// state), evicting the LRU way if the set is full; Fill's absent-line
+// path. On a full set the ranks are 1..assoc and the victim holds the
+// last, so one pass over the rank bytes finds it and re-ranks the set as
+// promote would: the victim takes 1 and every other way ages by one. A
+// direct-mapped set's one way keeps rank 1, so its eviction writes no
+// rank byte and copies no rank page.
+func (c *Cache) insert(block uint64, nw uint32) (Victim, bool) {
+	p, base := c.tagPl.locate(block&c.setMask, c.assoc)
+	ways := c.tags[p][base : base+c.assoc]
+	for w, word := range ways {
 		if word == 0 {
-			w = i
-			break
+			c.setWord(block, w, nw)
+			c.promote(block, w)
+			return Victim{}, false
 		}
 	}
-	if w < 0 {
-		// Full set: the ranks are 1..assoc and the victim holds the last.
+	w := 0
+	if c.assoc > 1 {
 		rp, rbase := c.rankPl.locate(block&c.setMask, c.assoc)
-		for i, r := range c.ranks[rp][rbase : rbase+c.assoc] {
-			if int(r) == c.assoc {
-				w = i
-				break
-			}
+		rpg := c.ranks[rp]
+		if !c.isOwned(len(c.tags) + rp) {
+			rpg = c.ownRanks(rp)
 		}
-		old := ways[w]
-		v = Victim{Block: uint64(old >> tagShift), State: State(old & stateMask), Dirty: old&dirtyBit != 0}
-		evicted = true
-		c.Evictions++
+		rs := rpg[rbase : rbase+c.assoc]
+		lru := uint8(c.assoc)
+		for i, r := range rs {
+			if r == lru {
+				w, r = i, 0
+			}
+			rs[i] = r + 1
+		}
 	}
-	c.setWord(block, w, uint32(block)<<tagShift|uint32(s))
-	c.touch(block, w)
-	return v, evicted
+	old := ways[w]
+	c.Evictions++
+	c.setWord(block, w, nw)
+	return Victim{Block: uint64(old >> tagShift), State: State(old & stateMask), Dirty: old&dirtyBit != 0}, true
 }
 
 // Invalidate removes block and returns its prior state and dirtiness.
@@ -515,8 +540,7 @@ func (c *Cache) Materialize() {
 }
 
 // wordAt and rankAt return the packed word and the recency rank of the
-// line at set-major global index i (set*assoc + way). For foldSig and
-// tests.
+// line at set-major global index i (set*assoc + way). For tests.
 func (c *Cache) wordAt(i int) uint64 {
 	p, base := c.tagPl.locate(uint64(i/c.assoc), c.assoc)
 	return uint64(c.tags[p][base+i%c.assoc])

@@ -112,10 +112,10 @@ func TestCloneIsolation(t *testing.T) {
 	if !linesEqual(snapshotLines(c), parentBefore) {
 		t.Fatal("clone writes leaked into the parent")
 	}
-	if c.sig != c.foldSig() {
+	if c.StateSig() != c.foldSig() {
 		t.Fatal("parent sig drifted from foldSig")
 	}
-	if cp.sig != cp.foldSig() {
+	if cp.StateSig() != cp.foldSig() {
 		t.Fatal("clone sig drifted from foldSig")
 	}
 }
@@ -183,7 +183,7 @@ func TestCloneNeverInheritsSpares(t *testing.T) {
 				t.Fatalf("writer %d block %d = %v, want its own %v", i, b, got, w.s)
 			}
 		}
-		if w.c.sig != w.c.foldSig() {
+		if w.c.StateSig() != w.c.foldSig() {
 			t.Fatalf("writer %d sig drifted from foldSig", i)
 		}
 		for j := 0; j < i; j++ {
@@ -222,7 +222,7 @@ func TestSpareIsOverwrittenWhole(t *testing.T) {
 		}
 	}
 	over, fresh := base.CloneOver(spent), base.Clone()
-	if !linesEqual(snapshotLines(over), snapshotLines(fresh)) || over.sig != fresh.sig {
+	if !linesEqual(snapshotLines(over), snapshotLines(fresh)) || over.StateSig() != fresh.StateSig() {
 		t.Fatal("clone over a poisoned cache differs from a fresh clone before any write")
 	}
 	for i := 0; i < 4000; i++ {
@@ -251,8 +251,8 @@ func TestSpareIsOverwrittenWhole(t *testing.T) {
 		if !linesEqual(snapshotLines(over), snapshotLines(fresh)) {
 			t.Fatalf("%s: lines differ from the fresh clone's", when)
 		}
-		if over.sig != over.foldSig() || over.sig != fresh.sig {
-			t.Fatalf("%s: sig %x, fold %x, fresh %x", when, over.sig, over.foldSig(), fresh.sig)
+		if over.StateSig() != over.foldSig() || over.StateSig() != fresh.StateSig() {
+			t.Fatalf("%s: sig %x, fold %x, fresh %x", when, over.StateSig(), over.foldSig(), fresh.StateSig())
 		}
 		if over.Hits != fresh.Hits || over.Misses != fresh.Misses || over.Evictions != fresh.Evictions {
 			t.Fatalf("%s: counters differ from the fresh clone's", when)
@@ -337,7 +337,7 @@ func TestCloneChain(t *testing.T) {
 		t.Fatal("descendant writes leaked into the root")
 	}
 	for _, cc := range []*Cache{c, child, grand} {
-		if cc.sig != cc.foldSig() {
+		if cc.StateSig() != cc.foldSig() {
 			t.Fatal("sig drifted from foldSig in clone chain")
 		}
 	}
@@ -421,7 +421,7 @@ func TestCOWMatchesDeepProperty(t *testing.T) {
 		}
 		return linesEqual(snapshotLines(cow), snapshotLines(deep)) &&
 			cow.StateSig() == deep.StateSig() &&
-			cow.sig == cow.foldSig() && deep.sig == deep.foldSig()
+			cow.StateSig() == cow.foldSig() && deep.StateSig() == deep.foldSig()
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,9 @@ func TestCOWMatchesDeepProperty(t *testing.T) {
 
 // TestFrozenCloneIsReadOnly: cloning a frozen cache concurrently is
 // safe — pinned here sequentially by checking Freeze leaves no page of
-// either plane owned and Clone does not write to the parent.
+// either plane owned, and neither Clone nor the clone's first StateSig,
+// which folds the signature the never-read base never had, writes to
+// the parent.
 func TestFrozenCloneIsReadOnly(t *testing.T) {
 	c := bigCache()
 	for b := uint64(0); b < 64; b++ {
@@ -446,10 +448,17 @@ func TestFrozenCloneIsReadOnly(t *testing.T) {
 		t.Fatalf("%d tag and %d rank pages still owned after Freeze", tags, ranks)
 	}
 	tagTable, rankTable := append([]*tagPage(nil), c.tags...), append([]*rankPage(nil), c.ranks...)
+	lines := snapshotLines(c)
 	_ = c.Clone()
 	cp := c.Clone()
+	if got, want := cp.StateSig(), cp.foldSig(); got != want || got == 0 {
+		t.Fatalf("clone's first StateSig %x, fold %x", got, want)
+	}
 	if tags, ranks := ownedPages(c); tags != 0 || ranks != 0 || !c.frozen {
 		t.Fatal("Clone of a frozen cache wrote to the parent")
+	}
+	if c.sigLive || c.sig != 0 || !linesEqual(snapshotLines(c), lines) {
+		t.Fatal("the clone's first StateSig wrote to its frozen base")
 	}
 	for p := range c.tags {
 		if c.tags[p] != tagTable[p] || cp.tags[p] != tagTable[p] {
@@ -459,6 +468,32 @@ func TestFrozenCloneIsReadOnly(t *testing.T) {
 	for p := range c.ranks {
 		if c.ranks[p] != rankTable[p] || cp.ranks[p] != rankTable[p] {
 			t.Fatalf("rank page %d not shared after Clone of a frozen cache", p)
+		}
+	}
+}
+
+// TestEvictionOnFrozenCloneCopies pins what an evicting fill on a
+// frozen clone copies: its tag page always, and the rank page only when
+// the set has more than one way to re-rank — a direct-mapped set's one
+// way keeps rank 1, so its eviction writes no rank byte.
+func TestEvictionOnFrozenCloneCopies(t *testing.T) {
+	for _, tc := range []struct{ assoc, rankPages int }{{1, 0}, {4, 1}} {
+		const sets = 1024
+		c := NewCache(config.CacheConfig{SizeBytes: sets * tc.assoc * 64, Assoc: tc.assoc, BlockBits: 6})
+		for w := range tc.assoc {
+			c.Fill(uint64(w)*sets+5, Shared) // fill set 5
+		}
+		c.Freeze()
+		cp := c.Clone()
+		v, evicted := cp.Fill(uint64(tc.assoc)*sets+5, Modified)
+		if !evicted || v.Block != 5 {
+			t.Fatalf("assoc %d: Fill evicted %+v (%v), want block 5", tc.assoc, v, evicted)
+		}
+		if tags, ranks := ownedPages(cp); tags != 1 || ranks != tc.rankPages {
+			t.Fatalf("assoc %d: eviction copied %d tag and %d rank pages, want 1 and %d", tc.assoc, tags, ranks, tc.rankPages)
+		}
+		if tags, ranks := ownedPages(c); tags != 0 || ranks != 0 || c.GetState(5) != Shared {
+			t.Fatalf("assoc %d: eviction on the clone wrote to its frozen base", tc.assoc)
 		}
 	}
 }

@@ -46,6 +46,12 @@ func agree(c *Cache, ref *refCache) error {
 // scribbled-on clone of the same cache, one of an earlier generation of
 // it, a cache of another geometry — which must change nothing: the
 // reference deep-copies every time.
+//
+// The signature is first read at a random step, and then now and then,
+// each read held to foldSig and to the reference's: so it is first
+// read on a cache never read before, on a clone of a never-read base,
+// and incrementally on clones of a live base and on clones built over
+// a spent cache that was live — each case met in every geometry.
 func TestPackedMatchesReference(t *testing.T) {
 	geometries := []config.CacheConfig{
 		{SizeBytes: 4 * 64, Assoc: 1, BlockBits: 6},                                  // direct-mapped, 4 sets
@@ -57,9 +63,11 @@ func TestPackedMatchesReference(t *testing.T) {
 		{SizeBytes: 16 * config.MaxAssoc * 64, Assoc: config.MaxAssoc, BlockBits: 6}, // two sets per tag page
 	}
 	states := []State{Shared, Owned, Modified, Exclusive}
+	cases := []string{"never-read cache", "clone of a never-read base", "clone of a live base", "CloneOver of a spent live cache"}
 	for gi, cfg := range geometries {
 		t.Run(fmt.Sprintf("assoc%d", cfg.Assoc), func(t *testing.T) {
 			var failure error
+			met := make([]int, len(cases))
 			if err := quick.Check(func(seed uint64, nOps uint16) bool {
 				c, ref := NewCache(cfg), newRefCache(cfg)
 				var older *Cache // a spent clone of an earlier generation of c
@@ -69,6 +77,17 @@ func TestPackedMatchesReference(t *testing.T) {
 				}
 				var left []generation
 				r := rng.New(seed)
+				steps := int(nOps) % 1500
+				// Early as often as late: a cache is cloned about every
+				// sixteenth step.
+				firstRead := r.Intn(steps+1) >> r.Intn(6)
+				cloned := false // c was cloned, or is a clone, before its first read
+				readSig := func(i int) error {
+					if got, fold := c.StateSig(), c.foldSig(); got != fold || got != ref.sig {
+						return fmt.Errorf("op %d: StateSig %x, fold %x, reference %x", i, got, fold, ref.sig)
+					}
+					return nil
+				}
 				// Twice as many tags as ways over a handful of sets spread
 				// across the whole index range: sets fill and evict fast.
 				// The tags run evenly from 0 to the last one a line word
@@ -83,6 +102,9 @@ func TestPackedMatchesReference(t *testing.T) {
 				// scribble makes x own pages whose lines are not c's, and
 				// returns it: a finished branch, ready to be cloned over.
 				scribble := func(x *Cache) *Cache {
+					if r.Bool(0.5) {
+						x.StateSig()
+					}
 					for n := 1 + r.Intn(40); n > 0; n-- {
 						switch b := block(); r.Intn(3) {
 						case 0:
@@ -95,7 +117,21 @@ func TestPackedMatchesReference(t *testing.T) {
 					}
 					return x
 				}
-				for i := 0; i < int(nOps)%1500; i++ {
+				for i := 0; i < steps; i++ {
+					if i == firstRead {
+						if cloned {
+							met[1]++
+						} else {
+							met[0]++
+						}
+						if failure = readSig(i); failure != nil {
+							return false
+						}
+					} else if i > firstRead && r.Intn(8) == 0 {
+						if failure = readSig(i); failure != nil {
+							return false
+						}
+					}
 					b := block()
 					switch op := r.Intn(16); {
 					case op < 5:
@@ -149,12 +185,19 @@ func TestPackedMatchesReference(t *testing.T) {
 							// bitmap's unused tail bits are set.
 							spent = scribble(NewCache(geometries[(gi+1)%len(geometries)]))
 						}
+						if i > firstRead {
+							met[2]++
+						}
+						if spent != nil && spent.sigLive {
+							met[3]++
+						}
 						older = scribble(c.Clone())
 						cc, rc := c.CloneOver(spent), ref.Clone()
 						if spent != nil && cc != spent {
 							failure = fmt.Errorf("op %d CloneOver did not build in the spent cache", i)
 							return false
 						}
+						cloned = cloned || i < firstRead
 						if r.Bool(0.5) {
 							c, cc = cc, c
 							ref, rc = rc, ref
@@ -175,6 +218,12 @@ func TestPackedMatchesReference(t *testing.T) {
 			}, &quick.Config{MaxCount: 40}); err != nil {
 				t.Fatalf("%v\n%v", err, failure)
 			}
+			for k, n := range met {
+				if n == 0 {
+					t.Errorf("no signature read covered the case %q", cases[k])
+				}
+			}
+			t.Logf("signature cases met: %v", met)
 		})
 	}
 }

@@ -21,27 +21,42 @@ func lineSig(i int, word uint64) uint64 {
 	return digest.Mix64(h)
 }
 
-// StateSig returns the cache's incremental state signature: equal for
-// two caches iff (with overwhelming probability) they hold the same
-// lines in the same ways with the same coherence states and dirtiness.
-func (c *Cache) StateSig() uint64 { return c.sig }
+// StateSig returns the cache's state signature: equal for two caches
+// iff (with overwhelming probability) they hold the same lines in the
+// same ways with the same coherence states and dirtiness. The first
+// call on a cache — or on the clone lineage it belongs to, since clones
+// copy the signature — folds it from the tag pages in O(lines); from
+// then on the writes keep it current and a read is O(1). Either way it
+// writes only the cache's own sig and sigLive, never a page, so a clone
+// may read its signature while its frozen base is cloned elsewhere.
+func (c *Cache) StateSig() uint64 {
+	if !c.sigLive {
+		c.sig, c.sigLive = c.foldSig(), true
+	}
+	return c.sig
+}
 
-// foldSig recomputes the signature from scratch — the ground truth the
-// incremental sig must track; tests assert they agree after arbitrary
-// operation sequences.
+// foldSig computes the signature from scratch, page by page with empty
+// words skipped: what StateSig's first read starts from, and the ground
+// truth tests hold every later read to after arbitrary operations.
 func (c *Cache) foldSig() uint64 {
 	var sig uint64
-	for i := 0; i < c.sets*c.assoc; i++ {
-		sig ^= lineSig(i, c.wordAt(i))
+	per := c.assoc << c.tagPl.shift // lines per tag page; the rest is padding
+	for p, pg := range c.tags {
+		for j, word := range pg[:per] {
+			if word != 0 {
+				sig ^= lineSig(p*per+j, uint64(word))
+			}
+		}
 	}
 	return sig
 }
 
 // HashInto folds the node's three cache signatures into h.
 func (n *NodeCaches) HashInto(h *digest.Hash) {
-	h.U64(n.L1I.sig)
-	h.U64(n.L1D.sig)
-	h.U64(n.L2.sig)
+	h.U64(n.L1I.StateSig())
+	h.U64(n.L1D.StateSig())
+	h.U64(n.L2.StateSig())
 }
 
 // HashInto folds the full hierarchy state into h: every node's cache

@@ -1,10 +1,14 @@
 package mem
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"testing"
 
 	"varsim/internal/config"
 	"varsim/internal/digest"
+	"varsim/internal/rng"
 )
 
 // refCache is the array-of-structs cache the packed planes replaced,
@@ -195,4 +199,60 @@ func (c *Cache) recency(set int) []int {
 		ways[i]--
 	}
 	return ways[:n]
+}
+
+// TestEvictionMatchesReference holds the one-pass evicting fill to the
+// reference's oldest-stamp victim at associativity 1, 2, 4 and 8. Every
+// set is filled, the cache frozen and cloned, and the clone then takes
+// nothing but full-set evictions, with probe hits between them to
+// scramble the recency order: each victim must be the reference's, and
+// after each the counters and the set's recency order must agree. The
+// frozen base must still match its own reference at the end.
+func TestEvictionMatchesReference(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("assoc%d", assoc), func(t *testing.T) {
+			const sets = 64
+			cfg := config.CacheConfig{SizeBytes: sets * assoc * 64, Assoc: assoc, BlockBits: 6}
+			base, baseRef := NewCache(cfg), newRefCache(cfg)
+			for b := uint64(0); b < sets*uint64(assoc); b++ {
+				base.Fill(b, Shared)
+				baseRef.Fill(b, Shared)
+			}
+			base.Freeze()
+			c, ref := base.Clone(), baseRef.Clone()
+			r := rng.New(uint64(assoc))
+			next := uint64(sets * assoc) // the next block never yet filled
+			for i := 0; i < 4000; i++ {
+				set := uint64(r.Intn(sets))
+				if r.Bool(0.5) {
+					// Touch a resident line of the set, so the LRU way moves.
+					rs := ref.recency(int(set))
+					b := ref.lines[int(set)*assoc+rs[r.Intn(len(rs))]].tag
+					if got, want := c.Probe(b), ref.Probe(b); got != want || got == Invalid {
+						t.Fatalf("step %d: Probe(%d) = %v, reference %v", i, b, got, want)
+					}
+					continue
+				}
+				b := next - next%sets + sets + set
+				next = b
+				gv, ge := c.Fill(b, Modified)
+				wv, we := ref.Fill(b, Modified)
+				if !ge || gv != wv || ge != we {
+					t.Fatalf("step %d: Fill(%d) = %+v %v, reference %+v %v", i, b, gv, ge, wv, we)
+				}
+				if c.Hits != ref.Hits || c.Misses != ref.Misses || c.Evictions != ref.Evicted {
+					t.Fatalf("step %d: counters %d/%d/%d, reference %d/%d/%d", i, c.Hits, c.Misses, c.Evictions, ref.Hits, ref.Misses, ref.Evicted)
+				}
+				if got, want := c.recency(int(set)), ref.recency(int(set)); got == nil || !slices.Equal(got, want) {
+					t.Fatalf("step %d: set %d recency %v, reference %v", i, set, got, want)
+				}
+			}
+			if err := agree(c, ref); err != nil {
+				t.Fatal(err)
+			}
+			if err := agree(base, baseRef); err != nil {
+				t.Fatalf("frozen base: %v", err)
+			}
+		})
+	}
 }

@@ -85,10 +85,12 @@ const (
 // Lookup resolves one reference to block inside the node, through l1 (the
 // node's L1I or L1D): the L1 probe, then the L2, where permission lives.
 // An L2 hit fills l1; a write the L2 state permits marks the l1 line
-// dirty and takes Exclusive to Modified silently, with no bus
-// transaction. On Missed no line's presence, state or dirtiness has
-// changed (probes still count, and refresh the LRU of what they find),
-// so the caller's retry after the grant starts from the same place.
+// dirty — a line the write brings in goes in dirty, with the one tag
+// write that places it — and takes Exclusive to Modified silently, with
+// no bus transaction. On Missed no line's presence, state or dirtiness
+// has changed (probes still count, and refresh the LRU of what they
+// find), so the caller's retry after the grant starts from the same
+// place.
 func (n *NodeCaches) Lookup(l1 *Cache, block uint64, write bool) Level {
 	level := HitL1
 	var st State
@@ -103,13 +105,18 @@ func (n *NodeCaches) Lookup(l1 *Cache, block uint64, write bool) Level {
 		return Missed
 	}
 	if level == HitL2 {
-		l1.Fill(block, Shared)
-	}
-	if write {
-		if st == Exclusive {
-			n.L2.SetState(block, Modified)
+		// The L1 probe just missed, and the L2 holds the block, so it is
+		// absent from l1 and within a line word's range.
+		word := uint32(block)<<tagShift | uint32(Shared)
+		if write {
+			word |= dirtyBit
 		}
+		l1.insert(block, word)
+	} else if write {
 		l1.SetDirty(block)
+	}
+	if write && st == Exclusive {
+		n.L2.SetState(block, Modified)
 	}
 	return level
 }

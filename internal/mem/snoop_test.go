@@ -300,7 +300,7 @@ func TestSnooperCloneOver(t *testing.T) {
 		}
 		for i, n := range cp.Nodes {
 			for _, c := range []struct{ got, want *Cache }{{n.L1I, base.Nodes[i].L1I}, {n.L1D, base.Nodes[i].L1D}, {n.L2, base.Nodes[i].L2}} {
-				if !linesEqual(snapshotLines(c.got), snapshotLines(c.want)) || c.got.sig != c.want.sig || c.got.sig != c.got.foldSig() {
+				if !linesEqual(snapshotLines(c.got), snapshotLines(c.want)) || c.got.StateSig() != c.want.StateSig() || c.got.StateSig() != c.got.foldSig() {
 					t.Fatalf("generation %d node %d: a cache differs from the base's", gen, i)
 				}
 			}

@@ -60,9 +60,9 @@ func (k OpKind) String() string {
 }
 
 // Op is one operation in a thread's instruction stream. Ops are plain
-// data, made by Next as they are asked for and never stored by the
-// engines; the machine copies the few it holds (a pending or parked op)
-// by value.
+// data, written by NextInto as they are asked for and never stored by
+// the engines; the machine has each written straight into its CPU's
+// pending slot, and copies the few it parks by value.
 type Op struct {
 	Kind     OpKind
 	N        int64  // instructions (compute) or nanoseconds (I/O)
@@ -76,8 +76,8 @@ type Op struct {
 
 // Instance is a live, runnable workload: all thread generators plus any
 // shared state (the transaction feed). Instances are single-threaded
-// from the simulator's perspective — Next is only called inside event
-// handlers — and must be copyable via CloneOver for checkpoints.
+// from the simulator's perspective — NextInto is only called inside
+// event handlers — and must be copyable via CloneOver for checkpoints.
 // Generators hold positions, not instruction streams: a thread's state
 // is a few words of plain data (random streams, cursors, the macro or
 // stage in progress), so CloneOver copies one small struct per thread and
@@ -96,14 +96,20 @@ type Instance interface {
 	NumSpinLocks() int
 	// NumBarriers is how many barriers the workload uses.
 	NumBarriers() int
-	// Next produces the next operation for thread tid, advancing its
-	// generator (and possibly shared state such as the transaction feed).
-	// The stream is identical regardless of the processor model consuming
-	// it (the simple core executes branch ops in one cycle), so the two
-	// models see the same workload. An instance may also offer a bulk
-	// form for the stretches a consumer need not see op by op (see
+	// NextInto produces the next operation for thread tid, advancing its
+	// generator (and possibly shared state such as the transaction feed),
+	// and writes it into *op, every field of it: nothing *op held before
+	// is read or kept. It is the form the machine uses, with op its CPU's
+	// pending slot, so an op is built where it will be executed and never
+	// copied. The stream is identical regardless of the processor model
+	// consuming it (the simple core executes branch ops in one cycle), so
+	// the two models see the same workload. An instance may also offer a
+	// bulk form for the stretches a consumer need not see op by op (see
 	// RunStepper); consuming ops through it leaves the instance exactly
-	// where the same number of Next calls would have.
+	// where the same number of NextInto calls would have.
+	NextInto(tid int, op *Op)
+	// Next is the by-value wrapper of NextInto, for callers that want
+	// the op as a value: the same stream, one op per call.
 	Next(tid int) Op
 	// CloneOver copies the instance for machine snapshots: the two then
 	// advance independently. What never changes after construction may be
@@ -116,28 +122,29 @@ type Instance interface {
 	CloneOver(spent Instance) Instance
 }
 
-// RunStepper is the bulk form of Next, implemented by instances whose
-// streams hold compute runs — stretches of OpCompute and OpBranch ops
-// with nothing else between — for a consumer that charges such an op
-// its instruction count and reads nothing else of it. The simple core
-// is one: it fetches the op's PC and adds N, or 1 for a branch, to its
-// clock; the OOO core, whose predictors must see every branch, is not.
-// Of the engines here only TxnEngine has runs; SciEngine emits its
-// compute and branch ops singly through Next.
+// RunStepper is the bulk form of NextInto (and Next), implemented by
+// instances whose streams hold compute runs — stretches of OpCompute and
+// OpBranch ops with nothing else between — for a consumer that charges
+// such an op its instruction count and reads nothing else of it. The
+// simple core is one: it fetches the op's PC and adds N, or 1 for a
+// branch, to its clock; the OOO core, whose predictors must see every
+// branch, is not. Of the engines here only TxnEngine has runs;
+// SciEngine emits its compute and branch ops singly through NextInto.
 //
-// The two methods are used as a pair in place of one or more Next
-// calls: RunPC says whether the thread's next op is a run op and where
-// it is fetched from, and StepRun, called only after RunPC said yes,
-// consumes that op and as many of the run's following ops as the caller
-// could execute without looking up. The instance is then in the state
-// that many Next calls would have left — every draw a skipped branch
-// makes (site, outcome, indirect target) is made, in order — so bulk
-// steps and Next calls interleave freely on one thread and HashProgress
-// cannot tell them apart.
+// The two methods are used as a pair in place of one or more NextInto
+// (or Next) calls: RunPC says whether the thread's next op is a run op
+// and where it is fetched from, and StepRun, called only after RunPC
+// said yes, consumes that op and as many of the run's following ops as
+// the caller could execute without looking up. The instance is then in
+// the state that many NextInto (or Next) calls would have left — every
+// draw a skipped branch makes (site, outcome, indirect target) is made,
+// in order — so bulk steps and NextInto (or Next) calls interleave
+// freely on one thread and HashProgress cannot tell them apart.
 type RunStepper interface {
 	// RunPC returns the PC of thread tid's next op when that op is part
 	// of a compute run. It is read-only: when it reports false, or the
-	// caller takes the op singly after all, Next returns that same op.
+	// caller takes the op singly after all, NextInto (or Next) returns
+	// that same op.
 	RunPC(tid int) (pc uint64, ok bool)
 	// StepRun consumes the run op RunPC announced, then each further op
 	// of the run while this call has consumed fewer than limit

@@ -76,7 +76,7 @@ type sciThread struct {
 // SciEngine implements Instance for barrier-phase scientific programs.
 //
 // A phase is one loop over the partition's touches with every random
-// draw made on the thread's own stream in emission order, so Next
+// draw made on the thread's own stream in emission order, so NextInto
 // generates each op from the thread's position when it is asked for:
 // no phase is ever expanded into a buffer, and the stream is the one
 // the eager expansion would give (the reference builder in the
@@ -162,18 +162,25 @@ func (e *SciEngine) CloneOver(spent Instance) Instance {
 
 // nextPC returns the thread's PC and moves the cursor to the next
 // instruction. Ops take it as a field of their literal, so each is built
-// once, where it is returned.
+// once, in the caller's Op.
 func (e *SciEngine) nextPC(t *sciThread) uint64 {
 	pc := e.code.Base + t.pc
 	t.pc = e.code.Advance(t.pc, 4)
 	return pc
 }
 
-// Next implements Instance: it walks the thread's position forward to
-// the next op the program has there. Stages that turn out to emit
-// nothing (a store the coin declined, a touch with no shared read or
-// back-edge) fall through to the next.
+// Next implements Instance: NextInto into a fresh Op.
 func (e *SciEngine) Next(tid int) Op {
+	var op Op
+	e.NextInto(tid, &op)
+	return op
+}
+
+// NextInto implements Instance: it walks the thread's position forward
+// to the next op the program has there and writes it into *op. Stages
+// that turn out to emit nothing (a store the coin declined, a touch
+// with no shared read or back-edge) fall through to the next.
+func (e *SciEngine) NextInto(tid int, op *Op) {
 	t := &e.threads[tid]
 	p := &e.prof
 	for {
@@ -186,21 +193,25 @@ func (e *SciEngine) Next(tid int) Op {
 			}
 			t.stage = sciStore
 			// A sweep offset needs no wrap: i < touches = Size/stride.
-			return Op{Kind: OpLoad, Addr: e.parts[tid].Base + uint64(t.i)*e.stride, PC: e.nextPC(t)}
+			*op = Op{Kind: OpLoad, Addr: e.parts[tid].Base + uint64(t.i)*e.stride, PC: e.nextPC(t)}
+			return
 		case sciStore:
 			t.stage = sciShared
 			if t.rng.Bool(p.WriteFrac) {
-				return Op{Kind: OpStore, Addr: e.parts[tid].Base + uint64(t.i)*e.stride, PC: e.nextPC(t)}
+				*op = Op{Kind: OpStore, Addr: e.parts[tid].Base + uint64(t.i)*e.stride, PC: e.nextPC(t)}
+				return
 			}
 		case sciShared:
 			t.stage = sciCompute
 			if e.sharedEvery > 0 && t.i%e.sharedEvery == 0 {
 				soff := uint64(t.rng.Zipf(int(e.shared.Size/64), p.SharedTheta)) * 64
-				return Op{Kind: OpLoad, Addr: e.shared.At(soff), PC: e.nextPC(t)}
+				*op = Op{Kind: OpLoad, Addr: e.shared.At(soff), PC: e.nextPC(t)}
+				return
 			}
 		case sciCompute:
 			t.stage = sciBranch
-			return Op{Kind: OpCompute, N: e.instrPerTouch, PC: e.nextPC(t)}
+			*op = Op{Kind: OpCompute, N: e.instrPerTouch, PC: e.nextPC(t)}
+			return
 		case sciBranch:
 			i := t.i
 			t.i++
@@ -208,7 +219,8 @@ func (e *SciEngine) Next(tid int) Op {
 			if i%4 == 3 {
 				// Loop back-edges: highly predictable.
 				site := uint32(0x4000 + i%128)
-				return Op{Kind: OpBranch, Site: site, Taken: t.rng.Bool(0.97), PC: e.nextPC(t)}
+				*op = Op{Kind: OpBranch, Site: site, Taken: t.rng.Bool(0.97), PC: e.nextPC(t)}
+				return
 			}
 		case sciBoundaryNext:
 			// Boundary exchange: read neighbours' edge blocks (Ocean-style
@@ -219,25 +231,29 @@ func (e *SciEngine) Next(tid int) Op {
 			}
 			t.stage = sciBoundaryPrev
 			nb := e.parts[(tid+1)%p.Threads]
-			return Op{Kind: OpLoad, Addr: nb.At(uint64(t.i) * 64), PC: e.nextPC(t)}
+			*op = Op{Kind: OpLoad, Addr: nb.At(uint64(t.i) * 64), PC: e.nextPC(t)}
+			return
 		case sciBoundaryPrev:
 			pv := e.parts[(tid+p.Threads-1)%p.Threads]
-			op := Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - uint64(t.i)*64), PC: e.nextPC(t)}
+			*op = Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - uint64(t.i)*64), PC: e.nextPC(t)}
 			t.i++
 			t.stage = sciBoundaryNext
-			return op
+			return
 		case sciLockAcq:
 			// Phase-end reduction under the global lock.
 			t.stage = sciReduce
-			return Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0), PC: e.nextPC(t)}
+			*op = Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0), PC: e.nextPC(t)}
+			return
 		case sciReduce:
 			t.stage = sciLockRel
-			return Op{Kind: OpStore, Addr: e.shared.At(0), PC: e.nextPC(t)}
+			*op = Op{Kind: OpStore, Addr: e.shared.At(0), PC: e.nextPC(t)}
+			return
 		case sciLockRel:
 			t.stage = sciBarrier
-			return Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0), PC: e.nextPC(t)}
+			*op = Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0), PC: e.nextPC(t)}
+			return
 		case sciBarrier:
-			op := Op{Kind: OpBarrier, ID: 0, PC: e.nextPC(t)}
+			*op = Op{Kind: OpBarrier, ID: 0, PC: e.nextPC(t)}
 			t.phase++
 			t.i = 0
 			t.pc = uint64(t.phase%64) * 256 % e.code.Size
@@ -249,14 +265,16 @@ func (e *SciEngine) Next(tid int) Op {
 			default:
 				t.stage = sciDone
 			}
-			return op
+			return
 		case sciTxnEnd:
 			// Program end: thread 0 reports the single whole-program
 			// "transaction"; everyone terminates.
 			t.stage = sciDone
-			return Op{Kind: OpTxnEnd, PC: e.code.At(0)}
+			*op = Op{Kind: OpTxnEnd, PC: e.code.At(0)}
+			return
 		case sciDone:
-			return Op{Kind: OpDone}
+			*op = Op{Kind: OpDone}
+			return
 		default:
 			panic(fmt.Sprintf("workload: scientific thread at unknown stage %d", t.stage))
 		}

@@ -21,9 +21,16 @@ func (p pair) cloneOver(spent workload.Instance) pair {
 	return pair{inst: p.inst.CloneOver(spent), ref: p.ref.Clone()}
 }
 
+// garbage is what the op NextInto writes into holds before each call:
+// every field set, none to a value an engine emits, so a field NextInto
+// leaves unwritten shows up as a difference from the reference.
+var garbage = workload.Op{Kind: 0xee, N: -7, Addr: ^uint64(0), ID: -7, Site: ^uint32(0), Taken: true, Indirect: true, PC: ^uint64(0)}
+
 // driveAgainstReference advances inst and its eager reference through
-// at least ops operations in random thread order and fails on the first
-// op that differs in any field. Along the way it clones both sides —
+// at least ops operations in random thread order — the engines by
+// NextInto into one reused Op, refilled with garbage before each call,
+// the references by value — and fails on the first op that differs in
+// any field. Along the way it clones both sides —
 // at random, and right after the ops that mark the interesting places:
 // an OpBranch (always inside a compute run), a load that follows a
 // compute op (the first op of an index walk or a stack touch, with the
@@ -38,12 +45,14 @@ func driveAgainstReference(t *testing.T, inst workload.Instance, ops int, seed u
 	threads := inst.NumThreads()
 	last := make(map[int]workload.OpKind) // previous op kind of each thread of live[0], the only engine the walk trigger watches
 	clones := map[string]int{}
+	var got workload.Op
 	for n := 0; n < ops; n++ {
 		k := r.Intn(len(live))
 		p := live[k]
 		tid := r.Intn(threads)
-		got, want := p.inst.Next(tid), p.ref.Next(tid)
-		if got != want {
+		got = garbage
+		p.inst.NextInto(tid, &got)
+		if want := p.ref.Next(tid); got != want {
 			t.Fatalf("op %d (engine %d, thread %d):\n got %+v\nwant %+v", n, k, tid, got, want)
 		}
 		// Each marked place is cloned at its first few occurrences, so
@@ -153,5 +162,33 @@ func TestStreamMatchesEagerReferenceToCompletion(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		driveAgainstReference(t, workload.NewTxnEngine(txn, seed), 100_000, seed)
+	}
+}
+
+// TestNextIntoAllocatesNothing: once a thread's plan buffer has grown to
+// its transactions, writing an op in place allocates nothing, on either
+// engine — the op is built in the caller's storage, not returned
+// through the heap.
+func TestNextIntoAllocatesNothing(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumCPUs = 4
+	for _, name := range workloads.Names() {
+		inst, err := workloads.New(name, cfg, 0x9e37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		threads := inst.NumThreads()
+		var op workload.Op
+		tid := 0
+		step := func() {
+			inst.NextInto(tid, &op)
+			tid = (tid + 1) % threads
+		}
+		for range 200_000 {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(20_000, step); allocs != 0 {
+			t.Errorf("%s (%T): NextInto allocates %v times an op", name, inst, allocs)
+		}
 	}
 }

@@ -105,7 +105,7 @@ const (
 )
 
 // planEntry is one step of a transaction's plan: a literal op, or a
-// macro that Next unrolls one op at a time. Four fifths of a
+// macro that NextInto unrolls one op at a time. Four fifths of a
 // transaction's ops are compute/branch pairs and most of the rest index
 // walks, so a ~1 200-op OLTP transaction is a ~200-entry plan.
 type planEntry struct {
@@ -123,12 +123,12 @@ const (
 )
 
 // txnThread is one user thread's generator state: the plan of its
-// current transaction and how far Next has unrolled it. Everything but
+// current transaction and how far NextInto has unrolled it. Everything but
 // the plan's backing array is plain data, so copying the struct
 // checkpoints the thread.
 type txnThread struct {
 	plan []planEntry
-	next int32 // the plan entry Next starts after the one in progress
+	next int32 // the plan entry NextInto starts after the one in progress
 	// class is the transaction's class, which fixes its code region and
 	// its branch-site space.
 	class int32
@@ -154,7 +154,7 @@ type txnThread struct {
 // with which cache contents — is decided by execution timing.
 //
 // Op generation has two levels. When a thread runs out of work,
-// buildTxn claims the next transaction and writes down its plan; Next
+// buildTxn claims the next transaction and writes down its plan; NextInto
 // then expands the plan one op at a time. No instruction stream is ever
 // stored, and the stream is nevertheless the one an eager expansion at
 // build time would give (the reference builder in the package's tests
@@ -177,7 +177,7 @@ type txnThread struct {
 //
 // Compute runs — four fifths of the ops — can also be consumed without
 // being made: RunPC and StepRun (see RunStepper) move the same expansion
-// state as far as the same ops drawn with Next.
+// state as far as the same ops drawn with NextInto.
 type TxnEngine struct {
 	prof    TxnProfile
 	seed    uint64
@@ -287,16 +287,25 @@ func (e *TxnEngine) NumSpinLocks() int {
 // NumBarriers implements Instance.
 func (e *TxnEngine) NumBarriers() int { return 0 }
 
-// Next implements Instance: it continues the macro in progress, or
-// starts the thread's next plan entry, claiming a new transaction when
-// the plan is used up.
+// Next implements Instance: NextInto into a fresh Op.
 func (e *TxnEngine) Next(tid int) Op {
+	var op Op
+	e.NextInto(tid, &op)
+	return op
+}
+
+// NextInto implements Instance: it continues the macro in progress, or
+// starts the thread's next plan entry, claiming a new transaction when
+// the plan is used up, and writes the op into *op.
+func (e *TxnEngine) NextInto(tid int, op *Op) {
 	t := &e.threads[tid]
 	if t.run > 0 {
-		return e.unrollRun(t)
+		e.unrollRun(t, op)
+		return
 	}
 	if t.step > 0 {
-		return e.unrollTouch(t, tid)
+		e.unrollTouch(t, tid, op)
+		return
 	}
 	if int(t.next) == len(t.plan) {
 		e.buildTxn(tid)
@@ -306,16 +315,15 @@ func (e *TxnEngine) Next(tid int) Op {
 	code := e.codeRegions[t.class]
 	switch p.kind {
 	case planOp:
-		op := Op{Kind: p.op, ID: p.id, PC: code.Base + t.pc}
+		*op = Op{Kind: p.op, ID: p.id, PC: code.Base + t.pc}
 		if p.op == OpIO {
 			op.N = int64(p.arg)
 		} else {
 			op.Addr = p.arg
 		}
-		return op
 	case planCompute:
 		t.run = int64(p.arg)
-		return e.unrollRun(t)
+		e.unrollRun(t, op)
 	case planWalk:
 		tab := &e.prof.Tables[p.id]
 		if e.prof.Classes[t.class].Partition {
@@ -337,46 +345,45 @@ func (e *TxnEngine) Next(tid int) Op {
 		}
 		t.step = 1
 		// Root: block 0 of the region.
-		return Op{Kind: OpLoad, Addr: e.tableRegions[p.id].At(0), PC: code.Base + t.pc}
+		*op = Op{Kind: OpLoad, Addr: e.tableRegions[p.id].At(0), PC: code.Base + t.pc}
 	case planStack:
 		t.poff += 64
 		t.step = 1
-		return Op{Kind: OpLoad, Addr: StackRegion(tid).At(t.poff), PC: code.Base + t.pc}
+		*op = Op{Kind: OpLoad, Addr: StackRegion(tid).At(t.poff), PC: code.Base + t.pc}
 	default:
 		panic(fmt.Sprintf("workload: plan entry of unknown kind %d", p.kind))
 	}
 }
 
-// unrollRun emits the next op of the compute run in progress: chunks of
-// branchEvery instructions with a branch between each two, so both
-// processor models consume the identical stream.
-func (e *TxnEngine) unrollRun(t *txnThread) Op {
+// unrollRun writes the next op of the compute run in progress into *op:
+// chunks of branchEvery instructions with a branch between each two, so
+// both processor models consume the identical stream.
+func (e *TxnEngine) unrollRun(t *txnThread, op *Op) {
 	code := e.codeRegions[t.class]
 	if t.brNext {
 		t.brNext = false
-		return e.branch(t, code)
+		e.branch(t, code, op)
+		return
 	}
 	chunk := min(e.branchEvery, t.run)
 	t.run -= chunk
 	t.brNext = t.run > 0
-	op := Op{Kind: OpCompute, N: chunk, PC: code.Base + t.pc}
+	*op = Op{Kind: OpCompute, N: chunk, PC: code.Base + t.pc}
 	t.pc = code.Advance(t.pc, uint64(chunk)*4)
-	return op
 }
 
-// branch emits one conditional (or, periodically, indirect) branch with
-// its site's outcome bias.
-func (e *TxnEngine) branch(t *txnThread, code Region) Op {
+// branch writes one conditional (or, periodically, indirect) branch with
+// its site's outcome bias into *op.
+func (e *TxnEngine) branch(t *txnThread, code Region, op *Op) {
 	k := t.fork.Intn(e.branchSites)
 	site := uint32(t.class)<<16 + uint32(k)
-	op := Op{Kind: OpBranch, Site: site, PC: code.Base + t.pc,
+	*op = Op{Kind: OpBranch, Site: site, PC: code.Base + t.pc,
 		Taken: t.fork.Bool(e.bias[int(t.class)*e.branchSites+k])}
 	if tsel, ok := e.indirectTarget(t); ok {
 		op.Indirect = true
 		op.Addr = uint64(site)*64 + uint64(tsel)*8
 	}
 	t.pc = code.Advance(t.pc, 4)
-	return op
 }
 
 // indirectTarget counts one branch against the thread's countdown and,
@@ -399,9 +406,9 @@ func (e *TxnEngine) indirectTarget(t *txnThread) (tsel int, ok bool) {
 
 // RunPC implements RunStepper: the next op is a run op when a run is
 // being unrolled, or when no macro is and the next plan entry is a
-// compute run (which StepRun or Next then starts). A used-up plan says
+// compute run (which StepRun or NextInto then starts). A used-up plan says
 // no — a transaction never opens with a run — so the feed is only ever
-// claimed by Next.
+// claimed by NextInto.
 func (e *TxnEngine) RunPC(tid int) (uint64, bool) {
 	t := &e.threads[tid]
 	if t.run == 0 && (t.step > 0 || int(t.next) == len(t.plan) || t.plan[t.next].kind != planCompute) {
@@ -447,16 +454,17 @@ func (e *TxnEngine) StepRun(tid int, blockBits uint, limit int64) int64 {
 	}
 }
 
-// unrollTouch emits the next op of the index walk or stack touch in
-// progress; its first op went out when Next started the plan entry.
-func (e *TxnEngine) unrollTouch(t *txnThread, tid int) Op {
+// unrollTouch writes the next op of the index walk or stack touch in
+// progress into *op; its first op went out when NextInto started the
+// plan entry.
+func (e *TxnEngine) unrollTouch(t *txnThread, tid int, op *Op) {
 	p := &t.plan[t.next-1]
-	op := Op{Kind: OpLoad, PC: e.codeRegions[t.class].Base + t.pc}
+	*op = Op{Kind: OpLoad, PC: e.codeRegions[t.class].Base + t.pc}
 	if p.kind == planStack {
 		t.step = 0
 		op.Kind = OpStore
 		op.Addr = StackRegion(tid).At(t.poff)
-		return op
+		return
 	}
 	reg := e.tableRegions[p.id]
 	leaf := t.row * uint64(e.prof.Tables[p.id].RowBytes)
@@ -481,7 +489,6 @@ func (e *TxnEngine) unrollTouch(t *txnThread, tid int) Op {
 	if t.step == 3+t.flags&1+t.flags>>1 {
 		t.step = 0
 	}
-	return op
 }
 
 // Freeze marks every thread's plan as shared, so both this engine and

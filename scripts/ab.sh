@@ -9,14 +9,26 @@
 # prints per pair all seven end-to-end metrics, each side's median and
 # quartiles, wins/ties per metric and whether sim_checksum agreed.
 #
+# Given experiments:<name> in place of a workload, it measures one paper
+# experiment end to end instead: it builds cmd/experiments on both sides,
+# times full-scale `experiments -j 1 -heartbeat 0 <name>` in the same
+# alternating pairs, prints each side's wall-clock median and quartiles,
+# and exits non-zero unless the two stdouts are byte-identical in every
+# pair. Table 3 is measured this way (experiments:table3, ~80 s a run on
+# a 2-CPU host) until the spine has a workload for Ocean on the simple
+# core.
+#
 #   scripts/ab.sh <parent-ref> <workload> [pairs=10] [seed]   from the repository root
+#   scripts/ab.sh <parent-ref> experiments:<name> [pairs=10]
 #
 # Everything lives under .bench_tmp/ab/ (the per-run outputs are kept
-# there: <side>.<pair>.txt). Interim for the `bench -ab` mode ROADMAP's
-# [measure] item asks for; that PR absorbs and deletes this script.
+# there: <side>.<pair>.txt, and for an experiment its stdout
+# <side>.<pair>.out and wall-clock seconds <side>.<pair>.s). Interim for
+# the `bench -ab` mode ROADMAP's [measure] item asks for; that PR absorbs
+# and deletes this script.
 set -eu
 if [ $# -lt 2 ]; then
-	echo "usage: scripts/ab.sh <parent-ref> <workload> [pairs=10] [seed]" >&2
+	echo "usage: scripts/ab.sh <parent-ref> <workload>|experiments:<name> [pairs=10] [seed]" >&2
 	exit 2
 fi
 parent=$1
@@ -28,13 +40,27 @@ out=$root/.bench_tmp/ab
 rm -rf "$out"
 mkdir -p "$out/parent"
 git archive "$parent" | tar -x -C "$out/parent"
-(cd "$out/parent" && go build -o "$out/bench.parent" ./bench)
-go build -o "$out/bench.change" ./bench
+tool=bench pkg=./bench
+case $workload in
+experiments:*) tool=experiments pkg=./cmd/experiments name=${workload#experiments:} ;;
+esac
+(cd "$out/parent" && go build -o "$out/$tool.parent" "$pkg")
+go build -o "$out/$tool.change" "$pkg"
 
-# run <side> <pair>: one bench process, in the tree its binary was built from.
+# run <side> <pair>: one bench or experiments process, in the tree its
+# binary was built from.
 run() {
 	dir=$root
 	[ "$1" = parent ] && dir=$out/parent
+	if [ "$tool" = experiments ]; then
+		t0=$(date +%s.%N)
+		(cd "$dir" && "$out/experiments.$1" -j 1 -heartbeat 0 "$name") >"$out/$1.$2.out" 2>"$out/$1.$2.txt" || {
+			echo "ab.sh: $1 run of pair $2 failed; see $out/$1.$2.txt" >&2
+			exit 1
+		}
+		echo "$t0 $(date +%s.%N)" | awk '{ printf "%.3f\n", $2 - $1 }' >"$out/$1.$2.s"
+		return
+	fi
 	(cd "$dir" && "$out/bench.$1" -workload "$workload" -seed "$seed") >"$out/$1.$2.txt" 2>&1 || {
 		echo "ab.sh: $1 run of pair $2 failed; see $out/$1.$2.txt" >&2
 		exit 1
@@ -53,6 +79,30 @@ while [ "$i" -le "$pairs" ]; do
 	echo "pair $i/$pairs done" >&2
 	i=$((i + 1))
 done
+
+if [ "$tool" = experiments ]; then
+	exec python3 - "$out" "$pairs" "$parent" "$name" <<'EOF'
+import filecmp, statistics, sys
+
+out, pairs, parent, name = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+wall = {side: [float(open("%s/%s.%d.s" % (out, side, i)).read()) for i in range(1, pairs + 1)] for side in ("parent", "change")}
+same = [filecmp.cmp("%s/parent.%d.out" % (out, i), "%s/change.%d.out" % (out, i), shallow=False) for i in range(1, pairs + 1)]
+print("ab: experiments -j 1 %s, parent %s vs working tree, %d pairs (odd pairs run the parent first)" % (name, parent, pairs))
+print("\nwall_s (lower is better)")
+print("  pair   parent       change       change/parent  stdout")
+for i, (a, b) in enumerate(zip(wall["parent"], wall["change"]), 1):
+    print("  %-4d   %-12.3f %-12.3f %-14.3f %s" % (i, a, b, b / a, "identical" if same[i - 1] else "DIFFERS"))
+meds = {}
+for side in ("parent", "change"):
+    v = wall[side]
+    q1, meds[side], q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+    print("  %s median %.3f  q1 %.3f  q3 %.3f  (iqr %.3g)" % (side, meds[side], q1, q3, q3 - q1))
+wins = sum(b < a for a, b in zip(wall["parent"], wall["change"]))
+print("  change wins %d/%d; medians %+.1f %%" % (wins, pairs, (meds["change"] / meds["parent"] - 1) * 100))
+print("\nstdout: %s" % ("byte-identical in every pair" if all(same) else "DIFFERED in pairs %s" % [i + 1 for i, s in enumerate(same) if not s]))
+sys.exit(0 if all(same) else 1)
+EOF
+fi
 
 python3 - "$out" "$pairs" "$parent" "$workload" "$seed" <<'EOF'
 import json, re, statistics, sys
