@@ -146,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCI$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzANOVA$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzTTest$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzDecisionCodec$$' -fuzztime=$(FUZZTIME) ./internal/sampling
 	$(GO) test -run='^$$' -fuzz='^FuzzBulkRun$$' -fuzztime=$(FUZZTIME) ./internal/workload
 

@@ -8,6 +8,7 @@ import (
 
 	"varsim/internal/config"
 	"varsim/internal/core"
+	"varsim/internal/machine"
 )
 
 func testRecipe() Recipe {
@@ -49,11 +50,12 @@ func TestBuildReplaysDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1.Now() != m2.Now() || m1.TxnsDone() != m2.TxnsDone() {
-		t.Fatalf("replay mismatch: t=%d/%d txns=%d/%d", m1.Now(), m2.Now(), m1.TxnsDone(), m2.TxnsDone())
+	txns := func(m *machine.Machine) int64 { return int64(m.Metrics().Get("machine.txns").Value()) }
+	if m1.Now() != m2.Now() || txns(m1) != txns(m2) {
+		t.Fatalf("replay mismatch: t=%d/%d txns=%d/%d", m1.Now(), m2.Now(), txns(m1), txns(m2))
 	}
-	if m1.TxnsDone() < r.WarmupTxns {
-		t.Fatalf("warmup incomplete: %d", m1.TxnsDone())
+	if txns(m1) < r.WarmupTxns {
+		t.Fatalf("warmup incomplete: %d", txns(m1))
 	}
 	// The rebuilt checkpoints must behave identically going forward.
 	r1, err := m1.Run(15)

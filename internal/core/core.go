@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,11 +78,58 @@ func WCR(a, b []float64) float64 {
 	return float64(wrong) / float64(len(a)*len(b))
 }
 
+// wcrDraws is the number of subset pairs WCRCurve draws per n >= 2.
+const wcrDraws = 40_000
+
+// WCRCurve extends WCR from one run per side to n: entry n-1 is WCR(n),
+// the probability that the means of an n-run subset drawn from each of a
+// and b order the pair against the full-sample means. Entry 0 is exactly
+// WCR(a, b); each later entry is estimated from wcrDraws subset pairs
+// drawn without replacement (Ekman's repeated subsampling), seeded by
+// seed. n runs to min(len(a), len(b))/2: past that, subsets overlap the
+// samples that define the truth, and WCR reads low.
+func WCRCurve(a, b []float64, seed uint64) []float64 {
+	curve := make([]float64, min(len(a), len(b))/2)
+	meanDiff := stats.Mean(a) - stats.Mean(b)
+	if len(curve) == 0 || meanDiff == 0 {
+		return curve // tied means leave no order to get wrong, as WCR says
+	}
+	curve[0] = WCR(a, b)
+	r := rng.New(seed)
+	a, b = slices.Clone(a), slices.Clone(b) // shuffled in place below
+	for n := 2; n <= len(curve); n++ {
+		wrong := 0
+		for range wcrDraws {
+			// Equal subset sizes, so the sums order the pair as the means do.
+			d := subsetSum(&r, a, n) - subsetSum(&r, b, n)
+			if d != 0 && (d > 0) != (meanDiff > 0) {
+				wrong++
+			}
+		}
+		curve[n-1] = float64(wrong) / wcrDraws
+	}
+	return curve
+}
+
+// subsetSum sums n of xs drawn uniformly without replacement: a partial
+// Fisher-Yates shuffle, which leaves xs a permutation of itself.
+func subsetSum(r *rng.Stream, xs []float64, n int) float64 {
+	sum := 0.0
+	for i := range n {
+		j := i + r.Intn(len(xs)-i)
+		xs[i], xs[j] = xs[j], xs[i]
+		sum += xs[i]
+	}
+	return sum
+}
+
 // Comparison is the full statistical comparison of two configurations.
 type Comparison struct {
-	Slower, Faster   Space // ordered by sample mean (Slower has higher CPT)
-	MeanDiffPct      float64
-	WCRPct           float64
+	Slower, Faster Space // ordered by sample mean (Slower has higher CPT)
+	MeanDiffPct    float64
+	WCRPct         float64
+	// TTest is the two-sided test of equal means: its P does not depend
+	// on which space has the larger sample mean.
 	TTest            stats.TTestResult
 	CISlower, CIFast stats.ConfidenceInterval
 	CIsOverlap       bool
@@ -97,26 +145,19 @@ func (c Comparison) Conclusion(alpha float64) string {
 		c.Faster.Label, c.Slower.Label, c.TTest.P, alpha)
 }
 
-// Compare runs the §5.1 procedures on two spaces.
+// Compare runs the §5.1 procedures on two spaces. The t-test is
+// two-sided: the direction of a one-sided test must be fixed before the
+// data are seen, and the sample means only order the labels.
 func Compare(a, b Space, confidence float64) (Comparison, error) {
-	if len(a.Values) < 2 || len(b.Values) < 2 {
-		return Comparison{}, stats.ErrInsufficientData
+	tt, err := stats.TTest(a.Values, b.Values, stats.TwoSided)
+	if err != nil {
+		return Comparison{}, err
 	}
 	slower, faster := a, b
 	if stats.Mean(a.Values) < stats.Mean(b.Values) {
 		slower, faster = b, a
 	}
 	ms, mf := stats.Mean(slower.Values), stats.Mean(faster.Values)
-	var tt stats.TTestResult
-	var err error
-	if len(slower.Values) == len(faster.Values) {
-		tt, err = stats.TTestOneSided(slower.Values, faster.Values)
-	} else {
-		tt, err = stats.WelchTTest(slower.Values, faster.Values)
-	}
-	if err != nil {
-		return Comparison{}, err
-	}
 	cis, err := stats.CI(slower.Values, confidence)
 	if err != nil {
 		return Comparison{}, err

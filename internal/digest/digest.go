@@ -116,13 +116,6 @@ func (c Component) String() string {
 	return "invalid"
 }
 
-// ComponentNames returns the component names in Vector order.
-func ComponentNames() []string {
-	out := make([]string, NumComponents)
-	copy(out, componentNames[:])
-	return out
-}
-
 // Vector holds one value per component: either the raw per-interval
 // state hashes handed to Recorder.Record, or the chained digests it
 // stores.

@@ -123,6 +123,39 @@ func TestTable5(t *testing.T) {
 	runQuick(t, "table5", "significance level", "runs needed")
 }
 
+// TestTable5CurveStartsAtTable2WCR: Table 5's curve at one run per
+// configuration is the single-run WCR Table 2 prints for the same pair.
+func TestTable5CurveStartsAtTable2WCR(t *testing.T) {
+	var buf bytes.Buffer
+	h := quickH(&buf)
+	for _, name := range []string{"table2", "table5"} {
+		e, _ := Find(name)
+		if err := h.RunOne(e); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	var table2, table5 string
+	inCurve := false
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "32-entry vs (64-entry)"):
+			table2 = f[3]
+		case strings.HasPrefix(line, "runs per configuration"):
+			inCurve = true
+		case inCurve && len(f) == 2 && f[0] == "1":
+			var wcr float64
+			if _, err := fmt.Sscanf(f[1], "%f%%", &wcr); err != nil {
+				t.Fatalf("curve row %q: %v", line, err)
+			}
+			table5 = fmt.Sprintf("%.0f%%", wcr)
+		}
+	}
+	if table2 == "" || table5 == "" || table2 != table5 {
+		t.Errorf("Table 2 prints WCR %q for 32 vs 64, Table 5's curve starts at %q:\n%s", table2, table5, buf.String())
+	}
+}
+
 func TestTable1(t *testing.T) {
 	runQuick(t, "table1", "WCR", "superior config", "1-way", "4-way")
 }

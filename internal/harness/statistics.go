@@ -5,6 +5,7 @@ import (
 
 	"varsim/internal/core"
 	"varsim/internal/plot"
+	"varsim/internal/rng"
 	"varsim/internal/stats"
 )
 
@@ -134,7 +135,7 @@ func (h *H) Fig11TTestRegions() error {
 	if err != nil {
 		return err
 	}
-	res, err := stats.TTestOneSided(spaces[32].Values, spaces[64].Values)
+	res, err := stats.TTest(spaces[32].Values, spaces[64].Values, stats.Greater)
 	if err != nil {
 		return err
 	}
@@ -159,39 +160,43 @@ func (h *H) Fig11TTestRegions() error {
 
 // Table5RunsNeeded reproduces Table 5: the number of runs needed to
 // bound the wrong-conclusion probability at each significance level,
-// evaluated on the ROB experiment both empirically (prefixes of the
-// actual samples) and by projection from the sample moments.
+// read off the ROB experiment's wrong-conclusion curve (the smallest n
+// whose WCR(n) is at most the level) beside the projection from the
+// sample moments, then the curve itself.
 func (h *H) Table5RunsNeeded() error {
 	spaces, err := h.robSpaces()
 	if err != nil {
 		return err
 	}
-	slow, fast := spaces[32], spaces[64]
-	ms, mf := stats.Mean(slow.Values), stats.Mean(fast.Values)
+	a, b := spaces[32].Values, spaces[64].Values
+	curve := core.WCRCurve(a, b, rng.Derive(h.opt.Seed, 0x75))
+	ms, mf := stats.Mean(a), stats.Mean(b)
 	if ms < mf {
-		slow, fast = fast, slow
 		ms, mf = mf, ms
 	}
-	sd := (stats.StdDev(slow.Values) + stats.StdDev(fast.Values)) / 2
+	sd := (stats.StdDev(a) + stats.StdDev(b)) / 2
 	rows := [][]string{}
 	for _, alpha := range []float64{0.10, 0.05, 0.025, 0.01, 0.005} {
-		emp := stats.MinRunsForSignificance(slow.Values, fast.Values, alpha, len(slow.Values))
-		empStr := fmt.Sprintf("%d", emp)
-		if emp == 0 {
-			empStr = fmt.Sprintf("> %d", len(slow.Values))
+		need := fmt.Sprintf("> %d", len(curve))
+		for n, wcr := range curve {
+			if wcr <= alpha {
+				need = fmt.Sprintf("%d", n+1)
+				break
+			}
 		}
 		proj := stats.MinRunsProjected(ms, mf, sd, alpha)
 		projStr := fmt.Sprintf("%d", proj)
 		if proj == 0 {
 			projStr = "n/a"
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f%%", 100*alpha),
-			empStr,
-			projStr,
-		})
+		rows = append(rows, []string{fmt.Sprintf("%.1f%%", 100*alpha), need, projStr})
 	}
-	h.table("significance level (wrong conclusion probability)\truns needed (empirical)\truns needed (projected)", rows)
+	h.table("significance level (wrong conclusion probability)\truns needed (WCR(n) at most level)\truns needed (projected)", rows)
 	fmt.Fprintln(h.opt.Out, "paper: 6 runs at 10%, 9 at 5%, 11 at 2.5%, 13 at 1%, 16 at 0.5%")
+	rows = rows[:0]
+	for n, wcr := range curve {
+		rows = append(rows, []string{fmt.Sprintf("%d", n+1), fmt.Sprintf("%.2f%%", 100*wcr)})
+	}
+	h.table("runs per configuration (32- vs 64-entry ROB)\tWCR(n)", rows)
 	return nil
 }

@@ -143,9 +143,9 @@ func firstDifference(a, b everything) string {
 	}
 	for i := 0; i < a.Digests.Len() && i < b.Digests.Len(); i++ {
 		if sa, sb := a.Digests.Samples[i], b.Digests.Samples[i]; sa != sb {
-			for c, name := range digest.ComponentNames() {
+			for c := range digest.NumComponents {
 				if sa.Chain[c] != sb.Chain[c] {
-					return fmt.Sprintf("%s digest chain at tick %d (%d ns)", name, i, sa.TimeNS)
+					return fmt.Sprintf("%s digest chain at tick %d (%d ns)", digest.Component(c), i, sa.TimeNS)
 				}
 			}
 			return fmt.Sprintf("digest tick %d: %+v vs %+v", i, sa, sb)

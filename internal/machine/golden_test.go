@@ -84,8 +84,8 @@ func trajectoryLine(t *testing.T, wl string, proc config.ProcessorKind, quantumN
 	}
 	last := s.Samples[s.Len()-1]
 	fmt.Fprintf(&b, " ticks=%d", s.Len())
-	for c, name := range digest.ComponentNames() {
-		fmt.Fprintf(&b, " %s=%016x", name, last.Chain[c])
+	for c := range digest.NumComponents {
+		fmt.Fprintf(&b, " %s=%016x", digest.Component(c), last.Chain[c])
 	}
 	return b.String()
 }

@@ -259,9 +259,6 @@ func (m *Machine) SetPerturbSeed(seed uint64) { m.perturb = rng.New(seed) }
 // Now returns the simulated time.
 func (m *Machine) Now() int64 { return m.eng.Now() }
 
-// TxnsDone returns the number of completed transactions since start.
-func (m *Machine) TxnsDone() int64 { return m.txnsDone }
-
 // Config returns the machine's configuration.
 func (m *Machine) Config() config.Config { return m.cfg }
 

@@ -134,9 +134,9 @@ func TestSnapshotBranching(t *testing.T) {
 		t.Fatal("differently-seeded branches identical")
 	}
 	// The original machine must be unaffected by branch execution.
-	before := m.TxnsDone()
-	if before >= s1.TxnsDone() {
-		t.Fatalf("snapshot ran but original moved: %d vs %d", before, s1.TxnsDone())
+	before := m.txnsDone
+	if before >= s1.txnsDone {
+		t.Fatalf("snapshot ran but original moved: %d vs %d", before, s1.txnsDone)
 	}
 	r0, err := m.Run(10)
 	if err != nil {

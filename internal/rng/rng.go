@@ -152,14 +152,3 @@ func (r *Stream) Norm(mean, std float64) float64 {
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + std*z
 }
-
-// Perm fills p with a random permutation of [0, len(p)).
-func (r *Stream) Perm(p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}

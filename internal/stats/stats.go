@@ -183,80 +183,78 @@ func interval(n int, mean, sd, confidence float64) (ConfidenceInterval, error) {
 
 var errInvalidConfidence = errors.New("stats: confidence must be in (0,1)")
 
+// Alternative is a t-test's alternative hypothesis. It is fixed by the
+// caller before the data are seen: a test whose direction follows the
+// sample means rejects a true H0 twice as often as its level says.
+type Alternative int
+
+const (
+	// TwoSided is H1: mu_a != mu_b.
+	TwoSided Alternative = iota
+	// Greater is H1: mu_a > mu_b, so argument order names the direction.
+	Greater
+)
+
 // TTestResult holds the outcome of the paper's §5.1.2 two-sample test of
-// H0: mu_a = mu_b against the one-sided alternative mu_a > mu_b.
+// H0: mu_a = mu_b against the alternative Alt.
 type TTestResult struct {
-	Statistic float64 // t = (ybar_a - ybar_b) / sqrt(s_a^2/n + s_b^2/n)
-	DF        float64 // 2n-2 for the equal-n form used in the paper
-	P         float64 // one-sided p-value: probability of wrong conclusion
+	Statistic float64 // t = (ybar_a - ybar_b) / sqrt(s_a^2/n_a + s_b^2/n_b)
+	DF        float64 // n_a+n_b-2 when n_a = n_b (the paper's form), Welch-Satterthwaite otherwise
+	// P is the p-value under Alt: the probability, were H0 true, of a
+	// statistic at least as extreme as this one.
+	P   float64
+	Alt Alternative
 }
 
-// Reject reports whether H0 is rejected at significance level alpha, i.e.
-// whether it is safe (at that level) to conclude mean(a) > mean(b).
+// Reject reports whether H0 is rejected at significance level alpha.
+// Under Greater that is the conclusion mean(a) > mean(b); under
+// TwoSided it is only that the means differ.
 func (r TTestResult) Reject(alpha float64) bool { return r.P < alpha }
 
-// TTestOneSided performs the paper's hypothesis test with equal sample
-// sizes: statistic (ybar_a - ybar_b)/sqrt((s_a^2+s_b^2)/n), df = 2n-2,
-// upper-tail rejection region. a is the configuration believed slower
-// (larger runtime): rejecting H0 accepts "mean(a) > mean(b)".
-func TTestOneSided(a, b []float64) (TTestResult, error) {
-	n := len(a)
-	if n != len(b) {
-		return TTestResult{}, errUnequalSamples
-	}
-	if n < 2 {
-		return TTestResult{}, ErrInsufficientData
-	}
-	va, vb := Variance(a), Variance(b)
-	denom := math.Sqrt((va + vb) / float64(n))
-	df := float64(2*n - 2)
-	if denom == 0 {
-		// Degenerate: zero variance in both samples.
-		diff := Mean(a) - Mean(b)
-		switch {
-		case diff > 0:
-			return TTestResult{Statistic: math.Inf(1), DF: df, P: 0}, nil
-		case diff < 0:
-			return TTestResult{Statistic: math.Inf(-1), DF: df, P: 1}, nil
-		default:
-			return TTestResult{Statistic: 0, DF: df, P: 0.5}, nil
-		}
-	}
-	t := (Mean(a) - Mean(b)) / denom
-	p := 1 - TCDF(t, df)
-	return TTestResult{Statistic: t, DF: df, P: p}, nil
-}
-
-var errUnequalSamples = errors.New("stats: samples must have equal size")
-
-// WelchTTest is the unequal-variance generalization (Welch-Satterthwaite
-// degrees of freedom); provided because real comparison experiments often
-// have unequal run counts.
-func WelchTTest(a, b []float64) (TTestResult, error) {
+// TTest is the paper's §5.1.2 hypothesis test of H0: mu_a = mu_b against
+// alt. With equal sample sizes it is the paper's form, df = 2n-2, whose
+// statistic equals Welch's; with unequal sizes the degrees of freedom
+// are Welch-Satterthwaite's. The two-sided p is 2*min(p+, 1-p+), where
+// p+ is the upper-tail probability of the statistic. Samples of fewer
+// than two observations are ErrInsufficientData; a NaN or Inf
+// observation, or a mean or variance that overflows, is ErrNonFinite.
+func TTest(a, b []float64, alt Alternative) (TTestResult, error) {
 	na, nb := len(a), len(b)
 	if na < 2 || nb < 2 {
 		return TTestResult{}, ErrInsufficientData
 	}
-	va, vb := Variance(a), Variance(b)
-	sa, sb := va/float64(na), vb/float64(nb)
-	denom := math.Sqrt(sa + sb)
-	if denom == 0 {
-		diff := Mean(a) - Mean(b)
-		df := float64(na + nb - 2)
-		switch {
-		case diff > 0:
-			return TTestResult{Statistic: math.Inf(1), DF: df, P: 0}, nil
-		case diff < 0:
-			return TTestResult{Statistic: math.Inf(-1), DF: df, P: 1}, nil
-		default:
-			return TTestResult{Statistic: 0, DF: df, P: 0.5}, nil
-		}
+	diff := Mean(a) - Mean(b)
+	sa, sb := Variance(a)/float64(na), Variance(b)/float64(nb)
+	// A NaN or Inf observation makes diff non-finite, as an overflow does.
+	if err := checkFinite([]float64{diff, sa + sb}); err != nil {
+		return TTestResult{}, err
 	}
-	t := (Mean(a) - Mean(b)) / denom
-	df := (sa + sb) * (sa + sb) / (sa*sa/float64(na-1) + sb*sb/float64(nb-1))
-	p := 1 - TCDF(t, df)
-	return TTestResult{Statistic: t, DF: df, P: p}, nil
+	// With zero variance in both samples the statistic is ±Inf, or NaN
+	// for equal means.
+	res := TTestResult{Statistic: diff / math.Sqrt(sa+sb), DF: float64(na + nb - 2), Alt: alt}
+	if na != nb && sa+sb > 0 {
+		// Welch-Satterthwaite, over each side's share of the variance so
+		// that tiny or huge variances neither underflow nor overflow, and
+		// swapping a and b swaps the terms exactly.
+		wa, wb := sa/(sa+sb), sb/(sa+sb)
+		res.DF = 1 / (wa*wa/float64(na-1) + wb*wb/float64(nb-1))
+	}
+	upper := 1 - TCDF(res.Statistic, res.DF) // P(T >= t) under H0
+	if math.IsNaN(res.Statistic) {
+		res.Statistic, upper = 0, 0.5
+	}
+	res.P = upper
+	if alt == TwoSided {
+		res.P = min(1, 2*min(upper, 1-upper))
+	}
+	return res, nil
 }
+
+// WelchTTest is TTest(a, b, Greater), kept because the benchmark spine
+// times it.
+//
+// Deprecated: call TTest with the alternative fixed in advance.
+func WelchTTest(a, b []float64) (TTestResult, error) { return TTest(a, b, Greater) }
 
 // SampleSizeRelErr returns the number of runs needed to bound the
 // relative error of the estimated mean by r at the given confidence
@@ -333,27 +331,6 @@ func SampleSizeRelErrT(cov, relErr, confidence float64) int {
 		n--
 	}
 	return n
-}
-
-// MinRunsForSignificance returns the smallest equal sample size n (2..max)
-// at which the one-sided t-test on the FIRST n elements of a and b rejects
-// H0 at level alpha, mirroring §5.1.2's "evaluate the test statistic for
-// different numbers of runs". Returns 0 if no n <= max suffices.
-func MinRunsForSignificance(a, b []float64, alpha float64, max int) int {
-	limit := max
-	if len(a) < limit {
-		limit = len(a)
-	}
-	if len(b) < limit {
-		limit = len(b)
-	}
-	for n := 2; n <= limit; n++ {
-		res, err := TTestOneSided(a[:n], b[:n])
-		if err == nil && res.Reject(alpha) {
-			return n
-		}
-	}
-	return 0
 }
 
 // MinRunsProjected estimates, from pilot estimates of the two means and a

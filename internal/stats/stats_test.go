@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -94,88 +95,143 @@ func TestCIOverlap(t *testing.T) {
 func TestTTestDetectsDifference(t *testing.T) {
 	slow := []float64{10.2, 10.4, 10.1, 10.3, 10.5, 10.2, 10.4, 10.3}
 	fast := []float64{9.1, 9.3, 9.0, 9.2, 9.4, 9.1, 9.3, 9.2}
-	res, err := TTestOneSided(slow, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reject(0.01) {
-		t.Errorf("clear 1.1 difference not rejected: p=%v", res.P)
-	}
-	if res.DF != 14 {
-		t.Errorf("df = %v, want 14", res.DF)
+	for _, alt := range []Alternative{Greater, TwoSided} {
+		res, err := TTest(slow, fast, alt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Reject(0.01) {
+			t.Errorf("alt %d: clear 1.1 difference not rejected: p=%v", alt, res.P)
+		}
+		if res.DF != 14 || res.Alt != alt {
+			t.Errorf("alt %d: df = %v, Alt = %d, want 14 and %d", alt, res.DF, res.Alt, alt)
+		}
 	}
 }
 
 func TestTTestNoDifference(t *testing.T) {
 	a := []float64{10, 11, 9, 10.5, 9.5, 10.2, 9.8, 10.1}
 	b := []float64{10.1, 10.9, 9.1, 10.4, 9.6, 10.1, 9.9, 10.0}
-	res, err := TTestOneSided(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject(0.05) {
-		t.Errorf("identical populations rejected: p=%v", res.P)
+	for _, alt := range []Alternative{Greater, TwoSided} {
+		res, err := TTest(a, b, alt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reject(0.05) {
+			t.Errorf("alt %d: identical populations rejected: p=%v", alt, res.P)
+		}
 	}
 }
 
 func TestTTestDirectionality(t *testing.T) {
-	// If a is actually FASTER (smaller), one-sided p should be near 1.
+	// a is FASTER (smaller): H1 mu_a > mu_b gets p near 1, while the
+	// two-sided test sees the difference, at twice the lower tail.
 	a := []float64{9, 9.1, 9.2, 9.0}
 	b := []float64{10, 10.1, 10.2, 10.0}
-	res, err := TTestOneSided(a, b)
+	gt, err := TTest(a, b, Greater)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.P < 0.9 {
-		t.Errorf("wrong-direction test should have high p, got %v", res.P)
+	if gt.P < 0.9 {
+		t.Errorf("wrong-direction test should have high p, got %v", gt.P)
+	}
+	two, err := TTest(a, b, TwoSided)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx(t, two.P, 2*(1-gt.P), 1e-12, "two-sided p")
+	if !two.Reject(0.01) || two.Statistic != gt.Statistic {
+		t.Errorf("two-sided test: %+v, one-sided: %+v", two, gt)
 	}
 }
 
 func TestTTestDegenerate(t *testing.T) {
-	res, err := TTestOneSided([]float64{2, 2}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		a, b []float64
+		alt  Alternative
+		p    float64
+	}{
+		{[]float64{2, 2}, []float64{1, 1}, Greater, 0},
+		{[]float64{2, 2}, []float64{1, 1}, TwoSided, 0},
+		{[]float64{1, 1}, []float64{2, 2}, Greater, 1},
+		{[]float64{1, 1}, []float64{1, 1}, Greater, 0.5},
+		{[]float64{1, 1}, []float64{1, 1}, TwoSided, 1},
+	} {
+		res, err := TTest(tc.a, tc.b, tc.alt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.P != tc.p || res.DF != 2 {
+			t.Errorf("zero-variance %v vs %v alt %d: p=%v df=%v, want p=%v df=2", tc.a, tc.b, tc.alt, res.P, res.DF, tc.p)
+		}
 	}
-	if res.P != 0 {
-		t.Errorf("zero-variance clear difference should give p=0, got %v", res.P)
-	}
-	res, err = TTestOneSided([]float64{1, 1}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != 0.5 {
-		t.Errorf("identical degenerate samples: p=%v, want 0.5", res.P)
-	}
-	if _, err := TTestOneSided([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error for unequal sizes")
-	}
-	if _, err := TTestOneSided([]float64{1}, []float64{2}); err == nil {
+	if _, err := TTest([]float64{1}, []float64{2}, TwoSided); err == nil {
 		t.Error("expected error for n<2")
 	}
 }
 
+// TestTTestRejectsNonFinite: a NaN or Inf observation, or finite
+// observations whose variance overflows, is ErrNonFinite, not a p-value.
+func TestTTestRejectsNonFinite(t *testing.T) {
+	for _, a := range [][]float64{
+		{math.NaN(), 1},
+		{math.Inf(1), 1},
+		{1e308, -1e308},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		for _, alt := range []Alternative{Greater, TwoSided} {
+			if res, err := TTest(a, []float64{1, 2}, alt); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("TTest(%v, [1 2], %d) = %+v, %v; want ErrNonFinite", a, alt, res, err)
+			}
+		}
+	}
+}
+
+// TestWelchAgreesWithPooledForEqualN: at equal n the paper's pooled
+// denominator sqrt((s_a^2+s_b^2)/n) is Welch's sqrt(s_a^2/n+s_b^2/n), and
+// TTest takes the paper's df = 2n-2; the deprecated WelchTTest is its
+// Greater case.
 func TestWelchAgreesWithPooledForEqualN(t *testing.T) {
 	a := []float64{10.2, 10.4, 10.1, 10.3, 10.5}
 	b := []float64{9.1, 9.3, 9.0, 9.2, 9.4}
-	p1, err1 := TTestOneSided(a, b)
-	p2, err2 := WelchTTest(a, b)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	res, err := TTest(a, b, Greater)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same statistic for equal n (denominators coincide); df differs.
-	approx(t, p2.Statistic, p1.Statistic, 1e-9, "statistic")
-	if math.Abs(p1.P-p2.P) > 0.02 {
-		t.Errorf("Welch and pooled p diverge: %v vs %v", p1.P, p2.P)
+	pooled := (Mean(a) - Mean(b)) / math.Sqrt((Variance(a)+Variance(b))/5)
+	approx(t, res.Statistic, pooled, 1e-9, "statistic")
+	if res.DF != 8 {
+		t.Errorf("df = %v, want 2n-2 = 8", res.DF)
+	}
+	approx(t, res.P, 1-TCDF(pooled, 8), 1e-12, "one-sided p")
+	if w, err := WelchTTest(a, b); err != nil || w != res {
+		t.Errorf("WelchTTest = %+v, %v; want %+v", w, err, res)
 	}
 }
 
+// TestTTestWelchDF: unequal sizes take the Welch-Satterthwaite df,
+// checked against the hand computation. a = {1,2,3}: s^2/n = 1/3;
+// b = {2,4,6,8}: s^2/n = (20/3)/4 = 5/3. df = (1/3+5/3)^2 /
+// ((1/3)^2/2 + (5/3)^2/3) = 4/(53/54) = 216/53; t = (2-5)/sqrt(2).
+func TestTTestWelchDF(t *testing.T) {
+	res, err := TTest([]float64{1, 2, 3}, []float64{2, 4, 6, 8}, TwoSided)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx(t, res.DF, 216.0/53, 1e-12, "Welch df")
+	approx(t, res.Statistic, -3/math.Sqrt2, 1e-12, "statistic")
+	approx(t, res.P, 2*TCDF(-3/math.Sqrt2, 216.0/53), 1e-12, "two-sided p")
+}
+
 func TestWelchDegenerate(t *testing.T) {
-	if _, err := WelchTTest([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := TTest([]float64{1}, []float64{1, 2}, Greater); err == nil {
 		t.Error("expected error for n<2")
 	}
-	res, err := WelchTTest([]float64{3, 3}, []float64{1, 1})
-	if err != nil || res.P != 0 {
-		t.Errorf("degenerate Welch: %v %v", res, err)
+	// Unequal sizes, zero variance: no Welch df exists; the test keeps
+	// n_a+n_b-2 and the degenerate p.
+	res, err := TTest([]float64{3, 3}, []float64{1, 1, 1}, Greater)
+	if err != nil || res.P != 0 || res.DF != 3 {
+		t.Errorf("degenerate Welch: %+v %v", res, err)
 	}
 }
 
@@ -200,19 +256,6 @@ func TestSampleSizeMonotonicity(t *testing.T) {
 	}
 	if SampleSizeRelErr(0, 0.05, 0.95) != 0 {
 		t.Error("invalid input should give 0")
-	}
-}
-
-func TestMinRunsForSignificance(t *testing.T) {
-	slow := []float64{10.5, 10.6, 10.4, 10.7, 10.5, 10.6, 10.4, 10.5, 10.6, 10.5}
-	fast := []float64{10.0, 10.1, 9.9, 10.2, 10.0, 10.1, 9.9, 10.0, 10.1, 10.0}
-	n := MinRunsForSignificance(slow, fast, 0.05, 10)
-	if n == 0 {
-		t.Fatal("clear difference never significant")
-	}
-	n2 := MinRunsForSignificance(slow, fast, 0.001, 10)
-	if n2 != 0 && n2 < n {
-		t.Errorf("stricter alpha needs fewer runs? %d < %d", n2, n)
 	}
 }
 

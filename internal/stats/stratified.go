@@ -18,7 +18,7 @@ import "math"
 //
 //	df = (Σ_h s_h²/n_h)² / Σ_h (s_h²/n_h)²/(n_h-1)
 //
-// (the same approximation WelchTTest applies to its two-sample
+// (the approximation TTest applies to an unequal-size two-sample
 // denominator), switching to the normal quantile once df reaches 50 —
 // the batch CI's quantile rule.
 //

@@ -38,8 +38,9 @@ func TestStreamMatchesBatch(t *testing.T) {
 			perm := make([]int, n)
 			for i := range perm {
 				perm[i] = i
+				j := r.Intn(i + 1)
+				perm[i], perm[j] = perm[j], perm[i]
 			}
-			r.Perm(perm)
 			var s Stream
 			for _, i := range perm {
 				if err := s.Add(xs[i]); err != nil {
