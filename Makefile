@@ -80,7 +80,7 @@ spine-aa:
 #     snapshot and then own every page over the time to snapshot — is a
 #     ratio taken inside one process (21-59).
 #   - sampling.runs_saved_pct is exact, the study's seeds being pinned:
-#     70 % of the 20-run fixed-N baseline, where 66.7 is three times
+#     72.4 % of the 30-run fixed-N baseline, where 66.7 is three times
 #     fewer runs (docs/SAMPLING.md).
 #   - the three tap overheads are clocked differences of a 1-5 % cost
 #     that this host reads anywhere in -5..+11 %; 25 %, the spine's own

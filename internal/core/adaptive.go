@@ -6,19 +6,17 @@
 // a run phase in which every arm takes the round its last decision
 // scheduled, then a barrier at which — the index-ordered merge of the
 // round in hand — the sampling package's pure decision procedures say
-// who stops, who continues and with how many runs. One stopping rule
-// sits over that one engine: Decide per arm, plus Prune across a matrix
-// (AdaptiveMatrix, of which AdaptiveSpace is the one-arm case), and its
-// K-stratum form DecideStrata over a time sample's strata, decided
-// jointly and grown evenly (AdaptiveTimeSample). The strata are arms of
-// one checkpoint walk (Experiment.strata), of which the fixed-N
-// TimeSample takes a single round. The determinism contract
-// (docs/SAMPLING.md):
-// every executed run keeps the exact (experiment, config hash, derived
-// seed, run index) identity the fixed-N path would give it, decisions
-// depend only on merged values (never completion order), and every
-// decision is journaled (journal.StatusDecision) so a -resume replays
-// the same stop/prune choices.
+// who stops, who continues and with how many runs: DecideMatrix
+// settles a matrix's arms pair by pair against the best (AdaptiveMatrix)
+// and is Decide, the precision stop, for the one-arm AdaptiveSpace;
+// DecideStrata decides a time sample's strata jointly and grows them
+// evenly (AdaptiveTimeSample). The strata are arms of one checkpoint
+// walk (Experiment.strata), of which the fixed-N TimeSample takes a
+// single round. The determinism contract (docs/SAMPLING.md): every
+// executed run keeps the exact (experiment, config hash, derived seed,
+// run index) identity the fixed-N path would give it, decisions depend
+// only on merged values (never completion order), and every decision is
+// journaled (journal.StatusDecision) so a -resume replays them.
 
 package core
 
@@ -134,9 +132,9 @@ func live(arms []*arm) bool {
 // decide is the replay-first decision point: if the resume cache holds
 // a journaled decision for the arm's next barrier, that decision is
 // applied verbatim — the -resume contract that an interrupted run's
-// stop and prune choices replay exactly. Otherwise compute derives it
-// from the merged values and the result is journaled for the next
-// resume. Either way the decision is folded into the arm.
+// choices replay exactly. Otherwise compute derives it from the merged
+// values and the result is journaled for the next resume. Either way
+// the decision is folded into the arm.
 func (a *arm) decide(compute func(round int) sampling.Decision) sampling.Decision {
 	res := a.plan.Resilience
 	key := sampling.DecisionKey(a.plan.Label, a.cfgHash, a.plan.SeedBase, a.rep.Rounds)
@@ -171,13 +169,13 @@ func (a *arm) apply(d sampling.Decision) {
 		return
 	case sampling.ActionStop:
 		a.rep.Status = sampling.StatusConverged
-	case sampling.ActionPrune:
-		a.rep.Status = sampling.StatusPruned
+	case sampling.ActionDecided:
+		a.rep.Status = sampling.StatusDecided
 	default:
 		a.rep.Status = sampling.StatusBudget
 	}
 	a.ckpt, a.base = nil, nil // the arm's checkpoint is no use to the arms still running
-	sampling.CountSettle(a.rep.FixedN-a.rep.Executed, d.Action == sampling.ActionPrune)
+	sampling.CountSettle(a.rep.FixedN - a.rep.Executed)
 }
 
 // publish assembles the arms' report, in input order, and refreshes the
@@ -209,11 +207,11 @@ func (e Experiment) AdaptiveSpace(t sampling.Target) (Space, sampling.Arm, error
 }
 
 // AdaptiveMatrix runs a configuration matrix (one experiment per
-// configuration, typically sharing a workload) — the two-phase design:
-// a MinRuns pilot round sizes each arm's CoV, then each cycle runs the
-// round every live arm's own stopping rule scheduled and prunes every
-// arm whose confidence interval has separated from the best arm's. Each
-// arm spends up to Target.MaxRuns; there is no budget across arms.
+// configuration, typically sharing a workload) to its verdict: a
+// MinRuns pilot round, then at each barrier sampling.DecideMatrix
+// settles every arm whose comparison with the best arm is decided, or
+// whose budget is spent, and gives the rest one more round. Each arm
+// spends up to Target.MaxRuns; there is no budget across arms.
 //
 // Spaces and the report list arms in input order. A graceful drain
 // marks the interrupted and unstarted arms incomplete and returns the
@@ -239,25 +237,21 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 		if err = run(arms); err != nil {
 			break
 		}
-		// Barrier phase: index-ordered decisions over the merged values.
-		for _, a := range arms {
-			if a.want > 0 {
-				sampling.CountRound(a.want)
-				a.decide(func(round int) sampling.Decision { return sampling.Decide(a.sp.Values, round, t) })
-			}
-		}
-		// Prune phase: an arm whose CI separated from the best arm's
-		// cannot win the comparison; settled arms still anchor the best.
-		samples := make([][]float64, len(arms))
+		// Barrier: one DecideMatrix over the merged values, unless every
+		// live arm replays its decision; live arms share a round count.
+		samples, open := make([][]float64, len(arms)), make([]bool, len(arms))
 		for i, a := range arms {
-			samples[i] = a.sp.Values
+			samples[i], open[i] = a.sp.Values, a.want > 0
 		}
-		for i, pruned := range sampling.Prune(samples, t.Confidence) {
-			if a := arms[i]; pruned && a.want > 0 {
+		var ds []sampling.Decision
+		for i, a := range arms {
+			if open[i] {
+				sampling.CountRound(a.want)
 				a.decide(func(round int) sampling.Decision {
-					d := sampling.Decide(a.sp.Values, round, t)
-					d.Action, d.Next = sampling.ActionPrune, 0
-					return d
+					if ds == nil {
+						ds = sampling.DecideMatrix(samples, open, round, t)
+					}
+					return ds[i]
 				})
 			}
 		}

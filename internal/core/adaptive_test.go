@@ -141,21 +141,23 @@ type adaptiveShape struct {
 	run  func(width int, res core.Resilience) ([]core.Space, sampling.Report, error)
 }
 
-// dramMatrix is the three-arm matrix whose configurations separate:
-// DRAM supply latency swept far apart, so the slow arms are pruned.
+// dramMatrix is the three-arm matrix with both kinds of pair: dram-800,
+// its DRAM ten times slower, is decided against dram-80 at the pilot,
+// while dram-80's identical twin under another label has the same
+// samples (p = 1), so the twins run to the budget.
 func dramMatrix(width int) []core.Experiment {
 	es := make([]core.Experiment, 3)
-	for i, supply := range []int64{80, 400, 800} {
+	for i, supply := range []int64{80, 80, 800} {
 		e := adaptiveExperiment(width)
-		e.Label = [3]string{"dram-80", "dram-400", "dram-800"}[i]
+		e.Label = [3]string{"dram-80", "dram-80-twin", "dram-800"}[i]
 		e.Config.MemSupplyNS = supply
 		es[i] = e
 	}
 	return es
 }
 
-// adaptiveShapes are the lone arm, the pruning matrix and the
-// two-checkpoint stratified time sample.
+// adaptiveShapes are the lone arm, the matrix and the two-checkpoint
+// stratified time sample.
 func adaptiveShapes() []adaptiveShape {
 	return []adaptiveShape{
 		{"lone-arm", func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
@@ -208,8 +210,8 @@ func barriers(rep sampling.Report) int {
 // byte-identical to an uninterrupted run. At width 1 the drain is
 // exact, so it is pulled after every run count short of the whole
 // schedule — inside every round and at every barrier, the matrix's
-// prunes among the decisions replayed; wider fleets finish what is in
-// flight, so they are drained once, inside the pilot.
+// "decided" settle among the decisions replayed; wider fleets finish
+// what is in flight, so they are drained once, inside the pilot.
 func TestAdaptiveKillAndResumeByteIdentical(t *testing.T) {
 	for _, width := range []int{1, 4, runtime.NumCPU()} {
 		t.Run(label(width), func(t *testing.T) {
@@ -224,12 +226,12 @@ func TestAdaptiveKillAndResumeByteIdentical(t *testing.T) {
 						killAndResume(t, shape, width, 2, brep, want)
 						return
 					}
-					prunesReplayed := 0
+					decidedReplayed := 0
 					for stop := 1; stop < brep.Executed; stop++ {
-						prunesReplayed += killAndResume(t, shape, width, stop, brep, want)
+						decidedReplayed += killAndResume(t, shape, width, stop, brep, want)
 					}
-					if len(brep.Pruned) > 0 && prunesReplayed == 0 {
-						t.Error("no resume replayed a prune: the matrix's replay-first check never ran")
+					if shape.name == "matrix" && decidedReplayed == 0 {
+						t.Error("no resume replayed a decided settle: the matrix's replay-first check never ran")
 					}
 				})
 			}
@@ -240,7 +242,7 @@ func TestAdaptiveKillAndResumeByteIdentical(t *testing.T) {
 // killAndResume drains the shape after stop settled runs, resumes it
 // from the journal and holds the outcome to want, the uninterrupted
 // run's bytes (whose report is base). It returns how many of base's
-// prune decisions the resume found journaled.
+// "decided" settles the resume found journaled.
 func killAndResume(t *testing.T, shape adaptiveShape, width, stop int, base sampling.Report, want []byte) int {
 	t.Helper()
 	dir := t.TempDir()
@@ -272,12 +274,12 @@ func killAndResume(t *testing.T, shape adaptiveShape, width, stop int, base samp
 	if n := countJournaled(t, dir, journal.StatusOK); n != prep.Executed {
 		t.Fatalf("width %d, stop %d: journal replayed %d run records, drained run settled %d", width, stop, n, prep.Executed)
 	}
-	prunes := 0
+	decided := 0
 	for _, a := range base.Arms {
-		// A pruned arm's last decision is its prune.
+		// A decided arm's last decision is its settle.
 		key := sampling.DecisionKey(a.Experiment, a.ConfigHash, adaptiveExperiment(1).SeedBase, a.Rounds-1)
-		if _, ok := jc.Decision(key); ok && a.Status == sampling.StatusPruned {
-			prunes++
+		if _, ok := jc.Decision(key); ok && a.Status == sampling.StatusDecided {
+			decided++
 		}
 	}
 	fspaces, frep, err := shape.run(width, core.Resilience{Journal: jw2, Cache: jc})
@@ -303,7 +305,7 @@ func killAndResume(t *testing.T, shape adaptiveShape, width, stop int, base samp
 	if n := countJournaled(t, dir, journal.StatusOK); n != frep.Executed {
 		t.Errorf("width %d, stop %d: journal holds %d run records, schedule executed %d", width, stop, n, frep.Executed)
 	}
-	return prunes
+	return decided
 }
 
 // TestAdaptiveShuffledCompletionByteIdentical shuffles host completion
@@ -444,24 +446,24 @@ func TestAdaptiveResumeTornDecisionRecord(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMatrixWidthAndPruneDeterminism runs a three-arm matrix
-// whose configurations separate (DRAM supply latency swept far apart)
-// and pins both halves of the matrix contract: the prune verdicts are
-// decided by interval separation — so the slow arms settle as pruned —
-// and the whole report renders byte-identically at every width.
-func TestAdaptiveMatrixWidthAndPruneDeterminism(t *testing.T) {
+// TestAdaptiveMatrixWidthAndDecidedDeterminism runs the three-arm DRAM
+// matrix and pins both halves of the matrix contract: the arms settle
+// on their pair verdicts — dram-800 decided at the pilot, the twins,
+// which cannot be told apart, at the budget — and the whole report
+// renders byte-identically at every width.
+func TestAdaptiveMatrixWidthAndDecidedDeterminism(t *testing.T) {
 	tgt := adaptiveTarget()
 	spaces, rep, err := core.AdaptiveMatrix(dramMatrix(1), tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := renderShape(spaces, rep)
-	if len(rep.Pruned) == 0 {
-		t.Error("no arm pruned: 10x DRAM latency spread should separate the intervals")
-	}
-	for _, name := range rep.Pruned {
-		if name == "dram-80" {
-			t.Error("the best arm (dram-80) was pruned")
+	for i, w := range []struct {
+		runs   int
+		status string
+	}{{12, sampling.StatusBudget}, {12, sampling.StatusBudget}, {4, sampling.StatusDecided}} {
+		if a := rep.Arms[i]; a.Executed != w.runs || a.Status != w.status {
+			t.Errorf("arm %s: %d runs, status %s; want %d runs, %s", a.Experiment, a.Executed, a.Status, w.runs, w.status)
 		}
 	}
 	for _, width := range []int{4, runtime.NumCPU()} {

@@ -51,7 +51,7 @@ type Options struct {
 	// it passes one, else an empty cache New makes, which then holds
 	// only this harness's runs. See docs/RESILIENCE.md.
 	Resilience core.Resilience
-	// Adaptive, when non-nil, overrides the stopping/pruning target the
+	// Adaptive, when non-nil, overrides the stopping target the
 	// sampling experiment uses (nil selects the paper's worked-example
 	// target, ±4% at 95% confidence, capped at the fixed-N baseline so
 	// runs-saved is directly comparable). See docs/SAMPLING.md.
@@ -107,7 +107,7 @@ var allExperiments = []Experiment{
 	{"ablations", "Extensions: perturbation site, MESI vs MOSI, snoop occupancy, checkpoint sampling, normality", (*H).Ablations},
 	{"divergence", "Extension: divergence observatory — when perturbed runs fork and which subsystem forks first", (*H).DivergenceStudy},
 	{"characterize", "Workload characterization: memory, sharing, OS and lock behaviour per benchmark", (*H).Characterize},
-	{"sampling", "Extension: adaptive sampling — early stopping, mid-matrix pruning and stratified replication vs fixed-N", (*H).SamplingStudy},
+	{"sampling", "Extension: adaptive sampling — early stopping, pair verdicts and stratified replication vs fixed-N", (*H).SamplingStudy},
 }
 
 // experimentIndex maps experiment names to their entries for Find.

@@ -316,5 +316,5 @@ func TestCharacterize(t *testing.T) {
 func TestSamplingStudy(t *testing.T) {
 	runQuick(t, "sampling",
 		"adaptive sampling", "Table 3 benchmarks", "associativity matrix",
-		"stratified time sampling", "runs saved")
+		"stratified time sampling", "runs saved", "4-way outperforms 2-way")
 }

@@ -6,6 +6,7 @@ import (
 	"varsim/internal/core"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
+	"varsim/internal/stats"
 )
 
 // adaptiveTarget resolves the stopping rule the sampling experiment
@@ -26,12 +27,10 @@ func (h *H) adaptiveTarget() sampling.Target {
 // scheduler (docs/SAMPLING.md), each reporting achieved-vs-requested
 // precision and the runs saved against the fixed-N baseline.
 //
-//  1. The Table 3 benchmark matrix with per-benchmark early stopping
-//     (cross-workload pruning is meaningless — the benchmarks are not
-//     competing configurations, so each arm stops on its own CI).
-//  2. The Table 1 L2-associativity matrix, where an arm whose
-//     confidence interval separates from the best configuration's is
-//     pruned mid-matrix.
+//  1. The Table 3 benchmarks, each stopping on its own CI: they are
+//     not competing configurations.
+//  2. The Table 1 L2-associativity matrix, settled and printed pair by
+//     pair against the best configuration (sampling.DecideMatrix).
 //  3. An OLTP time-sampling study where replication is stratified
 //     across starting checkpoints, every stratum taking an equal share
 //     of each round.
@@ -58,17 +57,34 @@ func (h *H) SamplingStudy() error {
 	fmt.Fprintln(h.opt.Out, "\n-- Table 3 benchmarks, adaptive early stopping --")
 	h.samplingTable(table3)
 
-	// Study 2: the L2-associativity matrix with mid-matrix pruning.
+	// Study 2: the L2-associativity matrix, settled on its pair verdicts.
 	var es []core.Experiment
 	for _, assoc := range assocWays {
 		es = append(es, h.assocExperiment(assoc))
 	}
-	_, matrix, err := core.AdaptiveMatrix(es, t)
+	spaces, matrix, err := core.AdaptiveMatrix(es, t)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(h.opt.Out, "\n-- L2 associativity matrix, pruning --")
+	fmt.Fprintln(h.opt.Out, "\n-- L2 associativity matrix, pair verdicts --")
 	h.samplingTable(matrix)
+	best := 0
+	for i, sp := range spaces {
+		if stats.Mean(sp.Values) < stats.Mean(spaces[best].Values) {
+			best = i
+		}
+	}
+	for i, sp := range spaces {
+		if i == best {
+			continue
+		}
+		cmp, err := core.Compare(sp, spaces[best], t.Confidence)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(h.opt.Out, "%s [%s %d runs, %s %d runs]\n", cmp.Conclusion(sampling.PairAlpha(t)),
+			sp.Label, len(sp.Values), spaces[best].Label, len(spaces[best].Values))
+	}
 
 	// Study 3: stratified replication across OLTP starting checkpoints.
 	var cks []int64
@@ -100,14 +116,8 @@ func (h *H) samplingTable(rep sampling.Report) {
 		if a.RelPct > 0 {
 			achieved = fmt.Sprintf("%.2f%%", a.RelPct)
 		}
-		rows = append(rows, []string{
-			a.Experiment,
-			fmt.Sprintf("%d", a.Executed),
-			fmt.Sprintf("%d", a.FixedN),
-			fmt.Sprintf("%d", a.Rounds),
-			achieved,
-			a.Status,
-		})
+		rows = append(rows, []string{a.Experiment, fmt.Sprint(a.Executed), fmt.Sprint(a.FixedN),
+			fmt.Sprint(a.Rounds), achieved, a.Status})
 	}
 	h.table("arm\truns\tfixed-N\trounds\tachieved\tstatus", rows)
 }

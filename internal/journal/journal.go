@@ -49,7 +49,7 @@ const (
 	// StatusDecision is an adaptive-sampling barrier decision (Result
 	// holds a sampling.Decision as JSON). Decision records are keyed by
 	// (experiment, config hash, seed base, round index) — NOT a run's
-	// derived seed — so a -resume replays the exact stop/prune choices
+	// derived seed — so a -resume replays the exact stopping choices
 	// the interrupted run took instead of re-deriving them from a
 	// partially journaled round.
 	StatusDecision = "decision"

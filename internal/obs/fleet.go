@@ -151,13 +151,11 @@ type FleetStatus struct {
 	JournalLag      int64 `json:"journal_lag,omitempty"`
 	JournalReplayed int64 `json:"journal_replayed,omitempty"`
 	// Adaptive-scheduler counters (sampling.Read): barrier rounds
-	// decided, runs actually executed under adaptive schedules, runs
-	// saved against the fixed-N baseline, and configurations pruned
-	// mid-matrix. See docs/SAMPLING.md.
+	// decided, runs actually executed under adaptive schedules, and runs
+	// saved against the fixed-N baseline. See docs/SAMPLING.md.
 	SamplingRounds   int64              `json:"sampling_rounds,omitempty"`
 	SamplingExecuted int64              `json:"sampling_executed,omitempty"`
 	SamplingSaved    int64              `json:"sampling_saved,omitempty"`
-	SamplingPruned   int64              `json:"sampling_pruned,omitempty"`
 	Experiments      []ExperimentStatus `json:"experiments"`
 }
 
@@ -177,8 +175,7 @@ func (f *Fleet) Status() FleetStatus {
 		WorkersBusy: js.BusyWorkers, JobsDone: js.JobsDone, JobsTotal: js.JobsTotal,
 		Retries: js.Retries, Timeouts: js.Timeouts,
 		JournalAppended: jn.Appended, JournalLag: jn.Lag, JournalReplayed: jn.Hits,
-		SamplingRounds: ss.Rounds, SamplingExecuted: ss.Executed,
-		SamplingSaved: ss.Saved, SamplingPruned: ss.Pruned,
+		SamplingRounds: ss.Rounds, SamplingExecuted: ss.Executed, SamplingSaved: ss.Saved,
 		Experiments: make([]ExperimentStatus, 0, len(f.order)),
 	}
 	for _, name := range f.order {
@@ -270,9 +267,6 @@ func (s FleetStatus) Line() string {
 	}
 	if s.SamplingRounds > 0 {
 		out += fmt.Sprintf(", adaptive %d rounds %d saved", s.SamplingRounds, s.SamplingSaved)
-		if s.SamplingPruned > 0 {
-			out += fmt.Sprintf(" (%d pruned)", s.SamplingPruned)
-		}
 	}
 	if s.ETASecs > 0 {
 		out += fmt.Sprintf(", ETA ~%s", time.Duration(s.ETASecs*float64(time.Second)).Round(time.Second))

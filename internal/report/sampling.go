@@ -3,19 +3,17 @@ package report
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"varsim/internal/sampling"
 )
 
 // WriteSampling renders an adaptive-sampling report: the
-// achieved-vs-requested precision table (one arm per configuration),
-// the pruned-configuration list, and the runs-saved accounting against
-// the fixed-N baseline. The format is pinned by golden tests, and —
-// because the scheduler's decisions are pure functions of
-// index-ordered merged values — the rendered bytes are identical at
-// any fleet width and across kill-and-resume, the same contract
-// WriteSpace carries.
+// achieved-vs-requested precision table (one arm per configuration)
+// and the runs-saved accounting against the fixed-N baseline. The
+// format is pinned by golden tests, and — because the scheduler's
+// decisions are pure functions of index-ordered merged values — the
+// rendered bytes are identical at any fleet width and across
+// kill-and-resume, the same contract WriteSpace carries.
 func WriteSampling(w io.Writer, rep sampling.Report) {
 	fmt.Fprintf(w, "adaptive sampling: target ±%.3g%% of the mean at %.3g%% confidence (pilot %d, cap %d runs/config)\n",
 		100*rep.RelErr, 100*rep.Confidence, rep.MinRuns, rep.MaxRuns)
@@ -39,9 +37,6 @@ func WriteSampling(w io.Writer, rep sampling.Report) {
 		}
 		fmt.Fprintf(w, "  %-16s %-10s %5d %6d %7d  %-9s %7s  %s\n",
 			a.Experiment, cfg, a.Executed, a.FixedN, a.Rounds, achieved, needed, a.Status)
-	}
-	if len(rep.Pruned) > 0 {
-		fmt.Fprintf(w, "pruned configs: %s\n", strings.Join(rep.Pruned, ", "))
 	}
 	if rep.FixedN > 0 {
 		fmt.Fprintf(w, "runs saved: %d of %d fixed-N runs executed (%.1f%% saved)\n",

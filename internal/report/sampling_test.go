@@ -9,7 +9,7 @@ import (
 
 // goldenSamplingReports are hand-built adaptive-sampling reports
 // covering every rendering branch: all arms converged (the runs-saved
-// headline), a matrix with a pruned arm and a budget-capped arm, an
+// headline), a matrix with a decided arm and two undecided at the budget, an
 // interrupted schedule mid-round (the INCOMPLETE banner), and an empty
 // report. Values are synthetic but shaped like real Table-3 output so
 // the goldens double as documentation of the format.
@@ -29,13 +29,13 @@ func goldenSamplingReports() map[string]sampling.Report {
 				Rounds: 2, RelPct: 3.95, Needed: 8, Status: sampling.StatusConverged},
 		},
 	}
-	pruned := sampling.Report{
+	matrix := sampling.Report{
 		Target: target,
 		Arms: []sampling.Arm{
-			{Experiment: "assoc-1way", ConfigHash: "11aa22bb33cc44", Executed: 8, FixedN: 20,
-				Rounds: 2, RelPct: 5.4, Needed: 15, Status: sampling.StatusPruned},
-			{Experiment: "assoc-2way", ConfigHash: "55dd66ee77ff88", Executed: 16, FixedN: 20,
-				Rounds: 4, RelPct: 3.2, Needed: 14, Status: sampling.StatusConverged},
+			{Experiment: "assoc-1way", ConfigHash: "11aa22bb33cc44", Executed: 4, FixedN: 20,
+				Rounds: 1, RelPct: 5.4, Needed: 15, Status: sampling.StatusDecided},
+			{Experiment: "assoc-2way", ConfigHash: "55dd66ee77ff88", Executed: 20, FixedN: 20,
+				Rounds: 5, RelPct: 3.2, Needed: 14, Status: sampling.StatusBudget},
 			{Experiment: "assoc-4way", ConfigHash: "99aabbccddeeff", Executed: 20, FixedN: 20,
 				Rounds: 5, RelPct: 6.8, Needed: 41, Status: sampling.StatusBudget},
 		},
@@ -51,7 +51,7 @@ func goldenSamplingReports() map[string]sampling.Report {
 	}
 	reports := map[string]sampling.Report{
 		"sampling_converged":  converged,
-		"sampling_pruned":     pruned,
+		"sampling_matrix":     matrix,
 		"sampling_incomplete": incomplete,
 		"sampling_empty":      {Target: target},
 	}

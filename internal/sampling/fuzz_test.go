@@ -24,7 +24,7 @@ func FuzzDecisionCodec(f *testing.F) {
 	seed(Decision{Round: 0, N: 4, Action: ActionContinue, RelPct: 6.5, Needed: 11, Next: 4})
 	seed(Decision{Round: 2, N: 12, Action: ActionStop, RelPct: 3.2, Needed: 11})
 	seed(Decision{Round: 5, N: 64, Action: ActionBudget, RelPct: 8.8, Needed: 300})
-	seed(Decision{Round: 1, N: 8, Action: ActionPrune, RelPct: 4.4, Needed: 9})
+	seed(Decision{Round: 1, N: 8, Action: ActionDecided, RelPct: 4.4, Needed: 9})
 	seed(Decision{Round: 0, N: 12, Action: ActionContinue, RelPct: 1.2, Needed: 40, Next: 12}) // three strata, four runs each
 	f.Add([]byte(""))
 	f.Add([]byte("not json"))

@@ -10,7 +10,7 @@ import (
 const (
 	StatusConverged  = "converged"  // stopped early at the requested precision
 	StatusBudget     = "budget"     // settled at the run budget, converged or not
-	StatusPruned     = "pruned"     // dropped mid-matrix: CI separated from the best
+	StatusDecided    = "decided"    // a matrix arm whose comparison with the best is decided
 	StatusIncomplete = "incomplete" // a drain interrupted the arm mid-round
 )
 
@@ -47,8 +47,6 @@ type Report struct {
 	Executed int     `json:"executed"`
 	FixedN   int     `json:"fixed_n"`
 	SavedPct float64 `json:"saved_pct"`
-	// Pruned lists the labels of pruned arms, in arm order.
-	Pruned []string `json:"pruned,omitempty"`
 	// Incomplete marks a report cut short by a graceful drain; the
 	// rendered report carries the INCOMPLETE banner and a resume hint.
 	Incomplete bool `json:"incomplete,omitempty"`
@@ -58,13 +56,9 @@ type Report struct {
 // appending the last arm.
 func (r *Report) Finalize() {
 	r.Executed, r.FixedN, r.SavedPct = 0, 0, 0
-	r.Pruned = nil
 	for _, a := range r.Arms {
 		r.Executed += a.Executed
 		r.FixedN += a.FixedN
-		if a.Status == StatusPruned {
-			r.Pruned = append(r.Pruned, a.Experiment)
-		}
 		if a.Status == StatusIncomplete {
 			r.Incomplete = true
 		}
@@ -86,18 +80,15 @@ type Stats struct {
 	Rounds int64 `json:"rounds"`
 	// Executed counts runs the scheduler actually submitted or
 	// replayed; Saved counts runs the fixed-N baseline would have spent
-	// that a stop/prune decision avoided.
+	// that a settling decision avoided.
 	Executed int64 `json:"executed"`
 	Saved    int64 `json:"saved"`
-	// Pruned counts arms dropped by CI separation.
-	Pruned int64 `json:"pruned"`
 }
 
 var (
 	roundCount    atomic.Int64
 	executedCount atomic.Int64
 	savedCount    atomic.Int64
-	prunedCount   atomic.Int64
 )
 
 // Read returns the process-wide adaptive-sampling counters.
@@ -106,7 +97,6 @@ func Read() Stats {
 		Rounds:   roundCount.Load(),
 		Executed: executedCount.Load(),
 		Saved:    savedCount.Load(),
-		Pruned:   prunedCount.Load(),
 	}
 }
 
@@ -118,13 +108,10 @@ func CountRound(n int) {
 }
 
 // CountSettle records an arm settling with saved runs left unspent
-// against its fixed-N baseline; pruned marks a CI-separation drop.
-func CountSettle(saved int, pruned bool) {
+// against its fixed-N baseline.
+func CountSettle(saved int) {
 	if saved > 0 {
 		savedCount.Add(int64(saved))
-	}
-	if pruned {
-		prunedCount.Add(1)
 	}
 }
 
@@ -142,7 +129,6 @@ var (
 func Publish(rep Report) {
 	snap := rep
 	snap.Arms = append([]Arm(nil), rep.Arms...)
-	snap.Pruned = append([]string(nil), rep.Pruned...)
 	latestMu.Lock()
 	latest = &snap
 	latestMu.Unlock()
@@ -158,6 +144,5 @@ func Latest() *Report {
 	}
 	snap := *latest
 	snap.Arms = append([]Arm(nil), latest.Arms...)
-	snap.Pruned = append([]string(nil), latest.Pruned...)
 	return &snap
 }

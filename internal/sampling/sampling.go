@@ -1,26 +1,18 @@
 // Package sampling is the adaptive run scheduler: it decides, at
 // deterministic round barriers, how many more perturbed runs each
-// configuration needs — stopping early once the confidence interval
-// meets the requested relative error (§5.1.1), and pruning
-// configurations whose interval has already separated from the best.
+// configuration needs — stopping a lone configuration once its
+// confidence interval meets the requested relative error (§5.1.1), and
+// a matrix's configurations once a t-test decides each against the
+// best, or at the budget.
 //
 // The package deliberately contains no execution machinery: Decide,
-// its K-stratum form DecideStrata, and Prune are pure functions of the
-// index-ordered merged values a round produced, so the same inputs
-// yield the same decision at any fleet width. The one driver
-// (internal/core/adaptive.go: AdaptiveMatrix, its one-arm case
-// Experiment.AdaptiveSpace, and Experiment.AdaptiveTimeSample) calls
-// them only at barriers — after a round's fleet calls return their
-// index-ordered merges — and journals every decision
-// (journal.StatusDecision), so a -resume replays the interrupted run's
-// exact stop/prune choices instead of re-deriving them from a partially
-// journaled round.
-//
-// The determinism contract (docs/SAMPLING.md): the *set* of runs
-// executed depends only on the decision sequence, never on completion
-// order; every executed run keeps the same (experiment, config hash,
-// derived seed, run index) key it would have under fixed-N; and the
-// report records achieved-vs-requested precision plus runs saved.
+// its K-stratum form DecideStrata, and DecideMatrix are pure functions
+// of the index-ordered merged values a round produced, so the same
+// inputs yield the same decision at any fleet width. The one driver,
+// internal/core/adaptive.go, calls them only at barriers and journals
+// every decision (journal.StatusDecision), so a -resume replays the
+// interrupted run's exact choices under the determinism contract of
+// docs/SAMPLING.md.
 package sampling
 
 import (
@@ -49,7 +41,7 @@ const (
 // exact stopping rule the interrupted run used.
 type Target struct {
 	// RelErr is the tolerated relative error of the mean (fraction,
-	// e.g. 0.04 for ±4%), the paper's r.
+	// e.g. 0.04 for ±4%), the paper's r. It stops no matrix arm.
 	RelErr float64 `json:"rel_err"`
 	// Confidence is the CI confidence level, e.g. 0.95.
 	Confidence float64 `json:"confidence"`
@@ -103,9 +95,9 @@ const (
 	ActionStop Action = "stop"
 	// ActionBudget settles the arm at its run budget, converged or not.
 	ActionBudget Action = "budget"
-	// ActionPrune settles a matrix arm whose confidence interval has
-	// separated from the best arm's — it cannot win the comparison.
-	ActionPrune Action = "prune"
+	// ActionDecided settles a matrix arm whose comparison with the best
+	// arm is decided (DecideMatrix).
+	ActionDecided Action = "decided"
 )
 
 // Decision is one barrier's verdict for one arm — the unit the journal
@@ -139,7 +131,7 @@ func (d Decision) Validate() error {
 		if d.Next < 1 {
 			return errors.New("sampling: continue decision needs a positive next round")
 		}
-	case ActionStop, ActionBudget, ActionPrune:
+	case ActionStop, ActionBudget, ActionDecided:
 		if d.Next != 0 {
 			return fmt.Errorf("sampling: %s decision cannot schedule more runs", d.Action)
 		}
@@ -169,10 +161,7 @@ func (d Decision) Validate() error {
 // SampleSizeRelErrT estimate — and settles with ActionBudget at
 // MaxRuns otherwise. A continuing arm gets a next round sized toward
 // the Needed estimate, capped by RoundSize and the remaining budget.
-// It is the one-stratum DecideStrata.
-//
-// Pure: the decision depends only on (values, round, t), never on
-// completion order or the clock — the property tests pin this.
+// It is the one-stratum DecideStrata, pure in (values, round, t).
 func Decide(values []float64, round int, t Target) Decision {
 	return DecideStrata([][]float64{values}, round, t)
 }

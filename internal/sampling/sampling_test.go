@@ -152,48 +152,12 @@ func TestDecisionValidate(t *testing.T) {
 		{Action: ActionContinue, Next: 4},
 		{Action: ActionStop, N: 8, RelPct: 2.5, Needed: 6},
 		{Action: ActionBudget, N: 64},
-		{Action: ActionPrune, N: 4, RelPct: 9},
+		{Action: ActionDecided, N: 4, RelPct: 9},
 	}
 	for i, d := range good {
 		if err := d.Validate(); err != nil {
 			t.Errorf("case %d: %+v rejected: %v", i, d, err)
 		}
-	}
-}
-
-func TestPrune(t *testing.T) {
-	tight := func(mean float64) []float64 {
-		return []float64{mean - 1, mean, mean + 1, mean}
-	}
-	// Arm 1 is clearly worse than arm 0: separated CIs, pruned.
-	flags := Prune([][]float64{tight(100), tight(200), tight(101)}, 0.95)
-	if flags[0] || !flags[1] || flags[2] {
-		t.Errorf("flags = %v", flags)
-	}
-	// Arms that cannot support an interval yet are never pruned.
-	flags = Prune([][]float64{tight(100), {5000}}, 0.95)
-	if flags[0] || flags[1] {
-		t.Errorf("insufficient arm pruned: %v", flags)
-	}
-	// No valid arm at all: nothing pruned.
-	flags = Prune([][]float64{{1}, nil}, 0.95)
-	if flags[0] || flags[1] {
-		t.Errorf("no-CI matrix pruned something: %v", flags)
-	}
-	// The best arm is never pruned, whatever the others look like.
-	prop := func(a, b, c sample) bool {
-		samples := [][]float64{a.values(), b.values(), c.values()}
-		flags := Prune(samples, 0.95)
-		best, bestMean := -1, math.Inf(1)
-		for i, xs := range samples {
-			if ci, err := stats.CI(xs, 0.95); err == nil && ci.Mean < bestMean {
-				best, bestMean = i, ci.Mean
-			}
-		}
-		return best < 0 || !flags[best]
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -273,7 +237,7 @@ func TestReportFinalize(t *testing.T) {
 		Target: Target{}.Normalize(),
 		Arms: []Arm{
 			{Experiment: "a", Executed: 4, FixedN: 20, Status: StatusConverged},
-			{Experiment: "b", Executed: 8, FixedN: 20, Status: StatusPruned},
+			{Experiment: "b", Executed: 8, FixedN: 20, Status: StatusDecided},
 			{Experiment: "c", Executed: 6, FixedN: 20, Status: StatusIncomplete},
 		},
 	}
@@ -284,25 +248,21 @@ func TestReportFinalize(t *testing.T) {
 	if math.Abs(rep.SavedPct-70) > 1e-9 {
 		t.Errorf("saved pct = %v", rep.SavedPct)
 	}
-	if len(rep.Pruned) != 1 || rep.Pruned[0] != "b" {
-		t.Errorf("pruned = %v", rep.Pruned)
-	}
 	if !rep.Incomplete {
 		t.Error("incomplete arm not surfaced")
 	}
 }
 
 func TestPublishLatestDeepCopies(t *testing.T) {
-	rep := Report{Target: Target{}.Normalize(), Arms: []Arm{{Experiment: "x"}}, Pruned: []string{"x"}}
+	rep := Report{Target: Target{}.Normalize(), Arms: []Arm{{Experiment: "x"}}}
 	Publish(rep)
 	got := Latest()
 	if got == nil || len(got.Arms) != 1 || got.Arms[0].Experiment != "x" {
 		t.Fatalf("Latest = %+v", got)
 	}
 	got.Arms[0].Experiment = "mutated"
-	got.Pruned[0] = "mutated"
 	again := Latest()
-	if again.Arms[0].Experiment != "x" || again.Pruned[0] != "x" {
+	if again.Arms[0].Experiment != "x" {
 		t.Error("Latest returned aliased state")
 	}
 }
@@ -310,13 +270,13 @@ func TestPublishLatestDeepCopies(t *testing.T) {
 func TestCounters(t *testing.T) {
 	before := Read()
 	CountRound(3)
-	CountSettle(5, true)
-	CountSettle(2, false)
+	CountSettle(5)
+	CountSettle(2)
 	d := Read()
 	if d.Rounds-before.Rounds != 1 || d.Executed-before.Executed != 3 {
 		t.Errorf("round counters: %+v -> %+v", before, d)
 	}
-	if d.Saved-before.Saved != 7 || d.Pruned-before.Pruned != 1 {
+	if d.Saved-before.Saved != 7 {
 		t.Errorf("settle counters: %+v -> %+v", before, d)
 	}
 }
