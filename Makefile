@@ -8,8 +8,9 @@
 # suppressions themselves) — see docs/DETERMINISM.md.
 # `make fuzz-smoke` runs each native fuzz target briefly over its
 # committed corpus — the CI smoke of the journal codec and stats input
-# contracts (docs/RESILIENCE.md) and of the workload engine's bulk
-# compute-run form against its op-by-op stream. `make reproduce`
+# contracts (docs/RESILIENCE.md), of the sample-size search against the
+# walk it replaced, and of the workload engine's bulk compute-run form
+# against its op-by-op stream. `make reproduce`
 # regenerates results/ and experiments_full.txt at full scale and fails
 # on any diff against the committed copies. `make spine` runs the
 # benchmark spine (./bench, declared by BENCHMARK.json — the
@@ -147,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzANOVA$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzTTest$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzSampleSizeRelErrT$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzDecisionCodec$$' -fuzztime=$(FUZZTIME) ./internal/sampling
 	$(GO) test -run='^$$' -fuzz='^FuzzBulkRun$$' -fuzztime=$(FUZZTIME) ./internal/workload
 

@@ -1,22 +1,21 @@
-// Adaptive scheduling: the one round-based driver behind
-// internal/sampling.
+// Adaptive scheduling: the one round loop behind internal/sampling.
 //
 // The fixed-N methodology spends Experiment.Runs on every
 // configuration. The adaptive scheduler submits runs in rounds instead:
 // a run phase in which every arm takes the round its last decision
 // scheduled, then a barrier at which — the index-ordered merge of the
-// round in hand — the sampling package's pure decision procedures say
-// who stops, who continues and with how many runs: DecideMatrix
-// settles a matrix's arms pair by pair against the best (AdaptiveMatrix)
-// and is Decide, the precision stop, for the one-arm AdaptiveSpace;
-// DecideStrata decides a time sample's strata jointly and grows them
+// round in hand — a barrier rule of the sampling package decides each
+// arm: DecideMatrix over a matrix's configurations (AdaptiveMatrix; for
+// one arm, AdaptiveSpace, it is Decide, the precision stop), or
+// DecideStrata over a time sample's strata, decided jointly and grown
 // evenly (AdaptiveTimeSample). The strata are arms of one checkpoint
 // walk (Experiment.strata), of which the fixed-N TimeSample takes a
 // single round. The determinism contract (docs/SAMPLING.md): every
 // executed run keeps the exact (experiment, config hash, derived seed,
 // run index) identity the fixed-N path would give it, decisions depend
 // only on merged values (never completion order), and every decision is
-// journaled (journal.StatusDecision) so a -resume replays them.
+// journaled under the arm it settles (journal.StatusDecision) so a
+// -resume replays them.
 
 package core
 
@@ -54,8 +53,8 @@ type arm struct {
 
 	sp  Space
 	rep sampling.Arm // rep.Rounds is the barrier decisions taken
-	// want is the size of the arm's next round; 0 once the arm (or the
-	// time sample its stratum belongs to) is settled.
+	// want is the size of the arm's next round; 0 once the arm is
+	// settled.
 	want int
 }
 
@@ -98,25 +97,11 @@ func (a *arm) next() error {
 
 // checkpoint builds the arm's base on first use.
 func (a *arm) checkpoint() (*machine.Machine, error) {
+	var err error
 	if a.ckpt == nil {
-		var err error
-		if a.ckpt, err = a.base(); err != nil {
-			return nil, err
-		}
+		a.ckpt, err = a.base() // nil on error: the next call tries again
 	}
-	return a.ckpt, nil
-}
-
-// run is the schedule's run phase: the arms take their rounds in input
-// order, each round fanned out over the arm's fleet workers, up to the
-// first one a drain or a failed run cuts short.
-func run(arms []*arm) error {
-	for _, a := range arms {
-		if err := a.next(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.ckpt, err
 }
 
 // live reports whether any arm still has a round to take.
@@ -135,13 +120,13 @@ func live(arms []*arm) bool {
 // choices replay exactly. Otherwise compute derives it from the merged
 // values and the result is journaled for the next resume. Either way
 // the decision is folded into the arm.
-func (a *arm) decide(compute func(round int) sampling.Decision) sampling.Decision {
+func (a *arm) decide(compute func(round int) sampling.Decision) {
 	res := a.plan.Resilience
 	key := sampling.DecisionKey(a.plan.Label, a.cfgHash, a.plan.SeedBase, a.rep.Rounds)
 	if rec, ok := res.Cache.Decision(key); ok {
 		if d, err := sampling.DecodeDecision(rec); err == nil {
 			a.apply(d)
-			return d
+			return
 		}
 	}
 	d := compute(a.rep.Rounds)
@@ -154,7 +139,6 @@ func (a *arm) decide(compute func(round int) sampling.Decision) sampling.Decisio
 		}
 	}
 	a.apply(d)
-	return d
 }
 
 // apply folds one barrier decision into the arm: the report line, the
@@ -189,6 +173,57 @@ func publish(t sampling.Target, arms []*arm) sampling.Report {
 	rep.Finalize()
 	sampling.Publish(rep)
 	return rep
+}
+
+// rounds is the one round loop: every arm takes a MinRuns pilot round,
+// then, at each barrier, the rule (sampling.DecideMatrix or
+// sampling.DecideStrata: one decision per live arm) settles arms or
+// sizes their next round, until no arm is live. Live arms share a round
+// count, and each decision is journaled under the arm it settles. The
+// spaces are the arms', in order; a drain or a failed run cuts the loop
+// short with the arms' partial spaces and its error.
+func rounds(arms []*arm, t sampling.Target,
+	rule func([][]float64, []bool, int, sampling.Target) []sampling.Decision) ([]Space, sampling.Report, error) {
+	t = t.Normalize()
+	for _, a := range arms {
+		a.want = t.MinRuns
+	}
+	var err error
+loop:
+	for live(arms) {
+		// Run phase: the arms take their rounds in input order, each fanned
+		// out over its fleet workers, up to the first one a drain or a
+		// failed run cuts short.
+		for _, a := range arms {
+			if err = a.next(); err != nil {
+				break loop
+			}
+		}
+		// Barrier: one rule over the merged values, unless every live arm
+		// replays its decision.
+		samples, open := make([][]float64, len(arms)), make([]bool, len(arms))
+		for i, a := range arms {
+			samples[i], open[i] = a.sp.Values, a.want > 0
+		}
+		var ds []sampling.Decision
+		for i, a := range arms {
+			if open[i] {
+				sampling.CountRound(a.want)
+				a.decide(func(round int) sampling.Decision {
+					if ds == nil {
+						ds = rule(samples, open, round, t)
+					}
+					return ds[i]
+				})
+			}
+		}
+		publish(t, arms) // live surface refresh at the cycle barrier
+	}
+	spaces := make([]Space, len(arms))
+	for i, a := range arms {
+		spaces[i] = a.sp
+	}
+	return spaces, publish(t, arms), err
 }
 
 // AdaptiveSpace runs the experiment under the adaptive stopping rule:
@@ -230,38 +265,8 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 			return nil, sampling.Report{Target: t}, err
 		}
 		arms[i] = e.arm(&spent)
-		arms[i].want = t.MinRuns
 	}
-	var err error
-	for live(arms) {
-		if err = run(arms); err != nil {
-			break
-		}
-		// Barrier: one DecideMatrix over the merged values, unless every
-		// live arm replays its decision; live arms share a round count.
-		samples, open := make([][]float64, len(arms)), make([]bool, len(arms))
-		for i, a := range arms {
-			samples[i], open[i] = a.sp.Values, a.want > 0
-		}
-		var ds []sampling.Decision
-		for i, a := range arms {
-			if open[i] {
-				sampling.CountRound(a.want)
-				a.decide(func(round int) sampling.Decision {
-					if ds == nil {
-						ds = sampling.DecideMatrix(samples, open, round, t)
-					}
-					return ds[i]
-				})
-			}
-		}
-		publish(t, arms) // live surface refresh at the cycle barrier
-	}
-	spaces := make([]Space, len(arms))
-	for i, a := range arms {
-		spaces[i] = a.sp
-	}
-	return spaces, publish(t, arms), err
+	return rounds(arms, t, sampling.DecideMatrix)
 }
 
 // AdaptiveTimeSample is the stratified counterpart of TimeSample: the
@@ -272,48 +277,21 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 // walked forward through the checkpoints, taken on the first round that
 // must execute a run, every run a copy-on-write branch of it.
 //
-// The strata are TimeSample's, run identities included, so a
-// journal written fixed-N replays into the adaptive schedule and vice
-// versa. The strata are decided jointly: one barrier decision a round,
-// journaled under the synthetic label "<label>@strata", and one report
-// line. Every Target count applies per stratum, and every stratum takes
-// an equal share of each round; e.Runs per stratum is the fixed-N
-// baseline the line's runs-saved accounting uses.
+// The strata are TimeSample's, run identities included, so a journal
+// written fixed-N replays into the adaptive schedule and vice versa.
+// They are decided jointly, each decision journaled under its stratum's
+// label "<label>@<ck>", and report as one line. Every Target count
+// applies per stratum; e.Runs per stratum is the fixed-N baseline.
 func (e Experiment) AdaptiveTimeSample(checkpoints []int64, t sampling.Target) ([]Space, sampling.Arm, error) {
-	t = t.Normalize()
-	h := len(checkpoints)
-	// The joint arm takes no runs of its own: it is the strata's
-	// decision sequence and their line in the report.
-	joint := e.arm(nil)
-	joint.plan.Label += "@strata"
-	joint.rep.FixedN = e.Runs * h
 	if err := e.validateCheckpoints(checkpoints); err != nil {
-		return nil, joint.rep, err
+		return nil, sampling.Arm{Experiment: e.Label, ConfigHash: journal.ConfigHash(e.Config),
+			FixedN: e.Runs * len(checkpoints), Status: sampling.StatusIncomplete}, err
 	}
 	var spent fleet.Pool[*machine.Machine]
-	strata := e.strata(checkpoints, &spent)
-	for _, a := range strata {
-		a.want = t.MinRuns // the pilot: every stratum earns a CI
-	}
-	spaces := make([]Space, h)
-	values := make([][]float64, h)
-	for joint.rep.Status == sampling.StatusIncomplete {
-		err := run(strata)
-		ran := 0
-		joint.rep.Executed = 0
-		for ci, a := range strata {
-			spaces[ci], values[ci] = a.sp, a.sp.Values
-			ran += a.want
-			joint.rep.Executed += len(a.sp.Values)
-		}
-		if err != nil {
-			return spaces, joint.rep, err
-		}
-		sampling.CountRound(ran)
-		d := joint.decide(func(round int) sampling.Decision { return sampling.DecideStrata(values, round, t) })
-		for _, a := range strata {
-			a.want = d.Next / h
-		}
-	}
-	return spaces, joint.rep, nil
+	spaces, rep, err := rounds(e.strata(checkpoints, &spent), t, sampling.DecideStrata)
+	// The strata share every decision, so any one's line is the
+	// sample's but for its label and runs.
+	line := rep.Arms[0]
+	line.Experiment, line.Executed, line.FixedN = e.Label, rep.Executed, rep.FixedN
+	return spaces, line, err
 }

@@ -138,7 +138,10 @@ func TestAdaptiveRunIdentityMatchesFixedN(t *testing.T) {
 // bundle.
 type adaptiveShape struct {
 	name string
-	run  func(width int, res core.Resilience) ([]core.Space, sampling.Report, error)
+	// strata is how many decisions a report line files at each barrier:
+	// one per stratum of a time sample, else one.
+	strata int
+	run    func(width int, res core.Resilience) ([]core.Space, sampling.Report, error)
 }
 
 // dramMatrix is the three-arm matrix with both kinds of pair: dram-800,
@@ -159,24 +162,25 @@ func dramMatrix(width int) []core.Experiment {
 // adaptiveShapes are the lone arm, the matrix and the two-checkpoint
 // stratified time sample.
 func adaptiveShapes() []adaptiveShape {
+	cks := []int64{20, 40}
 	return []adaptiveShape{
-		{"lone-arm", func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
+		{"lone-arm", 1, func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
 			e := adaptiveExperiment(width)
 			e.Resilience = res
 			sp, arm, err := e.AdaptiveSpace(adaptiveTarget())
 			return []core.Space{sp}, oneArmReport(adaptiveTarget(), arm), err
 		}},
-		{"matrix", func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
+		{"matrix", 1, func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
 			es := dramMatrix(width)
 			for i := range es {
 				es[i].Resilience = res
 			}
 			return core.AdaptiveMatrix(es, adaptiveTarget())
 		}},
-		{"stratified", func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
+		{"stratified", len(cks), func(width int, res core.Resilience) ([]core.Space, sampling.Report, error) {
 			e := stratifiedExperiment(width)
 			e.Resilience = res
-			spaces, arm, err := e.AdaptiveTimeSample([]int64{20, 40}, stratifiedTarget())
+			spaces, arm, err := e.AdaptiveTimeSample(cks, stratifiedTarget())
 			return spaces, oneArmReport(stratifiedTarget(), arm), err
 		}},
 	}
@@ -195,11 +199,12 @@ func countJournaled(t *testing.T, dir, status string) int {
 	return n
 }
 
-// barriers sums the barrier decisions the report's arms took.
-func barriers(rep sampling.Report) int {
+// decisions sums the barrier decisions the shape's report took: each
+// line's rounds, one decision a stratum.
+func (s adaptiveShape) decisions(rep sampling.Report) int {
 	n := 0
 	for _, a := range rep.Arms {
-		n += a.Rounds
+		n += a.Rounds * s.strata
 	}
 	return n
 }
@@ -292,15 +297,15 @@ func killAndResume(t *testing.T, shape adaptiveShape, width, stop int, base samp
 	if got := renderShape(fspaces, frep); !bytes.Equal(got, want) {
 		t.Errorf("width %d, stop %d: resumed run differs from uninterrupted run\n got:\n%s\nwant:\n%s", width, stop, got, want)
 	}
-	// The finished journal carries one decision per barrier; a
+	// The finished journal carries one decision per arm a barrier; a
 	// second resume replays the schedule without running anything.
 	_, jw3, err := journal.OpenDir(dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jw3.Close()
-	if n := countJournaled(t, dir, journal.StatusDecision); n != barriers(frep) {
-		t.Errorf("width %d, stop %d: journal holds %d decisions, schedule took %d barriers", width, stop, n, barriers(frep))
+	if n := countJournaled(t, dir, journal.StatusDecision); n != shape.decisions(frep) {
+		t.Errorf("width %d, stop %d: journal holds %d decisions, schedule took %d", width, stop, n, shape.decisions(frep))
 	}
 	if n := countJournaled(t, dir, journal.StatusOK); n != frep.Executed {
 		t.Errorf("width %d, stop %d: journal holds %d run records, schedule executed %d", width, stop, n, frep.Executed)
@@ -432,8 +437,8 @@ func TestAdaptiveResumeTornDecisionRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer jw2.Close()
-			if n := countJournaled(t, dir, journal.StatusDecision); n >= barriers(rep) {
-				t.Fatalf("truncation did not tear a decision: %d decisions survive of %d", n, barriers(rep))
+			if n := countJournaled(t, dir, journal.StatusDecision); n >= shape.decisions(rep) {
+				t.Fatalf("truncation did not tear a decision: %d decisions survive of %d", n, shape.decisions(rep))
 			}
 			fspaces, frep, err := shape.run(4, core.Resilience{Journal: jw2, Cache: jc})
 			if err != nil {

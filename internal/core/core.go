@@ -354,24 +354,24 @@ func (e Experiment) validateCheckpoints(checkpoints []int64) error {
 	return e.Validate()
 }
 
-// strata returns the time sample's strata as arms, one per checkpoint
-// (ck cumulative transactions), for TimeSample and AdaptiveTimeSample
-// alike: label "<label>@<ck>", seed base derived from the checkpoint's
-// index. Every base is a snapshot of one machine walked forward through
+// strata returns the time sample's strata, one per checkpoint (ck
+// cumulative transactions), for TimeSample and AdaptiveTimeSample
+// alike: each is the experiment's arm under label "<label>@<ck>" and a
+// seed base derived from the checkpoint's index, over its own base.
+// Every base is a snapshot of one machine walked forward through
 // the checkpoints, started by the first stratum that must execute a run.
 // A stratum asking after the walk has passed its checkpoint (a resumed
 // schedule whose earlier strata replayed) restarts it cold.
 func (e Experiment) strata(checkpoints []int64, spent *fleet.Pool[*machine.Machine]) []*arm {
-	cfgHash := journal.ConfigHash(e.Config)
 	var walk *machine.Machine
 	var done int64
 	arms := make([]*arm, len(checkpoints))
 	for ci, ck := range checkpoints {
-		p := e.spacePlan()
-		p.Label = fmt.Sprintf("%s@%d", e.Label, ck)
-		p.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
-		p.spent = spent
-		arms[ci] = &arm{plan: p, cfgHash: cfgHash, sp: Space{Label: p.Label}, base: func() (*machine.Machine, error) {
+		s := e
+		s.Label = fmt.Sprintf("%s@%d", e.Label, ck)
+		s.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+		arms[ci] = s.arm(spent)
+		arms[ci].base = func() (*machine.Machine, error) {
 			var err error
 			if walk == nil || done >= ck {
 				if walk, err = NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, rng.Derive(e.SeedBase, 0), ck); err != nil {
@@ -382,7 +382,7 @@ func (e Experiment) strata(checkpoints []int64, spent *fleet.Pool[*machine.Machi
 			}
 			done = ck
 			return walk.Snapshot(), nil
-		}}
+		}
 	}
 	return arms
 }

@@ -165,11 +165,55 @@ func TestAdaptiveTimeSampleWidthByteIdentical(t *testing.T) {
 	}
 }
 
+// decisionsByLabel counts the decision records of the journal at path
+// by the label they are filed under.
+func decisionsByLabel(t *testing.T, path string) map[string]int {
+	t.Helper()
+	res, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := map[string]int{}
+	for _, r := range res.Records {
+		if r.Status == journal.StatusDecision {
+			n[r.Experiment]++
+		}
+	}
+	return n
+}
+
+// TestAdaptiveTimeSampleFilesDecisionsPerStratum pins where a
+// stratified barrier journals its decision: once under each stratum's
+// label, one record a round, and under no label of the sample as a
+// whole.
+func TestAdaptiveTimeSampleFilesDecisionsPerStratum(t *testing.T) {
+	e := stratifiedExperiment(1)
+	jw, err := journal.CreateDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Resilience = core.Resilience{Journal: jw}
+	_, arm, err := e.AdaptiveTimeSample([]int64{20, 40}, stratifiedTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"strat-test@20": arm.Rounds, "strat-test@40": arm.Rounds}
+	if got := decisionsByLabel(t, jw.Path()); arm.Rounds < 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("decisions filed by label %v, want %v", got, want)
+	}
+}
+
 // TestAdaptiveTimeSampleResumesLegacyJournal resumes from a journal
 // written while a stratified round was split across strata by
 // allocation: uneven strata, and decisions carrying that split under
-// the joint label of the time. The runs replay, the decisions are not this rule's and
-// are taken again, and the outcome is byte-identical to a fresh run.
+// the joint label of the time, beside a decision of the later joint
+// rule under its "@strata" label, whose next round is both strata's
+// together. The runs replay, the decisions are not this rule's and are
+// taken again, filed per stratum, and the outcome is byte-identical to
+// a fresh run.
 func TestAdaptiveTimeSampleResumesLegacyJournal(t *testing.T) {
 	tgt := stratifiedTarget()
 	cks := []int64{20, 40}
@@ -216,6 +260,11 @@ func TestAdaptiveTimeSampleResumesLegacyJournal(t *testing.T) {
 			Status: journal.StatusDecision, Result: json.RawMessage(payload),
 		})
 	}
+	legacy = append(legacy, journal.Record{
+		Key:    sampling.DecisionKey("strat-test@strata", cfgHash, e.SeedBase, 0),
+		Status: journal.StatusDecision,
+		Result: json.RawMessage(`{"round":0,"n":4,"action":"continue","rel_pct":3.1,"needed":40,"next":4}`),
+	})
 	dir := t.TempDir()
 	lw, err := journal.CreateDir(dir)
 	if err != nil {
@@ -234,13 +283,20 @@ func TestAdaptiveTimeSampleResumesLegacyJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jw2.Close()
 	e.Resilience = core.Resilience{Journal: jw2, Cache: jc}
 	rspaces, rarm, err := e.AdaptiveTimeSample(cks, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := jw2.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := renderShape(rspaces, oneArmReport(tgt, rarm)); !bytes.Equal(got, want) {
 		t.Errorf("resume from a legacy journal differs from a fresh run\n got:\n%s\nwant:\n%s", got, want)
+	}
+	rederived := map[string]int{"strat-test@strat": 2, "strat-test@strata": 1,
+		"strat-test@20": rarm.Rounds, "strat-test@40": rarm.Rounds}
+	if got := decisionsByLabel(t, jw2.Path()); !reflect.DeepEqual(got, rederived) {
+		t.Errorf("resumed journal's decisions by label %v, want %v", got, rederived)
 	}
 }

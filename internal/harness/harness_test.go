@@ -313,8 +313,12 @@ func TestCharacterize(t *testing.T) {
 	runQuick(t, "characterize", "workload", "instr/txn", "slashcode", "barnes")
 }
 
+// TestSamplingStudy runs the three studies; each pair verdict is
+// printed over the samples that settled it, so 1-way, decided at the
+// pilot, is compared with 4-way's pilot runs, not its final sample.
 func TestSamplingStudy(t *testing.T) {
 	runQuick(t, "sampling",
 		"adaptive sampling", "Table 3 benchmarks", "associativity matrix",
-		"stratified time sampling", "runs saved", "4-way outperforms 2-way")
+		"stratified time sampling", "runs saved", "4-way outperforms 2-way",
+		"[1-way 4 runs, 4-way 4 runs]")
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"varsim/internal/core"
 	"varsim/internal/report"
@@ -68,22 +69,22 @@ func (h *H) SamplingStudy() error {
 	}
 	fmt.Fprintln(h.opt.Out, "\n-- L2 associativity matrix, pair verdicts --")
 	h.samplingTable(matrix)
-	best := 0
-	for i, sp := range spaces {
-		if stats.Mean(sp.Values) < stats.Mean(spaces[best].Values) {
-			best = i
-		}
-	}
+	best := lowest(spaces, math.MaxInt)
 	for i, sp := range spaces {
 		if i == best {
 			continue
 		}
-		cmp, err := core.Compare(sp, spaces[best], t.Confidence)
+		// The verdict over the samples that settled the arm: live arms grow
+		// in lockstep, so its barrier saw every arm's first min(len, n).
+		n := len(sp.Values)
+		rival := spaces[lowest(spaces, n)]
+		rival.Values = rival.Values[:min(len(rival.Values), n)]
+		cmp, err := core.Compare(sp, rival, t.Confidence)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(h.opt.Out, "%s [%s %d runs, %s %d runs]\n", cmp.Conclusion(sampling.PairAlpha(t)),
-			sp.Label, len(sp.Values), spaces[best].Label, len(spaces[best].Values))
+			sp.Label, n, rival.Label, len(rival.Values))
 	}
 
 	// Study 3: stratified replication across OLTP starting checkpoints.
@@ -104,6 +105,19 @@ func (h *H) SamplingStudy() error {
 	saved := table3.FixedN + matrix.FixedN + strat.FixedN - table3.Executed - matrix.Executed - strat.Executed
 	fmt.Fprintf(h.opt.Out, "\nacross all three studies: %d runs saved vs fixed-N\n", saved)
 	return nil
+}
+
+// lowest is DecideMatrix's best arm at a barrier where the live arms
+// held n runs: the lowest mean of the first n values, ties to the first.
+func lowest(spaces []core.Space, n int) int {
+	mean := func(i int) float64 { return stats.Mean(spaces[i].Values[:min(len(spaces[i].Values), n)]) }
+	best := 0
+	for i := range spaces {
+		if mean(i) < mean(best) {
+			best = i
+		}
+	}
+	return best
 }
 
 // samplingTable renders one study's report both as the WriteSampling

@@ -8,11 +8,13 @@
 // The package deliberately contains no execution machinery: Decide,
 // its K-stratum form DecideStrata, and DecideMatrix are pure functions
 // of the index-ordered merged values a round produced, so the same
-// inputs yield the same decision at any fleet width. The one driver,
-// internal/core/adaptive.go, calls them only at barriers and journals
-// every decision (journal.StatusDecision), so a -resume replays the
-// interrupted run's exact choices under the determinism contract of
-// docs/SAMPLING.md.
+// inputs yield the same decision at any fleet width. The one round
+// loop, internal/core/adaptive.go, takes DecideMatrix or DecideStrata
+// as its barrier rule — each returns one decision per arm, a matrix's
+// configuration or a time sample's stratum — and journals every
+// decision under the arm it settles (journal.StatusDecision), so a
+// -resume replays the interrupted run's exact choices under the
+// determinism contract of docs/SAMPLING.md.
 package sampling
 
 import (
@@ -117,8 +119,7 @@ type Decision struct {
 	// the CoV at the barrier (stats.SampleSizeRelErrT); 0 when the
 	// sample cannot support the estimate.
 	Needed int `json:"needed,omitempty"`
-	// Next is the size of the next round (ActionContinue only); a
-	// K-stratum decision's is K equal shares.
+	// Next is the size of the arm's next round (ActionContinue only).
 	Next int `json:"next,omitempty"`
 }
 
@@ -163,24 +164,38 @@ func (d Decision) Validate() error {
 // the Needed estimate, capped by RoundSize and the remaining budget.
 // It is the one-stratum DecideStrata, pure in (values, round, t).
 func Decide(values []float64, round int, t Target) Decision {
-	return DecideStrata([][]float64{values}, round, t)
+	return decideStrata([][]float64{values}, round, t)
 }
 
 // DecideStrata is Decide over an arm sampled in K strata — the run
-// samples at each time-sample checkpoint (§5.2) — decided jointly.
-// Every Target count is per stratum: MinRuns is a floor on each
-// stratum's effective runs, MaxRuns each stratum's cap and RoundSize
-// each stratum's step, so a continuing decision's Next is K equal
-// shares and an arm whose strata start level stays level. N counts
-// every stratum's runs.
+// samples at each time-sample checkpoint (§5.2) — decided jointly and
+// filed per stratum: like DecideMatrix it returns one decision per
+// stratum, the zero Decision for strata not live. Every live stratum
+// gets the same verdict, and every Target count is per stratum:
+// MinRuns is a floor on each stratum's effective runs, MaxRuns each
+// stratum's cap and RoundSize each stratum's step, so each Next is
+// that stratum's own round and strata that start level stay level. N
+// and Needed count every stratum's runs.
 //
 // Only the interval depends on K. One stratum takes the §5.1.1 interval
 // and its t-consistent Needed (stats.Stream); K ≥ 2 take the
 // equal-weight stratified mean's interval (stats.StratifiedCI), whose
 // half-width shrinks as 1/√n under even growth, so Needed scales the
 // current total by (achieved/target)². No strata settle on budget at
-// once: there is nothing to sample. Pure in (strata, round, t).
-func DecideStrata(strata [][]float64, round int, t Target) Decision {
+// once: there is nothing to sample. Pure in (strata, live, round, t).
+func DecideStrata(strata [][]float64, live []bool, round int, t Target) []Decision {
+	d, ds := decideStrata(strata, round, t), make([]Decision, len(strata))
+	for i := range ds {
+		if live[i] {
+			ds[i] = d
+		}
+	}
+	return ds
+}
+
+// decideStrata is DecideStrata's one verdict, which Decide takes
+// without allocating.
+func decideStrata(strata [][]float64, round int, t Target) Decision {
 	t = t.Normalize()
 	k := len(strata)
 	d := Decision{Round: round, Action: ActionContinue}
@@ -218,7 +233,7 @@ func DecideStrata(strata [][]float64, round int, t Target) Decision {
 	case minN >= t.MaxRuns:
 		d.Action = ActionBudget
 	default:
-		d.Next = k * nextChunk(minN, (d.Needed+k-1)/k, t.RoundSize, t.MaxRuns)
+		d.Next = nextChunk(minN, (d.Needed+k-1)/k, t.RoundSize, t.MaxRuns)
 	}
 	return d
 }

@@ -161,10 +161,11 @@ func TestDecisionValidate(t *testing.T) {
 	}
 }
 
-// TestDecideStrata pins the K-stratum rule: its interval is the
-// equal-weight stratified estimator's, every Target count is per
-// stratum, so strata grown from an even pilot stay level and none
-// passes its cap, and strata all at the cap settle on budget.
+// TestDecideStrata pins the K-stratum rule: every live stratum gets
+// the same decision, its interval is the equal-weight stratified
+// estimator's, every Target count is per stratum, so strata grown from
+// an even pilot by each Next stay level and none passes its cap, and
+// strata all at the cap settle on budget.
 func TestDecideStrata(t *testing.T) {
 	target := Target{RelErr: 0.01, MinRuns: 3, MaxRuns: 20, RoundSize: 5}.Normalize()
 	prop := func(a, b, c sample) bool {
@@ -183,11 +184,19 @@ func TestDecideStrata(t *testing.T) {
 			}
 		}
 		grow(target.MinRuns)
+		live := []bool{true, true, true}
 		for round := 0; ; round++ {
-			d := DecideStrata(strata, round, target)
-			if err := d.Validate(); err != nil {
-				t.Logf("round %d: invalid decision %+v: %v", round, d, err)
-				return false
+			ds := DecideStrata(strata, live, round, target)
+			d := ds[0]
+			for i, di := range ds {
+				if err := di.Validate(); err != nil {
+					t.Logf("round %d: invalid decision %+v: %v", round, di, err)
+					return false
+				}
+				if di != d {
+					t.Logf("round %d: stratum %d decided %+v, stratum 0 %+v", round, i, di, d)
+					return false
+				}
 			}
 			if ci, err := stats.StratifiedCI(strata, target.Confidence); err == nil {
 				if want := math.Abs(100 * ci.HalfWidth / ci.Mean); math.Abs(d.RelPct-want) > 1e-12 {
@@ -198,11 +207,11 @@ func TestDecideStrata(t *testing.T) {
 			if d.Action != ActionContinue {
 				return d.Action == ActionStop || len(strata[0]) == target.MaxRuns
 			}
-			if d.Next%len(strata) != 0 || d.Next > len(strata)*target.RoundSize {
-				t.Logf("round %d: next %d is not K even steps of at most %d", round, d.Next, target.RoundSize)
+			if d.Next > target.RoundSize {
+				t.Logf("round %d: next %d is more than a step of %d", round, d.Next, target.RoundSize)
 				return false
 			}
-			grow(d.Next / len(strata))
+			grow(d.Next)
 			for _, xs := range strata {
 				if len(xs) != len(strata[0]) || len(xs) > target.MaxRuns {
 					t.Logf("round %d: strata %d and %d runs, cap %d", round, len(xs), len(strata[0]), target.MaxRuns)
@@ -219,10 +228,14 @@ func TestDecideStrata(t *testing.T) {
 	for i := range full {
 		full[i] = 100 + 30*float64(i%7) // noisy: cannot converge
 	}
-	if d := DecideStrata([][]float64{full, full}, 3, target); d.Action != ActionBudget || d.N != 2*target.MaxRuns {
+	ds := DecideStrata([][]float64{full, full}, []bool{true, false}, 3, target)
+	if d := ds[0]; d.Action != ActionBudget || d.N != 2*target.MaxRuns {
 		t.Errorf("strata at the cap should settle on budget: %+v", d)
 	}
-	if d := DecideStrata(nil, 0, target); d.Action != ActionBudget {
+	if ds[1] != (Decision{}) {
+		t.Errorf("a stratum not live was decided: %+v", ds[1])
+	}
+	if d := decideStrata(nil, 0, target); d.Action != ActionBudget {
 		t.Errorf("no strata should settle on budget: %+v", d)
 	}
 

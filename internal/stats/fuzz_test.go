@@ -241,3 +241,26 @@ func FuzzTTest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSampleSizeRelErrT holds the bisection to the climb-and-walk it
+// replaced (sampleSizeRelErrTWalk) at any input the walk finishes in
+// reasonable time: past CoV 3, below 0.1 % relative error or above
+// 99.9 % confidence its walk-down can take a billion steps.
+func FuzzSampleSizeRelErrT(f *testing.F) {
+	f.Add(0.09, 0.04, 0.95)       // the worked example: 22
+	f.Add(0.02, 0.04, 0.95)       // well inside the target: the walk climbed to ~41 and back
+	f.Add(0.0035, 0.0087, 0.999)  // the walk's longest descent on the test grid
+	f.Add(3.0, 0.001, 0.999)      // a normal seed of ~10⁸
+	f.Add(0.0, 0.04, 0.95)        // no spread: 0
+	f.Add(math.NaN(), 0.04, 0.95) // a NaN CoV sizes to the cap
+	f.Add(0.09, math.Inf(1), 0.5) // an infinite tolerance: 2
+
+	f.Fuzz(func(t *testing.T, cov, relErr, confidence float64) {
+		if cov > 3 || relErr < 0.001 || confidence > 0.999 {
+			t.Skip()
+		}
+		if got, want := SampleSizeRelErrT(cov, relErr, confidence), sampleSizeRelErrTWalk(cov, relErr, confidence); got != want {
+			t.Fatalf("SampleSizeRelErrT(%v, %v, %v) = %d, the walk %d", cov, relErr, confidence, got, want)
+		}
+	})
+}

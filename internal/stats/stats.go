@@ -284,12 +284,11 @@ const maxSampleSize = 1_000_000_000
 // normal quantile everywhere. The normal form understates small
 // samples: it promises n runs, but the t interval those n runs produce
 // is wider than r (for the paper's worked example, the 20 normal-sized
-// runs achieve only ~4.3% where 4% was requested). This form iterates
-// n ← ceil((t_{p,n-1} · cov / r)²) from the normal estimate to its
-// smallest self-consistent fixed point, so the promised n is exactly
-// the first sample size whose own t interval meets the target (the
-// worked example becomes 22). SampleSizeRelErr itself is unchanged —
-// it remains the paper's printed formula.
+// runs achieve only ~4.3% where 4% was requested). This form returns
+// the smallest n with ceil((t_{p,n-1} · cov / r)²) ≤ n, so the promised
+// n is exactly the first sample size whose own t interval meets the
+// target (the worked example becomes 22). SampleSizeRelErr itself is
+// unchanged — it remains the paper's printed formula.
 func SampleSizeRelErrT(cov, relErr, confidence float64) int {
 	if cov <= 0 || relErr <= 0 || confidence <= 0 || confidence >= 1 {
 		return 0
@@ -309,28 +308,21 @@ func SampleSizeRelErrT(cov, relErr, confidence float64) int {
 		}
 		return int(nn)
 	}
-	// Past the cap the walk-down below would step to it one run at a time.
-	n := min(SampleSizeRelErr(cov, relErr, confidence), maxSampleSize)
-	if n < 2 {
-		n = 2 // a CI needs two observations however tight the target
-	}
-	// Climb to a fixed point: t widens as df shrinks, so the implied n
-	// from the normal seed only ever grows, and it grows monotonically
-	// toward the answer. Bound the climb defensively — in practice it
-	// converges in two or three steps.
-	for i := 0; i < 64; i++ {
-		next := implied(n)
-		if next <= n {
-			break
+	// The normal form is the floor: no quantile is below the normal one,
+	// so no n below it implies n or fewer runs. A CI needs two.
+	lo := max(min(SampleSizeRelErr(cov, relErr, confidence), maxSampleSize), 2)
+	// implied never grows with n (t narrows as df grows), so implied(n) ≤
+	// n holds from the answer on, and at hi = implied(lo) ≥ lo: bisect
+	// for the first n it holds at.
+	hi := implied(lo)
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; implied(mid) <= mid {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		n = next
 	}
-	// Walk down to the smallest self-consistent n: the climb can
-	// overshoot by one when ceil lands between two fixed points.
-	for n > 2 && implied(n-1) <= n-1 {
-		n--
-	}
-	return n
+	return lo
 }
 
 // MinRunsProjected estimates, from pilot estimates of the two means and a

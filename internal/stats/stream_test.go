@@ -211,6 +211,78 @@ func TestSampleSizeTConsistency(t *testing.T) {
 	}
 }
 
+// sampleSizeRelErrTWalk is SampleSizeRelErrT as it first searched: a
+// climb n ← implied(n) from the normal seed to a fixed point, then a
+// walk down one n at a time to the smallest. It is the reference the
+// bisection is held to (TestSampleSizeBisectionMatchesWalk,
+// FuzzSampleSizeRelErrT). The normal quantile is computed once, not
+// at every step of a walk that can take a million: the same values,
+// fast enough to check a grid.
+func sampleSizeRelErrTWalk(cov, relErr, confidence float64) int {
+	if cov <= 0 || relErr <= 0 || confidence <= 0 || confidence >= 1 {
+		return 0
+	}
+	p := 1 - (1-confidence)/2
+	z := NormQuantile(p)
+	implied := func(n int) int {
+		q := z
+		if n < 50 {
+			q = TQuantile(p, float64(n-1))
+		}
+		x := q * cov / relErr
+		nn := math.Ceil(x * x)
+		if math.IsNaN(nn) || nn > maxSampleSize {
+			return maxSampleSize
+		}
+		return int(nn)
+	}
+	n := min(SampleSizeRelErr(cov, relErr, confidence), maxSampleSize)
+	if n < 2 {
+		n = 2
+	}
+	for i := 0; i < 64; i++ {
+		next := implied(n)
+		if next <= n {
+			break
+		}
+		n = next
+	}
+	for n > 2 && implied(n-1) <= n-1 {
+		n--
+	}
+	return n
+}
+
+// sampleSizeGrid calls f at every point of a log grid over CoV 1e-5–3,
+// relative error 0.1–50 % and confidence 0.5–0.999.
+func sampleSizeGrid(f func(cov, relErr, conf float64)) {
+	logStep := func(lo, hi float64, k, n int) float64 {
+		return lo * math.Pow(hi/lo, float64(k)/float64(n-1))
+	}
+	for i := 0; i < 29; i++ {
+		for j := 0; j < 24; j++ {
+			for k := 0; k < 21; k++ {
+				f(logStep(1e-5, 3, i, 29), logStep(0.001, 0.5, j, 24), 1-logStep(0.5, 0.001, k, 21))
+			}
+		}
+	}
+}
+
+// TestSampleSizeBisectionMatchesWalk holds the bisection to the
+// climb-and-walk it replaced over the whole grid.
+func TestSampleSizeBisectionMatchesWalk(t *testing.T) {
+	points := 0
+	sampleSizeGrid(func(cov, relErr, conf float64) {
+		points++
+		if got, want := SampleSizeRelErrT(cov, relErr, conf), sampleSizeRelErrTWalk(cov, relErr, conf); got != want {
+			t.Errorf("SampleSizeRelErrT(%v, %v, %v) = %d, the walk %d", cov, relErr, conf, got, want)
+		}
+	})
+	if points != 14616 {
+		t.Errorf("grid has %d points, want 14616", points)
+	}
+}
+
 // TestSampleSizeTAstronomicTarget pins the cap: a target past a billion
 // runs is answered with the cap at once — the normal-form seed used to
 // escape it, and the walk-down then stepped from the seed to the cap
