@@ -113,6 +113,39 @@ func TestVarsimResumePrintsTheSameBytes(t *testing.T) {
 	}
 }
 
+// TestVarsimDigestDiffsTheFirstPair: -digest-us over a space prints the
+// run 0 vs run 1 diff, and 'varsim diff' over the journal the same
+// space wrote names the same fork. 'varsim diff' has no live mode.
+func TestVarsimDigestDiffsTheFirstPair(t *testing.T) {
+	dir := t.TempDir()
+	out, stderr, exit := drive(t, dir, "varsim", "-workload", "oltp", "-cpus", "4", "-runs", "3",
+		"-txns", "40", "-warmup", "60", "-digest-us", "20", "-journal", "d")
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	for _, want := range []string{"run 0 and run 1", "forked components: ", "metric deltas"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "divergence attribution") {
+		t.Errorf("stdout still prints the space attribution:\n%s", out)
+	}
+	journaled, stderr, exit := drive(t, dir, "varsim", "diff", "-A", "d")
+	if exit != 0 {
+		t.Fatalf("diff -A exit %d\n%s", exit, stderr)
+	}
+	if live := out[strings.Index(out, "run 0 and run 1"):]; strings.ReplaceAll(journaled, "d run ", "run ") != live {
+		t.Errorf("diff -A printed\n%s\nwant the live pair block\n%s", journaled, live)
+	}
+	if _, stderr, exit := drive(t, dir, "varsim", "diff", "-workload", "oltp"); exit == 0 {
+		t.Errorf("diff with live-mode flags exited 0\n%s", stderr)
+	}
+	if _, stderr, exit := drive(t, dir, "varsim", "diff"); exit == 0 || !strings.Contains(stderr, "-digest-us N -journal DIR") {
+		t.Errorf("diff without -A: exit %d, stderr %q; want non-zero naming -digest-us N -journal DIR", exit, stderr)
+	}
+}
+
 // TestVarsimResumeTracesTheSpec: -lock-report on a resumed journal
 // simulates the journaled experiment, not the flags' defaults.
 func TestVarsimResumeTracesTheSpec(t *testing.T) {

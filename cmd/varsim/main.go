@@ -29,10 +29,10 @@
 // -resumes with the exact same stop choices (docs/SAMPLING.md).
 //
 // -digest-us records a cheap per-component state digest every N
-// simulated microseconds inside each run and prints the cross-run
-// divergence attribution; 'varsim diff' compares two runs' digest
-// streams and locates their first divergent interval (see
-// docs/OBSERVABILITY.md).
+// simulated microseconds inside each run and, with two or more runs,
+// prints the run 0 vs run 1 diff: the digest interval within which they
+// fork and the metric deltas that followed. 'varsim diff' does the same
+// for any two runs journaled with -digest-us (see docs/OBSERVABILITY.md).
 //
 // -precision appends the achieved-vs-requested precision table to the
 // space report (fed in run-index order, so it is byte-identical at any
@@ -126,7 +126,7 @@ func main() {
 		fromRcp = flag.String("from-recipe", "", "start from a checkpoint recipe instead of flags")
 
 		intervalUS  = flag.Int64("interval-us", 0, "sample the metrics registry every N simulated microseconds and print per-interval sparklines")
-		digestUS    = flag.Int64("digest-us", 0, "record an interval state digest every N simulated microseconds in each run and print the divergence attribution (with -journal, digests persist for 'varsim diff')")
+		digestUS    = flag.Int64("digest-us", 0, "record an interval state digest every N simulated microseconds in each run and, with two or more runs, print the run 0 vs run 1 diff (with -journal, digests persist for 'varsim diff')")
 		seriesCSV   = flag.String("series-csv", "", "write the sampled metric time series as CSV to this file")
 		seriesJSONL = flag.String("series-jsonl", "", "write the sampled metric time series as JSON lines to this file")
 		perfetto    = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
@@ -386,7 +386,7 @@ func run(e core.Experiment, rc runCfg) error {
 			// Flag each run's fork from run 0 inside its own trace.
 			if i > 0 && len(sd.Series) > i {
 				if d := digest.Diff(sd.Series[0], sd.Series[i]); d.Diverged {
-					runs[i].Marks = []traceviz.Mark{{TimeNS: d.TimeNS, Name: fmt.Sprintf("diverged: %s", d.Component)}}
+					runs[i].Marks = []traceviz.Mark{{TimeNS: d.TimeNS, Name: "diverged: " + forkName(d)}}
 				}
 			}
 		}
@@ -397,17 +397,29 @@ func run(e core.Experiment, rc runCfg) error {
 			len(runs), rc.perfetto)
 	}
 	report.WriteSpace(os.Stdout, sp)
-	if plan.DigestIntervalNS > 0 {
-		att := sd.Attribution(sp)
-		if rc.pub != nil {
-			rc.pub.PublishDivergence(att)
+	if len(sd.Series) >= 2 {
+		fmt.Println()
+		if err := printDiff("run 0", "run 1", sd.Series[0], sd.Series[1], sp.Results[0], sp.Results[1]); err != nil {
+			return err
 		}
-		report.WriteAttribution(os.Stdout, att)
 	}
 	if rc.precTable {
 		printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
 	}
 	return nil
+}
+
+// forkName names what forked in d: its components joined by "+", or
+// "length" when only the streams' lengths differ.
+func forkName(d digest.Divergence) string {
+	if len(d.Components) == 0 {
+		return "length"
+	}
+	names := make([]string, len(d.Components))
+	for i, c := range d.Components {
+		names[i] = c.String()
+	}
+	return strings.Join(names, "+")
 }
 
 // printSeries renders the run's headline per-interval series as

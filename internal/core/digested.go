@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"varsim/internal/digest"
-)
+import "varsim/internal/digest"
 
 // SpaceDigests bundles the interval digest streams of a space's runs,
 // index-aligned with the space: Series[i] belongs to run i. Runs a
@@ -20,38 +16,6 @@ type SpaceDigests struct {
 // divergent interval.
 func (d SpaceDigests) Diff(a, b int) digest.Divergence {
 	return digest.Diff(d.Series[a], d.Series[b])
-}
-
-// Attribution aggregates the space's first-divergence points against
-// run 0 (see digest.Attribute), pairing each run's digest stream with
-// its final CPT. Drained runs contribute neither streams nor values:
-// their aligned value slot is NaN, which Attribute ignores.
-func (d SpaceDigests) Attribution(sp Space) digest.Attribution {
-	values := sp.Values
-	if sp.Incomplete() {
-		values = alignValues(sp, len(d.Series))
-	}
-	return digest.Attribute(d.Series, values)
-}
-
-// alignValues re-expands a drained space's compacted Values back to
-// run-index alignment, NaN at the missing indices.
-func alignValues(sp Space, n int) []float64 {
-	miss := make(map[int]bool, len(sp.Missing))
-	for _, i := range sp.Missing {
-		miss[i] = true
-	}
-	values := make([]float64, n)
-	next := 0
-	for i := range values {
-		if miss[i] || next >= len(sp.Values) {
-			values[i] = math.NaN()
-			continue
-		}
-		values[i] = sp.Values[next]
-		next++
-	}
-	return values
 }
 
 // RunSpaceDigests is RunSpace with digesting at the experiment's

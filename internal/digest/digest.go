@@ -78,8 +78,8 @@ func Mix64(v uint64) uint64 {
 }
 
 // Component identifies one digested subsystem. The order is part of the
-// on-disk digest format: Vector is indexed by Component, and Diff
-// reports the lowest-numbered component among those that forked first.
+// on-disk digest format: Vector is indexed by Component, and Diff lists
+// the components forked at the first divergent interval in that order.
 type Component uint8
 
 const (
@@ -203,12 +203,11 @@ type Divergence struct {
 	// time (taken from whichever stream has the sample).
 	Interval int   `json:"interval,omitempty"`
 	TimeNS   int64 `json:"time_ns,omitempty"`
-	// Component is the lowest-numbered member of Components.
-	Component Component `json:"component"`
 	// Components lists every component whose chain differs at the first
 	// divergent interval, in Vector order — the subsystems that forked
-	// within the same tick. Empty when the divergence is length-only
-	// (the common prefix matches but one run recorded more intervals).
+	// within that one digest interval. Empty when the divergence is
+	// length-only (the common prefix matches but one run recorded more
+	// intervals).
 	Components []Component `json:"components,omitempty"`
 	// Compared is the number of intervals both streams cover.
 	Compared int `json:"compared"`
@@ -245,13 +244,11 @@ func Diff(a, b Series) Divergence {
 				d.Components = append(d.Components, Component(c))
 			}
 		}
-		d.Component = d.Components[0]
 		return d
 	}
 	if len(a.Samples) != len(b.Samples) {
 		// Identical while both ran, but one run ticked longer: the runs
-		// diverged in duration. Attribute to workload progress — the
-		// only state a pure length difference witnesses.
+		// diverged in duration, and no component's chain differs.
 		longer := a
 		if len(b.Samples) > len(a.Samples) {
 			longer = b
@@ -261,7 +258,6 @@ func Diff(a, b Series) Divergence {
 		if n < len(longer.Samples) {
 			d.TimeNS = longer.Samples[n].TimeNS
 		}
-		d.Component = CompWorkload
 	}
 	return d
 }

@@ -142,9 +142,6 @@ func TestDiffMidStreamFork(t *testing.T) {
 	if d.TimeNS != 7000 {
 		t.Fatalf("TimeNS = %d, want 7000", d.TimeNS)
 	}
-	if d.Component != CompDRAM {
-		t.Fatalf("Component = %v, want dram", d.Component)
-	}
 	if len(d.Components) != 2 || d.Components[0] != CompDRAM || d.Components[1] != CompBpred {
 		t.Fatalf("Components = %v, want [dram bpred]", d.Components)
 	}
@@ -154,7 +151,7 @@ func TestDiffFirstInterval(t *testing.T) {
 	a := []Vector{{1, 2, 3, 4, 5}}
 	b := []Vector{{1, 2, 3, 4, 6}}
 	d := Diff(mkSeries(a), mkSeries(b))
-	if !d.Diverged || d.Interval != 0 || d.Component != CompWorkload {
+	if !d.Diverged || d.Interval != 0 || len(d.Components) != 1 || d.Components[0] != CompWorkload {
 		t.Fatalf("got %+v", d)
 	}
 }
@@ -164,7 +161,7 @@ func TestDiffLengthOnly(t *testing.T) {
 	long := mkSeries(raws)
 	short := mkSeries(raws[:2])
 	d := Diff(short, long)
-	if !d.Diverged || d.Interval != 2 || d.Component != CompWorkload {
+	if !d.Diverged || d.Interval != 2 {
 		t.Fatalf("length-only divergence got %+v", d)
 	}
 	if d.TimeNS != 3000 {
@@ -187,7 +184,7 @@ func TestDiffEmpty(t *testing.T) {
 	}
 	one := mkSeries([]Vector{{1, 2, 3, 4, 5}})
 	d := Diff(empty, one)
-	if !d.Diverged || d.Interval != 0 || d.Component != CompWorkload {
+	if !d.Diverged || d.Interval != 0 || len(d.Components) != 0 {
 		t.Fatalf("empty-vs-nonempty got %+v", d)
 	}
 }
@@ -218,120 +215,5 @@ func TestSeriesJSONRoundTripExact(t *testing.T) {
 	}
 	if string(buf) != string(buf2) {
 		t.Fatalf("re-encode not byte-identical:\n%s\n%s", buf, buf2)
-	}
-}
-
-func TestAttributeEmptyAndBaselineOnly(t *testing.T) {
-	att := Attribute(nil, nil)
-	if att.Runs != 0 || att.Diverged != 0 {
-		t.Fatalf("empty attribution: %+v", att)
-	}
-	att = Attribute([]Series{mkSeries([]Vector{{1, 2, 3, 4, 5}})}, []float64{1})
-	if att.Runs != 1 || att.Diverged != 0 || len(att.Histogram) != 0 {
-		t.Fatalf("baseline-only attribution: %+v", att)
-	}
-}
-
-func TestAttributeForks(t *testing.T) {
-	base := make([]Vector, 10)
-	for i := range base {
-		base[i] = Vector{1, 2, 3, 4, 5}
-	}
-	fork := func(at int, c Component) Series {
-		raws := append([]Vector(nil), base...)
-		raws[at][c]++
-		return mkSeries(raws)
-	}
-	series := []Series{
-		mkSeries(base),      // run 0: baseline
-		fork(2, CompMem),    // onset 3000
-		fork(2, CompMem),    // onset 3000
-		fork(8, CompKernel), // onset 9000
-		mkSeries(base),      // run 4: never diverges
-	}
-	values := []float64{100, 90, 110, 130, 100}
-	att := Attribute(series, values)
-	if att.Runs != 5 || att.Diverged != 3 {
-		t.Fatalf("runs/diverged: %+v", att)
-	}
-	if att.ForkCounts[CompMem] != 2 || att.ForkCounts[CompKernel] != 1 {
-		t.Fatalf("fork counts: %+v", att.ForkCounts)
-	}
-	if len(att.Forks) != 2 || att.Forks[0].Component != "mem" || att.Forks[1].Component != "kernel" {
-		t.Fatalf("forks: %+v", att.Forks)
-	}
-	if len(att.Onsets) != 3 || att.Onsets[0] != 3000 || att.Onsets[2] != 9000 {
-		t.Fatalf("onsets: %v", att.Onsets)
-	}
-	total := 0
-	for _, b := range att.Histogram {
-		total += b.Count
-	}
-	if total != 3 {
-		t.Fatalf("histogram counts sum to %d, want 3: %+v", total, att.Histogram)
-	}
-	if att.CorrRuns != 3 {
-		t.Fatalf("CorrRuns = %d, want 3", att.CorrRuns)
-	}
-	if math.IsNaN(att.OnsetSpreadCorr) || math.IsInf(att.OnsetSpreadCorr, 0) {
-		t.Fatalf("correlation not finite: %v", att.OnsetSpreadCorr)
-	}
-	// Attribution must always be JSON-marshalable (no NaN).
-	if _, err := json.Marshal(att); err != nil {
-		t.Fatalf("marshal attribution: %v", err)
-	}
-}
-
-func TestAttributeDegenerateCorrelation(t *testing.T) {
-	base := make([]Vector, 4)
-	for i := range base {
-		base[i] = Vector{1, 2, 3, 4, 5}
-	}
-	fork := func(at int) Series {
-		raws := append([]Vector(nil), base...)
-		raws[at][CompMem]++
-		return mkSeries(raws)
-	}
-	// All forks at the same interval: zero variance in x.
-	series := []Series{mkSeries(base), fork(1), fork(1), fork(1)}
-	att := Attribute(series, []float64{1, 2, 3, 4})
-	if att.OnsetSpreadCorr != 0 {
-		t.Fatalf("degenerate correlation must be 0, got %v", att.OnsetSpreadCorr)
-	}
-	if att.CorrRuns != 3 {
-		t.Fatalf("CorrRuns = %d, want 3", att.CorrRuns)
-	}
-	if len(att.Histogram) != 1 || att.Histogram[0].Count != 3 {
-		t.Fatalf("single-value histogram: %+v", att.Histogram)
-	}
-}
-
-func TestHistogramCoversRange(t *testing.T) {
-	onsets := []int64{1000, 2000, 3000, 50_000, 100_000}
-	h := histogram(onsets)
-	total := 0
-	for _, b := range h {
-		total += b.Count
-	}
-	if total != len(onsets) {
-		t.Fatalf("histogram drops onsets: %d of %d binned, %+v", total, len(onsets), h)
-	}
-	if h[0].LoNS != 1000 {
-		t.Fatalf("first bucket starts at %d, want 1000", h[0].LoNS)
-	}
-}
-
-func TestPearsonSign(t *testing.T) {
-	x := []int64{1, 2, 3, 4}
-	up := []float64{10, 20, 30, 40}
-	down := []float64{40, 30, 20, 10}
-	if r, n := pearson(x, up); n != 4 || r < 0.99 {
-		t.Fatalf("perfect positive correlation: r=%v n=%d", r, n)
-	}
-	if r, _ := pearson(x, down); r > -0.99 {
-		t.Fatalf("perfect negative correlation: r=%v", r)
-	}
-	if r, n := pearson(x[:2], up[:2]); r != 0 || n != 2 {
-		t.Fatalf("short input must yield 0: r=%v n=%d", r, n)
 	}
 }

@@ -1,41 +1,25 @@
 package harness
 
-import (
-	"fmt"
-
-	"varsim/internal/report"
-)
+import "varsim/internal/report"
 
 // divergenceDigestNS is the digest cadence of the divergence study:
-// 50 simulated microseconds, the varsim diff live-mode default.
+// 50 simulated microseconds.
 const divergenceDigestNS = 50_000
 
-// DivergenceStudy runs the divergence observatory over one perturbed
-// OLTP space: every run records interval state digests, each run is
-// diffed against run 0, and the fork points are attributed — when the
-// paper's "runs vary" begins, and which simulated subsystem forks
-// first. The pairwise diff of runs 0 and 1 is shown in full as the
-// worked example.
+// DivergenceStudy is the divergence observatory's worked pair: two
+// perturbed OLTP runs branched from one checkpoint record interval
+// state digests, and their diff says within which digest interval they
+// fork, which components had forked by its closing tick, and how far
+// apart the runs end.
 func (h *H) DivergenceStudy() error {
 	e := h.experiment("divergence/oltp", h.baseConfig(), "oltp", 500, 200, 0xD1)
+	e.Runs = 2
 	e.DigestIntervalNS = divergenceDigestNS
 	sp, sd, err := e.RunSpaceDigests()
 	if err != nil {
 		return err
 	}
-	att := sd.Attribution(sp)
-
-	rows := [][]string{}
-	for _, f := range att.Forks {
-		rows = append(rows, []string{f.Component, fmt.Sprintf("%d", f.Count)})
-	}
-	h.table("component\tfirst forks (of "+fmt.Sprintf("%d diverged runs", att.Diverged)+")", rows)
-
-	fmt.Fprintln(h.opt.Out)
-	report.WriteAttribution(h.opt.Out, att)
-
-	fmt.Fprintln(h.opt.Out)
-	report.WriteDivergence(h.opt.Out, "run 0", "run 1", sd.Diff(0, 1))
+	report.WriteDivergence(h.opt.Out, "run 0", "run 1", sd.Diff(0, 1), sd.IntervalNS)
 	report.WriteResultDelta(h.opt.Out, sp.Results[0], sp.Results[1])
 	return nil
 }

@@ -105,7 +105,7 @@ var allExperiments = []Experiment{
 	{"perturb", "Sec 3.3: perturbation-magnitude sensitivity (0-1 vs 0-4 ns)", (*H).PerturbSensitivity},
 	{"anova", "Sec 5.2: ANOVA of time vs space variability", (*H).ANOVAStudy},
 	{"ablations", "Extensions: perturbation site, MESI vs MOSI, snoop occupancy, checkpoint sampling, normality", (*H).Ablations},
-	{"divergence", "Extension: divergence observatory — when perturbed runs fork and which subsystem forks first", (*H).DivergenceStudy},
+	{"divergence", "Extension: divergence observatory — when two perturbed runs fork and how far apart they end", (*H).DivergenceStudy},
 	{"characterize", "Workload characterization: memory, sharing, OS and lock behaviour per benchmark", (*H).Characterize},
 	{"sampling", "Extension: adaptive sampling — early stopping, pair verdicts and stratified replication vs fixed-N", (*H).SamplingStudy},
 }

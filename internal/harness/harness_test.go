@@ -114,7 +114,10 @@ func golden(t *testing.T, name, out string) {
 
 func TestFig1(t *testing.T) { golden(t, "fig1", runQuick(t, "fig1", "scheduling events", "diverg")) }
 func TestDivergenceStudy(t *testing.T) {
-	runQuick(t, "divergence", "first forks", "divergence attribution", "metric deltas")
+	out := runQuick(t, "divergence", "run 0 and run 1", "forked components", "metric deltas")
+	if strings.Contains(out, "first forks") {
+		t.Errorf("divergence prints a first-fork table:\n%s", out)
+	}
 }
 func TestFig4(t *testing.T)  { runQuick(t, "fig4", "DRAM latency", "inversions") }
 func TestFig10(t *testing.T) { runQuick(t, "fig10", "sample size", "95% CI") }

@@ -42,9 +42,9 @@ const (
 	StatusFailed = "failed" // the job exhausted its retries; Error set
 	// StatusDigest is a run's interval state-digest stream (Result
 	// holds a digest.Series as JSON). Digest records share their run's
-	// Key and ride alongside its StatusOK record, so divergence
-	// attribution works post-hoc from the journal and replays across
-	// -resume without re-simulating.
+	// Key and ride alongside its StatusOK record, so 'varsim diff'
+	// works post-hoc from the journal and a digested space replays
+	// across -resume without re-simulating.
 	StatusDigest = "digest"
 	// StatusDecision is an adaptive-sampling barrier decision (Result
 	// holds a sampling.Decision as JSON). Decision records are keyed by

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"varsim/internal/config"
@@ -57,7 +58,7 @@ func TestDigestsDetectPerturbationDivergence(t *testing.T) {
 	sa2, _ := runDigested(t, 1, 25)
 	sb2, _ := runDigested(t, 2, 25)
 	d2 := digest.Diff(sa2, sb2)
-	if d.Interval != d2.Interval || d.TimeNS != d2.TimeNS || d.Component != d2.Component {
+	if d.Interval != d2.Interval || d.TimeNS != d2.TimeNS || !slices.Equal(d.Components, d2.Components) {
 		t.Fatalf("fork point unstable across re-runs: %+v vs %+v", d, d2)
 	}
 }

@@ -1,10 +1,9 @@
 package obs
 
 // dashboardHTML is the embedded live dashboard: it polls /series,
-// /status, /divergence and /precision once a second and charts derived
-// per-interval series (IPC, L2 miss rate, simulated-cycle throughput)
-// as inline SVG, plus the cross-run divergence attribution and the
-// precision-convergence table (half-width-vs-runs sparkline per
+// /status and /precision once a second and charts derived per-interval
+// series (IPC, L2 miss rate, simulated-cycle throughput) as inline SVG,
+// plus the precision-convergence table (half-width-vs-runs sparkline per
 // configuration) — no external assets, so it works offline and inside
 // CI artifacts.
 const dashboardHTML = `<!doctype html>
@@ -31,7 +30,6 @@ const dashboardHTML = `<!doctype html>
 <h1>varsim live observability</h1>
 <div id="status" class="empty">waiting for /status…</div>
 <div id="charts"></div>
-<div class="chart"><h2>divergence</h2><div id="divergence" class="empty">no divergence data</div></div>
 <div class="chart"><h2>precision convergence</h2><div id="precision" class="empty">no precision data</div></div>
 <div class="chart"><h2>experiments</h2><div id="fleet" class="empty">no fleet</div></div>
 <script>
@@ -105,30 +103,6 @@ function renderFleet(st) {
   }
   el.innerHTML = html + "</table>";
 }
-function renderDivergence(d) {
-  const el = document.getElementById("divergence");
-  if (!d || !d.runs) { el.className = "empty"; el.textContent = "no divergence data"; return; }
-  el.className = "";
-  let html = "diverged from baseline: <b>" + d.diverged + "/" + (d.runs - 1) + "</b> runs";
-  if (d.forks && d.forks.length) {
-    html += " — first fork: " + d.forks.map(f => f.component + " ×" + f.count).join(", ");
-  }
-  if (d.corr_runs >= 3) {
-    html += "<br>onset vs final-spread correlation r=" + d.onset_spread_corr.toFixed(2) +
-      " over " + d.corr_runs + " runs";
-  }
-  if (d.histogram && d.histogram.length) {
-    const max = Math.max(...d.histogram.map(b => b.count), 1);
-    html += "<table><tr><th>onset (ns)</th><th>runs</th><th></th></tr>";
-    for (const b of d.histogram) {
-      html += "<tr><td>" + b.lo_ns + " – " + b.hi_ns + "</td><td>" + b.count +
-        '</td><td><span style="color:#07c">' + "#".repeat(Math.round(b.count * 30 / max)) +
-        "</span></td></tr>";
-    }
-    html += "</table>";
-  }
-  el.innerHTML = html;
-}
 function renderPrecision(p) {
   const el = document.getElementById("precision");
   if (!p || !p.rows || !p.rows.length) { el.className = "empty"; el.textContent = "no precision data"; return; }
@@ -152,15 +126,13 @@ function renderPrecision(p) {
 }
 async function tick() {
   try {
-    const [sr, st, dv, pr] = await Promise.all([
+    const [sr, st, pr] = await Promise.all([
       fetch("/series").then(r => r.json()),
       fetch("/status").then(r => r.json()),
-      fetch("/divergence").then(r => r.json()),
       fetch("/precision").then(r => r.json()),
     ]);
     render(sr);
     renderFleet(st);
-    renderDivergence(dv);
     renderPrecision(pr);
     const s = document.getElementById("status");
     s.className = "";

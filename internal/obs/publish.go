@@ -2,9 +2,8 @@
 // (Publisher, Fleet) the single-threaded simulation publishes into, and
 // an HTTP server exposing what was published — Prometheus text
 // exposition on /metrics, fleet progress on /status, the sampled metric
-// time series on /series, cross-run divergence attribution on
-// /divergence, net/http/pprof, and an embedded dashboard that charts
-// the series live during a sweep.
+// time series on /series, net/http/pprof, and an embedded dashboard
+// that charts the series live during a sweep.
 //
 // The simulator itself stays observation-free: nothing here is reached
 // unless a CLI passes -http, and publishing costs one mutex and one
@@ -15,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"varsim/internal/digest"
 	"varsim/internal/machine"
 	"varsim/internal/metrics"
 )
@@ -33,7 +31,6 @@ type Publisher struct {
 	baseTimeNS int64
 	base       metrics.Snapshot
 	samples    []metrics.Sample
-	div        *digest.Attribution
 	updated    time.Time
 }
 
@@ -128,34 +125,6 @@ func (p *Publisher) Series() metrics.TimeSeries {
 		Base:       p.base,
 		Samples:    append([]metrics.Sample(nil), p.samples...),
 	}
-}
-
-// PublishDivergence makes a space-level divergence attribution (see
-// digest.Attribute) available to /divergence, /metrics and the
-// dashboard. Call it once the branched runs' digest streams settle;
-// re-publishing replaces the previous attribution.
-func (p *Publisher) PublishDivergence(att digest.Attribution) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.div = &att
-	p.updated = time.Now()
-	p.mu.Unlock()
-}
-
-// Divergence returns the last published attribution and whether one
-// has been published at all.
-func (p *Publisher) Divergence() (digest.Attribution, bool) {
-	if p == nil {
-		return digest.Attribution{}, false
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.div == nil {
-		return digest.Attribution{}, false
-	}
-	return *p.div, true
 }
 
 // StartSimRateSampler publishes the process-wide simulated-cycle

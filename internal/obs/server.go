@@ -26,11 +26,10 @@ type Options struct {
 
 // Server is the observability HTTP server. Endpoints:
 //
-//	/           embedded dashboard (polls /series, /status, /divergence, /precision)
+//	/           embedded dashboard (polls /series, /status, /precision)
 //	/metrics    Prometheus text exposition (version 0.0.4)
 //	/status     fleet progress JSON (FleetStatus)
 //	/series     sampled metric time series JSON (metrics.TimeSeries)
-//	/divergence cross-run divergence attribution JSON (digest.Attribution)
 //	/precision  streaming precision report JSON (precision.Report)
 //	/debug/pprof/...  Go's runtime profiler
 type Server struct {
@@ -49,7 +48,6 @@ func NewServer(opt Options) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/status", s.handleStatus)
 	s.mux.HandleFunc("/series", s.handleSeries)
-	s.mux.HandleFunc("/divergence", s.handleDivergence)
 	s.mux.HandleFunc("/precision", s.handlePrecision)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -157,19 +155,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			write("varsim_journal_replayed_total", "counter", float64(st.JournalReplayed))
 		}
 	}
-	if att, ok := s.opt.Publisher.Divergence(); ok {
-		write("varsim_divergence_runs", "gauge", float64(att.Runs))
-		write("varsim_divergence_diverged", "gauge", float64(att.Diverged))
-		if att.CorrRuns >= 3 {
-			write("varsim_divergence_onset_spread_corr", "gauge", att.OnsetSpreadCorr)
-		}
-		if len(att.Forks) > 0 {
-			fmt.Fprintf(w, "# TYPE varsim_divergence_first_forks gauge\n")
-			for _, f := range att.Forks {
-				fmt.Fprintf(w, "varsim_divergence_first_forks{component=%q} %d\n", f.Component, f.Count)
-			}
-		}
-	}
 	if rep := s.opt.Precision.Report(); len(rep.Rows) > 0 {
 		converged := 0
 		for _, row := range rep.Rows {
@@ -221,14 +206,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.opt.Publisher.Series())
-}
-
-// handleDivergence serves the last published attribution; before one
-// is published it serves the zero Attribution (runs 0), which clients
-// read as "no divergence data yet".
-func (s *Server) handleDivergence(w http.ResponseWriter, r *http.Request) {
-	att, _ := s.opt.Publisher.Divergence()
-	writeJSON(w, att)
 }
 
 // handlePrecision serves the streaming precision report with the

@@ -17,7 +17,6 @@ import (
 
 	"varsim/internal/config"
 	"varsim/internal/core"
-	"varsim/internal/digest"
 	"varsim/internal/fleet"
 	"varsim/internal/machine"
 	"varsim/internal/metrics"
@@ -232,58 +231,6 @@ func TestSeriesSinglePoint(t *testing.T) {
 	}
 }
 
-func TestDivergenceEndpointAndMetrics(t *testing.T) {
-	pub := NewPublisher()
-	ts := httptest.NewServer(NewServer(Options{Publisher: pub}).Handler())
-	defer ts.Close()
-
-	// Before any publish: the zero Attribution, still valid JSON.
-	body, hdr := get(t, ts.URL+"/divergence")
-	if ct := hdr.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var att digest.Attribution
-	if err := json.Unmarshal([]byte(body), &att); err != nil {
-		t.Fatalf("/divergence is not valid JSON: %v\n%s", err, body)
-	}
-	if att.Runs != 0 {
-		t.Errorf("pre-publish attribution = %+v, want zero", att)
-	}
-	if body, _ := get(t, ts.URL+"/metrics"); strings.Contains(body, "varsim_divergence") {
-		t.Error("/metrics exports divergence gauges before any publish")
-	}
-
-	pub.PublishDivergence(digest.Attribution{
-		Runs: 5, Diverged: 3, IntervalNS: 1000,
-		Onsets: []int64{100, 200, 300},
-		Forks: []digest.ForkCount{
-			{Component: "mem", Count: 2},
-			{Component: "bpred", Count: 1},
-		},
-		OnsetSpreadCorr: 0.5, CorrRuns: 3,
-	})
-	body, _ = get(t, ts.URL+"/divergence")
-	if err := json.Unmarshal([]byte(body), &att); err != nil {
-		t.Fatalf("/divergence is not valid JSON: %v\n%s", err, body)
-	}
-	if att.Runs != 5 || att.Diverged != 3 || len(att.Forks) != 2 {
-		t.Errorf("served attribution = %+v, want the published one", att)
-	}
-
-	metricsBody, _ := get(t, ts.URL+"/metrics")
-	for _, want := range []string{
-		"varsim_divergence_runs 5",
-		"varsim_divergence_diverged 3",
-		"varsim_divergence_onset_spread_corr 0.5",
-		`varsim_divergence_first_forks{component="mem"} 2`,
-		`varsim_divergence_first_forks{component="bpred"} 1`,
-	} {
-		if !strings.Contains(metricsBody, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, metricsBody)
-		}
-	}
-}
-
 func TestETAFromRecentPace(t *testing.T) {
 	if got := etaSecs(nil, 0, 10); got != 0 {
 		t.Errorf("ETA before any completion = %v, want 0", got)
@@ -392,11 +339,6 @@ func TestNilSourcesServeEmpty(t *testing.T) {
 	}
 	if body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "varsim_obs_uptime_seconds") {
 		t.Error("empty /metrics missing uptime gauge")
-	}
-	body, _ = get(t, ts.URL+"/divergence")
-	var att digest.Attribution
-	if err := json.Unmarshal([]byte(body), &att); err != nil || att.Runs != 0 {
-		t.Errorf("nil-publisher /divergence invalid: %v %v", err, att)
 	}
 }
 

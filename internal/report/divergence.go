@@ -9,9 +9,15 @@ import (
 	"varsim/internal/machine"
 )
 
-// WriteDivergence renders a two-run digest diff: when and where the
-// runs first forked. a and b name the runs ("run 0", "A/run 3", ...).
-func WriteDivergence(w io.Writer, a, b string, d digest.Divergence) {
+// WriteDivergence renders a two-run digest diff: the digest interval
+// within which the runs first forked, and every component whose state
+// had forked by that interval's closing tick. a and b name the runs
+// ("run 0", "A/run 3", ...); intervalNS is the streams' digest cadence.
+func WriteDivergence(w io.Writer, a, b string, d digest.Divergence, intervalNS int64) {
+	if !d.Diverged && d.Compared == 0 {
+		fmt.Fprintf(w, "%s and %s: neither run closed a %d ns digest interval\n", a, b, intervalNS)
+		return
+	}
 	if !d.Diverged {
 		fmt.Fprintf(w, "%s and %s: identical across all %d digest intervals\n", a, b, d.Compared)
 		return
@@ -23,16 +29,13 @@ func WriteDivergence(w io.Writer, a, b string, d digest.Divergence) {
 			a, b, d.Compared, d.TimeNS)
 		return
 	}
-	fmt.Fprintf(w, "%s and %s: first divergence at interval %d, t=%d ns\n", a, b, d.Interval, d.TimeNS)
-	fmt.Fprintf(w, "first-diverging component: %s", d.Component)
-	if len(d.Components) > 1 {
-		names := make([]string, len(d.Components))
-		for i, c := range d.Components {
-			names[i] = c.String()
-		}
-		fmt.Fprintf(w, "  (forked same tick: %s)", strings.Join(names, ", "))
+	fmt.Fprintf(w, "%s and %s: forked within digest interval %d, the %d ns ending at t=%d ns\n",
+		a, b, d.Interval, intervalNS, d.TimeNS)
+	names := make([]string, len(d.Components))
+	for i, c := range d.Components {
+		names[i] = c.String()
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "forked components: %s\n", strings.Join(names, ", "))
 }
 
 // WriteResultDelta renders the final-metric deltas that follow a
@@ -55,46 +58,4 @@ func pctDelta(a, b float64) float64 {
 		return 0
 	}
 	return (b - a) / a * 100
-}
-
-// WriteAttribution renders the space-level divergence attribution: how
-// many runs forked from the baseline, where they forked first, the
-// onset histogram, and the onset-vs-spread correlation.
-func WriteAttribution(w io.Writer, att digest.Attribution) {
-	if att.Runs == 0 {
-		fmt.Fprintf(w, "divergence attribution: no digest streams\n")
-		return
-	}
-	fmt.Fprintf(w, "divergence attribution over %d runs (baseline = run 0):\n", att.Runs)
-	fmt.Fprintf(w, "  diverged from baseline: %d/%d\n", att.Diverged, att.Runs-1)
-	if att.Diverged == 0 {
-		return
-	}
-	parts := make([]string, len(att.Forks))
-	for i, f := range att.Forks {
-		parts[i] = fmt.Sprintf("%s %d", f.Component, f.Count)
-	}
-	fmt.Fprintf(w, "  first-fork component: %s\n", strings.Join(parts, ", "))
-	if len(att.Histogram) > 0 {
-		fmt.Fprintf(w, "  divergence-onset histogram (ns):\n")
-		max := 0
-		for _, b := range att.Histogram {
-			if b.Count > max {
-				max = b.Count
-			}
-		}
-		for _, b := range att.Histogram {
-			bar := ""
-			if max > 0 {
-				bar = strings.Repeat("#", b.Count*40/max)
-			}
-			fmt.Fprintf(w, "    [%12d, %12d)  %3d %s\n", b.LoNS, b.HiNS, b.Count, bar)
-		}
-	}
-	if att.CorrRuns >= 3 {
-		fmt.Fprintf(w, "  onset vs final-spread correlation: r=%+.2f over %d runs\n",
-			att.OnsetSpreadCorr, att.CorrRuns)
-	} else {
-		fmt.Fprintf(w, "  onset vs final-spread correlation: n/a (%d usable runs)\n", att.CorrRuns)
-	}
 }

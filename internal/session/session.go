@@ -87,8 +87,8 @@ type Session struct {
 	// the run: journal, resume cache, retry/timeout budget, drain signal
 	// and the precision Observe hook.
 	Resilience core.Resilience
-	// Publisher feeds /metrics, /series and /divergence; nil unless
-	// -http is set (a nil Publisher is safe to call).
+	// Publisher feeds /metrics and /series; nil unless -http is set
+	// (a nil Publisher is safe to call).
 	Publisher *obs.Publisher
 
 	flags     *Flags
