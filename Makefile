@@ -43,13 +43,18 @@ test:
 # The full-scale reproduction as a checked artefact: regenerate every
 # table at the paper's scale (16 CPUs, 20 runs per configuration; ~95 s
 # on two CPUs) and fail on any difference from what is committed. The
-# simulator is bit-stable and stdout carries results only, so the
-# output is identical on any host at any -j; a diff here means the
-# model, a workload or a statistic changed — commit the regenerated
-# files with the change that explains them.
+# exports are removed first, so a committed table no experiment writes
+# any more shows as deleted, and a table none was committed for fails
+# as untracked. The simulator is bit-stable and stdout carries results
+# only, so the output is identical on any host at any -j; a diff here
+# means the model, a workload or a statistic changed — commit the
+# regenerated files with the change that explains them.
 reproduce:
+	rm -f results/*.csv results/tables.json
 	$(GO) run ./cmd/experiments -heartbeat 0 -csv results -json results/tables.json all > experiments_full.txt
 	git diff --exit-code -- results experiments_full.txt
+	@new=$$(git ls-files --others --exclude-standard -- results); \
+	if [ -n "$$new" ]; then echo "untracked under results/:"; echo "$$new"; exit 1; fi
 
 # The benchmark spine BENCHMARK.json declares: five workloads, one
 # process each, every end-to-end metric (bench/README.md). spine-aa runs

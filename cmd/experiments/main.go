@@ -40,7 +40,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also export every table as CSV into this directory")
 	jsonOut := flag.String("json", "", "also export every table as JSON to this file")
 	heartbeat := flag.Duration("heartbeat", 30*time.Second, "stderr progress-line period (0 disables)")
-	adaptive := flag.Bool("adaptive", false, "override the sampling experiment's stopping rule with -rel-err/-budget (the experiment runs adaptively either way; see docs/SAMPLING.md)")
 	relErr := flag.Float64("rel-err", 0, "adaptive/precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%; 0 = default)")
 	budget := flag.Int("budget", 0, "adaptive: run budget per configuration (0 = the fixed-N baseline)")
 	sf := session.Register(flag.CommandLine)
@@ -107,13 +106,9 @@ func main() {
 	if *csvDir != "" || *jsonOut != "" {
 		collector = report.NewCollector()
 	}
-	var at *sampling.Target
-	if *adaptive || *relErr > 0 || *budget > 0 {
-		at = &sampling.Target{RelErr: *relErr, MaxRuns: *budget}
-	}
 	h := harness.New(harness.Options{
 		Out: os.Stdout, Seed: *seed, Quick: *quick, Workers: sf.Workers, Report: collector,
-		Resilience: s.Resilience, Adaptive: at,
+		Resilience: s.Resilience, Adaptive: sampling.Target{RelErr: *relErr, MaxRuns: *budget},
 	})
 	for _, e := range todo {
 		if !s.Run(e.Name, func() error { return h.RunOne(e) }) {

@@ -320,8 +320,8 @@ func TestVarsimPrecisionReadsEveryRun(t *testing.T) {
 			}
 			var n []string
 			for _, line := range strings.Split(out, "\n") {
-				if f := strings.Fields(line); len(f) > 3 && f[0] == "oltp/simple" {
-					n = append(n, f[3])
+				if f := strings.Fields(line); len(f) > 2 && f[0] == "oltp/simple" {
+					n = append(n, f[2])
 				}
 			}
 			if len(n) != 1 || n[0] != c.n {

@@ -17,7 +17,6 @@
 //	varsim -resume out/
 //	varsim -workload oltp -runs 10 -txns 200 -digest-us 50 -journal out/
 //	varsim diff -A out/ -run-a 0 -run-b 3
-//	varsim -workload oltp -runs 20 -txns 200 -precision
 //	varsim precision -journal out/ -rel-err 0.04
 //	varsim -workload oltp -runs 20 -txns 200 -adaptive -rel-err 0.04
 //
@@ -34,11 +33,10 @@
 // fork and the metric deltas that followed. 'varsim diff' does the same
 // for any two runs journaled with -digest-us (see docs/OBSERVABILITY.md).
 //
-// -precision appends the achieved-vs-requested precision table to the
-// space report (fed in run-index order, so it is byte-identical at any
-// -j); 'varsim precision' rebuilds the same table post-hoc from a
-// journal directory. With -http, /precision and the dashboard's
-// convergence panel stream the table live as runs settle.
+// 'varsim precision' prints the achieved-vs-requested precision table
+// from a journal directory (written by -journal), in run-index order,
+// so it is byte-identical at any -j. With -http, /precision and the
+// dashboard's convergence panel stream the table live as runs settle.
 //
 // Stdout carries the measurement and nothing else, byte-identical for
 // every -j value; "written to" notices and timing go to stderr. The
@@ -91,8 +89,6 @@ type runCfg struct {
 	seriesJSONL      string
 	perfetto         string
 	pub              *obs.Publisher // nil unless -http is set
-	precTable        bool           // -precision: print the table after the space
-	relErr, conf     float64        // precision target
 }
 
 func main() {
@@ -131,11 +127,10 @@ func main() {
 		seriesJSONL = flag.String("series-jsonl", "", "write the sampled metric time series as JSON lines to this file")
 		perfetto    = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
 
-		precTable = flag.Bool("precision", false, "print the achieved-vs-requested precision table after the space report (fed in run-index order; byte-identical at any -j)")
-		relErrF   = flag.Float64("rel-err", sampling.DefaultRelErr, "precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%)")
-		confF     = flag.Float64("confidence", sampling.DefaultConfidence, "precision target: confidence level of the interval, in (0,1)")
-		adaptive  = flag.Bool("adaptive", false, "schedule runs adaptively: stop once the CI meets -rel-err at -confidence (-runs becomes the fixed-N baseline for the runs-saved accounting; see docs/SAMPLING.md)")
-		budget    = flag.Int("budget", 0, "adaptive: hard cap on runs per configuration (0 = the sampling default)")
+		relErrF  = flag.Float64("rel-err", sampling.DefaultRelErr, "precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%)")
+		confF    = flag.Float64("confidence", sampling.DefaultConfidence, "precision target: confidence level of the interval, in (0,1)")
+		adaptive = flag.Bool("adaptive", false, "schedule runs adaptively: stop once the CI meets -rel-err at -confidence (-runs becomes the fixed-N baseline for the runs-saved accounting; see docs/SAMPLING.md)")
+		budget   = flag.Int("budget", 0, "adaptive: hard cap on runs per configuration (0 = the sampling default)")
 	)
 	sf := session.Register(flag.CommandLine)
 	flag.Parse()
@@ -201,7 +196,6 @@ func main() {
 		saveRcp: *saveRcp, fromRcp: *fromRcp,
 		intervalUS: *intervalUS, seriesCSV: *seriesCSV, seriesJSONL: *seriesJSONL,
 		perfetto: *perfetto, pub: s.Publisher,
-		precTable: *precTable, relErr: *relErrF, conf: *confF,
 	}
 	s.Run(e.Label, func() error {
 		// The spec must be beside the journal before the first run can
@@ -282,9 +276,6 @@ func run(e core.Experiment, rc runCfg) error {
 		rep.Finalize()
 		report.WriteSpace(os.Stdout, sp)
 		report.WriteSampling(os.Stdout, rep)
-		if rc.precTable && runErr == nil {
-			printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-		}
 		return runErr
 	}
 
@@ -402,9 +393,6 @@ func run(e core.Experiment, rc runCfg) error {
 		if err := printDiff("run 0", "run 1", sd.Series[0], sd.Series[1], sp.Results[0], sp.Results[1]); err != nil {
 			return err
 		}
-	}
-	if rc.precTable {
-		printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
 	}
 	return nil
 }

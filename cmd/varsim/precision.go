@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"varsim/internal/core"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
 	"varsim/internal/precision"
@@ -92,7 +91,7 @@ func runPrecision(args []string) error {
 		if err := json.Unmarshal(latest[k].Result, &r); err != nil {
 			return fmt.Errorf("precision: %s: %w", k, err)
 		}
-		trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
+		trk.Observe(k.Experiment, k.ConfigHash, r.CPT)
 	}
 	report.WritePrecision(os.Stdout, trk.Report())
 	if serr == nil && spec.Adaptive == nil && len(keys) < spec.Runs {
@@ -100,17 +99,4 @@ func runPrecision(args []string) error {
 			spec.Runs-len(keys), spec.Runs, *dir)
 	}
 	return nil
-}
-
-// printPrecisionTable renders the deterministic form of the live
-// precision table: a fresh tracker fed from the finished space in run
-// index order, so the opt-in -precision output is byte-identical at
-// any -j (the live tracker behind -http fills in completion order and
-// stays off stdout for exactly that reason).
-func printPrecisionTable(sp core.Space, cfgHash string, relErr, confidence float64) {
-	trk := precision.New(relErr, confidence)
-	for _, r := range sp.Results {
-		trk.Observe(sp.Label, cfgHash, "cpt", r.CPT)
-	}
-	report.WritePrecision(os.Stdout, trk.Report())
 }

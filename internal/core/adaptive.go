@@ -162,19 +162,6 @@ func (a *arm) apply(d sampling.Decision) {
 	sampling.CountSettle(a.rep.FixedN - a.rep.Executed)
 }
 
-// publish assembles the arms' report, in input order, and refreshes the
-// live sampling surface with it — observe-only, never an input to a
-// decision.
-func publish(t sampling.Target, arms []*arm) sampling.Report {
-	rep := sampling.Report{Target: t, Arms: make([]sampling.Arm, len(arms))}
-	for i, a := range arms {
-		rep.Arms[i] = a.rep
-	}
-	rep.Finalize()
-	sampling.Publish(rep)
-	return rep
-}
-
 // rounds is the one round loop: every arm takes a MinRuns pilot round,
 // then, at each barrier, the rule (sampling.DecideMatrix or
 // sampling.DecideStrata: one decision per live arm) settles arms or
@@ -217,13 +204,14 @@ loop:
 				})
 			}
 		}
-		publish(t, arms) // live surface refresh at the cycle barrier
 	}
 	spaces := make([]Space, len(arms))
+	rep := sampling.Report{Target: t, Arms: make([]sampling.Arm, len(arms))}
 	for i, a := range arms {
-		spaces[i] = a.sp
+		spaces[i], rep.Arms[i] = a.sp, a.rep
 	}
-	return spaces, publish(t, arms), err
+	rep.Finalize()
+	return spaces, rep, err
 }
 
 // AdaptiveSpace runs the experiment under the adaptive stopping rule:

@@ -209,9 +209,9 @@ func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
 // rounds. It reads the store once per run, in index order, on the
 // calling goroutine: a run it can replay is observed there and merged at its index, and only the rest go to the
 // fleet, under their global run indices. base is called for the
-// checkpoint only when some run must execute, so a range the store
-// covers replays without a warmup — which is what makes resuming a
-// finished experiment nearly free.
+// checkpoint only when some run must execute and no drain has fired, so
+// a range the store covers replays without a warmup — which is what
+// makes resuming a finished experiment nearly free.
 func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan) (Branched, error) {
 	b := Branched{Label: p.Label, Lo: p.Lo, DigestIntervalNS: p.DigestIntervalNS}
 	if p.N <= 0 {
@@ -236,10 +236,6 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 		b.Runs = hits
 		return b, nil
 	}
-	checkpoint, err := base()
-	if err != nil {
-		return Branched{}, err
-	}
 	res := p.Resilience
 	opts := fleet.Options[BranchedRun]{
 		Workers:  fleet.Width(p.Workers),
@@ -249,6 +245,19 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 		TestHook: res.TestHook,
 		Indices:  miss,
 		Labels:   []string{"experiment", p.Label, "config", cfgHash},
+	}
+	if opts.Stopped() {
+		// A drain has fired: nothing new starts, the checkpoint's warmup
+		// included, and every miss is left for a resume.
+		if hits == nil {
+			hits = make([]BranchedRun, p.N)
+		}
+		b.Runs, b.Missing = hits, miss
+		return b, &fleet.Incomplete{Total: len(miss), Missing: miss}
+	}
+	checkpoint, err := base()
+	if err != nil {
+		return Branched{}, err
 	}
 	if res.Journal != nil || res.Cache != nil || res.Observe != nil {
 		opts.OnResult = func(i, attempts int, r BranchedRun, err error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -190,5 +191,25 @@ func TestBranchRecyclesWithinBudget(t *testing.T) {
 	t.Logf("%d bytes a branch", bytes)
 	if bytes > perBranch {
 		t.Fatalf("Branch of %d runs over one pool allocated %d bytes a branch, budget %d", n, bytes, perBranch)
+	}
+}
+
+// TestDrainedBranchStartsNothing: a plan whose drain has already fired
+// does not ask for its checkpoint — building it is a warmup, and after a
+// drain nothing new starts — and reports every run as missing.
+func TestDrainedBranchStartsNothing(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	p := BranchPlan{Label: "drained", Lo: 2, N: 3, MeasureTxns: 8, Resilience: Resilience{Stop: stop}}
+	b, err := branch("cfg", func() (*machine.Machine, error) {
+		t.Fatal("a drained plan built its checkpoint")
+		return nil, nil
+	}, p)
+	var inc *fleet.Incomplete
+	if !errors.As(err, &inc) || !reflect.DeepEqual(inc.Missing, []int{2, 3, 4}) {
+		t.Fatalf("err = %v, want *fleet.Incomplete missing [2 3 4]", err)
+	}
+	if !reflect.DeepEqual(b.Missing, inc.Missing) || len(b.Runs) != p.N {
+		t.Errorf("Branched missing %v with %d runs, want %v with %d", b.Missing, len(b.Runs), inc.Missing, p.N)
 	}
 }

@@ -187,9 +187,9 @@ type Options[T any] struct {
 	TestHook TestHook
 }
 
-// stopped reports whether the drain signal has fired. A nil Stop
+// Stopped reports whether the drain signal has fired. A nil Stop
 // channel never fires (the nil case blocks; default wins).
-func (o *Options[T]) stopped() bool {
+func (o *Options[T]) Stopped() bool {
 	select {
 	case <-o.Stop:
 		return true
@@ -304,7 +304,7 @@ func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 		jobsDone.Add(1)
 	}
 	if workers == 1 {
-		for i := 0; i < n && !opts.stopped(); i++ {
+		for i := 0; i < n && !opts.Stopped(); i++ {
 			runOne(i)
 		}
 	} else {
@@ -314,7 +314,7 @@ func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for !opts.stopped() {
+				for !opts.Stopped() {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return
@@ -351,7 +351,7 @@ func runAttempts[T any](opts *Options[T], i int, job func(int) (T, error)) (v T,
 	for {
 		attempts++
 		v, err = oneAttempt(opts, i, attempts-1, job)
-		if err == nil || attempts > opts.Retries || opts.stopped() {
+		if err == nil || attempts > opts.Retries || opts.Stopped() {
 			return v, attempts, err
 		}
 		retryCount.Add(1)

@@ -51,11 +51,12 @@ type Options struct {
 	// it passes one, else an empty cache New makes, which then holds
 	// only this harness's runs. See docs/RESILIENCE.md.
 	Resilience core.Resilience
-	// Adaptive, when non-nil, overrides the stopping target the
-	// sampling experiment uses (nil selects the paper's worked-example
-	// target, ±4% at 95% confidence, capped at the fixed-N baseline so
-	// runs-saved is directly comparable). See docs/SAMPLING.md.
-	Adaptive *sampling.Target
+	// Adaptive is the sampling experiment's stopping target; unset
+	// fields take the paper's worked example, ±4% at 95% confidence,
+	// except MaxRuns, which caps each configuration at the fixed-N
+	// baseline so runs-saved is directly comparable. See
+	// docs/SAMPLING.md.
+	Adaptive sampling.Target
 }
 
 // H executes experiments.

@@ -40,7 +40,7 @@ func TestPrecisionObserverPreservesByteIdentity(t *testing.T) {
 		var res core.Resilience
 		if trk != nil {
 			res.Observe = func(k journal.Key, r machine.Result) {
-				trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
+				trk.Observe(k.Experiment, k.ConfigHash, r.CPT)
 			}
 		}
 		b, err := core.Branch(m, core.BranchPlan{Label: "prec", N: runs, MeasureTxns: 10, SeedBase: 99, Workers: workers, Resilience: res})

@@ -11,15 +11,14 @@ import (
 )
 
 // adaptiveTarget resolves the stopping rule the sampling experiment
-// uses: the caller's override when one is set, else the paper's
-// worked-example target with MaxRuns pinned to the fixed-N baseline so
-// the adaptive schedule can never spend more than the methodology it
+// uses. An unset MaxRuns is pinned to the fixed-N baseline so the
+// adaptive schedule can never spend more than the methodology it
 // replaces and the runs-saved comparison stays apples-to-apples.
 func (h *H) adaptiveTarget() sampling.Target {
-	if h.opt.Adaptive != nil {
-		return h.opt.Adaptive.Normalize()
+	t := h.opt.Adaptive
+	if t.MaxRuns <= 0 {
+		t.MaxRuns = h.runs()
 	}
-	t := sampling.Target{MaxRuns: h.runs()}
 	return t.Normalize()
 }
 
@@ -120,10 +119,13 @@ func lowest(spaces []core.Space, n int) int {
 	return best
 }
 
-// samplingTable renders one study's report both as the WriteSampling
-// block and as a captured harness table for CSV/JSON export.
+// samplingTable prints one study's report as the WriteSampling block
+// and files its arms with the report collector for CSV/JSON export.
 func (h *H) samplingTable(rep sampling.Report) {
 	report.WriteSampling(h.opt.Out, rep)
+	if h.opt.Report == nil {
+		return
+	}
 	rows := [][]string{}
 	for _, a := range rep.Arms {
 		achieved := "-"
@@ -133,5 +135,5 @@ func (h *H) samplingTable(rep sampling.Report) {
 		rows = append(rows, []string{a.Experiment, fmt.Sprint(a.Executed), fmt.Sprint(a.FixedN),
 			fmt.Sprint(a.Rounds), achieved, a.Status})
 	}
-	h.table("arm\truns\tfixed-N\trounds\tachieved\tstatus", rows)
+	h.opt.Report.Add(h.current, "arm\truns\tfixed-N\trounds\tachieved\tstatus", rows)
 }

@@ -8,6 +8,7 @@ import (
 
 	"varsim/internal/core"
 	"varsim/internal/journal"
+	"varsim/internal/sampling"
 )
 
 // TestSamplingReplaysTableJournals holds SamplingStudy to its promise
@@ -73,5 +74,17 @@ func TestSamplingReplaysTableJournals(t *testing.T) {
 	}
 	if runs == 0 {
 		t.Error("sampling appended no run record at all: study 3 has no journal to replay")
+	}
+}
+
+// TestAdaptiveOverrideKeepsTheFixedNCap: a target that sets only the
+// relative error (experiments -rel-err without -budget) still caps each
+// configuration at the fixed-N baseline, as the zero target does.
+func TestAdaptiveOverrideKeepsTheFixedNCap(t *testing.T) {
+	for _, at := range []sampling.Target{{}, {RelErr: 0.5}} {
+		h := New(Options{Out: &bytes.Buffer{}, Quick: true, Adaptive: at})
+		if got := h.adaptiveTarget().MaxRuns; got != h.runs() {
+			t.Errorf("Adaptive %+v: MaxRuns %d, want the fixed-N baseline %d", at, got, h.runs())
+		}
 	}
 }

@@ -21,8 +21,8 @@ var executed atomic.Int64
 // CountRound books one round's runs, fed from completion hooks.
 func CountRound(n int) { executed.Add(int64(n)) }
 
-// holder publishes the latest report snapshot for live surfaces, like
-// sampling.Publish/Latest.
+// holder publishes the latest report snapshot for live surfaces under
+// a lock, an observe-only value like the counters.
 type holder struct {
 	mu  sync.Mutex
 	rep []float64

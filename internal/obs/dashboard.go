@@ -109,7 +109,7 @@ function renderPrecision(p) {
   el.className = "";
   let html = "target ±" + (100 * p.rel_err).toPrecision(2) + "% at " +
     (100 * p.confidence).toPrecision(3) + "% confidence" +
-    "<table><tr><th>experiment</th><th>config</th><th>metric</th><th>n</th><th>achieved</th><th>to go</th><th>half-width vs runs</th></tr>";
+    "<table><tr><th>experiment</th><th>config</th><th>n</th><th>achieved</th><th>to go</th><th>half-width vs runs</th></tr>";
   for (const r of p.rows) {
     const cls = r.insufficient ? "empty" : r.converged ? "done" : "running";
     const ach = r.insufficient ? "n&lt;2" : "±" + r.rel_half_width_pct.toPrecision(3) + "%";
@@ -119,7 +119,7 @@ function renderPrecision(p) {
         polyline(r.history, 120, 24) + '"/></svg>'
       : "";
     html += "<tr><td>" + r.experiment + "</td><td>" + (r.config_hash || "").slice(0, 8) +
-      "</td><td>" + r.metric + "</td><td>" + r.n + '</td><td class="' + cls + '">' + ach +
+      "</td><td>" + r.n + '</td><td class="' + cls + '">' + ach +
       "</td><td>" + togo + "</td><td>" + spark + "</td></tr>";
   }
   el.innerHTML = html + "</table>";

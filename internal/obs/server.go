@@ -13,7 +13,6 @@ import (
 	"varsim/internal/machine"
 	"varsim/internal/metrics"
 	"varsim/internal/precision"
-	"varsim/internal/sampling"
 )
 
 // Options wires a Server's data sources; any may be nil — the
@@ -167,16 +166,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		write("varsim_precision_converged", "gauge", float64(converged))
 		fmt.Fprintf(w, "# TYPE varsim_precision_runs gauge\n")
 		for _, row := range rep.Rows {
-			fmt.Fprintf(w, "varsim_precision_runs{experiment=%q,config=%q,metric=%q} %d\n",
-				row.Experiment, row.ConfigHash, row.Metric, row.N)
+			fmt.Fprintf(w, "varsim_precision_runs{experiment=%q,config=%q} %d\n",
+				row.Experiment, row.ConfigHash, row.N)
 		}
 		fmt.Fprintf(w, "# TYPE varsim_precision_rel_half_width_pct gauge\n")
 		for _, row := range rep.Rows {
 			if row.Insufficient {
 				continue // no interval yet; never export a placeholder
 			}
-			fmt.Fprintf(w, "varsim_precision_rel_half_width_pct{experiment=%q,config=%q,metric=%q} %s\n",
-				row.Experiment, row.ConfigHash, row.Metric,
+			fmt.Fprintf(w, "varsim_precision_rel_half_width_pct{experiment=%q,config=%q} %s\n",
+				row.Experiment, row.ConfigHash,
 				strconv.FormatFloat(row.RelHalfWidthPct, 'g', -1, 64))
 		}
 		fmt.Fprintf(w, "# TYPE varsim_precision_runs_to_go gauge\n")
@@ -184,8 +183,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			if row.Insufficient {
 				continue
 			}
-			fmt.Fprintf(w, "varsim_precision_runs_to_go{experiment=%q,config=%q,metric=%q} %d\n",
-				row.Experiment, row.ConfigHash, row.Metric, row.RunsToGo)
+			fmt.Fprintf(w, "varsim_precision_runs_to_go{experiment=%q,config=%q} %d\n",
+				row.Experiment, row.ConfigHash, row.RunsToGo)
 		}
 	}
 	snap, kinds := s.opt.Publisher.Snapshot()
@@ -208,15 +207,11 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.opt.Publisher.Series())
 }
 
-// handlePrecision serves the streaming precision report with the
-// adaptive scheduler's latest published report (sampling.Latest)
-// embedded; with no tracker wired (or nothing observed yet) it serves an
-// empty report with a rows array, which clients read as "no precision
-// data yet".
+// handlePrecision serves the streaming precision report; with no
+// tracker wired (or nothing observed yet) it serves an empty report
+// with a rows array, which clients read as "no precision data yet".
 func (s *Server) handlePrecision(w http.ResponseWriter, r *http.Request) {
-	rep := s.opt.Precision.Report()
-	rep.Sampling = sampling.Latest()
-	writeJSON(w, rep)
+	writeJSON(w, s.opt.Precision.Report())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -21,7 +20,6 @@ import (
 	"varsim/internal/machine"
 	"varsim/internal/metrics"
 	"varsim/internal/precision"
-	"varsim/internal/sampling"
 )
 
 func get(t *testing.T, url string) (string, http.Header) {
@@ -372,11 +370,11 @@ func TestPrecisionEndpointAndMetrics(t *testing.T) {
 
 	// One run plus rejected non-finite observations: an insufficient
 	// row whose JSON carries counts but no interval fields.
-	trk.Observe("table1", "cfgA", "cpt", 250)
-	if err := trk.Observe("table1", "cfgA", "cpt", math.NaN()); err == nil {
+	trk.Observe("table1", "cfgA", 250)
+	if err := trk.Observe("table1", "cfgA", math.NaN()); err == nil {
 		t.Fatal("tracker accepted NaN")
 	}
-	if err := trk.Observe("table1", "cfgA", "cpt", math.Inf(1)); err == nil {
+	if err := trk.Observe("table1", "cfgA", math.Inf(1)); err == nil {
 		t.Fatal("tracker accepted +Inf")
 	}
 	body, _ = get(t, ts.URL+"/precision")
@@ -393,7 +391,7 @@ func TestPrecisionEndpointAndMetrics(t *testing.T) {
 		t.Errorf("/precision leaked a non-finite value:\n%s", body)
 	}
 	mb, _ := get(t, ts.URL+"/metrics")
-	if !strings.Contains(mb, `varsim_precision_runs{experiment="table1",config="cfgA",metric="cpt"} 1`) {
+	if !strings.Contains(mb, `varsim_precision_runs{experiment="table1",config="cfgA"} 1`) {
 		t.Errorf("/metrics missing run-count gauge:\n%s", mb)
 	}
 	if strings.Contains(mb, "varsim_precision_rel_half_width_pct{") {
@@ -402,7 +400,7 @@ func TestPrecisionEndpointAndMetrics(t *testing.T) {
 
 	// More runs: the row gains a CI and the labeled gauges appear.
 	for _, v := range []float64{251, 249, 250.5, 249.5, 250.2} {
-		trk.Observe("table1", "cfgA", "cpt", v)
+		trk.Observe("table1", "cfgA", v)
 	}
 	body, _ = get(t, ts.URL+"/precision")
 	rep = precision.Report{} // fields omitted by omitempty must not linger
@@ -413,39 +411,22 @@ func TestPrecisionEndpointAndMetrics(t *testing.T) {
 	if r.Insufficient || r.N != 6 || r.RelHalfWidthPct <= 0 || len(r.History) != 5 {
 		t.Errorf("converging row = %+v", r)
 	}
+	// A row is keyed by experiment and configuration alone, and the
+	// report is the tracker's rows with nothing embedded beside them.
+	for _, key := range []string{`"metric"`, `"sampling"`} {
+		if strings.Contains(body, key) {
+			t.Errorf("/precision carries %s:\n%s", key, body)
+		}
+	}
 	mb, _ = get(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"varsim_precision_target_rel_err_pct 4",
 		"varsim_precision_tracked 1",
-		`varsim_precision_rel_half_width_pct{experiment="table1",config="cfgA",metric="cpt"}`,
-		`varsim_precision_runs_to_go{experiment="table1",config="cfgA",metric="cpt"}`,
+		`varsim_precision_rel_half_width_pct{experiment="table1",config="cfgA"}`,
+		`varsim_precision_runs_to_go{experiment="table1",config="cfgA"}`,
 	} {
 		if !strings.Contains(mb, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, mb)
 		}
-	}
-}
-
-// TestPrecisionEmbedsTheSamplingReport: /precision carries the adaptive
-// scheduler's latest published report beside the tracker's rows.
-func TestPrecisionEmbedsTheSamplingReport(t *testing.T) {
-	want := sampling.Report{
-		Target: sampling.Target{RelErr: 0.02},
-		Arms: []sampling.Arm{{
-			Experiment: "exp", ConfigHash: "h", Executed: 6, FixedN: 20, Rounds: 2, Status: sampling.StatusConverged,
-		}},
-	}
-	want.Finalize()
-	sampling.Publish(want)
-
-	ts := httptest.NewServer(NewServer(Options{Precision: precision.New(0, 0)}).Handler())
-	defer ts.Close()
-	body, _ := get(t, ts.URL+"/precision")
-	var rep precision.Report
-	if err := json.Unmarshal([]byte(body), &rep); err != nil {
-		t.Fatalf("/precision is not valid JSON: %v\n%s", err, body)
-	}
-	if rep.Sampling == nil || !reflect.DeepEqual(*rep.Sampling, want) {
-		t.Errorf("/precision sampling block = %+v, want the published %+v\n%s", rep.Sampling, want, body)
 	}
 }

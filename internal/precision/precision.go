@@ -1,8 +1,9 @@
 // Package precision is the streaming precision tracker behind the
-// precision observatory: a thread-safe aggregation of per-run metric
-// observations into live §5.1.1 statistics — running mean, CoV, the
-// confidence interval's relative half-width ("achieved precision"),
-// and how many more runs the sample-size formula says are needed.
+// precision observatory: a thread-safe aggregation of per-run
+// cycles-per-transaction observations into live §5.1.1 statistics —
+// running mean, CoV, the confidence interval's relative half-width
+// ("achieved precision"), and how many more runs the sample-size
+// formula says are needed.
 //
 // The tracker lives deliberately *outside* the determinism wall. It is
 // fed from fleet completion hooks (core.Resilience.Observe), which
@@ -37,12 +38,11 @@ import (
 // interesting part anyway.
 const maxHistory = 512
 
-// key identifies one tracked sample: an experiment's space, the
-// configuration hash within it, and the metric observed.
+// key identifies one tracked sample: an experiment's space and the
+// configuration hash within it.
 type key struct {
 	Experiment string
 	ConfigHash string
-	Metric     string
 }
 
 // entry is one key's accumulator state.
@@ -52,10 +52,10 @@ type entry struct {
 	rejected int       // non-finite observations dropped
 }
 
-// Tracker accumulates observations per (experiment, config hash,
-// metric). All methods are safe for concurrent use and safe on a nil
-// receiver (no-ops / zero values), so callers can wire it
-// unconditionally the way obs.Publisher is wired.
+// Tracker accumulates cycles-per-transaction observations per
+// (experiment, config hash). All methods are safe for concurrent use
+// and safe on a nil receiver (no-ops / zero values), so callers can
+// wire it unconditionally the way obs.Publisher is wired.
 type Tracker struct {
 	mu         sync.Mutex
 	relErr     float64
@@ -76,17 +76,17 @@ func New(relErr, confidence float64) *Tracker {
 	return &Tracker{relErr: relErr, confidence: confidence, byKey: map[key]*entry{}}
 }
 
-// Observe folds one run's metric value into the (experiment,
-// configHash, metric) sample. Non-finite values are counted and
-// dropped — they must never reach the JSON surfaces — and reported
-// through the row's Rejected count. Returns stats.ErrNonFinite for
+// Observe folds one run's cycles per transaction into the (experiment,
+// configHash) sample. Non-finite values are counted and dropped — they
+// must never reach the JSON surfaces — and reported through the row's
+// Rejected count. Returns stats.ErrNonFinite for
 // them so direct callers can log; the fleet hook path ignores the
 // return, matching journal.Append's fire-and-forget style.
-func (t *Tracker) Observe(experiment, configHash, metric string, v float64) error {
+func (t *Tracker) Observe(experiment, configHash string, v float64) error {
 	if t == nil {
 		return nil
 	}
-	k := key{experiment, configHash, metric}
+	k := key{experiment, configHash}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.byKey[k]
@@ -115,7 +115,6 @@ func (t *Tracker) Observe(experiment, configHash, metric string, v float64) erro
 type Row struct {
 	Experiment string `json:"experiment"`
 	ConfigHash string `json:"config_hash"`
-	Metric     string `json:"metric"`
 	N          int    `json:"n"`
 	Rejected   int    `json:"rejected,omitempty"` // non-finite observations dropped
 	// Insufficient marks a row with no confidence interval yet: fewer
@@ -144,27 +143,12 @@ type Row struct {
 }
 
 // Report is the /precision payload: the requested target plus one row
-// per tracked (experiment, config, metric), sorted by key so the
-// rendering is stable regardless of observation order.
+// per tracked (experiment, config), sorted by key so the rendering is
+// stable regardless of observation order.
 type Report struct {
 	RelErr     float64 `json:"rel_err"`
 	Confidence float64 `json:"confidence"`
 	Rows       []Row   `json:"rows"`
-	// Sampling is the adaptive scheduler's latest published report —
-	// achieved-vs-requested precision per arm plus the runs-saved
-	// accounting — which the /precision handler embeds (sampling.Latest)
-	// so the stopping decisions show alongside the streaming statistics
-	// they rest on. Tracker.Report leaves it nil.
-	Sampling *sampling.Report `json:"sampling,omitempty"`
-}
-
-// Target returns the tracker's requested precision (relative error
-// fraction and confidence); zeros on a nil tracker.
-func (t *Tracker) Target() (relErr, confidence float64) {
-	if t == nil {
-		return 0, 0
-	}
-	return t.relErr, t.confidence
 }
 
 // Report snapshots every tracked key into a sorted, JSON-safe report.
@@ -187,10 +171,7 @@ func (t *Tracker) Report() Report {
 		if a.Experiment != b.Experiment {
 			return a.Experiment < b.Experiment
 		}
-		if a.ConfigHash != b.ConfigHash {
-			return a.ConfigHash < b.ConfigHash
-		}
-		return a.Metric < b.Metric
+		return a.ConfigHash < b.ConfigHash
 	})
 	for _, k := range keys {
 		rep.Rows = append(rep.Rows, t.byKey[k].row(k, t.relErr, t.confidence))
@@ -203,7 +184,6 @@ func (e *entry) row(k key, relErr, confidence float64) Row {
 	r := Row{
 		Experiment: k.Experiment,
 		ConfigHash: k.ConfigHash,
-		Metric:     k.Metric,
 		N:          e.stream.N(),
 		Rejected:   e.rejected,
 		History:    append([]float64(nil), e.history...),

@@ -14,7 +14,7 @@ func TestTrackerMatchesBatch(t *testing.T) {
 	trk := New(0.04, 0.95)
 	xs := []float64{250, 251, 249, 250.5, 249.5, 252, 248}
 	for _, x := range xs {
-		if err := trk.Observe("table1", "cfg-a", "cpt", x); err != nil {
+		if err := trk.Observe("table1", "cfg-a", x); err != nil {
 			t.Fatalf("Observe(%v): %v", x, err)
 		}
 	}
@@ -54,19 +54,19 @@ func TestTrackerMatchesBatch(t *testing.T) {
 
 func TestTrackerInsufficientAndRejected(t *testing.T) {
 	trk := New(0, 0) // defaults
-	if re, conf := trk.Target(); re != sampling.DefaultRelErr || conf != sampling.DefaultConfidence {
-		t.Fatalf("Target() = %v, %v; want defaults", re, conf)
-	}
-	if err := trk.Observe("e", "c", "m", 42); err != nil {
+	if err := trk.Observe("e", "c", 42); err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	if err := trk.Observe("e", "c", "m", math.NaN()); err == nil {
+	if err := trk.Observe("e", "c", math.NaN()); err == nil {
 		t.Fatal("Observe accepted NaN")
 	}
-	if err := trk.Observe("e", "c", "m", math.Inf(1)); err == nil {
+	if err := trk.Observe("e", "c", math.Inf(1)); err == nil {
 		t.Fatal("Observe accepted +Inf")
 	}
 	rep := trk.Report()
+	if rep.RelErr != sampling.DefaultRelErr || rep.Confidence != sampling.DefaultConfidence {
+		t.Fatalf("target = %v, %v; want defaults", rep.RelErr, rep.Confidence)
+	}
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rep.Rows))
 	}
@@ -88,28 +88,26 @@ func TestTrackerInsufficientAndRejected(t *testing.T) {
 
 func TestTrackerSortedRows(t *testing.T) {
 	trk := New(0.04, 0.95)
-	feed := func(exp, cfg, metric string) {
-		trk.Observe(exp, cfg, metric, 10)
-		trk.Observe(exp, cfg, metric, 11)
+	feed := func(exp, cfg string) {
+		trk.Observe(exp, cfg, 10)
+		trk.Observe(exp, cfg, 11)
 	}
-	feed("zeta", "c1", "cpt")
-	feed("alpha", "c2", "wcr")
-	feed("alpha", "c2", "cpt")
-	feed("alpha", "c1", "cpt")
+	feed("zeta", "c1")
+	feed("alpha", "c2")
+	feed("alpha", "c1")
 	rep := trk.Report()
-	want := [][3]string{
-		{"alpha", "c1", "cpt"},
-		{"alpha", "c2", "cpt"},
-		{"alpha", "c2", "wcr"},
-		{"zeta", "c1", "cpt"},
+	want := [][2]string{
+		{"alpha", "c1"},
+		{"alpha", "c2"},
+		{"zeta", "c1"},
 	}
 	if len(rep.Rows) != len(want) {
 		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(want))
 	}
 	for i, w := range want {
 		r := rep.Rows[i]
-		if r.Experiment != w[0] || r.ConfigHash != w[1] || r.Metric != w[2] {
-			t.Errorf("row %d = (%s,%s,%s), want %v", i, r.Experiment, r.ConfigHash, r.Metric, w)
+		if r.Experiment != w[0] || r.ConfigHash != w[1] {
+			t.Errorf("row %d = (%s,%s), want %v", i, r.Experiment, r.ConfigHash, w)
 		}
 	}
 }
@@ -118,11 +116,11 @@ func TestTrackerConvergence(t *testing.T) {
 	trk := New(0.04, 0.95)
 	// A very tight sample: CoV ~0.004%, converged immediately.
 	for _, x := range []float64{1000, 1000.01, 999.99, 1000.005} {
-		trk.Observe("tight", "c", "cpt", x)
+		trk.Observe("tight", "c", x)
 	}
 	// A wide sample: CoV ~40%, far from 4% precision at n=4.
 	for _, x := range []float64{100, 180, 60, 140} {
-		trk.Observe("wide", "c", "cpt", x)
+		trk.Observe("wide", "c", x)
 	}
 	rep := trk.Report()
 	if len(rep.Rows) != 2 {
@@ -153,11 +151,11 @@ func TestTrackerSummary(t *testing.T) {
 	if s := trk.Summary(); s != "" {
 		t.Errorf("empty tracker Summary = %q, want empty", s)
 	}
-	trk.Observe("table1", "c", "cpt", 5)
+	trk.Observe("table1", "c", 5)
 	if s := trk.Summary(); s != "precision 0/1 measurable" {
 		t.Errorf("single-run Summary = %q", s)
 	}
-	trk.Observe("table1", "c", "cpt", 5.001)
+	trk.Observe("table1", "c", 5.001)
 	s := trk.Summary()
 	if s == "" {
 		t.Fatal("Summary empty with a measurable sample")
@@ -169,7 +167,7 @@ func TestTrackerSummary(t *testing.T) {
 
 func TestTrackerNilSafe(t *testing.T) {
 	var trk *Tracker
-	if err := trk.Observe("e", "c", "m", 1); err != nil {
+	if err := trk.Observe("e", "c", 1); err != nil {
 		t.Errorf("nil Observe returned %v", err)
 	}
 	rep := trk.Report()
@@ -192,7 +190,7 @@ func TestTrackerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				trk.Observe("exp", "cfg", "cpt", 100+float64((w*perWorker+i)%7))
+				trk.Observe("exp", "cfg", 100+float64((w*perWorker+i)%7))
 				if i%10 == 0 {
 					trk.Report()
 					trk.Summary()
@@ -214,7 +212,7 @@ func TestTrackerHistoryBound(t *testing.T) {
 	trk := New(0.04, 0.95)
 	total := maxHistory + 40
 	for i := 0; i < total; i++ {
-		trk.Observe("e", "c", "m", 100+float64(i%9))
+		trk.Observe("e", "c", 100+float64(i%9))
 	}
 	r := trk.Report().Rows[0]
 	if len(r.History) != maxHistory {

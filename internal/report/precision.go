@@ -9,7 +9,7 @@ import (
 
 // WritePrecision renders a streaming precision report as the
 // achieved-vs-requested table of the precision observatory: one row per
-// (experiment, config, metric) with the run count, mean, CoV, the CI's
+// (experiment, config) with the run count, mean, CoV, the CI's
 // relative half-width against the requested target, and the §5.1.1
 // runs-to-go estimate. Rows that cannot support a confidence interval
 // yet print an explicit "n<2 (insufficient)" marker — never a NaN.
@@ -25,8 +25,8 @@ func WritePrecision(w io.Writer, rep precision.Report) {
 	}
 	fmt.Fprintf(w, "precision: target ±%.3g%% of the mean at %.3g%% confidence\n",
 		100*rep.RelErr, 100*rep.Confidence)
-	fmt.Fprintf(w, "  %-16s %-10s %-6s %4s  %12s %8s  %-14s %7s  %s\n",
-		"experiment", "config", "metric", "n", "mean", "CoV%", "achieved", "to-go", "status")
+	fmt.Fprintf(w, "  %-16s %-10s %4s  %12s %8s  %-14s %7s  %s\n",
+		"experiment", "config", "n", "mean", "CoV%", "achieved", "to-go", "status")
 	for _, r := range rep.Rows {
 		cfg := r.ConfigHash
 		if len(cfg) > 10 {
@@ -37,8 +37,8 @@ func WritePrecision(w io.Writer, rep precision.Report) {
 			if r.Rejected > 0 {
 				note = fmt.Sprintf("%s, %d rejected", note, r.Rejected)
 			}
-			fmt.Fprintf(w, "  %-16s %-10s %-6s %4d  %12s %8s  %-14s %7s  %s\n",
-				r.Experiment, cfg, r.Metric, r.N, "-", "-", "-", "-", note)
+			fmt.Fprintf(w, "  %-16s %-10s %4d  %12s %8s  %-14s %7s  %s\n",
+				r.Experiment, cfg, r.N, "-", "-", "-", "-", note)
 			continue
 		}
 		status := "converging"
@@ -48,8 +48,8 @@ func WritePrecision(w io.Writer, rep precision.Report) {
 		if r.Rejected > 0 {
 			status = fmt.Sprintf("%s, %d rejected", status, r.Rejected)
 		}
-		fmt.Fprintf(w, "  %-16s %-10s %-6s %4d  %12.2f %8.3f  %-14s %7d  %s\n",
-			r.Experiment, cfg, r.Metric, r.N, r.Mean, r.CoVPct,
+		fmt.Fprintf(w, "  %-16s %-10s %4d  %12.2f %8.3f  %-14s %7d  %s\n",
+			r.Experiment, cfg, r.N, r.Mean, r.CoVPct,
 			fmt.Sprintf("±%.3g%%", r.RelHalfWidthPct), r.RunsToGo, status)
 	}
 }

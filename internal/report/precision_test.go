@@ -20,12 +20,12 @@ func TestWritePrecision(t *testing.T) {
 
 	trk := precision.New(0.04, 0.95)
 	for _, v := range []float64{250, 251, 249, 250.5, 249.5} {
-		trk.Observe("table1", "cfg-tight", "cpt", v)
+		trk.Observe("table1", "cfg-tight", v)
 	}
-	trk.Observe("table1", "cfg-single", "cpt", 300) // insufficient: one run
-	trk.Observe("table2", "cfg-wide", "cpt", 100)
-	trk.Observe("table2", "cfg-wide", "cpt", 180)
-	trk.Observe("table2", "cfg-wide", "cpt", math.NaN()) // rejected
+	trk.Observe("table1", "cfg-single", 300) // insufficient: one run
+	trk.Observe("table2", "cfg-wide", 100)
+	trk.Observe("table2", "cfg-wide", 180)
+	trk.Observe("table2", "cfg-wide", math.NaN()) // rejected
 
 	buf.Reset()
 	WritePrecision(&buf, trk.Report())
@@ -66,8 +66,8 @@ func TestHeartbeatPrecisionColumn(t *testing.T) {
 	if line := buf.String(); strings.Contains(line, "precision") {
 		t.Errorf("line mentions precision before any observation: %q", line)
 	}
-	trk.Observe("table1", "c", "cpt", 250)
-	trk.Observe("table1", "c", "cpt", 250.5)
+	trk.Observe("table1", "c", 250)
+	trk.Observe("table1", "c", 250.5)
 	buf.Reset()
 	h.beat()
 	if line := buf.String(); !strings.Contains(line, "0/2 experiments") || !strings.Contains(line, "precision 1/1 at ±4%") {

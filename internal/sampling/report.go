@@ -1,9 +1,6 @@
 package sampling
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Arm statuses, the terminal state of one configuration under the
 // adaptive scheduler.
@@ -113,36 +110,4 @@ func CountSettle(saved int) {
 	if saved > 0 {
 		savedCount.Add(int64(saved))
 	}
-}
-
-// latest is the most recently published report, the /precision
-// surface's sampling panel. Like the counters it is process-wide and
-// completion-order-fed — a live surface, never part of byte-identical
-// output.
-var (
-	latestMu sync.Mutex
-	latest   *Report
-)
-
-// Publish makes rep the process's current sampling report; drivers
-// call it at every barrier so live surfaces track the run in flight.
-func Publish(rep Report) {
-	snap := rep
-	snap.Arms = append([]Arm(nil), rep.Arms...)
-	latestMu.Lock()
-	latest = &snap
-	latestMu.Unlock()
-}
-
-// Latest returns a copy of the current sampling report, or nil when no
-// adaptive driver has published one.
-func Latest() *Report {
-	latestMu.Lock()
-	defer latestMu.Unlock()
-	if latest == nil {
-		return nil
-	}
-	snap := *latest
-	snap.Arms = append([]Arm(nil), latest.Arms...)
-	return &snap
 }

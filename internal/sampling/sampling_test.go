@@ -266,20 +266,6 @@ func TestReportFinalize(t *testing.T) {
 	}
 }
 
-func TestPublishLatestDeepCopies(t *testing.T) {
-	rep := Report{Target: Target{}.Normalize(), Arms: []Arm{{Experiment: "x"}}}
-	Publish(rep)
-	got := Latest()
-	if got == nil || len(got.Arms) != 1 || got.Arms[0].Experiment != "x" {
-		t.Fatalf("Latest = %+v", got)
-	}
-	got.Arms[0].Experiment = "mutated"
-	again := Latest()
-	if again.Arms[0].Experiment != "x" {
-		t.Error("Latest returned aliased state")
-	}
-}
-
 func TestCounters(t *testing.T) {
 	before := Read()
 	CountRound(3)

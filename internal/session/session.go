@@ -134,7 +134,7 @@ func Open(f *Flags, o Options) (*Session, error) {
 	s.Resilience = core.Resilience{
 		Journal: jw, Cache: jc, JobTimeout: f.JobTimeout, Retries: f.Retries, Stop: s.stop,
 		Observe: func(k journal.Key, r machine.Result) {
-			trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
+			trk.Observe(k.Experiment, k.ConfigHash, r.CPT)
 		},
 	}
 
