@@ -27,7 +27,6 @@ import (
 
 	"varsim/internal/harness"
 	"varsim/internal/journal"
-	"varsim/internal/obs"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
 	"varsim/internal/session"
@@ -98,10 +97,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// /series for a sweep of many short-lived machines: the process-wide
-	// simulated-cycle counter on a wall-clock base. A no-op without -http.
-	stopSeries := obs.StartSimRateSampler(s.Publisher, time.Second)
-
 	var collector *report.Collector
 	if *csvDir != "" || *jsonOut != "" {
 		collector = report.NewCollector()
@@ -115,7 +110,6 @@ func main() {
 			break
 		}
 	}
-	stopSeries()
 
 	// Tables captured so far are worth flushing whatever happened above.
 	if *csvDir != "" {

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var (
@@ -201,7 +203,7 @@ func TestExperimentsResumeReplaysEveryRun(t *testing.T) {
 }
 
 func TestVarsimStatusListsTheExperiment(t *testing.T) {
-	// Long enough to be caught mid-run; killed as soon as /status answers.
+	// Long enough to be caught mid-run; killed once the endpoints answer.
 	cmd := exec.Command(bin("varsim"), "-workload", "oltp", "-cpus", "4",
 		"-txns", "1000000", "-warmup", "100", "-http", "127.0.0.1:0")
 	cmd.Dir = t.TempDir()
@@ -232,6 +234,45 @@ func TestVarsimStatusListsTheExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	// The server renders the ledger and the precision tracker only: one
+	// simulated-cycle total, no machine instrument, no sampled series —
+	// also once the warm-up has simulated, which is when a machine's
+	// registry would be there to serve.
+	exposition := func() string {
+		resp, err := http.Get(url + "metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		body := exposition()
+		if strings.Contains(body, "\nvarsim_sim_cycles_total ") && !strings.Contains(body, "\nvarsim_sim_cycles_total 0\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the warm-up never booked its cycles:\n%s", body)
+		}
+	}
+	// What is checked is an absence, which no event announces: give a
+	// registry published right after the warm-up the time to show.
+	time.Sleep(50 * time.Millisecond)
+	if body := exposition(); strings.Count(body, "\nvarsim_sim_cycles_total ") != 1 || strings.Contains(body, "varsim_machine_") {
+		t.Errorf("/metrics, want one varsim_sim_cycles_total sample and no varsim_machine_ family:\n%s", body)
+	}
+	series, err := http.Get(url + "series")
+	if err != nil {
+		t.Fatal(err)
+	}
+	series.Body.Close()
+	if series.StatusCode != http.StatusNotFound {
+		t.Errorf("/series answered %d, want 404", series.StatusCode)
+	}
 	var status struct {
 		Total       int `json:"total"`
 		Experiments []struct {
@@ -243,6 +284,41 @@ func TestVarsimStatusListsTheExperiment(t *testing.T) {
 	}
 	if status.Total != 1 || len(status.Experiments) != 1 || status.Experiments[0].Name != "oltp/simple" {
 		t.Errorf("/status = %+v, want the one experiment oltp/simple", status)
+	}
+}
+
+// TestVarsimHTTPResumeWarmsNothing: -http serves the run; it does not
+// change what the run simulates. A resume whose journal holds every run
+// replays them all, so its ledger row, the manifest's, books no cycles.
+func TestVarsimHTTPResumeWarmsNothing(t *testing.T) {
+	dir := t.TempDir()
+	run, stderr, exit := drive(t, dir, "varsim", "-workload", "oltp", "-cpus", "4", "-txns", "40",
+		"-warmup", "200", "-runs", "3", "-journal", "d")
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	resumed, stderr, exit := drive(t, dir, "varsim", "-resume", "d", "-http", "127.0.0.1:0", "-manifest", "m.json")
+	if exit != 0 {
+		t.Fatalf("resume exit %d\n%s", exit, stderr)
+	}
+	if resumed != run || run == "" {
+		t.Errorf("-resume -http printed\n%s\nwant\n%s", resumed, run)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "m.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Experiments []map[string]any `json:"experiments"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Experiments) != 1 || m.Experiments[0]["name"] != "oltp/simple" {
+		t.Fatalf("manifest rows = %v, want the one experiment oltp/simple", m.Experiments)
+	}
+	if c, ok := m.Experiments[0]["sim_cycles"]; ok {
+		t.Errorf("the resumed row simulated %v cycles; a complete journal needs no checkpoint", c)
 	}
 }
 
@@ -340,16 +416,19 @@ func TestExitCodes(t *testing.T) {
 		tool string
 		args []string
 		want int
+		say  string // in stderr, when set
 	}{
-		{"experiments", []string{"-quick", "nosuch"}, 2},
-		{"varsim", []string{"-proc", "nosuch"}, 2},
-		{"varsim", []string{"-from-recipe", "r.json", "-journal", "d"}, 2},
-		{"varsim", []string{"-from-recipe", "r.json", "-resume", "d"}, 2},
-		{"varsim", []string{"-cpus", "4", "-txns", "20", "-warmup", "20", "-manifest", "missing/m.json"}, 1},
-		{"experiments", []string{"-quick", "-heartbeat", "0", "-manifest", "missing/m.json", "table1"}, 1},
+		{"experiments", []string{"-quick", "nosuch"}, 2, ""},
+		{"varsim", []string{"-proc", "nosuch"}, 2, ""},
+		{"varsim", []string{"-from-recipe", "r.json", "-journal", "d"}, 2, ""},
+		{"varsim", []string{"-from-recipe", "r.json", "-resume", "d"}, 2, ""},
+		{"varsim", []string{"-series-csv", "s.csv"}, 2, "-interval-us"},
+		{"varsim", []string{"-series-jsonl", "s.jsonl"}, 2, "flag provided but not defined"},
+		{"varsim", []string{"-cpus", "4", "-txns", "20", "-warmup", "20", "-manifest", "missing/m.json"}, 1, ""},
+		{"experiments", []string{"-quick", "-heartbeat", "0", "-manifest", "missing/m.json", "table1"}, 1, ""},
 	} {
-		if _, stderr, exit := drive(t, dir, c.tool, c.args...); exit != c.want {
-			t.Errorf("%s %v: exit %d, want %d\n%s", c.tool, c.args, exit, c.want, stderr)
+		if _, stderr, exit := drive(t, dir, c.tool, c.args...); exit != c.want || !strings.Contains(stderr, c.say) {
+			t.Errorf("%s %v: exit %d, want %d with %q on stderr\n%s", c.tool, c.args, exit, c.want, c.say, stderr)
 		}
 	}
 }

@@ -52,7 +52,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,7 +64,6 @@ import (
 	"varsim/internal/journal"
 	"varsim/internal/machine"
 	"varsim/internal/metrics"
-	"varsim/internal/obs"
 	"varsim/internal/plot"
 	"varsim/internal/report"
 	"varsim/internal/sampling"
@@ -86,9 +84,7 @@ type runCfg struct {
 	saveRcp, fromRcp string
 	intervalUS       int64
 	seriesCSV        string
-	seriesJSONL      string
 	perfetto         string
-	pub              *obs.Publisher // nil unless -http is set
 }
 
 func main() {
@@ -121,11 +117,10 @@ func main() {
 		saveRcp = flag.String("save-recipe", "", "write the warmed checkpoint's recipe to this file")
 		fromRcp = flag.String("from-recipe", "", "start from a checkpoint recipe instead of flags")
 
-		intervalUS  = flag.Int64("interval-us", 0, "sample the metrics registry every N simulated microseconds and print per-interval sparklines")
-		digestUS    = flag.Int64("digest-us", 0, "record an interval state digest every N simulated microseconds in each run and, with two or more runs, print the run 0 vs run 1 diff (with -journal, digests persist for 'varsim diff')")
-		seriesCSV   = flag.String("series-csv", "", "write the sampled metric time series as CSV to this file")
-		seriesJSONL = flag.String("series-jsonl", "", "write the sampled metric time series as JSON lines to this file")
-		perfetto    = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
+		intervalUS = flag.Int64("interval-us", 0, "sample the metrics registry every N simulated microseconds and print per-interval sparklines")
+		digestUS   = flag.Int64("digest-us", 0, "record an interval state digest every N simulated microseconds in each run and, with two or more runs, print the run 0 vs run 1 diff (with -journal, digests persist for 'varsim diff')")
+		seriesCSV  = flag.String("series-csv", "", "write the sampled metric time series of the -interval-us run as CSV to this file")
+		perfetto   = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
 
 		relErrF  = flag.Float64("rel-err", sampling.DefaultRelErr, "precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%)")
 		confF    = flag.Float64("confidence", sampling.DefaultConfidence, "precision target: confidence level of the interval, in (0,1)")
@@ -155,6 +150,12 @@ func main() {
 	// would silently rebuild another machine and splice its runs in.
 	if *fromRcp != "" && (sf.Journal != "" || sf.Resume != "") {
 		fmt.Fprintln(os.Stderr, "varsim: -from-recipe does not combine with -journal or -resume: the journal's spec cannot name the recipe's checkpoint")
+		os.Exit(2)
+	}
+	// Only the -interval-us run is sampled, so a series export without
+	// it would have nothing to write.
+	if *seriesCSV != "" && *intervalUS <= 0 {
+		fmt.Fprintln(os.Stderr, "varsim: -series-csv needs -interval-us: only the sampled run records a metric series")
 		os.Exit(2)
 	}
 
@@ -194,8 +195,7 @@ func main() {
 	rc := runCfg{
 		schedTr: *schedTr, lockRep: *lockRep,
 		saveRcp: *saveRcp, fromRcp: *fromRcp,
-		intervalUS: *intervalUS, seriesCSV: *seriesCSV, seriesJSONL: *seriesJSONL,
-		perfetto: *perfetto, pub: s.Publisher,
+		intervalUS: *intervalUS, seriesCSV: *seriesCSV, perfetto: *perfetto,
 	}
 	s.Run(e.Label, func() error {
 		// The spec must be beside the journal before the first run can
@@ -280,11 +280,11 @@ func run(e core.Experiment, rc runCfg) error {
 	}
 
 	// The checkpoint is built here only when something besides the
-	// branches needs it (a recipe in or out, the live publisher, the
-	// sampled run); otherwise Experiment.Branch prepares it on demand,
-	// and a resume whose journal already covers every run replays the
-	// whole space without it — the warmup itself is skipped, so resuming
-	// a finished run is nearly free.
+	// branches needs it (a recipe in or out, the sampled run); otherwise
+	// Experiment.Branch prepares it on demand, and a resume whose
+	// journal already covers every run replays the whole space without
+	// it — the warmup itself is skipped, so resuming a finished run is
+	// nearly free, -http or not.
 	var base *machine.Machine
 	if rc.fromRcp != "" {
 		rcp, err := checkpoint.LoadFile(rc.fromRcp)
@@ -294,7 +294,7 @@ func run(e core.Experiment, rc runCfg) error {
 		if base, err = rcp.Build(); err != nil {
 			return err
 		}
-	} else if rc.saveRcp != "" || rc.pub != nil || rc.intervalUS > 0 {
+	} else if rc.saveRcp != "" || rc.intervalUS > 0 {
 		var err error
 		if base, err = e.Prepare(); err != nil {
 			return err
@@ -306,20 +306,8 @@ func run(e core.Experiment, rc runCfg) error {
 		}
 		fmt.Fprintf(os.Stderr, "checkpoint recipe written to %s\n", rc.saveRcp)
 	}
-	if rc.pub != nil {
-		// Publish the warmed registry (names, kinds, warmup totals) and
-		// hook every interval sample; Snapshot propagates the hook into
-		// the branched runs below.
-		rc.pub.PublishRegistry(base.Metrics())
-		base.SetSampleHook(rc.pub.Hook())
-	}
-
 	if rc.intervalUS > 0 {
-		intervalNS := rc.intervalUS * 1000
-		if rc.pub != nil {
-			rc.pub.SetSeriesBase(intervalNS, base.Now(), base.Metrics().Snapshot())
-		}
-		res, ts, err := core.SampleRun(base, e.MeasureTxns, e.SeedBase, intervalNS)
+		res, ts, err := core.SampleRun(base, e.MeasureTxns, e.SeedBase, rc.intervalUS*1000)
 		if err != nil {
 			return err
 		}
@@ -327,16 +315,10 @@ func run(e core.Experiment, rc runCfg) error {
 		printResult(res)
 		printSeries(ts)
 		if rc.seriesCSV != "" {
-			if err := writeSeries(rc.seriesCSV, ts.WriteCSV); err != nil {
+			if err := writeSeriesCSV(rc.seriesCSV, ts); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "metric series (CSV) written to %s\n", rc.seriesCSV)
-		}
-		if rc.seriesJSONL != "" {
-			if err := writeSeries(rc.seriesJSONL, ts.WriteJSONL); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "metric series (JSONL) written to %s\n", rc.seriesJSONL)
 		}
 		if e.Runs <= 1 && rc.perfetto == "" {
 			return nil
@@ -429,12 +411,13 @@ func printSeries(ts metrics.TimeSeries) {
 	fmt.Println(plot.SparklineLabeled("lock_contention", ts.Ratio("os.lock_contentions", "os.lock_acquisitions"), width))
 }
 
-func writeSeries(path string, write func(w io.Writer) error) error {
+// writeSeriesCSV writes ts to path as CSV.
+func writeSeriesCSV(path string, ts metrics.TimeSeries) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := ts.WriteCSV(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -31,11 +31,10 @@ type BranchPlan struct {
 	// DigestIntervalNS, when positive, records an interval state digest
 	// every DigestIntervalNS of simulated time in each run.
 	DigestIntervalNS int64
-	// Trace records each run's structured event stream, at most TraceCap
-	// events a run (0 = unbounded). Events are not journaled, so a
-	// traced plan never replays: a resume re-runs it.
-	Trace    bool
-	TraceCap int
+	// Trace records each run's whole structured event stream. Events
+	// are not journaled, so a traced plan never replays: a resume
+	// re-runs it.
+	Trace bool
 	// Resilience is the crash-safety plumbing (docs/RESILIENCE.md).
 	Resilience Resilience
 
@@ -266,7 +265,7 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 	}
 	runs, err := fleet.Run(opts, len(miss), branchJob(checkpoint, p.SeedBase, p.spent, func(m *machine.Machine) (BranchedRun, error) {
 		if p.Trace {
-			m.EnableTrace(p.TraceCap)
+			m.EnableTrace(0)
 		}
 		if p.digests() {
 			m.EnableDigests(p.DigestIntervalNS)

@@ -19,9 +19,10 @@ import (
 // replayArtifacts performs one complete pipeline — workload build,
 // machine assembly, warmup, a sampled measurement run, and traced
 // branches — entirely from fixed (config, seed) inputs, and returns the
-// externally visible artifacts: the run result and metric series as
-// JSON, and the branched trace event streams.
-func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]trace.Event) {
+// externally visible artifacts: the run result as JSON, the metric
+// series as CSV (every value written exactly, 'g' -1), and the branched
+// trace event streams.
+func replayArtifacts(t *testing.T) (resJSON, seriesCSV []byte, traces [][]trace.Event) {
 	t.Helper()
 	cfg := config.Default()
 	wl, err := workloads.New("oltp", cfg, 11)
@@ -44,25 +45,28 @@ func replayArtifacts(t *testing.T) (resJSON, seriesJSON []byte, traces [][]trace
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)
 	}
-	seriesJSON, err = json.Marshal(series)
-	if err != nil {
-		t.Fatalf("marshal series: %v", err)
+	var csv bytes.Buffer
+	if err := series.WriteCSV(&csv); err != nil {
+		t.Fatalf("write series: %v", err)
+	}
+	if series.Len() == 0 {
+		t.Fatal("the sampled run recorded no series")
 	}
 
-	b, err := core.Branch(m, core.BranchPlan{Label: "replay", N: 2, MeasureTxns: 10, SeedBase: 1234, Workers: 1, Trace: true, TraceCap: 1 << 16})
+	b, err := core.Branch(m, core.BranchPlan{Label: "replay", N: 2, MeasureTxns: 10, SeedBase: 1234, Workers: 1, Trace: true})
 	if err != nil {
 		t.Fatalf("Branch: %v", err)
 	}
 	for _, run := range b.Runs {
 		traces = append(traces, run.Events)
 	}
-	return resJSON, seriesJSON, traces
+	return resJSON, csv.Bytes(), traces
 }
 
 // TestByteIdenticalReplay is the determinism contract's regression
 // test: two pipelines run from identical (config, seed) inputs must
-// produce byte-identical metrics JSON and identical trace event
-// streams. This is what the varsimlint analyzers exist to protect —
+// produce byte-identical result JSON and series CSV and identical
+// trace event streams. This is what the varsimlint analyzers exist to protect —
 // a map-order or wall-clock leak anywhere in the core shows up here as
 // a diff.
 func TestByteIdenticalReplay(t *testing.T) {
@@ -73,7 +77,7 @@ func TestByteIdenticalReplay(t *testing.T) {
 		t.Errorf("result JSON differs between replays:\n run1: %s\n run2: %s", res1, res2)
 	}
 	if !bytes.Equal(series1, series2) {
-		t.Errorf("metric series JSON differs between replays:\n run1: %s\n run2: %s", series1, series2)
+		t.Errorf("metric series CSV differs between replays:\n run1: %s\n run2: %s", series1, series2)
 	}
 	if len(traces1) != len(traces2) {
 		t.Fatalf("trace stream counts differ: %d vs %d", len(traces1), len(traces2))

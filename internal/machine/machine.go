@@ -143,13 +143,10 @@ type Machine struct {
 	// of named instruments over the machine (see wireMetrics); busDelay
 	// is machine state, observed on every bus grant whether or not a
 	// registry reads it. The sampler is non-nil only when interval
-	// sampling is enabled. sampleHook, when set, observes every interval
-	// sample on the simulation goroutine (live observers bridge through
-	// it — see internal/obs).
-	reg        *metrics.Registry
-	sampler    *metrics.Sampler
-	sampleHook func(nowNS int64, snap metrics.Snapshot)
-	busDelay   *metrics.Histogram
+	// sampling is enabled.
+	reg      *metrics.Registry
+	sampler  *metrics.Sampler
+	busDelay *metrics.Histogram
 
 	// digestRec, when non-nil, chains per-component state digests on
 	// the same KindDrain cadence as the sampler (see EnableDigests).

@@ -65,10 +65,9 @@ func (m *Machine) wireMetrics() {
 
 // Metrics returns the machine's metric registry, a view of its live
 // state built by the first call: New wires none and a snapshot copies
-// none, so a machine nothing reads (/metrics, interval sampling) never
-// pays for one. A Result's counts are read from the fields the
-// instruments of the same names read (see counters), not from registry
-// snapshots. Building the registry writes the machine: do not call it
+// none, so a machine nothing samples never pays for one. A Result's
+// counts are read from the fields the instruments of the same names
+// read (see counters), not from registry snapshots. Building the registry writes the machine: do not call it
 // on a base other goroutines are snapshotting.
 func (m *Machine) Metrics() *metrics.Registry {
 	if m.reg == nil {
@@ -80,8 +79,9 @@ func (m *Machine) Metrics() *metrics.Registry {
 // EnableSampling starts interval metric sampling: every intervalNS of
 // simulated time a KindDrain event snapshots the registry into an
 // in-memory time series (per-interval IPC, miss rates, bus utilization
-// and the rest derive from it — the live-instrumentation form of the
-// paper's time-variability figures). Sampling is observation-only: it
+// and the rest derive from it — the per-interval form of the paper's
+// time-variability figures, which varsim -interval-us prints and
+// exports as CSV when the run ends). Sampling is observation-only: it
 // reads component state and never mutates it, so the simulated
 // trajectory is unchanged (only the delivered-event count includes the
 // drain ticks). Calling it again is a no-op.
@@ -100,15 +100,6 @@ func (m *Machine) EnableSampling(intervalNS int64) {
 	}
 }
 
-// SetSampleHook registers fn to observe every interval sample (nil
-// clears it). The hook runs on the simulation goroutine right after the
-// sampler records the sample, receiving the sample's simulated time and
-// the registry snapshot just taken; thread-safe observers (the obs
-// Publisher) hang off it so a live HTTP server never has to touch the
-// single-threaded machine. Snapshot propagates the hook to branched
-// runs, and it costs nothing unless sampling is enabled.
-func (m *Machine) SetSampleHook(fn func(nowNS int64, snap metrics.Snapshot)) { m.sampleHook = fn }
-
 // MetricSeries returns the sampled time series (empty unless
 // EnableSampling was called).
 func (m *Machine) MetricSeries() metrics.TimeSeries {
@@ -126,10 +117,7 @@ func (m *Machine) MetricSeries() metrics.TimeSeries {
 func (m *Machine) handleDrain() {
 	var intervalNS int64
 	if m.sampler != nil {
-		smp := m.sampler.Tick(m.eng.Now())
-		if m.sampleHook != nil {
-			m.sampleHook(smp.TimeNS, smp.Values)
-		}
+		m.sampler.Tick(m.eng.Now())
 		intervalNS = m.sampler.IntervalNS
 	}
 	if m.digestRec != nil {

@@ -1,5 +1,5 @@
 // Package metrics provides the simulator's unified instrumentation
-// substrate: a typed registry of named counters, gauges and fixed-bucket
+// substrate: a registry of named counters, gauges and fixed-bucket
 // histograms that every modelled component (caches, snooper, DRAM,
 // branch predictors, the OS model, the machine itself) registers into,
 // plus an interval sampler that snapshots the registry at a fixed
@@ -20,41 +20,15 @@
 package metrics
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 )
-
-// Kind classifies an instrument.
-type Kind uint8
-
-const (
-	// KindCounter is a monotonically non-decreasing cumulative count.
-	KindCounter Kind = iota
-	// KindGauge is an instantaneous level that can move both ways.
-	KindGauge
-	// KindHistogram is a fixed-bucket distribution of observations.
-	KindHistogram
-	numKinds
-)
-
-func (k Kind) String() string {
-	names := [...]string{"counter", "gauge", "histogram"}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return "invalid"
-}
 
 // Instrument is one named metric. Value returns the instrument's scalar
 // reading: cumulative count for counters, level for gauges, observation
 // count for histograms.
 type Instrument interface {
 	Name() string
-	Kind() Kind
 	Value() float64
 }
 
@@ -65,7 +39,6 @@ type counterFunc struct {
 }
 
 func (c *counterFunc) Name() string   { return c.name }
-func (c *counterFunc) Kind() Kind     { return KindCounter }
 func (c *counterFunc) Value() float64 { return float64(c.fn()) }
 
 // gaugeFunc reads an instantaneous level from component state on demand.
@@ -75,7 +48,6 @@ type gaugeFunc struct {
 }
 
 func (g *gaugeFunc) Name() string   { return g.name }
-func (g *gaugeFunc) Kind() Kind     { return KindGauge }
 func (g *gaugeFunc) Value() float64 { return g.fn() }
 
 // Histogram is a fixed-bucket distribution. An observation lands in the
@@ -144,9 +116,6 @@ func (h *Histogram) CloneOver(spent *Histogram) *Histogram {
 // Name implements Instrument.
 func (h *Histogram) Name() string { return h.name }
 
-// Kind implements Instrument.
-func (h *Histogram) Kind() Kind { return KindHistogram }
-
 // Value implements Instrument (observation count, so deltas give
 // per-interval observation rates).
 func (h *Histogram) Value() float64 { return float64(h.count) }
@@ -192,7 +161,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 
 // ensureSorted re-sorts the name list and rebuilds the aligned
 // instrument list after registrations. Registration happens only while
-// wiring a machine; every later Names/Each/Snapshot call hits the
+// wiring a machine; every later Names/Snapshot call hits the
 // cached slices.
 func (r *Registry) ensureSorted() {
 	if r.sorted {
@@ -217,17 +186,6 @@ func (r *Registry) Names() []string {
 
 // Get returns the named instrument, or nil.
 func (r *Registry) Get(name string) Instrument { return r.byName[name] }
-
-// Len returns the number of registered instruments.
-func (r *Registry) Len() int { return len(r.byName) }
-
-// Each calls fn for every instrument in sorted name order.
-func (r *Registry) Each(fn func(Instrument)) {
-	r.ensureSorted()
-	for _, inst := range r.insts {
-		fn(inst)
-	}
-}
 
 // Snapshot captures every instrument's current Value keyed by name.
 // Instruments are read in sorted-name order: the snapshot itself is a
@@ -262,71 +220,4 @@ func (s Snapshot) Names() []string {
 // Delta returns s[name] - prev[name] (missing names read as 0).
 func (s Snapshot) Delta(prev Snapshot, name string) float64 {
 	return s[name] - prev[name]
-}
-
-// MarshalJSON encodes the snapshot with sorted keys, writing non-finite
-// values as the strings "NaN", "+Inf" and "-Inf": encoding/json rejects
-// those floats outright, but derived ratio instruments legitimately
-// produce them (0/0 utilization, unbounded latency), and dropping a
-// whole series export over one sample is worse than a typed string.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	names := s.Names()
-	var b bytes.Buffer
-	b.WriteByte('{')
-	for i, k := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		b.Write(kb)
-		b.WriteByte(':')
-		v := s[k]
-		switch {
-		case math.IsNaN(v):
-			b.WriteString(`"NaN"`)
-		case math.IsInf(v, 1):
-			b.WriteString(`"+Inf"`)
-		case math.IsInf(v, -1):
-			b.WriteString(`"-Inf"`)
-		default:
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	b.WriteByte('}')
-	return b.Bytes(), nil
-}
-
-// UnmarshalJSON accepts both plain numbers and the non-finite string
-// forms MarshalJSON writes.
-func (s *Snapshot) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var raw map[string]any
-	if err := dec.Decode(&raw); err != nil {
-		return err
-	}
-	out := make(Snapshot, len(raw))
-	for k, v := range raw {
-		switch t := v.(type) {
-		case json.Number:
-			f, err := t.Float64()
-			if err != nil {
-				return err
-			}
-			out[k] = f
-		case string:
-			f, err := strconv.ParseFloat(t, 64)
-			if err != nil {
-				return fmt.Errorf("metrics: snapshot value %q for %q: %w", t, k, err)
-			}
-			out[k] = f
-		default:
-			return fmt.Errorf("metrics: snapshot value for %q is %T, want number or string", k, v)
-		}
-	}
-	*s = out
-	return nil
 }

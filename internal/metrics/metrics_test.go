@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -28,9 +27,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if g.Value() != 2.5 || g.Name() != "a.level" {
 		t.Fatalf("gauge %q = %v", g.Name(), g.Value())
-	}
-	if cnt.Kind() != KindCounter || g.Kind() != KindGauge {
-		t.Fatal("wrong kinds")
 	}
 }
 
@@ -58,7 +54,7 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{1, 5, 10, 50, 200, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 || r.Snapshot()["lat"] != 6 || r.Get("lat").Kind() != KindHistogram {
+	if h.Count() != 6 || r.Snapshot()["lat"] != 6 {
 		t.Fatalf("count = %d, registry reads %v", h.Count(), r.Snapshot()["lat"])
 	}
 	if got := h.counts; !reflect.DeepEqual(got, []uint64{3, 1, 1, 1}) {
@@ -107,28 +103,12 @@ func TestRegistryNamesSortedAndDupPanics(t *testing.T) {
 	if got := r.Names(); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
 		t.Fatalf("names = %v", got)
 	}
-	var order []string
-	r.Each(func(in Instrument) { order = append(order, in.Name()) })
-	if !reflect.DeepEqual(order, []string{"a", "m", "z"}) {
-		t.Fatalf("Each order = %v", order)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration should panic")
 		}
 	}()
 	counter(r, "a")
-}
-
-func TestKindString(t *testing.T) {
-	for k := Kind(0); k < numKinds; k++ {
-		if s := k.String(); s == "" || s == "invalid" {
-			t.Fatalf("kind %d has no name", k)
-		}
-	}
-	if numKinds.String() != "invalid" {
-		t.Fatal("out-of-range kind should be invalid")
-	}
 }
 
 func TestSamplerSeriesAndDerived(t *testing.T) {
@@ -223,33 +203,9 @@ func TestSeriesCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSeriesJSONL(t *testing.T) {
-	r := NewRegistry()
-	c := counter(r, "n")
-	s := NewSampler(r, 5)
-	*c++
-	s.Tick(5)
-	*c++
-	s.Tick(10)
-	var buf bytes.Buffer
-	if err := s.Series().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 samples, got %d lines", len(lines))
-	}
-	if !strings.Contains(lines[0], `"interval_ns":5`) {
-		t.Fatalf("header = %s", lines[0])
-	}
-	if !strings.Contains(lines[2], `"time_ns":10`) {
-		t.Fatalf("sample = %s", lines[2])
-	}
-}
-
 // TestEmptySeriesExports pins the degenerate case: a series with no
 // samples (sampling enabled, run ended before the first tick) must
-// still export parseable documents and round-trip to an empty series.
+// still export a parseable CSV and round-trip to an empty series.
 func TestEmptySeriesExports(t *testing.T) {
 	ts := TimeSeries{IntervalNS: 100, Names: []string{"a", "b"}}
 
@@ -263,18 +219,6 @@ func TestEmptySeriesExports(t *testing.T) {
 	}
 	if gotCSV.Len() != 0 || !reflect.DeepEqual(gotCSV.Names, ts.Names) {
 		t.Fatalf("empty CSV round trip = %+v", gotCSV)
-	}
-
-	var jlBuf bytes.Buffer
-	if err := ts.WriteJSONL(&jlBuf); err != nil {
-		t.Fatal(err)
-	}
-	gotJL, err := ReadJSONLSeries(&jlBuf)
-	if err != nil {
-		t.Fatalf("empty JSONL unparseable: %v\n%s", err, jlBuf.String())
-	}
-	if gotJL.Len() != 0 || gotJL.IntervalNS != 100 {
-		t.Fatalf("empty JSONL round trip = %+v", gotJL)
 	}
 
 	// Derived series over zero samples are empty, not panics.
@@ -316,27 +260,11 @@ func TestSingleIntervalSeries(t *testing.T) {
 	if got.Len() != 2 || got.Samples[0].Values["n"] != 7 || got.Samples[1].Values["n"] != 17 {
 		t.Fatalf("single-interval CSV round trip = %+v", got)
 	}
-
-	var jl bytes.Buffer
-	if err := ts.WriteJSONL(&jl); err != nil {
-		t.Fatal(err)
-	}
-	gotJL, err := ReadJSONLSeries(&jl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotJL.Len() != 1 || gotJL.BaseTimeNS != 50 || gotJL.Base["n"] != 7 {
-		t.Fatalf("single-interval JSONL round trip = %+v", gotJL)
-	}
-	if d := gotJL.Delta("n"); len(d) != 1 || d[0] != 10 {
-		t.Fatalf("Delta after JSONL round trip = %v, want [10]", d)
-	}
 }
 
 // TestSeriesRoundTripNonFinite checks NaN and ±Inf readings — ratios
-// over empty intervals, saturated gauges — survive both exporters.
-// CSV carries them as strconv's literals; JSONL through Snapshot's
-// string-encoded JSON codec (bare NaN is not valid JSON).
+// over empty intervals, saturated gauges — survive the CSV export,
+// which carries them as strconv's literals.
 func TestSeriesRoundTripNonFinite(t *testing.T) {
 	ts := TimeSeries{
 		IntervalNS: 10,
@@ -346,34 +274,21 @@ func TestSeriesRoundTripNonFinite(t *testing.T) {
 			{TimeNS: 20, Values: Snapshot{"inf": 1, "nan": 2, "neg": -3}},
 		},
 	}
-	check := func(format string, got TimeSeries, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s round trip: %v", format, err)
-		}
-		if got.Len() != 2 {
-			t.Fatalf("%s round trip lost samples: %+v", format, got)
-		}
-		v := got.Samples[0].Values
-		if !math.IsInf(v["inf"], 1) || !math.IsNaN(v["nan"]) || !math.IsInf(v["neg"], -1) {
-			t.Fatalf("%s round trip mangled non-finite values: %v", format, v)
-		}
-		if v := got.Samples[1].Values; v["inf"] != 1 || v["nan"] != 2 || v["neg"] != -3 {
-			t.Fatalf("%s round trip mangled finite values: %v", format, v)
-		}
-	}
-
-	var csvBuf bytes.Buffer
-	if err := ts.WriteCSV(&csvBuf); err != nil {
+	var buf bytes.Buffer
+	if err := ts.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSVSeries(&csvBuf)
-	check("CSV", got, err)
-
-	var jlBuf bytes.Buffer
-	if err := ts.WriteJSONL(&jlBuf); err != nil {
-		t.Fatal(err)
+	got, err := ReadCSVSeries(&buf)
+	if err != nil {
+		t.Fatalf("CSV round trip: %v", err)
 	}
-	got, err = ReadJSONLSeries(&jlBuf)
-	check("JSONL", got, err)
+	if got.Len() != 2 {
+		t.Fatalf("CSV round trip lost samples: %+v", got)
+	}
+	if v := got.Samples[0].Values; !math.IsInf(v["inf"], 1) || !math.IsNaN(v["nan"]) || !math.IsInf(v["neg"], -1) {
+		t.Fatalf("CSV round trip mangled non-finite values: %v", v)
+	}
+	if v := got.Samples[1].Values; v["inf"] != 1 || v["nan"] != 2 || v["neg"] != -3 {
+		t.Fatalf("CSV round trip mangled finite values: %v", v)
+	}
 }

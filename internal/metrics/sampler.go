@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -11,8 +10,8 @@ import (
 // Sample is one interval snapshot: the simulated time it was taken and
 // the cumulative instrument readings at that moment.
 type Sample struct {
-	TimeNS int64    `json:"time_ns"`
-	Values Snapshot `json:"values"`
+	TimeNS int64
+	Values Snapshot
 }
 
 // Sampler snapshots a registry at a fixed simulated-time cadence. The
@@ -45,12 +44,9 @@ func (s *Sampler) Rebase(nowNS int64) {
 	s.base = s.reg.Snapshot()
 }
 
-// Tick records one sample at simulated time nowNS and returns it, so
-// callers forwarding samples to live observers don't snapshot twice.
-func (s *Sampler) Tick(nowNS int64) Sample {
-	smp := Sample{TimeNS: nowNS, Values: s.reg.Snapshot()}
-	s.samples = append(s.samples, smp)
-	return smp
+// Tick records one sample at simulated time nowNS.
+func (s *Sampler) Tick(nowNS int64) {
+	s.samples = append(s.samples, Sample{TimeNS: nowNS, Values: s.reg.Snapshot()})
 }
 
 // Len returns the number of recorded samples.
@@ -91,15 +87,15 @@ func (s *Sampler) CloneInto(reg *Registry) *Sampler {
 // every instrument at each tick. Derived per-interval series (IPC, miss
 // rates, utilization) come from the Delta/Ratio helpers.
 type TimeSeries struct {
-	IntervalNS int64 `json:"interval_ns"`
+	IntervalNS int64
 	// BaseTimeNS and Base record the sampling epoch: the simulated time
 	// sampling was enabled and the cumulative readings at that moment.
 	// Deltas are measured against them, so the first interval covers only
 	// activity after sampling began.
-	BaseTimeNS int64    `json:"base_time_ns,omitempty"`
-	Names      []string `json:"names"`
-	Base       Snapshot `json:"base,omitempty"`
-	Samples    []Sample `json:"samples"`
+	BaseTimeNS int64
+	Names      []string
+	Base       Snapshot
+	Samples    []Sample
 }
 
 // Len returns the number of samples.
@@ -189,61 +185,6 @@ func (ts TimeSeries) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSONL emits the series as JSON lines: a header object with the
-// interval and instrument names, then one object per sample.
-func (ts TimeSeries) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	head := struct {
-		IntervalNS int64    `json:"interval_ns"`
-		BaseTimeNS int64    `json:"base_time_ns,omitempty"`
-		Names      []string `json:"names"`
-		Base       Snapshot `json:"base,omitempty"`
-	}{ts.IntervalNS, ts.BaseTimeNS, ts.Names, ts.Base}
-	if err := enc.Encode(head); err != nil {
-		return err
-	}
-	for _, s := range ts.Samples {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONLSeries parses WriteJSONL output back into a TimeSeries:
-// the header object, then one sample per line. Non-finite values
-// round-trip through the string forms Snapshot's JSON codec writes.
-func ReadJSONLSeries(r io.Reader) (TimeSeries, error) {
-	dec := json.NewDecoder(r)
-	var head struct {
-		IntervalNS int64    `json:"interval_ns"`
-		BaseTimeNS int64    `json:"base_time_ns"`
-		Names      []string `json:"names"`
-		Base       Snapshot `json:"base"`
-	}
-	if err := dec.Decode(&head); err != nil {
-		return TimeSeries{}, fmt.Errorf("metrics: JSONL series header: %w", err)
-	}
-	ts := TimeSeries{
-		IntervalNS: head.IntervalNS,
-		BaseTimeNS: head.BaseTimeNS,
-		Names:      head.Names,
-		Base:       head.Base,
-	}
-	for {
-		var s Sample
-		err := dec.Decode(&s)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return TimeSeries{}, fmt.Errorf("metrics: JSONL series sample %d: %w", len(ts.Samples), err)
-		}
-		ts.Samples = append(ts.Samples, s)
-	}
-	return ts, nil
 }
 
 // ReadCSVSeries parses WriteCSV output back into a TimeSeries (cumulative

@@ -1,11 +1,10 @@
 package obs
 
-// dashboardHTML is the embedded live dashboard: it polls /series,
-// /status and /precision once a second and charts derived per-interval
-// series (IPC, L2 miss rate, simulated-cycle throughput) as inline SVG,
-// plus the precision-convergence table (half-width-vs-runs sparkline per
-// configuration) — no external assets, so it works offline and inside
-// CI artifacts.
+// dashboardHTML is the embedded live dashboard: it polls /status and
+// /precision once a second and renders the progress line, the
+// precision-convergence table (an inline-SVG half-width-vs-runs
+// sparkline per configuration) and the experiment table — no external
+// assets, so it works offline and inside CI artifacts.
 const dashboardHTML = `<!doctype html>
 <html lang="en">
 <head>
@@ -17,8 +16,7 @@ const dashboardHTML = `<!doctype html>
   #status { color: #555; margin-bottom: 1rem; white-space: pre-wrap; }
   .chart { background: #fff; border: 1px solid #ddd; border-radius: 6px; padding: .5rem .75rem; margin-bottom: 1rem; max-width: 720px; }
   .chart h2 { font-size: .95rem; margin: 0 0 .25rem; font-weight: 600; }
-  .chart .last { color: #0a7; font-variant-numeric: tabular-nums; }
-  svg { display: block; width: 100%; height: 120px; }
+  svg { display: block; }
   polyline { fill: none; stroke: #0a7; stroke-width: 1.5; }
   .empty { color: #999; font-style: italic; }
   table { border-collapse: collapse; font-size: .85rem; }
@@ -29,37 +27,10 @@ const dashboardHTML = `<!doctype html>
 <body>
 <h1>varsim live observability</h1>
 <div id="status" class="empty">waiting for /status…</div>
-<div id="charts"></div>
 <div class="chart"><h2>precision convergence</h2><div id="precision" class="empty">no precision data</div></div>
 <div class="chart"><h2>experiments</h2><div id="fleet" class="empty">no fleet</div></div>
 <script>
 "use strict";
-// Chart specs: per-interval delta(num)/delta(den); den "" divides by
-// the interval's simulated-time span (ns) instead — IPC at 1 GHz.
-const SPECS = [
-  {label: "IPC", num: "machine.instrs", den: ""},
-  {label: "L2 miss rate", num: "mem.l2.misses", den: "mem.l2.accesses"},
-  {label: "lock contention / acquire", num: "os.lock_contentions", den: "os.lock_acquisitions"},
-  {label: "sim cycles / interval", num: "sim.cycles", den: null},
-];
-function deltas(samples, base, name) {
-  const out = [];
-  let prev = base && base[name] !== undefined ? num(base[name]) : num(samples[0].values[name]);
-  let first = !(base && base[name] !== undefined);
-  for (const s of samples) {
-    const v = num(s.values[name]);
-    out.push(first ? 0 : v - prev);
-    first = false;
-    prev = v;
-  }
-  return out;
-}
-function num(v) { return typeof v === "string" ? parseFloat(v) : (v ?? 0); }
-function timeDeltas(samples, baseT) {
-  const out = []; let prev = baseT || samples[0].time_ns;
-  for (const s of samples) { out.push(s.time_ns - prev); prev = s.time_ns; }
-  return out;
-}
 function polyline(values, w, h) {
   const finite = values.filter(v => isFinite(v));
   if (!finite.length) return "";
@@ -70,26 +41,6 @@ function polyline(values, w, h) {
     const y = h - (isFinite(v) ? (v - min) / span : 0) * (h - 6) - 3;
     return x.toFixed(1) + "," + y.toFixed(1);
   }).join(" ");
-}
-function render(series) {
-  const div = document.getElementById("charts");
-  const samples = series.samples || [];
-  if (!samples.length) { div.innerHTML = '<div class="chart empty">no samples yet — run with interval sampling (-interval-us) or keep the sweep going</div>'; return; }
-  const have = new Set(Object.keys(samples[samples.length - 1].values));
-  let html = "";
-  for (const spec of SPECS) {
-    if (!have.has(spec.num) || (spec.den && !have.has(spec.den))) continue;
-    const dn = deltas(samples, series.base, spec.num);
-    const dd = spec.den === "" ? timeDeltas(samples, series.base_time_ns)
-             : spec.den ? deltas(samples, series.base, spec.den) : null;
-    const vals = dn.map((v, i) => dd ? (dd[i] ? v / dd[i] : 0) : v);
-    const last = vals.length ? vals[vals.length - 1] : 0;
-    html += '<div class="chart"><h2>' + spec.label +
-      ' <span class="last">' + (isFinite(last) ? last.toPrecision(4) : last) + "</span></h2>" +
-      '<svg viewBox="0 0 700 120" preserveAspectRatio="none"><polyline points="' +
-      polyline(vals, 700, 120) + '"/></svg></div>';
-  }
-  div.innerHTML = html || '<div class="chart empty">no chartable instruments in the published series</div>';
 }
 function renderFleet(st) {
   const el = document.getElementById("fleet");
@@ -126,12 +77,10 @@ function renderPrecision(p) {
 }
 async function tick() {
   try {
-    const [sr, st, pr] = await Promise.all([
-      fetch("/series").then(r => r.json()),
+    const [st, pr] = await Promise.all([
       fetch("/status").then(r => r.json()),
       fetch("/precision").then(r => r.json()),
     ]);
-    render(sr);
     renderFleet(st);
     renderPrecision(pr);
     const s = document.getElementById("status");
@@ -140,7 +89,7 @@ async function tick() {
       ? st.done + "/" + st.total + " experiments" +
         (st.eta_seconds ? ", ETA ~" + Math.round(st.eta_seconds) + "s" : "") +
         (st.sim_cycles_per_sec ? ", " + (st.sim_cycles_per_sec / 1e6).toFixed(1) + " Msim-cycles/s" : "")
-      : (sr.samples || []).length + " samples published";
+      : "no experiments";
   } catch (err) {
     document.getElementById("status").textContent = "poll failed: " + err;
   }

@@ -1,3 +1,12 @@
+// Package obs is the live observability layer: the progress ledger
+// (Fleet) every session books its experiments on, and an HTTP server
+// that renders it and the precision tracker while a run is live —
+// fleet progress on /status, Prometheus text exposition on /metrics,
+// the streaming precision report on /precision, net/http/pprof, and an
+// embedded dashboard over all three.
+//
+// The simulator itself stays observation-free: nothing here touches a
+// machine, and the server is started only when a CLI passes -http.
 package obs
 
 import (
@@ -7,28 +16,23 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
-	"varsim/internal/machine"
-	"varsim/internal/metrics"
 	"varsim/internal/precision"
 )
 
 // Options wires a Server's data sources; any may be nil — the
 // corresponding endpoints then serve empty-but-valid payloads.
 type Options struct {
-	Publisher *Publisher         // /metrics values, /series, dashboard charts
 	Fleet     *Fleet             // /status, fleet gauges on /metrics
 	Precision *precision.Tracker // /precision, precision gauges on /metrics
 }
 
 // Server is the observability HTTP server. Endpoints:
 //
-//	/           embedded dashboard (polls /series, /status, /precision)
+//	/           embedded dashboard (polls /status, /precision)
 //	/metrics    Prometheus text exposition (version 0.0.4)
 //	/status     fleet progress JSON (FleetStatus)
-//	/series     sampled metric time series JSON (metrics.TimeSeries)
 //	/precision  streaming precision report JSON (precision.Report)
 //	/debug/pprof/...  Go's runtime profiler
 type Server struct {
@@ -46,7 +50,6 @@ func NewServer(opt Options) *Server {
 	s.mux.HandleFunc("/", s.handleDashboard)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/status", s.handleStatus)
-	s.mux.HandleFunc("/series", s.handleSeries)
 	s.mux.HandleFunc("/precision", s.handlePrecision)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -92,48 +95,17 @@ func (s *Server) Close() error {
 
 // ---- /metrics -------------------------------------------------------
 
-// promName rewrites an instrument name ("mem.l2.misses") into a valid
-// Prometheus metric name ("varsim_mem_l2_misses").
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("varsim_")
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-func promKind(k metrics.Kind) string {
-	switch k {
-	case metrics.KindCounter, metrics.KindHistogram:
-		// Histograms export their observation count (Instrument.Value),
-		// which is cumulative, so they advertise as counters too.
-		return "counter"
-	case metrics.KindGauge:
-		return "gauge"
-	default:
-		panic(fmt.Sprintf("obs: unknown metrics kind %v", k))
-	}
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	write := func(name, kind string, v float64) {
-		if kind != "" {
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
-		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
 		fmt.Fprintf(w, "%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
 	}
 
 	write("varsim_obs_uptime_seconds", "gauge", time.Since(s.start).Seconds())
-	write("varsim_sim_cycles_total", "counter", float64(machine.SimulatedCycles()))
 	if s.opt.Fleet != nil {
 		st := s.opt.Fleet.Status()
+		write("varsim_sim_cycles_total", "counter", float64(st.SimCycles))
 		write("varsim_experiments_total", "gauge", float64(st.Total))
 		write("varsim_experiments_done", "gauge", float64(st.Done))
 		write("varsim_experiments_failed", "gauge", float64(st.Failed))
@@ -187,24 +159,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				row.Experiment, row.ConfigHash, row.RunsToGo)
 		}
 	}
-	snap, kinds := s.opt.Publisher.Snapshot()
-	for _, name := range snap.Names() {
-		kind := ""
-		if k, ok := kinds[name]; ok {
-			kind = promKind(k)
-		}
-		write(promName(name), kind, snap[name])
-	}
 }
 
-// ---- /status and /series --------------------------------------------
+// ---- /status and /precision -----------------------------------------
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.opt.Fleet.Status())
-}
-
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.opt.Publisher.Series())
 }
 
 // handlePrecision serves the streaming precision report; with no

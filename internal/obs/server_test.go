@@ -12,13 +12,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"varsim/internal/config"
 	"varsim/internal/core"
 	"varsim/internal/fleet"
-	"varsim/internal/machine"
-	"varsim/internal/metrics"
 	"varsim/internal/precision"
 )
 
@@ -40,8 +37,8 @@ func get(t *testing.T, url string) (string, http.Header) {
 }
 
 // simulate advances the process-wide simulated-cycle counter by running
-// a small machine, and returns the counter's new reading.
-func simulate(t *testing.T) int64 {
+// a small machine.
+func simulate(t *testing.T) {
 	t.Helper()
 	cfg := config.Default()
 	cfg.NumCPUs = 2
@@ -52,32 +49,29 @@ func simulate(t *testing.T) int64 {
 	if _, err := m.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	return machine.SimulatedCycles()
 }
 
 // metricLine matches one Prometheus text-exposition sample line.
 var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]* (?:[-+]?[0-9.eE+-]+|NaN|[-+]Inf)$`)
 
+// TestMetricsExposition: every line is valid text exposition, every
+// family is typed, and the simulated-cycle total is the ledger's.
 func TestMetricsExposition(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.CounterFunc("mem.l2.misses", func() uint64 { return 41 })
-	reg.GaugeFunc("os.runnable", func() float64 { return 3.5 })
-	h := metrics.NewHistogram("bus.queue_delay_ns", []float64{1, 10})
-	h.Observe(4)
-	reg.Register(h)
-	pub := NewPublisher()
-	pub.PublishRegistry(reg)
-	cycles := simulate(t)
+	ledger := NewFleet([]string{"alpha"})
+	ledger.Start("alpha")
+	simulate(t)
+	ledger.Finish("alpha", nil)
+	cycles := ledger.Status().SimCycles
 
-	ts := httptest.NewServer(NewServer(Options{Publisher: pub}).Handler())
+	ts := httptest.NewServer(NewServer(Options{Fleet: ledger}).Handler())
 	defer ts.Close()
 
 	body, hdr := get(t, ts.URL+"/metrics")
 	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q, want Prometheus text exposition", ct)
 	}
-	var samples int
 	types := map[string]string{}
+	var samples []string
 	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
 			f := strings.Fields(line)
@@ -87,33 +81,27 @@ func TestMetricsExposition(t *testing.T) {
 			types[f[2]] = f[3]
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
 		if !metricLine.MatchString(line) {
 			t.Errorf("invalid exposition line: %q", line)
 		}
-		samples++
+		samples = append(samples, strings.Fields(line)[0])
+	}
+	for _, name := range samples {
+		if types[name] == "" {
+			t.Errorf("sample %s has no TYPE line", name)
+		}
 	}
 	for name, want := range map[string]string{
-		"varsim_mem_l2_misses":      "counter",
-		"varsim_os_runnable":        "gauge",
-		"varsim_bus_queue_delay_ns": "counter", // histograms export their observation count
 		"varsim_sim_cycles_total":   "counter",
+		"varsim_experiments_done":   "gauge",
+		"varsim_obs_uptime_seconds": "gauge",
 	} {
 		if types[name] != want {
 			t.Errorf("TYPE %s = %q, want %q", name, types[name], want)
 		}
 	}
-	if !strings.Contains(body, "varsim_mem_l2_misses 41") {
-		t.Errorf("counter value missing from exposition:\n%s", body)
-	}
-	// The simulated-cycle total is the process counter itself.
 	if want := "varsim_sim_cycles_total " + strconv.FormatFloat(float64(cycles), 'g', -1, 64) + "\n"; cycles <= 0 || !strings.Contains(body, want) {
-		t.Errorf("exposition lacks %q (counter %d):\n%s", want, cycles, body)
-	}
-	if samples == 0 {
-		t.Fatal("no sample lines served")
+		t.Errorf("exposition lacks the ledger's total %q:\n%s", want, body)
 	}
 }
 
@@ -182,53 +170,6 @@ func TestStatusLiveDuringSweep(t *testing.T) {
 	}
 }
 
-func TestSeriesRoundTripWithNaN(t *testing.T) {
-	pub := NewPublisher()
-	pub.SetSeriesBase(1000, 0, metrics.Snapshot{"machine.instrs": 0})
-	pub.PublishSample(1000, metrics.Snapshot{"machine.instrs": 500, "ratio": math.NaN()})
-	pub.PublishSample(2000, metrics.Snapshot{"machine.instrs": 900, "ratio": math.Inf(1)})
-
-	ts := httptest.NewServer(NewServer(Options{Publisher: pub}).Handler())
-	defer ts.Close()
-
-	body, _ := get(t, ts.URL+"/series")
-	var got metrics.TimeSeries
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("/series is not valid JSON: %v\n%s", err, body)
-	}
-	if got.Len() != 2 || got.IntervalNS != 1000 {
-		t.Fatalf("series = %d samples / interval %d, want 2 / 1000", got.Len(), got.IntervalNS)
-	}
-	if !math.IsNaN(got.Samples[0].Values["ratio"]) || !math.IsInf(got.Samples[1].Values["ratio"], 1) {
-		t.Errorf("non-finite values lost: %v", got.Samples)
-	}
-	ipc := got.PerCycle("machine.instrs")
-	if len(ipc) != 2 || ipc[0] != 0.5 || ipc[1] != 0.4 {
-		t.Errorf("PerCycle over served series = %v, want [0.5 0.4]", ipc)
-	}
-}
-
-func TestSeriesSinglePoint(t *testing.T) {
-	pub := NewPublisher()
-	pub.SetSeriesBase(500, 0, metrics.Snapshot{"machine.instrs": 0})
-	pub.PublishSample(500, metrics.Snapshot{"machine.instrs": 100})
-
-	ts := httptest.NewServer(NewServer(Options{Publisher: pub}).Handler())
-	defer ts.Close()
-
-	body, _ := get(t, ts.URL+"/series")
-	var got metrics.TimeSeries
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("/series is not valid JSON: %v\n%s", err, body)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("series has %d samples, want 1", got.Len())
-	}
-	if ipc := got.PerCycle("machine.instrs"); len(ipc) != 1 || ipc[0] != 0.2 {
-		t.Errorf("PerCycle over one sample = %v, want [0.2]", ipc)
-	}
-}
-
 func TestETAFromRecentPace(t *testing.T) {
 	if got := etaSecs(nil, 0, 10); got != 0 {
 		t.Errorf("ETA before any completion = %v, want 0", got)
@@ -272,13 +213,15 @@ func TestDashboardAndPprofServed(t *testing.T) {
 	if body, _ := get(t, ts.URL+"/debug/pprof/"); !strings.Contains(body, "profile") {
 		t.Error("pprof index not served")
 	}
-	resp, err := http.Get(ts.URL + "/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown path status = %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/nope", "/series"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -298,45 +241,15 @@ func TestServeBindsAndCloses(t *testing.T) {
 	}
 }
 
-// TestSimRateSampler: the series starts at the process counter's
-// reading and follows it as a simulation advances it.
-func TestSimRateSampler(t *testing.T) {
-	before := machine.SimulatedCycles()
-	pub := NewPublisher()
-	stop := StartSimRateSampler(pub, time.Millisecond)
-	defer stop()
-	after := simulate(t)
-	if after <= before {
-		t.Fatalf("simulation left the counter at %d", after)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		ts := pub.Series()
-		if n := ts.Len(); n > 0 && ts.Samples[n-1].Values["sim.cycles"] == float64(after) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler never published the counter's reading %d: %v", after, ts.Samples)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	if base := pub.Series().Base["sim.cycles"]; base != float64(before) {
-		t.Errorf("series base = %v, want the counter at start, %d", base, before)
-	}
-}
-
 func TestNilSourcesServeEmpty(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Options{}).Handler())
 	defer ts.Close()
-	body, _ := get(t, ts.URL+"/series")
-	var got metrics.TimeSeries
-	if err := json.Unmarshal([]byte(body), &got); err != nil || got.Len() != 0 {
-		t.Errorf("empty /series invalid: %v %v", err, got)
-	}
-	if body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "varsim_obs_uptime_seconds") {
+	body, _ := get(t, ts.URL+"/metrics")
+	if !strings.Contains(body, "varsim_obs_uptime_seconds") {
 		t.Error("empty /metrics missing uptime gauge")
+	}
+	if strings.Contains(body, "varsim_sim_cycles") {
+		t.Errorf("/metrics with no ledger serves a simulated-cycle family:\n%s", body)
 	}
 }
 

@@ -54,8 +54,8 @@ type entry struct {
 
 // Tracker accumulates cycles-per-transaction observations per
 // (experiment, config hash). All methods are safe for concurrent use
-// and safe on a nil receiver (no-ops / zero values), so callers can
-// wire it unconditionally the way obs.Publisher is wired.
+// and safe on a nil receiver (no-ops / zero values), so a live server
+// with no tracker wired serves an empty report.
 type Tracker struct {
 	mu         sync.Mutex
 	relErr     float64

@@ -55,7 +55,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Workers, "j", runtime.GOMAXPROCS(0), "fleet workers for the independent runs (1 = sequential; output is identical for any value)")
 	fs.StringVar(&f.Manifest, "manifest", "", "write a run-provenance manifest (JSON) to this file")
-	fs.StringVar(&f.HTTP, "http", "", "serve live observability on this address (/metrics, /status, /series, /debug/pprof, dashboard at /)")
+	fs.StringVar(&f.HTTP, "http", "", "serve live observability on this address (/status, /metrics, /precision, /debug/pprof, dashboard at /)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file")
 	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
@@ -87,9 +87,6 @@ type Session struct {
 	// the run: journal, resume cache, retry/timeout budget, drain signal
 	// and the precision Observe hook.
 	Resilience core.Resilience
-	// Publisher feeds /metrics and /series; nil unless -http is set
-	// (a nil Publisher is safe to call).
-	Publisher *obs.Publisher
 
 	flags     *Flags
 	opt       Options
@@ -143,10 +140,7 @@ func Open(f *Flags, o Options) (*Session, error) {
 	s.fleet = obs.NewFleet(o.Experiments)
 
 	if f.HTTP != "" {
-		s.Publisher = obs.NewPublisher()
-		s.srv, err = obs.Serve(f.HTTP, obs.Options{
-			Publisher: s.Publisher, Fleet: s.fleet, Precision: trk,
-		})
+		s.srv, err = obs.Serve(f.HTTP, obs.Options{Fleet: s.fleet, Precision: trk})
 		if err != nil {
 			return nil, errors.Join(err, jw.Close(), s.stopProf())
 		}
