@@ -410,8 +410,42 @@ func TestVarsimPrecisionReadsEveryRun(t *testing.T) {
 	}
 }
 
+// TestVarsimSeriesColumns drives the interval-sampled run: stdout
+// carries the four sparklines, and the CSV's columns are the machine's
+// counters, sorted under their series names.
+func TestVarsimSeriesColumns(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, exit := drive(t, dir, "varsim", "-workload", "oltp", "-cpus", "4", "-txns", "40", "-warmup", "60", "-interval-us", "20", "-series-csv", "s.csv")
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	for _, label := range []string{"ipc ", "l2_miss_rate ", "bus_req_per_us ", "lock_contention "} {
+		if !strings.Contains(stdout, "\n"+label) {
+			t.Errorf("no %q sparkline on stdout:\n%s", label, stdout)
+		}
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "s.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(string(b), "\n")
+	const want = "time_ns,bus.requests,machine.events,machine.instrs,machine.txns," +
+		"mem.l1d.misses,mem.l1i.misses,mem.l2.accesses,mem.l2.misses," +
+		"os.ctx_switches,os.lock_acquisitions,os.lock_contentions,os.preempts,os.steals," +
+		"snoop.cache_to_cache,snoop.mem_fetches,snoop.writebacks"
+	if header != want {
+		t.Errorf("series CSV header\n got %s\nwant %s", header, want)
+	}
+}
+
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
+	// An adaptive journal, whose spec a -resume below combines with a
+	// flag -adaptive refuses.
+	if _, stderr, exit := drive(t, dir, "varsim", "-adaptive", "-runs", "4", "-txns", "10", "-warmup", "10", "-cpus", "4", "-budget", "4", "-journal", "ja"); exit != 0 {
+		t.Fatalf("adaptive journal: exit %d\n%s", exit, stderr)
+	}
+	const adaptiveRefusal = "-adaptive does not combine"
 	for _, c := range []struct {
 		tool string
 		args []string
@@ -424,11 +458,20 @@ func TestExitCodes(t *testing.T) {
 		{"varsim", []string{"-from-recipe", "r.json", "-resume", "d"}, 2, ""},
 		{"varsim", []string{"-series-csv", "s.csv"}, 2, "-interval-us"},
 		{"varsim", []string{"-series-jsonl", "s.jsonl"}, 2, "flag provided but not defined"},
+		{"varsim", []string{"-adaptive", "-interval-us", "50", "-txns", "20", "-warmup", "20", "-cpus", "4", "-journal", "jd"}, 2, adaptiveRefusal},
+		{"varsim", []string{"-adaptive", "-digest-us", "20", "-txns", "20", "-warmup", "20", "-cpus", "4"}, 2, adaptiveRefusal},
+		{"varsim", []string{"-adaptive", "-perfetto", "t.json", "-txns", "20", "-warmup", "20", "-cpus", "4"}, 2, adaptiveRefusal},
+		{"varsim", []string{"-resume", "ja", "-interval-us", "50"}, 2, adaptiveRefusal},
 		{"varsim", []string{"-cpus", "4", "-txns", "20", "-warmup", "20", "-manifest", "missing/m.json"}, 1, ""},
 		{"experiments", []string{"-quick", "-heartbeat", "0", "-manifest", "missing/m.json", "table1"}, 1, ""},
 	} {
 		if _, stderr, exit := drive(t, dir, c.tool, c.args...); exit != c.want || !strings.Contains(stderr, c.say) {
 			t.Errorf("%s %v: exit %d, want %d with %q on stderr\n%s", c.tool, c.args, exit, c.want, c.say, stderr)
 		}
+	}
+	// A refused -adaptive opened no session: no spec for a run that
+	// never started.
+	if _, err := os.Stat(filepath.Join(dir, "jd", "spec.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("refused -adaptive -journal jd left jd/spec.json (stat: %v)", err)
 	}
 }

@@ -117,7 +117,7 @@ func main() {
 		saveRcp = flag.String("save-recipe", "", "write the warmed checkpoint's recipe to this file")
 		fromRcp = flag.String("from-recipe", "", "start from a checkpoint recipe instead of flags")
 
-		intervalUS = flag.Int64("interval-us", 0, "sample the metrics registry every N simulated microseconds and print per-interval sparklines")
+		intervalUS = flag.Int64("interval-us", 0, "sample the machine's counters every N simulated microseconds and print per-interval sparklines")
 		digestUS   = flag.Int64("digest-us", 0, "record an interval state digest every N simulated microseconds in each run and, with two or more runs, print the run 0 vs run 1 diff (with -journal, digests persist for 'varsim diff')")
 		seriesCSV  = flag.String("series-csv", "", "write the sampled metric time series of the -interval-us run as CSV to this file")
 		perfetto   = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
@@ -181,6 +181,14 @@ func main() {
 		var err error
 		e, err = loadSpec(filepath.Join(sf.Resume, specFile))
 		fail(err)
+	}
+	// An adaptive space schedules its own runs, none of them a recipe's
+	// checkpoint, the sampled run, a traced plan or a digested one. The
+	// refusal comes before the session opens, so a journal directory
+	// gets no spec for a run that never starts.
+	if e.Adaptive != nil && (*fromRcp != "" || *saveRcp != "" || *intervalUS > 0 || *perfetto != "" || e.DigestIntervalNS > 0) {
+		fmt.Fprintln(os.Stderr, "varsim: -adaptive does not combine with -from-recipe, -save-recipe, -interval-us, -perfetto or -digest-us")
+		os.Exit(2)
 	}
 	e.Workers = sf.Workers // width never changes the bytes
 
@@ -264,9 +272,6 @@ func run(e core.Experiment, rc runCfg) error {
 	// and a resume whose journal covers the schedule replays it without
 	// preparing the machine (an arm builds its checkpoint lazily).
 	if e.Adaptive != nil {
-		if rc.fromRcp != "" || rc.saveRcp != "" || rc.intervalUS > 0 || rc.perfetto != "" || e.DigestIntervalNS > 0 {
-			return errors.New("varsim: -adaptive does not combine with -from-recipe, -save-recipe, -interval-us, -perfetto or -digest-us")
-		}
 		sp, arm, runErr := e.AdaptiveSpace(*e.Adaptive)
 		var inc *fleet.Incomplete
 		if runErr != nil && !errors.As(runErr, &inc) {

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,7 +51,14 @@ func TestBuildReplaysDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txns := func(m *machine.Machine) int64 { return int64(m.Metrics().Get("machine.txns").Value()) }
+	// txns reads the transactions m has completed: the machine.txns
+	// column of the base row a snapshot's interval series starts from.
+	txns := func(m *machine.Machine) int64 {
+		s := m.Snapshot()
+		s.EnableSampling(1_000)
+		ts := s.MetricSeries()
+		return int64(ts.Base[slices.Index(ts.Names, "machine.txns")])
+	}
 	if m1.Now() != m2.Now() || txns(m1) != txns(m2) {
 		t.Fatalf("replay mismatch: t=%d/%d txns=%d/%d", m1.Now(), m2.Now(), txns(m1), txns(m2))
 	}

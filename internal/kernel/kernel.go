@@ -278,8 +278,8 @@ func (os *OS) BarrierArrive(id, tid int32) (wake []int32, last bool) {
 // quantum preemption: no point preempting onto an empty queue).
 func (os *OS) RunnableOn(cpu int32) bool { return len(os.RunQ[cpu]) > 0 }
 
-// CtxSwitches returns the dispatches of every thread: what the
-// os.ctx_switches instrument reads and a machine's Result counts.
+// CtxSwitches returns the dispatches of every thread: what a machine's
+// Result and its interval series count.
 func (os *OS) CtxSwitches() (n uint64) {
 	for i := range os.Threads {
 		n += os.Threads[i].Switches
@@ -287,13 +287,15 @@ func (os *OS) CtxSwitches() (n uint64) {
 	return n
 }
 
-// LockContentions returns the contended acquires of every lock: what the
-// os.lock_contentions instrument reads and a machine's Result counts.
-func (os *OS) LockContentions() (n uint64) {
+// LockCounts returns the acquires and the contended acquires of every
+// lock, in one pass: what a machine's Result and its interval series
+// count.
+func (os *OS) LockCounts() (acquisitions, contentions uint64) {
 	for i := range os.Locks {
-		n += os.Locks[i].Contentions
+		acquisitions += os.Locks[i].Acquisitions
+		contentions += os.Locks[i].Contentions
 	}
-	return n
+	return acquisitions, contentions
 }
 
 // CloneOver deep-copies the OS state, into the storage of spent, an OS

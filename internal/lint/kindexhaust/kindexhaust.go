@@ -2,8 +2,8 @@
 // the simulator's Kind types.
 //
 // The machine dispatches on sim.Kind, the workload engine on
-// workload.OpKind, trace analyses on trace.Kind, and exporters on
-// metrics.Kind. Each of those enums carries a table-driven name test
+// workload.OpKind, and trace analyses on trace.Kind. Each of those
+// enums carries a table-driven name test
 // that keeps the String tables complete — but nothing kept the switch
 // statements honest: adding a variant could silently fall through an
 // old switch and, worse than crashing, keep simulating with subtly

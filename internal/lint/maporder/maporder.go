@@ -16,8 +16,8 @@
 //     commutative, and is deliberately not flagged.
 //
 // The point fix is to iterate sorted keys — see the sorted-key helpers
-// (metrics.Registry.Names, metrics.Snapshot.Names, trace.sortedKeys,
-// harness.sortedKeys), each of which carries the one audited
+// (trace.sortedKeys, harness.sortedKeys, workloads.Names), each of
+// which carries the one audited
 // //varsim:allow maporder directive for its key-collection loop.
 package maporder
 

@@ -47,7 +47,9 @@ var prefixes = []string{
 //     the sequential path at any width (docs/PARALLELISM.md).
 //   - journal: keyed replay; write order is completion order but
 //     resume reads by key, never by position (docs/RESILIENCE.md).
-//   - metrics: the registry snapshots through sorted-name iteration.
+//   - metrics: a series is fixed columns read in a fixed order on the
+//     simulation thread; its helpers and CSV writer walk them in that
+//     order, and no map is iterated.
 //   - report / plot: render after the simulation settles; their output
 //     is a function of the already-deterministic results.
 //   - profile: pprof labels never touch job inputs or the merge.

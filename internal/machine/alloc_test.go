@@ -31,9 +31,9 @@ func TestAllocationBudgets(t *testing.T) {
 
 	// 2.87 MB, and it is the cache arrays: per node a 4 MB L2 of 65 536
 	// lines at 4 bytes of tag word and 1 of rank, and two L1s of 2 048.
-	// It was 5.13 MB with an 8-byte word, which would fail here. 198
-	// objects (206 at most): wiring a metric registry here, which nothing
-	// on the measured path reads, made it 296.
+	// It was 5.13 MB with an 8-byte word, which would fail here. 195
+	// objects: wiring a metric registry here, which nothing
+	// on the measured path read, made it 296.
 	t.Run("new", func(t *testing.T) {
 		const ceiling, objCeiling = 3_200_000, 230
 		inst, err := workloads.New("oltp", cfg, 0xA1A3)
@@ -61,7 +61,7 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 	base.Freeze()
 
-	// 57.0 KB and 111 objects: page tables (one pointer per 256-line tag
+	// 56.9 KB and 109 objects: page tables (one pointer per 256-line tag
 	// page and per 1024-line rank page), the event heap, kernel and
 	// predictor metadata, and ~100 bytes of generator state per workload
 	// thread. A thread state that held expanded ops would show here
@@ -105,11 +105,10 @@ func TestAllocationBudgets(t *testing.T) {
 	// 768 bytes and one object, the Machine struct: a snapshot taken over
 	// the branch before finds everything that branch allocated waiting —
 	// page copies and page tables, kernel queues, event heap, workload
-	// thread array and plans, CPU array, bus queue and bus-delay
-	// histogram — and wires no registry, so what is left is the odd page
-	// where its seed strays from every window before (5.9 KB and 6
-	// objects at worst here). Generation 1 also makes the cache spare
-	// lists and the workload's spare-plan index for the first time
+	// thread array and plans, CPU array and bus queue — so what is left
+	// is the odd page where its seed strays from every window before (5.9
+	// KB and 6 objects at worst here). Generation 1 also makes the cache
+	// spare lists and the workload's spare-plan index for the first time
 	// (9.0 KB, 154 objects), so the objects ceiling starts at generation
 	// 2. Generation 0 has nothing to build over and pays the fresh
 	// branch's 0.43 MB. Wiring a registry, re-making the kernel and each

@@ -18,17 +18,17 @@ const bpredFullEvery = 16
 // observation-only — it never touches simulated state, so the simulated
 // trajectory is unchanged; the one thing it may write is a host-side
 // cache of it, the cache signatures mem.Cache.StateSig folds on first
-// read. When metric sampling is also
+// read. When interval sampling is also
 // enabled the intervals must match; both ride one KindDrain stream.
 // Calling it again is a no-op.
 func (m *Machine) EnableDigests(intervalNS int64) {
 	if m.digestRec != nil {
 		return
 	}
-	if m.sampler != nil && m.sampler.IntervalNS != intervalNS {
+	if m.series != nil && m.series.IntervalNS != intervalNS {
 		panic("machine: digest interval must match the sampling interval (both ride one KindDrain stream)")
 	}
-	armed := m.sampler != nil // sampling already scheduled the drain ticks
+	armed := m.series != nil // sampling already scheduled the drain ticks
 	m.digestRec = digest.NewRecorder(intervalNS)
 	if !armed {
 		m.eng.Schedule(intervalNS, sim.KindDrain, 0, 0)

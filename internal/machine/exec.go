@@ -131,7 +131,6 @@ func (m *Machine) handleBusGrant() {
 	// few appends reallocate.
 	m.bus.q = m.bus.q[:copy(m.bus.q, m.bus.q[1:])]
 	m.bus.freeAt = now + m.cfg.BusOccupancyNS
-	m.busDelay.Observe(float64(now - req.issuedAt))
 
 	res := m.snoop.Grant(int(req.cpu), req.block, req.kind)
 	if req.kind == mem.PutM {

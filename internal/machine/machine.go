@@ -139,17 +139,12 @@ type Machine struct {
 
 	tracer *trace.Buffer
 
-	// Metrics: reg is nil until the first Metrics call wires a registry
-	// of named instruments over the machine (see wireMetrics); busDelay
-	// is machine state, observed on every bus grant whether or not a
-	// registry reads it. The sampler is non-nil only when interval
-	// sampling is enabled.
-	reg      *metrics.Registry
-	sampler  *metrics.Sampler
-	busDelay *metrics.Histogram
+	// series is the interval series of counters readings, non-nil only
+	// when interval sampling is enabled (see EnableSampling).
+	series *metrics.TimeSeries
 
 	// digestRec, when non-nil, chains per-component state digests on
-	// the same KindDrain cadence as the sampler (see EnableDigests).
+	// the same KindDrain cadence as the series (see EnableDigests).
 	digestRec *digest.Recorder
 
 	// Copy-on-write bookkeeping (see Freeze/Snapshot): frozen is true
@@ -223,7 +218,6 @@ func New(cfg config.Config, wl workload.Instance, perturbSeed uint64) (*Machine,
 		parkedOps:  make([]workload.Op, wl.NumThreads()),
 		parkedOk:   make([]bool, wl.NumThreads()),
 		parkedSpin: make([]int, wl.NumThreads()),
-		busDelay:   metrics.NewHistogram("bus.queue_delay_ns", busDelayBounds),
 	}
 	m.setWorkload(wl)
 	for i := range m.cpus {
@@ -263,33 +257,32 @@ func (m *Machine) Config() config.Config { return m.cfg }
 func (m *Machine) Workload() workload.Instance { return m.wl }
 
 // counters is one reading of the cumulative counts a Result is the
-// difference of, taken at the start and the end of a window. Each is
-// read from the field, or through the method, that the registry's
-// instrument of the same name reads (machine.instrs, mem.l2.misses,
-// os.ctx_switches, …), so a Result and what /metrics, the series CSV
-// and Perfetto show have one source.
+// difference of, taken at the start and the end of a window, and that
+// the interval series samples at every tick (see row): a Result and the
+// series CSV have one source.
 type counters struct {
-	instrs, txns, events, busRequests              uint64
-	l1iMisses, l1dMisses, l2Misses                 uint64
-	cacheToCache, memFetches, writebacks           uint64
-	ctxSwitches, preempts, steals, lockContentions uint64
+	instrs, txns, events, busRequests          uint64
+	l1iMisses, l1dMisses, l2Misses, l2Accesses uint64
+	cacheToCache, memFetches, writebacks       uint64
+	ctxSwitches, preempts, steals              uint64
+	lockAcquisitions, lockContentions          uint64
 }
 
 func (m *Machine) counters() counters {
 	c := counters{
-		instrs:          uint64(m.instrs),
-		txns:            uint64(m.txnsDone),
-		events:          m.eng.Steps(),
-		busRequests:     m.bus.reqs,
-		cacheToCache:    m.snoop.CacheToCache,
-		memFetches:      m.snoop.MemFetches,
-		writebacks:      m.snoop.Writebacks,
-		ctxSwitches:     m.os.CtxSwitches(),
-		preempts:        m.os.Preempts,
-		steals:          m.os.Steals,
-		lockContentions: m.os.LockContentions(),
+		instrs:       uint64(m.instrs),
+		txns:         uint64(m.txnsDone),
+		events:       m.eng.Steps(),
+		busRequests:  m.bus.reqs,
+		cacheToCache: m.snoop.CacheToCache,
+		memFetches:   m.snoop.MemFetches,
+		writebacks:   m.snoop.Writebacks,
+		ctxSwitches:  m.os.CtxSwitches(),
+		preempts:     m.os.Preempts,
+		steals:       m.os.Steals,
 	}
-	c.l1iMisses, c.l1dMisses, c.l2Misses = m.snoop.Misses()
+	c.l1iMisses, c.l1dMisses, c.l2Misses, c.l2Accesses = m.snoop.CacheCounts()
+	c.lockAcquisitions, c.lockContentions = m.os.LockCounts()
 	return c
 }
 
@@ -438,12 +431,10 @@ func (m *Machine) Snapshot() *Machine { return m.SnapshotOver(nil) }
 // garbage: its cache pages and page tables (see mem.Snooper.CloneOver),
 // its kernel, event heap, memory controllers and disks, its workload
 // engine's thread array and the plans its threads wrote (as spares, see
-// workload.Instance), its CPU array, bus queue and bus-delay histogram
-// with their capacity. Any part whose shape differs is allocated afresh,
-// so spent may be a machine of any configuration or workload, and the
-// snapshot is the one Snapshot would return — nothing of spent but
-// capacity is read. No metric registry is copied: the snapshot builds
-// its own on first read (see Metrics), at once only when m samples.
+// workload.Instance), its CPU array and bus queue with their capacity.
+// Any part whose shape differs is allocated afresh, so spent may be a
+// machine of any configuration or workload, and the snapshot is the one
+// Snapshot would return — nothing of spent but capacity is read.
 // spent is unusable afterwards: its Run fails and its Snapshot
 // panics, as does SnapshotOver with m itself as spent.
 func (m *Machine) SnapshotOver(spent *Machine) *Machine {
@@ -461,7 +452,6 @@ func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 		old, *spent = *spent, Machine{}
 	}
 	c := *m
-	c.reg = nil
 	c.eng = m.eng.CloneOver(old.eng)
 	c.snoop = m.snoop.CloneOver(old.snoop)
 	c.dram = m.dram.CloneOver(old.dram)
@@ -482,15 +472,15 @@ func (m *Machine) SnapshotOver(spent *Machine) *Machine {
 		c.cpus = append(c.cpus, cs)
 	}
 	c.bus.q = append(old.bus.q[:0], m.bus.q...)
-	c.busDelay = m.busDelay.CloneOver(old.busDelay)
 	if m.tracer != nil {
 		c.tracer = m.tracer.Clone()
 	}
 	// The parked-op arrays ride along shared (parkedShared was set by
 	// Freeze and copied into c above); ensureParked copies them on the
 	// first park/restore of either side.
-	if m.sampler != nil {
-		c.sampler = m.sampler.CloneInto(c.Metrics())
+	if m.series != nil {
+		series := m.series.Clone()
+		c.series = &series
 	}
 	if m.digestRec != nil {
 		c.digestRec = m.digestRec.Clone()

@@ -1,101 +1,75 @@
 package machine
 
 import (
-	"varsim/internal/bpred"
 	"varsim/internal/metrics"
 	"varsim/internal/sim"
 )
 
-// busDelayBounds are the bus queueing-delay histogram bucket upper
-// bounds (ns): sub-occupancy waits up to pathological convoys.
-var busDelayBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000}
-
-// wireMetrics builds the machine's metric registry over its live
-// components: every modelled subsystem registers its named instruments,
-// each a closure over state the machine owns for its whole life, and the
-// bus queue-delay histogram the machine keeps is registered as it is.
-// Only Metrics calls it, once per machine.
-func (m *Machine) wireMetrics() {
-	reg := metrics.NewRegistry()
-	reg.CounterFunc("machine.instrs", func() uint64 { return uint64(m.instrs) })
-	reg.CounterFunc("machine.txns", func() uint64 { return uint64(m.txnsDone) })
-	reg.CounterFunc("machine.events", func() uint64 { return m.eng.Steps() })
-	reg.CounterFunc("bus.requests", func() uint64 { return m.bus.reqs })
-	reg.GaugeFunc("bus.queue_len", func() float64 { return float64(len(m.bus.q)) })
-	reg.Register(m.busDelay)
-	m.snoop.RegisterMetrics(reg)
-	m.dram.RegisterMetrics(reg)
-	m.disks.RegisterMetrics(reg)
-	m.os.RegisterMetrics(reg)
-	var units []*bpred.Unit
-	for i := range m.cpus {
-		if m.cpus[i].ooo != nil {
-			units = append(units, m.cpus[i].ooo.bp)
-		}
-	}
-	if len(units) > 0 {
-		bpred.RegisterMetrics(reg, units)
-		reg.CounterFunc("ooo.rob_stalls", func() (n uint64) {
-			for i := range m.cpus {
-				if c := m.cpus[i].ooo; c != nil {
-					n += c.ROBStalls
-				}
-			}
-			return
-		})
-		reg.CounterFunc("ooo.mshr_stalls", func() (n uint64) {
-			for i := range m.cpus {
-				if c := m.cpus[i].ooo; c != nil {
-					n += c.MSHRStalls
-				}
-			}
-			return
-		})
-		reg.CounterFunc("ooo.mispredict_stalls", func() (n uint64) {
-			for i := range m.cpus {
-				if c := m.cpus[i].ooo; c != nil {
-					n += c.MispredictStalls
-				}
-			}
-			return
-		})
-	}
-	m.reg = reg
+// seriesNames are the interval series' columns, sorted: each names one
+// counters field, in the order row writes them.
+var seriesNames = []string{
+	"bus.requests",
+	"machine.events",
+	"machine.instrs",
+	"machine.txns",
+	"mem.l1d.misses",
+	"mem.l1i.misses",
+	"mem.l2.accesses",
+	"mem.l2.misses",
+	"os.ctx_switches",
+	"os.lock_acquisitions",
+	"os.lock_contentions",
+	"os.preempts",
+	"os.steals",
+	"snoop.cache_to_cache",
+	"snoop.mem_fetches",
+	"snoop.writebacks",
 }
 
-// Metrics returns the machine's metric registry, a view of its live
-// state built by the first call: New wires none and a snapshot copies
-// none, so a machine nothing samples never pays for one. A Result's
-// counts are read from the fields the instruments of the same names
-// read (see counters), not from registry snapshots. Building the registry writes the machine: do not call it
-// on a base other goroutines are snapshotting.
-func (m *Machine) Metrics() *metrics.Registry {
-	if m.reg == nil {
-		m.wireMetrics()
+// row is c as one series row, a value per seriesNames column.
+func (c *counters) row() []float64 {
+	return []float64{
+		float64(c.busRequests),
+		float64(c.events),
+		float64(c.instrs),
+		float64(c.txns),
+		float64(c.l1dMisses),
+		float64(c.l1iMisses),
+		float64(c.l2Accesses),
+		float64(c.l2Misses),
+		float64(c.ctxSwitches),
+		float64(c.lockAcquisitions),
+		float64(c.lockContentions),
+		float64(c.preempts),
+		float64(c.steals),
+		float64(c.cacheToCache),
+		float64(c.memFetches),
+		float64(c.writebacks),
 	}
-	return m.reg
 }
 
-// EnableSampling starts interval metric sampling: every intervalNS of
-// simulated time a KindDrain event snapshots the registry into an
-// in-memory time series (per-interval IPC, miss rates, bus utilization
-// and the rest derive from it — the per-interval form of the paper's
-// time-variability figures, which varsim -interval-us prints and
-// exports as CSV when the run ends). Sampling is observation-only: it
-// reads component state and never mutates it, so the simulated
+// EnableSampling starts interval sampling: every intervalNS of
+// simulated time a KindDrain event appends the machine's counters to
+// an in-memory time series (per-interval IPC, miss rates, bus traffic
+// and lock contention derive from it — the per-interval form of the
+// paper's time-variability figures, which varsim -interval-us prints
+// and exports as CSV when the run ends). Sampling is observation-only:
+// it reads component state and never mutates it, so the simulated
 // trajectory is unchanged (only the delivered-event count includes the
 // drain ticks). Calling it again is a no-op.
 func (m *Machine) EnableSampling(intervalNS int64) {
-	if m.sampler != nil {
+	if m.series != nil {
 		return
+	}
+	if intervalNS <= 0 {
+		panic("machine: sampling interval must be positive")
 	}
 	if m.digestRec != nil && m.digestRec.IntervalNS() != intervalNS {
 		panic("machine: sampling interval must match the digest interval (both ride one KindDrain stream)")
 	}
-	armed := m.digestRec != nil // digests already scheduled the drain ticks
-	m.sampler = metrics.NewSampler(m.Metrics(), intervalNS)
-	m.sampler.Rebase(m.eng.Now())
-	if !armed {
+	c := m.counters()
+	m.series = &metrics.TimeSeries{IntervalNS: intervalNS, BaseTimeNS: m.eng.Now(), Names: seriesNames, Base: c.row()}
+	if m.digestRec == nil { // else digests already scheduled the drain ticks
 		m.eng.Schedule(intervalNS, sim.KindDrain, 0, 0)
 	}
 }
@@ -103,22 +77,23 @@ func (m *Machine) EnableSampling(intervalNS int64) {
 // MetricSeries returns the sampled time series (empty unless
 // EnableSampling was called).
 func (m *Machine) MetricSeries() metrics.TimeSeries {
-	if m.sampler == nil {
+	if m.series == nil {
 		return metrics.TimeSeries{}
 	}
-	return m.sampler.Series()
+	return *m.series
 }
 
-// handleDrain services a KindDrain tick: snapshot the registry and/or
+// handleDrain services a KindDrain tick: sample the counters and/or
 // record a state digest, then re-arm the next tick while the workload
-// is still running. Sampler and digest recorder share one drain stream
+// is still running. Series and digest recorder share one drain stream
 // (EnableSampling/EnableDigests enforce equal intervals), so enabling
 // both costs one event per interval, not two.
 func (m *Machine) handleDrain() {
 	var intervalNS int64
-	if m.sampler != nil {
-		m.sampler.Tick(m.eng.Now())
-		intervalNS = m.sampler.IntervalNS
+	if m.series != nil {
+		c := m.counters()
+		m.series.Samples = append(m.series.Samples, metrics.Sample{TimeNS: m.eng.Now(), Values: c.row()})
+		intervalNS = m.series.IntervalNS
 	}
 	if m.digestRec != nil {
 		m.recordDigest()

@@ -230,6 +230,19 @@ func (s *Snooper) Materialize() {
 	}
 }
 
+// CacheCounts returns the misses of every node's L1I, L1D and L2,
+// summed per level, and the L2 accesses (hits + misses), in one pass:
+// what a machine's Result and its interval series count.
+func (s *Snooper) CacheCounts() (l1iMisses, l1dMisses, l2Misses, l2Accesses uint64) {
+	for _, n := range s.Nodes {
+		l1iMisses += n.L1I.Misses
+		l1dMisses += n.L1D.Misses
+		l2Misses += n.L2.Misses
+		l2Accesses += n.L2.Hits + n.L2.Misses
+	}
+	return l1iMisses, l1dMisses, l2Misses, l2Accesses
+}
+
 // GrantResult describes the outcome of processing one bus request.
 type GrantResult struct {
 	Source Supplier

@@ -274,8 +274,8 @@ func Histogram(title string, xs []float64, buckets, width int) string {
 var sparkRamp = []rune("▁▂▃▄▅▆▇█")
 
 // Sparkline renders ys as a one-line height-coded series — the compact
-// idiom for per-interval metric traces (IPC, miss rate) sampled by the
-// metrics registry. width > 0 resamples the series to that many cells
+// idiom for per-interval metric traces (IPC, miss rate) of a machine's
+// interval series. width > 0 resamples the series to that many cells
 // (linear interpolation); width <= 0 keeps one cell per sample.
 func Sparkline(ys []float64, width int) string {
 	if len(ys) == 0 {
