@@ -140,7 +140,7 @@ lint:
 	$(GO) run ./cmd/varsimlint $(if $(GITHUB_ACTIONS),-format github) ./...
 
 race:
-	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling ./internal/session
+	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/mem ./internal/checkpoint ./internal/sampling ./internal/session
 	$(GO) test -race -run 'TestTable4ByteIdenticalAcrossWidths|Parallel' ./internal/harness
 
 # Go's fuzzer accepts one target per invocation; each run seeds from the

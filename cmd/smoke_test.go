@@ -458,6 +458,9 @@ func TestExitCodes(t *testing.T) {
 		{"varsim", []string{"-from-recipe", "r.json", "-resume", "d"}, 2, ""},
 		{"varsim", []string{"-series-csv", "s.csv"}, 2, "-interval-us"},
 		{"varsim", []string{"-series-jsonl", "s.jsonl"}, 2, "flag provided but not defined"},
+		{"varsim", []string{"-retries", "1"}, 2, "flag provided but not defined"},
+		{"varsim", []string{"-job-timeout", "1s"}, 2, "flag provided but not defined"},
+		{"experiments", []string{"-quick", "-retries", "1", "table1"}, 2, "flag provided but not defined"},
 		{"varsim", []string{"-adaptive", "-interval-us", "50", "-txns", "20", "-warmup", "20", "-cpus", "4", "-journal", "jd"}, 2, adaptiveRefusal},
 		{"varsim", []string{"-adaptive", "-digest-us", "20", "-txns", "20", "-warmup", "20", "-cpus", "4"}, 2, adaptiveRefusal},
 		{"varsim", []string{"-adaptive", "-perfetto", "t.json", "-txns", "20", "-warmup", "20", "-cpus", "4"}, 2, adaptiveRefusal},

@@ -13,7 +13,7 @@
 //	varsim -workload barnes -runs 2 -perfetto trace.json
 //	varsim -workload oltp -txns 500 -interval-us 50 -http 127.0.0.1:8080
 //	varsim -workload oltp -runs 20 -txns 200 -j 4
-//	varsim -workload oltp -runs 20 -txns 200 -journal out/ -retries 2
+//	varsim -workload oltp -runs 20 -txns 200 -journal out/
 //	varsim -resume out/
 //	varsim -workload oltp -runs 10 -txns 200 -digest-us 50 -journal out/
 //	varsim diff -A out/ -run-a 0 -run-b 3

@@ -1,9 +1,9 @@
 // Adaptive-schedule integration tests: the docs/SAMPLING.md
 // determinism contract asserted over rendered report bytes — width
 // independence, kill-and-resume with journaled decision replay,
-// shuffled completion order under retries, exactly-once observation,
-// and recovery from a journal torn mid-decision-record. External test
-// package so the spaces and arms render through internal/report.
+// shuffled completion order, exactly-once observation, and recovery
+// from a journal torn mid-decision-record. External test package so
+// the spaces and arms render through internal/report.
 package core_test
 
 import (
@@ -15,10 +15,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"varsim/internal/config"
 	"varsim/internal/core"
-	"varsim/internal/faultinject"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
@@ -255,8 +255,7 @@ func killAndResume(t *testing.T, shape adaptiveShape, width, stop int, base samp
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := &faultinject.Hook{StopAfter: stop, Stop: make(chan struct{})}
-	pspaces, prep, err := shape.run(width, core.Resilience{Journal: jw, Stop: hook.Stop, TestHook: hook})
+	pspaces, prep, err := shape.run(width, drainAfter(stop, core.Resilience{Journal: jw}))
 	var inc *fleet.Incomplete
 	if !errors.As(err, &inc) {
 		t.Fatalf("width %d, stop %d: drained run returned %v, want *fleet.Incomplete", width, stop, err)
@@ -314,10 +313,10 @@ func killAndResume(t *testing.T, shape adaptiveShape, width, stop int, base samp
 }
 
 // TestAdaptiveShuffledCompletionByteIdentical shuffles host completion
-// order — every run fails its first attempt and retries, so workers
-// settle out of index order — and asserts the adaptive schedule still
-// renders byte-identically: decisions read the index-ordered merge,
-// never arrival order.
+// order — the observer holds the worker of every even-indexed run, so
+// the odd ones settle ahead of them — and asserts the adaptive schedule
+// still renders byte-identically: decisions read the index-ordered
+// merge, never arrival order.
 func TestAdaptiveShuffledCompletionByteIdentical(t *testing.T) {
 	tgt := adaptiveTarget()
 	clean := adaptiveExperiment(4)
@@ -327,21 +326,18 @@ func TestAdaptiveShuffledCompletionByteIdentical(t *testing.T) {
 	}
 	want := renderAdaptive(csp, carm, tgt)
 
-	failEach := map[int]int{}
-	for i := 0; i < 12; i++ {
-		failEach[i] = 1
-	}
 	e := adaptiveExperiment(4)
-	e.Resilience = core.Resilience{
-		Retries:  2,
-		TestHook: &faultinject.Hook{FailTimes: failEach},
-	}
+	e.Resilience = core.Resilience{Observe: func(k journal.Key, _ machine.Result) {
+		if k.Index%2 == 0 {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}}
 	sp, arm, err := e.AdaptiveSpace(tgt)
 	if err != nil {
-		t.Fatalf("retried adaptive run failed: %v", err)
+		t.Fatalf("shuffled adaptive run failed: %v", err)
 	}
 	if got := renderAdaptive(sp, arm, tgt); !bytes.Equal(got, want) {
-		t.Errorf("retried adaptive run differs from clean run\n got:\n%s\nwant:\n%s", got, want)
+		t.Errorf("shuffled adaptive run differs from clean run\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -359,9 +355,8 @@ func TestAdaptiveResumeObservesExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := &faultinject.Hook{StopAfter: 2, Stop: make(chan struct{})}
 	e := adaptiveExperiment(4)
-	e.Resilience = core.Resilience{Journal: jw, Stop: hook.Stop, TestHook: hook}
+	e.Resilience = drainAfter(2, core.Resilience{Journal: jw})
 	_, _, err = e.AdaptiveSpace(tgt)
 	var inc *fleet.Incomplete
 	if !errors.As(err, &inc) {

@@ -155,7 +155,7 @@ func (p BranchPlan) observe(key journal.Key, r machine.Result) {
 // and the run record — ok or failed — followed by the digest record when
 // the plan captures digests goes to the journal and into the cache, so a
 // plan that asks for the run again in this process replays it.
-func (p BranchPlan) settle(key journal.Key, attempts int, r BranchedRun, err error) {
+func (p BranchPlan) settle(key journal.Key, r BranchedRun, err error) {
 	res := p.Resilience
 	if err == nil {
 		p.observe(key, r.Result)
@@ -170,7 +170,7 @@ func (p BranchPlan) settle(key journal.Key, attempts int, r BranchedRun, err err
 		//varsim:allow stickyerr fire-and-forget by design: Writer.Err is checked at CLI teardown
 		res.Journal.Append(rec)
 	}
-	rec := journal.Record{Key: key, Attempts: attempts, Status: journal.StatusFailed}
+	rec := journal.Record{Key: key, Attempts: 1, Status: journal.StatusFailed}
 	if err != nil {
 		rec.Error = err.Error()
 	} else if raw, merr := json.Marshal(r.Result); merr != nil {
@@ -192,9 +192,7 @@ func (p BranchPlan) settle(key journal.Key, attempts int, r BranchedRun, err err
 // merges results by index, so the outcome is byte-identical for every
 // worker count. Runs with a record in Resilience.Cache replay from it
 // instead of executing; executed runs are journaled and filed into the
-// cache as they settle. Because a retry re-invokes the same job, a
-// retried run re-derives its original seed — the retry/seed contract of
-// docs/RESILIENCE.md.
+// cache as they settle.
 //
 // A graceful drain returns the partial outcome (Missing lists the
 // indices that never ran) together with the *fleet.Incomplete error, so
@@ -237,13 +235,10 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 	}
 	res := p.Resilience
 	opts := fleet.Options[BranchedRun]{
-		Workers:  fleet.Width(p.Workers),
-		Timeout:  res.JobTimeout,
-		Retries:  res.Retries,
-		Stop:     res.Stop,
-		TestHook: res.TestHook,
-		Indices:  miss,
-		Labels:   []string{"experiment", p.Label, "config", cfgHash},
+		Workers: p.Workers,
+		Stop:    res.Stop,
+		Indices: miss,
+		Labels:  []string{"experiment", p.Label, "config", cfgHash},
 	}
 	if opts.Stopped() {
 		// A drain has fired: nothing new starts, the checkpoint's warmup
@@ -259,8 +254,8 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 		return Branched{}, err
 	}
 	if res.Journal != nil || res.Cache != nil || res.Observe != nil {
-		opts.OnResult = func(i, attempts int, r BranchedRun, err error) {
-			p.settle(p.key(cfgHash, i), attempts, r, err)
+		opts.OnResult = func(i int, r BranchedRun, err error) {
+			p.settle(p.key(cfgHash, i), r, err)
 		}
 	}
 	runs, err := fleet.Run(opts, len(miss), branchJob(checkpoint, p.SeedBase, p.spent, func(m *machine.Machine) (BranchedRun, error) {
@@ -315,11 +310,10 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 // (machine.SnapshotOver), so a fleet allocates cache pages for about as
 // many branches as it has workers, not for all n. A nil spent is a pool
 // of the call's own; the caller's, if any, carries the machines on to
-// its next call. A run that failed, panicked or was abandoned by a fleet
-// timeout keeps its machine — an abandoned attempt may still be running
-// it — and the retry gets another or a fresh one. Which machine a job
-// takes over depends on the host's scheduling and cannot show:
-// SnapshotOver reads none of its state.
+// its next call. A run that failed or panicked keeps its machine; the
+// next job takes another or a fresh one. Which machine a job takes over
+// depends on the host's scheduling and cannot show: SnapshotOver reads
+// none of its state.
 func branchJob(checkpoint *machine.Machine, seedBase uint64, spent *fleet.Pool[*machine.Machine], run func(*machine.Machine) (BranchedRun, error)) func(int) (BranchedRun, error) {
 	checkpoint.Freeze()
 	if spent == nil {

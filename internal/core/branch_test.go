@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"varsim/internal/core"
-	"varsim/internal/faultinject"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
@@ -167,8 +166,7 @@ func TestBranchEquivalence(t *testing.T) {
 			t.Run(name+"resumed", func(t *testing.T) {
 				dir := t.TempDir()
 				p, _ := journaled(t, plan, dir, false)
-				hook := &faultinject.Hook{StopAfter: 2, Stop: make(chan struct{})}
-				p.Resilience.Stop, p.Resilience.TestHook = hook.Stop, hook
+				p.Resilience = drainAfter(2, p.Resilience)
 				part, err := core.Branch(base, p)
 				var inc *fleet.Incomplete
 				if !errors.As(err, &inc) || len(part.Missing) == 0 || len(part.Runs) != n {
@@ -368,8 +366,7 @@ func TestTracedPlanRunsUnderResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := &faultinject.Hook{StopAfter: 2, Stop: make(chan struct{})}
-	plan.Resilience = core.Resilience{Journal: jw3, Stop: hook.Stop, TestHook: hook}
+	plan.Resilience = drainAfter(2, core.Resilience{Journal: jw3})
 	part, err := core.Branch(base, plan)
 	var inc *fleet.Incomplete
 	if !errors.As(err, &inc) {

@@ -2,28 +2,27 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"varsim/internal/config"
-	"varsim/internal/faultinject"
 	"varsim/internal/fleet"
 	"varsim/internal/machine"
 )
 
 // TestFaultedBranchKeepsItsMachine drives branchJob through a fleet in
-// which some attempts die mid-run — a scripted panic, and a scripted hang
-// that the fleet's timeout abandons — after they have already run their
+// which some runs panic mid-run, after they have already run their
 // machine part of the way. Such a machine must never be handed on: the
-// next branch would be built over storage a dead or still-blocked attempt
-// holds. Every machine that faulted must therefore still run when the
-// fleet is done, some that finished must have been taken over (or the
-// test is not exercising the hand-over at all), and the space must be the
-// fault-free one at every width.
+// next branch would be built over storage a dead run left. The fleet
+// must report the lowest faulted index, every other run must be the
+// fault-free one, every machine that faulted must still run when the
+// fleet is done, and some that finished must have been taken over (or
+// the test is not exercising the hand-over at all) — at every width.
 func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumCPUs = 4
@@ -40,41 +39,30 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Faults are scripted by call number, not job index: run is not told
+	// which job it serves, and the contract must hold whichever job a
+	// fault lands on.
+	panicOn := map[int]bool{2: true, 7: true, 11: true}
 	for _, width := range []int{1, 4, runtime.NumCPU()} {
-		// Faults are scripted by call number, not job index: run is not
-		// told which job it serves, and the contract must hold whichever
-		// job a fault lands on.
-		release := make(chan struct{})
-		hook := &faultinject.Hook{
-			PanicOn: map[int]bool{2: true, 7: true, 11: true},
-			HangOn:  map[int]bool{4: true, 9: true},
-			Release: release,
-		}
 		var (
 			mu                sync.Mutex
 			calls             int
+			faultedAt         []int
 			faulted, finished []*machine.Machine
-			hung              sync.WaitGroup
 		)
 		run := func(m *machine.Machine) (BranchedRun, error) {
 			mu.Lock()
 			call := calls
 			calls++
 			mu.Unlock()
-			if hook.PanicOn[call] || hook.HangOn[call] {
+			if panicOn[call] {
 				if _, err := m.Run(3); err != nil {
 					return BranchedRun{}, err
 				}
 				mu.Lock()
 				faulted = append(faulted, m)
-				if hook.HangOn[call] {
-					hung.Add(1)
-					defer hung.Done()
-				}
 				mu.Unlock()
-				if err := hook.BeforeAttempt(call, 0); err != nil {
-					return BranchedRun{}, err
-				}
+				panic(fmt.Sprintf("scripted panic in call %d", call))
 			}
 			res, err := m.Run(e.MeasureTxns)
 			mu.Lock()
@@ -82,18 +70,33 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 			mu.Unlock()
 			return BranchedRun{Result: res}, err
 		}
-		opts := fleet.Options[BranchedRun]{Workers: width, Retries: 6, Timeout: 500 * time.Millisecond}
-		got, err := fleet.Run(opts, e.Runs, branchJob(checkpoint, e.SeedBase, nil, run))
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		if !reflect.DeepEqual(got, want.Runs) {
-			t.Errorf("width %d: space with faulted branches differs from the fault-free one", width)
-		}
+		job := branchJob(checkpoint, e.SeedBase, nil, run)
+		got, err := fleet.Run(fleet.Options[BranchedRun]{Workers: width}, e.Runs, func(i int) (BranchedRun, error) {
+			settled := false
+			defer func() {
+				if !settled { // panicking: note the index, let the fleet recover
+					mu.Lock()
+					faultedAt = append(faultedAt, i)
+					mu.Unlock()
+				}
+			}()
+			r, err := job(i)
+			settled = true
+			return r, err
+		})
 
 		mu.Lock()
-		if len(faulted) != len(hook.PanicOn)+len(hook.HangOn) {
-			t.Errorf("width %d: %d attempts faulted, scripted %d", width, len(faulted), len(hook.PanicOn)+len(hook.HangOn))
+		if len(faultedAt) != len(panicOn) || len(faulted) != len(panicOn) {
+			t.Fatalf("width %d: %d jobs faulted over %d machines, scripted %d", width, len(faultedAt), len(faulted), len(panicOn))
+		}
+		var je *fleet.JobError
+		if !errors.As(err, &je) || je.Index != slices.Min(faultedAt) || !strings.Contains(err.Error(), "scripted panic") {
+			t.Errorf("width %d: err = %v, want the panic of the lowest faulted job %d", width, err, slices.Min(faultedAt))
+		}
+		for i := range got {
+			if !slices.Contains(faultedAt, i) && !reflect.DeepEqual(got[i], want.Runs[i]) {
+				t.Errorf("width %d: run %d differs from the fault-free one", width, i)
+			}
 		}
 		for i, m := range faulted {
 			if _, err := m.Run(1); err != nil {
@@ -111,9 +114,6 @@ func TestFaultedBranchKeepsItsMachine(t *testing.T) {
 		if recycled == 0 && width <= 4 {
 			t.Errorf("width %d: no finished branch was taken over", width)
 		}
-		// Let the abandoned attempts finish before the next width starts.
-		close(release)
-		hung.Wait()
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"varsim/internal/config"
 	"varsim/internal/fleet"
@@ -191,8 +190,9 @@ type Experiment struct {
 	// Workers is the fleet width for branching the perturbed runs:
 	// 0 or 1 runs them sequentially on the calling goroutine, n > 1
 	// fans them out over n fleet workers, and a negative value selects
-	// one worker per host CPU (fleet.DefaultWorkers). Any value yields
-	// byte-identical results — see docs/PARALLELISM.md.
+	// one worker per host CPU: the convention fleet.Options.Workers
+	// takes. Any value yields byte-identical results — see
+	// docs/PARALLELISM.md.
 	Workers int
 	// DigestIntervalNS, when positive, records an interval state digest
 	// every DigestIntervalNS of simulated time in each run (see
@@ -209,7 +209,7 @@ type Experiment struct {
 	// run used.
 	Adaptive *sampling.Target `json:"adaptive,omitempty"`
 	// Resilience carries the crash-safety plumbing (journal, resume
-	// cache, retry/timeout budget, drain signal); the zero value means
+	// cache, drain signal, observer); the zero value means
 	// plain in-memory execution. Excluded from JSON so experiment spec
 	// files (cmd/varsim -journal) serialize cleanly.
 	Resilience Resilience `json:"-"`
@@ -229,10 +229,6 @@ type Resilience struct {
 	// harness.New makes an empty one when none is given, so a space two
 	// experiments ask for is simulated once.
 	Cache *journal.Cache
-	// JobTimeout bounds each run attempt by wall clock; 0 = unbounded.
-	JobTimeout time.Duration
-	// Retries is the number of extra attempts after a failed run.
-	Retries int
 	// Stop, when non-nil, drains the fleet once closed: in-flight runs
 	// finish and are journaled, unstarted runs are reported in
 	// Space.Missing.
@@ -249,9 +245,6 @@ type Resilience struct {
 	// order, its state is not part of the byte-identical output
 	// contract. Implementations must be safe for concurrent calls.
 	Observe func(key journal.Key, r machine.Result)
-	// TestHook injects scripted faults (internal/faultinject); tests
-	// only, nil on every production path.
-	TestHook fleet.TestHook
 }
 
 // Validate checks the experiment definition.

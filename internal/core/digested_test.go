@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"varsim/internal/core"
-	"varsim/internal/faultinject"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 )
@@ -91,9 +90,8 @@ func TestDigestedKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := &faultinject.Hook{StopAfter: 2, Stop: make(chan struct{})}
 	e := digestExperiment(4)
-	e.Resilience = core.Resilience{Journal: jw, Stop: hook.Stop, TestHook: hook}
+	e.Resilience = drainAfter(2, core.Resilience{Journal: jw})
 	part, psd, err := e.RunSpaceDigests()
 	var inc *fleet.Incomplete
 	if !errors.As(err, &inc) {

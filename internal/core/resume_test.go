@@ -1,26 +1,27 @@
-// Kill-and-resume and retry-determinism integration tests: the
-// docs/RESILIENCE.md contract, asserted over rendered report bytes.
-// These live in an external test package so they can render through
-// internal/report (which imports core) without an import cycle.
+// Kill-and-resume integration tests: the docs/RESILIENCE.md contract,
+// asserted over rendered report bytes. These live in an external test
+// package so they can render through internal/report (which imports
+// core) without an import cycle.
 package core_test
 
 import (
 	"bytes"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 
 	"varsim/internal/config"
 	"varsim/internal/core"
-	"varsim/internal/faultinject"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
+	"varsim/internal/machine"
 	"varsim/internal/report"
 )
 
 // resumeRuns exceeds every tested fleet width (1, 4, NumCPU) by enough
 // that a drain fired after two settlements can never be outrun by
-// in-flight workers: completed runs are at most StopAfter + width
+// in-flight workers: completed runs are at most 2 + width
 // < Runs, so the interrupted pass is guaranteed to leave work for the
 // resume.
 func resumeRuns() int {
@@ -75,9 +76,8 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hook := &faultinject.Hook{StopAfter: 2, Stop: make(chan struct{})}
 			e := resumeExperiment(width)
-			e.Resilience = core.Resilience{Journal: jw, Stop: hook.Stop, TestHook: hook}
+			e.Resilience = drainAfter(2, core.Resilience{Journal: jw})
 			part, err := e.RunSpace()
 			var inc *fleet.Incomplete
 			if !errors.As(err, &inc) {
@@ -159,38 +159,21 @@ func TestResumeFinishedExperimentSkipsWarmup(t *testing.T) {
 	}
 }
 
-// TestRetryDeterminismAcrossSeeds is the retry/seed property test: for
-// every seed base in the table, a space whose every run fails its first
-// attempt (k=1 < retries) renders byte-identically to a clean first-try
-// run — retries re-derive the original seed, they never re-roll it.
-func TestRetryDeterminismAcrossSeeds(t *testing.T) {
-	for _, seed := range []uint64{0, 1, 0xFEED, 1 << 40, ^uint64(0)} {
-		e := resumeExperiment(4)
-		e.Runs = 4
-		e.SeedBase = seed
-		clean, err := e.RunSpace()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		failEach := map[int]int{}
-		for i := 0; i < e.Runs; i++ {
-			failEach[i] = 1
-		}
-		f := e
-		f.Resilience = core.Resilience{
-			Retries:  2,
-			TestHook: &faultinject.Hook{FailTimes: failEach},
-		}
-		retried, err := f.RunSpace()
-		if err != nil {
-			t.Fatalf("seed %#x: retried run failed: %v", seed, err)
-		}
-		if !bytes.Equal(renderSpace(retried), renderSpace(clean)) {
-			t.Errorf("seed %#x: retried run differs from clean run\n got:\n%s\nwant:\n%s",
-				seed, renderSpace(retried), renderSpace(clean))
+// drainAfter is the in-process stand-in for a mid-flight SIGKILL: res
+// with a Stop channel that its Observe closes once k runs have settled.
+func drainAfter(k int, res core.Resilience) core.Resilience {
+	stop := make(chan struct{})
+	var mu sync.Mutex
+	settled := 0
+	res.Stop = stop
+	res.Observe = func(journal.Key, machine.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		if settled++; settled == k {
+			close(stop)
 		}
 	}
+	return res
 }
 
 func label(width int) string {

@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"varsim/internal/core"
+	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
 )
@@ -141,29 +141,11 @@ func TestBranchSharesCache(t *testing.T) {
 	}
 }
 
-// orderLog records, in order, the observer's calls and the fleet's
-// attempts: what a plan read from the store and what it executed.
-type orderLog struct {
-	mu     sync.Mutex
-	events []string
-}
-
-func (o *orderLog) add(format string, args ...any) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.events = append(o.events, fmt.Sprintf(format, args...))
-}
-
-func (o *orderLog) BeforeAttempt(index, attempt int) error {
-	o.add("run %d", index)
-	return nil
-}
-
-func (o *orderLog) AfterJob(int) {}
-
 // TestBranchReadsTheStoreFirst covers runs {0, 2, 4} of 6: Branch
-// observes those three in index order before any run executes, hands
-// the fleet only 1, 3 and 5, and returns exactly the cache-less outcome.
+// observes those three in index order before the fleet is given a job,
+// hands the fleet only 1, 3 and 5, and returns exactly the cache-less
+// outcome. Each observation is logged with the fleet jobs handed out so
+// far, read from fleet.Read.
 func TestBranchReadsTheStoreFirst(t *testing.T) {
 	e := resumeExperiment(4)
 	e.Runs = 6
@@ -201,11 +183,16 @@ func TestBranchReadsTheStoreFirst(t *testing.T) {
 		}
 	}
 
-	var log orderLog
+	var mu sync.Mutex
+	var events []string
+	before := fleet.Read()
 	p.Resilience = core.Resilience{
-		Cache:    journal.NewCache(even),
-		Observe:  func(k journal.Key, _ machine.Result) { log.add("observe %d", k.Index) },
-		TestHook: &log,
+		Cache: journal.NewCache(even),
+		Observe: func(k journal.Key, _ machine.Result) {
+			mu.Lock()
+			defer mu.Unlock()
+			events = append(events, fmt.Sprintf("observe %d after %d jobs", k.Index, fleet.Read().JobsTotal-before.JobsTotal))
+		},
 	}
 	got, err := core.Branch(base, p)
 	if err != nil {
@@ -214,23 +201,15 @@ func TestBranchReadsTheStoreFirst(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("a partly covered plan's outcome differs from the cache-less one")
 	}
-	if head := []string{"observe 0", "observe 2", "observe 4"}; len(log.events) < 3 || !reflect.DeepEqual(log.events[:3], head) {
-		t.Fatalf("events %q, want them to open with %q", log.events, head)
+	if d := fleet.Read().JobsDone - before.JobsDone; d != 3 {
+		t.Errorf("the fleet ran %d jobs, want 3", d)
 	}
-	var ran, observed []string
-	for _, ev := range log.events[3:] {
-		if strings.HasPrefix(ev, "run ") {
-			ran = append(ran, ev)
-		} else {
-			observed = append(observed, ev)
-		}
+	if head := []string{"observe 0 after 0 jobs", "observe 2 after 0 jobs", "observe 4 after 0 jobs"}; len(events) < 3 || !reflect.DeepEqual(events[:3], head) {
+		t.Fatalf("events %q, want them to open with %q", events, head)
 	}
-	sort.Strings(ran)
-	sort.Strings(observed)
-	if w := []string{"run 1", "run 3", "run 5"}; !reflect.DeepEqual(ran, w) {
-		t.Errorf("the fleet attempted %q, want %q", ran, w)
-	}
-	if w := []string{"observe 1", "observe 3", "observe 5"}; !reflect.DeepEqual(observed, w) {
-		t.Errorf("live runs observed %q, want %q", observed, w)
+	live := events[3:]
+	sort.Strings(live)
+	if w := []string{"observe 1 after 3 jobs", "observe 3 after 3 jobs", "observe 5 after 3 jobs"}; !reflect.DeepEqual(live, w) {
+		t.Errorf("live runs observed %q, want %q", live, w)
 	}
 }

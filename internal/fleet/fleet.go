@@ -19,43 +19,21 @@
 // guarantees the call is observationally sequential.
 //
 // Run layers crash-safety on top of Map's scheduling (see
-// docs/RESILIENCE.md): per-attempt timeouts, bounded retries that
-// re-invoke the *same* job closure (so a retried job re-derives its
-// original seed — never a fresh one), completion hooks through
-// OnResult, and graceful drain through Stop. It schedules only: which
-// runs a journal already holds is core's business, and those never
-// reach the fleet.
+// docs/RESILIENCE.md): completion hooks through OnResult and graceful
+// drain through Stop. A job is a pure function of its index, so a
+// failed one would fail again: there is no retry. Run schedules only:
+// which runs a journal already holds is core's business, and those
+// never reach the fleet.
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"varsim/internal/profile"
 )
-
-// DefaultWorkers is the fleet width used when a caller passes
-// workers <= 0: one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Width normalizes the experiment-facing workers convention used
-// across varsim (core.Experiment.Workers, harness.Options.Workers, the
-// CLIs' -j flag) into an explicit pool width for Map: 0 and 1 mean
-// sequential, a negative value means one worker per host CPU, and any
-// other value is taken literally.
-func Width(workers int) int {
-	switch {
-	case workers == 0:
-		return 1
-	case workers < 0:
-		return DefaultWorkers()
-	}
-	return workers
-}
 
 // JobError reports the failure of one job, carrying the job's index so
 // error messages stay stable across worker counts and so callers can
@@ -69,11 +47,6 @@ func (e *JobError) Error() string { return fmt.Sprintf("fleet: job %d: %v", e.In
 
 // Unwrap exposes the underlying job failure to errors.Is/As.
 func (e *JobError) Unwrap() error { return e.Err }
-
-// ErrTimeout marks a job attempt that exceeded Options.Timeout. It is
-// retryable: the next attempt reruns the same closure with the same
-// derived seed.
-var ErrTimeout = errors.New("fleet: job attempt timed out")
 
 // Incomplete reports a graceful drain: Stop fired, every in-flight job
 // finished (and was journaled through OnResult), and the listed
@@ -89,39 +62,20 @@ func (e *Incomplete) Error() string {
 	return fmt.Sprintf("fleet: incomplete: drained with %d/%d jobs done", e.Done, e.Total)
 }
 
-// TestHook is the fault-injection seam (internal/faultinject): tests
-// install one through Options to script panics, hangs and transient
-// failures into specific job attempts. Production callers leave it
-// nil; no non-test code path constructs a TestHook.
-type TestHook interface {
-	// BeforeAttempt runs at the start of each attempt of each job. A
-	// non-nil return fails the attempt (retryable); the hook may also
-	// panic or block to simulate crashes and hangs.
-	BeforeAttempt(index, attempt int) error
-	// AfterJob runs once per job after its final attempt settles.
-	AfterJob(index int)
-}
-
 // Stats is a point-in-time view of process-wide fleet activity, the
 // occupancy counterpart of machine.SimulatedCycles: the progress ledger
 // (obs.Fleet, behind /status and the stderr heartbeat) reads it to show
 // how busy the worker pool is and how far through the run matrix it is.
-// Retries and Timeouts count recovery activity (docs/RESILIENCE.md):
-// attempts rerun after a failure, and attempts cut off by a timeout.
 type Stats struct {
 	BusyWorkers int64 `json:"busy_workers"`
 	JobsDone    int64 `json:"jobs_done"`
 	JobsTotal   int64 `json:"jobs_total"`
-	Retries     int64 `json:"retries,omitempty"`
-	Timeouts    int64 `json:"timeouts,omitempty"`
 }
 
 var (
 	busyWorkers atomic.Int64
 	jobsDone    atomic.Int64
 	jobsTotal   atomic.Int64
-	retryCount  atomic.Int64
-	timeoutHits atomic.Int64
 )
 
 // Read returns the process-wide fleet occupancy counters.
@@ -130,61 +84,44 @@ func Read() Stats {
 		BusyWorkers: busyWorkers.Load(),
 		JobsDone:    jobsDone.Load(),
 		JobsTotal:   jobsTotal.Load(),
-		Retries:     retryCount.Load(),
-		Timeouts:    timeoutHits.Load(),
 	}
 }
 
 // Options configures a Run call. The zero value reproduces Map's
-// behaviour exactly: default width, no timeout, no retries, no hooks,
-// no drain, jobs indexed [0, n).
+// behaviour exactly: the sequential path, no hooks, no drain, jobs
+// indexed [0, n).
 type Options[T any] struct {
-	// Workers is the pool width: <= 0 selects DefaultWorkers, 1 the
-	// sequential path. (Callers holding the experiment-facing
-	// convention pass Width(workers).)
+	// Workers is the pool width, in the convention varsim uses
+	// everywhere (core.Experiment.Workers, harness.Options.Workers, the
+	// CLIs' -j flag): 0 and 1 mean the sequential path, a negative
+	// value one worker per host CPU, and any other value is taken
+	// literally.
 	Workers int
-	// Timeout bounds each job *attempt* by wall clock; 0 means
-	// unbounded. A timed-out attempt counts as a retryable failure.
-	// The attempt's goroutine is abandoned, not killed — its result is
-	// discarded if it ever finishes — so timeouts trade goroutine
-	// leakage for fleet liveness. Timeouts never affect results that
-	// complete: byte-identity holds across any timeout setting under
-	// which the run finishes.
-	Timeout time.Duration
-	// Retries is the number of *extra* attempts after a failed one
-	// (0 = fail on first error). Every attempt calls the same job
-	// closure with the same index, so a retried simulation re-derives
-	// its original perturbation seed — the retry/seed contract that
-	// keeps retried runs byte-identical to first-try successes.
-	Retries int
-	// OnResult, when non-nil, observes every job's final
-	// settlement — result or terminal error, with the attempt count —
-	// from the worker goroutine that ran it. This is where the result
-	// journal appends; implementations must be safe for concurrent
-	// calls (journal.Writer serializes internally).
-	OnResult func(i, attempts int, v T, err error)
+	// OnResult, when non-nil, observes every job's settlement — result
+	// or error — from the worker goroutine that ran it. This is where
+	// the result journal appends; implementations must be safe for
+	// concurrent calls (journal.Writer serializes internally).
+	OnResult func(i int, v T, err error)
 	// Labels, when non-empty, are pprof labels ("key", "value", ...)
-	// attached to every job attempt via profile.Do, so a -cpuprofile
+	// attached to every job via profile.Do, so a -cpuprofile
 	// attributes host CPU per experiment/configuration instead of
 	// lumping every job under the worker loop. Labels never touch job
 	// inputs or the merge, so they cannot perturb results.
 	Labels []string
 	// Stop, when non-nil, is the graceful-drain signal: once it is
-	// closed, no new jobs (and no further retries) are handed out,
-	// in-flight attempts run to completion and are journaled, and Run
-	// returns *Incomplete listing the indices that never ran.
+	// closed, no new jobs are handed out, in-flight jobs run to
+	// completion and are journaled, and Run returns *Incomplete listing
+	// the indices that never ran.
 	Stop <-chan struct{}
 	// Indices, when non-nil, names the n jobs of this Run call (n must
 	// be len(Indices)): job i is presented as Indices[i] to the job
-	// closure, OnResult, TestHook, JobError and Incomplete.Missing,
+	// closure, OnResult, JobError and Incomplete.Missing,
 	// while its result still merges at position i. core.Branch passes
 	// the run indices a journal does not already hold, so every run
 	// keeps its global (experiment, config hash, derived seed, run
 	// index) identity however a space is split across calls and
 	// replays. Nil indexes the jobs [0, n).
 	Indices []int
-	// TestHook scripts faults into attempts; tests only.
-	TestHook TestHook
 }
 
 // Stopped reports whether the drain signal has fired. A nil Stop
@@ -242,9 +179,10 @@ func (p *Pool[T]) Put(v T) {
 // Map runs job(i) for every i in [0, n) across a pool of workers and
 // returns the n results merged by job index. The scheduling rules:
 //
-//   - workers <= 0 selects DefaultWorkers(); the pool never exceeds n.
-//   - workers == 1 (or n == 1) degenerates to a plain loop on the
-//     calling goroutine — the sequential path, with zero goroutines.
+//   - workers is Options.Workers' convention: 0 and 1 (or n == 1)
+//     degenerate to a plain loop on the calling goroutine — the
+//     sequential path, with zero goroutines — and a negative value
+//     selects one worker per host CPU. The pool never exceeds n.
 //   - Every job runs to completion even when another job fails: partial
 //     fleets would make "which runs happened" depend on worker timing.
 //   - A panicking job is captured per-job and surfaced as an error, the
@@ -260,17 +198,17 @@ func Map[T any](workers, n int, job func(int) (T, error)) ([]T, error) {
 }
 
 // Run is Map with resilience: the same index-ordered merge and
-// run-every-job scheduling, plus the timeout/retry/journal/drain
-// behaviour documented on Options. The returned error is, in priority
-// order: the lowest-index job failure (a *JobError), else *Incomplete
-// when a drain left jobs unrun, else nil.
+// run-every-job scheduling, plus the journal and drain behaviour
+// documented on Options. The returned error is, in priority order: the
+// lowest-index job failure (a *JobError), else *Incomplete when a drain
+// left jobs unrun, else nil.
 func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = DefaultWorkers()
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
@@ -284,17 +222,11 @@ func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 		gi := opts.index(i)
 		busyWorkers.Add(1)
 		var v T
-		var attempts int
 		var err error
-		profile.Do(opts.Labels, func() {
-			v, attempts, err = runAttempts(&opts, gi, job)
-		})
+		profile.Do(opts.Labels, func() { v, err = runJob(job, gi) })
 		busyWorkers.Add(-1)
-		if opts.TestHook != nil {
-			opts.TestHook.AfterJob(gi)
-		}
 		if opts.OnResult != nil {
-			opts.OnResult(gi, attempts, v, err)
+			opts.OnResult(gi, v, err)
 		}
 		if err != nil {
 			errs[i] = &JobError{Index: gi, Err: err}
@@ -303,7 +235,7 @@ func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 		}
 		jobsDone.Add(1)
 	}
-	if workers == 1 {
+	if workers <= 1 {
 		for i := 0; i < n && !opts.Stopped(); i++ {
 			runOne(i)
 		}
@@ -342,60 +274,13 @@ func Run[T any](opts Options[T], n int, job func(int) (T, error)) ([]T, error) {
 	return results, nil
 }
 
-// runAttempts drives one job through its attempt loop: panic capture,
-// optional wall-clock timeout, and bounded retry. It returns the
-// result of the first successful attempt, or the last attempt's error
-// once retries are exhausted (or the drain signal fires between
-// attempts).
-func runAttempts[T any](opts *Options[T], i int, job func(int) (T, error)) (v T, attempts int, err error) {
-	for {
-		attempts++
-		v, err = oneAttempt(opts, i, attempts-1, job)
-		if err == nil || attempts > opts.Retries || opts.Stopped() {
-			return v, attempts, err
+// runJob runs job(i), converting a panic into the job's error — the
+// same conversion harness.RunOne applies to panicking experiments.
+func runJob[T any](job func(int) (T, error), i int) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
 		}
-		retryCount.Add(1)
-	}
-}
-
-// oneAttempt executes a single attempt with panic capture and, when a
-// timeout is configured, a wall-clock bound enforced from a watcher
-// goroutine. The buffered channel lets an abandoned attempt's
-// goroutine exit normally when it eventually finishes.
-func oneAttempt[T any](opts *Options[T], i, attempt int, job func(int) (T, error)) (T, error) {
-	run := func() (v T, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		if opts.TestHook != nil {
-			if herr := opts.TestHook.BeforeAttempt(i, attempt); herr != nil {
-				return v, herr
-			}
-		}
-		return job(i)
-	}
-	if opts.Timeout <= 0 {
-		return run()
-	}
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, err := run()
-		ch <- outcome{v, err}
 	}()
-	t := time.NewTimer(opts.Timeout)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-t.C:
-		timeoutHits.Add(1)
-		var zero T
-		return zero, fmt.Errorf("%w after %v (attempt %d)", ErrTimeout, opts.Timeout, attempt+1)
-	}
+	return job(i)
 }

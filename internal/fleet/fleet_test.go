@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -119,18 +120,51 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	}
 }
 
-// TestDefaultWorkers: workers <= 0 selects a GOMAXPROCS-wide pool and
-// the call still completes correctly.
+// TestDefaultWorkers pins the workers convention: 0 is the sequential
+// path, like 1, and a negative width is one worker per host CPU. The
+// first min(GOMAXPROCS, n) jobs of a -1 fleet wait for each other, which
+// only a pool at least that wide gets past, and no more than that many
+// are ever in flight.
 func TestDefaultWorkers(t *testing.T) {
-	if DefaultWorkers() != runtime.GOMAXPROCS(0) {
-		t.Errorf("DefaultWorkers() = %d, want GOMAXPROCS %d", DefaultWorkers(), runtime.GOMAXPROCS(0))
+	var order []int
+	if _, err := Map(0, 5, func(i int) (int, error) {
+		order = append(order, i) // safe: 0 is the sequential path
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	got, err := Map(0, 4, func(i int) (string, error) { return fmt.Sprint(i), nil })
+	if fmt.Sprint(order) != "[0 1 2 3 4]" {
+		t.Errorf("Map(0) ran jobs in order %v, want ascending on the caller", order)
+	}
+
+	const n = 64
+	want := min(runtime.GOMAXPROCS(0), n)
+	var inflight, peak atomic.Int64
+	var once sync.Once
+	all := make(chan struct{})
+	got, err := Map(-1, n, func(i int) (string, error) {
+		c := inflight.Add(1)
+		defer inflight.Add(-1)
+		for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+		}
+		if c == int64(want) {
+			once.Do(func() { close(all) })
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			return "", fmt.Errorf("job %d: fewer than %d workers in flight", i, want)
+		}
+		return fmt.Sprint(i), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 || got[3] != "3" {
+	if len(got) != n || got[n-1] != fmt.Sprint(n-1) {
 		t.Errorf("results = %v", got)
+	}
+	if p := peak.Load(); p != int64(want) {
+		t.Errorf("Map(-1) peaked at %d jobs in flight, want GOMAXPROCS %d", p, want)
 	}
 }
 

@@ -10,29 +10,22 @@ import (
 
 // TestIndicesGlobalIdentity pins the contract core.Branch relies on to
 // hand the fleet only the runs a journal does not hold: with Indices
-// set, job i is presented as Indices[i] to the job closure, OnResult and
-// TestHook, while its result still merges at position i — so a space
+// set, job i is presented as Indices[i] to the job closure and
+// OnResult, while its result still merges at position i — so a space
 // can be submitted as any ascending set of run indices without
 // renumbering runs.
 func TestIndicesGlobalIdentity(t *testing.T) {
 	indices := []int{1, 3, 4, 9}
 	var mu sync.Mutex
-	var jobSaw, beforeSaw, onResultSaw []int
-	hook := &scriptHook{before: func(gi, attempt int) error {
-		mu.Lock()
-		beforeSaw = append(beforeSaw, gi)
-		mu.Unlock()
-		return nil
-	}}
+	var jobSaw, onResultSaw []int
 	results, err := Run(Options[int]{
 		Workers: 2,
 		Indices: indices,
-		OnResult: func(gi, attempts int, v int, err error) {
+		OnResult: func(gi int, v int, err error) {
 			mu.Lock()
 			onResultSaw = append(onResultSaw, gi)
 			mu.Unlock()
 		},
-		TestHook: hook,
 	}, len(indices), func(gi int) (int, error) {
 		mu.Lock()
 		jobSaw = append(jobSaw, gi)
@@ -48,7 +41,7 @@ func TestIndicesGlobalIdentity(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		saw  []int
-	}{{"job", jobSaw}, {"BeforeAttempt", beforeSaw}, {"OnResult", onResultSaw}, {"AfterJob", hook.after}} {
+	}{{"job", jobSaw}, {"OnResult", onResultSaw}} {
 		sort.Ints(c.saw)
 		if !reflect.DeepEqual(c.saw, indices) {
 			t.Errorf("%s saw %v, want the global indices %v", c.name, c.saw, indices)

@@ -45,7 +45,7 @@ type Options struct {
 	// form for CSV/JSON export.
 	Report *report.Collector
 	// Resilience threads the crash-safety plumbing (journal, resume
-	// cache, retry/timeout budget, drain signal) into every experiment
+	// cache, drain signal, observer) into every experiment
 	// the harness builds and into its per-configuration fleets. Its
 	// Cache is the harness's run store: the caller's resume cache when
 	// it passes one, else an empty cache New makes, which then holds
@@ -202,7 +202,7 @@ func (h *H) experiment(label string, cfg config.Config, wl string, warmup, measu
 // keeps the map identical to the sequential build for any worker count.
 func (h *H) spaceFleet(vals []int, build func(v int) core.Experiment) (map[int]core.Space, error) {
 	spaces, err := fleet.Run(fleet.Options[core.Space]{
-		Workers: fleet.Width(h.opt.Workers),
+		Workers: h.opt.Workers,
 		Stop:    h.opt.Resilience.Stop,
 	}, len(vals), func(i int) (core.Space, error) {
 		return build(vals[i]).RunSpace()

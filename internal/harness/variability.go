@@ -259,7 +259,7 @@ var table3Benches = []struct {
 // table3 and sampling both build their experiments here, which is what
 // lets a journal of the one replay into the other.
 func table3Fleet[T any](h *H, run func(core.Experiment) (T, error)) ([]T, error) {
-	out, err := fleet.Map(fleet.Width(h.opt.Workers), len(table3Benches), func(i int) (T, error) {
+	out, err := fleet.Map(h.opt.Workers, len(table3Benches), func(i int) (T, error) {
 		b := table3Benches[i]
 		e := h.experiment(b.name, h.baseConfig(), b.name, b.warmup, workloads.DefaultTxns(b.name), 0x33)
 		if b.name == "barnes" || b.name == "ocean" {
@@ -320,7 +320,7 @@ func (h *H) Table4RunLengths() error {
 	base.Freeze()
 	lengths := []int64{200, 400, 600, 800, 1000}
 	spaces, err := fleet.Run(fleet.Options[core.Space]{
-		Workers: fleet.Width(h.opt.Workers),
+		Workers: h.opt.Workers,
 		Stop:    h.opt.Resilience.Stop,
 	}, len(lengths), func(i int) (core.Space, error) {
 		txns := lengths[i]

@@ -39,7 +39,7 @@ const FileName = "journal.jsonl"
 // Record statuses.
 const (
 	StatusOK     = "ok"     // the job completed; Result holds its JSON
-	StatusFailed = "failed" // the job exhausted its retries; Error set
+	StatusFailed = "failed" // the job returned an error or panicked; Error set
 	// StatusDigest is a run's interval state-digest stream (Result
 	// holds a digest.Series as JSON). Digest records share their run's
 	// Key and ride alongside its StatusOK record, so 'varsim diff'
@@ -75,7 +75,7 @@ func (k Key) String() string {
 type Record struct {
 	Key
 	Status   string          `json:"status"`
-	Attempts int             `json:"attempts,omitempty"` // attempts consumed (1 = first try)
+	Attempts int             `json:"attempts,omitempty"` // attempts consumed; core writes 1
 	Error    string          `json:"error,omitempty"`    // terminal failure, StatusFailed only
 	Result   json.RawMessage `json:"result,omitempty"`   // job result JSON, StatusOK only
 }
@@ -155,15 +155,12 @@ type Stats struct {
 	// a resume merged; serving a record this process settled is reuse,
 	// not a replay, and counts none.
 	Hits int64 `json:"hits"`
-	// Dropped is the number of corrupt records truncated by recovery.
-	Dropped int64 `json:"dropped"`
 }
 
 var (
 	appendsStarted atomic.Int64
 	appendsDurable atomic.Int64
 	cacheHits      atomic.Int64
-	droppedRecs    atomic.Int64
 )
 
 // ReadStats returns the process-wide journal counters.
@@ -173,7 +170,6 @@ func ReadStats() Stats {
 		Appended: durable,
 		Lag:      appendsStarted.Load() - durable,
 		Hits:     cacheHits.Load(),
-		Dropped:  droppedRecs.Load(),
 	}
 }
 
@@ -376,7 +372,6 @@ func Recover(path string, logf func(format string, args ...any)) (LoadResult, er
 	if res.DroppedRecords == 0 {
 		return res, nil
 	}
-	droppedRecs.Add(int64(res.DroppedRecords))
 	if logf != nil {
 		logf("journal: dropped %d corrupt record(s) (%d bytes) after offset %d of %s; truncating",
 			res.DroppedRecords, res.DroppedBytes, res.ValidBytes, path)
@@ -393,9 +388,9 @@ func Recover(path string, logf func(format string, args ...any)) (LoadResult, er
 // resume (NewCache) and every record this process has settled since
 // (Put), so one process never simulates a run twice. Only StatusOK
 // records replay as hits — failed jobs are re-run. When several records
-// share a key (a failure later retried to success on a previous
-// resume), the last one filed wins. Safe for concurrent use: fleet
-// workers replay and settle through one cache.
+// share a key (a failure a later resume re-ran to success), the last
+// one filed wins. Safe for concurrent use: fleet workers replay and
+// settle through one cache.
 type Cache struct {
 	mu    sync.Mutex
 	byKey map[Key]Record

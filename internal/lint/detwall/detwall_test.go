@@ -16,7 +16,6 @@ func TestDetwall(t *testing.T) {
 		"varsim/internal/core/corewall",
 		"varsim/internal/harness/harnesswall",
 		"varsim/internal/journal/journalok",
-		"varsim/internal/faultinject/faultok",
 		"varsim/internal/digest/digestwall",
 		"varsim/internal/precision/precisionok",
 		"varsim/internal/sampling/samplingok",
@@ -35,7 +34,6 @@ func TestInsideWall(t *testing.T) {
 		"varsim/internal/fleet":        false, // the scheduler lives outside the wall by design
 		"varsim/internal/fleet/sub":    false,
 		"varsim/internal/journal":      false, // durable I/O records results, it never feeds them
-		"varsim/internal/faultinject":  false, // test-only fault hooks race the host on purpose
 		"varsim/internal/precision":    false, // pure observer of fleet completions, feeds nothing back
 		"varsim/internal/sampling":     false, // pure barrier decisions + observe-only counters, a blessed contract
 		"varsim/internal/memx":         false, // prefix must match a path segment

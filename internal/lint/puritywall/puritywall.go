@@ -19,10 +19,10 @@
 //   - host shape queries (runtime.GOMAXPROCS, runtime.NumCPU).
 //
 // The search stops at the audited contract boundary (wall.Contract):
-// the fleet, journal, metrics, report, plot, profile, precision and
-// faultinject packages contain wall clocks and goroutines by design,
-// and their own contracts (index-ordered merge, keyed replay, pure
-// observation) make the crossing observationally deterministic. Those
+// the fleet, journal, metrics, report, plot, profile and precision
+// packages contain wall clocks and goroutines by design, and their own
+// contracts (index-ordered merge, keyed replay, pure observation) make
+// the crossing observationally deterministic. Those
 // packages get their own analyzers (synccheck, stickyerr, floatorder)
 // instead.
 //

@@ -5,7 +5,6 @@ package contractfix
 
 import "time"
 
-// Sample reads the wall clock, as the real fleet's timeout watcher
-// does; the package's own contract (index-ordered merge) makes the
-// crossing safe.
+// Sample reads the wall clock; the package's own contract
+// (index-ordered merge) makes the crossing safe.
 func Sample() int64 { return time.Now().UnixNano() }

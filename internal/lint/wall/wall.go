@@ -59,7 +59,6 @@ var prefixes = []string{
 //     index-ordered merged values of a completed round; the package's
 //     live counters and published report are observe-only surfaces,
 //     never inputs to a decision (docs/SAMPLING.md).
-//   - faultinject: test-only scripted faults behind fleet.TestHook.
 var contractPrefixes = []string{
 	"varsim/internal/fleet",
 	"varsim/internal/journal",
@@ -69,7 +68,6 @@ var contractPrefixes = []string{
 	"varsim/internal/profile",
 	"varsim/internal/precision",
 	"varsim/internal/sampling",
-	"varsim/internal/faultinject",
 }
 
 // Inside reports whether the package at path is inside the

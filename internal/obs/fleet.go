@@ -139,11 +139,6 @@ type FleetStatus struct {
 	WorkersBusy int64 `json:"workers_busy,omitempty"`
 	JobsDone    int64 `json:"jobs_done,omitempty"`
 	JobsTotal   int64 `json:"jobs_total,omitempty"`
-	// Recovery activity (fleet.Read): job attempts rerun after a
-	// failure, and attempts cut off by the per-job timeout. See
-	// docs/RESILIENCE.md.
-	Retries  int64 `json:"retries,omitempty"`
-	Timeouts int64 `json:"timeouts,omitempty"`
 	// Result-journal counters (journal.ReadStats; zero without a
 	// journal): records durably appended, appends started but not yet
 	// fsync'd (the journal lag), and cache replays served on resume.
@@ -173,7 +168,6 @@ func (f *Fleet) Status() FleetStatus {
 		ElapsedSecs: now.Sub(f.start).Seconds(),
 		SimCycles:   sim - f.simStart,
 		WorkersBusy: js.BusyWorkers, JobsDone: js.JobsDone, JobsTotal: js.JobsTotal,
-		Retries: js.Retries, Timeouts: js.Timeouts,
 		JournalAppended: jn.Appended, JournalLag: jn.Lag, JournalReplayed: jn.Hits,
 		SamplingRounds: ss.Rounds, SamplingExecuted: ss.Executed, SamplingSaved: ss.Saved,
 		Experiments: make([]ExperimentStatus, 0, len(f.order)),
@@ -249,12 +243,6 @@ func (s FleetStatus) Line() string {
 	}
 	if s.JobsTotal > 0 {
 		out += fmt.Sprintf(", fleet %d busy %d/%d jobs", s.WorkersBusy, s.JobsDone, s.JobsTotal)
-		if s.Retries > 0 {
-			out += fmt.Sprintf(", %d retries", s.Retries)
-		}
-		if s.Timeouts > 0 {
-			out += fmt.Sprintf(", %d timeouts", s.Timeouts)
-		}
 	}
 	if s.JournalAppended > 0 || s.JournalReplayed > 0 {
 		out += fmt.Sprintf(", journal %d rec", s.JournalAppended)

@@ -117,8 +117,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			write("varsim_fleet_workers_busy", "gauge", float64(st.WorkersBusy))
 			write("varsim_fleet_jobs_done", "counter", float64(st.JobsDone))
 			write("varsim_fleet_jobs_total", "counter", float64(st.JobsTotal))
-			write("varsim_fleet_retries_total", "counter", float64(st.Retries))
-			write("varsim_fleet_timeouts_total", "counter", float64(st.Timeouts))
 		}
 		if st.JournalAppended > 0 || st.JournalReplayed > 0 {
 			write("varsim_journal_records_total", "counter", float64(st.JournalAppended))

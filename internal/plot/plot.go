@@ -1,6 +1,6 @@
 // Package plot renders small ASCII charts for the experiment harness:
 // error-bar columns (Figures 5, 6, 9, 10 of the paper), time series
-// (Figures 2, 8), scatter strips (Figure 1) and histograms. The goal is
+// (Figures 2, 8), scatter strips (Figure 1) and sparklines. The goal is
 // that `cmd/experiments` output *looks like* the paper's figures, not
 // just its tables.
 package plot
@@ -228,45 +228,6 @@ func Scatter(title string, pts []ScatterPoint, rows, cols int, marker byte) stri
 	}
 	fmt.Fprintf(&b, "%7s+%s\n", "", strings.Repeat("-", cols))
 	fmt.Fprintf(&b, "%8s%.0f .. %.0f\n", "", minX, maxX)
-	return b.String()
-}
-
-// Histogram renders value counts over n buckets.
-func Histogram(title string, xs []float64, buckets, width int) string {
-	if len(xs) == 0 || buckets < 2 {
-		return ""
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, buckets)
-	for _, x := range xs {
-		i := int((x - lo) / (hi - lo) * float64(buckets))
-		if i >= buckets {
-			i = buckets - 1
-		}
-		counts[i]++
-	}
-	maxC := 1
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	for i, c := range counts {
-		from := lo + (hi-lo)*float64(i)/float64(buckets)
-		bar := strings.Repeat("#", c*width/maxC)
-		fmt.Fprintf(&b, "%12.0f | %-*s %d\n", from, width, bar, c)
-	}
 	return b.String()
 }
 

@@ -100,22 +100,6 @@ func TestScatterSingleCategory(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{1, 1, 1, 2, 2, 3, 9, 9, 9, 9}
-	out := Histogram("h", xs, 4, 20)
-	if out == "" || !strings.Contains(out, "#") {
-		t.Fatalf("histogram broken:\n%s", out)
-	}
-	if Histogram("h", nil, 4, 20) != "" {
-		t.Error("empty histogram should render nothing")
-	}
-	// All-equal values.
-	out = Histogram("h", []float64{5, 5, 5}, 3, 10)
-	if out == "" || strings.Contains(out, "NaN") {
-		t.Fatalf("constant histogram broken:\n%s", out)
-	}
-}
-
 // Property: no renderer panics or emits NaN for arbitrary finite input.
 func TestRenderersTotal(t *testing.T) {
 	if err := quick.Check(func(raw []uint16, rows8, cols8 uint8) bool {
@@ -139,7 +123,6 @@ func TestRenderersTotal(t *testing.T) {
 		outs := []string{
 			Series("s", "y", ys, rows, cols),
 			Scatter("sc", pts, rows, cols, '*'),
-			Histogram("h", ys, 5, 20),
 			ErrorBars("e", "y", ebs, rows+2),
 		}
 		for _, o := range outs {

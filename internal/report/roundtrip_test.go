@@ -175,14 +175,14 @@ func TestHeartbeat(t *testing.T) {
 	st := obs.FleetStatus{
 		Total: 4, Done: 2, Failed: 1, Running: []string{"fig4"},
 		ElapsedSecs: 75, ETASecs: 30, SimCycles: 1_000_000, SimCyclesPerSec: 2.5e6,
-		WorkersBusy: 3, JobsDone: 40, JobsTotal: 120, Retries: 2, Timeouts: 1,
+		WorkersBusy: 3, JobsDone: 40, JobsTotal: 120,
 		JournalAppended: 38, JournalLag: 2, JournalReplayed: 5,
 		SamplingRounds: 7, SamplingExecuted: 30, SamplingSaved: 12,
 	}
 	h := StartHeartbeat(&buf, time.Hour, st.Line)
 	h.beat()
 	want := "heartbeat: 2/4 experiments (1 failed), running fig4, elapsed 1m15s, 2.5e+06 sim-cycles/s, " +
-		"fleet 3 busy 40/120 jobs, 2 retries, 1 timeouts, journal 38 rec (lag 2), 5 replayed, " +
+		"fleet 3 busy 40/120 jobs, journal 38 rec (lag 2), 5 replayed, " +
 		"adaptive 7 rounds 12 saved, ETA ~30s\n"
 	if got := buf.String(); got != want {
 		t.Errorf("beat = %q\nwant %q", got, want)

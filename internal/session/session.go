@@ -1,6 +1,6 @@
 // Package session owns a command-line run from open to exit: the
 // plumbing around the simulations that cmd/varsim and cmd/experiments
-// share. Register defines the ten flags that mean the same thing in
+// share. Register defines the eight flags that mean the same thing in
 // both tools; Open starts the profilers, opens or resumes the result
 // journal, arms the two-signal drain and builds the core.Resilience,
 // the progress ledger, the precision tracker, the manifest, the
@@ -46,8 +46,6 @@ type Flags struct {
 	Trace      string
 	Journal    string
 	Resume     string
-	JobTimeout time.Duration
-	Retries    int
 }
 
 // Register defines the shared flags on fs.
@@ -61,8 +59,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
 	fs.StringVar(&f.Journal, "journal", "", "write a crash-safe result journal into this directory as runs settle")
 	fs.StringVar(&f.Resume, "resume", "", "resume from a journal directory: journaled runs replay, the rest execute")
-	fs.DurationVar(&f.JobTimeout, "job-timeout", 0, "wall-clock timeout per run attempt (0 = unbounded); timed-out attempts are retried within -retries")
-	fs.IntVar(&f.Retries, "retries", 0, "extra attempts for a failed run (the retry reuses the run's original derived seed)")
 	return f
 }
 
@@ -84,8 +80,8 @@ type Options struct {
 // Session is one open CLI run.
 type Session struct {
 	// Resilience is the crash-safety plumbing for every experiment of
-	// the run: journal, resume cache, retry/timeout budget, drain signal
-	// and the precision Observe hook.
+	// the run: journal, resume cache, drain signal and the precision
+	// Observe hook.
 	Resilience core.Resilience
 
 	flags     *Flags
@@ -129,7 +125,7 @@ func Open(f *Flags, o Options) (*Session, error) {
 	// and is never printed to stdout.
 	trk := precision.New(o.RelErr, o.Confidence)
 	s.Resilience = core.Resilience{
-		Journal: jw, Cache: jc, JobTimeout: f.JobTimeout, Retries: f.Retries, Stop: s.stop,
+		Journal: jw, Cache: jc, Stop: s.stop,
 		Observe: func(k journal.Key, r machine.Result) {
 			trk.Observe(k.Experiment, k.ConfigHash, r.CPT)
 		},

@@ -49,12 +49,12 @@ var record = journal.Record{
 	Key: journal.Key{Experiment: "exp", ConfigHash: "h"}, Status: journal.StatusOK, Result: json.RawMessage(`{}`),
 }
 
-func TestRegisterDefinesTheTenFlags(t *testing.T) {
+func TestRegisterDefinesTheEightFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	Register(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"cpuprofile", "http", "j", "job-timeout", "journal", "manifest", "memprofile", "resume", "retries", "trace"}
+	want := []string{"cpuprofile", "http", "j", "journal", "manifest", "memprofile", "resume", "trace"}
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flags = %v, want %v", got, want)
