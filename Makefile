@@ -15,7 +15,7 @@
 # on any diff against the committed copies. `make spine` runs the
 # benchmark spine (./bench, declared by BENCHMARK.json — the
 # repository's one benchmark system) and `make spine-aa` its A/A noise
-# check; `make spine-gates`, the CI benchmark step, holds seven of the
+# check; `make spine-gates`, the CI benchmark step, holds eight of the
 # spine's own readings to absolute rules; `make spine-ab PARENT=<ref>
 # WORKLOAD=<name>` measures the working tree against a parent commit in
 # order-alternated pairs (scripts/ab.sh), and with
@@ -66,7 +66,7 @@ spine:
 spine-aa:
 	bench/aa.sh
 
-# The spine's absolute gates, and the only benchmark step CI runs: four
+# The spine's absolute gates, and the only benchmark step CI runs: five
 # one-second passes of one ./bench build, each pass's closing JSON line
 # read, every reading printed beside its rule; fails on any miss, on a
 # failed operation or on an incorrect pass. A rule is only as tight as
@@ -77,7 +77,11 @@ spine-aa:
 #     recycled branch ~1.3 KB (84.5 MB while each branch re-made its
 #     kernel, plans and metric registry, 772 MB while every branch
 #     allocated the cache pages it copied, 1826 MB while the workload
-#     engines still materialised op buffers).
+#     engines still materialised op buffers). The untraced
+#     adaptive_verdict study, which builds a machine for every arm and
+#     checkpoint, allocates ~28.3 MB, held <= 30: 31.2 MB while every
+#     new cache allocated all its pages up front instead of starting on
+#     the shared zero pages.
 #   - machine.snapshot_kb, what one COW snapshot allocates, reads
 #     43.0-45.4 KB with a rare 47.9 (47.6-48.5 while every snapshot
 #     wired a metric registry, ~73 KB while a line word was 64 bits; the
@@ -96,14 +100,15 @@ SPINE_ALLOC_MAX_MB ?= 5
 
 spine-gates:
 	@set -e; mkdir -p .bench_tmp/gates; $(GO) build -o .bench_tmp/gates/bench ./bench; \
-	for pass in "branch_fanout" "branch_fanout -trace 1" "adaptive_verdict -trace 1" "steady_oltp -trace 1"; do \
+	for pass in "branch_fanout" "branch_fanout -trace 1" "adaptive_verdict -trace 1" "steady_oltp -trace 1" "adaptive_verdict"; do \
 		.bench_tmp/gates/bench -workload $$pass -seconds 1 | tail -n 1; \
 	done | python3 -c 'import json, sys; \
 	passes = [json.loads(line) for line in sys.stdin]; \
-	fan, fant, adapt, oltp = [p["metrics"] for p in passes]; \
+	fan, fant, adapt, oltp, adaptu = [p["metrics"] for p in passes]; \
 	cow_us = fant["machine.snapshot_us"]["value"]; \
 	rows = [ \
 	("branch_fanout", "alloc_mb_per_op", fan["alloc_mb_per_op"]["value"], "<=", $(SPINE_ALLOC_MAX_MB)), \
+	("adaptive_verdict", "alloc_mb_per_op", adaptu["alloc_mb_per_op"]["value"], "<=", 30), \
 	("branch_fanout -trace 1", "machine.snapshot_kb", fant["machine.snapshot_kb"]["value"], "<=", 50), \
 	("branch_fanout -trace 1", "deep/COW snapshot time", (cow_us + 1000 * fant["machine.materialize_ms"]["value"]) / cow_us, ">=", 5), \
 	("adaptive_verdict -trace 1", "sampling.runs_saved_pct", adapt["sampling.runs_saved_pct"]["value"], ">=", 66.7), \

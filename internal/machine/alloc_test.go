@@ -29,13 +29,15 @@ func TestAllocationBudgets(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumCPUs = 8
 
-	// 2.87 MB, and it is the cache arrays: per node a 4 MB L2 of 65 536
-	// lines at 4 bytes of tag word and 1 of rank, and two L1s of 2 048.
-	// It was 5.13 MB with an 8-byte word, which would fail here. 195
-	// objects: wiring a metric registry here, which nothing
-	// on the measured path read, made it 296.
+	// 85.8 KB and 147 objects: page tables, every entry the shared zero
+	// page, and the cores, kernel and predictors. While each cache
+	// allocated its pages up front it was 2.87 MB and 195 objects — per
+	// node a 4 MB L2 of 65 536 lines at 4 bytes of tag word and 1 of
+	// rank, and two L1s of 2 048 — which would fail here; 5.13 MB with an
+	// 8-byte word, and 296 objects while a metric registry, which nothing
+	// on the measured path read, was wired here.
 	t.Run("new", func(t *testing.T) {
-		const ceiling, objCeiling = 3_200_000, 230
+		const ceiling, objCeiling = 120_000, 160
 		inst, err := workloads.New("oltp", cfg, 0xA1A3)
 		if err != nil {
 			t.Fatal(err)
@@ -166,17 +168,28 @@ func TestAllocationBudgets(t *testing.T) {
 		}
 	})
 
-	// Barnes to completion on the detailed core: the scientific engine
-	// streams its ops from a position, and the miss window retires in
-	// place, so the run allocates 21 KB beyond machine.New — the
-	// bus queue, miss windows and return stacks reaching their working
-	// sizes. Per-phase op buffers made it megabytes a thread.
+	// Barnes to completion on the detailed core, from machine.New: the
+	// scientific engine streams its ops from a position, and the miss
+	// window retires in place, so New and the run allocate 5.91 MB, the
+	// cache pages the 16 nodes write (0.36 MB in New, 5.55 MB in the
+	// run) and ~20 KB of bus queue, miss windows and return stacks
+	// reaching their working sizes. New and the run are bounded together
+	// because a new cache claims its pages as the run first writes them;
+	// while New allocated every page it was 5.93 MB + 17 KB. Per-phase op
+	// buffers made the run megabytes a thread.
 	t.Run("ooo", func(t *testing.T) {
-		const ceiling = 100_000
+		const ceiling = 6_000_000
 		cfg := config.Default()
 		cfg.Processor = config.OOOProc
-		m := mustMachine(t, cfg, "barnes", 0xA1A3, 1)
+		inst, err := workloads.New("barnes", cfg, 0xA1A3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		b0, _ := heapCounts()
+		m, err := New(cfg, inst, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := m.Run(1)
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +199,7 @@ func TestAllocationBudgets(t *testing.T) {
 			t.Fatalf("Barnes ran %d transactions, want the whole program (1)", res.Txns)
 		}
 		if got := b1 - b0; got > ceiling {
-			t.Fatalf("Barnes on the OOO core allocated %d bytes beyond machine.New, budget %d", got, ceiling)
+			t.Fatalf("New and Barnes on the OOO core allocated %d bytes, budget %d", got, ceiling)
 		}
 	})
 }

@@ -92,6 +92,15 @@ type (
 	rankPage [rankPageLines]uint8
 )
 
+// zeroTags and zeroRanks are the pages every cache starts on: all lines
+// invalid, all ranks 0. Shared by every cache in the process and owned
+// by none, they are never written; a cache's first write to a page
+// copies it, as a branch's first write copies its checkpoint's.
+var (
+	zeroTags  tagPage
+	zeroRanks rankPage
+)
+
 // plane locates a set inside one plane's pages: page p holds sets
 // [p<<shift, (p+1)<<shift), each a contiguous run of assoc entries.
 type plane struct {
@@ -124,8 +133,9 @@ func (pl plane) locate(set uint64, assoc int) (p, base int) {
 //
 // Clone shares every page of both planes copy-on-write: a clone copies
 // the page tables (one pointer per page), not the lines, and the first
-// mutation of a shared page copies just that page. Ownership is one bit
-// per page; Freeze revokes every ownership by clearing the bitmap.
+// mutation of a shared page copies just that page. A new cache shares
+// the zero pages the same way. Ownership is one bit per page; Freeze
+// revokes every ownership by clearing the bitmap.
 //
 // An owned page is referenced by this cache alone, which is what lets
 // CloneOver hand a finished clone's owned pages on to the next clone as
@@ -176,7 +186,10 @@ type Cache struct {
 }
 
 // NewCache builds a cache from its configuration. The configuration must
-// be valid (see config.CacheConfig.Validate).
+// be valid (see config.CacheConfig.Validate). The cache owns no page:
+// every page of both planes is the shared zero page, and each is copied
+// on its first write, so a new cache costs its page tables and what it
+// writes, not its capacity.
 func NewCache(cfg config.CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("mem: %v", err))
@@ -188,22 +201,18 @@ func NewCache(cfg config.CacheConfig) *Cache {
 		tags:    make([]*tagPage, ntag),
 		ranks:   make([]*rankPage, nrank),
 		owned:   make([]uint64, (ntag+nrank+63)/64),
+		frozen:  true,
 		tagPl:   tagPl,
 		rankPl:  rankPl,
 		assoc:   cfg.Assoc,
 		sets:    sets,
 		setMask: uint64(sets - 1),
 	}
-	tagSlab := make([]tagPage, ntag)
 	for p := range c.tags {
-		c.tags[p] = &tagSlab[p]
+		c.tags[p] = &zeroTags
 	}
-	rankSlab := make([]rankPage, nrank)
 	for p := range c.ranks {
-		c.ranks[p] = &rankSlab[p]
-	}
-	for i := range c.owned {
-		c.owned[i] = ^uint64(0)
+		c.ranks[p] = &zeroRanks
 	}
 	return c
 }
@@ -226,9 +235,10 @@ func (c *Cache) claim(i int) {
 }
 
 // ownTags materializes tag page p, which the cache does not own, for
-// writing: the page, shared with an earlier snapshot generation, is
-// replaced by a private copy. This is the lazy write-fault path of
-// copy-on-write branching; it is pure in-memory copying (no locks, no
+// writing: the page, shared with an earlier snapshot generation or the
+// zero page a new cache starts on, is replaced by a private copy. This
+// is the lazy write-fault path of copy-on-write branching and of a new
+// cache's first writes; it is pure in-memory copying (no locks, no
 // goroutines), so branch trajectories stay deterministic regardless of
 // which sibling touches a page first. The copy lands in a spare page
 // when CloneOver left one — overwritten whole, so nothing of the
@@ -264,7 +274,9 @@ func (c *Cache) ownRanks(p int) *rankPage {
 
 // Freeze revokes the cache's ownership of every page, making it safe
 // to share them with clones: the next write to any page copies it
-// first. One bitmap clear — a bit per page, not a scan of the pages.
+// first. One bitmap clear — a bit per page, not a scan of the pages. A
+// new cache is born frozen, so freezing one that was never written
+// clears nothing.
 func (c *Cache) Freeze() {
 	if c.frozen {
 		return
@@ -496,15 +508,14 @@ func (c *Cache) CloneOver(spent *Cache) *Cache {
 		dst = new(Cache)
 	}
 	c.Freeze()
-	// Harvest before the tables go: an owned page is dst's alone. NewCache
-	// sets the bitmap's unused tail too, hence the bound.
-	nt, np := len(dst.tags), len(dst.tags)+len(dst.ranks)
+	// Harvest before the tables go: an owned page is dst's alone. Only
+	// claim sets a bit, so every set bit names a page of one plane.
+	nt := len(dst.tags)
 	for i, word := range dst.owned {
 		for ; word != 0; word &= word - 1 {
-			switch p := i<<6 + bits.TrailingZeros64(word); {
-			case p < nt:
+			if p := i<<6 + bits.TrailingZeros64(word); p < nt {
 				dst.spareTags = append(dst.spareTags, dst.tags[p])
-			case p < np:
+			} else {
 				dst.spareRanks = append(dst.spareRanks, dst.ranks[p-nt])
 			}
 		}
@@ -523,9 +534,10 @@ func (c *Cache) CloneOver(spent *Cache) *Cache {
 }
 
 // Materialize forces ownership of every page of both planes, copying
-// any still shared with another snapshot generation — turning a
-// copy-on-write clone into a full deep copy. Used to price lazy against
-// eager copying; the simulation itself never needs it.
+// any still shared with another snapshot generation or still the zero
+// page — turning a copy-on-write clone into a full deep copy, and
+// making a new cache allocate its whole capacity. Used to price lazy
+// against eager copying; the simulation itself never needs it.
 func (c *Cache) Materialize() {
 	for p := range c.tags {
 		if !c.isOwned(p) {

@@ -76,6 +76,43 @@ func linesEqual(a, b []lineView) bool {
 	return true
 }
 
+// TestNewCacheOwnsNoPage: a new cache is born frozen, every page of
+// both planes the shared zero page, owned by no one.
+func TestNewCacheOwnsNoPage(t *testing.T) {
+	c := bigCache()
+	if tags, ranks := ownedPages(c); tags != 0 || ranks != 0 || !c.frozen {
+		t.Fatalf("new cache owns %d tag and %d rank pages (frozen %v), want none (true)", tags, ranks, c.frozen)
+	}
+	for p := range c.tags {
+		if c.tags[p] != &zeroTags {
+			t.Fatalf("tag page %d is not the zero page", p)
+		}
+	}
+	for p := range c.ranks {
+		if c.ranks[p] != &zeroRanks {
+			t.Fatalf("rank page %d is not the zero page", p)
+		}
+	}
+}
+
+// TestFillClaimsOnePageOfEach: a new cache's first fill copies exactly
+// the tag page and the rank page it writes, and leaves the zero pages
+// as they were.
+func TestFillClaimsOnePageOfEach(t *testing.T) {
+	c := bigCache()
+	const block = 700 // set 700: tag page 10, rank page 2
+	c.Fill(block, Modified)
+	if tags, ranks := ownedPages(c); tags != 1 || ranks != 1 || !c.isOwned(10) || !c.isOwned(len(c.tags)+2) {
+		t.Fatalf("one fill owns %d tag and %d rank pages, want tag page 10 and rank page 2", tags, ranks)
+	}
+	if c.frozen || c.GetState(block) != Modified {
+		t.Fatal("the fill did not land")
+	}
+	if zeroTags != (tagPage{}) || zeroRanks != (rankPage{}) {
+		t.Fatal("the fill wrote to a zero page")
+	}
+}
+
 // TestCloneIsolation pins the COW contract from both sides and on both
 // planes: writes to the parent after a clone — state changes (tag
 // plane), LRU refreshes (rank plane), invalidations (both) — never show
@@ -437,8 +474,9 @@ func TestFrozenCloneIsReadOnly(t *testing.T) {
 	for b := uint64(0); b < 64; b++ {
 		c.Fill(b, Shared)
 	}
-	if tags, ranks := ownedPages(c); tags != len(c.tags) || ranks != len(c.ranks) {
-		t.Fatalf("fresh cache owns %d/%d tag and %d/%d rank pages, want all", tags, len(c.tags), ranks, len(c.ranks))
+	// Sets 0-63 are all of tag page 0 and a quarter of rank page 0.
+	if tags, ranks := ownedPages(c); tags != 1 || ranks != 1 || !c.isOwned(0) || !c.isOwned(len(c.tags)) {
+		t.Fatalf("64 fills own %d/%d tag and %d/%d rank pages, want tag and rank page 0 alone", tags, len(c.tags), ranks, len(c.ranks))
 	}
 	c.Freeze()
 	if !c.frozen {

@@ -181,9 +181,10 @@ func TestPackedMatchesReference(t *testing.T) {
 						case 1:
 							spent = older
 						case 2:
-							// Fresh from NewCache: owns every page, and the
-							// bitmap's unused tail bits are set.
-							spent = scribble(NewCache(geometries[(gi+1)%len(geometries)]))
+							// A new cache, materialized: owns every page.
+							spent = NewCache(geometries[(gi+1)%len(geometries)])
+							spent.Materialize()
+							spent = scribble(spent)
 						}
 						if i > firstRead {
 							met[2]++
