@@ -149,7 +149,7 @@ func TestVarsimDigestDiffsTheFirstPair(t *testing.T) {
 }
 
 // TestVarsimResumeTracesTheSpec: -lock-report on a resumed journal
-// simulates the journaled experiment, not the flags' defaults.
+// simulates the journaled experiment's space, not the flags' defaults.
 func TestVarsimResumeTracesTheSpec(t *testing.T) {
 	dir := t.TempDir()
 	if _, stderr, exit := drive(t, dir, "varsim", "-workload", "specjbb", "-cpus", "4", "-runs", "2",
@@ -160,9 +160,87 @@ func TestVarsimResumeTracesTheSpec(t *testing.T) {
 	if exit != 0 {
 		t.Fatalf("resume exit %d\n%s", exit, stderr)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "specjbb ") || !strings.Contains(last, " 20 txns") {
-		t.Errorf("-resume -lock-report ended with %q, want the journaled specjbb experiment's 20 txns\n%s", last, out)
+	if !strings.Contains(out, "run 0 locks:") {
+		t.Errorf("-resume -lock-report printed no lock report of run 0:\n%s", out)
+	}
+	runs := resultLines(out)
+	if len(runs) != 2 || !strings.Contains(out, "\nspace of 2 runs: ") {
+		t.Fatalf("-resume -lock-report printed %d runs, want the journaled space of 2:\n%s", len(runs), out)
+	}
+	for i, r := range runs {
+		if want := fmt.Sprintf("run %2d: specjbb  10 txns ", i); !strings.HasPrefix(r, want) {
+			t.Errorf("run line %q, want prefix %q", r, want)
+		}
+	}
+}
+
+// resultLines returns the lines of out that report a run's result.
+func resultLines(out string) []string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Contains(l, " cycles/txn ") {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// TestVarsimPrintsOnlyRunsOfItsSpace: with every capture on, each result
+// varsim prints is a run of the space it reports — the same runs, line
+// for line, as the space printed without captures.
+func TestVarsimPrintsOnlyRunsOfItsSpace(t *testing.T) {
+	dir := t.TempDir()
+	space := []string{"-cpus", "4", "-warmup", "10", "-txns", "10", "-runs", "2"}
+	plain, stderr, exit := drive(t, dir, "varsim", space...)
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	out, stderr, exit := drive(t, dir, "varsim", append(space,
+		"-interval-us", "20", "-sched-trace", "-lock-report", "-series-csv", "s.csv")...)
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	for _, want := range []string{"run 0 dispatches:\n", "run 0 locks:\n", "run 0 per-interval series ", "\nspace of 2 runs: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout missing %q:\n%s", want, out)
+		}
+	}
+	got, want := resultLines(out), resultLines(plain)
+	if len(want) != 2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("captured invocation printed results\n%s\nwant the space's runs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "s.csv")); err != nil {
+		t.Errorf("no series CSV: %v", err)
+	}
+}
+
+// TestVarsimAdaptiveSpecBytes pins the spec an adaptive -journal saves,
+// byte for byte (testdata/adaptive_spec.json: the experiment's fields,
+// then the target), and that it resumes to the same stdout.
+func TestVarsimAdaptiveSpecBytes(t *testing.T) {
+	dir := t.TempDir()
+	out, stderr, exit := drive(t, dir, "varsim", "-adaptive", "-runs", "4", "-txns", "10", "-warmup", "10",
+		"-cpus", "4", "-budget", "4", "-j", "2", "-journal", "ja")
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "ja", "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "adaptive_spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("adaptive spec.json\n%s\nwant\n%s", got, want)
+	}
+	resumed, stderr, exit := drive(t, dir, "varsim", "-resume", "ja")
+	if exit != 0 {
+		t.Fatalf("resume exit %d\n%s", exit, stderr)
+	}
+	if resumed != out || !strings.Contains(out, "runs saved") {
+		t.Errorf("-resume printed\n%s\nwant\n%s", resumed, out)
 	}
 }
 
@@ -410,9 +488,9 @@ func TestVarsimPrecisionReadsEveryRun(t *testing.T) {
 	}
 }
 
-// TestVarsimSeriesColumns drives the interval-sampled run: stdout
-// carries the four sparklines, and the CSV's columns are the machine's
-// counters, sorted under their series names.
+// TestVarsimSeriesColumns drives an interval-sampled space: stdout
+// carries run 0's four sparklines, and the CSV's columns are the
+// machine's counters, sorted under their series names.
 func TestVarsimSeriesColumns(t *testing.T) {
 	dir := t.TempDir()
 	stdout, stderr, exit := drive(t, dir, "varsim", "-workload", "oltp", "-cpus", "4", "-txns", "40", "-warmup", "60", "-interval-us", "20", "-series-csv", "s.csv")
@@ -446,6 +524,14 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("adaptive journal: exit %d\n%s", exit, stderr)
 	}
 	const adaptiveRefusal = "-adaptive does not combine"
+	// A saved spec that names no run: -resume refuses it as it refuses
+	// the same experiment given by flags.
+	if err := os.MkdirAll(filepath.Join(dir, "bad"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bad", "spec.json"), []byte(`{"Label":"oltp/simple","Workload":"oltp","Runs":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		tool string
 		args []string
@@ -454,9 +540,14 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"experiments", []string{"-quick", "nosuch"}, 2, ""},
 		{"varsim", []string{"-proc", "nosuch"}, 2, ""},
-		{"varsim", []string{"-from-recipe", "r.json", "-journal", "d"}, 2, ""},
-		{"varsim", []string{"-from-recipe", "r.json", "-resume", "d"}, 2, ""},
+		{"varsim", []string{"-save-recipe", "r.json"}, 2, "flag provided but not defined"},
+		{"varsim", []string{"-from-recipe", "r.json"}, 2, "flag provided but not defined"},
 		{"varsim", []string{"-series-csv", "s.csv"}, 2, "-interval-us"},
+		{"varsim", []string{"-interval-us", "-5"}, 2, "positive cadence"},
+		{"varsim", []string{"-digest-us", "-5"}, 2, "positive cadence"},
+		{"varsim", []string{"-interval-us", "20", "-digest-us", "10", "-txns", "20", "-warmup", "20", "-cpus", "4", "-journal", "jd"}, 2, "same cadence"},
+		{"varsim", []string{"-runs", "0", "-cpus", "0", "-txns", "0", "-warmup", "-4", "-journal", "jd"}, 2, "core:"},
+		{"varsim", []string{"-resume", "bad"}, 2, "at least one run"},
 		{"varsim", []string{"-series-jsonl", "s.jsonl"}, 2, "flag provided but not defined"},
 		{"varsim", []string{"-retries", "1"}, 2, "flag provided but not defined"},
 		{"varsim", []string{"-job-timeout", "1s"}, 2, "flag provided but not defined"},
@@ -464,6 +555,9 @@ func TestExitCodes(t *testing.T) {
 		{"varsim", []string{"-adaptive", "-interval-us", "50", "-txns", "20", "-warmup", "20", "-cpus", "4", "-journal", "jd"}, 2, adaptiveRefusal},
 		{"varsim", []string{"-adaptive", "-digest-us", "20", "-txns", "20", "-warmup", "20", "-cpus", "4"}, 2, adaptiveRefusal},
 		{"varsim", []string{"-adaptive", "-perfetto", "t.json", "-txns", "20", "-warmup", "20", "-cpus", "4"}, 2, adaptiveRefusal},
+		{"varsim", []string{"-adaptive", "-sched-trace", "-txns", "20", "-warmup", "20", "-cpus", "4", "-journal", "jd"}, 2, adaptiveRefusal},
+		{"varsim", []string{"-adaptive", "-lock-report", "-txns", "20", "-warmup", "20", "-cpus", "4"}, 2, adaptiveRefusal},
+		{"varsim", []string{"-resume", "ja", "-lock-report"}, 2, adaptiveRefusal},
 		{"varsim", []string{"-resume", "ja", "-interval-us", "50"}, 2, adaptiveRefusal},
 		{"varsim", []string{"-cpus", "4", "-txns", "20", "-warmup", "20", "-manifest", "missing/m.json"}, 1, ""},
 		{"experiments", []string{"-quick", "-heartbeat", "0", "-manifest", "missing/m.json", "table1"}, 1, ""},
@@ -472,9 +566,9 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("%s %v: exit %d, want %d with %q on stderr\n%s", c.tool, c.args, exit, c.want, c.say, stderr)
 		}
 	}
-	// A refused -adaptive opened no session: no spec for a run that
-	// never started.
+	// A refused run opened no session: no spec for a run that never
+	// started.
 	if _, err := os.Stat(filepath.Join(dir, "jd", "spec.json")); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("refused -adaptive -journal jd left jd/spec.json (stat: %v)", err)
+		t.Errorf("a refused -journal jd left jd/spec.json (stat: %v)", err)
 	}
 }

@@ -111,9 +111,9 @@ func printDiff(nameA, nameB string, sa, sb digest.Series, ra, rb machine.Result)
 	}
 	report.WriteDivergence(os.Stdout, nameA, nameB, digest.Diff(sa, sb), sa.IntervalNS)
 	fmt.Printf("%s: ", nameA)
-	printResult(ra)
+	report.WriteResult(os.Stdout, ra)
 	fmt.Printf("%s: ", nameB)
-	printResult(rb)
+	report.WriteResult(os.Stdout, rb)
 	report.WriteResultDelta(os.Stdout, ra, rb)
 	return nil
 }

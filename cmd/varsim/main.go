@@ -27,6 +27,15 @@
 // baseline. Decisions are journaled, so an interrupted adaptive run
 // -resumes with the exact same stop choices (docs/SAMPLING.md).
 //
+// Every run varsim prints is a run of the space it reports: one
+// BranchPlan of -runs perturbed runs from one checkpoint, and each
+// capture is something that plan records in every run. -sched-trace and
+// -lock-report print run 0's dispatches and lock table from its event
+// trace, and -interval-us samples every run's counters and prints run
+// 0's per-interval sparklines (-series-csv writes that series). A plan
+// that traces or samples is re-run under -resume: events and series are
+// not journaled.
+//
 // -digest-us records a cheap per-component state digest every N
 // simulated microseconds inside each run and, with two or more runs,
 // prints the run 0 vs run 1 diff: the digest interval within which they
@@ -44,7 +53,9 @@
 // the shared session's (internal/session; the flag table is in the
 // README). What is varsim's own: -journal also saves the experiment
 // spec, so -resume needs no other flag and prints the same bytes an
-// uninterrupted run would (docs/RESILIENCE.md).
+// uninterrupted run would (docs/RESILIENCE.md). Flags that cannot run
+// together, and an experiment that cannot run at all, exit 2 before the
+// session opens, so a refused -journal leaves no spec behind.
 package main
 
 import (
@@ -56,13 +67,11 @@ import (
 	"path/filepath"
 	"strings"
 
-	"varsim/internal/checkpoint"
 	"varsim/internal/config"
 	"varsim/internal/core"
 	"varsim/internal/digest"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
-	"varsim/internal/machine"
 	"varsim/internal/metrics"
 	"varsim/internal/plot"
 	"varsim/internal/report"
@@ -77,12 +86,26 @@ import (
 // -resume can rebuild the run without repeating the original flags.
 const specFile = "spec.json"
 
+// spec is what varsim simulates, as saved in specFile: the experiment,
+// and the target when its space is adaptive. Adaptive is the last
+// field serialized, so the file reads as the experiment's own JSON with
+// "adaptive" appended.
+type spec struct {
+	core.Experiment
+	// Adaptive carries the target of an adaptive run (AdaptiveSpace:
+	// under one, Runs is the fixed-N baseline the runs-saved accounting
+	// compares against and the target's stopping rule decides the
+	// actual spend). It rides in the spec so a -resume replays the same
+	// stopping rule — and the same journaled decisions — the
+	// interrupted run used.
+	Adaptive *sampling.Target `json:"adaptive,omitempty"`
+}
+
 // runCfg carries the non-experiment knobs into run(); what to simulate
-// is the experiment's alone, which under -resume is the saved spec.
+// is the spec's alone, which under -resume is the saved one.
 type runCfg struct {
 	schedTr, lockRep bool
-	saveRcp, fromRcp string
-	intervalUS       int64
+	intervalNS       int64
 	seriesCSV        string
 	perfetto         string
 }
@@ -112,14 +135,12 @@ func main() {
 		rob     = flag.Int("rob", 64, "reorder buffer entries (ooo model)")
 		assoc   = flag.Int("l2assoc", 4, "L2 associativity (1 = direct-mapped)")
 		dram    = flag.Int64("dram", 80, "DRAM access latency (ns)")
-		schedTr = flag.Bool("sched-trace", false, "print the scheduling-event trace")
-		lockRep = flag.Bool("lock-report", false, "print the lock contention report")
-		saveRcp = flag.String("save-recipe", "", "write the warmed checkpoint's recipe to this file")
-		fromRcp = flag.String("from-recipe", "", "start from a checkpoint recipe instead of flags")
+		schedTr = flag.Bool("sched-trace", false, "print run 0's scheduling-event trace")
+		lockRep = flag.Bool("lock-report", false, "print run 0's lock contention report")
 
-		intervalUS = flag.Int64("interval-us", 0, "sample the machine's counters every N simulated microseconds and print per-interval sparklines")
+		intervalUS = flag.Int64("interval-us", 0, "sample each run's counters every N simulated microseconds and print run 0's per-interval sparklines")
 		digestUS   = flag.Int64("digest-us", 0, "record an interval state digest every N simulated microseconds in each run and, with two or more runs, print the run 0 vs run 1 diff (with -journal, digests persist for 'varsim diff')")
-		seriesCSV  = flag.String("series-csv", "", "write the sampled metric time series of the -interval-us run as CSV to this file")
+		seriesCSV  = flag.String("series-csv", "", "write run 0's metric time series (sampled by -interval-us) as CSV to this file")
 		perfetto   = flag.String("perfetto", "", "write a Chrome Trace Event / Perfetto JSON trace of the perturbed runs to this file (load it in ui.perfetto.dev)")
 
 		relErrF  = flag.Float64("rel-err", sampling.DefaultRelErr, "precision target: tolerated relative error of the mean (a fraction: 0.04 = ±4%)")
@@ -145,21 +166,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown processor model %q\n", *proc)
 		os.Exit(2)
 	}
-	// A journal's spec names the flags' checkpoint, not a recipe's (its
-	// raw perturbation seed and warm-up have no spec field), so a resume
-	// would silently rebuild another machine and splice its runs in.
-	if *fromRcp != "" && (sf.Journal != "" || sf.Resume != "") {
-		fmt.Fprintln(os.Stderr, "varsim: -from-recipe does not combine with -journal or -resume: the journal's spec cannot name the recipe's checkpoint")
-		os.Exit(2)
+	if *intervalUS < 0 || *digestUS < 0 {
+		refuse("-interval-us and -digest-us take a positive cadence, or 0 for none")
 	}
-	// Only the -interval-us run is sampled, so a series export without
-	// it would have nothing to write.
-	if *seriesCSV != "" && *intervalUS <= 0 {
-		fmt.Fprintln(os.Stderr, "varsim: -series-csv needs -interval-us: only the sampled run records a metric series")
-		os.Exit(2)
+	// Runs are sampled only under -interval-us, so a series export
+	// without it would have nothing to write.
+	if *seriesCSV != "" && *intervalUS == 0 {
+		refuse("-series-csv needs -interval-us: a run records a metric series only when sampled")
 	}
 
-	e := core.Experiment{
+	e := spec{Experiment: core.Experiment{
 		Label:            fmt.Sprintf("%s/%s", *wlName, *proc),
 		Config:           cfg,
 		Workload:         *wlName,
@@ -169,7 +185,7 @@ func main() {
 		Runs:             *runs,
 		SeedBase:         *pseed,
 		DigestIntervalNS: *digestUS * 1000,
-	}
+	}}
 	if *adaptive {
 		// The target rides in the experiment spec, so a -resume replays
 		// the same stopping rule and the journaled barrier decisions.
@@ -182,13 +198,23 @@ func main() {
 		e, err = loadSpec(filepath.Join(sf.Resume, specFile))
 		fail(err)
 	}
-	// An adaptive space schedules its own runs, none of them a recipe's
-	// checkpoint, the sampled run, a traced plan or a digested one. The
-	// refusal comes before the session opens, so a journal directory
-	// gets no spec for a run that never starts.
-	if e.Adaptive != nil && (*fromRcp != "" || *saveRcp != "" || *intervalUS > 0 || *perfetto != "" || e.DigestIntervalNS > 0) {
-		fmt.Fprintln(os.Stderr, "varsim: -adaptive does not combine with -from-recipe, -save-recipe, -interval-us, -perfetto or -digest-us")
-		os.Exit(2)
+	// What cannot run is refused before the session opens, so a
+	// journal directory gets no spec for a run that never starts. An
+	// adaptive space schedules its own runs, none of them traced,
+	// sampled or digested; samples and digests ride one tick, so they
+	// share its cadence.
+	rc := runCfg{
+		schedTr: *schedTr, lockRep: *lockRep,
+		intervalNS: *intervalUS * 1000, seriesCSV: *seriesCSV, perfetto: *perfetto,
+	}
+	if e.Adaptive != nil && (rc.schedTr || rc.lockRep || rc.intervalNS > 0 || rc.perfetto != "" || e.DigestIntervalNS > 0) {
+		refuse("-adaptive does not combine with -sched-trace, -lock-report, -interval-us, -perfetto or -digest-us")
+	}
+	if rc.intervalNS > 0 && e.DigestIntervalNS > 0 && rc.intervalNS != e.DigestIntervalNS {
+		refuse("-interval-us and -digest-us ride one tick: give them the same cadence")
+	}
+	if err := e.Validate(); err != nil {
+		refuse(err.Error())
 	}
 	e.Workers = sf.Workers // width never changes the bytes
 
@@ -200,11 +226,6 @@ func main() {
 	})
 	fail(err)
 	e.Resilience = s.Resilience
-	rc := runCfg{
-		schedTr: *schedTr, lockRep: *lockRep,
-		saveRcp: *saveRcp, fromRcp: *fromRcp,
-		intervalUS: *intervalUS, seriesCSV: *seriesCSV, perfetto: *perfetto,
-	}
 	s.Run(e.Label, func() error {
 		// The spec must be beside the journal before the first run can
 		// be journaled, or a crash leaves a journal nothing can resume.
@@ -218,10 +239,10 @@ func main() {
 	os.Exit(s.Close())
 }
 
-// saveSpec writes the experiment definition as indented JSON; the
-// Resilience field is excluded by its json:"-" tag, so the spec is a
-// pure description of what to simulate.
-func saveSpec(path string, e core.Experiment) error {
+// saveSpec writes the spec as indented JSON; the Resilience field is
+// excluded by its json:"-" tag, so the spec is a pure description of
+// what to simulate.
+func saveSpec(path string, e spec) error {
 	b, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return err
@@ -229,9 +250,9 @@ func saveSpec(path string, e core.Experiment) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// loadSpec reads an experiment definition saved by saveSpec.
-func loadSpec(path string) (core.Experiment, error) {
-	var e core.Experiment
+// loadSpec reads a spec saved by saveSpec.
+func loadSpec(path string) (spec, error) {
+	var e spec
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return e, fmt.Errorf("resume: %w (was this directory written by -journal?)", err)
@@ -242,31 +263,9 @@ func loadSpec(path string) (core.Experiment, error) {
 	return e, nil
 }
 
-// run executes the selected mode and returns instead of exiting, so
-// main can finalize profiles and the manifest on every path.
-func run(e core.Experiment, rc runCfg) error {
-	if rc.schedTr || rc.lockRep {
-		m, err := core.NewCheckpoint(e.Config, e.Workload, e.WorkloadSeed, e.SeedBase, 0)
-		if err != nil {
-			return err
-		}
-		m.EnableTrace(0)
-		res, err := m.Run(e.WarmupTxns + e.MeasureTxns)
-		if err != nil {
-			return err
-		}
-		if rc.schedTr {
-			for _, ev := range trace.Dispatches(m.Trace().Events()) {
-				fmt.Printf("%12d ns  cpu%-3d thread %d\n", ev.TimeNS, ev.CPU, ev.Thread)
-			}
-		}
-		if rc.lockRep {
-			fmt.Print(trace.FormatLockReport(trace.LockReport(m.Trace().Events()), 20))
-		}
-		printResult(res)
-		return nil
-	}
-
+// run executes the spec and returns instead of exiting, so main can
+// finalize profiles and the manifest on every path.
+func run(e spec, rc runCfg) error {
 	// Adaptive scheduling replaces the fixed-N branch entirely: rounds
 	// run until the CI meets the target, every decision is journaled,
 	// and a resume whose journal covers the schedule replays it without
@@ -284,63 +283,15 @@ func run(e core.Experiment, rc runCfg) error {
 		return runErr
 	}
 
-	// The checkpoint is built here only when something besides the
-	// branches needs it (a recipe in or out, the sampled run); otherwise
-	// Experiment.Branch prepares it on demand, and a resume whose
-	// journal already covers every run replays the whole space without
-	// it — the warmup itself is skipped, so resuming a finished run is
-	// nearly free, -http or not.
-	var base *machine.Machine
-	if rc.fromRcp != "" {
-		rcp, err := checkpoint.LoadFile(rc.fromRcp)
-		if err != nil {
-			return err
-		}
-		if base, err = rcp.Build(); err != nil {
-			return err
-		}
-	} else if rc.saveRcp != "" || rc.intervalUS > 0 {
-		var err error
-		if base, err = e.Prepare(); err != nil {
-			return err
-		}
-	}
-	if rc.saveRcp != "" {
-		if err := checkpoint.SaveFile(rc.saveRcp, checkpoint.FromExperiment(e)); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "checkpoint recipe written to %s\n", rc.saveRcp)
-	}
-	if rc.intervalUS > 0 {
-		res, ts, err := core.SampleRun(base, e.MeasureTxns, e.SeedBase, rc.intervalUS*1000)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sampled run: ")
-		printResult(res)
-		printSeries(ts)
-		if rc.seriesCSV != "" {
-			if err := writeSeriesCSV(rc.seriesCSV, ts); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "metric series (CSV) written to %s\n", rc.seriesCSV)
-		}
-		if e.Runs <= 1 && rc.perfetto == "" {
-			return nil
-		}
-	}
-
-	// One plan whatever is captured: digests at the spec's cadence, the
-	// event trace when a Perfetto export is asked for.
+	// One plan whatever is captured: digests at the spec's cadence,
+	// every run's event trace for the trace views and the Perfetto
+	// export, every run's series under -interval-us. The checkpoint is
+	// prepared only if some run must execute, so a resume whose journal
+	// covers an uncaptured space replays it without the warmup.
 	plan := e.BranchPlan()
-	plan.Trace = rc.perfetto != ""
-	var b core.Branched
-	var err error
-	if base != nil {
-		b, err = core.Branch(base, plan)
-	} else {
-		b, err = e.Branch(plan)
-	}
+	plan.Trace = rc.schedTr || rc.lockRep || rc.perfetto != ""
+	plan.SampleIntervalNS = rc.intervalNS
+	b, err := e.Branch(plan)
 	sp, sd := b.Space(), b.Digests()
 	var inc *fleet.Incomplete
 	if errors.As(err, &inc) {
@@ -353,7 +304,7 @@ func run(e core.Experiment, rc runCfg) error {
 	if err != nil {
 		return err
 	}
-	if plan.Trace {
+	if rc.perfetto != "" {
 		runs := make([]traceviz.Run, len(b.Runs))
 		for i, r := range b.Runs {
 			runs[i] = traceviz.Run{
@@ -373,6 +324,29 @@ func run(e core.Experiment, rc runCfg) error {
 		}
 		fmt.Fprintf(os.Stderr, "Perfetto trace (%d runs) written to %s — open it at https://ui.perfetto.dev\n",
 			len(runs), rc.perfetto)
+	}
+	// Run 0's captures, then the space they belong to.
+	run0 := b.Runs[0]
+	if rc.schedTr {
+		fmt.Println("run 0 dispatches:")
+		for _, ev := range trace.Dispatches(run0.Events) {
+			fmt.Printf("%12d ns  cpu%-3d thread %d\n", ev.TimeNS, ev.CPU, ev.Thread)
+		}
+		fmt.Println()
+	}
+	if rc.lockRep {
+		fmt.Println("run 0 locks:")
+		fmt.Print(trace.FormatLockReport(trace.LockReport(run0.Events), 20))
+		fmt.Println()
+	}
+	if rc.intervalNS > 0 {
+		printSeries(*run0.Series)
+		if rc.seriesCSV != "" {
+			if err := writeSeriesCSV(rc.seriesCSV, *run0.Series); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "metric series of run 0 (CSV) written to %s\n", rc.seriesCSV)
+		}
 	}
 	report.WriteSpace(os.Stdout, sp)
 	if len(sd.Series) >= 2 {
@@ -397,14 +371,14 @@ func forkName(d digest.Divergence) string {
 	return strings.Join(names, "+")
 }
 
-// printSeries renders the run's headline per-interval series as
+// printSeries renders run 0's headline per-interval series as
 // sparklines: IPC, L2 miss rate, bus traffic and lock contention — the
 // live form of the paper's Figures 2–4.
 func printSeries(ts metrics.TimeSeries) {
 	if ts.Len() == 0 {
 		return
 	}
-	fmt.Printf("\nper-interval series (%d samples, %d ns cadence):\n", ts.Len(), ts.IntervalNS)
+	fmt.Printf("run 0 per-interval series (%d samples, %d ns cadence):\n", ts.Len(), ts.IntervalNS)
 	const width = 60
 	fmt.Println(plot.SparklineLabeled("ipc", ts.PerCycle("machine.instrs"), width))
 	fmt.Println(plot.SparklineLabeled("l2_miss_rate", ts.Ratio("mem.l2.misses", "mem.l2.accesses"), width))
@@ -414,6 +388,7 @@ func printSeries(ts metrics.TimeSeries) {
 	}
 	fmt.Println(plot.SparklineLabeled("bus_req_per_us", metrics.Div(ts.Delta("bus.requests"), dtUS), width))
 	fmt.Println(plot.SparklineLabeled("lock_contention", ts.Ratio("os.lock_contentions", "os.lock_acquisitions"), width))
+	fmt.Println()
 }
 
 // writeSeriesCSV writes ts to path as CSV.
@@ -429,7 +404,12 @@ func writeSeriesCSV(path string, ts metrics.TimeSeries) error {
 	return f.Close()
 }
 
-func printResult(r machine.Result) { report.WriteResult(os.Stdout, r) }
+// refuse reports a run that cannot start and exits 2, before any
+// session opens.
+func refuse(msg string) {
+	fmt.Fprintln(os.Stderr, "varsim:", msg)
+	os.Exit(2)
+}
 
 func fail(err error) {
 	if err != nil {

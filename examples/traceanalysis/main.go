@@ -2,17 +2,13 @@
 // runs from the same checkpoint with different perturbation seeds,
 // locates the exact scheduling decision where their execution paths
 // split (the paper's Figure 1), and reports the lock-contention and
-// thread-schedule structure behind it. It also shows checkpoint recipes:
-// persisting a warmed machine as its deterministic-replay inputs.
+// thread-schedule structure behind it.
 package main
 
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
-	"varsim/internal/checkpoint"
 	"varsim/internal/config"
 	"varsim/internal/core"
 	"varsim/internal/trace"
@@ -22,18 +18,13 @@ func main() {
 	cfg := config.Default()
 	cfg.NumCPUs = 8
 
-	// Persist the warmed checkpoint as a recipe, then rebuild from it —
-	// the durable counterpart of Machine.Snapshot.
+	// Warm the checkpoint both runs branch from.
 	exp := core.Experiment{
 		Label: "oltp", Config: cfg, Workload: "oltp",
 		WorkloadSeed: 21, WarmupTxns: 200, MeasureTxns: 150,
 		Runs: 2, SeedBase: 77,
 	}
-	recipe, err := saveAndLoad(checkpoint.FromExperiment(exp))
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := recipe.Build() // deterministic replay of the warmup
+	m, err := exp.Prepare()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,20 +60,4 @@ func main() {
 	}
 	fmt.Printf("\n%d threads were scheduled; the busiest (thread %d) ran %.2f ms across %d dispatches and finished %d transactions\n",
 		len(timeline), busiest.Thread, float64(busiest.RunNS)/1e6, busiest.Dispatches, busiest.Txns)
-}
-
-// saveAndLoad writes the recipe to a file in a private temporary
-// directory, reads it back and removes the directory.
-func saveAndLoad(r checkpoint.Recipe) (checkpoint.Recipe, error) {
-	dir, err := os.MkdirTemp("", "varsim-traceanalysis-")
-	if err != nil {
-		return r, err
-	}
-	defer os.RemoveAll(dir)
-	recipePath := filepath.Join(dir, "varsim-checkpoint.json")
-	if err := checkpoint.SaveFile(recipePath, r); err != nil {
-		return r, err
-	}
-	fmt.Printf("checkpoint recipe saved to %s\n\n", filepath.Base(recipePath))
-	return checkpoint.LoadFile(recipePath)
 }

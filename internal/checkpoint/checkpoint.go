@@ -1,23 +1,22 @@
-// Package checkpoint persists simulation checkpoints to disk.
+// Package checkpoint describes simulation checkpoints by construction.
 //
-// A live checkpoint is a Machine.Snapshot (an in-memory deep copy). For
-// durability the package exploits the simulator's strict determinism:
-// a machine's state is a pure function of (configuration, workload name,
+// A live checkpoint is a Machine.Snapshot (an in-memory copy-on-write
+// branch). The package exploits the simulator's strict determinism: a
+// machine's state is a pure function of (configuration, workload name,
 // workload seed, perturbation seed, transactions executed), so a
-// checkpoint can be stored as that small *recipe* and rebuilt exactly by
+// checkpoint can be named by that small *recipe* and rebuilt exactly by
 // replay — the same idea as deterministic-replay checkpointing in real
-// simulators, trading rebuild time for a few hundred bytes of storage.
+// simulators, trading rebuild time for storage. Recipes are in-memory
+// replay inputs; what goes on disk is an experiment's spec (varsim
+// -journal writes spec.json), from which FromExperiment derives one.
 //
-// Recipes serialize as JSON, so they double as a readable record of an
-// experiment's exact initial conditions.
+// Outside tests only bench/, which BENCHMARK.json freezes, imports the
+// package; ROADMAP item 9.4 deletes it once bench/ branches through
+// core.Branch.
 package checkpoint
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"os"
 
 	"varsim/internal/config"
 	"varsim/internal/core"
@@ -27,16 +26,16 @@ import (
 
 // Recipe identifies a machine state by construction.
 type Recipe struct {
-	Config       config.Config `json:"config"`
-	Workload     string        `json:"workload"`
-	WorkloadSeed uint64        `json:"workload_seed"`
-	PerturbSeed  uint64        `json:"perturb_seed"`
-	WarmupTxns   int64         `json:"warmup_txns"`
+	Config       config.Config
+	Workload     string
+	WorkloadSeed uint64
+	PerturbSeed  uint64
+	WarmupTxns   int64
 }
 
 // FromExperiment captures the checkpoint an Experiment's Prepare step
 // produces (same derived perturbation seed, same warmup), so the warmed
-// state can be persisted and rebuilt elsewhere.
+// state can be rebuilt (Build) or shared by key (BaseCache).
 func FromExperiment(e core.Experiment) Recipe {
 	return Recipe{
 		Config:       e.Config,
@@ -64,51 +63,4 @@ func (r Recipe) Build() (*machine.Machine, error) {
 		return nil, err
 	}
 	return core.NewCheckpoint(r.Config, r.Workload, r.WorkloadSeed, r.PerturbSeed, r.WarmupTxns)
-}
-
-// Save writes the recipe as indented JSON.
-func Save(w io.Writer, r Recipe) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// Load reads a recipe written by Save.
-func Load(rd io.Reader) (Recipe, error) {
-	var r Recipe
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return Recipe{}, fmt.Errorf("checkpoint: decode: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return Recipe{}, err
-	}
-	return r, nil
-}
-
-// SaveFile writes the recipe to path.
-func SaveFile(path string, r Recipe) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := Save(f, r); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a recipe from path.
-func LoadFile(path string) (Recipe, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Recipe{}, err
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -9,6 +9,7 @@ import (
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
+	"varsim/internal/metrics"
 	"varsim/internal/rng"
 	"varsim/internal/trace"
 )
@@ -31,9 +32,14 @@ type BranchPlan struct {
 	// DigestIntervalNS, when positive, records an interval state digest
 	// every DigestIntervalNS of simulated time in each run.
 	DigestIntervalNS int64
+	// SampleIntervalNS, when positive, samples each run's counters every
+	// SampleIntervalNS of simulated time into its interval series. Digests
+	// and samples ride one tick, so a plan that takes both takes them at
+	// one cadence.
+	SampleIntervalNS int64
 	// Trace records each run's whole structured event stream. Events
-	// are not journaled, so a traced plan never replays: a resume
-	// re-runs it.
+	// and series are not journaled, so a traced or sampled plan never
+	// replays: a resume re-runs it.
 	Trace bool
 	// Resilience is the crash-safety plumbing (docs/RESILIENCE.md).
 	Resilience Resilience
@@ -49,11 +55,25 @@ type BranchPlan struct {
 // digests reports whether the plan captures digest streams.
 func (p BranchPlan) digests() bool { return p.DigestIntervalNS > 0 }
 
+// samples reports whether the plan captures interval series.
+func (p BranchPlan) samples() bool { return p.SampleIntervalNS > 0 }
+
+// validate refuses a plan no machine can run: digests and samples at
+// two cadences cannot share the one tick they ride.
+func (p BranchPlan) validate() error {
+	if p.digests() && p.samples() && p.DigestIntervalNS != p.SampleIntervalNS {
+		return fmt.Errorf("core: digest interval %d ns and sample interval %d ns differ: both ride one tick",
+			p.DigestIntervalNS, p.SampleIntervalNS)
+	}
+	return nil
+}
+
 // BranchedRun is everything one run of a plan produced.
 type BranchedRun struct {
 	Result  machine.Result
-	Digests digest.Series // empty unless the plan captures digests
-	Events  []trace.Event // nil unless the plan traces
+	Digests digest.Series       // empty unless the plan captures digests
+	Series  *metrics.TimeSeries // nil unless the plan samples
+	Events  []trace.Event       // nil unless the plan traces
 }
 
 // Branched is a plan's outcome: one record per run, index-aligned
@@ -116,15 +136,15 @@ func (p BranchPlan) key(cfgHash string, i int) journal.Key {
 
 // replay reads the run filed under key back from the cache. A hit
 // needs every payload the plan captures: the ok run record, the digest
-// record when digests are captured, and never a traced plan — events
-// are not journaled. Both records are peeked before either is read, so
-// a miss leaves journal.Stats.Hits alone: that counter is the records
-// merged, not the records looked for. An undecodable record, or a
-// digest stream recorded at another cadence, is a miss too: the run
-// executes again.
+// record when digests are captured, and never a traced or sampled plan
+// — events and series are not journaled. Both records are peeked
+// before either is read, so a miss leaves journal.Stats.Hits alone:
+// that counter is the records merged, not the records looked for. An
+// undecodable record, or a digest stream recorded at another cadence,
+// is a miss too: the run executes again.
 func (p BranchPlan) replay(key journal.Key) (BranchedRun, bool) {
 	c := p.Resilience.Cache
-	if p.Trace || !c.Has(key) || (p.digests() && !c.HasDigest(key)) {
+	if p.Trace || p.samples() || !c.Has(key) || (p.digests() && !c.HasDigest(key)) {
 		return BranchedRun{}, false
 	}
 	var r BranchedRun
@@ -210,6 +230,9 @@ func Branch(checkpoint *machine.Machine, p BranchPlan) (Branched, error) {
 // a range the store covers replays without a warmup — which is what
 // makes resuming a finished experiment nearly free.
 func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan) (Branched, error) {
+	if err := p.validate(); err != nil {
+		return Branched{}, err
+	}
 	b := Branched{Label: p.Label, Lo: p.Lo, DigestIntervalNS: p.DigestIntervalNS}
 	if p.N <= 0 {
 		return b, nil
@@ -265,6 +288,9 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 		if p.digests() {
 			m.EnableDigests(p.DigestIntervalNS)
 		}
+		if p.samples() {
+			m.EnableSampling(p.SampleIntervalNS)
+		}
 		var r BranchedRun
 		var err error
 		if r.Result, err = m.Run(p.MeasureTxns); err != nil {
@@ -275,6 +301,10 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 		}
 		if p.digests() {
 			r.Digests = m.DigestSeries()
+		}
+		if p.samples() {
+			ts := m.MetricSeries()
+			r.Series = &ts
 		}
 		return r, nil
 	}))
@@ -301,9 +331,9 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 // branchJob returns the fleet job Branch submits: job i snapshots the
 // checkpoint, re-seeds the copy from (seedBase, i) and hands it to run,
 // whose value must not reference the machine's caches (a Result, a
-// digest series and a trace's events do not). The checkpoint is frozen
-// here, before the fleet starts: jobs snapshot it concurrently, and a
-// snapshot of a frozen machine performs no writes.
+// digest series, an interval series and a trace's events do not). The
+// checkpoint is frozen here, before the fleet starts: jobs snapshot it
+// concurrently, and a snapshot of a frozen machine performs no writes.
 //
 // A branch whose run returned nil is handed on through spent: a later
 // job takes its snapshot over that machine's cache storage

@@ -88,14 +88,15 @@ func TestBranchEquivalence(t *testing.T) {
 	}
 	n := e.Runs
 	captures := []struct {
-		name     string
-		digestNS int64
-		trace    bool
+		name               string
+		digestNS, sampleNS int64
+		trace              bool
 	}{
-		{"none", 0, false},
-		{"digests", digTickNS, false},
-		{"trace", 0, true},
-		{"trace+digests", digTickNS, true},
+		{"none", 0, 0, false},
+		{"digests", digTickNS, 0, false},
+		{"trace", 0, 0, true},
+		{"trace+digests", digTickNS, 0, true},
+		{"samples+digests", digTickNS, digTickNS, false},
 	}
 	// journaled opens a fresh journal in dir (or resumes the one there)
 	// and returns the plan wired to it.
@@ -116,7 +117,7 @@ func TestBranchEquivalence(t *testing.T) {
 	}
 	for _, c := range captures {
 		plan := e.BranchPlan()
-		plan.DigestIntervalNS, plan.Trace = c.digestNS, c.trace
+		plan.DigestIntervalNS, plan.SampleIntervalNS, plan.Trace = c.digestNS, c.sampleNS, c.trace
 		want, err := core.Branch(base, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -125,8 +126,9 @@ func TestBranchEquivalence(t *testing.T) {
 			t.Fatalf("%s: bad space summary %+v", c.name, s)
 		}
 		for i, r := range want.Runs {
-			if (r.Digests.Len() > 0) != (c.digestNS > 0) || (len(r.Events) > 0) != c.trace {
-				t.Fatalf("%s: run %d captured %d digest samples, %d events", c.name, i, r.Digests.Len(), len(r.Events))
+			if (r.Digests.Len() > 0) != (c.digestNS > 0) || (r.Series != nil && r.Series.Len() > 0) != (c.sampleNS > 0) || (len(r.Events) > 0) != c.trace {
+				t.Fatalf("%s: run %d captured %d digest samples, series %v, %d events",
+					c.name, i, r.Digests.Len(), r.Series != nil, len(r.Events))
 			}
 		}
 		records := wantRecords(t, e, want)
@@ -156,10 +158,10 @@ func TestBranchEquivalence(t *testing.T) {
 				defer jw.Close()
 				var got core.Branched
 				cycles := simulated(t, func() (err error) { got, err = core.Branch(base, p); return err })
-				// A traced plan re-runs over its own journal: events are
-				// not journaled.
-				if (cycles == 0) == c.trace {
-					t.Fatalf("replay over a complete journal simulated %d cycles for a plan with trace = %v", cycles, c.trace)
+				// A traced or sampled plan re-runs over its own journal:
+				// events and series are not journaled.
+				if rerun := c.trace || c.sampleNS > 0; (cycles == 0) == rerun {
+					t.Fatalf("replay over a complete journal simulated %d cycles for a %s plan", cycles, c.name)
 				}
 				sameOutcome(t, got, want)
 			})

@@ -21,7 +21,6 @@ import (
 	"varsim/internal/journal"
 	"varsim/internal/machine"
 	"varsim/internal/rng"
-	"varsim/internal/sampling"
 	"varsim/internal/stats"
 	"varsim/internal/workloads"
 )
@@ -200,14 +199,6 @@ type Experiment struct {
 	// the space. Serialized with the spec so a -resume replays the same
 	// cadence it journaled.
 	DigestIntervalNS int64 `json:"digest_interval_ns,omitempty"`
-	// Adaptive carries the target of an adaptive run (AdaptiveSpace, to
-	// which the caller hands it: under one, Runs is the fixed-N baseline
-	// the runs-saved accounting compares against and the target's
-	// stopping rule decides the actual spend). RunSpace does not read
-	// it; it is serialized with the spec so a -resume replays the same
-	// stopping rule — and the same journaled decisions — the interrupted
-	// run used.
-	Adaptive *sampling.Target `json:"adaptive,omitempty"`
 	// Resilience carries the crash-safety plumbing (journal, resume
 	// cache, drain signal, observer); the zero value means
 	// plain in-memory execution. Excluded from JSON so experiment spec
@@ -274,7 +265,7 @@ func (e Experiment) Prepare() (*machine.Machine, error) {
 // NewCheckpoint is the one way to a warmed machine: it builds the named
 // workload's machine and runs warmupTxns transactions on it. The state
 // is a pure function of the five arguments, which is what lets a
-// checkpoint be stored as a recipe (internal/checkpoint) and rebuilt by
+// checkpoint be named by a recipe (internal/checkpoint) and rebuilt by
 // replay. The caller validates cfg.
 func NewCheckpoint(cfg config.Config, workload string, workloadSeed, perturbSeed uint64, warmupTxns int64) (*machine.Machine, error) {
 	wl, err := workloads.New(workload, cfg, workloadSeed)
@@ -319,8 +310,13 @@ func (e Experiment) spacePlan() BranchPlan {
 }
 
 // Branch runs a plan against the experiment's checkpoint, prepared only
-// if some run of the plan is not in the store (branch).
+// if some run of the plan is not in the store (branch). The experiment
+// is validated first, so a plan that replays wholly, or has no run,
+// still refuses an experiment that could not run.
 func (e Experiment) Branch(p BranchPlan) (Branched, error) {
+	if err := e.Validate(); err != nil {
+		return Branched{}, err
+	}
 	return branch(journal.ConfigHash(e.Config), e.Prepare, p)
 }
 

@@ -123,6 +123,16 @@ func TestExperimentValidate(t *testing.T) {
 	}
 }
 
+// TestRunSpaceRefusesZeroRuns: an experiment is validated even when its
+// plan has nothing to run.
+func TestRunSpaceRefusesZeroRuns(t *testing.T) {
+	e := smallExperiment()
+	e.Runs = 0
+	if _, err := e.RunSpace(); err == nil {
+		t.Fatal("RunSpace with Runs: 0 returned no error")
+	}
+}
+
 func smallExperiment() Experiment {
 	cfg := config.Default()
 	cfg.NumCPUs = 4

@@ -11,6 +11,7 @@ import (
 	"varsim/internal/core"
 	"varsim/internal/harness"
 	"varsim/internal/machine"
+	"varsim/internal/metrics"
 	"varsim/internal/report"
 	"varsim/internal/trace"
 	"varsim/internal/workloads"
@@ -37,10 +38,7 @@ func replayArtifacts(t *testing.T) (resJSON, seriesCSV []byte, traces [][]trace.
 		t.Fatalf("warmup: %v", err)
 	}
 
-	res, series, err := core.SampleRun(m, 15, 99, 50_000)
-	if err != nil {
-		t.Fatalf("SampleRun: %v", err)
-	}
+	res, series := sampleRun(t, m, 99)
 	resJSON, err = json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)
@@ -61,6 +59,20 @@ func replayArtifacts(t *testing.T) (resJSON, seriesCSV []byte, traces [][]trace.
 		traces = append(traces, run.Events)
 	}
 	return resJSON, csv.Bytes(), traces
+}
+
+// sampleRun measures 15 transactions on a snapshot of checkpoint
+// re-seeded with perturbSeed, sampling its counters every 50 us.
+func sampleRun(t *testing.T, checkpoint *machine.Machine, perturbSeed uint64) (machine.Result, metrics.TimeSeries) {
+	t.Helper()
+	m := checkpoint.Snapshot()
+	m.SetPerturbSeed(perturbSeed)
+	m.EnableSampling(50_000)
+	res, err := m.Run(15)
+	if err != nil {
+		t.Fatalf("sampled run, seed %d: %v", perturbSeed, err)
+	}
+	return res, m.MetricSeries()
 }
 
 // TestByteIdenticalReplay is the determinism contract's regression
@@ -252,14 +264,8 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 	if _, err := m.Run(15); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	a, _, err := core.SampleRun(m, 15, 99, 50_000)
-	if err != nil {
-		t.Fatalf("SampleRun seed 99: %v", err)
-	}
-	b, _, err := core.SampleRun(m, 15, 100, 50_000)
-	if err != nil {
-		t.Fatalf("SampleRun seed 100: %v", err)
-	}
+	a, _ := sampleRun(t, m, 99)
+	b, _ := sampleRun(t, m, 100)
 	if reflect.DeepEqual(a, b) {
 		t.Error("runs with different perturbation seeds produced identical results")
 	}
