@@ -244,6 +244,60 @@ func TestVarsimAdaptiveSpecBytes(t *testing.T) {
 	}
 }
 
+// TestVarsimDigestSpecBytes pins the spec a digested -journal saves,
+// byte for byte (testdata/digest_spec.json: the experiment's fields,
+// then the digest cadence), and that it resumes to the same stdout,
+// the run 0 vs run 1 diff included.
+func TestVarsimDigestSpecBytes(t *testing.T) {
+	dir := t.TempDir()
+	out, stderr, exit := drive(t, dir, "varsim", "-cpus", "4", "-txns", "10", "-warmup", "10", "-runs", "2",
+		"-digest-us", "20", "-j", "2", "-journal", "d")
+	if exit != 0 {
+		t.Fatalf("exit %d\n%s", exit, stderr)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "d", "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "digest_spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("digested spec.json\n%s\nwant\n%s", got, want)
+	}
+	resumed, stderr, exit := drive(t, dir, "varsim", "-resume", "d")
+	if exit != 0 {
+		t.Fatalf("resume exit %d\n%s", exit, stderr)
+	}
+	if resumed != out || !strings.Contains(out, "run 0 and run 1: forked") {
+		t.Errorf("-resume printed\n%s\nwant\n%s", resumed, out)
+	}
+}
+
+// TestVarsimCapturedResumeFilesEachRunOnce: a sampled and then a traced
+// -resume re-run a journaled space (events and series are not
+// journaled), but append no record the journal already holds.
+func TestVarsimCapturedResumeFilesEachRunOnce(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-cpus", "4", "-txns", "10", "-warmup", "10", "-runs", "2", "-journal", "j"},
+		{"-resume", "j", "-interval-us", "20"},
+		{"-resume", "j", "-lock-report"},
+	} {
+		if _, stderr, exit := drive(t, dir, "varsim", args...); exit != 0 {
+			t.Fatalf("varsim %v: exit %d\n%s", args, exit, stderr)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "j", "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte(`"status":"ok"`)); n != 2 {
+		t.Errorf("journal of a 2-run space holds %d ok records after two captured resumes, want 2", n)
+	}
+}
+
 // TestExperimentsResumeReplaysEveryRun: a journaled run of experiments
 // that share spaces (fig10 Table 2's, anova fig9's), resumed with the
 // same list, prints the same bytes and appends no run record — the
@@ -548,6 +602,7 @@ func TestExitCodes(t *testing.T) {
 		{"varsim", []string{"-interval-us", "20", "-digest-us", "10", "-txns", "20", "-warmup", "20", "-cpus", "4", "-journal", "jd"}, 2, "same cadence"},
 		{"varsim", []string{"-runs", "0", "-cpus", "0", "-txns", "0", "-warmup", "-4", "-journal", "jd"}, 2, "core:"},
 		{"varsim", []string{"-resume", "bad"}, 2, "at least one run"},
+		{"varsim", []string{"-workload", "nosuch", "-cpus", "4", "-txns", "10", "-warmup", "10", "-journal", "jd"}, 2, `unknown workload "nosuch"`},
 		{"varsim", []string{"-series-jsonl", "s.jsonl"}, 2, "flag provided but not defined"},
 		{"varsim", []string{"-retries", "1"}, 2, "flag provided but not defined"},
 		{"varsim", []string{"-job-timeout", "1s"}, 2, "flag provided but not defined"},
@@ -566,9 +621,9 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("%s %v: exit %d, want %d with %q on stderr\n%s", c.tool, c.args, exit, c.want, c.say, stderr)
 		}
 	}
-	// A refused run opened no session: no spec for a run that never
-	// started.
-	if _, err := os.Stat(filepath.Join(dir, "jd", "spec.json")); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("a refused -journal jd left jd/spec.json (stat: %v)", err)
+	// A refused run opened no session: no journal directory, and so no
+	// spec, for a run that never started.
+	if _, err := os.Stat(filepath.Join(dir, "jd")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused -journal jd left jd/ (stat: %v)", err)
 	}
 }

@@ -86,12 +86,18 @@ import (
 // -resume can rebuild the run without repeating the original flags.
 const specFile = "spec.json"
 
-// spec is what varsim simulates, as saved in specFile: the experiment,
-// and the target when its space is adaptive. Adaptive is the last
-// field serialized, so the file reads as the experiment's own JSON with
-// "adaptive" appended.
+// spec is what varsim runs, as saved in specFile: the experiment, the
+// digest cadence of its runs, and the target when its space is
+// adaptive. The fields after the experiment serialize after its own,
+// so the file reads as the experiment's JSON with "digest_interval_ns"
+// and "adaptive" appended.
 type spec struct {
 	core.Experiment
+	// DigestIntervalNS, when positive, records an interval state digest
+	// every DigestIntervalNS of simulated time in each run (-digest-us).
+	// It rides in the spec so a -resume replays the digests it
+	// journaled, at the cadence it journaled them.
+	DigestIntervalNS int64 `json:"digest_interval_ns,omitempty"`
 	// Adaptive carries the target of an adaptive run (AdaptiveSpace:
 	// under one, Runs is the fixed-N baseline the runs-saved accounting
 	// compares against and the target's stopping rule decides the
@@ -176,16 +182,15 @@ func main() {
 	}
 
 	e := spec{Experiment: core.Experiment{
-		Label:            fmt.Sprintf("%s/%s", *wlName, *proc),
-		Config:           cfg,
-		Workload:         *wlName,
-		WorkloadSeed:     *seed,
-		WarmupTxns:       *warmup,
-		MeasureTxns:      *txns,
-		Runs:             *runs,
-		SeedBase:         *pseed,
-		DigestIntervalNS: *digestUS * 1000,
-	}}
+		Label:        fmt.Sprintf("%s/%s", *wlName, *proc),
+		Config:       cfg,
+		Workload:     *wlName,
+		WorkloadSeed: *seed,
+		WarmupTxns:   *warmup,
+		MeasureTxns:  *txns,
+		Runs:         *runs,
+		SeedBase:     *pseed,
+	}, DigestIntervalNS: *digestUS * 1000}
 	if *adaptive {
 		// The target rides in the experiment spec, so a -resume replays
 		// the same stopping rule and the journaled barrier decisions.
@@ -289,10 +294,11 @@ func run(e spec, rc runCfg) error {
 	// prepared only if some run must execute, so a resume whose journal
 	// covers an uncaptured space replays it without the warmup.
 	plan := e.BranchPlan()
+	plan.DigestIntervalNS = e.DigestIntervalNS
 	plan.Trace = rc.schedTr || rc.lockRep || rc.perfetto != ""
 	plan.SampleIntervalNS = rc.intervalNS
 	b, err := e.Branch(plan)
-	sp, sd := b.Space(), b.Digests()
+	sp := b.Space()
 	var inc *fleet.Incomplete
 	if errors.As(err, &inc) {
 		// A graceful drain: render the partial space (marked
@@ -313,8 +319,8 @@ func run(e spec, rc runCfg) error {
 				NumCPUs: e.Config.NumCPUs,
 			}
 			// Flag each run's fork from run 0 inside its own trace.
-			if i > 0 && len(sd.Series) > i {
-				if d := digest.Diff(sd.Series[0], sd.Series[i]); d.Diverged {
+			if i > 0 && e.DigestIntervalNS > 0 {
+				if d := digest.Diff(b.Runs[0].Digests, r.Digests); d.Diverged {
 					runs[i].Marks = []traceviz.Mark{{TimeNS: d.TimeNS, Name: "diverged: " + forkName(d)}}
 				}
 			}
@@ -349,9 +355,10 @@ func run(e spec, rc runCfg) error {
 		}
 	}
 	report.WriteSpace(os.Stdout, sp)
-	if len(sd.Series) >= 2 {
+	if e.DigestIntervalNS > 0 && len(b.Runs) >= 2 {
 		fmt.Println()
-		if err := printDiff("run 0", "run 1", sd.Series[0], sd.Series[1], sp.Results[0], sp.Results[1]); err != nil {
+		run1 := b.Runs[1]
+		if err := printDiff("run 0", "run 1", run0.Digests, run1.Digests, run0.Result, run1.Result); err != nil {
 			return err
 		}
 	}

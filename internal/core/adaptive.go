@@ -58,10 +58,10 @@ type arm struct {
 	want int
 }
 
-// arm is the experiment as an adaptive arm: its space plan, checkpoint
+// arm is the experiment as an adaptive arm: its plan, checkpoint
 // prepared on demand, branches handed on through spent.
 func (e Experiment) arm(spent *fleet.Pool[*machine.Machine]) *arm {
-	p := e.spacePlan()
+	p := e.BranchPlan()
 	p.spent = spent
 	cfgHash := journal.ConfigHash(e.Config)
 	return &arm{

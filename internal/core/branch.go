@@ -58,6 +58,11 @@ func (p BranchPlan) digests() bool { return p.DigestIntervalNS > 0 }
 // samples reports whether the plan captures interval series.
 func (p BranchPlan) samples() bool { return p.SampleIntervalNS > 0 }
 
+// reruns reports whether the plan executes runs the store already
+// holds: events and series are not journaled, so a traced or sampled
+// plan cannot replay.
+func (p BranchPlan) reruns() bool { return p.Trace || p.samples() }
+
 // validate refuses a plan no machine can run: digests and samples at
 // two cadences cannot share the one tick they ride.
 func (p BranchPlan) validate() error {
@@ -80,11 +85,10 @@ type BranchedRun struct {
 // (Runs[j] is run Lo+j). Runs a graceful drain left unexecuted are
 // listed in Missing (global indices, ascending) and hold a zero record.
 type Branched struct {
-	Label            string
-	Lo               int
-	DigestIntervalNS int64
-	Runs             []BranchedRun
-	Missing          []int
+	Label   string
+	Lo      int
+	Runs    []BranchedRun
+	Missing []int
 }
 
 // Space projects the runs' measurements: Values and Results hold only
@@ -106,19 +110,6 @@ func (b Branched) Space() Space {
 		sp.Results = append(sp.Results, b.Runs[j].Result)
 	}
 	return sp
-}
-
-// Digests projects the runs' digest streams, index-aligned with the
-// plan's range; Series is nil when the plan captured none.
-func (b Branched) Digests() SpaceDigests {
-	sd := SpaceDigests{IntervalNS: b.DigestIntervalNS}
-	if b.DigestIntervalNS > 0 && len(b.Runs) > 0 {
-		sd.Series = make([]digest.Series, len(b.Runs))
-		for j := range b.Runs {
-			sd.Series[j] = b.Runs[j].Digests
-		}
-	}
-	return sd
 }
 
 // key is the journal identity of run i: the label, the hash of the
@@ -144,7 +135,7 @@ func (p BranchPlan) key(cfgHash string, i int) journal.Key {
 // is a miss too: the run executes again.
 func (p BranchPlan) replay(key journal.Key) (BranchedRun, bool) {
 	c := p.Resilience.Cache
-	if p.Trace || p.samples() || !c.Has(key) || (p.digests() && !c.HasDigest(key)) {
+	if p.reruns() || !c.Has(key) || (p.digests() && !c.HasDigest(key)) {
 		return BranchedRun{}, false
 	}
 	var r BranchedRun
@@ -174,7 +165,10 @@ func (p BranchPlan) observe(key journal.Key, r machine.Result) {
 // settle files one executed run: the precision observer sees a success,
 // and the run record — ok or failed — followed by the digest record when
 // the plan captures digests goes to the journal and into the cache, so a
-// plan that asks for the run again in this process replays it.
+// plan that asks for the run again in this process replays it. A plan
+// that reruns what the store holds files only the records the store
+// lacks, so the journal keeps one ok record a run however often its
+// events or series are taken again.
 func (p BranchPlan) settle(key journal.Key, r BranchedRun, err error) {
 	res := p.Resilience
 	if err == nil {
@@ -198,8 +192,10 @@ func (p BranchPlan) settle(key journal.Key, r BranchedRun, err error) {
 	} else {
 		rec.Status, rec.Result = journal.StatusOK, raw
 	}
-	file(rec)
-	if rec.Status == journal.StatusOK && p.digests() {
+	if !(p.reruns() && rec.Status == journal.StatusOK && res.Cache.Has(key)) {
+		file(rec)
+	}
+	if rec.Status == journal.StatusOK && p.digests() && !(p.reruns() && res.Cache.HasDigest(key)) {
 		if drec, derr := journal.DigestRecord(key, r.Digests); derr == nil {
 			file(drec)
 		}
@@ -233,7 +229,7 @@ func branch(cfgHash string, base func() (*machine.Machine, error), p BranchPlan)
 	if err := p.validate(); err != nil {
 		return Branched{}, err
 	}
-	b := Branched{Label: p.Label, Lo: p.Lo, DigestIntervalNS: p.DigestIntervalNS}
+	b := Branched{Label: p.Label, Lo: p.Lo}
 	if p.N <= 0 {
 		return b, nil
 	}

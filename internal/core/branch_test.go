@@ -20,8 +20,8 @@ import (
 )
 
 // journalRecords loads dir's journal as status+key -> payload. A key
-// journaled twice (a traced plan re-run on resume) must agree with
-// itself.
+// journaled twice (a run re-executed for the digest record it lacked)
+// must agree with itself.
 func journalRecords(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	res, err := journal.Load(filepath.Join(dir, journal.FileName))
@@ -39,10 +39,10 @@ func journalRecords(t *testing.T, dir string) map[string]string {
 	return recs
 }
 
-// wantRecords is the record set a complete journaled pass over want's
-// runs must leave behind: one ok record a run, plus one digest record a
-// run when digests were captured.
-func wantRecords(t *testing.T, e core.Experiment, want core.Branched) map[string]string {
+// wantRecords is the record set a complete journaled pass of plan p
+// over want's runs must leave behind: one ok record a run, plus one
+// digest record a run when p captures digests.
+func wantRecords(t *testing.T, e core.Experiment, p core.BranchPlan, want core.Branched) map[string]string {
 	t.Helper()
 	recs := map[string]string{}
 	for i, r := range want.Runs {
@@ -51,7 +51,7 @@ func wantRecords(t *testing.T, e core.Experiment, want core.Branched) map[string
 			t.Fatal(err)
 		}
 		recs[journal.StatusOK+" "+e.RunKey(i).String()] = string(raw)
-		if want.DigestIntervalNS > 0 {
+		if p.DigestIntervalNS > 0 {
 			drec, err := journal.DigestRecord(e.RunKey(i), r.Digests)
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +75,7 @@ func sameOutcome(t *testing.T, got, want core.Branched) {
 	if g, w := renderSpace(got.Space()), renderSpace(want.Space()); string(g) != string(w) {
 		t.Errorf("rendered reports differ\n got:\n%s\nwant:\n%s", g, w)
 	}
-	if g, w := digestBytes(t, got.Digests()), digestBytes(t, want.Digests()); string(g) != string(w) {
+	if g, w := digestBytes(t, got), digestBytes(t, want); string(g) != string(w) {
 		t.Error("digest series differ")
 	}
 }
@@ -131,7 +131,7 @@ func TestBranchEquivalence(t *testing.T) {
 					c.name, i, r.Digests.Len(), r.Series != nil, len(r.Events))
 			}
 		}
-		records := wantRecords(t, e, want)
+		records := wantRecords(t, e, plan, want)
 		for _, width := range []int{1, 4, runtime.NumCPU()} {
 			plan.Workers = width
 			name := fmt.Sprintf("%s/%s/", c.name, label(width))
@@ -194,7 +194,7 @@ func TestBranchEquivalence(t *testing.T) {
 			t.Run(name+"ranges", func(t *testing.T) {
 				dir := t.TempDir()
 				p, jw := journaled(t, plan, dir, false)
-				got := core.Branched{Label: p.Label, DigestIntervalNS: p.DigestIntervalNS}
+				got := core.Branched{Label: p.Label}
 				for _, r := range [][2]int{{0, 1}, {1, n / 2}, {n / 2, n}} {
 					p.Lo, p.N = r[0], r[1]-r[0]
 					b, err := core.Branch(base, p)
@@ -229,15 +229,20 @@ func TestReplayCountsOnlyMergedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// journal runs [0,k) of e's plan (digests at e's cadence, if any)
-	// and reopen the journal as a resume cache.
-	journalPrefix := func(e core.Experiment, k int) (*journal.Cache, *journal.Writer) {
+	// journal runs [0,k) of e's plan with digests every digestNS (none
+	// at 0) and reopen the journal as a resume cache.
+	plan := func(digestNS int64) core.BranchPlan {
+		p := e.BranchPlan()
+		p.DigestIntervalNS = digestNS
+		return p
+	}
+	journalPrefix := func(digestNS int64, k int) (*journal.Cache, *journal.Writer) {
 		dir := t.TempDir()
 		jw, err := journal.CreateDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := e.BranchPlan()
+		p := plan(digestNS)
 		p.N, p.Resilience = k, core.Resilience{Journal: jw}
 		if _, err := core.Branch(base, p); err != nil {
 			t.Fatal(err)
@@ -259,35 +264,27 @@ func TestReplayCountsOnlyMergedRecords(t *testing.T) {
 		}
 		return journal.ReadStats().Hits - before
 	}
-	digested := e
-	digested.DigestIntervalNS = digTickNS
 
 	cases := []struct {
-		name     string
-		journal  core.Experiment // what was journaled...
-		prefix   int             // ...and how many of its runs
-		resume   core.Experiment
-		wantHits int64
+		name      string
+		journalNS int64 // the digest cadence journaled...
+		prefix    int   // ...over how many runs
+		resumeNS  int64
+		wantHits  int64
 	}{
-		{"partial resume merges the 3 journaled runs", e, 3, e, 3},
-		{"finished experiment replays 6 run records", e, 6, e, 6},
-		{"digests asked of a digest-less journal replay nothing", e, 4, digested, 0},
-		{"digested partial resume merges 3 run + 3 digest records", digested, 3, digested, 6},
-		{"finished digested experiment replays 6 + 6 records", digested, 6, digested, 12},
-		{"plain resume over a digested journal reads only run records", digested, 6, e, 6},
+		{"partial resume merges the 3 journaled runs", 0, 3, 0, 3},
+		{"finished experiment replays 6 run records", 0, 6, 0, 6},
+		{"digests asked of a digest-less journal replay nothing", 0, 4, digTickNS, 0},
+		{"digested partial resume merges 3 run + 3 digest records", digTickNS, 3, digTickNS, 6},
+		{"finished digested experiment replays 6 + 6 records", digTickNS, 6, digTickNS, 12},
+		{"plain resume over a digested journal reads only run records", digTickNS, 6, 0, 6},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			jc, jw := journalPrefix(c.journal, c.prefix)
-			r := c.resume
-			r.Resilience = core.Resilience{Cache: jc, Journal: jw}
-			var hits int64
-			if r.DigestIntervalNS > 0 {
-				hits = hitsOf(func() error { _, _, err := r.RunSpaceDigests(); return err })
-			} else {
-				hits = hitsOf(func() error { _, err := r.RunSpace(); return err })
-			}
-			if hits != c.wantHits {
+			jc, jw := journalPrefix(c.journalNS, c.prefix)
+			p := plan(c.resumeNS)
+			p.Resilience = core.Resilience{Cache: jc, Journal: jw}
+			if hits := hitsOf(func() error { _, err := e.Branch(p); return err }); hits != c.wantHits {
 				t.Errorf("resume raised journal hits by %d, want %d", hits, c.wantHits)
 			}
 		})
@@ -297,7 +294,8 @@ func TestReplayCountsOnlyMergedRecords(t *testing.T) {
 // TestTracedPlanRunsUnderResilience pins that a traced plan is a plan
 // like any other: it journals run and digest records, feeds the
 // precision observer, drains on Stop — and, because events are not
-// journaled, a resume re-runs it rather than replaying.
+// journaled, a resume re-runs it rather than replaying, filing none of
+// the records the journal already holds.
 func TestTracedPlanRunsUnderResilience(t *testing.T) {
 	e := digestExperiment(4)
 	base, err := e.Prepare()
@@ -305,7 +303,7 @@ func TestTracedPlanRunsUnderResilience(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := e.Runs
-	plan := e.BranchPlan()
+	plan := digestPlan(e)
 	plan.Trace = true
 
 	dir := t.TempDir()
@@ -338,23 +336,33 @@ func TestTracedPlanRunsUnderResilience(t *testing.T) {
 		}
 	}
 
-	// Resume: nothing replays, every run executes and is journaled again.
+	// Resume: nothing replays and every run executes again, but the
+	// journal holds every run's records already, so none is appended —
+	// by the traced plan, nor by a sampled one after it — and the
+	// observer sees each run once.
 	log = observeLog{}
 	plan.Resilience = core.Resilience{Journal: jw2, Cache: jc, Observe: (&log).hook()}
+	sampled := digestPlan(e)
+	sampled.SampleIntervalNS, sampled.Resilience = digTickNS, plan.Resilience
 	before := journal.ReadStats()
+	cycles := machine.SimulatedCycles()
 	again, err := core.Branch(base, plan)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Branch(base, sampled); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	after := journal.ReadStats()
-	if after.Hits != before.Hits {
-		t.Errorf("traced resume replayed %d records; events are not journaled, so none may", after.Hits-before.Hits)
+	if after.Hits != before.Hits || machine.SimulatedCycles() == cycles {
+		t.Errorf("traced and sampled resumes replayed %d records and simulated %d cycles; events and series are not journaled, so they must re-run",
+			after.Hits-before.Hits, machine.SimulatedCycles()-cycles)
 	}
-	if got := after.Appended - before.Appended; got != int64(2*n) {
-		t.Errorf("traced resume appended %d records, want %d run + %d digest", got, n, n)
+	if got := after.Appended - before.Appended; got != 0 {
+		t.Errorf("traced and sampled resumes appended %d records to a journal that held them all", got)
 	}
 	if log.n != n {
 		t.Errorf("observer saw %d runs on resume, want %d", log.n, n)

@@ -193,12 +193,6 @@ type Experiment struct {
 	// takes. Any value yields byte-identical results — see
 	// docs/PARALLELISM.md.
 	Workers int
-	// DigestIntervalNS, when positive, records an interval state digest
-	// every DigestIntervalNS of simulated time in each run (see
-	// internal/digest); RunSpaceDigests returns the streams alongside
-	// the space. Serialized with the spec so a -resume replays the same
-	// cadence it journaled.
-	DigestIntervalNS int64 `json:"digest_interval_ns,omitempty"`
 	// Resilience carries the crash-safety plumbing (journal, resume
 	// cache, drain signal, observer); the zero value means
 	// plain in-memory execution. Excluded from JSON so experiment spec
@@ -249,6 +243,9 @@ func (e Experiment) Validate() error {
 	if e.WarmupTxns < 0 {
 		return errors.New("core: negative warmup")
 	}
+	if err := workloads.Check(e.Workload); err != nil {
+		return err
+	}
 	return e.Config.Validate()
 }
 
@@ -289,24 +286,18 @@ func NewCheckpoint(cfg config.Config, workload string, workloadSeed, perturbSeed
 // methodology (§3.3, §5.1). The branches execute on e.Workers fleet
 // workers.
 func (e Experiment) RunSpace() (Space, error) {
-	b, err := e.Branch(e.spacePlan())
+	b, err := e.Branch(e.BranchPlan())
 	return b.Space(), err
 }
 
-// BranchPlan is the experiment as a plan: all Runs runs, digests at the
-// experiment's cadence, no trace.
+// BranchPlan is the experiment as a plan: all Runs runs, capturing
+// nothing. What a run records besides its Result (digests, an interval
+// series, a trace) is the caller's to set on the plan.
 func (e Experiment) BranchPlan() BranchPlan {
 	return BranchPlan{
 		Label: e.Label, N: e.Runs, MeasureTxns: e.MeasureTxns, SeedBase: e.SeedBase,
-		Workers: e.Workers, DigestIntervalNS: e.DigestIntervalNS, Resilience: e.Resilience,
+		Workers: e.Workers, Resilience: e.Resilience,
 	}
-}
-
-// spacePlan is BranchPlan without capture: the runs behind a bare Space.
-func (e Experiment) spacePlan() BranchPlan {
-	p := e.BranchPlan()
-	p.DigestIntervalNS = 0
-	return p
 }
 
 // Branch runs a plan against the experiment's checkpoint, prepared only

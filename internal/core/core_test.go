@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"varsim/internal/config"
@@ -120,6 +121,11 @@ func TestExperimentValidate(t *testing.T) {
 	bad.WarmupTxns = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative warmup accepted")
+	}
+	bad = e
+	bad.Workload = "nosuch"
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), `unknown workload "nosuch"`) {
+		t.Errorf("unknown workload: Validate returned %v", err)
 	}
 }
 

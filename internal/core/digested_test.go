@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"varsim/internal/core"
+	"varsim/internal/digest"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 )
@@ -21,51 +22,66 @@ const digTickNS = 20_000
 func digestExperiment(workers int) core.Experiment {
 	e := resumeExperiment(workers)
 	e.Label = "digest-test"
-	e.DigestIntervalNS = digTickNS
 	return e
 }
 
-// digestBytes canonicalizes a SpaceDigests for byte-identity checks.
-func digestBytes(t *testing.T, sd core.SpaceDigests) []byte {
+// digestPlan is e's plan recording digests at digTickNS.
+func digestPlan(e core.Experiment) core.BranchPlan {
+	p := e.BranchPlan()
+	p.DigestIntervalNS = digTickNS
+	return p
+}
+
+// runDigested branches e's digested plan.
+func runDigested(e core.Experiment) (core.Branched, error) {
+	return e.Branch(digestPlan(e))
+}
+
+// digestBytes canonicalizes b's digest streams, index-aligned with its
+// runs, for byte-identity checks.
+func digestBytes(t *testing.T, b core.Branched) []byte {
 	t.Helper()
-	b, err := json.Marshal(sd)
+	series := make([]digest.Series, len(b.Runs))
+	for j, r := range b.Runs {
+		series[j] = r.Digests
+	}
+	raw, err := json.Marshal(series)
 	if err != nil {
 		t.Fatalf("marshal digests: %v", err)
 	}
-	return b
+	return raw
 }
 
-// TestSpaceDigestsByteIdenticalAcrossWidths pins the headline property:
+// TestDigestsByteIdenticalAcrossWidths pins the headline property:
 // the digest streams, like the space itself, are a pure function of
 // (config, seeds) — the fleet width is invisible.
-func TestSpaceDigestsByteIdenticalAcrossWidths(t *testing.T) {
+func TestDigestsByteIdenticalAcrossWidths(t *testing.T) {
 	base := digestExperiment(1)
-	sp, sd, err := base.RunSpaceDigests()
+	b, err := runDigested(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sd.Series) != base.Runs {
-		t.Fatalf("got %d digest streams, want %d", len(sd.Series), base.Runs)
+	if len(b.Runs) != base.Runs {
+		t.Fatalf("got %d runs, want %d", len(b.Runs), base.Runs)
 	}
-	for i, s := range sd.Series {
-		if s.Len() == 0 {
+	for i, r := range b.Runs {
+		if r.Digests.Len() == 0 {
 			t.Fatalf("run %d recorded no digest samples", i)
 		}
 	}
-	wantSpace := renderSpace(sp)
-	wantDig := digestBytes(t, sd)
+	wantSpace := renderSpace(b.Space())
+	wantDig := digestBytes(t, b)
 
 	for _, width := range []int{4, runtime.NumCPU()} {
 		t.Run(label(width), func(t *testing.T) {
-			e := digestExperiment(width)
-			sp2, sd2, err := e.RunSpaceDigests()
+			b2, err := runDigested(digestExperiment(width))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := renderSpace(sp2); string(got) != string(wantSpace) {
+			if got := renderSpace(b2.Space()); string(got) != string(wantSpace) {
 				t.Errorf("space differs at width %d", width)
 			}
-			if got := digestBytes(t, sd2); string(got) != string(wantDig) {
+			if got := digestBytes(t, b2); string(got) != string(wantDig) {
 				t.Errorf("digest streams differ at width %d", width)
 			}
 		})
@@ -77,13 +93,12 @@ func TestSpaceDigestsByteIdenticalAcrossWidths(t *testing.T) {
 // must be byte-identical to an uninterrupted run. This is the property
 // that makes a post-hoc diff trustworthy across -resume.
 func TestDigestedKillAndResume(t *testing.T) {
-	base := digestExperiment(1)
-	sp, sd, err := base.RunSpaceDigests()
+	want, err := runDigested(digestExperiment(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSpace := renderSpace(sp)
-	wantDig := digestBytes(t, sd)
+	wantSpace := renderSpace(want.Space())
+	wantDig := digestBytes(t, want)
 
 	dir := t.TempDir()
 	jw, err := journal.CreateDir(dir)
@@ -92,19 +107,19 @@ func TestDigestedKillAndResume(t *testing.T) {
 	}
 	e := digestExperiment(4)
 	e.Resilience = drainAfter(2, core.Resilience{Journal: jw})
-	part, psd, err := e.RunSpaceDigests()
+	part, err := runDigested(e)
 	var inc *fleet.Incomplete
 	if !errors.As(err, &inc) {
 		t.Fatalf("drained run returned %v, want *fleet.Incomplete", err)
 	}
-	if !part.Incomplete() {
+	if !part.Space().Incomplete() {
 		t.Fatal("drained space not marked incomplete")
 	}
-	if len(psd.Series) != e.Runs {
-		t.Fatalf("drained digests lost index alignment: %d streams, want %d", len(psd.Series), e.Runs)
+	if len(part.Runs) != e.Runs {
+		t.Fatalf("drained runs lost index alignment: %d runs, want %d", len(part.Runs), e.Runs)
 	}
 	for _, i := range part.Missing {
-		if psd.Series[i].Len() != 0 {
+		if part.Runs[i].Digests.Len() != 0 {
 			t.Fatalf("missing run %d has a non-empty digest stream", i)
 		}
 	}
@@ -121,27 +136,27 @@ func TestDigestedKillAndResume(t *testing.T) {
 	}
 	r := digestExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	full, fsd, err := r.RunSpaceDigests()
+	full, err := runDigested(r)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
 	if cerr := jw2.Close(); cerr != nil {
 		t.Fatalf("resume journal close: %v", cerr)
 	}
-	if got := renderSpace(full); string(got) != string(wantSpace) {
+	if got := renderSpace(full.Space()); string(got) != string(wantSpace) {
 		t.Errorf("resumed space differs from uninterrupted run")
 	}
-	if got := digestBytes(t, fsd); string(got) != string(wantDig) {
+	if got := digestBytes(t, full); string(got) != string(wantDig) {
 		t.Errorf("resumed digest streams differ from uninterrupted run")
 	}
 }
 
-// TestCachedSpaceDigestsFastPath pins the full-journal fast path of a
+// TestCachedDigestsFastPath pins the full-journal fast path of a
 // digested plan and its refusal cases: a complete digested journal
 // replays space and streams without simulating, while a journal at
 // another cadence or without digests (from a plain RunSpace) forces a
 // re-run rather than serving half an answer.
-func TestCachedSpaceDigestsFastPath(t *testing.T) {
+func TestCachedDigestsFastPath(t *testing.T) {
 	dir := t.TempDir()
 	jw, err := journal.CreateDir(dir)
 	if err != nil {
@@ -149,7 +164,7 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	}
 	e := digestExperiment(4)
 	e.Resilience = core.Resilience{Journal: jw}
-	sp, sd, err := e.RunSpaceDigests()
+	want, err := runDigested(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,24 +179,24 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw2.Close()
 	r := digestExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	cb, cycles := replayDigests(t, r)
+	cb, cycles := replayDigests(t, r, digestPlan(r))
 	if cycles != 0 {
 		t.Fatalf("a full digested journal simulated %d cycles, want 0", cycles)
 	}
-	csp, csd := cb.Space(), cb.Digests()
-	if got := renderSpace(csp); string(got) != string(renderSpace(sp)) {
+	if got := renderSpace(cb.Space()); string(got) != string(renderSpace(want.Space())) {
 		t.Error("cached space differs from original run")
 	}
-	if got := digestBytes(t, csd); string(got) != string(digestBytes(t, sd)) {
+	if got := digestBytes(t, cb); string(got) != string(digestBytes(t, want)) {
 		t.Error("cached digest streams differ from original run")
 	}
 
 	// Changing the cadence invalidates the cache — half-interval
 	// streams must not replay under a different contract.
 	r2 := digestExperiment(4)
-	r2.DigestIntervalNS = digTickNS * 2
 	r2.Resilience = core.Resilience{Cache: jc}
-	if _, cycles := replayDigests(t, r2); cycles == 0 {
+	p2 := digestPlan(r2)
+	p2.DigestIntervalNS = digTickNS * 2
+	if _, cycles := replayDigests(t, r2, p2); cycles == 0 {
 		t.Error("cache hit despite a digest-cadence mismatch")
 	}
 
@@ -192,7 +207,6 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := digestExperiment(4)
-	plain.DigestIntervalNS = 0
 	plain.Resilience = core.Resilience{Journal: jw3}
 	if _, err := plain.RunSpace(); err != nil {
 		t.Fatal(err)
@@ -207,35 +221,36 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw4.Close()
 	r3 := digestExperiment(4)
 	r3.Resilience = core.Resilience{Cache: jc2}
-	if _, cycles := replayDigests(t, r3); cycles == 0 {
+	if _, cycles := replayDigests(t, r3, digestPlan(r3)); cycles == 0 {
 		t.Error("digest-less journal served a digested plan")
 	}
 }
 
-// replayDigests branches e's digested plan and returns the outcome with
-// the cycles it simulated: 0 when the store served every run.
-func replayDigests(t *testing.T, e core.Experiment) (b core.Branched, cycles int64) {
+// replayDigests branches plan p of e and returns the outcome with the
+// cycles it simulated: 0 when the store served every run.
+func replayDigests(t *testing.T, e core.Experiment, p core.BranchPlan) (b core.Branched, cycles int64) {
 	t.Helper()
-	cycles = simulated(t, func() (err error) { b, err = e.Branch(e.BranchPlan()); return err })
+	cycles = simulated(t, func() (err error) { b, err = e.Branch(p); return err })
 	return b, cycles
 }
 
 // TestBranchObservedCombinesTracesAndDigests pins the one-pass
 // observatory: traces match a trace-only plan exactly (digesting must not
-// perturb the trajectory) and the digest streams match RunSpaceDigests.
+// perturb the trajectory) and the digest streams match a digest-only
+// plan's.
 func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
 	e := digestExperiment(4)
 	base, err := e.Prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := e.BranchPlan()
+	plan := digestPlan(e)
 	plan.Workers, plan.Trace = 4, true
 	b, err := core.Branch(base, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, sd := b.Space(), b.Digests()
+	sp := b.Space()
 	plan.DigestIntervalNS = 0
 	bT, err := core.Branch(base, plan)
 	if err != nil {
@@ -250,18 +265,21 @@ func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
 			t.Fatalf("run %d: observed trace has %d events, traced %d", i, n, nT)
 		}
 	}
-	var want core.SpaceDigests
-	_, want, err = e.RunSpaceDigests()
+	want, err := runDigested(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(digestBytes(t, sd)) != string(digestBytes(t, want)) {
-		t.Error("observed digest streams differ from RunSpaceDigests")
+	if string(digestBytes(t, b)) != string(digestBytes(t, want)) {
+		t.Error("observed digest streams differ from a digest-only plan's")
 	}
 	plan.N, plan.Workers = 2, 1
 	if zero, err := core.Branch(base, plan); err != nil {
 		t.Fatal(err)
-	} else if len(zero.Digests().Series) != 0 {
-		t.Error("interval 0 still recorded digest streams")
+	} else {
+		for i, r := range zero.Runs {
+			if r.Digests.Len() != 0 {
+				t.Errorf("interval 0 still recorded a digest stream in run %d", i)
+			}
+		}
 	}
 }

@@ -20,9 +20,10 @@ func (h *H) Characterize() error {
 		warmup int64
 		txns   int64
 	}
+	s := h.scaleTxns // the scientific codes run whole, unscaled
 	benches := []row{
-		{"oltp", 300, 300}, {"apache", 300, 600}, {"specjbb", 300, 1000},
-		{"slashcode", 10, 20}, {"ecperf", 3, 10},
+		{"oltp", s(300), s(300)}, {"apache", s(300), s(600)}, {"specjbb", s(300), s(1000)},
+		{"slashcode", s(10), s(20)}, {"ecperf", s(3), s(10)},
 		{"barnes", 0, 1}, {"ocean", 0, 1},
 	}
 	rows := [][]string{}
@@ -31,21 +32,12 @@ func (h *H) Characterize() error {
 		if err != nil {
 			return err
 		}
-		m, err := core.NewCheckpoint(h.baseConfig(), b.name, h.opt.Seed, 1, 0)
+		m, err := core.NewCheckpoint(h.baseConfig(), b.name, h.opt.Seed, 1, b.warmup)
 		if err != nil {
-			return err
-		}
-		if b.warmup > 0 {
-			if _, err := m.Run(h.scaleTxns(b.warmup)); err != nil {
-				return fmt.Errorf("%s warmup: %w", b.name, err)
-			}
+			return fmt.Errorf("%s: %w", b.name, err)
 		}
 		m.EnableTrace(0)
-		txns := b.txns
-		if b.name != "barnes" && b.name != "ocean" {
-			txns = h.scaleTxns(b.txns)
-		}
-		res, err := m.Run(txns)
+		res, err := m.Run(b.txns)
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.name, err)
 		}

@@ -1,6 +1,9 @@
 package harness
 
-import "varsim/internal/report"
+import (
+	"varsim/internal/digest"
+	"varsim/internal/report"
+)
 
 // divergenceDigestNS is the digest cadence of the divergence study:
 // 50 simulated microseconds.
@@ -14,12 +17,14 @@ const divergenceDigestNS = 50_000
 func (h *H) DivergenceStudy() error {
 	e := h.experiment("divergence/oltp", h.baseConfig(), "oltp", 500, 200, 0xD1)
 	e.Runs = 2
-	e.DigestIntervalNS = divergenceDigestNS
-	sp, sd, err := e.RunSpaceDigests()
+	plan := e.BranchPlan()
+	plan.DigestIntervalNS = divergenceDigestNS
+	b, err := e.Branch(plan)
 	if err != nil {
 		return err
 	}
-	report.WriteDivergence(h.opt.Out, "run 0", "run 1", sd.Diff(0, 1), sd.IntervalNS)
-	report.WriteResultDelta(h.opt.Out, sp.Results[0], sp.Results[1])
+	a, z := b.Runs[0], b.Runs[1]
+	report.WriteDivergence(h.opt.Out, "run 0", "run 1", digest.Diff(a.Digests, z.Digests), divergenceDigestNS)
+	report.WriteResultDelta(h.opt.Out, a.Result, z.Result)
 	return nil
 }

@@ -207,11 +207,8 @@ func (h *H) Fig4DRAMSweep() error {
 	for lat := int64(80); lat <= 90; lat++ {
 		cfg := h.baseConfig()
 		cfg.MemSupplyNS = lat
-		m, err := core.NewCheckpoint(cfg, "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF4), 0)
+		m, err := core.NewCheckpoint(cfg, "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF4), h.scaleTxns(300))
 		if err != nil {
-			return err
-		}
-		if _, err := m.Run(h.scaleTxns(300)); err != nil {
 			return err
 		}
 		res, err := m.Run(h.scaleTxns(500))
@@ -365,14 +362,11 @@ func (h *H) Fig8LongRunPhases() error {
 	nWindows := int(total / windowTxns)
 	perWindow := make([][]float64, nWindows)
 	for r := 0; r < nRuns; r++ {
-		m, err := core.NewCheckpoint(h.baseConfig(), "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF80+uint64(r)), 0)
-		if err != nil {
-			return err
-		}
 		// Warm caches and buffer pool first so the windows show workload
 		// phases, not cold start (the paper's runs measure a warmed
 		// database, §3.1).
-		if _, err := m.Run(h.scaleTxns(500)); err != nil {
+		m, err := core.NewCheckpoint(h.baseConfig(), "oltp", h.opt.Seed, rng.Derive(h.opt.Seed, 0xF80+uint64(r)), h.scaleTxns(500))
+		if err != nil {
 			return err
 		}
 		m.EnableTrace(0)

@@ -303,10 +303,3 @@ func resample(ys []float64, n int) []float64 {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

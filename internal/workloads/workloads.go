@@ -70,11 +70,19 @@ var registry = map[string]maker{
 // fixes the workload's identity (database contents, transaction feed):
 // it is the "checkpoint" all runs of an experiment share.
 func New(name string, cfg config.Config, seed uint64) (workload.Instance, error) {
-	mk, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
+	if err := Check(name); err != nil {
+		return nil, err
 	}
-	return mk(cfg, seed), nil
+	return registry[name](cfg, seed), nil
+}
+
+// Check returns the error New gives for a name it does not know, and
+// nil for one it does, without building anything.
+func Check(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
+	}
+	return nil
 }
 
 // newOLTP models DB2 running a TPC-C-like mix (§3.1): 8 database threads

@@ -28,8 +28,17 @@ func TestAllWorkloadsConstruct(t *testing.T) {
 }
 
 func TestUnknownWorkload(t *testing.T) {
-	if _, err := New("nope", config.Default(), 1); err == nil {
+	_, err := New("nope", config.Default(), 1)
+	if err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+	if cerr := Check("nope"); cerr == nil || cerr.Error() != err.Error() {
+		t.Errorf("Check(nope) = %v, want New's error %v", cerr, err)
+	}
+	for _, name := range Names() {
+		if err := Check(name); err != nil {
+			t.Errorf("Check(%s) = %v", name, err)
+		}
 	}
 }
 
